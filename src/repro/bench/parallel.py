@@ -285,23 +285,6 @@ def _worker_init(obs_kwargs: dict) -> None:
     runner.configure_observability(**obs_kwargs)
 
 
-def _peak_rss_mb() -> float:
-    """This process's resident-memory high watermark, in MB.
-
-    ``ru_maxrss`` units are platform-defined: kilobytes on Linux (per
-    getrusage(2)) but **bytes** on macOS -- normalize per platform so
-    the scale bench's RSS gate is not 1024x off outside Linux.
-    """
-    try:
-        import resource
-    except ImportError:  # pragma: no cover - non-Unix host
-        return 0.0
-    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":
-        return rss / 1e6
-    return rss / 1e3
-
-
 def _ship_exception(exc: BaseException) -> tuple:
     """A picklable representation of a worker-side job failure."""
     tb = "".join(traceback.format_exception(type(exc), exc,
@@ -373,12 +356,12 @@ def _worker_loop(worker_id: int, task_q, result_q,
                             caps))
         try:
             result_q.put(("chunk", worker_id, pid, chunk_id, idle,
-                          _peak_rss_mb(), entries))
+                          runner.peak_rss_mb(), entries))
         except Exception:  # pragma: no cover - unpicklable result
             shipped = _ship_exception(
                 RuntimeError("could not ship chunk result"))
             result_q.put(("chunk", worker_id, pid, chunk_id, idle,
-                          _peak_rss_mb(),
+                          runner.peak_rss_mb(),
                           [(job_id, False, shipped, 0.0, 0.0, 0, [])
                            for job_id, _ in jobs]))
         last_done = time.perf_counter()
@@ -772,7 +755,7 @@ class SweepScheduler:
                 wall = time.perf_counter() - t0
                 events = runner.events_since(watermark)
                 self.stats.note_job(pid, wall, cpu, events,
-                                    _peak_rss_mb())
+                                    runner.peak_rss_mb())
                 self.costs.observe(key, wall, cpu)
                 future._store(pos, True, value, wall, cpu, events, [])
         finally:

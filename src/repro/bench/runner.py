@@ -14,6 +14,7 @@ JSONL trace after the experiment finishes.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -27,7 +28,7 @@ __all__ = ["fresh_cluster", "mean", "reps_for_size", "SIZE_SWEEP",
            "captured_clusters", "ClusterCapture", "capture_cluster",
            "record_captures", "drain_captures",
            "observability_kwargs", "armed_telemetry",
-           "live_cluster_index", "events_since"]
+           "live_cluster_index", "events_since", "peak_rss_mb"]
 
 #: Message-size sweep of Figure 2 (16 bytes to 2 MB).
 SIZE_SWEEP = [16, 64, 256, 1024, 4096, 8192, 16384, 32768, 65536,
@@ -239,6 +240,21 @@ def reps_for_size(nbytes: int, *, budget_bytes: int = 1 << 20,
     """Series length decreasing with request size (as in section 5.4)."""
     reps = budget_bytes // max(nbytes, 1)
     return max(lo, min(hi, reps))
+
+
+def peak_rss_mb() -> float:
+    """This process's resident-memory high watermark, in MB.
+
+    ``ru_maxrss`` units are platform-defined: kilobytes on Linux (per
+    getrusage(2)) but **bytes** on macOS -- normalize per platform so
+    RSS gates are not 1024x off outside Linux.
+    """
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - non-Unix host
+        return 0.0
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return rss / (1e6 if sys.platform == "darwin" else 1e3)
 
 
 def bandwidth_mbs(nbytes: int, elapsed_us: float) -> float:

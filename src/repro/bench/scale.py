@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import gc
 import os
-import sys
 import time
 
 from ..machine.config import SP_1998, MachineConfig
 from .parallel import Deferred, JobSpec, spread_seed, submit
 from .report import ExperimentResult
-from .runner import fresh_cluster
+from .runner import fresh_cluster, peak_rss_mb
 
 __all__ = ["run_scale", "submit_scale", "scale_jobs", "scale_point",
            "scale_config", "SCALE_SIZES", "SCALE_QUICK_SIZES",
@@ -99,10 +98,7 @@ def _current_rss_mb() -> float:
             pages = int(fh.read().split()[1])
         return pages * os.sysconf("SC_PAGE_SIZE") / 1e6
     except (OSError, ValueError, IndexError):
-        import resource
-        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        # ru_maxrss is KB on Linux but bytes on macOS (getrusage(2)).
-        return rss / (1e6 if sys.platform == "darwin" else 1e3)
+        return peak_rss_mb()
 
 
 def scale_point(nnodes: int, topology: str, seed: int) -> dict:

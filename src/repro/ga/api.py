@@ -14,7 +14,7 @@ GA_Acc (atomic accumulate)   :meth:`acc` / :meth:`acc_ndarray`
 GA_Scatter / GA_Gather       :meth:`scatter` / :meth:`gather`
 GA_Read_inc                  :meth:`read_inc`
 Mutexes (lock/unlock)        :meth:`create_mutexes`, :meth:`lock`,
-                             :meth:`unlock`
+                             :meth:`unlock`, :meth:`destroy_mutexes`
 GA_Sync / GA_Fence           :meth:`sync` / :meth:`fence`
 GA_Distribution / GA_Locate  :meth:`distribution` / :meth:`locate`
 GA_Access (local block)      :meth:`access`
@@ -105,9 +105,23 @@ class GlobalArrays:
         self._initialized = True
 
     def terminate(self) -> Generator:
+        """GA_Terminate: sync, then give back everything GA allocated.
+
+        After the backend's closing sync no task can touch this node's
+        GA state any more, so the release is host-side only (no
+        simulated cost): undestroyed arrays, mutex words and the
+        backend's buffers are freed and the node's
+        ``Memory.live_bytes`` returns to its pre-``GA_Init`` level.
+        """
         if self._initialized:
             yield from self.backend.terminate()
             self._initialized = False
+            for ga in self._arrays.values():
+                if not ga.destroyed:
+                    self._free_array(ga)
+            self._arrays.clear()
+            self._free_mutex_words()
+            self.backend.close()
 
     def create(self, dims: tuple[int, int], dtype=np.float64,
                name: str = "", ghost_width: int = 0) -> Generator:
@@ -158,6 +172,9 @@ class GlobalArrays:
         """Collective: release an array."""
         ga = self.array(handle)
         yield from self.backend.barrier()
+        self._free_array(ga)
+
+    def _free_array(self, ga: GlobalArray) -> None:
         self.memory.free(ga.local_addr)
         ga.destroyed = True
 
@@ -288,6 +305,9 @@ class GlobalArrays:
         self._check_live()
         if count < 1:
             raise GaError("need at least one mutex")
+        if self._mutex_addrs:
+            raise GaError("mutexes already exist (destroy_mutexes"
+                          " first)")
         mine = [i for i in range(count) if i % self.size == self.rank]
         local = {}
         for i in mine:
@@ -295,11 +315,26 @@ class GlobalArrays:
             self.memory.write_i64(addr, 0)
             local[i] = addr
         tables = yield from self.backend.exchange(local)
-        self._mutex_addrs = []
         for i in range(count):
             owner = i % self.size
             self._mutex_addrs.append((owner, tables[owner][i]))
         yield from self.backend.barrier()
+
+    def destroy_mutexes(self) -> Generator:
+        """Collective (GA_Destroy_mutexes): release every mutex."""
+        self._check_live()
+        if not self._mutex_addrs:
+            raise GaError("no mutexes to destroy (create_mutexes"
+                          " first)")
+        yield from self.backend.barrier()  # no lock/unlock in flight
+        self._free_mutex_words()
+
+    def _free_mutex_words(self) -> None:
+        """Free the lock words this rank owns and forget the table."""
+        for owner, addr in self._mutex_addrs:
+            if owner == self.rank:
+                self.memory.free(addr)
+        self._mutex_addrs = []
 
     def lock(self, mutex: int) -> Generator:
         """Acquire a global mutex (spin with exponential backoff)."""

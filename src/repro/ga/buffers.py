@@ -9,6 +9,12 @@ packet for the pipelined ~900-byte protocol, plus a handful of large
 slots for multi-packet accumulate messages.  Completion handlers return
 slots to the pool as soon as the data is applied to the array.
 
+The whole pool is **one slab** of simulated memory carved into slots at
+interior offsets (small slots first, then large), so a node pays one
+allocation at ``GA_Init`` and the host only faults in the slots traffic
+actually lands in.  :meth:`AmBufferPool.close` gives the slab back at
+``GA_Terminate``.
+
 Pool exhaustion raises a hard error: it means the protocol's flow
 control (the send window bounding in-flight chunks) has been violated,
 which is a bug, not a runtime condition to paper over.
@@ -16,7 +22,7 @@ which is a bug, not a runtime condition to paper over.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 from ..errors import GaError
 
@@ -34,13 +40,21 @@ class AmBufferPool:
                  large_count: int) -> None:
         if small_size <= 0 or large_size <= 0:
             raise GaError("buffer sizes must be positive")
+        if small_count < 0 or large_count < 0 \
+                or small_count + large_count == 0:
+            raise GaError("buffer pool needs at least one slot")
         self.memory = memory
         self.small_size = small_size
         self.large_size = large_size
-        self._small_free = [memory.malloc(small_size)
-                            for _ in range(small_count)]
-        self._large_free = [memory.malloc(large_size)
-                            for _ in range(large_count)]
+        small_bytes = small_count * small_size
+        #: Base address of the slab; ``None`` once closed.
+        self.slab: Optional[int] = memory.malloc(
+            small_bytes + large_count * large_size)
+        # Free lists are stacks (the last slot is handed out first).
+        self._small_free = [self.slab + i * small_size
+                            for i in range(small_count)]
+        self._large_free = [self.slab + small_bytes + i * large_size
+                            for i in range(large_count)]
         self._owner: dict[int, str] = {}
         # Statistics
         self.small_high_water = 0
@@ -84,6 +98,14 @@ class AmBufferPool:
             self._large_free.append(addr)
         else:
             raise GaError(f"release of unknown pool slot {addr:#x}")
+
+    def close(self) -> None:
+        """Free the slab (``GA_Terminate``).  Idempotent; the occupancy
+        statistics stay readable, and a slot handed out afterwards
+        faults on first access."""
+        if self.slab is not None:
+            self.memory.free(self.slab)
+            self.slab = None
 
     @property
     def small_free(self) -> int:

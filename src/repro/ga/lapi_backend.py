@@ -110,6 +110,11 @@ class LapiBackend:
     def terminate(self) -> Generator:
         yield from self.sync()
 
+    def close(self) -> None:
+        """Host-side release after :meth:`terminate`: the pool's slab.
+        The pool object stays, so ``ga.buffers`` keeps rendering."""
+        self.pool.close()
+
     # ==================================================================
     # target side: the AM header handler and completion handlers
     # ==================================================================

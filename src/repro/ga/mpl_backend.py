@@ -82,6 +82,10 @@ class MplBackend:
     def terminate(self) -> Generator:
         yield from self.sync()
 
+    def close(self) -> None:
+        """Host-side release after :meth:`terminate`: MPL receives
+        into message buffers, so this backend holds no node memory."""
+
     # ==================================================================
     # target side: the rcvncall request handler
     # ==================================================================

@@ -45,14 +45,25 @@ class Memory:
     # allocation
     # ------------------------------------------------------------------
     def malloc(self, nbytes: int, fill: int = 0) -> int:
-        """Allocate ``nbytes`` and return the base address."""
+        """Allocate ``nbytes`` of ``fill`` bytes; return the base address.
+
+        Zero-filled allocations (the default) come from the calloc path,
+        so the host only pays for the pages a job actually touches.
+        """
         if nbytes <= 0:
             raise AllocationError(f"malloc({nbytes}) is not positive")
         if nbytes > self.max_allocation:
             raise AllocationError(
                 f"malloc({nbytes}) exceeds the {self.max_allocation}-byte"
                 " single-allocation cap")
-        buf = np.full(nbytes, fill, dtype=np.uint8)
+        if (not isinstance(fill, (int, np.integer))
+                or not 0 <= fill <= 255):
+            raise AllocationError(
+                f"malloc fill {fill!r} is not a byte value (int 0..255)")
+        if fill:
+            buf = np.full(nbytes, fill, dtype=np.uint8)
+        else:
+            buf = np.zeros(nbytes, dtype=np.uint8)
         aid = self._next_id
         self._next_id += 1
         self._allocs[aid] = buf

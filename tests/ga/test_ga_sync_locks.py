@@ -116,6 +116,54 @@ class TestMutexes:
 
         assert run_ga(main, backend=backend) == ["ok"] * 4
 
+    def test_second_create_without_destroy_rejected(self, backend):
+        def main(task):
+            ga = task.ga
+            yield from ga.create_mutexes(2)
+            try:
+                yield from ga.create_mutexes(2)
+            except GaError as exc:
+                yield from ga.sync()
+                return str(exc)
+
+        for msg in run_ga(main, backend=backend):
+            assert "destroy_mutexes" in msg
+
+    def test_destroy_mutexes_frees_words_and_allows_recreate(
+            self, backend):
+        def main(task):
+            ga = task.ga
+            mem = task.node.memory
+            before = mem.live_bytes
+            yield from ga.create_mutexes(6)
+            held = mem.live_bytes - before
+            yield from ga.destroy_mutexes()
+            freed = mem.live_bytes == before
+            try:
+                yield from ga.lock(0)
+            except GaError:
+                gone = True
+            yield from ga.create_mutexes(3)
+            yield from ga.lock(2)
+            yield from ga.unlock(2)
+            yield from ga.sync()
+            return held, freed, gone
+
+        results = run_ga(main, backend=backend)
+        # Six lock words dealt round-robin over four ranks.
+        assert [r[0] for r in results] == [16, 16, 8, 8]
+        assert all(freed and gone for _, freed, gone in results)
+
+    def test_destroy_without_create_rejected(self, backend):
+        def main(task):
+            try:
+                yield from task.ga.destroy_mutexes()
+            except GaError:
+                yield from task.ga.sync()
+                return "rejected"
+
+        assert run_ga(main, backend=backend) == ["rejected"] * 4
+
     def test_unknown_mutex_rejected(self, backend):
         def main(task):
             ga = task.ga

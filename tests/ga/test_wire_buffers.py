@@ -107,6 +107,121 @@ class TestBufferPool:
         assert pool.in_use == 0
 
 
+class _PerSlotPool:
+    """Reference model: the pool as one allocation per slot, slots
+    named ``(kind, index)`` in allocation order; free lists are stacks.
+    The slab pool must hand out the same slots and fail the same way.
+    """
+
+    def __init__(self, small_size, small_count, large_size,
+                 large_count):
+        self.small_size, self.large_size = small_size, large_size
+        self.free = {"small": [("small", i) for i in range(small_count)],
+                     "large": [("large", i) for i in range(large_count)]}
+        self.total = {"small": small_count, "large": large_count}
+        self.high_water = {"small": 0, "large": 0}
+        self.held = set()
+
+    def acquire(self, nbytes):
+        if nbytes <= self.small_size and self.free["small"]:
+            kind = "small"
+        elif nbytes > self.large_size:
+            return "exceeds"
+        elif not self.free["large"]:
+            return "exhausted"
+        else:
+            kind = "large"
+        slot = self.free[kind].pop()
+        self.held.add(slot)
+        self.high_water[kind] = max(
+            self.high_water[kind],
+            self.total[kind] - len(self.free[kind]))
+        return slot
+
+    def release(self, slot):
+        if slot not in self.held:
+            return "unknown"
+        self.held.remove(slot)
+        self.free[slot[0]].append(slot)
+        return None
+
+
+class TestSlabPoolAgainstModel:
+    SMALL, LARGE = 64, 256
+
+    def slot_of(self, pool, addr):
+        """Name the slab byte range at ``addr`` as the model does."""
+        off = addr - pool.slab
+        small_bytes = pool._small_total * self.SMALL
+        if off < small_bytes:
+            assert off % self.SMALL == 0
+            return ("small", off // self.SMALL), self.SMALL
+        assert (off - small_bytes) % self.LARGE == 0
+        return ("large", (off - small_bytes) // self.LARGE), self.LARGE
+
+    @given(st.integers(0, 4), st.integers(0, 3), st.data())
+    def test_random_sequences_match_model(self, nsmall, nlarge, data):
+        if nsmall + nlarge == 0:
+            with pytest.raises(GaError, match="at least one slot"):
+                AmBufferPool(Memory(0), small_size=self.SMALL,
+                             small_count=0, large_size=self.LARGE,
+                             large_count=0)
+            return
+        mem = Memory(0)
+        mem.malloc(16)  # the slab is not the node's first allocation
+        pool = AmBufferPool(mem, small_size=self.SMALL,
+                            small_count=nsmall, large_size=self.LARGE,
+                            large_count=nlarge)
+        model = _PerSlotPool(self.SMALL, nsmall, self.LARGE, nlarge)
+        slab_bytes = nsmall * self.SMALL + nlarge * self.LARGE
+        assert mem.size_of(pool.slab) == slab_bytes
+        held = {}  # addr -> (slot name, slot size)
+        ops = data.draw(st.lists(st.one_of(
+            st.tuples(st.just("acquire"),
+                      st.integers(1, self.LARGE + 40)),
+            st.tuples(st.just("release"), st.integers(0, 8)),
+            st.tuples(st.just("bogus"), st.integers(0, 4))),
+            max_size=40))
+        for op, arg in ops:
+            if op == "acquire":
+                want = model.acquire(arg)
+                if isinstance(want, str):
+                    with pytest.raises(GaError, match=want):
+                        pool.acquire(arg)
+                    continue
+                addr = pool.acquire(arg)
+                slot, size = self.slot_of(pool, addr)
+                assert slot == want and arg <= size
+                # Inside the slab, and disjoint from every held slot.
+                assert pool.slab <= addr
+                assert addr + size <= pool.slab + slab_bytes
+                for other, (_, osize) in held.items():
+                    assert addr + size <= other or other + osize <= addr
+                held[addr] = (slot, size)
+                mem.write(addr, bytes([len(held)]) * arg)
+            elif op == "release" and held:
+                addr = sorted(held)[arg % len(held)]
+                slot, _ = held.pop(addr)
+                assert model.release(slot) is None
+                pool.release(addr)
+            else:
+                # Never handed out: an interior or foreign address.
+                bogus = pool.slab + slab_bytes + arg \
+                    if op == "bogus" else pool.slab + 1
+                assert model.release(("bogus", bogus)) == "unknown"
+                with pytest.raises(GaError, match="unknown pool slot"):
+                    pool.release(bogus)
+            assert pool.small_high_water == model.high_water["small"]
+            assert pool.large_high_water == model.high_water["large"]
+            assert pool.small_free == len(model.free["small"])
+            assert pool.large_free == len(model.free["large"])
+            assert pool.in_use == len(held)
+        pool.close()
+        assert mem.live_bytes == 16
+        pool.close()  # idempotent
+        assert pool.slab is None
+
+
 class TestPacking:
     def _make_ga(self, dims=(8, 8), ntasks=1):
         from repro.ga.array import GlobalArray

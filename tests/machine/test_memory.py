@@ -35,6 +35,17 @@ class TestAllocation:
         a = mem.malloc(4, fill=0xAB)
         assert mem.read(a, 4) == b"\xab\xab\xab\xab"
 
+    @pytest.mark.parametrize("fill", [300, -1, 256, 1.5, "7", None])
+    def test_fill_must_be_a_byte_value(self, mem, fill):
+        with pytest.raises(AllocationError, match="fill"):
+            mem.malloc(4, fill=fill)
+        assert mem.live_bytes == 0
+
+    @pytest.mark.parametrize("fill", [0, 255, np.uint8(9)])
+    def test_fill_byte_values_accepted(self, mem, fill):
+        a = mem.malloc(3, fill=fill)
+        assert mem.read(a, 3) == bytes([int(fill)]) * 3
+
     def test_free_releases(self, mem):
         a = mem.malloc(64)
         assert mem.live_bytes == 64
