@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Generator, Optional, Union
 from ..errors import LapiError
 from .context import SendState
 from .protocol import am_packets
-from .putget import _make_send_complete
+from .putget import _make_send_complete, _origin_bursts
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .api import Lapi
@@ -46,15 +46,23 @@ def do_amsend(lapi: "Lapi", target: int, handler_id: int, uhdr: bytes,
         raise LapiError(f"negative udata_len {udata_len}")
     sp = lapi.spans
     op_sid = None
+    t_call = lapi.sim.now
     if sp is not None:
-        t_call = lapi.sim.now
         op_sid = sp.open(ctx.rank, "lapi", "amsend", t_call,
                          parent=getattr(thread, "span_parent", None),
                          dst=target, bytes=udata_len, handler=handler_id)
-    yield from thread.execute(cfg.lapi_call_overhead)
-    if sp is not None:
-        sp.emit(ctx.rank, "lapi", "amsend", "call", t_call,
-                lapi.sim.now, parent=op_sid, bytes=udata_len)
+    local = target == ctx.rank
+    small = udata_len <= cfg.lapi_retrans_copy_limit
+    if local:
+        yield from thread.execute(cfg.lapi_call_overhead)
+        if sp is not None:
+            sp.emit(ctx.rank, "lapi", "amsend", "call", t_call,
+                    lapi.sim.now, parent=op_sid, bytes=udata_len)
+    else:
+        yield from _origin_bursts(
+            lapi, thread, "amsend", op_sid, t_call, udata_len,
+            cfg.copy_cost(udata_len + len(uhdr)) if small else None,
+            org_cntr)
     ctx.stats.amsends += 1
     ctx.stats.bytes_sent += udata_len
 
@@ -70,7 +78,7 @@ def do_amsend(lapi: "Lapi", target: int, handler_id: int, uhdr: bytes,
     else:
         data = lapi.memory.read(udata, udata_len) if udata_len else b""
 
-    if target == ctx.rank:
+    if local:
         yield from _local_amsend(lapi, thread, handler_id, bytes(uhdr),
                                  data, tgt_cntr, org_cntr, cmpl_cntr)
         if sp is not None:
@@ -85,32 +93,22 @@ def do_amsend(lapi: "Lapi", target: int, handler_id: int, uhdr: bytes,
         sp.bind_packets(packets, op_sid, "amsend", udata_len,
                         msg_key=("lapi", ctx.rank, msg_id))
 
-    small = udata_len <= cfg.lapi_retrans_copy_limit
     state = SendState(msg_id, target, total_packets=len(packets),
                       org_cntr=None if small else org_cntr,
                       org_counted=small)
     ctx.send_msgs[msg_id] = state
     ctx.op_issued(target)
     state.on_complete = _make_send_complete(lapi, state)
-
-    if small:
-        if sp is not None:
-            t_copy = lapi.sim.now
-        yield from thread.execute(cfg.copy_cost(udata_len + len(uhdr)))
-        if sp is not None:
-            sp.emit(ctx.rank, "lapi", "amsend", "copy", t_copy,
-                    lapi.sim.now, parent=op_sid, bytes=udata_len)
-        if org_cntr is not None:
-            if sp is not None:
-                t_cu = lapi.sim.now
-            yield from thread.execute(cfg.lapi_counter_update)
-            if sp is not None:
-                sp.emit(ctx.rank, "lapi", "amsend", "counter_update",
-                        t_cu, lapi.sim.now, parent=op_sid)
-            org_cntr.add(1)
-
+    # The first packet's send cost rode the origin chain unless an
+    # origin-counter update ended it (see ``_origin_bursts``).
+    charged = not (small and org_cntr is not None)
+    if not charged:
+        org_cntr.add(1)
     for pkt in packets:
-        yield from thread.execute(cfg.lapi_pkt_send_cost)
+        if charged:
+            charged = False
+        else:
+            yield from thread.execute(cfg.lapi_pkt_send_cost)
         yield from lapi.transport.send_data(thread, pkt,
                                             on_ack=state.ack_one)
     if sp is not None:

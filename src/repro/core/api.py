@@ -19,10 +19,13 @@ LAPI_Qenv / LAPI_Senv    :meth:`Lapi.qenv` / :meth:`Lapi.senv`
 LAPI_Probe               :meth:`Lapi.probe`
 =======================  =====================================
 
-All communication methods are generator coroutines: call them with
-``yield from`` on a node CPU thread.  Data-transfer calls are
-non-blocking (they return once the operation is queued -- the paper's
-"unordered pipelining"); completion is observed through counters.
+All communication methods return generator coroutines: call them with
+``yield from`` on a node CPU thread (the pure delegations hand back the
+implementing generator itself, so no wrapper frame sits on every
+resume beneath them; misuse still raises at the call).  Data-transfer
+calls are non-blocking (they return once the operation is queued -- the
+paper's "unordered pipelining"); completion is observed through
+counters.
 Blocking convenience wrappers (``put_sync`` etc.) pair each call with
 an immediate Waitcntr, exactly the "simple extension" section 3 notes.
 """
@@ -388,16 +391,16 @@ class Lapi:
         *target task's* counter id; ``org_cntr``/``cmpl_cntr`` are local
         counter objects."""
         self._check_live()
-        yield from do_put(self, target, length, tgt_addr, org_addr,
-                          tgt_cntr, org_cntr, cmpl_cntr)
+        return do_put(self, target, length, tgt_addr, org_addr,
+                      tgt_cntr, org_cntr, cmpl_cntr)
 
     def get(self, target: int, length: int, tgt_addr: int, org_addr: int,
             tgt_cntr: Optional[int] = None,
             org_cntr: Optional[LapiCounter] = None) -> Generator:
         """LAPI_Get (non-blocking remote read into ``org_addr``)."""
         self._check_live()
-        yield from do_get(self, target, length, tgt_addr, org_addr,
-                          tgt_cntr, org_cntr)
+        return do_get(self, target, length, tgt_addr, org_addr,
+                      tgt_cntr, org_cntr)
 
     def amsend(self, target: int, handler_id: int, uhdr: bytes,
                udata: Union[int, bytes, None] = None, udata_len: int = 0,
@@ -406,8 +409,8 @@ class Lapi:
                cmpl_cntr: Optional[LapiCounter] = None) -> Generator:
         """LAPI_Amsend (non-blocking active message)."""
         self._check_live()
-        yield from do_amsend(self, target, handler_id, uhdr, udata,
-                             udata_len, tgt_cntr, org_cntr, cmpl_cntr)
+        return do_amsend(self, target, handler_id, uhdr, udata,
+                         udata_len, tgt_cntr, org_cntr, cmpl_cntr)
 
     def putv(self, target: int, runs, tgt_cntr: Optional[int] = None,
              org_cntr: Optional[LapiCounter] = None,
@@ -416,8 +419,7 @@ class Lapi:
         work: one call scatters ``(tgt_addr, org_addr, nbytes)`` runs."""
         self._check_live()
         from .vector import do_putv
-        yield from do_putv(self, target, runs, tgt_cntr, org_cntr,
-                           cmpl_cntr)
+        return do_putv(self, target, runs, tgt_cntr, org_cntr, cmpl_cntr)
 
     def getv(self, target: int, runs,
              org_cntr: Optional[LapiCounter] = None) -> Generator:
@@ -425,7 +427,7 @@ class Lapi:
         work: one call gathers ``(tgt_addr, org_addr, nbytes)`` runs."""
         self._check_live()
         from .vector import do_getv
-        yield from do_getv(self, target, runs, org_cntr)
+        return do_getv(self, target, runs, org_cntr)
 
     def rmw(self, op: RmwOp, target: int, tgt_addr: int, in_val: int,
             cmp_val: Optional[int] = None,
@@ -433,9 +435,8 @@ class Lapi:
             org_cntr: Optional[LapiCounter] = None) -> Generator:
         """LAPI_Rmw (non-blocking atomic op); returns a pending handle."""
         self._check_live()
-        pending = yield from do_rmw(self, op, target, tgt_addr, in_val,
-                                    cmp_val, prev_addr, org_cntr)
-        return pending
+        return do_rmw(self, op, target, tgt_addr, in_val, cmp_val,
+                      prev_addr, org_cntr)
 
     # ------------------------------------------------------------------
     # blocking conveniences ("a simple extension", section 3)
@@ -470,12 +471,12 @@ class Lapi:
     def fence(self, target: Optional[int] = None) -> Generator:
         """LAPI_Fence: wait for this task's data transfers to complete."""
         self._check_live()
-        yield from do_fence(self, target)
+        return do_fence(self, target)
 
     def gfence(self) -> Generator:
         """LAPI_Gfence: collective fence + barrier."""
         self._check_live()
-        yield from do_gfence(self)
+        return do_gfence(self)
 
     barrier = gfence
 

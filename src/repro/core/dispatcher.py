@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Generator, Optional
 
 from ..errors import LapiError
 from ..machine.cpu import HANDLER
+from ..sim.park import linger_loop, poll_step
 from .constants import PacketKind
 from .context import RecvAssembly
 from .protocol import control_packet, get_reply_packets
@@ -52,33 +53,6 @@ _MTYPE_OP = {PacketKind.MSG_PUT: "put", PacketKind.MSG_AM: "amsend",
 def _to_signed(v: int) -> int:
     v &= _U64
     return v - (1 << 64) if v >= (1 << 63) else v
-
-
-def linger_loop(dispatcher, thread) -> "Generator":
-    """Shared interrupt-coalescing tail for protocol dispatchers.
-
-    Waits (off-CPU) up to ``interrupt_linger`` for further arrivals;
-    each one is processed at the amortized rate and resets the timer.
-    Returns once the line has gone quiet.
-    """
-    sim = thread.sim
-    client = dispatcher.lapi.client if hasattr(dispatcher, "lapi") \
-        else dispatcher.mpl.client
-    linger = dispatcher.config.interrupt_linger
-    if linger <= 0:
-        return
-    while True:
-        getter = client.rx.get()
-        if not getter.triggered:
-            timeout = sim.timeout(linger)
-            yield from thread.wait(sim.any_of([getter, timeout]))
-            if not getter.triggered:
-                client.rx.cancel_get(getter)
-                return
-        yield from dispatcher.process(thread, getter.value,
-                                      amortized=True)
-        yield from dispatcher.drain(thread)
-        dispatcher.ctx.progress_ws.notify_all()
 
 
 class Dispatcher:
@@ -110,42 +84,10 @@ class Dispatcher:
         return processed
 
     def poll_step(self, thread: "Thread") -> Generator:
-        """One polling-mode progress step (section 2.1's polling mode).
-
-        Charges the doorbell check; drains pending packets if any,
-        otherwise blocks the calling thread until the next arrival and
-        processes it.  Used by Waitcntr/fence loops in polling mode, so
-        a polling task makes progress exactly while it sits in LAPI
-        calls -- and a task that never calls LAPI makes none (the
-        documented deadlock hazard of polling mode).
-        """
-        # Inlined thread.execute fast path: a Waitcntr loop issues one
-        # poll_step per pending packet, so the extra generator frame is
-        # measurable.  Identical timing (execute with the CPU held and
-        # no faults is exactly ``yield cost``).
-        cost = self.config.poll_check_cost
-        if thread._holding and thread.cpu.faults is None and cost > 0:
-            yield cost
-            thread.cpu_time += cost
-        else:
-            yield from thread.execute(cost)
-        if self.lapi.client.pending > 0:
-            yield from self.drain(thread)
-            return
-        # Wake on the next packet OR on any progress signal -- window
-        # acknowledgements are consumed at the adapter level, so a
-        # poller must not insist on seeing a packet.
-        sim = thread.sim
-        getter = self.lapi.client.rx.get()
-        progress = self.ctx.progress_ws.wait()
-        yield from thread.wait(sim.any_of([getter, progress]))
-        if getter.triggered:
-            yield from self.process(thread, getter.value)
-            # Opportunistically absorb the rest of the burst.
-            yield from self.drain(thread)
-            self.ctx.progress_ws.notify_all()
-        else:
-            self.lapi.client.rx.cancel_get(getter)
+        """One polling-mode progress step (see
+        :func:`repro.sim.park.poll_step`)."""
+        return poll_step(thread, self, self.lapi.client.rx,
+                         self.ctx.progress_ws, self.config.poll_check_cost)
 
     def interrupt_service(self, thread: "Thread") -> Generator:
         """Body of the interrupt-mode dispatcher thread.
@@ -159,7 +101,9 @@ class Dispatcher:
         self.ctx.stats.interrupts_taken += 1
         yield from thread.execute(self.config.interrupt_latency)
         yield from self.drain(thread)
-        yield from linger_loop(self, thread)
+        yield from linger_loop(thread, self, self.lapi.client.rx,
+                               self.ctx.progress_ws,
+                               self.config.interrupt_linger)
         # Re-arm before exiting; arrivals from now on re-fire.
         self.lapi.client.arm_interrupt()
 
@@ -194,22 +138,13 @@ class Dispatcher:
         sp = self.lapi.spans
         if pkt.kind == PacketKind.ACK:
             # Lightweight: adjust transport state, run ack hooks.
-            if thread._holding and thread.cpu.faults is None:
-                yield 0.3
-                thread.cpu_time += 0.3
-            else:
-                yield from thread.execute(0.3)
+            yield from thread.execute(0.3)
             if sp is not None:
                 sp.packet_dispatched(pkt, thread.sim.now)
             self.lapi.transport.on_ack(pkt)
             return
-        cost = (cfg.lapi_pkt_recv_amortized if amortized
-                else cfg.lapi_pkt_recv_cost)
-        if thread._holding and thread.cpu.faults is None and cost > 0:
-            yield cost
-            thread.cpu_time += cost
-        else:
-            yield from thread.execute(cost)
+        yield from thread.execute(cfg.lapi_pkt_recv_amortized if amortized
+                                  else cfg.lapi_pkt_recv_cost)
         if sp is not None:
             sp.packet_dispatched(pkt, thread.sim.now)
         if not self.lapi.transport.on_packet(pkt):
@@ -276,22 +211,33 @@ class Dispatcher:
             asm.tgt_cntr_id = pkt.info["tgt_cntr_id"]
             asm.cmpl_cntr_id = pkt.info["cmpl_cntr_id"]
         payload = pkt.payload
+        counted = False
         if payload:
+            n = len(payload)
             sp = self.lapi.spans
             if sp is not None:
                 t_cp = thread.sim.now
-            yield from thread.execute(cfg.copy_cost(len(payload)))
+            # The copy that completes a put runs straight into its
+            # target-counter update: one wake-up for both bursts.
+            counted = (asm.tgt_cntr_id is not None
+                       and asm.received + n >= asm.total_len)
+            if counted:
+                yield from thread.execute(cfg.copy_cost(n),
+                                          cfg.lapi_counter_update)
+            else:
+                yield from thread.execute(cfg.copy_cost(n))
             if sp is not None:
                 sp.emit(self.ctx.rank, "lapi", "put", "copy", t_cp,
-                        thread.sim.now, parent=sp.origin_of(pkt),
-                        bytes=len(payload))
+                        thread.burst_ends[0] if counted
+                        else thread.sim.now,
+                        parent=sp.origin_of(pkt), bytes=n)
             self.lapi.memory.write(asm.buf_addr + pkt.info["offset"],
                                    payload)
-            asm.received += len(payload)
-            self.ctx.stats.bytes_received += len(payload)
+            asm.received += n
+            self.ctx.stats.bytes_received += n
         if asm.complete:
             del self.ctx.recv_asm[(asm.src, asm.msg_id)]
-            yield from self._message_complete(thread, asm)
+            yield from self._message_complete(thread, asm, counted)
 
     def _am_data(self, thread: "Thread", pkt: "Packet") -> Generator:
         cfg = self.config
@@ -382,9 +328,13 @@ class Dispatcher:
                 f" {total_len} bytes of user data")
         return buf_addr, cmpl_fn, user_info
 
-    def _message_complete(self, thread: "Thread",
-                          asm: RecvAssembly) -> Generator:
-        """All bytes of a put/am message are in place at the target."""
+    def _message_complete(self, thread: "Thread", asm: RecvAssembly,
+                          counted: bool = False) -> Generator:
+        """All bytes of a put/am message are in place at the target.
+
+        ``counted``: the target-counter update was already charged, on
+        the tail of the copy that completed the message.
+        """
         cfg = self.config
         sp = self.lapi.spans
         if asm.cmpl_fn is not None:
@@ -423,10 +373,10 @@ class Dispatcher:
             thread.cpu.spawn(body, name=f"lapi{self.ctx.rank}.cmpl",
                              priority=HANDLER)
         else:
-            yield from self._signal_completion(thread, asm)
+            yield from self._signal_completion(thread, asm, counted)
 
-    def _signal_completion(self, thread: "Thread",
-                           asm: RecvAssembly) -> Generator:
+    def _signal_completion(self, thread: "Thread", asm: RecvAssembly,
+                           counted: bool = False) -> Generator:
         """Update the target counter; notify the origin's cmpl counter."""
         cfg = self.config
         sp = self.lapi.spans
@@ -435,9 +385,11 @@ class Dispatcher:
             origin = sp.message_origin(mkey)
             op = _MTYPE_OP.get(asm.mtype, str(asm.mtype))
         if asm.tgt_cntr_id is not None:
-            if sp is not None:
+            if counted:
+                t_cu = thread.burst_ends[0]
+            else:
                 t_cu = thread.sim.now
-            yield from thread.execute(cfg.lapi_counter_update)
+                yield from thread.execute(cfg.lapi_counter_update)
             if sp is not None:
                 sp.emit(self.ctx.rank, "lapi", op, "counter_update",
                         t_cu, thread.sim.now, parent=origin)
@@ -582,19 +534,31 @@ class Dispatcher:
                 f"task {self.ctx.rank}: get reply for unknown msg"
                 f" {pkt.info['msg_id']}")
         payload = pkt.payload
+        counted = False
         if payload:
-            yield from thread.execute(cfg.copy_cost(len(payload)))
+            n = len(payload)
+            # As for a put: the copy that completes the get chains into
+            # the origin-counter update.
+            counted = (pending.org_cntr is not None
+                       and pending.received + n >= pending.length)
+            if counted:
+                yield from thread.execute(cfg.copy_cost(n),
+                                          cfg.lapi_counter_update)
+            else:
+                yield from thread.execute(cfg.copy_cost(n))
             self.lapi.memory.write(pending.org_addr + pkt.info["offset"],
                                    payload)
-            pending.received += len(payload)
-            self.ctx.stats.bytes_received += len(payload)
+            pending.received += n
+            self.ctx.stats.bytes_received += n
         if pending.complete or pending.length == 0:
             del self.ctx.pending_gets[pending.msg_id]
             if pending.org_cntr is not None:
                 sp = self.lapi.spans
-                if sp is not None:
+                if counted:
+                    t_cu = thread.burst_ends[0]
+                else:
                     t_cu = thread.sim.now
-                yield from thread.execute(cfg.lapi_counter_update)
+                    yield from thread.execute(cfg.lapi_counter_update)
                 if sp is not None:
                     sp.emit(self.ctx.rank, "lapi", "get",
                             "counter_update", t_cu, thread.sim.now,

@@ -52,27 +52,33 @@ def do_put(lapi: "Lapi", target: int, length: int, tgt_addr: int,
     _validate_common(lapi, target, length)
     sp = lapi.spans
     op_sid = None
+    t_call = lapi.sim.now
     if sp is not None:
-        t_call = lapi.sim.now
         op_sid = sp.open(ctx.rank, "lapi", "put", t_call,
                          parent=getattr(thread, "span_parent", None),
                          dst=target, bytes=length)
-    yield from thread.execute(cfg.lapi_call_overhead)
-    if sp is not None:
-        sp.emit(ctx.rank, "lapi", "put", "call", t_call, lapi.sim.now,
-                parent=op_sid, bytes=length)
-    ctx.stats.puts += 1
-    ctx.stats.bytes_sent += length
-
-    data = lapi.memory.read(org_addr, length) if length else b""
 
     if target == ctx.rank:
+        yield from thread.execute(cfg.lapi_call_overhead)
+        if sp is not None:
+            sp.emit(ctx.rank, "lapi", "put", "call", t_call, lapi.sim.now,
+                    parent=op_sid, bytes=length)
+        ctx.stats.puts += 1
+        ctx.stats.bytes_sent += length
+        data = lapi.memory.read(org_addr, length) if length else b""
         yield from _local_put(lapi, thread, data, tgt_addr, tgt_cntr,
                               org_cntr, cmpl_cntr)
         if sp is not None:
             sp.close(op_sid, lapi.sim.now, local=True)
         return
 
+    small = length <= cfg.lapi_retrans_copy_limit
+    yield from _origin_bursts(lapi, thread, "put", op_sid, t_call, length,
+                              cfg.copy_cost(length) if small else None,
+                              org_cntr)
+    ctx.stats.puts += 1
+    ctx.stats.bytes_sent += length
+    data = lapi.memory.read(org_addr, length) if length else b""
     msg_id = ctx.new_msg_id()
     cmpl_id = cmpl_cntr.id if cmpl_cntr is not None else None
     packets = put_packets(cfg, ctx.rank, target, msg_id, data, tgt_addr,
@@ -80,39 +86,60 @@ def do_put(lapi: "Lapi", target: int, length: int, tgt_addr: int,
     if sp is not None:
         sp.bind_packets(packets, op_sid, "put", length,
                         msg_key=("lapi", ctx.rank, msg_id))
-
-    small = length <= cfg.lapi_retrans_copy_limit
     state = SendState(msg_id, target, total_packets=len(packets),
                       org_cntr=None if small else org_cntr,
                       org_counted=small)
     ctx.send_msgs[msg_id] = state
     ctx.op_issued(target)
     state.on_complete = _make_send_complete(lapi, state)
-
-    if small:
-        # Copy into LAPI's internal (retransmission) buffers: the user
-        # buffer is immediately reusable.
-        if sp is not None:
-            t_copy = lapi.sim.now
-        yield from thread.execute(cfg.copy_cost(length))
-        if sp is not None:
-            sp.emit(ctx.rank, "lapi", "put", "copy", t_copy,
-                    lapi.sim.now, parent=op_sid, bytes=length)
-        if org_cntr is not None:
-            if sp is not None:
-                t_cu = lapi.sim.now
-            yield from thread.execute(cfg.lapi_counter_update)
-            if sp is not None:
-                sp.emit(ctx.rank, "lapi", "put", "counter_update", t_cu,
-                        lapi.sim.now, parent=op_sid)
-            org_cntr.add(1)
-
+    # The first packet's send cost rode the origin chain unless an
+    # origin-counter update ended it.
+    charged = not (small and org_cntr is not None)
+    if not charged:
+        org_cntr.add(1)
     for pkt in packets:
-        yield from thread.execute(cfg.lapi_pkt_send_cost)
+        if charged:
+            charged = False
+        else:
+            yield from thread.execute(cfg.lapi_pkt_send_cost)
         yield from lapi.transport.send_data(thread, pkt,
                                             on_ack=state.ack_one)
     if sp is not None:
         sp.close(op_sid, lapi.sim.now, packets=len(packets))
+
+
+def _origin_bursts(lapi: "Lapi", thread, op: str, op_sid, t_call: float,
+                   nbytes: int, copy_cost: Optional[float],
+                   org_cntr: Optional["LapiCounter"]) -> Generator:
+    """Charge a remote put/amsend up to its first packet: one wake-up.
+
+    Call overhead, the copy into LAPI's internal (retransmission)
+    buffers for a small message (``copy_cost``; the user buffer is
+    reusable once it is done) and the first packet's send cost run back
+    to back with nothing observable in between, so they chain.  An
+    origin counter breaks the chain: its update burst ends it, and the
+    caller charges the first packet's send cost with the others.
+    """
+    cfg = lapi.config
+    costs = [cfg.lapi_call_overhead]
+    if copy_cost is not None:
+        costs.append(copy_cost)
+    counted = copy_cost is not None and org_cntr is not None
+    costs.append(cfg.lapi_counter_update if counted
+                 else cfg.lapi_pkt_send_cost)
+    yield from thread.execute(*costs)
+    sp = lapi.spans
+    if sp is not None:
+        rank = lapi.ctx.rank
+        ends = thread.burst_ends
+        sp.emit(rank, "lapi", op, "call", t_call, ends[0], parent=op_sid,
+                bytes=nbytes)
+        if copy_cost is not None:
+            sp.emit(rank, "lapi", op, "copy", ends[0], ends[1],
+                    parent=op_sid, bytes=nbytes)
+        if counted:
+            sp.emit(rank, "lapi", op, "counter_update", ends[1], ends[2],
+                    parent=op_sid)
 
 
 def _make_send_complete(lapi: "Lapi", state: SendState):
@@ -155,18 +182,19 @@ def do_get(lapi: "Lapi", target: int, length: int, tgt_addr: int,
     _validate_common(lapi, target, length)
     sp = lapi.spans
     op_sid = None
+    t_call = lapi.sim.now
     if sp is not None:
-        t_call = lapi.sim.now
         op_sid = sp.open(ctx.rank, "lapi", "get", t_call,
                          parent=getattr(thread, "span_parent", None),
                          src=target, bytes=length)
-    yield from thread.execute(cfg.lapi_call_overhead + cfg.lapi_get_extra)
-    if sp is not None:
-        sp.emit(ctx.rank, "lapi", "get", "call", t_call, lapi.sim.now,
-                parent=op_sid, bytes=length)
-    ctx.stats.gets += 1
+    call_cost = cfg.lapi_call_overhead + cfg.lapi_get_extra
 
     if target == ctx.rank:
+        yield from thread.execute(call_cost)
+        if sp is not None:
+            sp.emit(ctx.rank, "lapi", "get", "call", t_call, lapi.sim.now,
+                    parent=op_sid, bytes=length)
+        ctx.stats.gets += 1
         ctx.stats.local_fastpaths += 1
         if length:
             data = lapi.memory.read(tgt_addr, length)
@@ -181,11 +209,16 @@ def do_get(lapi: "Lapi", target: int, length: int, tgt_addr: int,
             sp.close(op_sid, lapi.sim.now, local=True)
         return
 
+    # Call overhead and the request packet's send cost: one wake-up.
+    yield from thread.execute(call_cost, cfg.lapi_pkt_send_cost)
+    if sp is not None:
+        sp.emit(ctx.rank, "lapi", "get", "call", t_call,
+                thread.burst_ends[0], parent=op_sid, bytes=length)
+    ctx.stats.gets += 1
     msg_id = ctx.new_msg_id()
     ctx.pending_gets[msg_id] = GetPending(msg_id, target, org_addr,
                                           length, org_cntr)
     ctx.op_issued(target)
-    yield from thread.execute(cfg.lapi_pkt_send_cost)
     req = control_packet(
         cfg, ctx.rank, target, PacketKind.GET_REQ,
         msg_id=msg_id, tgt_addr=tgt_addr, length=length,

@@ -7,6 +7,8 @@ switch fabric.  Responsibilities:
   DMA-setup + wire-serialization + inter-packet-gap rate, then hands each
   to the switch.  Stacks obtain FIFO credits before injecting, so a
   saturated adapter back-pressures the sending thread (in virtual time).
+  The engine is a callback state machine, not a process: one kernel
+  event per packet, posted when serialization starts.
 * **Receive**: arriving packets pass a receive-DMA engine and are
   demultiplexed by protocol into per-client bounded RX FIFOs.  A full RX
   FIFO *drops* the packet, exactly the overload behaviour whose recovery
@@ -20,6 +22,7 @@ switch fabric.  Responsibilities:
 
 from __future__ import annotations
 
+from collections import deque
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from ..errors import NetworkError
@@ -107,12 +110,13 @@ class Adapter:
         self.trace = trace
         self.switch: Optional["Switch"] = None
         self.clients: dict[str, AdapterClient] = {}
-        # TX path: credits bound the FIFO; a sim process drains it.
-        self._tx_queue = Channel(sim, name=f"tx{node_id}")
+        # TX path: credits bound the FIFO of ``(packet, took_credit)``
+        # items; the engine serializes one at a time (``_tx_busy``).
+        self._tx_queue: deque[tuple] = deque()
+        self._tx_busy = False
         self._tx_credits = Semaphore(sim, value=config.adapter_tx_fifo,
                                      name=f"txcred{node_id}")
         self._rx_dma = SerialResource(f"rxdma{node_id}")
-        sim.process(self._tx_engine(), name=f"adapter{node_id}.tx")
         #: Optional :class:`repro.faults.FaultRuntime`; set when a fault
         #: schedule is installed on the cluster.  Disables the analytic
         #: train fast path and accounts CRC discards.
@@ -208,17 +212,16 @@ class Adapter:
         client's RX FIFO is flushed, and the ``crashed`` gates in the
         deliver/enqueue/inject paths drop everything that arrives while
         dead -- including receive-DMA completions already in flight.
-        The TX engine process stays parked on its empty queue, which is
-        what lets :meth:`restart` resume control-packet service without
-        respawning anything.
+        A packet on the DMA engine is dropped when its serialization
+        completes (:meth:`_tx_complete`); the engine then finds the
+        queue empty and goes idle, so :meth:`restart` resumes
+        control-packet service with nothing to respawn.
         """
         self.crashed = True
-        while True:
-            ok, item = self._tx_queue.try_get()
-            if not ok:
-                break
+        queue = self._tx_queue
+        while queue:
             self.tx_crash_dropped += 1
-            if item[1]:
+            if queue.popleft()[1]:
                 self._tx_credits.post()
         for client in self.clients.values():
             while client.rx.try_get()[0]:
@@ -259,10 +262,7 @@ class Adapter:
         credit = self._tx_credits.wait()
         if not credit.triggered:
             yield from thread.wait(credit)
-        self._tx_queue.put((packet, True))
-        sp = self.sim.spans
-        if sp is not None:
-            sp.packet_submitted(packet, self.sim.now)
+        self._tx_submit((packet, True))
 
     def inject_async(self, packet: "Packet") -> bool:
         """Best-effort injection from non-thread context.
@@ -278,10 +278,7 @@ class Adapter:
             return False
         if not self._tx_credits.try_wait():
             return False
-        self._tx_queue.put((packet, True))
-        sp = self.sim.spans
-        if sp is not None:
-            sp.packet_submitted(packet, self.sim.now)
+        self._tx_submit((packet, True))
         return True
 
     def inject_control(self, packet: "Packet") -> None:
@@ -299,52 +296,79 @@ class Adapter:
         if self.crashed:  # dead nodes do not acknowledge
             self.tx_crash_dropped += 1
             return
-        self._tx_queue.put((packet, False))
+        self._tx_submit((packet, False))
+
+    def _tx_submit(self, item: tuple) -> None:
+        """Enter the TX FIFO; an idle engine starts on it at once."""
+        if self._tx_busy:
+            self._tx_queue.append(item)
+        else:
+            self._tx_busy = True
+            self._tx_start(item)
         sp = self.sim.spans
         if sp is not None:
-            sp.packet_submitted(packet, self.sim.now)
+            sp.packet_submitted(item[0], self.sim.now)
 
-    def _tx_engine(self) -> Generator:
-        """DMA engine: serializes packets onto the injection link.
+    def _tx_start(self, item: tuple) -> None:
+        """DMA engine: serialize one packet onto the injection link.
 
         Each packet pays DMA setup plus wire serialization plus the
-        inter-packet gap, strictly in FIFO order.  When the FIFO holds
-        the interior of a contiguous packet train whose timing is
-        provably deterministic (see :meth:`_peel_train`), the engine
-        serializes that interior analytically: the whole per-packet
-        schedule is computed in one pass and posted as bare kernel
-        callbacks, then the engine sleeps to the end of the interior.
-        Virtual times are bit-identical to the packet-by-packet path;
-        only the host-level event machinery is cheaper.
+        inter-packet gap, strictly in FIFO order; its completion is one
+        kernel callback at ``(now + setup) + (size/bw + gap)``, the
+        float chain :meth:`_schedule_train` accumulates too.
         """
         cfg = self.config
-        sim = self.sim
-        while True:
-            packet, took_credit = yield self._tx_queue.get()
-            # Bare-float yields: pooled kernel sleeps, no Timeout
-            # allocation per packet, identical timing.
-            yield cfg.adapter_send_dma
-            yield (packet.size / cfg.link_bandwidth
-                   + cfg.packet_gap)
-            self._tx_complete(packet, took_credit)
-            interior = self._peel_train(packet)
-            if interior:
-                # The SoA lane needs interior packets to stay
-                # identity-free mid-flight; span recording and tracing
-                # observe every hop, so they force the object path
-                # (fault schedules and multipath never reach here --
-                # _peel_train already refused the train).
-                if (cfg.soa_trains and sim.spans is None
-                        and self.trace is None):
-                    end = self._schedule_train_soa(interior)
-                else:
-                    self.soa_fallbacks += 1
-                    end = self._schedule_train(interior)
-                # The train's last packet stays in the FIFO and goes
-                # through the normal path, so message boundaries (final
-                # delivery, counters, interrupt re-arm) are produced by
-                # exactly the same code as without the fast path.
-                yield sim.timeout_at(end)
+        self.sim.call_at(
+            (self.sim._now + cfg.adapter_send_dma)
+            + (item[0].size / cfg.link_bandwidth + cfg.packet_gap),
+            self._tx_done, item)
+
+    def _tx_done(self, item: tuple) -> None:
+        """A packet finished serializing: hand it on, start the next.
+
+        When the FIFO holds the interior of a contiguous packet train
+        whose timing is provably deterministic (see
+        :meth:`_peel_train`), the engine serializes that interior
+        analytically: the whole per-packet schedule is computed in one
+        pass and posted as bare kernel callbacks, and the engine picks
+        up again at the end of the interior.  Virtual times are
+        bit-identical to the packet-by-packet path; only the host-level
+        event machinery is cheaper.
+        """
+        packet = item[0]
+        self._tx_complete(packet, item[1])
+        queue = self._tx_queue
+        if not queue:
+            self._tx_busy = False
+            return
+        interior = self._peel_train(packet)
+        if interior:
+            # The SoA lane needs interior packets to stay identity-free
+            # mid-flight; span recording and tracing observe every hop,
+            # so they force the object path (fault schedules and
+            # multipath never reach here -- _peel_train already refused
+            # the train).
+            if (self.config.soa_trains and self.sim.spans is None
+                    and self.trace is None):
+                end = self._schedule_train_soa(interior)
+            else:
+                self.soa_fallbacks += 1
+                end = self._schedule_train(interior)
+            # The train's last packet stays in the FIFO and goes
+            # through the normal path, so message boundaries (final
+            # delivery, counters, interrupt re-arm) are produced by
+            # exactly the same code as without the fast path.
+            self.sim.call_at(end, self._tx_after_train, None)
+        else:
+            self._tx_start(queue.popleft())
+
+    def _tx_after_train(self, _arg: None) -> None:
+        """The interior has serialized: on to the train's last packet
+        (or idle, if a crash drained the FIFO meanwhile)."""
+        if self._tx_queue:
+            self._tx_start(self._tx_queue.popleft())
+        else:
+            self._tx_busy = False
 
     def _tx_complete(self, packet: "Packet", took_credit: bool) -> None:
         """TX bookkeeping at a packet's serialization-complete instant."""
@@ -405,7 +429,7 @@ class Adapter:
             return None
         run = []
         prev = head
-        for item in self._tx_queue.iter_items():
+        for item in self._tx_queue:
             pkt = item[0]
             if (pkt.dst != head.dst or pkt.proto != head.proto
                     or pkt.kind != head.kind or not pkt.payload):
@@ -421,7 +445,7 @@ class Adapter:
             return None
         interior = run[:-1]
         for _ in interior:
-            self._tx_queue.try_get()
+            self._tx_queue.popleft()
         return interior
 
     def _schedule_train(self, interior: list) -> float:

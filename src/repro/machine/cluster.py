@@ -20,6 +20,7 @@ through the simulated switch.
 
 from __future__ import annotations
 
+import gc
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional, Sequence
 
 from ..errors import MachineError
@@ -80,6 +81,25 @@ class Task:
         return f"<Task {self.rank}/{self.size} on node {self.node.node_id}>"
 
 
+#: A dropped cluster is cyclic garbage: only Python's cyclic collector
+#: returns what it pins (the simulated memory its job left allocated
+#: above all).  That collector is paced by how many *objects* the
+#: process allocates, so the fewer objects a simulated operation costs,
+#: the longer dead clusters linger -- and one that lived through an
+#: older-generation pass sits in the oldest generation, which is
+#: collected rarest of all.  Building a cluster is the moment a sweep
+#: has just dropped the previous one, so once two such passes have run
+#: since the last full collection made here, ``Cluster()`` makes
+#: another first.  This is the count of older-generation passes seen at
+#: that point: a pacing hint only, process-wide, and no result depends
+#: on it.
+_older_gc_passes_seen = 0
+
+
+def _older_gc_passes() -> int:
+    return gc.get_stats()[1]["collections"]
+
+
 class Cluster:
     """A simulated SP system ready to run SPMD jobs."""
 
@@ -93,6 +113,10 @@ class Cluster:
         if nnodes < 1:
             raise MachineError("cluster needs at least one node")
         config.validate()
+        global _older_gc_passes_seen
+        if _older_gc_passes() >= _older_gc_passes_seen + 2:
+            gc.collect()
+            _older_gc_passes_seen = _older_gc_passes()
         reset_packet_ids()
         self.config = config
         self.trace = trace
@@ -340,26 +364,42 @@ class Cluster:
                          if max_events is not None else None)
         cal = sim._cal
         heap = sim._heap
-        if until is None and event_ceiling is None and cal is not None:
+        if cal is not None:
             # Inlined CalendarQueue.pop + fast-timer fire, dispatch
             # table for everything else -- the same inner loop as
             # Simulator.run_until_complete (see repro.sim.kernel), with
-            # the per-event fatal check this driver needs.  Semantics
-            # identical to ``while pending: sim.step()``.
+            # the per-event fatal and budget checks this driver needs
+            # (an unset budget is ``inf``: one float compare).
+            # Semantics identical to the ``sim.step()`` loop below.
             from ..sim.kernel import _DISPATCH, _TIMER_POOL_CAP
             dispatch = _DISPATCH
             timer_pool = sim._timer_pool
+            horizon = until if until is not None else float("inf")
+            ceiling = (event_ceiling if event_ceiling is not None
+                       else float("inf"))
             while done._value is PENDING:
                 if self._fatal is not None:
                     raise self._fatal
+                if sim.events_processed >= ceiling:
+                    raise MachineError(
+                        f"job exceeded max_events={max_events}")
                 clen = cal._len
                 if not clen:
+                    # An empty queue peeks as inf, so a set ``until``
+                    # budget reports before the deadlock check -- the
+                    # historical precedence.
+                    if until is not None:
+                        raise MachineError(
+                            "job exceeded virtual-time budget of"
+                            f" {until}us")
                     alive = [t.process.name for t in threads
                              if t.process.is_alive]
                     raise MachineError(
                         f"job deadlocked; unfinished tasks: {alive}")
                 nq = cal._nowq
                 if nq:
+                    # Same-instant entries: never later than ``now``,
+                    # so never past the horizon.
                     entry = None
                     if len(nq) != clen:
                         b = cal._active
@@ -386,10 +426,14 @@ class Cluster:
                     if b is None or pos >= len(b):
                         b = cal._seek()
                         pos = cal._pos
-                    cal._pos = pos + 1
-                    cal._len = clen - 1
                     entry = b[pos]
                     when = entry[0]
+                    if when > horizon:  # nothing popped yet
+                        raise MachineError(
+                            "job exceeded virtual-time budget of"
+                            f" {until}us")
+                    cal._pos = pos + 1
+                    cal._len = clen - 1
                     ev = entry[2]
                 sim._now = when
                 if ev._qk == 0:
@@ -402,23 +446,10 @@ class Cluster:
                         timer_pool.append(ev)
                 else:
                     dispatch[ev._qk](sim, when, ev)
-        elif until is None and event_ceiling is None:
-            while done._value is PENDING:
-                if self._fatal is not None:
-                    raise self._fatal
-                if not heap:
-                    alive = [t.process.name for t in threads
-                             if t.process.is_alive]
-                    raise MachineError(
-                        f"job deadlocked; unfinished tasks: {alive}")
-                step()
         else:
             while done._value is PENDING:
                 if self._fatal is not None:
                     raise self._fatal
-                # An empty queue peeks as inf, so a set ``until`` budget
-                # reports before the deadlock check -- the historical
-                # precedence.
                 if until is not None and sim.peek() > until:
                     raise MachineError(
                         f"job exceeded virtual-time budget of {until}us")
@@ -426,7 +457,7 @@ class Cluster:
                         sim.events_processed >= event_ceiling):
                     raise MachineError(
                         f"job exceeded max_events={max_events}")
-                if not (cal._len if cal is not None else heap):
+                if not heap:
                     alive = [t.process.name for t in threads
                              if t.process.is_alive]
                     raise MachineError(

@@ -19,10 +19,12 @@ Thread priorities (lower runs first)::
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
+from typing import (TYPE_CHECKING, Any, Callable, Generator, Iterable,
+                    Optional)
 
 from ..errors import MachineError
 from ..sim import Event, Process, SimLock
+from ..sim.events import WakeAt
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim import Simulator
@@ -88,6 +90,10 @@ class Thread:
         #: Wall... virtual time this thread has spent holding the CPU.
         self.cpu_time = 0.0
         self._holding = False
+        #: The one absolute-time sleep this thread can be in (chained
+        #: :meth:`execute`), and the end instant of each of its bursts.
+        self._wake = WakeAt()
+        self.burst_ends: list[float] = []
         self._body = body
         self.process: Process = cpu.sim.process(self._main(), name=name)
         cpu._by_process[self.process] = self
@@ -126,27 +132,63 @@ class Thread:
     # ------------------------------------------------------------------
     # the three verbs of a simulated thread
     # ------------------------------------------------------------------
-    def execute(self, cost: float) -> Generator:
+    def execute(self, cost: float, *more: float) -> Iterable:
         """Consume ``cost`` us of CPU, non-preemptibly.
 
+        A plain function returning something to ``yield from``: with
+        the CPU held (every burst but a thread's first after blocking)
+        that is a one-element tuple, so a burst costs no generator
+        frame.
+
+        ``execute(a, b, c)`` chains bursts that run back to back: one
+        wake-up at the float ``((now + a) + b) + c``, the very instant
+        three separate bursts would reach.  :attr:`burst_ends` then
+        holds the instant each burst ended, for span sub-intervals.
+        Code that used to run between the bursts now runs before or
+        after all of them, so chain only where nothing in between
+        injects or acknowledges a packet, triggers an event, counter or
+        wait set, takes or releases a lock, or reads state that a
+        kernel-context callback (ack filter, timers) can change.
+
         Under an installed fault schedule with CPU pause/slowdown
-        windows on this node, the *virtual* duration of the burst is
+        windows on this node, the *virtual* duration of each burst is
         stretched by the window table while ``cpu_time`` still accounts
         the nominal work -- the node got slower, not busier.
         """
-        if cost < 0:
-            raise MachineError(f"negative execute cost {cost}")
         if not self._holding:
-            yield from self._acquire()
-        if cost > 0:
-            # Bare-float yields take the kernel's pooled sleep path --
-            # no Timeout allocation per CPU burst, identical timing.
-            faults = self.cpu.faults
-            if faults is not None:
-                yield faults.elapsed(self.sim.now, cost)
-            else:
-                yield cost
-            self.cpu_time += cost
+            return self._acquire_execute(cost, more)
+        if more:
+            return self._chain(cost, more)
+        if cost <= 0:
+            if cost < 0:
+                raise MachineError(f"negative execute cost {cost}")
+            return ()
+        self.cpu_time += cost
+        faults = self.cpu.faults
+        if faults is not None:
+            cost = faults.elapsed(self.cpu.sim._now, cost)
+        # A bare float takes the kernel's pooled sleep path -- no
+        # Timeout allocation per CPU burst, identical timing.
+        return (cost,)
+
+    def _acquire_execute(self, cost: float, more: tuple) -> Generator:
+        yield from self._acquire()
+        yield from self.execute(cost, *more)
+
+    def _chain(self, cost: float, more: tuple) -> Iterable:
+        faults = self.cpu.faults
+        t = self.cpu.sim._now
+        ends = []
+        for c in (cost, *more):
+            if c < 0:
+                raise MachineError(f"negative execute cost {c}")
+            self.cpu_time += c
+            t = t + (c if faults is None else faults.elapsed(t, c))
+            ends.append(t)
+        self.burst_ends = ends
+        wake = self._wake
+        wake.when = t
+        return (wake,)
 
     def compute(self, cost: float, quantum: float = 50.0) -> Generator:
         """Consume ``cost`` us of CPU, yielding between ``quantum`` slices.
@@ -179,7 +221,7 @@ class Thread:
 
     def sleep(self, delay: float) -> Generator:
         """Release the CPU for ``delay`` us of virtual time."""
-        yield from self.wait(self.sim.timeout(delay))
+        return self.wait(self.sim.timeout(delay))
 
     def yield_cpu(self) -> Generator:
         """Release and immediately re-queue for the CPU (scheduling point)."""

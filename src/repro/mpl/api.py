@@ -257,12 +257,12 @@ class Mpl:
     def wait(self, request: Union[SendRequest, RecvRequest]) -> Generator:
         """Block until a send or receive request completes."""
         self._check_live()
-        yield from self.wait_for(lambda: request.complete)
+        return self.wait_for(lambda: request.complete)
 
     def waitall(self, requests) -> Generator:
         """Block until every request in the iterable completes."""
         reqs = list(requests)
-        yield from self.wait_for(lambda: all(r.complete for r in reqs))
+        return self.wait_for(lambda: all(r.complete for r in reqs))
 
     def waitany(self, requests) -> Generator:
         """Block until at least one request completes; returns the
@@ -313,15 +313,38 @@ class Mpl:
             raise MplError(f"negative send length {nbytes}")
         sp = self.spans
         op_sid = None
+        t_call = self.sim.now
         if sp is not None:
-            t_call = self.sim.now
             op_sid = sp.open(ctx.rank, "mpl", "send", t_call,
                              parent=getattr(thread, "span_parent", None),
                              dst=dst, bytes=nbytes, tag=tag)
-        yield from thread.execute(cfg.mpl_call_overhead)
-        if sp is not None:
-            sp.emit(ctx.rank, "mpl", "send", "call", t_call,
-                    self.sim.now, parent=op_sid, bytes=nbytes)
+        eager = dst != ctx.rank and nbytes <= self.eager_limit
+        if eager:
+            # Call overhead, the copy into MPL's internal send buffer
+            # (the user buffer is reusable once it is done -- the
+            # generous buffering section 5.4 credits for the 1-20 KB
+            # band) and the first packet's send cost run back to back:
+            # one wake-up.
+            buffered = nbytes <= cfg.mpl_send_buffer_limit
+            if buffered:
+                yield from thread.execute(cfg.mpl_call_overhead,
+                                          cfg.copy_cost(nbytes),
+                                          cfg.mpl_pkt_send_cost)
+            else:
+                yield from thread.execute(cfg.mpl_call_overhead,
+                                          cfg.mpl_pkt_send_cost)
+            if sp is not None:
+                ends = thread.burst_ends
+                sp.emit(ctx.rank, "mpl", "send", "call", t_call, ends[0],
+                        parent=op_sid, bytes=nbytes)
+                if buffered:
+                    sp.emit(ctx.rank, "mpl", "send", "copy", ends[0],
+                            ends[1], parent=op_sid, bytes=nbytes)
+        else:
+            yield from thread.execute(cfg.mpl_call_overhead)
+            if sp is not None:
+                sp.emit(ctx.rank, "mpl", "send", "call", t_call,
+                        self.sim.now, parent=op_sid, bytes=nbytes)
         ctx.stats.sends += 1
         ctx.stats.bytes_sent += nbytes
 
@@ -340,7 +363,7 @@ class Mpl:
             return req
 
         msg_seq = ctx.next_seq(dst)
-        if nbytes <= self.eager_limit:
+        if eager:
             req = yield from self._send_eager(thread, dst, msg_seq, tag,
                                               data, op_sid)
         else:
@@ -352,6 +375,8 @@ class Mpl:
 
     def _send_eager(self, thread, dst: int, msg_seq: int, tag: int,
                     data: bytes, op_sid=None) -> Generator:
+        """Packetize and send; :meth:`isend` already charged the copy
+        and the first packet's send cost."""
         cfg = self.config
         ctx = self.ctx
         buffered = len(data) <= cfg.mpl_send_buffer_limit
@@ -364,15 +389,6 @@ class Mpl:
             sp.bind_packets(packets, op_sid, "send", len(data),
                             msg_key=("mpl", ctx.rank, msg_seq))
         if buffered:
-            # Copy into MPL's internal send buffer: the user buffer is
-            # reusable as soon as the copy finishes (the generous
-            # buffering section 5.4 credits for the 1-20 KB band).
-            if sp is not None:
-                t_cp = self.sim.now
-            yield from thread.execute(cfg.copy_cost(len(data)))
-            if sp is not None:
-                sp.emit(ctx.rank, "mpl", "send", "copy", t_cp,
-                        self.sim.now, parent=op_sid, bytes=len(data))
             req.complete = True
             ctx.stats.eager_buffered += 1
         else:
@@ -382,8 +398,12 @@ class Mpl:
             if r.ack_one():
                 ctx.progress_ws.notify_all()
 
+        charged = True
         for pkt in packets:
-            yield from thread.execute(cfg.mpl_pkt_send_cost)
+            if charged:
+                charged = False
+            else:
+                yield from thread.execute(cfg.mpl_pkt_send_cost)
             yield from self.transport.send_data(thread, pkt,
                                                 on_ack=on_ack)
         return req
@@ -580,22 +600,19 @@ class Mpl:
     # ------------------------------------------------------------------
     def barrier(self) -> Generator:
         from .collectives import barrier
-        yield from barrier(self)
+        return barrier(self)
 
     def bcast(self, data: Optional[bytes], root: int = 0) -> Generator:
         from .collectives import bcast
-        result = yield from bcast(self, data, root)
-        return result
+        return bcast(self, data, root)
 
     def reduce(self, values, op: Callable, root: int = 0) -> Generator:
         from .collectives import reduce
-        result = yield from reduce(self, values, op, root)
-        return result
+        return reduce(self, values, op, root)
 
     def allreduce(self, values, op: Callable) -> Generator:
         from .collectives import allreduce
-        result = yield from allreduce(self, values, op)
-        return result
+        return allreduce(self, values, op)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         mode = "interrupt" if self.interrupt_mode else "polling"

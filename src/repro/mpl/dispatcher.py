@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Generator
 
 from ..errors import MplError
 from ..machine.cpu import HANDLER
+from ..sim.park import linger_loop, poll_step
 from .constants import MplPacketKind
 from .matching import MessageState, RecvRequest
 from .protocol import cts_packet
@@ -52,36 +53,16 @@ class MplDispatcher:
         return processed
 
     def poll_step(self, thread: "Thread") -> Generator:
-        # Inlined thread.execute fast path (see the LAPI dispatcher's
-        # poll_step): identical timing, one less generator per poll.
-        cost = self.config.poll_check_cost
-        if thread._holding and thread.cpu.faults is None and cost > 0:
-            yield cost
-            thread.cpu_time += cost
-        else:
-            yield from thread.execute(cost)
-        if self.mpl.client.pending > 0:
-            yield from self.drain(thread)
-            return
-        # Wake on a packet OR any progress signal (adapter-level acks
-        # complete send requests without a packet reaching the FIFO).
-        sim = thread.sim
-        getter = self.mpl.client.rx.get()
-        progress = self.ctx.progress_ws.wait()
-        yield from thread.wait(sim.any_of([getter, progress]))
-        if getter.triggered:
-            yield from self.process(thread, getter.value)
-            yield from self.drain(thread)
-            self.ctx.progress_ws.notify_all()
-        else:
-            self.mpl.client.rx.cancel_get(getter)
+        return poll_step(thread, self, self.mpl.client.rx,
+                         self.ctx.progress_ws, self.config.poll_check_cost)
 
     def interrupt_service(self, thread: "Thread") -> Generator:
-        from ..core.dispatcher import linger_loop
         self.ctx.stats.interrupts_taken += 1
         yield from thread.execute(self.config.interrupt_latency)
         yield from self.drain(thread)
-        yield from linger_loop(self, thread)
+        yield from linger_loop(thread, self, self.mpl.client.rx,
+                               self.ctx.progress_ws,
+                               self.config.interrupt_linger)
         self.mpl.client.arm_interrupt()
 
     # ------------------------------------------------------------------
@@ -101,22 +82,13 @@ class MplDispatcher:
         self.ctx.stats.packets_processed += 1
         sp = self.mpl.spans
         if pkt.kind == MplPacketKind.ACK:
-            if thread._holding and thread.cpu.faults is None:
-                yield 0.3
-                thread.cpu_time += 0.3
-            else:
-                yield from thread.execute(0.3)
+            yield from thread.execute(0.3)
             if sp is not None:
                 sp.packet_dispatched(pkt, thread.sim.now)
             self.mpl.transport.on_ack(pkt)
             return
-        cost = (cfg.mpl_pkt_recv_amortized if amortized
-                else cfg.mpl_pkt_recv_cost)
-        if thread._holding and thread.cpu.faults is None and cost > 0:
-            yield cost
-            thread.cpu_time += cost
-        else:
-            yield from thread.execute(cost)
+        yield from thread.execute(cfg.mpl_pkt_recv_amortized if amortized
+                                  else cfg.mpl_pkt_recv_cost)
         if sp is not None:
             sp.packet_dispatched(pkt, thread.sim.now)
         if not self.mpl.transport.on_packet(pkt):

@@ -10,6 +10,9 @@ Public surface:
 * :class:`SimLock`, :class:`Semaphore`, :class:`WaitSet` -- virtual-time
   synchronization.
 * :class:`Channel` -- FIFO queues with optional bounded/dropping behavior.
+* :func:`park` / :func:`unpark` -- one wake-up registered with a channel,
+  a wait set and a deadline at once (:mod:`repro.sim.park` also holds
+  the polling and linger loops built on it).
 * :class:`RngRegistry` -- deterministic named randomness.
 * :class:`Tracer` -- structured debugging traces.
 """
@@ -18,6 +21,7 @@ from .calendar import CalendarQueue
 from .channel import Channel
 from .events import AllOf, AnyOf, ConditionValue, Event, PENDING, Timeout
 from .kernel import SCHEDULERS, Simulator
+from .park import park, unpark
 from .process import Interrupt, Process, ProcessGen
 from .rng import RngRegistry
 from .sync import Semaphore, SimLock, WaitSet
@@ -43,4 +47,6 @@ __all__ = [
     "TraceRecord",
     "Tracer",
     "WaitSet",
+    "park",
+    "unpark",
 ]

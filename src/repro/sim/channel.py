@@ -14,7 +14,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..errors import SimulationError
-from .events import Event
+from .events import PENDING, Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .kernel import Simulator
@@ -73,14 +73,21 @@ class Channel:
         """Enqueue ``item``; returns False if it was dropped.
 
         If a consumer is blocked in :meth:`get`, the item is handed to it
-        directly (the queue never holds items while getters wait).
+        directly (the queue never holds items while getters wait).  A
+        parked getter (:func:`repro.sim.park.park`) that its wait set or
+        deadline already woke stays this channel's consumer until its
+        owner resumes and withdraws it: the item then replaces its
+        empty wake value instead of waking it a second time.
         """
         if self._getters:
             getter = self._getters.popleft()
             self.total_put += 1
             if self.on_put is not None:
                 self.on_put(item)
-            getter.succeed(item)
+            if getter._value is PENDING:
+                getter.succeed(item)
+            else:
+                getter._value = item
             return True
         if self.full:
             if self.drop_on_overflow:
@@ -114,15 +121,16 @@ class Channel:
         """Withdraw a pending :meth:`get` (e.g. a timed-out wait).
 
         Without cancellation an abandoned getter would silently steal
-        the next item.  Cancelling a getter that already received an
-        item is an error.
+        the next item.  A getter woken through its other registration
+        is still registered here and is simply withdrawn; cancelling a
+        getter that already received an item is an error.
         """
-        if getter.triggered:
-            raise SimulationError(
-                f"cannot cancel a satisfied get on {self.name!r}")
         try:
             self._getters.remove(getter)
         except ValueError:
+            if getter.triggered:
+                raise SimulationError(
+                    f"cannot cancel a satisfied get on {self.name!r}")
             raise SimulationError(
                 f"get event not pending on channel {self.name!r}")
 
@@ -131,15 +139,6 @@ class Channel:
         if self._items:
             return True, self._items.popleft()
         return False, None
-
-    def iter_items(self):
-        """Iterate queued items in FIFO order without removing them.
-
-        Consumers that batch work (e.g. the adapter TX engine peeling a
-        packet train off its FIFO) inspect the backlog through this
-        instead of reaching into channel internals.
-        """
-        return iter(self._items)
 
     def peek(self) -> Any:
         """Return the head item without removing it."""

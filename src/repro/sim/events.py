@@ -28,8 +28,8 @@ from ..errors import SimulationError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .kernel import Simulator
 
-__all__ = ["PENDING", "FLOAT_WAKE", "Event", "Timeout", "AnyOf", "AllOf",
-           "ConditionValue"]
+__all__ = ["PENDING", "FLOAT_WAKE", "WakeAt", "Event", "Timeout", "AnyOf",
+           "AllOf", "ConditionValue"]
 
 
 class _Pending:
@@ -66,6 +66,27 @@ class _FloatWake:
 
 #: Shared trigger for all float-yield wakeups (see ``Process._resume``).
 FLOAT_WAKE = _FloatWake()
+
+
+class WakeAt:
+    """Yielded by a process to sleep until the absolute instant ``when``.
+
+    The absolute twin of the bare-float sleep: a float yield wakes at
+    ``now + delay``, this wakes at exactly ``when`` -- a float the
+    yielder accumulated itself (``((now + a) + b) + c`` for a chain of
+    CPU bursts), so one wake-up lands on the very instant a sequence of
+    relative sleeps would have reached.  Mutable and reusable: a process
+    sleeps on at most one at a time, so its owner may keep a single
+    instance and rewrite ``when`` before each yield.
+    """
+
+    __slots__ = ("when",)
+
+    def __init__(self, when: float = 0.0) -> None:
+        self.when = when
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"<wake at {self.when}>"
 
 
 class Event:

@@ -1,0 +1,135 @@
+"""Single-wake parking: one event, several wakers -- and the two
+consumer loops built on it.
+
+A consumer that must wake on the next item of a :class:`Channel` *or*
+on a broadcast from a :class:`WaitSet` *or* at a deadline -- a polling
+thread waiting for "a packet or any progress", an interrupt handler
+lingering for "a packet or quiet" -- used to build an ``AnyOf`` over one
+event per source.  Every wake then cost two kernel events (the source's,
+then the condition's), and the losing sources' events stayed registered
+and fired later into a condition that no longer cared.
+
+:func:`park` registers **one** event with every source instead.  The
+first source to fire triggers it and the others never wake it again:
+``WaitSet.notify_all`` skips a registration that is already triggered,
+and ``Channel.put`` hands such a parker its item silently -- the owner
+may resume well after the wake (a thread first waits for its CPU) and
+is the channel's consumer until it does.  On resuming it calls
+:func:`unpark`, which withdraws the registrations that lost.
+
+:func:`poll_step` and :func:`linger_loop` are the two ways a protocol
+stack drives its receive side (a thread sitting in a library call
+*polls*; an interrupt handler *lingers* after a burst), shared by LAPI
+and MPL.  They know nothing of either: ``thread`` is anything with
+``execute(cost)`` and ``wait(event)`` to ``yield from``, ``consumer``
+anything with ``process(thread, item, amortized=False)`` and
+``drain(thread)``.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Generator, Optional
+
+from .channel import Channel
+from .events import PENDING, Event
+from .sync import WaitSet
+
+__all__ = ["park", "unpark", "poll_step", "linger_loop"]
+
+
+def _expire(ev: Event) -> None:
+    """Deadline timer: wake ``ev`` unless a source already did.
+
+    Fires the event in place, inside the timer's own kernel step (the
+    way a float sleep resumes its process), so a deadline wake is one
+    kernel event like every other wake.
+    """
+    if ev._value is PENDING:
+        ev._ok = True
+        ev._value = None
+        callbacks, ev.callbacks = ev.callbacks, None
+        for cb in callbacks:
+            cb(ev)
+
+
+def park(channel: Channel, waitset: Optional[WaitSet] = None,
+         timeout: Optional[float] = None) -> Event:
+    """An event woken by the next ``channel.put``, the next
+    ``waitset.notify_all`` or after ``timeout`` us, whichever is first.
+
+    Its value is the item when the channel woke it and ``None``
+    otherwise, so the channel must be empty now (take queued items with
+    ``try_get`` first) and must not carry ``None``, and the wait set
+    must be notified without a value.
+    """
+    sim = channel.sim
+    ev = Event(sim, name=channel._get_name)
+    channel._getters.append(ev)
+    if waitset is not None:
+        waitset._waiters.append(ev)
+    if timeout is not None:
+        sim.call_at(sim._now + timeout, _expire, ev)
+    return ev
+
+
+def unpark(ev: Event, channel: Channel,
+           waitset: Optional[WaitSet] = None) -> Any:
+    """Withdraw a woken parker's losing registrations; returns its item
+    (``None`` when the wait set or the deadline woke it and nothing
+    arrived before its owner got here)."""
+    item = ev._value
+    if item is None:
+        channel.cancel_get(ev)
+    if waitset is not None:
+        waitset.discard(ev)
+    return item
+
+
+def poll_step(thread, consumer, rx: Channel, progress: WaitSet,
+              check_cost: float) -> Generator:
+    """One polling-mode progress step (section 2.1's polling mode).
+
+    Charges the doorbell check; drains pending packets if any,
+    otherwise blocks the calling thread until the next arrival *or* any
+    progress signal -- window acknowledgements are consumed at the
+    adapter level, so a poller must not insist on seeing a packet --
+    and processes what arrived.  Used by wait loops in polling mode, so
+    a polling task makes progress exactly while it sits in library
+    calls -- and a task that never calls the library makes none (the
+    documented deadlock hazard of polling mode).
+    """
+    yield from thread.execute(check_cost)
+    if len(rx):
+        yield from consumer.drain(thread)
+        return
+    parked = park(rx, progress)
+    yield from thread.wait(parked)
+    packet = unpark(parked, rx, progress)
+    if packet is not None:
+        yield from consumer.process(thread, packet)
+        # Opportunistically absorb the rest of the burst.
+        yield from consumer.drain(thread)
+        progress.notify_all()
+
+
+def linger_loop(thread, consumer, rx: Channel, progress: WaitSet,
+                linger: float) -> Generator:
+    """Interrupt-coalescing tail of an interrupt service thread.
+
+    Waits (off-CPU) up to ``linger`` us for further arrivals; each one
+    is processed at the amortized rate and resets the timer.  Returns
+    once the line has gone quiet.
+    """
+    if linger <= 0:
+        return
+    while True:
+        ok, packet = rx.try_get()
+        if not ok:
+            parked = park(rx, timeout=linger)
+            yield from thread.wait(parked)
+            packet = unpark(parked, rx)
+            if packet is None:
+                return
+        yield from consumer.process(thread, packet, amortized=True)
+        yield from consumer.drain(thread)
+        progress.notify_all()

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from ..errors import SimulationError
-from .events import FLOAT_WAKE, PENDING, Event
+from .events import FLOAT_WAKE, PENDING, Event, WakeAt
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .kernel import Simulator
@@ -63,10 +63,10 @@ class Process(Event):
         #: The event this process is currently waiting on (None if runnable).
         self._target: Optional[Event] = None
         sim._register_process(self)
-        # Kick the generator off at the current simulated time.
-        boot = Event(sim, name=f"boot:{self.name}")
-        boot.callbacks.append(self._resume)
-        boot.succeed(None)
+        # Kick the generator off at the current simulated time: a bare
+        # timer at ``now`` takes the same queue position a triggered
+        # boot event would, without the event or its name.
+        sim.call_at(sim._now, self._resume, FLOAT_WAKE)
 
     # ------------------------------------------------------------------
     @property
@@ -154,6 +154,12 @@ class Process(Event):
                 if cls is float or cls is int:
                     sim.call_at(sim._now + nxt, self._resume, FLOAT_WAKE)
                     return
+                # Absolute-time sleep: a chain of CPU bursts wakes once,
+                # at the instant its partial sums reach (see
+                # ``Thread.execute``).
+                if cls is WakeAt:
+                    sim.call_at(nxt.when, self._resume, FLOAT_WAKE)
+                    return
                 # The generator yielded: it must be an Event of this sim.
                 if not isinstance(nxt, Event):
                     msg = (f"process {self.name!r} yielded {nxt!r}; "
@@ -173,7 +179,18 @@ class Process(Event):
                 return
         except StopIteration as stop:
             sim._unregister_process(self)
-            self.succeed(stop.value)
+            if self.callbacks:
+                self.succeed(stop.value)
+            else:
+                # Nobody is listening (an interrupt, completion-handler
+                # or service thread that simply ends): complete in place
+                # instead of queueing an event with no callbacks.  Later
+                # waiters see a processed event and continue inline.
+                # Failures still go through the queue, so an unobserved
+                # error keeps surfacing from the kernel.
+                self._ok = True
+                self._value = stop.value
+                self.callbacks = None
         except BaseException as exc:
             sim._unregister_process(self)
             self.fail(exc)

@@ -13,10 +13,11 @@ simulation deterministic.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from typing import TYPE_CHECKING, Any, Optional
 
 from ..errors import SimulationError
-from .events import Event
+from .events import PENDING, Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .kernel import Simulator
@@ -95,7 +96,7 @@ class Semaphore:
         self.sim = sim
         self.name = name
         self._value = value
-        self._waiters: list[Event] = []
+        self._waiters: deque[Event] = deque()
         # Formatted once: wait() runs per packet for credits/windows.
         self._wait_name = f"wait:{name}"
 
@@ -109,7 +110,7 @@ class Semaphore:
             raise SimulationError("post count must be positive")
         for _ in range(count):
             if self._waiters:
-                self._waiters.pop(0).succeed(None)
+                self._waiters.popleft().succeed(None)
             else:
                 self._value += 1
 
@@ -139,7 +140,9 @@ class WaitSet:
 
     Used for condition-variable-like patterns ("wake everyone polling this
     counter").  Each :meth:`wait` returns a fresh event; :meth:`notify_all`
-    fires every outstanding one with ``value``.
+    fires every outstanding one with ``value``.  An event may also be
+    registered here *and* with another waker (:func:`repro.sim.park.park`):
+    whichever fires first wins, the other skips it.
     """
 
     def __init__(self, sim: "Simulator", name: str = "waitset") -> None:
@@ -156,9 +159,25 @@ class WaitSet:
         self._waiters.append(ev)
         return ev
 
+    def discard(self, ev: Event) -> None:
+        """Withdraw ``ev`` if it is still registered (a notify since it
+        was woken elsewhere may already have dropped it)."""
+        if ev in self._waiters:
+            self._waiters.remove(ev)
+
     def notify_all(self, value: Optional[Any] = None) -> int:
-        """Fire all pending waits; returns how many were woken."""
-        waiters, self._waiters = self._waiters, []
+        """Fire all pending waits; returns how many were woken.
+
+        Registrations another waker already triggered are dropped
+        without a second wake.
+        """
+        waiters = self._waiters
+        if not waiters:
+            return 0
+        self._waiters = []
+        woken = 0
         for ev in waiters:
-            ev.succeed(value)
-        return len(waiters)
+            if ev._value is PENDING:
+                ev.succeed(value)
+                woken += 1
+        return woken

@@ -23,6 +23,36 @@ class TestConstruction:
             Cluster(nnodes=2, config=bad)
 
 
+    def test_building_the_next_cluster_reclaims_an_aged_dead_one(self):
+        """A dropped cluster is cyclic garbage; once older-generation
+        collector passes have moved it to the oldest generation only a
+        full collection returns the memory its job left allocated.
+        ``Cluster()`` runs one when two such passes have happened since
+        its last."""
+        import gc
+        import weakref
+
+        def main(task):
+            task.memory.malloc(1 << 20)
+            yield from task.lapi.gfence()
+
+        was_enabled = gc.isenabled()
+        gc.disable()  # only the collection under test may run
+        try:
+            cluster = Cluster(nnodes=2)
+            cluster.run_job(main, stacks=("lapi",))
+            dead = weakref.ref(cluster)
+            gc.collect(1)  # it survives two older-generation passes
+            gc.collect(1)
+            del cluster
+            assert dead() is not None  # refcounting cannot free a cycle
+            Cluster(nnodes=1)
+            assert dead() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
+
 class TestRunJob:
     def test_returns_per_rank_values(self):
         def main(task):
@@ -64,6 +94,16 @@ class TestRunJob:
     def test_virtual_time_budget(self):
         def main(task):
             yield task.cluster.sim.timeout(10_000.0)
+
+        cluster = Cluster(nnodes=1)
+        with pytest.raises(MachineError, match="budget"):
+            cluster.run_job(main, stacks=(), until=100.0)
+        # Raised before the event past the budget was popped.
+        assert cluster.sim.now <= 100.0 and cluster.sim.peek() == 10_000.0
+
+    def test_virtual_time_budget_on_an_empty_queue(self):
+        def main(task):
+            yield task.cluster.sim.event()  # never fires
 
         with pytest.raises(MachineError, match="budget"):
             Cluster(nnodes=1).run_job(main, stacks=(), until=100.0)

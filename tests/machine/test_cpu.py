@@ -36,6 +36,79 @@ class TestSingleThread:
         with pytest.raises(MachineError):
             sim.run_until_complete(t.process)
 
+    def test_burst_costs_one_kernel_event_and_no_frame(self, sim, cpu):
+        def body(thread):
+            burst = thread.execute(5.0)
+            assert burst == (5.0,)  # plain iterable, not a generator
+            yield from burst
+            assert thread.execute(0.0) == ()
+
+        t = cpu.spawn(body)
+        sim.run_until_complete(t.process)
+        assert sim.events_processed == 2  # boot + the burst
+
+    def test_chained_bursts_wake_once_at_the_partial_sum(self, sim, cpu):
+        costs = (0.1, 0.2, 0.7, 0.0, 1.3)
+        ends = []
+
+        def separate(thread):
+            for c in costs:
+                yield from thread.execute(c)
+                ends.append(sim.now)
+
+        sim.run_until_complete(cpu.spawn(separate).process)
+        start, before = sim.now, sim.events_processed
+
+        def chained(thread):
+            yield from thread.execute(*costs)
+            return sim.now, thread.burst_ends, thread.cpu_time
+
+        now, marks, cpu_time = sim.run_until_complete(
+            cpu.spawn(chained).process)
+        assert sim.events_processed - before == 2  # boot + one wake
+        # The same left-to-right float sums separate bursts make.
+        assert ends == [0.1, 0.1 + 0.2, (0.1 + 0.2) + 0.7,
+                        (0.1 + 0.2) + 0.7, ((0.1 + 0.2) + 0.7) + 1.3]
+        t = start
+        expected = []
+        for c in costs:
+            t = t + c
+            expected.append(t)
+        assert marks == expected and now == expected[-1]
+        assert cpu_time == ends[-1]
+
+    def test_chained_bursts_stretch_under_cpu_faults(self, sim, cpu):
+        from repro.faults.runtime import _CpuFaults
+
+        def run(chain):
+            s = Simulator()
+            c = Cpu(s, node_id=0, config=SP_1998)
+            c.faults = _CpuFaults([(2.0, 4.0, 0.0), (6.0, 8.0, 0.5)])
+
+            def body(thread):
+                if chain:
+                    yield from thread.execute(1.5, 1.0, 3.0)
+                    return thread.burst_ends
+                ends = []
+                for cost in (1.5, 1.0, 3.0):
+                    yield from thread.execute(cost)
+                    ends.append(s.now)
+                return ends
+
+            t = c.spawn(body)
+            return (s.run_until_complete(t.process), s.now, t.cpu_time,
+                    c.faults.stall_us)
+
+        assert run(chain=True) == run(chain=False)
+
+    def test_chained_negative_cost_rejected(self, sim, cpu):
+        def body(thread):
+            yield from thread.execute(1.0, -1.0)
+
+        t = cpu.spawn(body)
+        with pytest.raises(MachineError):
+            sim.run_until_complete(t.process)
+
     def test_sleep_releases_cpu(self, sim, cpu):
         order = []
 

@@ -35,6 +35,18 @@ class TestCancelGet:
         with pytest.raises(SimulationError):
             ch.cancel_get(g)
 
+    def test_cancel_getter_woken_elsewhere_is_quiet(self):
+        """A getter triggered through another registration (see
+        repro.sim.park) is still registered here; withdrawing it is
+        not an error, and it no longer takes the next item."""
+        sim = Simulator()
+        ch = Channel(sim)
+        g = ch.get()
+        g.succeed(None)  # e.g. its wait set fired
+        ch.cancel_get(g)
+        ch.put("item")
+        assert g.value is None and ch.try_get() == (True, "item")
+
 
 class TestDeliveryFilter:
     def _fabric(self):

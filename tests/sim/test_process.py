@@ -113,6 +113,51 @@ class TestBasicProcesses:
         assert sim.run_until_complete(proc) == "early"
 
 
+class TestInPlaceCompletion:
+    def test_unwatched_process_completes_without_an_event(self, sim):
+        def body():
+            yield sim.timeout(1.0)
+            return 7
+
+        p = sim.process(body())
+        sim.run()
+        assert p.processed and p.ok and p.value == 7
+        assert sim.events_processed == 2  # boot + timeout, no completion
+
+    def test_late_waiter_continues_inline(self, sim):
+        def child():
+            yield sim.timeout(1.0)
+            return "done"
+
+        c = sim.process(child())
+
+        def parent():
+            yield sim.timeout(5.0)
+            return (yield c)
+
+        assert sim.run_until_complete(sim.process(parent())) == "done"
+
+    def test_watched_process_still_notifies(self, sim):
+        def body():
+            yield sim.timeout(1.0)
+            return 3
+
+        p = sim.process(body())
+        seen = []
+        p.callbacks.append(lambda ev: seen.append(ev.value))
+        sim.run()
+        assert seen == [3]
+
+    def test_unwatched_failure_still_surfaces(self, sim):
+        def body():
+            yield sim.timeout(1.0)
+            raise ValueError("boom")
+
+        sim.process(body())
+        with pytest.raises(ValueError):
+            sim.run()
+
+
 class TestFailures:
     def test_exception_in_process_propagates(self, sim):
         def body():
