@@ -108,6 +108,8 @@ def scale_point(nnodes: int, topology: str, seed: int) -> dict:
     of ``(nnodes, topology, seed)`` only); wall seconds and RSS are
     host facts and vary.
     """
+    # The previous point's object graph goes before this one's RSS is
+    # read; one full pass per point, at its start.
     gc.collect()
     cluster = fresh_cluster(nnodes, scale_config(topology, nnodes),
                             seed=seed)
@@ -135,8 +137,6 @@ def scale_point(nnodes: int, topology: str, seed: int) -> dict:
         if wall > 0 else 0,
         "rss_mb": round(_current_rss_mb(), 1),
     }
-    del cluster
-    gc.collect()
     return record
 
 

@@ -67,7 +67,14 @@ class Lapi:
                  error_handler: Optional[Callable] = None) -> None:
         self.task = task
         self.config = task.node.config
-        self.ctx = LapiContext(task.cluster.sim, task.rank, task.size)
+        cluster = task.cluster
+        #: The cluster's simulator, span recorder (None when tracing is
+        #: off) and tracer, taken once here so no operation goes
+        #: through the task's weak cluster reference.
+        self.sim = cluster.sim
+        self.spans = self.sim.spans
+        self.trace = cluster.trace
+        self.ctx = LapiContext(self.sim, task.rank, task.size)
         self.interrupt_mode = interrupt_mode
         self.client = None
         self.transport: Optional[ReliableTransport] = None
@@ -86,15 +93,6 @@ class Lapi:
     @property
     def memory(self):
         return self.task.node.memory
-
-    @property
-    def sim(self):
-        return self.task.cluster.sim
-
-    @property
-    def spans(self):
-        """The cluster's span recorder, or None when tracing is off."""
-        return self.task.cluster.sim.spans
 
     @property
     def rank(self) -> int:

@@ -131,7 +131,7 @@ class Dispatcher:
         cfg = self.config
         ctx = self.ctx
         ctx.stats.packets_processed += 1
-        trace = self.lapi.task.cluster.trace
+        trace = self.lapi.trace
         if trace is not None and trace.wants("lapi"):
             trace.log(thread.sim.now, f"lapi{ctx.rank}", "lapi",
                       f"dispatch {pkt!r}", **pkt.trace_fields())

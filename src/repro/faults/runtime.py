@@ -156,7 +156,12 @@ class FaultRuntime:
         #: Crash/restart instants in firing order:
         #: ``(t_us, node, "crash" | "restart")``.
         self.crash_events: list[tuple[float, int, str]] = []
-        self.cluster = cluster
+        # The nodes, not the cluster: nothing a cluster owns refers back
+        # to it (see repro.machine.cluster).
+        self.nodes = cluster.nodes
+        #: The failure detector crash/restart hooks notify, or None;
+        #: wired by the cluster once it arms one.
+        self.resilience = None
 
         # Hook into the machine layer.
         cluster.switch.faults = self
@@ -271,7 +276,7 @@ class FaultRuntime:
     def _crash_node(self, node_id: int) -> None:
         """Fail-stop ``node_id`` at the scheduled instant."""
         now = self.sim.now
-        node = self.cluster.nodes[node_id]
+        node = self.nodes[node_id]
         killed = node.crash()
         self.node_crashes += 1
         self.threads_killed += killed
@@ -288,14 +293,14 @@ class FaultRuntime:
             flight.trigger("fault-engaged", key=("crash", node_id),
                            verdict="crash", node=node_id,
                            threads_killed=killed)
-        res = self.cluster.resilience
+        res = self.resilience
         if res is not None:
             res.node_crashed(node_id, now)
 
     def _restart_node(self, node_id: int) -> None:
         """Machine-level restart of ``node_id`` at the scheduled instant."""
         now = self.sim.now
-        self.cluster.nodes[node_id].restart()
+        self.nodes[node_id].restart()
         self.node_restarts += 1
         self.crash_events.append((now, node_id, "restart"))
         sp = self.sim.spans
@@ -304,7 +309,7 @@ class FaultRuntime:
         flight = self.sim.flight
         if flight is not None:
             flight.note(node_id, "faults", "node.restart")
-        res = self.cluster.resilience
+        res = self.resilience
         if res is not None:
             res.node_restarted(node_id, now)
 

@@ -16,11 +16,19 @@ Ethernet, separate from the switch.  The model mirrors this with an
 out-of-band barrier used *only* inside ``LAPI_Init``-time setup
 (:meth:`Cluster.oob_allgather`); all steady-state communication goes
 through the simulated switch.
+
+Lifetime: a cluster owns its machine, and nothing it owns refers back to
+it strongly (tasks hold a weak reference; the fault and resilience
+runtimes take only the nodes).  So the moment the last outside
+reference goes, refcounting frees the ``Cluster`` and a finalizer
+releases every node's simulated memory -- without waiting for the
+cyclic collector.
 """
 
 from __future__ import annotations
 
 import gc
+import weakref
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional, Sequence
 
 from ..errors import MachineError
@@ -59,7 +67,11 @@ class Task:
 
     def __init__(self, cluster: "Cluster", rank: int, size: int,
                  node: Node) -> None:
-        self.cluster = cluster
+        # Weak: the cluster reaches its tasks (through threads, stacks
+        # and metrics collectors), so a strong link back would make a
+        # dropped cluster cyclic garbage.
+        self._cluster = weakref.ref(cluster)
+        self._sim = cluster.sim
         self.rank = rank
         self.size = size
         self.node = node
@@ -68,9 +80,18 @@ class Task:
         self.mpl: Optional["Mpl"] = None
         self.ga: Optional["GlobalArrays"] = None
 
+    @property
+    def cluster(self) -> "Cluster":
+        """The cluster running this task; raises once it is dropped."""
+        cluster = self._cluster()
+        if cluster is None:
+            raise MachineError(
+                f"task {self.rank}: its cluster has been dropped")
+        return cluster
+
     def now(self) -> float:
         """Current virtual time in microseconds."""
-        return self.cluster.sim.now
+        return self._sim.now
 
     @property
     def memory(self):
@@ -81,11 +102,12 @@ class Task:
         return f"<Task {self.rank}/{self.size} on node {self.node.node_id}>"
 
 
-#: A dropped cluster is cyclic garbage: only Python's cyclic collector
-#: returns what it pins (the simulated memory its job left allocated
-#: above all).  That collector is paced by how many *objects* the
-#: process allocates, so the fewer objects a simulated operation costs,
-#: the longer dead clusters linger -- and one that lived through an
+#: A dropped cluster returns its simulated memory at once (see the
+#: module docstring), but the object graph under it -- nodes, adapters,
+#: threads, stacks -- is cyclic, and only Python's cyclic collector
+#: frees it.  That collector is paced by how many *objects* the process
+#: allocates, so the fewer objects a simulated operation costs, the
+#: longer dead graphs linger -- and one that lived through an
 #: older-generation pass sits in the oldest generation, which is
 #: collected rarest of all.  Building a cluster is the moment a sweep
 #: has just dropped the previous one, so once two such passes have run
@@ -98,6 +120,12 @@ _older_gc_passes_seen = 0
 
 def _older_gc_passes() -> int:
     return gc.get_stats()[1]["collections"]
+
+
+def _release_memories(memories: list) -> None:
+    """Finalizer of a dropped cluster: return its nodes' memory."""
+    for memory in memories:
+        memory.release()
 
 
 class Cluster:
@@ -147,6 +175,10 @@ class Cluster:
                              trace=trace)
         for node in self.nodes:
             node.adapter.connect(self.switch)
+        # Runs when the last outside reference goes; it holds the
+        # memories, never the cluster.
+        weakref.finalize(self, _release_memories,
+                         [node.memory for node in self.nodes])
         self._oob_state: dict[str, dict[int, Any]] = {}
         #: Cluster-wide observability registry (``repro.obs``).  The
         #: machine layer registers itself here; the LAPI/MPL/GA stacks
@@ -197,6 +229,10 @@ class Cluster:
         if detector:
             from ..resilience import ResilienceRuntime
             self.resilience = ResilienceRuntime(self)
+            if self.faults is not None:
+                # Crash and restart hooks notify the detector, which
+                # arms after the fault runtime.
+                self.faults.resilience = self.resilience
 
     def fail_run(self, err: BaseException) -> None:
         """Terminate the running job cleanly with ``err``.

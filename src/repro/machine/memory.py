@@ -40,6 +40,8 @@ class Memory:
         self._next_id = 1
         #: Total live bytes, for resource accounting in tests.
         self.live_bytes = 0
+        #: Set by :meth:`release` when the owning cluster is dropped.
+        self.released = False
 
     # ------------------------------------------------------------------
     # allocation
@@ -50,6 +52,8 @@ class Memory:
         Zero-filled allocations (the default) come from the calloc path,
         so the host only pays for the pages a job actually touches.
         """
+        if self.released:
+            raise MemoryFault(self._released_msg())
         if nbytes <= 0:
             raise AllocationError(f"malloc({nbytes}) is not positive")
         if nbytes > self.max_allocation:
@@ -78,6 +82,8 @@ class Memory:
                 f"free() of interior pointer {addr:#x} (offset {off})")
         buf = self._allocs.pop(aid, None)
         if buf is None:
+            if self.released:
+                raise MemoryFault(self._released_msg())
             raise MemoryFault(f"free() of unknown address {addr:#x}")
         self.live_bytes -= buf.nbytes
 
@@ -86,6 +92,22 @@ class Memory:
         buf, off = self._resolve(addr, 0)
         return buf.nbytes - off
 
+    def release(self) -> None:
+        """Return every allocation to the host, for good.
+
+        Called once, when the owning cluster is dropped: ``live_bytes``
+        drops to 0 and any later access, ``malloc`` or ``free`` raises
+        :class:`~repro.errors.MemoryFault`.  Views handed out earlier
+        keep their own buffers alive.
+        """
+        self._allocs.clear()
+        self.live_bytes = 0
+        self.released = True
+
+    def _released_msg(self) -> str:
+        return (f"node {self.node_id}: memory released with its dropped"
+                " cluster")
+
     # ------------------------------------------------------------------
     # raw byte access
     # ------------------------------------------------------------------
@@ -93,6 +115,8 @@ class Memory:
         aid, off = addr >> OFFSET_BITS, addr & _OFFSET_MASK
         buf = self._allocs.get(aid)
         if buf is None:
+            if self.released:
+                raise MemoryFault(self._released_msg())
             raise MemoryFault(
                 f"node {self.node_id}: access to unmapped address"
                 f" {addr:#x}")

@@ -53,7 +53,12 @@ class Mpl:
                 f" {self.config.mpl_eager_limit_max}")
         #: Effective MP_EAGER_LIMIT for this task.
         self.eager_limit = eager_limit
-        self.ctx = MplContext(task.cluster.sim, task.rank, task.size)
+        #: The cluster's simulator and span recorder (None when tracing
+        #: is off), taken once here so no operation goes through the
+        #: task's weak cluster reference.
+        self.sim = task.cluster.sim
+        self.spans = self.sim.spans
+        self.ctx = MplContext(self.sim, task.rank, task.size)
         self.interrupt_mode = interrupt_mode
         self.client = None
         self.transport = None
@@ -66,15 +71,6 @@ class Mpl:
     @property
     def memory(self):
         return self.task.node.memory
-
-    @property
-    def sim(self):
-        return self.task.cluster.sim
-
-    @property
-    def spans(self):
-        """The cluster's span recorder, or None when tracing is off."""
-        return self.task.cluster.sim.spans
 
     @property
     def rank(self) -> int:
@@ -123,10 +119,7 @@ class Mpl:
         self.dispatcher = MplDispatcher(self)
         self.transport.wait_credit = self._wait_credit
         self.transport.on_progress = self.ctx.progress_ws.notify_all
-        # MPL has no user error-handler registration; terminal
-        # transport failures go straight to the structured run
-        # termination path.
-        self.transport.on_fatal = self.task.cluster.fail_run
+        self.transport.on_fatal = self._transport_fatal
         self.client.delivery_filter = self._ack_fast_path
         self.client.on_arrival = self._spawn_interrupt_dispatcher
         self.client.interrupts_enabled = self.interrupt_mode
@@ -189,6 +182,12 @@ class Mpl:
             return True
         return False
 
+    def _transport_fatal(self, err: Exception) -> None:
+        """Terminal transport failure.  MPL has no user error-handler
+        registration, so it goes straight to the structured run
+        termination path (``Cluster.fail_run``)."""
+        self.task.cluster.fail_run(err)
+
     # ------------------------------------------------------------------
     # fail-stop peer handling (driven by repro.resilience)
     # ------------------------------------------------------------------
@@ -204,9 +203,7 @@ class Mpl:
         self.transport.peer_down(peer)
         self.ctx.progress_ws.notify_all()
         if self.task.cluster.on_peer_failure == "fail":
-            # MPL has no user error-handler hook; conviction goes
-            # straight to structured run termination.
-            self.task.cluster.fail_run(err)
+            self._transport_fatal(err)
 
     def peer_absolved(self, peer: int) -> None:
         """A convicted peer answered a heartbeat again (restart)."""

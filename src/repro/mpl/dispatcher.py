@@ -214,6 +214,11 @@ class MplDispatcher:
                 req.data = blob
         elif req.addr is None:
             req.data = bytes(req.sink[:msg.total]) if req.sink else b""
+        # The payload now lives once, in ``req.data`` or user memory;
+        # the request keeps ``message`` but nothing points back at it.
+        req.sink = None
+        msg.early_buffer = None
+        msg.recv_req = None
         req.complete = True
         self.ctx.recv_msgs.pop((msg.src, msg.msg_seq), None)
         self.ctx.progress_ws.notify_all()

@@ -70,7 +70,9 @@ class ResilienceRuntime:
     """Cluster-wide failure detector (built by ``Cluster.__init__``)."""
 
     def __init__(self, cluster: "Cluster") -> None:
-        self.cluster = cluster
+        # The nodes, not the cluster: nothing a cluster owns refers back
+        # to it (see repro.machine.cluster).
+        self.nodes = cluster.nodes
         self.sim = cluster.sim
         cfg = cluster.config
         self.period = cfg.heartbeat_period
@@ -133,7 +135,7 @@ class ResilienceRuntime:
         if packet.kind == "ping":
             # Adapter-level responder: works with every task thread on
             # this machine dead, which is what restart detection needs.
-            self.cluster.nodes[nid].adapter.inject_control(
+            self.nodes[nid].adapter.inject_control(
                 Packet(nid, packet.src, PROTO, "pong",
                        HEARTBEAT_HEADER_BYTES))
         else:
@@ -153,7 +155,7 @@ class ResilienceRuntime:
 
     def _tick(self, nid: int) -> None:
         now = self.sim.now
-        adapter = self.cluster.nodes[nid].adapter
+        adapter = self.nodes[nid].adapter
         if not adapter.crashed:
             views = self._views[nid]
             for peer in sorted(views):
@@ -269,6 +271,6 @@ class ResilienceRuntime:
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<ResilienceRuntime nodes={self.cluster.nnodes}"
+        return (f"<ResilienceRuntime nodes={len(self.nodes)}"
                 f" period={self.period} threshold={self.threshold}"
                 f" convictions={len(self.convictions)}>")

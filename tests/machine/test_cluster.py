@@ -1,8 +1,14 @@
 """Tests for cluster assembly and SPMD job execution."""
 
+import contextlib
+import gc
+import tracemalloc
+import weakref
+
 import pytest
 
-from repro.errors import MachineError
+from repro.errors import MachineError, MemoryFault
+from repro.faults import FaultSchedule, NodeCrash
 from repro.machine import Cluster
 from repro.machine.config import SP_1998
 
@@ -24,33 +30,113 @@ class TestConstruction:
 
 
     def test_building_the_next_cluster_reclaims_an_aged_dead_one(self):
-        """A dropped cluster is cyclic garbage; once older-generation
-        collector passes have moved it to the oldest generation only a
-        full collection returns the memory its job left allocated.
+        """A dropped cluster returns its memory at once, but the object
+        graph under it (nodes, adapters, stacks) is cyclic; once
+        older-generation collector passes have moved that graph to the
+        oldest generation only a full collection frees it.
         ``Cluster()`` runs one when two such passes have happened since
         its last."""
-        import gc
-        import weakref
-
         def main(task):
             task.memory.malloc(1 << 20)
             yield from task.lapi.gfence()
 
-        was_enabled = gc.isenabled()
-        gc.disable()  # only the collection under test may run
-        try:
+        with _gc_disabled():  # only the collection under test may run
             cluster = Cluster(nnodes=2)
             cluster.run_job(main, stacks=("lapi",))
-            dead = weakref.ref(cluster)
+            node = weakref.ref(cluster.nodes[0])
             gc.collect(1)  # it survives two older-generation passes
             gc.collect(1)
             del cluster
-            assert dead() is not None  # refcounting cannot free a cycle
+            assert node() is not None  # refcounting cannot free a cycle
             Cluster(nnodes=1)
+            assert node() is None
+
+
+@contextlib.contextmanager
+def _gc_disabled():
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _lapi_job(task, addr):
+    addrs = yield from task.lapi.address_init(addr)
+    right = (task.rank + 1) % task.size
+    yield from task.lapi.put_sync(right, 64, addrs[right], addr)
+    yield from task.lapi.gfence()
+
+
+def _mpl_job(task, addr):
+    if task.rank == 0:
+        yield from task.mpl.send(1, addr, 64, tag=1)
+    else:
+        yield from task.mpl.recv_bytes(0, tag=1)
+    yield from task.mpl.barrier()
+
+
+def _ga_job(task, addr):
+    handle = yield from task.ga.create((16, 16))
+    yield from task.ga.zero(handle)
+    yield from task.ga.sync()
+
+
+def _crash_job(task, addr):
+    yield from task.lapi.gfence()
+    yield from task.thread.sleep(4000.0)  # past crash and conviction
+    yield from task.lapi.gfence()
+
+
+_DROP_CASES = {
+    "lapi": ({}, dict(stacks=("lapi",)), _lapi_job),
+    "mpl": ({}, dict(stacks=("mpl",)), _mpl_job),
+    "ga_on_lapi": ({}, dict(ga_backend="lapi"), _ga_job),
+    "node_crash": (
+        dict(nnodes=3,
+             faults=FaultSchedule([NodeCrash(node=1, start=700.0)])),
+        dict(stacks=("lapi",), on_peer_failure="continue",
+             until=500_000.0),
+        _crash_job),
+}
+
+
+class TestDrop:
+    """A cluster owns its machine: nothing it owns refers back to it, so
+    dropping the last outside reference frees it at once -- no cyclic
+    collection -- and its nodes' simulated memory goes with it."""
+
+    @pytest.mark.parametrize("case", sorted(_DROP_CASES))
+    def test_dropped_cluster_returns_its_memory_at_once(self, case):
+        build, run, job = _DROP_CASES[case]
+        kept = []
+
+        def main(task):
+            # Left allocated on purpose: the job's memory outlives it.
+            addr = task.memory.malloc(1 << 20)
+            kept.append((task, addr))
+            yield from job(task, addr)
+
+        with _gc_disabled():
+            cluster = Cluster(**{"nnodes": 2, **build})
+            cluster.run_job(main, **run)
+            if case == "node_crash":
+                assert cluster.faults.node_crashes == 1
+                assert cluster.resilience.convictions
+            memories = [node.memory for node in cluster.nodes]
+            assert all(m.live_bytes >= 1 << 20 for m in memories)
+            dead = weakref.ref(cluster)
+            del cluster
             assert dead() is None
-        finally:
-            if was_enabled:
-                gc.enable()
+        assert [m.live_bytes for m in memories] == [0] * len(memories)
+        task, addr = kept[0]
+        with pytest.raises(MemoryFault, match="dropped cluster"):
+            task.memory.read(addr, 8)
+        with pytest.raises(MachineError, match="dropped"):
+            task.cluster
+        assert task.now() > 0.0  # the task keeps its clock
 
 
 class TestRunJob:
@@ -196,3 +282,62 @@ class TestTask:
         now, val = c.run_job(main, stacks=())[0]
         assert now == 3.0
         assert val == 7
+
+
+_MIB = 1 << 20
+
+
+def _touching_job(kind):
+    """One 2-node ``bulk``-style job: each node mallocs and writes two
+    4 MiB buffers and leaves them allocated; rank 0 then moves 512 KiB
+    to rank 1 by LAPI put or by MPL rendezvous."""
+    nbytes = 512 * 1024
+
+    def main(task):
+        mem = task.memory
+        src = mem.malloc(4 * _MIB)
+        dst = mem.malloc(4 * _MIB)
+        mem.view(src, 4 * _MIB)[:] = task.rank + 1
+        mem.view(dst, 4 * _MIB)[:] = 0xFF
+        if kind == "lapi_put":
+            addrs = yield from task.lapi.address_init(dst)
+            if task.rank == 0:
+                yield from task.lapi.put_sync(1, nbytes, addrs[1], src)
+            yield from task.lapi.gfence()
+        else:
+            if task.rank == 0:
+                yield from task.mpl.send(1, src, nbytes, tag=1)
+            else:
+                yield from task.mpl.recv(0, 1, dst, nbytes)
+            yield from task.mpl.barrier()
+        return mem.read(dst, 1)
+
+    stacks = ("lapi",) if kind == "lapi_put" else ("mpl",)
+    assert Cluster(nnodes=2).run_job(main, stacks=stacks) \
+        == [b"\xff", b"\x01"]
+
+
+@pytest.mark.parametrize("kind", ["lapi_put", "mpl_rndv"])
+def test_host_memory_does_not_accumulate_across_jobs(kind):
+    """Four back-to-back jobs peak where one does, with the cyclic GC
+    off: dropping a finished cluster returns what its job left
+    allocated."""
+    def traced_peak(njobs):
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        for _ in range(njobs):
+            _touching_job(kind)
+        return tracemalloc.get_traced_memory()[1] - base
+
+    _touching_job(kind)  # imports and caches are not the jobs' footprint
+    gc.collect()
+    with _gc_disabled():
+        tracemalloc.start()
+        try:
+            one = traced_peak(1)
+            gc.collect()
+            four = traced_peak(4)
+        finally:
+            tracemalloc.stop()
+    assert one > 16 * _MIB  # two nodes x 2 x 4 MiB
+    assert four <= 1.25 * one

@@ -70,6 +70,19 @@ class TestAllocation:
         assert mem.size_of(a) == 100
         assert mem.size_of(a + 30) == 70
 
+    def test_release_returns_everything_for_good(self, mem):
+        a = mem.malloc(64)
+        mem.malloc(32)
+        view = mem.view(a, 8)
+        mem.release()
+        assert mem.released and mem.live_bytes == 0
+        for call in (lambda: mem.read(a, 1), lambda: mem.write(a, b"x"),
+                     lambda: mem.read_i64(a), lambda: mem.free(a),
+                     lambda: mem.malloc(8)):
+            with pytest.raises(MemoryFault, match="dropped cluster"):
+                call()
+        view[:] = 1  # a view handed out earlier owns its buffer
+
 
 class TestAccess:
     def test_write_read_roundtrip(self, mem):
