@@ -981,14 +981,10 @@ def parse_jobs(value: str) -> int:
 def host_record(jobs: int) -> dict:
     """Host metadata stamped into ``BENCH_PERF.json`` so the perf
     trajectory stays comparable across machines and job counts."""
-    from ..sim.kernel import _SCHEDULER_ENV
     return {
         "cpu_count": os.cpu_count() or 1,
         "cpus_usable": auto_jobs(),
         "python": platform.python_version(),
         "platform": sys.platform,
         "jobs": jobs,
-        # The pending-queue backend every cluster of this run used
-        # (perf numbers are not comparable across backends).
-        "scheduler": os.environ.get(_SCHEDULER_ENV, "calendar"),
     }

@@ -136,7 +136,6 @@ class Cluster:
                  trace: Optional[Tracer] = None,
                  spans: Optional[Any] = None,
                  faults: Optional[Any] = None,
-                 scheduler: Optional[str] = None,
                  telemetry: Optional[Any] = None) -> None:
         if nnodes < 1:
             raise MachineError("cluster needs at least one node")
@@ -155,11 +154,7 @@ class Cluster:
         #: parity requirement.  Exposed to every component as
         #: ``sim.spans``; purely observational (never perturbs time).
         self.spans = spans
-        #: ``scheduler`` selects the kernel's pending-queue backend
-        #: ("calendar"/"heap"); None keeps the kernel default.  The
-        #: scheduler-equivalence tests use this to run one workload
-        #: under both backends and diff every observable.
-        self.sim = Simulator(scheduler=scheduler)
+        self.sim = Simulator()
         self.sim.spans = spans
         #: Per-cluster hot-path object pools (``repro.machine.pool``).
         #: Owned here -- never process-global -- so a ``--jobs N``
@@ -202,9 +197,6 @@ class Cluster:
             from ..obs.timeline import TelemetryRuntime
             self.telemetry = TelemetryRuntime.install(
                 telemetry, self.sim, self.metrics)
-        #: Terminal error recorded by :meth:`fail_run`; checked by the
-        #: :meth:`run_job` event loop after every kernel step.
-        self._fatal: Optional[BaseException] = None
         #: Survivor policy for convicted peers; set per job by
         #: :meth:`run_job` (``on_peer_failure``).  "fail" terminates the
         #: run with the conviction error, "continue" lets survivors keep
@@ -239,15 +231,14 @@ class Cluster:
 
         Structured failure path for errors detected in bare kernel
         callbacks (retransmission exhaustion fires on a timer with no
-        thread or run context): the error is parked here and raised
-        from :meth:`run_job`'s event loop at the next step boundary,
-        so callers see it with the full job context instead of a
-        traceback out of ``Simulator.step``.  The first error wins;
-        later ones (cascading failures of an already-dying run) are
-        dropped.
+        thread or run context): it halts the simulator
+        (:meth:`repro.sim.Simulator.halt`), whose loop raises it out of
+        :meth:`run_job` before the next queue entry fires, so callers
+        see it with the full job context instead of a traceback out of
+        a kernel callback.  The first error wins; later ones (cascading
+        failures of an already-dying run) are dropped.
         """
-        if self._fatal is None:
-            self._fatal = err
+        self.sim.halt(err)
 
     @property
     def nnodes(self) -> int:
@@ -386,121 +377,26 @@ class Cluster:
         threads = [task.node.cpu.spawn(main_body(task),
                                        name=f"task{task.rank}.main")
                    for task in tasks]
-        self._fatal = None
         sim = self.sim
-        step = sim.step
         done = sim.all_of([t.process for t in threads])
-        # The driving loop runs once per kernel event and dominates
-        # benchmark wall time, so the common case (no budgets) is kept
-        # to the bare minimum of work per iteration.  ``max_events`` is
-        # a per-call budget relative to the counter at entry -- a second
-        # job on the same simulator gets the full allowance instead of
-        # inheriting the first run's event count.
-        event_ceiling = (sim.events_processed + max_events
-                         if max_events is not None else None)
-        cal = sim._cal
-        heap = sim._heap
-        if cal is not None:
-            # Inlined CalendarQueue.pop + fast-timer fire, dispatch
-            # table for everything else -- the same inner loop as
-            # Simulator.run_until_complete (see repro.sim.kernel), with
-            # the per-event fatal and budget checks this driver needs
-            # (an unset budget is ``inf``: one float compare).
-            # Semantics identical to the ``sim.step()`` loop below.
-            from ..sim.kernel import _DISPATCH, _TIMER_POOL_CAP
-            dispatch = _DISPATCH
-            timer_pool = sim._timer_pool
-            horizon = until if until is not None else float("inf")
-            ceiling = (event_ceiling if event_ceiling is not None
-                       else float("inf"))
-            while done._value is PENDING:
-                if self._fatal is not None:
-                    raise self._fatal
-                if sim.events_processed >= ceiling:
-                    raise MachineError(
-                        f"job exceeded max_events={max_events}")
-                clen = cal._len
-                if not clen:
-                    # An empty queue peeks as inf, so a set ``until``
-                    # budget reports before the deadlock check -- the
-                    # historical precedence.
-                    if until is not None:
-                        raise MachineError(
-                            "job exceeded virtual-time budget of"
-                            f" {until}us")
-                    alive = [t.process.name for t in threads
-                             if t.process.is_alive]
-                    raise MachineError(
-                        f"job deadlocked; unfinished tasks: {alive}")
-                nq = cal._nowq
-                if nq:
-                    # Same-instant entries: never later than ``now``,
-                    # so never past the horizon.
-                    entry = None
-                    if len(nq) != clen:
-                        b = cal._active
-                        pos = cal._pos
-                        if b is None or pos >= len(b):
-                            b = cal._seek()
-                            pos = cal._pos
-                        if b is not None:
-                            entry = b[pos]
-                            if entry[0] <= cal._now_stamp:
-                                cal._pos = pos + 1
-                            else:
-                                entry = None
-                    cal._len = clen - 1
-                    if entry is not None:
-                        when = entry[0]
-                        ev = entry[2]
-                    else:
-                        when = cal._now_stamp
-                        ev = nq.popleft()
-                else:
-                    b = cal._active
-                    pos = cal._pos
-                    if b is None or pos >= len(b):
-                        b = cal._seek()
-                        pos = cal._pos
-                    entry = b[pos]
-                    when = entry[0]
-                    if when > horizon:  # nothing popped yet
-                        raise MachineError(
-                            "job exceeded virtual-time budget of"
-                            f" {until}us")
-                    cal._pos = pos + 1
-                    cal._len = clen - 1
-                    ev = entry[2]
-                sim._now = when
-                if ev._qk == 0:
-                    sim.events_processed += 1
-                    if sim.trace is not None:
-                        sim.trace.kernel_event(when, ev)
-                    ev.fn(ev.arg)
-                    if len(timer_pool) < _TIMER_POOL_CAP:
-                        ev.fn = ev.arg = None
-                        timer_pool.append(ev)
-                else:
-                    dispatch[ev._qk](sim, when, ev)
-        else:
-            while done._value is PENDING:
-                if self._fatal is not None:
-                    raise self._fatal
-                if until is not None and sim.peek() > until:
-                    raise MachineError(
-                        f"job exceeded virtual-time budget of {until}us")
-                if event_ceiling is not None and (
-                        sim.events_processed >= event_ceiling):
-                    raise MachineError(
-                        f"job exceeded max_events={max_events}")
-                if not heap:
-                    alive = [t.process.name for t in threads
-                             if t.process.is_alive]
-                    raise MachineError(
-                        f"job deadlocked; unfinished tasks: {alive}")
-                step()
-        if self._fatal is not None:
-            raise self._fatal
+        # ``max_events`` is a per-call budget relative to the counter at
+        # entry -- a second job on the same simulator gets the full
+        # allowance instead of inheriting the first run's event count.
+        ceiling = (sim.events_processed + max_events
+                   if max_events is not None else float("inf"))
+        sim.drive(done, until if until is not None else float("inf"),
+                  ceiling)
+        if done._value is PENDING:
+            if sim.events_processed >= ceiling:
+                raise MachineError(f"job exceeded max_events={max_events}")
+            # The queue is empty or its next entry (left unpopped) lies
+            # past ``until``; an empty queue peeks as inf, so a set
+            # budget reports before the deadlock check.
+            if until is not None:
+                raise MachineError(
+                    f"job exceeded virtual-time budget of {until}us")
+            alive = [t.process.name for t in threads if t.process.is_alive]
+            raise MachineError(f"job deadlocked; unfinished tasks: {alive}")
         for t in threads:
             if t.process.triggered and not t.process.ok:
                 raise t.process.value

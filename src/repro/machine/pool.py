@@ -202,10 +202,9 @@ class HotPools:
 
     Currently: the shared :class:`PacketPool` (transport
     acknowledgements and SoA-train expansion packets) and the
-    :class:`TrainPool` of struct-of-arrays train records.  The kernel's
-    fast-timer free list and the span recorder's track free list live
-    with their owners but report through the same
-    :func:`repro.obs.pool_stats` snapshot.
+    :class:`TrainPool` of struct-of-arrays train records.  The span
+    recorder's track free list lives with its owner but reports through
+    the same :func:`repro.obs.pool_stats` snapshot.
     """
 
     __slots__ = ("packets", "trains")

@@ -2,9 +2,9 @@
 
 The object pools live with their owners -- the per-cluster
 :class:`~repro.machine.pool.HotPools` (transport-ack packets and
-struct-of-arrays train records), the kernel's fast-timer free list, and
-the span recorder's track free list.  :func:`pool_stats` condenses all
-of them into one picklable dict per cluster, and
+struct-of-arrays train records) and the span recorder's track free
+list.  :func:`pool_stats` condenses all of them into one picklable
+dict per cluster, and
 :func:`merge_pool_stats` folds the per-cluster dicts into the single
 ``pools`` block ``python -m repro.bench --perf`` stamps into
 ``BENCH_PERF.json``.
@@ -34,11 +34,6 @@ def pool_stats(cluster) -> dict:
     pools = getattr(sim, "pools", None)
     if pools is not None:
         stats.update(pools.stats())
-    timer_free = getattr(sim, "_timer_pool", None)
-    if timer_free is not None:
-        from ..sim.kernel import _TIMER_POOL_CAP
-        stats["timers"] = {"free": len(timer_free),
-                           "cap": _TIMER_POOL_CAP}
     spans = getattr(cluster, "spans", None)
     if spans is not None:
         stats["span_tracks"] = spans.pool_stats()

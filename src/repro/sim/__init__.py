@@ -2,8 +2,8 @@
 
 Public surface:
 
-* :class:`Simulator` -- clock, pending-event queue (calendar-queue or
-  heap backend), process launcher.
+* :class:`Simulator` -- clock, pending-event heap and the one loop that
+  pops it, process launcher.
 * :class:`Event`, :class:`Timeout`, :class:`AnyOf`, :class:`AllOf` --
   awaitable occurrences.
 * :class:`Process`, :class:`Interrupt` -- generator-based processes.
@@ -17,10 +17,9 @@ Public surface:
 * :class:`Tracer` -- structured debugging traces.
 """
 
-from .calendar import CalendarQueue
 from .channel import Channel
 from .events import AllOf, AnyOf, ConditionValue, Event, PENDING, Timeout
-from .kernel import SCHEDULERS, Simulator
+from .kernel import Simulator
 from .park import park, unpark
 from .process import Interrupt, Process, ProcessGen
 from .rng import RngRegistry
@@ -30,7 +29,6 @@ from .trace import TraceRecord, Tracer
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CalendarQueue",
     "Channel",
     "ConditionValue",
     "Event",
@@ -39,7 +37,6 @@ __all__ = [
     "Process",
     "ProcessGen",
     "RngRegistry",
-    "SCHEDULERS",
     "Semaphore",
     "SimLock",
     "Simulator",

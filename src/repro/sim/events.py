@@ -102,14 +102,6 @@ class Event:
 
     __slots__ = ("sim", "callbacks", "_value", "_ok", "name")
 
-    #: Queue-entry kind for the kernel's dispatch table (see
-    #: ``repro.sim.kernel._DISPATCH``): 0 = fast timer, 1 = triggered
-    #: event awaiting callback processing, 2 = timeout that must trigger
-    #: from its held-aside payload when popped.  A class attribute so
-    #: ``__slots__`` instances stay field-free; subclasses that need a
-    #: different pop-time action override it.
-    _qk = 1
-
     def __init__(self, sim: "Simulator", name: str = "") -> None:
         self.sim = sim
         self.name = name
@@ -198,11 +190,13 @@ class Event:
     def __and__(self, other: "Event") -> "AllOf":
         return AllOf(self.sim, [self, other])
 
+    def _label(self) -> str:
+        return self.name or self.__class__.__name__
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        label = self.name or self.__class__.__name__
         state = "processed" if self.processed else (
             "triggered" if self.triggered else "pending")
-        return f"<{label} {state} at {id(self):#x}>"
+        return f"<{self._label()} {state} at {id(self):#x}>"
 
 
 class Timeout(Event):
@@ -214,15 +208,11 @@ class Timeout(Event):
 
     __slots__ = ("delay", "_pending_value")
 
-    #: Timeouts sit in the queue untriggered; the kernel's dispatch
-    #: table routes kind 2 through the trigger-from-pending path.
-    _qk = 2
-
     def __init__(self, sim: "Simulator", delay: float, value: Any = None,
                  name: str = "", at: Optional[float] = None) -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        # The default name is built lazily in __repr__: timeouts are the
+        # The default name is built lazily in _label: timeouts are the
         # single most-allocated object in a simulation, and untraced runs
         # must not pay for a format call per packet.
         super().__init__(sim, name=name)
@@ -236,11 +226,8 @@ class Timeout(Event):
         # now + delay float round trip.
         sim._schedule_at(sim.now + delay if at is None else at, self)
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        label = self.name or f"timeout({self.delay})"
-        state = "processed" if self.processed else (
-            "triggered" if self.triggered else "pending")
-        return f"<{label} {state} at {id(self):#x}>"
+    def _label(self) -> str:
+        return self.name or f"timeout({self.delay})"
 
 
 class ConditionValue:

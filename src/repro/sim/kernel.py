@@ -6,20 +6,21 @@ the LAPI/MPL protocol engines -- are processes scheduled by one simulator
 instance, so a whole multi-node parallel machine runs deterministically
 inside a single Python process.
 
-Schedulers
-----------
-Two pending-queue backends implement the identical ``(when, seq)``
-total order:
+One heap, one loop
+------------------
+Every pending piece of work is one ``(when, seq, fn, arg)`` tuple in a
+single binary heap (``heapq``), and firing it is ``fn(arg)``:
 
-* ``"calendar"`` (default) -- the :class:`repro.sim.calendar.CalendarQueue`
-  bucketed scheduler: amortized O(1) insert/extract for the short-horizon
-  timer distributions the machine model generates.
-* ``"heap"`` -- the original binary heap (``heapq``), kept as the golden
-  reference; the scheduler-equivalence tests run whole benchmarks under
-  both backends and require byte-identical observables.
+* a :meth:`Simulator.call_at` callback is pushed as itself;
+* a :class:`Timeout` is ``(_fire_timeout, timeout)`` at its due time;
+* a triggered event is ``(_fire_event, event)`` at the current instant.
 
-Select per-instance with ``Simulator(scheduler=...)`` or globally with
-the ``REPRO_SIM_SCHEDULER`` environment variable.
+``seq`` is bumped on every push, so the heap's order is ``(when, push
+order)``: time order, ties first-in first-out.  :meth:`Simulator.drive`
+is the only loop that pops it; :meth:`~Simulator.run`,
+:meth:`~Simulator.run_until_complete`, :meth:`~Simulator.step` and
+``Cluster.run_job`` are all thin callers that differ only in when they
+stop and what they report.
 
 Units
 -----
@@ -30,90 +31,22 @@ equals MB/s (1e6 bytes / 1e6 us), the unit the paper plots.
 
 from __future__ import annotations
 
-import os
-from bisect import insort
 from heapq import heappop, heappush
 from typing import Any, Iterable, Optional
 
 from ..errors import DeadlockError, SimulationError
-from .calendar import DEFAULT_BUCKET_WIDTH, CalendarQueue
 from .events import PENDING, AllOf, AnyOf, Event, Timeout
 from .process import Process, ProcessGen
 
-__all__ = ["Simulator", "SCHEDULERS"]
-
-#: Recognised pending-queue backends.
-SCHEDULERS = ("calendar", "heap")
-
-#: Environment override for the default backend (tests / CI flip this to
-#: run whole suites against the reference heap).
-_SCHEDULER_ENV = "REPRO_SIM_SCHEDULER"
-
-#: Upper bound on the fast-timer freelist; enough to absorb the steady
-#: state of a busy cluster without pinning memory after a burst.
-_TIMER_POOL_CAP = 1024
+__all__ = ["Simulator"]
 
 _INF = float("inf")
 
 
-class _FastTimer:
-    """A queue entry that invokes a bare callback -- no :class:`Event`.
-
-    The hot paths of the machine model (wire delivery, receive-DMA
-    completion, retransmission timers, packet trains) schedule millions
-    of one-shot callbacks per benchmark.  Routing them through
-    :class:`Timeout` pays for an event object, a callbacks list, a
-    closure, and a name string each time; a fast timer is just
-    ``(fn, arg)``.  Scheduled via :meth:`Simulator.call_at`; fires with
-    the same queue ordering an equally-placed timeout would, so
-    converting a timeout to a fast timer never changes virtual time.
-    Fired timers are recycled through a per-simulator freelist, making
-    the steady-state hot path allocation-free.
-    """
-
-    __slots__ = ("fn", "arg")
-
-    #: Queue-entry kind 0: bare callback (see ``_DISPATCH``).
-    _qk = 0
-
-    def __init__(self, fn, arg) -> None:
-        self.fn = fn
-        self.arg = arg
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        label = getattr(self.fn, "__qualname__", repr(self.fn))
-        return f"<call_at {label}({self.arg!r})>"
-
-
-# ----------------------------------------------------------------------
-# dispatch table
-# ----------------------------------------------------------------------
-# The kernel's inner loop routes each popped queue entry through a
-# precomputed per-kind table instead of an isinstance ladder: entries
-# carry a small integer ``_qk`` class attribute indexing ``_DISPATCH``.
-# The run loops additionally inline kind 0 (fast timers -- the vast
-# majority of machine-model events) so the steady state pays neither a
-# ``step()`` call nor a table lookup per event.
-
-def _fire_timer(sim: "Simulator", when: float, ev: _FastTimer) -> None:
-    """Kind 0: invoke a bare callback and recycle the timer."""
-    sim.events_processed += 1
-    if sim.trace is not None:
-        sim.trace.kernel_event(when, ev)
-    ev.fn(ev.arg)
-    pool = sim._timer_pool
-    if len(pool) < _TIMER_POOL_CAP:
-        ev.fn = ev.arg = None
-        pool.append(ev)
-
-
-def _fire_event(sim: "Simulator", when: float, ev: Event) -> None:
-    """Kind 1: process a triggered event's callbacks."""
+def _fire_event(ev: Event) -> None:
+    """Process a triggered event's callbacks."""
     callbacks = ev.callbacks
     ev.callbacks = None  # mark processed
-    sim.events_processed += 1
-    if sim.trace is not None:
-        sim.trace.kernel_event(when, ev)
     if callbacks is None:
         # A twice-enqueued event would replay its callbacks and corrupt
         # the run; fail loudly (a bare assert would vanish under
@@ -128,17 +61,24 @@ def _fire_event(sim: "Simulator", when: float, ev: Event) -> None:
         raise ev._value
 
 
-def _fire_timeout(sim: "Simulator", when: float, ev: Timeout) -> None:
-    """Kind 2: a timeout's due time has arrived -- trigger it with the
-    held-aside payload, then process callbacks like any event."""
+def _fire_timeout(ev: Timeout) -> None:
+    """A timeout's due time has arrived: trigger it with the held-aside
+    payload, then process callbacks like any event."""
     if ev._value is PENDING:
         ev._ok = True
         ev._value = ev._pending_value
-    _fire_event(sim, when, ev)
+    _fire_event(ev)
 
 
-#: Pop-time actions indexed by the queue entry's ``_qk`` class attribute.
-_DISPATCH = (_fire_timer, _fire_event, _fire_timeout)
+class _Never:
+    """The ``done`` of a :meth:`Simulator.drive` that stops only on the
+    queue, the horizon or the event ceiling: it never triggers."""
+
+    __slots__ = ()
+    _value = PENDING
+
+
+_NEVER = _Never()
 
 
 class Simulator:
@@ -148,38 +88,18 @@ class Simulator:
     ----------
     trace:
         Optional :class:`repro.sim.trace.Tracer` receiving kernel events.
-    scheduler:
-        Pending-queue backend: ``"calendar"`` (default) or ``"heap"``.
-        ``None`` consults the ``REPRO_SIM_SCHEDULER`` environment
-        variable before falling back to the calendar queue.
-    bucket_width:
-        Calendar-queue day width in virtual microseconds (ignored by the
-        heap backend).
     """
 
-    def __init__(self, trace: Optional[Any] = None, *,
-                 scheduler: Optional[str] = None,
-                 bucket_width: float = DEFAULT_BUCKET_WIDTH) -> None:
-        if scheduler is None:
-            scheduler = os.environ.get(_SCHEDULER_ENV, "calendar")
-        if scheduler not in SCHEDULERS:
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r}; expected one of "
-                f"{SCHEDULERS}")
-        self.scheduler = scheduler
+    def __init__(self, trace: Optional[Any] = None) -> None:
         self._now: float = 0.0
-        #: Calendar backend (None in heap mode).
-        self._cal: Optional[CalendarQueue] = (
-            CalendarQueue(bucket_width) if scheduler == "calendar" else None)
-        #: Heap backend entries: (when, seq, Event | _FastTimer).
-        #: Unused (empty) in calendar mode.
-        self._heap: list[tuple[float, int, Any]] = []
+        #: The pending queue: a heap of ``(when, seq, fn, arg)``.
+        self._queue: list[tuple] = []
         self._seq: int = 0
+        #: First error passed to :meth:`halt`, raised by :meth:`drive`.
+        self._halt: Optional[BaseException] = None
         self._active_process: Optional[Process] = None
         self._live_processes: set[Process] = set()
         self.trace = trace
-        #: Freelist of fired fast timers awaiting reuse.
-        self._timer_pool: list[_FastTimer] = []
         #: Optional ``repro.obs.spans.SpanRecorder`` observing phase
         #: boundaries (attached by the cluster).  Purely observational:
         #: recording reads ``now`` and appends to host-side lists; it
@@ -187,8 +107,8 @@ class Simulator:
         #: perturb virtual time.  Components reach it as ``sim.spans``
         #: and must guard every hook on ``is not None``.  Causal
         #: context rides packet uids / message ids in recorder-side
-        #: tables -- never the queue entries -- so :meth:`call_at` fast
-        #: timers stay allocation-free with spans on.
+        #: tables -- never the queue entries -- so :meth:`call_at`
+        #: entries stay bare tuples with spans on.
         self.spans: Optional[Any] = None
         #: Optional ``repro.machine.pool.HotPools`` attached by the
         #: cluster: per-cluster free lists for hot-path model objects
@@ -250,49 +170,17 @@ class Simulator:
         """Schedule ``fn(arg)`` at virtual time ``when`` (fast path).
 
         Allocation-light alternative to ``timeout(delay)`` + callback:
-        no event object, no callbacks list, no name.  The callback runs
-        in kernel context (not on a simulated CPU); it must not block.
-        Use for model-internal delivery/completion/timer callbacks whose
-        only job is to advance machine state at a known instant.
+        no event object, no callbacks list, no name -- the queue entry
+        is the callback itself.  The callback runs in kernel context
+        (not on a simulated CPU); it must not block.  Use for
+        model-internal delivery/completion/timer callbacks whose only
+        job is to advance machine state at a known instant.
         """
-        now = self._now
-        if when < now:
+        if when < self._now:
             raise SimulationError(
-                f"cannot schedule call_at({when}) before now={now}")
-        pool = self._timer_pool
-        if pool:
-            timer = pool.pop()
-            timer.fn = fn
-            timer.arg = arg
-        else:
-            timer = _FastTimer(fn, arg)
-        # Inlined CalendarQueue.push (see repro.sim.calendar, "hot-path
-        # note"): a method call per scheduled event is measurable.
-        cal = self._cal
-        if cal is not None:
-            cal._len += 1
-            if when == now:
-                nq = cal._nowq
-                if not nq:
-                    cal._now_stamp = now
-                nq.append(timer)
-                return
-            self._seq = seq = self._seq + 1
-            day = int(when * cal._inv_width)
-            buckets = cal._buckets
-            b = buckets.get(day)
-            if b is None:
-                buckets[day] = [(when, seq, timer)]
-                heappush(cal._days, day)
-                if day < cal._active_day:
-                    cal._retire_active()
-            elif day == cal._active_day:
-                insort(b, (when, seq, timer), cal._pos)
-            else:
-                b.append((when, seq, timer))
-        else:
-            self._seq += 1
-            heappush(self._heap, (when, self._seq, timer))
+                f"cannot schedule call_at({when}) before now={self._now}")
+        self._seq = seq = self._seq + 1
+        heappush(self._queue, (when, seq, fn, arg))
 
     def call_after(self, delay: float, fn, arg: Any = None) -> None:
         """Schedule ``fn(arg)`` after ``delay`` us (see :meth:`call_at`)."""
@@ -306,55 +194,32 @@ class Simulator:
         """Condition that fires when all of ``events`` have fired."""
         return AllOf(self, events)
 
+    def halt(self, err: BaseException) -> None:
+        """Stop the run in progress with ``err``.
+
+        :meth:`drive` raises it before firing anything else, so nothing
+        queued after the halting callback -- even at the same instant
+        -- runs.  The first error wins; later ones (cascading failures
+        of an already-dying run) are dropped.  Raising clears it, so the
+        next run starts clean.
+        """
+        if self._halt is None:
+            self._halt = err
+
     # ------------------------------------------------------------------
     # scheduling internals (used by Event/Timeout/Process)
     # ------------------------------------------------------------------
-    def _schedule_at(self, when: float, ev: Event) -> None:
-        now = self._now
-        if when < now:
+    def _schedule_at(self, when: float, ev: Timeout) -> None:
+        if when < self._now:
             raise SimulationError(
-                f"cannot schedule event at {when} before now={now}")
-        # Inlined CalendarQueue.push; see call_at.
-        cal = self._cal
-        if cal is not None:
-            cal._len += 1
-            if when == now:
-                nq = cal._nowq
-                if not nq:
-                    cal._now_stamp = now
-                nq.append(ev)
-                return
-            self._seq = seq = self._seq + 1
-            day = int(when * cal._inv_width)
-            buckets = cal._buckets
-            b = buckets.get(day)
-            if b is None:
-                buckets[day] = [(when, seq, ev)]
-                heappush(cal._days, day)
-                if day < cal._active_day:
-                    cal._retire_active()
-            elif day == cal._active_day:
-                insort(b, (when, seq, ev), cal._pos)
-            else:
-                b.append((when, seq, ev))
-        else:
-            self._seq += 1
-            heappush(self._heap, (when, self._seq, ev))
+                f"cannot schedule event at {when} before now={self._now}")
+        self._seq = seq = self._seq + 1
+        heappush(self._queue, (when, seq, _fire_timeout, ev))
 
     def _enqueue_triggered(self, ev: Event) -> None:
         """Queue an already-triggered event for callback processing."""
-        cal = self._cal
-        if cal is not None:
-            # Triggered events process at the current instant: straight
-            # into the same-instant FIFO lane.
-            cal._len += 1
-            nq = cal._nowq
-            if not nq:
-                cal._now_stamp = self._now
-            nq.append(ev)
-        else:
-            self._seq += 1
-            heappush(self._heap, (self._now, self._seq, ev))
+        self._seq = seq = self._seq + 1
+        heappush(self._queue, (self._now, seq, _fire_event, ev))
 
     def _register_process(self, proc: Process) -> None:
         self._live_processes.add(proc)
@@ -367,66 +232,52 @@ class Simulator:
     # ------------------------------------------------------------------
     def _pending(self) -> int:
         """Number of scheduled entries still in the queue."""
-        cal = self._cal
-        return cal._len if cal is not None else len(self._heap)
+        return len(self._queue)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        cal = self._cal
-        if cal is not None:
-            return cal.peek_when()
-        return self._heap[0][0] if self._heap else _INF
+        return self._queue[0][0] if self._queue else _INF
+
+    def drive(self, done: Any = _NEVER, horizon: float = _INF,
+              ceiling: float = _INF) -> None:
+        """The kernel's pop loop: fire entries in ``(when, seq)`` order.
+
+        Returns, leaving the rest of the queue in place, as soon as
+        ``done`` (any event) has triggered, the queue is empty, the next
+        entry lies past ``horizon``, or :attr:`events_processed` has
+        reached ``ceiling``.  Callers tell which from that state and
+        report it in their own terms.  Before each of those checks it
+        raises -- and clears -- the error a :meth:`halt` recorded.
+        :attr:`trace` is read once, on entry.
+        """
+        queue = self._queue
+        trace = self.trace
+        pending = PENDING
+        while True:
+            if self._halt is not None:
+                err = self._halt
+                self._halt = None
+                raise err
+            if (done._value is not pending or not queue
+                    or queue[0][0] > horizon
+                    or self.events_processed >= ceiling):
+                return
+            when, _, fn, arg = heappop(queue)
+            self._now = when
+            self.events_processed += 1
+            if trace is not None:
+                trace.kernel_event(when, fn, arg)
+            fn(arg)
 
     def step(self) -> None:
         """Process a single event (advancing the clock to it)."""
-        # Inlined CalendarQueue.pop (see repro.sim.calendar, "hot-path
-        # note"); the heap branch is a single C heappop.
-        cal = self._cal
-        if cal is not None:
-            clen = cal._len
-            if not clen:
-                raise SimulationError("step() on an empty event queue")
-            nq = cal._nowq
-            if nq:
-                entry = None
-                if len(nq) != clen:
-                    # Bucketed entries at the same instant were pushed
-                    # earlier (smaller seq); they drain first.
-                    b = cal._active
-                    pos = cal._pos
-                    if b is None or pos >= len(b):
-                        b = cal._seek()
-                        pos = cal._pos
-                    if b is not None:
-                        entry = b[pos]
-                        if entry[0] <= cal._now_stamp:
-                            cal._pos = pos + 1
-                        else:
-                            entry = None
-                cal._len = clen - 1
-                if entry is not None:
-                    when = entry[0]
-                    ev = entry[2]
-                else:
-                    when = cal._now_stamp
-                    ev = nq.popleft()
-            else:
-                b = cal._active
-                pos = cal._pos
-                if b is None or pos >= len(b):
-                    b = cal._seek()
-                    pos = cal._pos
-                cal._pos = pos + 1
-                cal._len = clen - 1
-                entry = b[pos]
-                when = entry[0]
-                ev = entry[2]
-        else:
-            if not self._heap:
-                raise SimulationError("step() on an empty event queue")
-            when, _, ev = heappop(self._heap)
-        self._now = when
-        _DISPATCH[ev._qk](self, when, ev)
+        if not self._queue:
+            raise SimulationError("step() on an empty event queue")
+        self.drive(ceiling=self.events_processed + 1)
+
+    def _ceiling(self, max_events: Optional[int]) -> float:
+        return (_INF if max_events is None
+                else self.events_processed + max_events)
 
     def run(self, until: Optional[float] = None, *,
             max_events: Optional[int] = None) -> float:
@@ -436,7 +287,8 @@ class Simulator:
         ----------
         until:
             Stop once the clock would pass this time (the clock is left at
-            ``until``).  ``None`` runs to queue exhaustion.
+            ``until``).  ``None`` runs to queue exhaustion.  A time
+            before ``now`` is an error: the clock never runs backwards.
         max_events:
             Per-call safety valve for runaway models; raises
             :class:`SimulationError` when this call has processed that
@@ -447,103 +299,22 @@ class Simulator:
         float
             The virtual time at which the run stopped.
         """
-        budget = max_events if max_events is not None else _INF
-        step = self.step
-        cal = self._cal
-        heap = self._heap
-        if until is None:
-            if cal is not None:
-                self._drain_calendar(cal, budget, max_events)
-                return self._now
-            while heap:
-                if budget <= 0:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}"
-                        " (possible livelock)")
-                budget -= 1
-                step()
-            return self._now
-        while (cal._len if cal is not None else heap):
-            if self.peek() > until:
-                self._now = until
-                return self._now
-            if budget <= 0:
+        horizon = _INF
+        if until is not None:
+            if until < self._now:
                 raise SimulationError(
-                    f"exceeded max_events={max_events} (possible livelock)")
-            budget -= 1
-            step()
-        if until > self._now:
+                    f"cannot run until {until} before now={self._now}")
+            horizon = until
+        self.drive(horizon=horizon, ceiling=self._ceiling(max_events))
+        queue = self._queue
+        if queue and queue[0][0] <= horizon:
+            raise SimulationError(
+                f"exceeded max_events={max_events} (possible livelock)")
+        if until is not None:
             self._now = until
         return self._now
 
-    def _drain_calendar(self, cal: CalendarQueue, budget: float,
-                        max_events: Optional[int]) -> None:
-        """Run the calendar backend to queue exhaustion (hot inner loop).
-
-        The CalendarQueue pop and the dominant fast-timer fire are
-        inlined (see repro.sim.calendar, "hot-path note"): at millions
-        of events per benchmark the ``step()`` call frame and the
-        dispatch-table lookup are both measurable.  Semantics are
-        identical to ``while pending: step()``.
-        """
-        dispatch = _DISPATCH
-        timer_pool = self._timer_pool
-        while True:
-            clen = cal._len
-            if not clen:
-                return
-            if budget <= 0:
-                raise SimulationError(
-                    f"exceeded max_events={max_events} (possible livelock)")
-            budget -= 1
-            # Inlined CalendarQueue.pop (same logic as step()).
-            nq = cal._nowq
-            if nq:
-                entry = None
-                if len(nq) != clen:
-                    b = cal._active
-                    pos = cal._pos
-                    if b is None or pos >= len(b):
-                        b = cal._seek()
-                        pos = cal._pos
-                    if b is not None:
-                        entry = b[pos]
-                        if entry[0] <= cal._now_stamp:
-                            cal._pos = pos + 1
-                        else:
-                            entry = None
-                cal._len = clen - 1
-                if entry is not None:
-                    when = entry[0]
-                    ev = entry[2]
-                else:
-                    when = cal._now_stamp
-                    ev = nq.popleft()
-            else:
-                b = cal._active
-                pos = cal._pos
-                if b is None or pos >= len(b):
-                    b = cal._seek()
-                    pos = cal._pos
-                cal._pos = pos + 1
-                cal._len = clen - 1
-                entry = b[pos]
-                when = entry[0]
-                ev = entry[2]
-            self._now = when
-            if ev._qk == 0:
-                # Inlined _fire_timer: the dominant machine-model event.
-                self.events_processed += 1
-                if self.trace is not None:
-                    self.trace.kernel_event(when, ev)
-                ev.fn(ev.arg)
-                if len(timer_pool) < _TIMER_POOL_CAP:
-                    ev.fn = ev.arg = None
-                    timer_pool.append(ev)
-            else:
-                dispatch[ev._qk](self, when, ev)
-
-    def run_until_complete(self, proc: Process, *,
+    def run_until_complete(self, proc: Event, *,
                            max_events: Optional[int] = None) -> Any:
         """Run until ``proc`` finishes; return its value or raise its error.
 
@@ -556,82 +327,12 @@ class Simulator:
         process is still alive (it is blocked on something that can never
         happen).
         """
-        step = self.step
-        cal = self._cal
-        heap = self._heap
-        if max_events is None:
-            ceiling = _INF
-        else:
-            ceiling = self.events_processed + max_events
-        if cal is not None:
-            # Hot inner loop: inlined CalendarQueue.pop + fast-timer
-            # fire, dispatch table for everything else (see
-            # _drain_calendar for rationale).  Semantics identical to
-            # ``while pending: step()``.
-            dispatch = _DISPATCH
-            timer_pool = self._timer_pool
-            while proc._value is PENDING:
-                clen = cal._len
-                if not clen:
-                    break
-                if self.events_processed >= ceiling:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} waiting for"
-                        f" {proc.name!r}")
-                nq = cal._nowq
-                if nq:
-                    entry = None
-                    if len(nq) != clen:
-                        b = cal._active
-                        pos = cal._pos
-                        if b is None or pos >= len(b):
-                            b = cal._seek()
-                            pos = cal._pos
-                        if b is not None:
-                            entry = b[pos]
-                            if entry[0] <= cal._now_stamp:
-                                cal._pos = pos + 1
-                            else:
-                                entry = None
-                    cal._len = clen - 1
-                    if entry is not None:
-                        when = entry[0]
-                        ev = entry[2]
-                    else:
-                        when = cal._now_stamp
-                        ev = nq.popleft()
-                else:
-                    b = cal._active
-                    pos = cal._pos
-                    if b is None or pos >= len(b):
-                        b = cal._seek()
-                        pos = cal._pos
-                    cal._pos = pos + 1
-                    cal._len = clen - 1
-                    entry = b[pos]
-                    when = entry[0]
-                    ev = entry[2]
-                self._now = when
-                if ev._qk == 0:
-                    self.events_processed += 1
-                    if self.trace is not None:
-                        self.trace.kernel_event(when, ev)
-                    ev.fn(ev.arg)
-                    if len(timer_pool) < _TIMER_POOL_CAP:
-                        ev.fn = ev.arg = None
-                        timer_pool.append(ev)
-                else:
-                    dispatch[ev._qk](self, when, ev)
-        else:
-            while proc._value is PENDING:
-                if not heap:
-                    break
-                if self.events_processed >= ceiling:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} waiting for"
-                        f" {proc.name!r}")
-                step()
+        self.drive(proc, ceiling=self._ceiling(max_events))
         if proc._value is PENDING:
+            if self._queue:
+                raise SimulationError(
+                    f"exceeded max_events={max_events} waiting for"
+                    f" {proc.name!r}")
             waiting = sorted(p.name for p in self._live_processes)
             raise DeadlockError(
                 f"event queue drained but {proc.name!r} never finished;"
@@ -642,6 +343,5 @@ class Simulator:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Simulator t={self._now:.3f}us"
-                f" pending={self._pending()}"
-                f" live={len(self._live_processes)}"
-                f" scheduler={self.scheduler}>")
+                f" pending={len(self._queue)}"
+                f" live={len(self._live_processes)}>")

@@ -106,8 +106,8 @@ class Process(Event):
         ``value`` so that aggregates like :class:`AllOf` treat the death
         as completion, not failure; callers distinguish killed processes
         by the sentinel they pass.  Killing a dead process is a no-op.
-        Stale kernel wakeups (pooled float timers already scheduled for
-        this process) become no-ops via the ``_gen is None`` guard in
+        Stale kernel wakeups (float-sleep callbacks already scheduled
+        for this process) become no-ops via the ``_gen is None`` guard in
         :meth:`_resume`.
         """
         if not self.is_alive:
@@ -143,7 +143,7 @@ class Process(Event):
                     nxt = self._gen.throw(trigger._value)
                 # Bare-number yield: sleep that many microseconds, then
                 # resume with None.  Equivalent to ``yield sim.timeout(d)``
-                # at a fraction of the cost (one pooled fast timer instead
+                # at a fraction of the cost (one bare queue entry instead
                 # of a Timeout object + callbacks list); scheduled at the
                 # same point in execution, so it consumes the same kernel
                 # sequence number and virtual time is byte-identical.

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional
 
+from .kernel import _fire_event, _fire_timeout
+
 __all__ = ["TraceRecord", "Tracer"]
 
 _NO_FIELDS: Mapping[str, Any] = {}
@@ -88,19 +90,31 @@ class Tracer:
         if self.echo:  # pragma: no cover - interactive aid
             print(rec)
 
-    def kernel_event(self, time: float, event: Any) -> None:
-        """Hook invoked by the kernel for every processed event.
+    def kernel_event(self, time: float, fn: Any, arg: Any) -> None:
+        """Hook invoked by the kernel for every queue entry it fires.
 
-        The filter/cap check runs *before* ``repr(event)`` is built:
-        on long runs with kernel events filtered out, this hook must
-        not format millions of strings that are immediately discarded.
+        ``fn(arg)`` is the entry: an event's firing (rendered as the
+        event's ``repr``) or a :meth:`~repro.sim.Simulator.call_at`
+        callback (rendered as ``<call_at qualname(arg)>``).  The
+        filter/cap check runs *before* any of that is built: on long
+        runs with kernel events filtered out, this hook must not format
+        millions of strings that are immediately discarded.
         """
         if self.categories is not None and "event" not in self.categories:
             return
         if len(self.records) >= self.limit:
             self.suppressed += 1
             return
-        self.log(time, "kernel", "event", repr(event))
+        if fn is _fire_event:
+            message = repr(arg)
+        elif fn is _fire_timeout:
+            # The entry is what triggers it: describe it as its
+            # callbacks will see it.
+            message = f"<{arg._label()} triggered at {id(arg):#x}>"
+        else:
+            label = getattr(fn, "__qualname__", repr(fn))
+            message = f"<call_at {label}({arg!r})>"
+        self.log(time, "kernel", "event", message)
 
     def by_category(self, category: str) -> list[TraceRecord]:
         """All records of one category, in time order."""

@@ -253,6 +253,41 @@ class TestRunJob:
             c.run_job(endless, stacks=(), max_events=50)
 
 
+class TestFailRun:
+    """``fail_run`` halts the running job from a bare kernel callback:
+    the first error wins and is raised before anything queued after the
+    failing callback fires, and the next job starts clean."""
+
+    def test_first_error_halts_the_job_at_its_instant(self):
+        c = Cluster(nnodes=1)
+        first = RuntimeError("first")
+        ran = []
+
+        def failing(_):
+            c.fail_run(first)
+            c.fail_run(RuntimeError("second"))
+
+        def doomed(task):
+            c.sim.call_at(5.0, failing)
+            c.sim.call_at(5.0, ran.append, "same instant")
+            c.sim.call_at(6.0, ran.append, "later")
+            yield c.sim.timeout(10.0)
+
+        with pytest.raises(RuntimeError, match="first") as info:
+            c.run_job(doomed, stacks=())
+        assert info.value is first
+        assert c.sim.now == 5.0
+        assert ran == []
+
+        def healthy(task):
+            yield c.sim.timeout(1.0)
+            return "ok"
+
+        assert c.run_job(healthy, stacks=()) == ["ok"]
+        # What the halt left queued is still the machine's to run.
+        assert ran == ["same instant", "later"]
+
+
 class TestOob:
     def test_allgather_accumulates(self):
         c = Cluster(nnodes=2)

@@ -7,11 +7,13 @@ time must never move; the event count is the simulator's own cost per
 operation (one kernel event per hardware or protocol step -- see
 "Kernel events per operation" in docs/performance.md), so any later
 drift in either direction is a reviewed change to this table, not
-noise.
+noise.  Three 64-node symmetric rings, one per topology, are pinned the
+same way.
 """
 
 import pytest
 
+from repro.bench.scale import SCALE_SEED, scale_point
 from repro.core.constants import RmwOp
 from repro.machine import Cluster
 
@@ -158,3 +160,21 @@ def test_event_budget(job, stack, interrupt_mode):
     sim = cluster.sim
     assert (sim.events_processed, sim.now) == \
         BUDGET[job, stack, interrupt_mode]
+
+
+#: topology -> (events, virtual_us) of ``scale_point(64, topology,
+#: SCALE_SEED)``: a symmetric ring, where every node does the same thing
+#: at the same float, so same-instant order moves virtual time here
+#: while every 2-node job above stays put.  ``virtual_us`` is the final
+#: ``sim.now`` as the record carries it (rounded to the picosecond).
+RING_BUDGET = {
+    "sp": (17175, 746.669399),
+    "fattree": (17099, 688.910702),
+    "dragonfly": (17339, 732.831666),
+}
+
+
+@pytest.mark.parametrize("topology", sorted(RING_BUDGET))
+def test_symmetric_ring_budget(topology):
+    record = scale_point(64, topology, SCALE_SEED)
+    assert (record["events"], record["virtual_us"]) == RING_BUDGET[topology]

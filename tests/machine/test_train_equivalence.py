@@ -9,11 +9,8 @@ event counts, rendered metrics blocks, bench tables, span streams -- is
 diffed here between lane-on and lane-off runs of the same workload, and
 each condition that must disengage the lane (loss, fault schedules,
 multipath fabrics, span tracing, structured tracing) is pinned down via
-the adapter's ``soa_*`` counters.  The whole suite runs under both
-pending-queue backends.
+the adapter's ``soa_*`` counters.
 """
-
-import pytest
 
 from repro.bench import runner
 from repro.bench.bandwidth import run_fig2
@@ -22,7 +19,7 @@ from repro.faults import FaultSchedule, LinkOutage
 from repro.machine import Cluster
 from repro.machine.config import SP_1998
 from repro.obs import SpanRecorder
-from repro.sim import SCHEDULERS, Tracer
+from repro.sim import Tracer
 
 NBYTES = 262144  # enough packets for several trains
 
@@ -43,10 +40,9 @@ def _put_job(nbytes, target):
     return main
 
 
-def _run(config, job, nnodes=2, *, scheduler="calendar", spans=False,
-         faults=None, trace=False, seed=0x50A):
+def _run(config, job, nnodes=2, *, spans=False, faults=None, trace=False,
+         seed=0x50A):
     cluster = Cluster(nnodes=nnodes, config=config, seed=seed,
-                      scheduler=scheduler,
                       spans=SpanRecorder() if spans else None,
                       trace=Tracer() if trace else None,
                       faults=faults)
@@ -78,16 +74,14 @@ def _observables(cluster):
     }
 
 
-def _assert_soa_equivalent(config, job, nnodes=2, *,
-                           scheduler="calendar", spans=False,
+def _assert_soa_equivalent(config, job, nnodes=2, *, spans=False,
                            faults_factory=None):
     """Same job with the SoA lane on/off: identical physics; the off
     run must never touch the lane.  Returns the lane-on cluster."""
     clusters = {}
     obs = {}
     for flag in (True, False):
-        c = _run(config.replace(soa_trains=flag), job, nnodes,
-                 scheduler=scheduler, spans=spans,
+        c = _run(config.replace(soa_trains=flag), job, nnodes, spans=spans,
                  faults=faults_factory() if faults_factory else None)
         clusters[flag] = c
         obs[flag] = _observables(c)
@@ -97,28 +91,23 @@ def _assert_soa_equivalent(config, job, nnodes=2, *,
 
 
 class TestSoaEquivalence:
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_canonical_put_identical_and_engaged(self, scheduler):
-        on = _assert_soa_equivalent(SP_1998, _put_job(NBYTES, 1),
-                                    scheduler=scheduler)
+    def test_canonical_put_identical_and_engaged(self):
+        on = _assert_soa_equivalent(SP_1998, _put_job(NBYTES, 1))
         # The clean 2-node put is the canonical train workload; if the
         # SoA lane does not engage there, it is dead code.
         assert _soa_packets(on) > 0
         assert _soa_packets(on) == _train_packets(on)
 
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_lossy_config_disengages(self, scheduler):
+    def test_lossy_config_disengages(self):
         # Loss disables train peeling entirely (packet identity is
         # needed for every loss draw), so the SoA lane never sees a
         # train to collapse.
         cfg = SP_1998.replace(loss_rate=0.02)
-        on = _assert_soa_equivalent(cfg, _put_job(NBYTES, 1),
-                                    scheduler=scheduler)
+        on = _assert_soa_equivalent(cfg, _put_job(NBYTES, 1))
         assert _soa_packets(on) == 0
         assert _train_packets(on) == 0
 
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_fault_schedule_disengages(self, scheduler):
+    def test_fault_schedule_disengages(self):
         # A mid-run outage forces retransmissions; the faults judge
         # needs per-packet draws, so peeling (and the lane) must stay
         # off for the whole run.
@@ -126,30 +115,27 @@ class TestSoaEquivalence:
             return FaultSchedule([LinkOutage(src=0, dst=1,
                                              start=200.0, end=400.0)])
         on = _assert_soa_equivalent(SP_1998, _put_job(NBYTES, 1),
-                                    faults_factory=sched,
-                                    scheduler=scheduler)
+                                    faults_factory=sched)
         assert _soa_packets(on) == 0
 
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_fattree_multipath_disengages(self, scheduler):
+    def test_fattree_multipath_disengages(self):
         # Cross-pod fat-tree pairs have multiple candidate routes (8 of
         # them at 32 nodes); the per-packet RNG draw needs packet
         # identity, so the train peel (and with it the SoA lane) must
         # fall back.
         cfg = SP_1998.replace(topology="fattree")
         on = _assert_soa_equivalent(cfg, _put_job(NBYTES, 16),
-                                    nnodes=32, scheduler=scheduler)
+                                    nnodes=32)
         assert len(on.switch.route_candidates(0, 16)) > 1
         assert _soa_packets(on) == 0
 
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_span_tracing_disengages_but_keeps_trains(self, scheduler):
+    def test_span_tracing_disengages_but_keeps_trains(self):
         # Span tracing observes per-packet identity mid-flight
         # (bind_packets on the interior), so the SoA lane must yield to
         # the PR-2 timer train -- which stays engaged -- and the span
         # streams must be byte-identical with the lane flag on or off.
         on = _assert_soa_equivalent(SP_1998, _put_job(NBYTES, 1),
-                                    spans=True, scheduler=scheduler)
+                                    spans=True)
         assert on.spans is not None and on.spans.span_dicts()
         assert _soa_packets(on) == 0
         assert _soa_fallbacks(on) > 0
@@ -199,13 +185,10 @@ def _bench_suite():
 
 
 class TestBenchEquivalence:
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_fig2_and_table2_byte_identical(self, scheduler,
-                                            monkeypatch):
+    def test_fig2_and_table2_byte_identical(self):
         """The acceptance check: real bench experiments produce
         byte-identical tables, metrics blocks, virtual times, and span
-        streams with the SoA lane on or off, under both schedulers."""
-        monkeypatch.setenv("REPRO_SIM_SCHEDULER", scheduler)
+        streams with the SoA lane on or off."""
         runner.configure_observability(metrics=True, capture=True,
                                        spans=True)
         try:

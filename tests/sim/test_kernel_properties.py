@@ -66,6 +66,50 @@ def test_chained_processes_accumulate_delays(data):
     assert abs(sim.now - sum(delays)) < 1e-6
 
 
+_DELAYS = st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                    st.floats(min_value=0.0, max_value=20.0,
+                              allow_nan=False, allow_infinity=False))
+_OPS = st.lists(st.one_of(st.tuples(st.just("call_at"), _DELAYS),
+                          st.tuples(st.just("timeout"), _DELAYS),
+                          st.tuples(st.just("succeed"), st.just(0.0)),
+                          st.tuples(st.just("run"), _DELAYS)),
+                max_size=60)
+
+
+@given(ops=_OPS)
+@settings(max_examples=200)
+def test_entries_fire_in_when_then_push_order(ops):
+    """Random interleavings of ``call_at``, ``timeout``, ``succeed()``
+    at now and ``run(until=)`` fire in exactly the order of a sorted
+    ``(when, push order)`` list, each at its own ``when``."""
+    sim = Simulator()
+    pushed = []
+    fired = []
+
+    def record(label):
+        fired.append((sim.now, label))
+
+    for kind, delay in ops:
+        when = sim.now + delay
+        label = len(pushed)
+        if kind == "run":
+            assert sim.run(until=when) == when == sim.now
+            continue
+        if kind == "call_at":
+            sim.call_at(when, record, label)
+        elif kind == "timeout":
+            sim.timeout(delay).callbacks.append(
+                lambda ev, label=label: record(label))
+        else:
+            when = sim.now
+            ev = sim.event()
+            ev.callbacks.append(lambda ev, label=label: record(label))
+            ev.succeed()
+        pushed.append((when, label))
+    sim.run()
+    assert fired == sorted(pushed)
+
+
 @given(n=st.integers(min_value=1, max_value=40))
 def test_all_of_fires_at_max_time(n):
     sim = Simulator()

@@ -267,6 +267,22 @@ class TestKernel:
     def test_run_empty_queue_extends_clock_to_until(self, sim):
         assert sim.run(until=7.5) == 7.5
 
+    def test_run_until_in_the_past_rejected(self, sim):
+        # The clock never runs backwards: not with events pending, and
+        # so never letting call_at schedule into the past afterwards.
+        fired = []
+        sim.call_at(50.0, fired.append, 50.0)
+        sim.call_at(60.0, fired.append, 60.0)
+        assert sim.run(until=55.0) == 55.0
+        with pytest.raises(SimulationError, match="before now"):
+            sim.run(until=10.0)
+        assert sim.now == 55.0 and fired == [50.0]
+        with pytest.raises(SimulationError):
+            sim.call_at(20.0, fired.append, 20.0)
+        assert sim.run() == 60.0 and fired == [50.0, 60.0]
+        with pytest.raises(SimulationError, match="before now"):
+            sim.run(until=59.0)  # an empty queue rewinds nothing either
+
     def test_step_on_empty_queue_raises(self, sim):
         with pytest.raises(SimulationError):
             sim.step()

@@ -1,6 +1,6 @@
 """Hot-path trace gating: suppressed records must cost nothing."""
 
-from repro.sim import Tracer
+from repro.sim import Simulator, Tracer
 
 
 class _CountingRepr:
@@ -14,28 +14,50 @@ class _CountingRepr:
         return "<counted>"
 
 
+def _tick(arg):
+    pass
+
+
+def _fire_one(tracer, arg):
+    """Run one ``call_at(1.0, _tick, arg)`` entry under ``tracer``."""
+    sim = Simulator(trace=tracer)
+    sim.call_at(1.0, _tick, arg)
+    sim.run()
+
+
 class TestKernelEventGating:
     def test_filtered_category_skips_repr(self):
         tracer = Tracer(categories=["tx"])  # "event" filtered out
-        ev = _CountingRepr()
-        tracer.kernel_event(1.0, ev)
-        assert ev.reprs == 0
+        arg = _CountingRepr()
+        _fire_one(tracer, arg)
+        assert arg.reprs == 0
         assert len(tracer) == 0
 
     def test_cap_reached_skips_repr_and_counts_suppressed(self):
         tracer = Tracer(limit=0)
-        ev = _CountingRepr()
-        tracer.kernel_event(1.0, ev)
-        assert ev.reprs == 0
+        arg = _CountingRepr()
+        _fire_one(tracer, arg)
+        assert arg.reprs == 0
         assert tracer.suppressed == 1
 
     def test_wanted_event_still_formats(self):
         tracer = Tracer()
-        ev = _CountingRepr()
-        tracer.kernel_event(2.0, ev)
-        assert ev.reprs == 1
+        arg = _CountingRepr()
+        _fire_one(tracer, arg)
+        assert arg.reprs == 1
         assert len(tracer) == 1
-        assert tracer.records[0].message == "<counted>"
+        assert tracer.records[0].message == "<call_at _tick(<counted>)>"
+        assert tracer.records[0].time == 1.0
+
+    def test_events_render_as_their_repr(self):
+        tracer = Tracer()
+        sim = Simulator(trace=tracer)
+        sim.event(name="woken").succeed()
+        sim.timeout(2.0, name="slept")
+        sim.run()
+        assert [(r.time, r.message.split(" at ")[0])
+                for r in tracer.records] == [(0.0, "<woken triggered"),
+                                             (2.0, "<slept triggered")]
 
 
 class TestWants:
