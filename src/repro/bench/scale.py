@@ -15,9 +15,8 @@ grows linearly with nodes while the gfence dissemination tree
 exercises ``N log N`` small-message traffic.  What keeps memory flat
 per node at these sizes (and what this bench exists to guard):
 
-* the bounded per-pair route cache (``route_cache_entries``), capping
-  what all-to-all-ish traffic can pin at O(bound) instead of
-  O(nodes^2);
+* routes computed per packet from each topology's link tables, so no
+  routing state grows with node pairs;
 * streamed top-k link statistics (``Switch.busiest_links`` /
   ``metrics_top_links``) instead of full-fabric utilization dicts.
 
@@ -55,21 +54,14 @@ SCALE_PUT_BYTES = 4096
 #: spread, so shards stay RNG-independent however scheduled).
 SCALE_SEED = 0x5CA1E
 
-#: Route-cache bound as a multiple of the node count: a ring plus a
-#: dissemination barrier touches O(N log N) distinct pairs, so a small
-#: multiple keeps the hit rate high while capping memory.
-_CACHE_ENTRIES_PER_NODE = 8
-
 #: ``Switch.metrics_top_links`` during scale runs: a --metrics block
 #: at 4096 nodes must not carry ~20k per-link gauges.
 _METRICS_TOP_LINKS = 8
 
 
-def scale_config(topology: str, nnodes: int) -> MachineConfig:
-    """The paper calibration on ``topology`` with scale-safe bounds."""
-    return SP_1998.replace(
-        topology=topology,
-        route_cache_entries=_CACHE_ENTRIES_PER_NODE * nnodes)
+def scale_config(topology: str) -> MachineConfig:
+    """The paper calibration on ``topology``."""
+    return SP_1998.replace(topology=topology)
 
 
 def _ring_task(task):
@@ -106,13 +98,14 @@ def scale_point(nnodes: int, topology: str, seed: int) -> dict:
 
     Everything virtual-time in the record is deterministic (a function
     of ``(nnodes, topology, seed)`` only); wall seconds and RSS are
-    host facts and vary.
+    host facts and vary.  ``route_cache_len`` / ``route_cache_limit``
+    are always 0: the switch keeps no route cache, and the fields stay
+    for readers of the record that still check one against the other.
     """
     # The previous point's object graph goes before this one's RSS is
     # read; one full pass per point, at its start.
     gc.collect()
-    cluster = fresh_cluster(nnodes, scale_config(topology, nnodes),
-                            seed=seed)
+    cluster = fresh_cluster(nnodes, scale_config(topology), seed=seed)
     cluster.switch.metrics_top_links = _METRICS_TOP_LINKS
     start = time.perf_counter()
     cluster.run_job(_ring_task, stacks=("lapi",))
@@ -130,8 +123,8 @@ def scale_point(nnodes: int, topology: str, seed: int) -> dict:
         "packets_sent": sent,
         "packets_received": received,
         "rx_dropped": dropped,
-        "route_cache_len": len(sw._route_cache),
-        "route_cache_limit": cluster.config.route_cache_entries,
+        "route_cache_len": 0,
+        "route_cache_limit": 0,
         "wall_s": round(wall, 3),
         "events_per_sec": round(cluster.sim.events_processed / wall)
         if wall > 0 else 0,
@@ -174,15 +167,13 @@ def _scale(records: list, sizes: list) -> ExperimentResult:
     for r in records:
         rows.append([r["topology"], r["nodes"], r["virtual_us"],
                      r["events"], r["events_per_sec"],
-                     r["packets_routed"], r["route_cache_len"],
-                     r["wall_s"], r["rss_mb"]])
+                     r["packets_routed"], r["wall_s"], r["rss_mb"]])
     result = ExperimentResult(
         experiment="scale",
         title=f"SUPPLEMENTAL: {min(sizes)}-{max(sizes)} node scale"
               " sweep (ring + gfence)",
         headers=["topology", "nodes", "virtual us", "events",
-                 "events/s", "routed", "route cache", "wall s",
-                 "rss MB"],
+                 "events/s", "routed", "wall s", "rss MB"],
         rows=rows)
     result.notes.append(
         "supplemental simulator study; the paper machine stops at"
@@ -206,13 +197,6 @@ def _scale(records: list, sizes: list) -> ExperimentResult:
             and 0 <= r["packets_routed"] - r["packets_received"]
             <= r["nodes"]
             for r in records))
-    result.check(
-        "route cache stays within its bound at every size",
-        all(r["route_cache_len"] <= r["route_cache_limit"]
-            for r in records),
-        ", ".join(f"{r['topology']}/{r['nodes']}:"
-                  f" {r['route_cache_len']}/{r['route_cache_limit']}"
-                  for r in records[:3]))
     for topology, recs in by_topo.items():
         recs = sorted(recs, key=lambda r: r["nodes"])
         if len(recs) > 1:

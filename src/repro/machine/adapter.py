@@ -258,7 +258,7 @@ class Adapter:
         """
         if self.switch is None:
             raise NetworkError(f"adapter {self.node_id} not connected")
-        packet.validate(self.config.packet_size)
+        packet.validate(self.config.packet_size, self.switch.nnodes)
         credit = self._tx_credits.wait()
         if not credit.triggered:
             yield from thread.wait(credit)
@@ -272,7 +272,7 @@ class Adapter:
         """
         if self.switch is None:
             raise NetworkError(f"adapter {self.node_id} not connected")
-        packet.validate(self.config.packet_size)
+        packet.validate(self.config.packet_size, self.switch.nnodes)
         if self.crashed:
             self.tx_crash_dropped += 1
             return False
@@ -292,7 +292,7 @@ class Adapter:
         """
         if self.switch is None:
             raise NetworkError(f"adapter {self.node_id} not connected")
-        packet.validate(self.config.packet_size)
+        packet.validate(self.config.packet_size, self.switch.nnodes)
         if self.crashed:  # dead nodes do not acknowledge
             self.tx_crash_dropped += 1
             return
@@ -422,10 +422,9 @@ class Adapter:
         msg_key = hinfo.get("msg_id", hinfo.get("msg_seq"))
         if msg_key is None or "offset" not in hinfo or not head.payload:
             return None
-        candidates = self.switch.route_candidates(self.node_id, head.dst)
-        if len(candidates) != 1:
-            return None
-        if candidates[0].crosses_core and cfg.route_jitter > 0.0:
+        n, _, _, crosses = self.switch.topology.path(
+            self.node_id, head.dst, cfg)
+        if n != 1 or (crosses and cfg.route_jitter > 0.0):
             return None
         run = []
         prev = head
@@ -485,7 +484,6 @@ class Adapter:
         sim = self.sim
         head = interior[0][0]
         switch = self.switch
-        route = switch.route_candidates(self.node_id, head.dst)[0]
         dst_adapter = switch._adapters[head.dst]
         client = (dst_adapter.clients.get(head.proto)
                   if dst_adapter is not None else None)
@@ -501,7 +499,9 @@ class Adapter:
         else:
             from .train import PacketTrain
             train = PacketTrain()
-        train.begin(self, route, dst_adapter, client)
+        _, links, latency, _ = switch.topology.path(
+            self.node_id, head.dst, cfg)
+        train.begin(self, links, latency, dst_adapter, client)
         dma = cfg.adapter_send_dma
         bw = cfg.link_bandwidth
         gap = cfg.packet_gap

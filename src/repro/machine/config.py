@@ -95,12 +95,6 @@ class MachineConfig:
     #: on top of the per-hop latency -- global links are physically
     #: long.
     dragonfly_global_latency: float = 0.5
-    #: Bound on the switch's per-pair route cache, in (src, dst)
-    #: entries; ``None`` (default) caches every pair ever routed, the
-    #: historical behaviour.  Large clusters set a bound so cache
-    #: memory stays O(bound) instead of O(nodes^2) under all-to-all
-    #: traffic; eviction is oldest-entry-first.
-    route_cache_entries: Optional[int] = None
     #: Simulator (not machine) switch: let the adapter TX engine
     #: serialize the interior of a contiguous multi-packet train
     #: analytically -- one precomputed schedule instead of generator
@@ -357,9 +351,6 @@ class MachineConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.dragonfly_global_latency < 0:
             raise ValueError("dragonfly_global_latency must be >= 0")
-        if (self.route_cache_entries is not None
-                and self.route_cache_entries < 1):
-            raise ValueError("route_cache_entries must be None or >= 1")
         if self.mpl_eager_limit > self.mpl_eager_limit_max:
             raise ValueError("eager limit exceeds its maximum")
         for name in ("lapi_retrans_timeout", "mpl_retrans_timeout"):

@@ -100,12 +100,19 @@ class Packet:
         self.size = header_bytes + len(payload)
         self.pooled = False
 
-    def validate(self, max_size: int) -> None:
-        """Check wire-format invariants against the machine config."""
+    def validate(self, max_size: int,
+                 nnodes: Optional[int] = None) -> None:
+        """Check wire-format invariants against the machine config
+        (and, given ``nnodes``, that both endpoints are on the fabric)."""
         if self.src == self.dst:
             raise NetworkError(f"packet {self.uid} loops to its source")
         if self.src < 0 or self.dst < 0:
             raise NetworkError(f"packet {self.uid} has a negative node id")
+        if nnodes is not None and (self.src >= nnodes
+                                   or self.dst >= nnodes):
+            raise NetworkError(
+                f"packet {self.uid} ({self.src}->{self.dst}) addresses a"
+                f" node outside the {nnodes}-node fabric")
         if self.header_bytes <= 0:
             raise NetworkError(f"packet {self.uid} has no header")
         if self.size > max_size:

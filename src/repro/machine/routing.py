@@ -27,16 +27,22 @@ shapes a larger SP successor might have used:
   links inside a group and one global link per ordered group pair,
   minimally routed.
 
-All topologies share one duck-typed surface -- ``routes(src, dst,
-config)``, ``iter_links()``, ``nnodes`` -- which is everything
+All topologies share one duck-typed surface -- ``path(src, dst,
+config, pick)``, ``iter_links()``, ``nnodes`` -- which is everything
 :class:`repro.machine.switch.Switch` touches; :func:`build_topology`
-dispatches on ``MachineConfig.topology``.
+dispatches on ``MachineConfig.topology``.  ``path`` is each fabric's
+routing rule, stated once: the number of candidate routes for a node
+pair and the links, fixed latency and ``crosses_core`` flag of the
+candidate ``pick`` chooses.  It is computed from the link tables per
+packet, never memoized, so routing keeps no table that grows with node
+pairs; ``routes()`` enumerates it into :class:`Route` objects for
+inspection and tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ..errors import NetworkError
 
@@ -55,14 +61,13 @@ class SerialResource:
     pushing the ``busy_until`` watermark.
     """
 
-    __slots__ = ("name", "busy_until", "total_busy", "served")
+    __slots__ = ("name", "busy_until", "total_busy")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.busy_until = 0.0
         #: Aggregate service time, for utilization accounting.
         self.total_busy = 0.0
-        self.served = 0
 
     def occupy(self, now: float, duration: float) -> float:
         """Reserve the resource; returns when service completes."""
@@ -72,7 +77,6 @@ class SerialResource:
         finish = start + duration
         self.busy_until = finish
         self.total_busy += duration
-        self.served += 1
         return finish
 
     def utilization(self, horizon: float) -> float:
@@ -107,8 +111,41 @@ class Route:
     crosses_core: bool
 
 
+def _check_pair(nnodes: int, src: int, dst: int) -> None:
+    """Shared endpoint validation for route construction."""
+    if src == dst:
+        raise NetworkError("no route from a node to itself")
+    if not (0 <= src < nnodes and 0 <= dst < nnodes):
+        raise NetworkError(
+            f"route endpoints ({src}, {dst}) outside {nnodes} nodes")
+
+
+class _Fabric:
+    """What every topology derives from its ``path`` rule.
+
+    ``path(src, dst, config, pick=None)`` returns ``(n, links,
+    fixed_latency, crosses_core)``: ``n`` candidate routes exist for the
+    pair, and the other three describe the one ``pick(n)`` selects --
+    ``pick`` is called only when ``n > 1``; ``None`` selects candidate
+    0.  ``path`` trusts its endpoints (injection range-checks every
+    packet); :meth:`routes` validates them.
+    """
+
+    def routes(self, src: int, dst: int,
+               config: "MachineConfig") -> list[Route]:
+        """All candidate routes from ``src`` to ``dst``, in pick order."""
+        _check_pair(self.nnodes, src, dst)
+        n, links, latency, crosses = self.path(src, dst, config)
+        routes = [Route(links, latency, crosses)]
+        for i in range(1, n):
+            _, links, latency, crosses = self.path(
+                src, dst, config, lambda _n, i=i: i)
+            routes.append(Route(links, latency, crosses))
+        return routes
+
+
 @dataclass
-class Topology:
+class Topology(_Fabric):
     """Edge/middle switch topology for ``nnodes`` nodes.
 
     Attributes
@@ -170,44 +207,27 @@ class Topology:
             raise NetworkError(f"node {node} outside topology")
         return node // self.group_size
 
-    def routes(self, src: int, dst: int,
-               config: "MachineConfig") -> list[Route]:
-        """All candidate routes from ``src`` to ``dst``.
-
-        Same-group pairs have a single route through their edge switch;
-        cross-group pairs have ``mid_count`` disjoint routes.
-        """
-        if src == dst:
-            raise NetworkError("no route from a node to itself")
-        gs, gd = self.group_of(src), self.group_of(dst)
+    def path(self, src: int, dst: int, config: "MachineConfig",
+             pick: Optional[Callable[[int], int]] = None) -> tuple:
+        """Same-group pairs have a single route through their edge
+        switch; cross-group pairs have ``mid_count`` disjoint routes,
+        candidate ``m`` through middle switch ``m``."""
+        gsize = self.group_size
+        gs, gd = src // gsize, dst // gsize
         wire2 = 2 * config.wire_latency
         if gs == gd:
             # node -> edge switch -> node: one switch traversal.
-            return [Route(links=(self.up[src], self.down[dst]),
-                          fixed_latency=wire2 + config.hop_latency,
-                          crosses_core=False)]
-        routes = []
-        for m in range(self.mid_count):
-            links = (self.up[src], self.edge_to_mid[gs][m],
-                     self.mid_to_edge[gd][m], self.down[dst])
-            routes.append(Route(
-                links=links,
-                fixed_latency=wire2 + 3 * config.hop_latency,
-                crosses_core=True))
-        return routes
-
-
-def _check_pair(nnodes: int, src: int, dst: int) -> None:
-    """Shared endpoint validation for route construction."""
-    if src == dst:
-        raise NetworkError("no route from a node to itself")
-    if not (0 <= src < nnodes and 0 <= dst < nnodes):
-        raise NetworkError(
-            f"route endpoints ({src}, {dst}) outside {nnodes} nodes")
+            return (1, (self.up[src], self.down[dst]),
+                    wire2 + config.hop_latency, False)
+        n = self.mid_count
+        m = pick(n) if pick is not None and n > 1 else 0
+        return (n, (self.up[src], self.edge_to_mid[gs][m],
+                    self.mid_to_edge[gd][m], self.down[dst]),
+                wire2 + 3 * config.hop_latency, True)
 
 
 @dataclass
-class FatTreeTopology:
+class FatTreeTopology(_Fabric):
     """Three-tier fat tree: leaf / aggregation / core.
 
     Nodes attach in runs of ``fattree_leaf_size`` to *leaf* switches;
@@ -284,42 +304,32 @@ class FatTreeTopology:
     def npods(self) -> int:
         return len(self.agg_up)
 
-    def leaf_of(self, node: int) -> int:
-        if not (0 <= node < self.nnodes):
-            raise NetworkError(f"node {node} outside topology")
-        return node // self.leaf_size
-
-    def pod_of(self, leaf: int) -> int:
-        return leaf // self.pod_leaves
-
-    def routes(self, src: int, dst: int,
-               config: "MachineConfig") -> list[Route]:
-        """Candidate routes (see the class docstring for the shapes)."""
-        _check_pair(self.nnodes, src, dst)
+    def path(self, src: int, dst: int, config: "MachineConfig",
+             pick: Optional[Callable[[int], int]] = None) -> tuple:
+        """Candidate ``a`` within a pod goes through aggregation switch
+        ``a``; candidate ``c`` across pods through core switch ``c``
+        (see the class docstring for the shapes)."""
         hop = config.hop_latency
         wire2 = 2 * config.wire_latency
-        ls, ld = self.leaf_of(src), self.leaf_of(dst)
+        lsize = self.leaf_size
+        ls, ld = src // lsize, dst // lsize
         if ls == ld:
-            return [Route(links=(self.up[src], self.down[dst]),
-                          fixed_latency=wire2 + hop,
-                          crosses_core=False)]
-        ps, pd = self.pod_of(ls), self.pod_of(ld)
+            return 1, (self.up[src], self.down[dst]), wire2 + hop, False
+        pleaves = self.pod_leaves
+        ps, pd = ls // pleaves, ld // pleaves
         if ps == pd:
-            return [Route(links=(self.up[src], self.leaf_up[ls][a],
-                                 self.leaf_down[ld][a], self.down[dst]),
-                          fixed_latency=wire2 + 3 * hop,
-                          crosses_core=False)
-                    for a in range(self.agg_count)]
-        routes = []
-        for c in range(self.core_count):
-            a = c % self.agg_count
-            links = (self.up[src], self.leaf_up[ls][a],
-                     self.agg_up[ps][a][c], self.agg_down[pd][a][c],
-                     self.leaf_down[ld][a], self.down[dst])
-            routes.append(Route(links=links,
-                                fixed_latency=wire2 + 5 * hop,
-                                crosses_core=True))
-        return routes
+            n = self.agg_count
+            a = pick(n) if pick is not None and n > 1 else 0
+            return (n, (self.up[src], self.leaf_up[ls][a],
+                        self.leaf_down[ld][a], self.down[dst]),
+                    wire2 + 3 * hop, False)
+        n = self.core_count
+        c = pick(n) if pick is not None and n > 1 else 0
+        a = c % self.agg_count
+        return (n, (self.up[src], self.leaf_up[ls][a],
+                    self.agg_up[ps][a][c], self.agg_down[pd][a][c],
+                    self.leaf_down[ld][a], self.down[dst]),
+                wire2 + 5 * hop, True)
 
     def iter_links(self):
         """Yield every link once: node links, leaf stage, core stage."""
@@ -338,7 +348,7 @@ class FatTreeTopology:
 
 
 @dataclass
-class DragonflyTopology:
+class DragonflyTopology(_Fabric):
     """Dragonfly: router groups with all-to-all local and global links.
 
     ``dragonfly_router_nodes`` nodes attach to each router;
@@ -402,47 +412,39 @@ class DragonflyTopology:
     def ngroups(self) -> int:
         return len(self.local)
 
-    def router_of(self, node: int) -> int:
-        if not (0 <= node < self.nnodes):
-            raise NetworkError(f"node {node} outside topology")
-        return node // self.router_nodes
-
-    def group_of(self, node: int) -> int:
-        return self.router_of(node) // self.group_routers
-
-    def routes(self, src: int, dst: int,
-               config: "MachineConfig") -> list[Route]:
-        """The single minimal route between ``src`` and ``dst``."""
-        _check_pair(self.nnodes, src, dst)
+    def path(self, src: int, dst: int, config: "MachineConfig",
+             pick: Optional[Callable[[int], int]] = None) -> tuple:
+        """The single minimal route between ``src`` and ``dst``
+        (``pick`` is never called)."""
         hop = config.hop_latency
         wire2 = 2 * config.wire_latency
-        rs, rd = self.router_of(src), self.router_of(dst)
+        rnodes = self.router_nodes
+        rs, rd = src // rnodes, dst // rnodes
+        up, down = self.up[src], self.down[dst]
         if rs == rd:
-            return [Route(links=(self.up[src], self.down[dst]),
-                          fixed_latency=wire2 + hop,
-                          crosses_core=False)]
+            return 1, (up, down), wire2 + hop, False
         rpg = self.group_routers
         gs, gd = rs // rpg, rd // rpg
+        ri, rj = rs % rpg, rd % rpg
         if gs == gd:
-            links = (self.up[src], self.local[gs][rs % rpg][rd % rpg],
-                     self.down[dst])
-            return [Route(links=links, fixed_latency=wire2 + 2 * hop,
-                          crosses_core=False)]
+            return (1, (up, self.local[gs][ri][rj], down),
+                    wire2 + 2 * hop, False)
         gw_out = gd % rpg   # gateway router in gs toward gd
         gw_in = gs % rpg    # entry router in gd from gs
-        links: list[SerialResource] = [self.up[src]]
-        if rs % rpg != gw_out:
-            links.append(self.local[gs][rs % rpg][gw_out])
-        links.append(self.global_links[(gs, gd)])
-        if gw_in != rd % rpg:
-            links.append(self.local[gd][gw_in][rd % rpg])
-        links.append(self.down[dst])
+        glob = self.global_links[(gs, gd)]
+        if ri == gw_out:
+            links = ((up, glob, down) if gw_in == rj
+                     else (up, glob, self.local[gd][gw_in][rj], down))
+        elif gw_in == rj:
+            links = (up, self.local[gs][ri][gw_out], glob, down)
+        else:
+            links = (up, self.local[gs][ri][gw_out], glob,
+                     self.local[gd][gw_in][rj], down)
         # One switch traversal per link boundary, plus the global
         # link's extra flight time.
         latency = (wire2 + (len(links) - 1) * hop
                    + config.dragonfly_global_latency)
-        return [Route(links=tuple(links), fixed_latency=latency,
-                      crosses_core=True)]
+        return 1, links, latency, True
 
     def iter_links(self):
         """Yield every link once: node links, local grids, global."""

@@ -1,8 +1,9 @@
 """The SP switch: routes packets between adapters.
 
-The switch owns the :class:`~repro.machine.routing.Topology`, selects a
-route per packet (randomly among the disjoint middle-stage routes for
-cross-group traffic -- the source of out-of-order delivery), charges link
+The switch owns the :class:`~repro.machine.routing.Topology`, has it
+compute a route per packet (randomly among the disjoint middle-stage
+routes for cross-group traffic -- the source of out-of-order delivery;
+nothing is memoized per node pair), charges link
 occupancy along the route, injects optional jitter and loss, and hands
 the packet to the destination adapter at its computed arrival time.
 """
@@ -15,7 +16,7 @@ from heapq import nlargest
 from operator import itemgetter
 
 from ..errors import NetworkError
-from .routing import Route, build_topology
+from .routing import build_topology
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim import RngRegistry, Simulator, Tracer
@@ -34,6 +35,7 @@ class Switch:
                  trace: Optional["Tracer"] = None) -> None:
         self.sim = sim
         self.config = config
+        self.nnodes = nnodes
         self.topology = build_topology(nnodes, config)
         self._adapters: list[Optional["Adapter"]] = [None] * nnodes
         self._route_rng = rng.stream("switch.route")
@@ -43,15 +45,6 @@ class Switch:
         #: routed packet.  None (the default) keeps the hot path at a
         #: single attribute test.
         self.faults = None
-        # Config and topology are immutable per run, so candidate routes
-        # per (src, dst) pair are computed once; the per-packet path is
-        # a dict hit instead of Route/list construction.  With
-        # ``route_cache_entries`` set the cache is bounded: the oldest
-        # pair is evicted on overflow (dict preserves insertion order),
-        # capping memory at O(bound) instead of O(nodes^2) under
-        # all-to-all traffic at --scale node counts.
-        self._route_cache: dict[tuple[int, int], tuple["Route", ...]] = {}
-        self._route_cache_limit = config.route_cache_entries
         #: When set, :meth:`metrics` emits only the ``top_links``
         #: busiest per-link utilization gauges instead of all of them
         #: (None, the default, keeps the full historical block).  Large
@@ -67,24 +60,15 @@ class Switch:
     def attach(self, adapter: "Adapter") -> None:
         """Register ``adapter`` at its node's port."""
         nid = adapter.node_id
-        if not (0 <= nid < len(self._adapters)):
+        if not (0 <= nid < self.nnodes):
             raise NetworkError(f"node id {nid} outside switch")
         if self._adapters[nid] is not None:
             raise NetworkError(f"node {nid} already attached")
         self._adapters[nid] = adapter
 
-    def route_candidates(self, src: int, dst: int) -> tuple["Route", ...]:
-        """Candidate routes for a node pair, from the lazy cache."""
-        cache = self._route_cache
-        key = (src, dst)
-        routes = cache.get(key)
-        if routes is None:
-            routes = tuple(self.topology.routes(src, dst, self.config))
-            limit = self._route_cache_limit
-            if limit is not None and len(cache) >= limit:
-                del cache[next(iter(cache))]
-            cache[key] = routes
-        return routes
+    def _pick(self, n: int) -> int:
+        """Draw one of ``n`` candidate routes (multipath pairs only)."""
+        return int(self._route_rng.integers(0, n))
 
     def route(self, packet: "Packet") -> None:
         """Send ``packet`` through the fabric (called at injection time).
@@ -95,9 +79,10 @@ class Switch:
         time.  Lost packets simply never arrive -- recovering them is the
         reliability layer's job.
 
-        Wire-format validation happens once, at adapter injection
-        (``inject`` / ``inject_async`` / ``inject_control``); the switch
-        trusts what the adapters hand it.
+        Wire-format and endpoint validation happens once, at adapter
+        injection (``inject`` / ``inject_async`` / ``inject_control``);
+        the switch and the topology's ``path`` trust what the adapters
+        hand them.
         """
         dst_adapter = self._adapters[packet.dst]
         if dst_adapter is None:
@@ -135,23 +120,20 @@ class Switch:
                     sp.packet_lost(packet, self.sim.now)
                 return
 
-        candidates = self.route_candidates(packet.src, packet.dst)
-        if len(candidates) == 1:
-            # Same-group fast path: single deterministic route, no RNG
-            # draw, no allocation beyond the delivery heap entry.
-            route = candidates[0]
-        else:
-            route = candidates[int(self._route_rng.integers(
-                0, len(candidates)))]
+        # The topology computes the route from its link tables: the
+        # route draw happens inside, and only for multipath pairs, so
+        # the stream's draws come before the jitter draw below.
+        _, links, latency, crosses = self.topology.path(
+            packet.src, packet.dst, cfg, self._pick)
 
         transfer = packet.size / cfg.link_bandwidth
         sim = self.sim
         now = sim._now
         t = now
-        for link in route.links:
+        for link in links:
             t = link.occupy(t, transfer)
-        t += route.fixed_latency
-        if route.crosses_core and cfg.route_jitter > 0.0:
+        t += latency
+        if crosses and cfg.route_jitter > 0.0:
             t += float(self._route_rng.random()) * cfg.route_jitter
 
         self.packets_routed += 1

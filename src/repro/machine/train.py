@@ -39,7 +39,6 @@ from typing import TYPE_CHECKING, Optional
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim import Simulator
     from .adapter import Adapter, AdapterClient
-    from .routing import Route
 
 __all__ = ["PacketTrain"]
 
@@ -88,14 +87,14 @@ class PacketTrain:
         self.pooled = False
 
     # ------------------------------------------------------------------
-    def begin(self, adapter: "Adapter", route: "Route",
+    def begin(self, adapter: "Adapter", links: tuple, fixed_latency: float,
               dst_adapter: "Adapter", client: "AdapterClient") -> None:
         """Reset cursors and bind the train's per-run constants."""
         self.sim = adapter.sim
         self.adapter = adapter
         self.dst_adapter = dst_adapter
-        self.links = route.links
-        self.fixed_latency = route.fixed_latency
+        self.links = links
+        self.fixed_latency = fixed_latency
         self.tx_credits = adapter._tx_credits
         self.rx_dma = dst_adapter._rx_dma
         self.recv_dma = dst_adapter.config.adapter_recv_dma

@@ -1,20 +1,18 @@
 """Golden equivalence: the hot-path fast lanes must not change physics.
 
-The TX-engine packet-train collapse (``MachineConfig.fast_trains``), the
-switch route cache, and the ``call_at`` fast timers are pure simulator
-optimizations: every virtual-time observable -- completion times,
-bandwidths, per-subsystem metrics -- must be identical with them on or
-off.  These tests run the same workload under both settings and compare
-the full metrics render, and pin down each condition that must disengage
-the train fast path (loss, core jitter, multiple routes, non-contiguous
-vectors).
+The TX-engine packet-train collapse (``MachineConfig.fast_trains``) and
+the ``call_at`` fast timers are pure simulator optimizations: every
+virtual-time observable -- completion times, bandwidths, per-subsystem
+metrics -- must be identical with them on or off.  These tests run the
+same workload under both settings and compare the full metrics render,
+and pin down each condition that must disengage the train fast path
+(loss, core jitter, multiple routes, non-contiguous vectors).
 """
 
 import pytest
 
 from repro.machine import Cluster
 from repro.machine.config import SP_1998
-from repro.machine.routing import Topology
 from repro.machine.switch import Switch
 from repro.sim import RngRegistry, Simulator
 
@@ -115,33 +113,13 @@ class TestTrainEquivalence:
 
 
 class TestRouteCache:
-    def _switch(self, nnodes=8, config=SP_1998):
-        return Switch(Simulator(), nnodes, config, RngRegistry(seed=7))
-
-    def test_cache_matches_direct_topology_routes(self):
-        sw = self._switch()
-        topo = Topology.build(8, SP_1998)
-        for src in range(8):
-            for dst in range(8):
-                if src == dst:
-                    continue
-                cached = sw.route_candidates(src, dst)
-                direct = topo.routes(src, dst, SP_1998)
-                assert len(cached) == len(direct)
-                for c, d in zip(cached, direct):
-                    assert c.fixed_latency == d.fixed_latency
-                    assert c.crosses_core == d.crosses_core
-                    assert tuple(ln.name for ln in c.links) == \
-                        tuple(ln.name for ln in d.links)
-
-    def test_cache_hit_returns_same_tuple(self):
-        sw = self._switch()
-        assert sw.route_candidates(0, 5) is sw.route_candidates(0, 5)
+    """The switch routes from its topology's rule, with no per-pair
+    cache; what stays pinned is the candidate count per pair shape."""
 
     def test_route_counts(self):
-        sw = self._switch()
-        assert len(sw.route_candidates(0, 1)) == 1  # same group
-        assert len(sw.route_candidates(0, 5)) == \
+        sw = Switch(Simulator(), 8, SP_1998, RngRegistry(seed=7))
+        assert len(sw.topology.routes(0, 1, SP_1998)) == 1  # same group
+        assert len(sw.topology.routes(0, 5, SP_1998)) == \
             SP_1998.switch_mid_count  # cross-group
 
 

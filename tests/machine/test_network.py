@@ -55,6 +55,12 @@ class TestPacket:
         with pytest.raises(NetworkError):
             make_packet(header=0).validate(1024)
 
+    def test_validate_node_outside_fabric(self):
+        make_packet(src=0, dst=7).validate(1024, 8)
+        for src, dst in ((8, 0), (0, 8)):
+            with pytest.raises(NetworkError, match="8-node fabric"):
+                make_packet(src=src, dst=dst).validate(1024, 8)
+
 
 class TestSerialResource:
     def test_idle_service(self):
@@ -299,3 +305,32 @@ class TestAdapterPaths:
         sim.run()
         assert fired == []
         assert client.pending == 1
+
+
+class TestInjectionEndpoints:
+    """A packet addressed off the fabric is refused where it enters it:
+    routing computes links from the node ids and checks nothing."""
+
+    def test_inject_rejects_unknown_destination(self):
+        sim, switch, (a0, a1) = build_fabric()
+        with pytest.raises(NetworkError, match="2-node fabric"):
+            next(a0.inject(None, make_packet(dst=5)))
+        sim.run()
+        assert a0.packets_sent == 0
+
+    def test_inject_async_rejects_unknown_destination(self):
+        sim, switch, adapters = build_fabric(nnodes=8)
+        with pytest.raises(NetworkError, match="8-node fabric"):
+            adapters[0].inject_async(make_packet(dst=9))
+        sim.run()
+        assert switch.packets_routed == 0
+
+    def test_inject_control_rejects_unknown_destination(self):
+        from repro.machine import Cluster
+        cluster = Cluster(2)
+        adapter = cluster.nodes[0].adapter
+        with pytest.raises(NetworkError, match="outside the 2-node"):
+            adapter.inject_control(Packet(src=0, dst=5, proto="lapi",
+                                          kind="ack", header_bytes=16))
+        cluster.sim.run()
+        assert adapter.packets_sent == 0

@@ -2,9 +2,11 @@
 
 The SP multistage topology is covered by the historical network tests;
 these exercise the two large-N fabrics added for ``--scale`` -- route
-shapes, candidate counts, gateway selection -- plus the bounded route
-cache and the streamed top-k link statistics.
+shapes, candidate counts, gateway selection -- plus golden digests of
+all three routing rules and the streamed top-k link statistics.
 """
+
+import hashlib
 
 import pytest
 
@@ -138,30 +140,62 @@ class TestDragonfly:
                 assert {ln.name for ln in route.links} <= names
 
 
-class TestBoundedRouteCache:
-    def test_unbounded_by_default(self):
-        sw = make_switch()
-        assert sw._route_cache_limit is None
-        for dst in range(1, 8):
-            sw.route_candidates(0, dst)
-        assert len(sw._route_cache) == 7
+class TestRoutingRule:
+    """Golden digests of each fabric's routing rule at 256 nodes.
 
-    def test_fifo_eviction_at_limit(self):
-        sw = make_switch(SP_1998.replace(route_cache_entries=4))
-        for dst in range(1, 6):
-            sw.route_candidates(0, dst)
-        assert len(sw._route_cache) == 4
-        assert (0, 1) not in sw._route_cache  # oldest evicted
-        assert (0, 5) in sw._route_cache
+    Candidate order, link order and the exact latency floats are what
+    keep per-packet RNG draws and arrival times fixed, so any change to
+    them moves a digest.  At 256 nodes the SP switch has 64 groups and
+    the fat tree routes across its two pods.
+    """
 
-    def test_eviction_does_not_change_routes(self):
-        sw = make_switch(SP_1998.replace(route_cache_entries=2))
-        first = sw.route_candidates(0, 1)
-        for dst in range(2, 8):
-            sw.route_candidates(0, dst)
-        again = sw.route_candidates(0, 1)  # recomputed after eviction
-        assert [tuple(ln.name for ln in r.links) for r in first] == \
-               [tuple(ln.name for ln in r.links) for r in again]
+    DIGESTS = {
+        "sp": "d955321b8ff3795b9026acdde22eb376"
+              "dc17868485979ccc5af1120b529aade7",
+        "fattree": "0dc24b6d31afaef29d119c49ef398ce3"
+                   "6b205a4673b193595418d10219946840",
+        "dragonfly": "d467bce5bbbd69c506dd9b4b29c0b30e"
+                     "4ac3c14e3f2991f18fc485cf27ea3d6f",
+    }
+
+    @pytest.mark.parametrize("kind", TOPOLOGIES)
+    def test_digest(self, kind):
+        cfg = SP_1998.replace(topology=kind)
+        topo = build_topology(256, cfg)
+        h = hashlib.sha256()
+        for src in (0, 5, 100, 255):
+            for dst in range(256):
+                if dst == src:
+                    continue
+                routes = topo.routes(src, dst, cfg)
+                h.update(f"{len(routes)}\n".encode())
+                for r in routes:
+                    names = ",".join(ln.name for ln in r.links)
+                    h.update(f"{names}|{r.fixed_latency!r}"
+                             f"|{r.crosses_core}\n".encode())
+        assert h.hexdigest() == self.DIGESTS[kind]
+
+    @pytest.mark.parametrize("kind", TOPOLOGIES)
+    def test_routes_validate_endpoints(self, kind):
+        cfg = SP_1998.replace(topology=kind)
+        topo = build_topology(8, cfg)
+        for src, dst in ((3, 3), (0, 8), (8, 0), (-1, 2)):
+            with pytest.raises(NetworkError):
+                topo.routes(src, dst, cfg)
+
+    def test_pick_sees_candidate_count_only_when_multipath(self):
+        topo = build_topology(8, SP_1998)
+        seen = []
+
+        def pick(n):
+            seen.append(n)
+            return n - 1
+
+        n, links, _, crosses = topo.path(0, 1, SP_1998, pick)
+        assert (n, len(links), crosses, seen) == (1, 2, False, [])
+        n, links, _, crosses = topo.path(0, 5, SP_1998, pick)
+        assert seen == [SP_1998.switch_mid_count] and crosses
+        assert links == topo.routes(0, 5, SP_1998)[-1].links
 
 
 class TestTopLinks:
@@ -170,7 +204,7 @@ class TestTopLinks:
     def _loaded_switch(self):
         sw = make_switch()
         for dst in range(1, 8):
-            for route in sw.route_candidates(0, dst):
+            for route in sw.topology.routes(0, dst, sw.config):
                 for link in route.links:
                     link.occupy(0.0, 0.3 * dst)  # uneven load
         return sw

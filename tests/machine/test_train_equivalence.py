@@ -126,7 +126,7 @@ class TestSoaEquivalence:
         cfg = SP_1998.replace(topology="fattree")
         on = _assert_soa_equivalent(cfg, _put_job(NBYTES, 16),
                                     nnodes=32)
-        assert len(on.switch.route_candidates(0, 16)) > 1
+        assert len(on.switch.topology.routes(0, 16, cfg)) > 1
         assert _soa_packets(on) == 0
 
     def test_span_tracing_disengages_but_keeps_trains(self):
