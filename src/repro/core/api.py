@@ -352,9 +352,10 @@ class Lapi:
         thread = self.current_thread()
         yield from thread.execute(self.config.lapi_call_overhead * 0.5)
         if self.interrupt_mode:
-            ev = cntr.wait_event(value)
-            if not ev.triggered:
-                yield from thread.wait(ev)
+            # A counter that already holds ``value`` is consumed in
+            # place; an event is built only to block.
+            if cntr.waiting or not cntr.try_consume(value):
+                yield from thread.wait(cntr.wait_event(value))
         else:
             while not cntr.try_consume(value):
                 yield from self.dispatcher.poll_step(thread)

@@ -36,6 +36,7 @@ class LapiCounter:
         #: Context-local id; remote tasks address the counter by this.
         self.id = cid
         self.name = name or f"cntr{cid}"
+        self._wait_name = f"waitcntr:{self.name}"
         self._value = 0
         #: FIFO waiters: (threshold, event).  Served strictly in order --
         #: a large-threshold waiter at the head blocks later small ones,
@@ -89,7 +90,7 @@ class LapiCounter:
         """
         if threshold <= 0:
             raise LapiError(f"wait threshold must be positive: {threshold}")
-        ev = Event(self._sim, name=f"waitcntr:{self.name}")
+        ev = Event(self._sim, name=self._wait_name)
         self._waiters.append((threshold, ev))
         self._serve()
         return ev

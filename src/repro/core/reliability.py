@@ -289,9 +289,9 @@ class ReliableTransport:
         st = self._peer_tx(packet.dst)
         if st.breaker_open:
             raise self._breaker_error(packet.dst)
-        credit = st.window.wait()
-        if not credit.triggered:
-            yield from self.wait_credit(thread, credit)
+        window = st.window
+        if not window.try_wait():
+            yield from self.wait_credit(thread, window.wait())
         self._register(st, packet, uses_window=True, on_ack=on_ack)
         yield from self.adapter.inject(thread, packet)
 

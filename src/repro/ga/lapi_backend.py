@@ -160,9 +160,9 @@ class LapiBackend:
                    blob: bytes) -> Generator:
         """Atomic accumulate: mutex + DAXPY (section 5.3.3)."""
         cfg = self.config
-        ev = self._acc_mutex.acquire(owner=thread)
-        if not ev.triggered:
-            yield from thread.wait(ev)
+        mutex = self._acc_mutex
+        if not mutex.try_acquire(thread):
+            yield from thread.wait(mutex.acquire(owner=thread))
         try:
             yield from thread.execute(cfg.mutex_cost
                                       + cfg.daxpy_cost(len(blob)))
@@ -170,7 +170,7 @@ class LapiBackend:
                                     desc.section, blob, desc.offset,
                                     desc.alpha)
         finally:
-            self._acc_mutex.release()
+            mutex.release()
 
     def _apply_scatter(self, thread, ga, blob: bytes) -> Generator:
         """Apply a scatter chunk: 24-byte [i, j, raw value] records."""

@@ -94,9 +94,9 @@ class MplBackend:
         rcvncall context-creation cost was charged by the MPL layer)."""
         thread = task.node.cpu.current_thread()
         cfg = self.config
-        ev = self._handler_lock.acquire(owner=thread)
-        if not ev.triggered:
-            yield from thread.wait(ev)
+        lock = self._handler_lock
+        if not lock.try_acquire(thread):
+            yield from thread.wait(lock.acquire(owner=thread))
         try:
             desc = Descriptor.unpack(blob)
             data = blob[DESCRIPTOR_SIZE:]
@@ -182,7 +182,7 @@ class MplBackend:
             else:
                 raise GaError(f"unknown GA request {desc.op_name!r}")
         finally:
-            self._handler_lock.release()
+            lock.release()
 
     # ==================================================================
     # origin side

@@ -259,9 +259,9 @@ class Adapter:
         if self.switch is None:
             raise NetworkError(f"adapter {self.node_id} not connected")
         packet.validate(self.config.packet_size, self.switch.nnodes)
-        credit = self._tx_credits.wait()
-        if not credit.triggered:
-            yield from thread.wait(credit)
+        credits = self._tx_credits
+        if not credits.try_wait():
+            yield from thread.wait(credits.wait())
         self._tx_submit((packet, True))
 
     def inject_async(self, packet: "Packet") -> bool:

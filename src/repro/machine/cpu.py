@@ -120,7 +120,9 @@ class Thread:
     def _acquire(self) -> Generator:
         if self._holding:
             raise MachineError(f"thread {self.name} double-acquired CPU")
-        yield self.cpu._lock.acquire(owner=self, priority=self.priority)
+        lock = self.cpu._lock
+        if not lock.try_acquire(self):
+            yield lock.acquire(owner=self, priority=self.priority)
         self._holding = True
 
     def _release(self) -> None:
@@ -159,9 +161,11 @@ class Thread:
             return self._acquire_execute(cost, more)
         if more:
             return self._chain(cost, more)
-        if cost <= 0:
-            if cost < 0:
-                raise MachineError(f"negative execute cost {cost}")
+        # ``not cost > 0`` (not ``cost <= 0``) also catches NaN, which
+        # would otherwise poison cpu_time and the clock.
+        if not cost > 0:
+            if cost != 0:
+                raise MachineError(f"negative or NaN execute cost {cost}")
             return ()
         self.cpu_time += cost
         faults = self.cpu.faults
@@ -180,8 +184,8 @@ class Thread:
         t = self.cpu.sim._now
         ends = []
         for c in (cost, *more):
-            if c < 0:
-                raise MachineError(f"negative execute cost {c}")
+            if not c >= 0:
+                raise MachineError(f"negative or NaN execute cost {c}")
             self.cpu_time += c
             t = t + (c if faults is None else faults.elapsed(t, c))
             ends.append(t)
@@ -215,7 +219,9 @@ class Thread:
         value = yield event
         if self._holding:
             raise MachineError(f"thread {self.name} double-acquired CPU")
-        yield self.cpu._lock.acquire(owner=self, priority=self.priority)
+        lock = self.cpu._lock
+        if not lock.try_acquire(self):
+            yield lock.acquire(owner=self, priority=self.priority)
         self._holding = True
         return value
 

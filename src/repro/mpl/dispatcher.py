@@ -68,13 +68,13 @@ class MplDispatcher:
     # ------------------------------------------------------------------
     def process(self, thread: "Thread", pkt: "Packet",
                 amortized: bool = False) -> Generator:
-        ev = self.ctx.dispatch_lock.acquire(owner=thread)
-        if not ev.triggered:
-            yield from thread.wait(ev)
+        lock = self.ctx.dispatch_lock
+        if not lock.try_acquire(thread):
+            yield from thread.wait(lock.acquire(owner=thread))
         try:
             yield from self._process_locked(thread, pkt, amortized)
         finally:
-            self.ctx.dispatch_lock.release()
+            lock.release()
 
     def _process_locked(self, thread: "Thread", pkt: "Packet",
                         amortized: bool = False) -> Generator:

@@ -152,6 +152,12 @@ class Event:
         queue.  ``Process._resume`` consumes processed events inline, so
         the waiter continues in the same kernel step -- no event-queue
         round trip, no callbacks list.
+
+        The model's own wait sites go one step further and call the
+        primitive's ``try_`` form first (:meth:`SimLock.try_acquire
+        <repro.sim.sync.SimLock.try_acquire>`, ``Semaphore.try_wait``,
+        ``Channel.try_get``), so they build an event only to block and
+        never one of these.
         """
         ev = cls.__new__(cls)
         ev.sim = sim

@@ -176,7 +176,9 @@ class Simulator:
         model-internal delivery/completion/timer callbacks whose only
         job is to advance machine state at a known instant.
         """
-        if when < self._now:
+        # Not ``when < now``: a NaN compares false both ways, and once
+        # it reached the clock every later guard would be vacuous.
+        if not when >= self._now:
             raise SimulationError(
                 f"cannot schedule call_at({when}) before now={self._now}")
         self._seq = seq = self._seq + 1
@@ -210,7 +212,7 @@ class Simulator:
     # scheduling internals (used by Event/Timeout/Process)
     # ------------------------------------------------------------------
     def _schedule_at(self, when: float, ev: Timeout) -> None:
-        if when < self._now:
+        if not when >= self._now:  # NaN-proof, as in call_at
             raise SimulationError(
                 f"cannot schedule event at {when} before now={self._now}")
         self._seq = seq = self._seq + 1
@@ -301,7 +303,7 @@ class Simulator:
         """
         horizon = _INF
         if until is not None:
-            if until < self._now:
+            if not until >= self._now:  # NaN-proof, as in call_at
                 raise SimulationError(
                     f"cannot run until {until} before now={self._now}")
             horizon = until

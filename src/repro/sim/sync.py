@@ -56,18 +56,32 @@ class SimLock:
         """Request the lock; the returned event fires once it is held.
 
         An uncontended acquire completes synchronously (the returned
-        event is already processed and the waiter continues inline);
-        the lock state itself was always taken synchronously, so this
-        only skips the kernel round trip of the wakeup.
+        event is already processed and the waiter continues inline).
+        Model code calls :meth:`try_acquire` first and comes here only
+        to block, so no hot path builds that completed event; this form
+        keeps the one-call contract for tests and outside callers.
         """
-        if not self._locked:
-            self._locked = True
-            self._owner = owner
+        if self.try_acquire(owner):
             return Event.completed(self.sim, self, name=self._acquire_name)
         ev = Event(self.sim, name=self._acquire_name)
         self._seq += 1
         heapq.heappush(self._waiters, (priority, self._seq, ev, owner))
         return ev
+
+    def try_acquire(self, owner: Any = None) -> bool:
+        """Take the lock now if it is free; True on success.
+
+        The lock's twin of :meth:`Semaphore.try_wait`: the state change
+        an uncontended :meth:`acquire` makes, with no event.  A held
+        lock -- including one a release just handed to a queued waiter
+        -- returns False and queues nothing; the caller then blocks
+        through :meth:`acquire`.
+        """
+        if self._locked:
+            return False
+        self._locked = True
+        self._owner = owner
+        return True
 
     def release(self) -> None:
         """Release the lock, handing it to the best-priority waiter."""
@@ -119,9 +133,10 @@ class Semaphore:
 
         When a unit is available the wait completes synchronously (the
         returned event is already processed; see :meth:`SimLock.acquire`).
+        Model code calls :meth:`try_wait` first and comes here only to
+        block.
         """
-        if self._value > 0:
-            self._value -= 1
+        if self.try_wait():
             return Event.completed(self.sim, None, name=self._wait_name)
         ev = Event(self.sim, name=self._wait_name)
         self._waiters.append(ev)

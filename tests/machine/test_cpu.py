@@ -1,5 +1,7 @@
 """Unit tests for the node CPU thread model."""
 
+import math
+
 import pytest
 
 from repro.errors import MachineError
@@ -35,6 +37,16 @@ class TestSingleThread:
         t = cpu.spawn(body)
         with pytest.raises(MachineError):
             sim.run_until_complete(t.process)
+
+    def test_nan_cost_rejected(self, sim, cpu):
+        def body(thread):
+            yield from thread.execute(1.0)
+            yield from thread.execute(float("nan"))
+
+        t = cpu.spawn(body)
+        with pytest.raises(MachineError, match="NaN"):
+            sim.run_until_complete(t.process)
+        assert (t.cpu_time, sim.now) == (1.0, 1.0)
 
     def test_burst_costs_one_kernel_event_and_no_frame(self, sim, cpu):
         def body(thread):
@@ -108,6 +120,16 @@ class TestSingleThread:
         t = cpu.spawn(body)
         with pytest.raises(MachineError):
             sim.run_until_complete(t.process)
+
+    def test_chained_nan_cost_rejected(self, sim, cpu):
+        def body(thread):
+            yield from thread.execute(1.0)
+            yield from thread.execute(1.0, float("nan"))
+
+        t = cpu.spawn(body)
+        with pytest.raises(MachineError, match="NaN"):
+            sim.run_until_complete(t.process)
+        assert sim.now == 1.0 and not math.isnan(t.cpu_time)
 
     def test_sleep_releases_cpu(self, sim, cpu):
         order = []

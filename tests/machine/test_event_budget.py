@@ -16,6 +16,7 @@ import pytest
 from repro.bench.scale import SCALE_SEED, scale_point
 from repro.core.constants import RmwOp
 from repro.machine import Cluster
+from repro.sim import Event
 
 ROUNDS = 4
 
@@ -101,6 +102,18 @@ def put_64k(task):
     yield from lapi.gfence()
 
 
+def satisfied_waitcntr(task):
+    """``LAPI_Waitcntr`` on a counter that already holds the value: no
+    event in either mode."""
+    lapi = task.lapi
+    cntr = lapi.counter()
+    yield from lapi.gfence()
+    cntr.add(1)
+    yield from lapi.waitcntr(cntr, 1)
+    assert cntr.value == 0
+    yield from lapi.gfence()
+
+
 def mpl_sendrecv(task):
     mpl = task.mpl
     yield from mpl.barrier()
@@ -142,6 +155,8 @@ BUDGET = {
     (rmw_sync, "lapi", True): (194, 411.1988888888891),
     (put_64k, "lapi", False): (772, 828.15461988304),
     (put_64k, "lapi", True): (854, 866.8384210526307),
+    (satisfied_waitcntr, "lapi", False): (68, 101.19),
+    (satisfied_waitcntr, "lapi", True): (82, 143.19),
     (mpl_sendrecv, "mpl", False): (194, 509.49140350877207),
     (mpl_sendrecv, "mpl", True): (228, 706.4914035087718),
     (mpl_rcvncall_echo, "mpl", False): (211, 900.2396491228064),
@@ -160,6 +175,36 @@ def test_event_budget(job, stack, interrupt_mode):
     sim = cluster.sim
     assert (sim.events_processed, sim.now) == \
         BUDGET[job, stack, interrupt_mode]
+
+
+def lapi_mix(task):
+    yield from put_pingpong(task)
+    yield from amsend_handlers(task)
+    yield from get_sync(task)
+
+
+@pytest.mark.parametrize("interrupt_mode", [False, True],
+                         ids=["polling", "interrupt"])
+@pytest.mark.parametrize("job,stack", [(lapi_mix, "lapi"),
+                                       (mpl_sendrecv, "mpl")],
+                         ids=["lapi", "mpl"])
+def test_no_wait_builds_a_completed_event(monkeypatch, job, stack,
+                                          interrupt_mode):
+    """Every wait the model makes on a CPU lock, dispatch lock, TX
+    credit, send window or GA mutex tries the primitive in place first
+    and builds an event only to block, so no synchronously completed
+    event is ever made."""
+    calls = []
+    completed = Event.completed.__func__
+
+    def counted(cls, *args, **kwargs):
+        calls.append(kwargs.get("name", ""))
+        return completed(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Event, "completed", classmethod(counted))
+    Cluster(nnodes=2, seed=1).run_job(job, stacks=(stack,),
+                                      interrupt_mode=interrupt_mode)
+    assert calls == []
 
 
 #: topology -> (events, virtual_us) of ``scale_point(64, topology,

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import DeadlockError, SimulationError
 from repro.sim import Interrupt, Simulator
+from repro.sim.events import WakeAt
 
 
 @pytest.fixture
@@ -334,3 +335,56 @@ class TestKernel:
         sim.run()
         with pytest.raises(SimulationError):
             sim._schedule_at(1.0, sim.event())
+
+
+NAN = float("nan")
+
+
+class TestNanTime:
+    """A NaN instant compares false both ways, so a ``when < now`` guard
+    would pass it, and a NaN clock makes every later guard vacuous."""
+
+    def test_call_at_nan_rejected(self, sim):
+        fired = []
+        with pytest.raises(SimulationError, match="nan"):
+            sim.call_at(NAN, fired.append, "nan")
+        for t in (5.0, 1.0, 3.0, 2.0, 4.0):
+            sim.call_at(t, fired.append, t)
+        sim.run()
+        assert fired == [1.0, 2.0, 3.0, 4.0, 5.0]
+
+    def test_timeout_nan_rejected(self, sim):
+        with pytest.raises(SimulationError, match="nan"):
+            sim.timeout(NAN)
+        assert sim.peek() == float("inf")
+
+    def test_timeout_at_nan_rejected(self, sim):
+        with pytest.raises(SimulationError, match="nan"):
+            sim.timeout_at(NAN)
+        assert sim.peek() == float("inf")
+
+    def test_float_yield_nan_fails_the_process(self, sim):
+        def body():
+            yield 1.0
+            yield NAN
+
+        proc = sim.process(body())
+        with pytest.raises(SimulationError, match="nan"):
+            sim.run_until_complete(proc)
+        assert sim.now == 1.0
+
+    def test_wake_at_nan_fails_the_process(self, sim):
+        def body():
+            yield 1.0
+            yield WakeAt(NAN)
+
+        proc = sim.process(body())
+        with pytest.raises(SimulationError, match="nan"):
+            sim.run_until_complete(proc)
+        assert sim.now == 1.0
+
+    def test_run_until_nan_rejected(self, sim):
+        sim.call_at(2.0, lambda _: None)
+        with pytest.raises(SimulationError, match="nan"):
+            sim.run(until=NAN)
+        assert sim.now == 0.0 and sim.peek() == 2.0

@@ -61,6 +61,44 @@ class TestSimLock:
         assert not lock.locked
         assert lock.owner is None
 
+    def test_try_acquire_free_lock(self, sim):
+        lock = SimLock(sim)
+        assert lock.try_acquire("a")
+        assert lock.locked and lock.owner == "a"
+        assert sim.peek() == float("inf")  # nothing queued
+
+    def test_try_acquire_held_lock_queues_nothing(self, sim):
+        lock = SimLock(sim)
+        lock.acquire(owner="a")
+        assert not lock.try_acquire("b")
+        assert lock.owner == "a" and not lock._waiters
+        lock.release()
+        assert not lock.locked  # "b" never became a waiter
+
+    def test_release_hands_to_waiter_not_to_try_acquire(self, sim):
+        lock = SimLock(sim)
+        assert lock.try_acquire("a")
+        ev_b = lock.acquire(owner="b")
+        lock.release()
+        # The head waiter owns the lock from the release on, even before
+        # its wakeup is processed: a third party cannot slip in.
+        assert not lock.try_acquire("c")
+        assert lock.owner == "b" and ev_b.triggered
+        sim.run()
+        assert lock.owner == "b"
+
+    def test_try_acquire_leaves_priority_order(self, sim):
+        lock = SimLock(sim)
+        assert lock.try_acquire("holder")
+        low = lock.acquire(owner="low", priority=10)
+        high = lock.acquire(owner="high", priority=0)
+        assert not lock.try_acquire("other")
+        lock.release()
+        assert lock.owner == "high" and high.triggered
+        assert not low.triggered
+        lock.release()
+        assert lock.owner == "low" and low.triggered
+
     def test_lock_with_processes(self, sim):
         lock = SimLock(sim, "m")
         log = []
