@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Mini Figure 2: LAPI vs MPI bandwidth at a handful of sizes.
 
-A fast version of the full ``benchmarks/bench_fig2_bandwidth.py``
-sweep, showing the three curves' character in a few seconds: LAPI's
+A fast version of the full ``python -m repro.bench fig2`` sweep,
+showing the three curves' character in a few seconds: LAPI's
 fast rise, default MPI's eager-to-rendezvous kink above 4 KB, and the
 MP_EAGER_LIMIT=65536 setting removing it.
 

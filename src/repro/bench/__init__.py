@@ -18,9 +18,9 @@ verdicts.  ``python -m repro.bench`` runs everything.
 from .apps import run_apps, submit_apps
 from .bandwidth import run_fig2, submit_fig2
 from .chaos import run_chaos, submit_chaos
-from .parallel import (CostModel, Deferred, JobSpec, SweepExecutor,
-                       SweepFuture, SweepScheduler, configure,
-                       get_executor, spread_seed, submit, sweep)
+from .parallel import (Deferred, JobSpec, SweepFuture, SweepScheduler,
+                       configure, get_executor, spread_seed, submit,
+                       sweep)
 from .ga_putget import (run_fig3, run_fig4, run_ga_latency,
                         submit_fig3, submit_fig4, submit_ga_latency)
 from .latency import (run_pipeline_latency, run_table2,
@@ -43,12 +43,10 @@ ALL_EXPERIMENTS = {
 
 __all__ = [
     "ALL_EXPERIMENTS",
-    "CostModel",
     "Deferred",
     "ExperimentResult",
     "JobSpec",
     "ShapeCheck",
-    "SweepExecutor",
     "SweepFuture",
     "SweepScheduler",
     "configure",

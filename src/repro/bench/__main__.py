@@ -2,7 +2,12 @@
 
 With no arguments every table and figure regenerates in paper order;
 otherwise only the named experiments run (``table2``, ``fig3``, ...).
-Exit status is non-zero if any shape check fails.
+The ablations (``ablation_header``, ``ablation_eager``,
+``ablation_chunk``, ``ablation_hybrid``, ``ablation_interrupt``,
+``ablation_noncontig``), the supplemental ``scaling`` study, ``chaos``
+and ``scale`` run only when named (or, for the last two, when their
+flags below ask for them).  Exit status is non-zero if any shape check
+fails.
 
 Observability flags (see ``docs/observability.md``):
 
@@ -53,31 +58,15 @@ Parallelism (see ``docs/performance.md``):
     Shard each experiment's independent cluster simulations across N
     worker processes (``auto`` = usable core count).  With N > 1 the
     whole run is *pipelined*: every experiment's sweeps are submitted
-    up front and flow through one warm worker pool with no
-    inter-experiment barrier, issued longest-first from the persistent
-    job-cost cache (``.repro/job_costs.json``; override with
-    ``REPRO_COST_CACHE``, set ``REPRO_SWEEP_ORDER=fifo`` to disable
-    LPT).  Virtual-time results, tables, ``--metrics`` blocks, and
-    trace files are byte-identical to ``--jobs 1``; only wall time
-    changes.  Default is serial.
-
-Performance flags (see ``docs/performance.md``):
-
-``--perf``
-    Measure the simulator itself: wall-clock seconds, kernel events
-    processed, and events/second for every experiment plus a dedicated
-    2 MB LAPI put probe (``fig2_large``, the hot-path stress case).
-    Writes a JSON report (default ``BENCH_PERF.json``) stamped with
-    host metadata and the scheduler's ``parallel`` stats block (always
-    present; ``jobs: 1`` for serial runs).  Under ``--jobs N`` each
-    experiment's ``wall_s`` is the serial-equivalent CPU seconds its
-    jobs consumed (pool jobs overlap across experiments, so per-
-    experiment stopwatch walls would be meaningless).
-``--perf-out FILE``
-    Where to write the report.
-``--perf-quick``
-    Reduced message-size sweeps for fig2/fig3/fig4 -- the CI smoke
-    configuration.
+    up front and flow through one process pool with no
+    inter-experiment barrier.  Virtual-time results, tables,
+    ``--metrics`` blocks, and trace files are byte-identical to
+    ``--jobs 1``; only wall time changes, and each experiment's
+    ``regenerated in`` line reports the CPU seconds its jobs consumed.
+    Default is serial.
+``--quick``
+    Reduced message-size sweeps for fig2/fig3/fig4, and reduced
+    ``scale`` and ``chaos`` sweeps -- the CI smoke configuration.
 
 Scale sweep (see ``docs/performance.md``):
 
@@ -85,7 +74,7 @@ Scale sweep (see ``docs/performance.md``):
     Add the 512-4096-node scale bench to the run: the ring + gfence
     workload on the SP multistage, fat-tree, and dragonfly fabrics,
     measuring simulator wall time, kernel events, events/second, and
-    resident memory per point.  ``--perf-quick`` reduces the sweep to
+    resident memory per point.  ``--quick`` reduces the sweep to
     512 nodes (the CI scale-smoke configuration); ``--jobs N`` shards
     the points with byte-identical virtual-time results.
 ``--scale-out FILE``
@@ -99,7 +88,7 @@ Fault injection (see ``docs/reliability.md``):
     Add the chaos bench to the run: sweep loss / outage / ack-loss /
     CPU-fault / corruption regimes (``repro.faults``) over a LAPI put
     workload and report goodput degradation and recovery per scenario.
-    Deterministic across ``--jobs N``.  ``--perf-quick`` reduces the
+    Deterministic across ``--jobs N``.  ``--quick`` reduces the
     sweep.
 ``--faults-out FILE``
     Write the raw per-scenario chaos records (exact virtual times,
@@ -111,27 +100,26 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from statistics import median
-from typing import Callable, Optional
+from typing import Callable
 
 from . import ALL_EXPERIMENTS
-from . import parallel, runner
+from . import ablations, parallel, runner
 from .apps import submit_apps
-from .bandwidth import lapi_bandwidth_point, submit_fig2
+from .bandwidth import submit_fig2
 from .chaos import submit_chaos
 from .ga_putget import submit_fig3, submit_fig4, submit_ga_latency
 from .latency import submit_pipeline_latency, submit_table2
 from .parallel import Deferred
 from .scale import submit_scale
+from .scaling import submit_scaling
 from .table1 import run_table1
-from ..obs import (merge_pool_stats, render_critical_path,
-                   render_decomposition, write_chrome_trace,
-                   write_flight_jsonl, write_trace_jsonl)
+from ..obs import (render_critical_path, render_decomposition,
+                   write_chrome_trace, write_flight_jsonl,
+                   write_trace_jsonl)
 
-#: Reduced sweeps for ``--perf-quick``.  Chosen so every shape check of
+#: Reduced sweeps for ``--quick``.  Chosen so every shape check of
 #: the full sweep still resolves: fig2 keeps the half-peak crossover
 #: (8K/16K) and the eager kink; fig3 keeps one size per regime (small
 #: win / MPL buffering band / large win / asymptote).
@@ -142,58 +130,7 @@ QUICK_SIZES = {
 }
 
 
-#: ``--perf`` repetitions per experiment.  Wall time is the median of
-#: the reps (host noise routinely swings single-shot walls by tens of
-#: percent); every virtual-time observable must be byte-identical
-#: across reps or the run aborts.
-PERF_REPS = 3
-
-
-def _perf_record(wall: float, captures,
-                 walls: Optional[list] = None) -> dict:
-    """Simulator-performance numbers for one experiment run.
-
-    ``wall`` is the median rep; ``walls`` keeps the individual reps in
-    run order so a noisy host is visible in the report.
-    """
-    events = sum(c.events for c in captures)
-    virtual_us = sum(c.now for c in captures)
-    record = {
-        "wall_s": round(wall, 3),
-        "events": events,
-        "events_per_sec": round(events / wall) if wall > 0 else 0,
-        "virtual_us": round(virtual_us, 1),
-        "clusters": len(captures),
-    }
-    if walls is not None:
-        record["wall_reps"] = [round(w, 3) for w in walls]
-    return record
-
-
-def _capture_signature(captures) -> list:
-    """The virtual-time observables of a capture list -- everything
-    that must be byte-identical between ``--perf`` repetitions."""
-    return [(c.nnodes, c.events, c.now) for c in captures]
-
-
-def _check_rep_identity(name: str, first, rerun) -> None:
-    """Abort if a ``--perf`` repetition diverged in virtual time.
-
-    Reps rebuild clusters from the same seeds, so any difference in
-    event counts or final virtual time is a determinism bug -- a perf
-    number attached to diverging runs would be meaningless.
-    """
-    a, b = _capture_signature(first), _capture_signature(rerun)
-    if a != b:
-        raise SystemExit(
-            f"perf: repetitions of {name!r} diverged in virtual"
-            f" observables:\n  first: {a}\n  rerun: {b}\n"
-            "(determinism bug -- events/virtual_us must not depend on"
-            " the repetition)")
-
-
-def _submitters(quick: bool, faults_on: bool,
-                scale_on: bool) -> dict[str, Callable[[], Deferred]]:
+def _submitters(quick: bool) -> dict[str, Callable[[], Deferred]]:
     """Every experiment as a submit-phase entry point.
 
     Each callable queues the experiment's sweeps on the installed
@@ -203,7 +140,7 @@ def _submitters(quick: bool, faults_on: bool,
     Serial runs call submit+finish back to back, which runs the jobs
     inline exactly as a direct ``run_*`` call would.
     """
-    submitters: dict[str, Callable[[], Deferred]] = {
+    return {
         "table1": lambda: Deferred(None, lambda _: run_table1()),
         "table2": submit_table2,
         "pipeline": submit_pipeline_latency,
@@ -215,12 +152,16 @@ def _submitters(quick: bool, faults_on: bool,
         if quick else submit_fig4,
         "ga_lat": submit_ga_latency,
         "apps": submit_apps,
+        "chaos": lambda: submit_chaos(quick=quick),
+        "scale": lambda: submit_scale(quick=quick),
+        "ablation_header": ablations.submit_ablation_header,
+        "ablation_eager": ablations.submit_ablation_eager,
+        "ablation_chunk": ablations.submit_ablation_chunk,
+        "ablation_hybrid": ablations.submit_ablation_hybrid,
+        "ablation_interrupt": ablations.submit_ablation_interrupt,
+        "ablation_noncontig": ablations.submit_ablation_noncontig,
+        "scaling": submit_scaling,
     }
-    if faults_on:
-        submitters["chaos"] = lambda: submit_chaos(quick=quick)
-    if scale_on:
-        submitters["scale"] = lambda: submit_scale(quick=quick)
-    return submitters
 
 
 def main(argv: list[str]) -> int:
@@ -229,7 +170,10 @@ def main(argv: list[str]) -> int:
         description="Regenerate the paper's tables and figures.")
     parser.add_argument("experiments", nargs="*",
                         help="experiment names (default: all, in paper"
-                             f" order: {', '.join(ALL_EXPERIMENTS)})")
+                             f" order: {', '.join(ALL_EXPERIMENTS)};"
+                             " opt-in: chaos, scale, scaling,"
+                             " ablation_{header,eager,chunk,hybrid,"
+                             "interrupt,noncontig})")
     parser.add_argument("--jobs", type=parallel.parse_jobs, default=1,
                         metavar="N|auto",
                         help="worker processes for independent cluster"
@@ -262,19 +206,13 @@ def main(argv: list[str]) -> int:
                         metavar="F",
                         help="telemetry window width in virtual"
                              " microseconds (default: 100)")
-    parser.add_argument("--perf", action="store_true",
-                        help="measure wall time / events per second and"
-                             " write a JSON report")
-    parser.add_argument("--perf-out", metavar="FILE",
-                        default="BENCH_PERF.json",
-                        help="perf report path (default: BENCH_PERF.json)")
-    parser.add_argument("--perf-quick", action="store_true",
-                        help="reduced fig2/fig3/fig4 sweeps (CI smoke)")
+    parser.add_argument("--quick", action="store_true",
+                        help="reduced fig2/fig3/fig4, scale and chaos"
+                             " sweeps (CI smoke)")
     parser.add_argument("--scale", action="store_true",
                         help="run the 512-4096-node scale bench"
                              " (ring + gfence on sp/fattree/dragonfly"
-                             " fabrics; --perf-quick reduces to 512"
-                             " nodes)")
+                             " fabrics; --quick reduces to 512 nodes)")
     parser.add_argument("--scale-out", metavar="FILE", default=None,
                         help="write raw scale records as sorted JSON"
                              " (default BENCH_SCALE.json; implies"
@@ -288,27 +226,19 @@ def main(argv: list[str]) -> int:
                              " (implies --faults)")
     opts = parser.parse_args(argv)
 
-    faults_on = (opts.faults or opts.faults_out is not None
-                 or "chaos" in opts.experiments)
-    scale_on = (opts.scale or opts.scale_out is not None
-                or "scale" in opts.experiments)
-    known = list(ALL_EXPERIMENTS)
-    if faults_on:
-        known.append("chaos")
-    if scale_on:
-        known.append("scale")
-    names = opts.experiments or list(known)
-    unknown = [n for n in names if n not in known]
+    submitters = _submitters(opts.quick)
+    names = opts.experiments or list(ALL_EXPERIMENTS)
+    unknown = [n for n in names if n not in submitters]
     if unknown:
         print(f"unknown experiments: {unknown}; choose from"
-              f" {sorted(known)}")
+              f" {sorted(submitters)}")
         return 2
-    if faults_on and "chaos" not in names:
+    if ((opts.faults or opts.faults_out is not None)
+            and "chaos" not in names):
         names.append("chaos")
-    if scale_on and "scale" not in names:
+    if ((opts.scale or opts.scale_out is not None)
+            and "scale" not in names):
         names.append("scale")
-
-    submitters = _submitters(opts.perf_quick, faults_on, scale_on)
 
     spans_on = (opts.spans or opts.spans_out is not None
                 or opts.decompose)
@@ -321,33 +251,26 @@ def main(argv: list[str]) -> int:
         if opts.window_us is not None:
             kwargs["window_us"] = opts.window_us
         telemetry_cfg = TelemetryConfig(**kwargs)
-    observing = (opts.metrics or opts.trace_out is not None or opts.perf
+    observing = (opts.metrics or opts.trace_out is not None
                  or spans_on or telemetry_on)
     if observing:
         runner.configure_observability(metrics=opts.metrics,
                                        trace=opts.trace_out is not None,
-                                       capture=opts.perf,
                                        spans=spans_on,
                                        telemetry=telemetry_cfg)
     # Observability must be armed before the first parallel sweep so
-    # pool workers inherit the flags at initializer time.  The cost
-    # cache persists across invocations: the second run schedules with
-    # real per-point costs.
-    cost_path = os.environ.get("REPRO_COST_CACHE",
-                               parallel.DEFAULT_COST_PATH)
-    executor = parallel.configure(jobs=opts.jobs, cost_path=cost_path)
+    # pool workers inherit the flags at initializer time.
+    parallel.configure(jobs=opts.jobs)
     pipelined = opts.jobs > 1
     if pipelined:
-        print(f"parallel: pipelining sweeps across {opts.jobs} warm"
-              " worker processes (results identical to --jobs 1;"
-              f" issue order: {executor.order})")
-        print()
+        print(f"parallel: pipelining sweeps across {opts.jobs} worker"
+              " processes (results identical to --jobs 1)")
 
     # The executor must come down even when an experiment raises --
     # orphaned pool workers outlive the CLI otherwise.
     try:
-        return _run(opts, names, submitters, executor, observing,
-                    spans_on, pipelined)
+        return _run(opts, names, submitters, observing, spans_on,
+                    pipelined)
     finally:
         parallel.shutdown()
 
@@ -398,60 +321,42 @@ def _write_timeline(telemetry_records, path: str) -> int:
     return nlines
 
 
-def _run(opts, names: list[str], submitters: dict, executor,
-         observing: bool, spans_on: bool, pipelined: bool) -> int:
+def _run(opts, names: list[str], submitters: dict, observing: bool,
+         spans_on: bool, pipelined: bool) -> int:
     failed = 0
     trace_lines = 0
     first_trace = True
-    perf: dict = {}
     chaos_payload = None
     scale_payload = None
     span_streams: list[list[dict]] = []
-    pool_blocks: list = []
     #: (experiment, cluster index, TelemetryRuntime.snapshot()) of
     #: every armed cluster, in submission order -- the deterministic
     #: source of --timeline-out / --flight-out / --slo output.
     telemetry_records: list[tuple] = []
     telemetry_out = (opts.slo or opts.timeline_out is not None
                      or opts.flight_out is not None)
-    # Under --perf each experiment runs PERF_REPS times: the wall
-    # number is the median rep (single-shot walls are hostage to host
-    # noise) and the virtual observables are asserted byte-identical
-    # across reps.  The last rep's captures feed every downstream
-    # consumer -- by the identity assertion they are interchangeable.
-    reps = PERF_REPS if opts.perf else 1
-    pending: dict[str, list[Deferred]] = {}
+    pending: dict[str, Deferred] = {}
     if pipelined:
-        # Submit every experiment x rep up front: all sweeps flow
-        # through the warm pool with no inter-experiment barrier, in
-        # cost-model LPT order.  Results are banked as they complete
-        # and merged below in submission order, so the output stream
-        # is byte-identical to the serial loop.
-        pending = {name: [submitters[name]() for _ in range(reps)]
-                   for name in names}
+        # Submit every experiment up front: all sweeps flow through the
+        # pool with no inter-experiment barrier.  Results are merged
+        # below in submission order, so the output stream is
+        # byte-identical to the serial loop.
+        pending = {name: submitters[name]() for name in names}
     for name in names:
-        walls: list[float] = []
-        captures: list = []
-        for rep in range(reps):
-            if pipelined:
-                deferred = pending[name][rep]
-                result = deferred.finish()
-                # Pool jobs overlap across experiments, so a stopwatch
-                # around finish() measures other experiments' work (or
-                # nothing, if the jobs already completed).  Report the
-                # serial-equivalent CPU seconds this experiment's jobs
-                # consumed -- the number comparable across job counts.
-                walls.append(deferred.job_cpu_s)
-            else:
-                start = time.perf_counter()
-                result = submitters[name]().finish()
-                walls.append(time.perf_counter() - start)
-            if observing:
-                rerun = runner.drain_captures()
-                if opts.perf and len(walls) > 1:
-                    _check_rep_identity(name, captures, rerun)
-                captures = rerun
-        wall = median(walls)
+        if pipelined:
+            deferred = pending[name]
+            result = deferred.finish()
+            # Pool jobs overlap across experiments, so a stopwatch
+            # around finish() measures other experiments' work (or
+            # nothing, if the jobs already completed).  Report the CPU
+            # seconds this experiment's jobs consumed -- the number
+            # comparable across job counts.
+            wall = deferred.job_cpu_s
+        else:
+            start = time.perf_counter()
+            result = submitters[name]().finish()
+            wall = time.perf_counter() - start
+        captures = runner.drain_captures() if observing else []
         if name == "chaos":
             chaos_payload = getattr(result, "payload", None)
         if name == "scale":
@@ -490,9 +395,6 @@ def _run(opts, names: list[str], submitters: dict, executor,
                     cpath = render_critical_path(flat)
                     if cpath:
                         decomposition += "\n" + cpath
-            if opts.perf:
-                perf[name] = _perf_record(wall, captures, walls)
-                pool_blocks.extend(c.pools for c in captures)
         print(result.render())
         if decomposition is not None:
             print()
@@ -529,7 +431,7 @@ def _run(opts, names: list[str], submitters: dict, executor,
         # counters) is deterministic -- CI compares those between
         # serial and --jobs N runs.
         scale_out = opts.scale_out or "BENCH_SCALE.json"
-        report = {"schema": 1, "quick": opts.perf_quick,
+        report = {"schema": 1, "quick": opts.quick,
                   "host": parallel.host_record(opts.jobs),
                   "points": scale_payload or {}}
         with open(scale_out, "w", encoding="utf-8") as fh:
@@ -541,7 +443,7 @@ def _run(opts, names: list[str], submitters: dict, executor,
         # Sorted keys + fixed float formatting (the records only hold
         # rounded floats) make the file safe to byte-compare between
         # serial and --jobs N runs.
-        report = {"schema": 1, "quick": opts.perf_quick,
+        report = {"schema": 1, "quick": opts.quick,
                   "scenarios": chaos_payload or {}}
         with open(opts.faults_out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
@@ -549,63 +451,6 @@ def _run(opts, names: list[str], submitters: dict, executor,
         print(f"wrote {len(report['scenarios'])} chaos scenario"
               f" records to {opts.faults_out}")
 
-    if opts.perf:
-        # Dedicated hot-path probe: the large-message end of Figure 2,
-        # where the event kernel dominates wall time.  Runs inline in
-        # the parent -- it measures single-job kernel wall-clock, which
-        # a pool worker's scheduling noise would contaminate -- after
-        # every pooled sweep above has finished.
-        probe_walls: list[float] = []
-        probe_captures: list = []
-        bw = 0.0
-        for _ in range(PERF_REPS):
-            start = time.perf_counter()
-            bw_rep = lapi_bandwidth_point(2097152)
-            probe_walls.append(time.perf_counter() - start)
-            rerun = runner.drain_captures()
-            if len(probe_walls) > 1:
-                _check_rep_identity("fig2_large", probe_captures, rerun)
-                if bw_rep != bw:
-                    raise SystemExit(
-                        f"perf: probe bandwidth diverged between reps"
-                        f" ({bw} vs {bw_rep})")
-            probe_captures = rerun
-            bw = bw_rep
-        wall = median(probe_walls)
-        if spans_on and opts.spans_out is not None:
-            span_streams.extend(c.spans for c in probe_captures
-                                if c.spans)
-        perf["fig2_large"] = _perf_record(wall, probe_captures,
-                                          probe_walls)
-        perf["fig2_large"]["bandwidth_mbs"] = round(bw, 2)
-        pool_blocks.extend(c.pools for c in probe_captures)
-        totals = {
-            "wall_s": round(sum(p["wall_s"] for p in perf.values()), 3),
-            "events": sum(p["events"] for p in perf.values()),
-        }
-        totals["events_per_sec"] = (
-            round(totals["events"] / totals["wall_s"])
-            if totals["wall_s"] > 0 else 0)
-        # The parallel block is always present (jobs: 1 for serial
-        # runs) so trend tooling and the CI gates see a stable schema.
-        report = {"schema": 3, "quick": opts.perf_quick,
-                  "host": parallel.host_record(opts.jobs),
-                  "pools": merge_pool_stats(pool_blocks),
-                  "experiments": perf, "totals": totals,
-                  "parallel": executor.record()}
-        with open(opts.perf_out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"perf: {totals['events']} events in {totals['wall_s']}s"
-              f" ({totals['events_per_sec']:,} events/s)"
-              f" -> {opts.perf_out}")
-        if opts.jobs > 1:
-            stats = report["parallel"]
-            print(f"pool: {stats['jobs_run']} jobs on {opts.jobs}"
-                  f" workers in {stats['chunks_run']} chunks"
-                  f" ({stats['steals']} steals), speedup"
-                  f" {stats['speedup']}x (efficiency"
-                  f" {stats['efficiency']})")
     if failed:
         print(f"{failed} experiment(s) had failing shape checks")
         return 1

@@ -52,7 +52,7 @@ CHAOS_SEED = 0xFA57
 #: Message size / count of the chaos workload (full sweep).
 CHAOS_BYTES = 4096
 CHAOS_MSGS = 24
-#: Reduced message count for ``--perf-quick`` (the CI smoke sweep).
+#: Reduced message count for ``--quick`` (the CI smoke sweep).
 CHAOS_MSGS_QUICK = 10
 
 #: Timeline window of the chaos recovery curves, in virtual
@@ -195,7 +195,7 @@ def crash_scenarios(quick: bool = False) -> list[tuple[str,
                                                        Optional[FaultSchedule]]]:
     """Fail-stop crash sweep, baseline first.
 
-    All three run even under ``--perf-quick``: the CI fault-smoke
+    All three run even under ``--quick``: the CI fault-smoke
     serial/parallel determinism diff is the crash scenarios' primary
     regression gate.
     """

@@ -20,15 +20,14 @@ from typing import Optional, Sequence
 
 from ..machine import Cluster
 from ..machine.config import SP_1998, MachineConfig
-from ..obs import SpanRecorder, pool_stats, record_to_dict
+from ..obs import SpanRecorder, record_to_dict
 from ..sim import Tracer
 
 __all__ = ["fresh_cluster", "mean", "reps_for_size", "SIZE_SWEEP",
            "bandwidth_mbs", "configure_observability",
            "captured_clusters", "ClusterCapture", "capture_cluster",
            "record_captures", "drain_captures",
-           "observability_kwargs", "armed_telemetry",
-           "live_cluster_index", "events_since", "peak_rss_mb"]
+           "observability_kwargs", "armed_telemetry", "peak_rss_mb"]
 
 #: Message-size sweep of Figure 2 (16 bytes to 2 MB).
 SIZE_SWEEP = [16, 64, 256, 1024, 4096, 8192, 16384, 32768, 65536,
@@ -42,7 +41,7 @@ class _Observability:
         self.collect_metrics = False
         self.trace = False
         #: Retain clusters without attaching metrics/trace machinery
-        #: (used by ``--perf`` to read kernel event counters).
+        #: (the ledger reads their kernel counters).
         self.capture = False
         #: Arm causal span tracing (``--spans``/``--decompose``).
         self.spans = False
@@ -107,23 +106,6 @@ def captured_clusters() -> list[Cluster]:
     return clusters
 
 
-def live_cluster_index() -> int:
-    """Watermark into the live-cluster capture list (see
-    :func:`events_since`)."""
-    return len(_OBS.clusters)
-
-
-def events_since(index: int) -> int:
-    """Kernel events of live clusters captured past ``index``.
-
-    Lets the serial sweep path attribute per-job event counts (for the
-    cost model and pool stats) without draining the capture list out
-    from under the experiment that owns it.  Zero when capture is
-    disarmed -- the jobs still ran, we just were not counting.
-    """
-    return sum(c.sim.events_processed for c in _OBS.clusters[index:])
-
-
 @dataclass
 class ClusterCapture:
     """Picklable observability summary of one finished cluster.
@@ -145,9 +127,6 @@ class ClusterCapture:
     #: order -- identical whether shipped from a worker or drained
     #: from a live in-process cluster.
     spans: list[dict] = field(default_factory=list)
-    #: Hot-path pool counters (:func:`repro.obs.pool_stats`), captured
-    #: only under ``--perf``; merged into BENCH_PERF's ``pools`` block.
-    pools: Optional[dict] = None
     #: Telemetry snapshot (``TelemetryRuntime.snapshot()``: windowed
     #: series, SLO alert log, flight dumps) when the cluster was armed.
     #: Plain nested dicts in deterministic order, so worker-shipped and
@@ -163,14 +142,12 @@ def capture_cluster(cluster: Cluster) -> ClusterCapture:
              if cluster.trace is not None else [])
     spans = (cluster.spans.span_dicts()
              if cluster.spans is not None else [])
-    pools = pool_stats(cluster) if _OBS.capture else None
     telemetry = (cluster.telemetry.snapshot()
                  if cluster.telemetry is not None else None)
     return ClusterCapture(nnodes=cluster.nnodes, now=cluster.sim.now,
                           events=cluster.sim.events_processed,
                           metrics_block=metrics_block, trace=trace,
-                          spans=spans, pools=pools,
-                          telemetry=telemetry)
+                          spans=spans, telemetry=telemetry)
 
 
 def record_captures(captures: Sequence[ClusterCapture]) -> None:

@@ -40,7 +40,7 @@ __all__ = ["run_scale", "submit_scale", "scale_jobs", "scale_point",
            "scale_config", "SCALE_SIZES", "SCALE_QUICK_SIZES",
            "SCALE_TOPOLOGIES", "SCALE_SEED"]
 
-#: Node counts of the full sweep and the ``--perf-quick`` (CI) sweep.
+#: Node counts of the full sweep and the ``--quick`` (CI) sweep.
 SCALE_SIZES = [512, 1024, 2048, 4096]
 SCALE_QUICK_SIZES = [512]
 

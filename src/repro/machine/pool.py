@@ -27,8 +27,8 @@ determinism contract: a worker's pool state is a function of its own
 cluster's history only.
 
 Pool occupancy/leak counters are exported through ``repro.obs``
-(:func:`repro.obs.pool_stats`) and stamped into ``BENCH_PERF.json``
-``pools`` metadata by the perf harness.  They are deliberately *not*
+(:func:`repro.obs.pool_stats`), where the ledger reads its pool
+hit-rate metric.  They are deliberately *not*
 part of the default ``--metrics`` blocks: hit counts differ between
 fast-lane-on and fast-lane-off runs of the same scenario, and the
 equivalence contract requires those blocks byte-identical.
@@ -125,7 +125,7 @@ class PacketPool:
         return self.acquires - self.releases
 
     def stats(self) -> dict:
-        """Snapshot for BENCH_PERF ``pools`` metadata."""
+        """Counter snapshot for :func:`repro.obs.pool_stats`."""
         return {
             "acquires": self.acquires,
             "hits": self.hits,
@@ -185,7 +185,7 @@ class TrainPool:
         return self.acquires - self.releases
 
     def stats(self) -> dict:
-        """Snapshot for BENCH_PERF ``pools`` metadata."""
+        """Counter snapshot for :func:`repro.obs.pool_stats`."""
         return {
             "acquires": self.acquires,
             "hits": self.hits,

@@ -41,7 +41,7 @@ from .export import (coerce_value, jsonl_lines, record_to_dict,
 from .flight import FlightRecorder, write_flight_jsonl
 from .metrics import (Counter, DEPTH_BUCKETS, Gauge, Histogram,
                       LATENCY_BUCKETS_US, MetricsRegistry)
-from .pools import merge_pool_stats, pool_stats
+from .pools import pool_stats
 from .profile import (MANDATORY_PHASES, PHASE_ORDER, SIZE_BUCKETS,
                       bucket_of, critical_path, decompose, percentile,
                       render_critical_path, render_decomposition)
@@ -84,7 +84,6 @@ __all__ = [
     "decompose",
     "default_rules",
     "jsonl_lines",
-    "merge_pool_stats",
     "merge_sketches",
     "percentile",
     "pool_stats",

@@ -254,7 +254,7 @@ class SpanRecorder:
             self._track_free.append(track)
 
     def pool_stats(self) -> dict:
-        """Track-pool counters for the BENCH_PERF ``pools`` block."""
+        """Track-pool counters for :func:`repro.obs.pool_stats`."""
         return {
             "tracks_created": self.tracks_created,
             "tracks_recycled": self.tracks_recycled,

@@ -36,6 +36,7 @@ serial and ``--jobs N`` runs produce byte-identical snapshots -- the
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional
@@ -80,9 +81,12 @@ class TelemetryConfig:
     flight_dumps: int = 8
 
     def validate(self) -> None:
-        if self.window_us <= 0.0:
+        # Negated so NaN fails too; inf would fold every sample into
+        # window 0.
+        if not 0.0 < self.window_us < math.inf:
             raise SimulationError(
-                f"telemetry window_us must be > 0, got {self.window_us}")
+                f"telemetry window_us must be finite and > 0,"
+                f" got {self.window_us}")
         if self.ring_windows < 1:
             raise SimulationError(
                 f"telemetry ring_windows must be >= 1,"

@@ -1,23 +1,17 @@
-"""Byte-identity of virtual-time observables across scheduling modes.
+"""Byte-identity of virtual-time observables across worker counts.
 
-The acceptance contract of the sweep scheduler: the worker count, the
-issue order (LPT vs FIFO), and the cost-cache state (cold vs warm) are
-pure wall-clock optimizations -- every rendered table, ``--metrics``
-block, span stream, and BENCH_PERF virtual observable is byte-identical
-to the serial run.  These tests run a reduced fig2 + table2 suite under
-each mode and compare every surface, then drive the real CLI in-process
-and diff the JSON perf reports.
+The acceptance contract of the sweep engine: the worker count is a
+pure wall-clock optimization -- every rendered table, ``--metrics``
+block, and span stream is byte-identical to the serial run.  These
+tests drive the real CLI, diffing its output and its Perfetto span
+file between ``--jobs 1`` and ``--jobs 4``.
 """
-
-import json
 
 import pytest
 
 from repro.bench import __main__ as cli
 from repro.bench import parallel, runner
-from repro.bench.bandwidth import run_fig2
 from repro.bench.latency import run_table2
-from repro.bench.parallel import CostModel
 
 
 @pytest.fixture
@@ -27,97 +21,31 @@ def restore_engine():
     parallel.configure(1)
 
 
-def _surfaces():
-    """Reduced fig2 + table2; every surface the guarantee covers."""
-    fig2 = run_fig2(sizes=[1024, 16384])
-    caps = runner.drain_captures()
-    table2 = run_table2()
-    caps += runner.drain_captures()
-    return {
-        "fig2_render": fig2.render(),
-        "table2_render": table2.render(),
-        "metrics": [c.metrics_block for c in caps],
-        "spans": [c.spans for c in caps],
-        "virtual_us": [c.now for c in caps],
-        "events": [c.events for c in caps],
-        "clusters": len(caps),
-    }
-
-
-def _run_mode(jobs, order="lpt", cost_model=None):
-    runner.configure_observability(metrics=True, capture=True,
-                                   spans=True)
-    executor = parallel.SweepScheduler(jobs=jobs, order=order,
-                                       cost_model=cost_model)
-    parallel.set_executor(executor)
-    try:
-        return _surfaces()
-    finally:
-        parallel.configure(1)  # shuts the pool down
+def _cli_run(tmp_path, capsys, jobs):
+    """``--quick --metrics --spans-out`` on fig2: the stdout lines that
+    must match, and the span file's bytes."""
+    spans = tmp_path / f"spans_{jobs}.json"
+    assert cli.main(["--quick", "--metrics", "--spans-out", str(spans),
+                     "--jobs", str(jobs), "fig2"]) == 0
+    out = [line for line in capsys.readouterr().out.splitlines()
+           if not line.startswith(("(regenerated in", "parallel:",
+                                   "wrote "))]
+    return out, spans.read_bytes()
 
 
 class TestSchedulingModesAreInvisible:
-    def test_jobs4_matches_serial(self, restore_engine):
-        assert _run_mode(1) == _run_mode(4)
-
-    def test_fifo_matches_lpt(self, restore_engine):
-        assert _run_mode(4, order="lpt") == _run_mode(4, order="fifo")
-
-    def test_warm_cost_cache_matches_cold(self, restore_engine):
-        """A populated cost model changes chunking and issue order --
-        and nothing observable."""
-        shared = CostModel()
-        cold = _run_mode(4, cost_model=shared)
-        assert shared.misses > 0
-        warm = _run_mode(4, cost_model=shared)
-        assert shared.hits > 0
-        assert cold == warm
+    def test_jobs4_matches_serial(self, restore_engine, tmp_path,
+                                  capsys):
+        serial_out, serial_spans = _cli_run(tmp_path, capsys, jobs=1)
+        pooled_out, pooled_spans = _cli_run(tmp_path, capsys, jobs=4)
+        assert pooled_out == serial_out
+        assert pooled_spans == serial_spans
+        assert any(line.startswith("-- metrics: fig2")
+                   for line in serial_out)
 
     def test_spans_actually_captured(self, restore_engine):
-        out = _run_mode(4)
-        assert any(out["spans"]), "span streams should be non-empty"
-
-
-class TestCliPerfReport:
-    """Drive the real CLI in-process; the virtual side of BENCH_PERF
-    must not depend on --jobs, and the parallel block must always be
-    present (even serially)."""
-
-    VIRTUAL_FIELDS = ("virtual_us", "events", "clusters")
-
-    def _perf_run(self, tmp_path, tag, jobs):
-        out = tmp_path / f"perf_{tag}.json"
-        rc = cli.main(["--perf", "--perf-quick",
-                       "--perf-out", str(out), "fig2",
-                       "--jobs", str(jobs)])
-        assert rc == 0
-        return json.loads(out.read_text(encoding="utf-8"))
-
-    def test_parallel_virtuals_match_serial(
-            self, restore_engine, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_COST_CACHE",
-                           str(tmp_path / "costs.json"))
-        serial = self._perf_run(tmp_path, "serial", jobs=1)
-        par = self._perf_run(tmp_path, "par", jobs=2)
-        warm = self._perf_run(tmp_path, "warm", jobs=2)
-        for name, rec in serial["experiments"].items():
-            for field in self.VIRTUAL_FIELDS:
-                assert par["experiments"][name][field] == rec[field], \
-                    (name, field)
-                assert warm["experiments"][name][field] == rec[field], \
-                    (name, field)
-        # The warm run hit the cache the cold run populated.
-        assert warm["parallel"]["cost_model"]["hits"] > 0
-
-    def test_serial_report_has_parallel_block(
-            self, restore_engine, tmp_path, capsys):
-        report = self._perf_run(tmp_path, "solo", jobs=1)
-        block = report["parallel"]
-        assert block["jobs"] == 1
-        # Inline execution books the parent process as the only
-        # "worker"; nothing was forked, chunked, or stolen.
-        assert list(block["workers"]) == ["w0"]
-        assert block["steals"] == 0
-        assert block["chunks_run"] == 0
-        assert block["jobs_run"] > 0
-        assert 0.0 < block["efficiency"] <= 1.0
+        runner.configure_observability(spans=True)
+        parallel.configure(4)
+        run_table2()
+        assert any(c.spans for c in runner.drain_captures()), \
+            "worker-shipped span streams should be non-empty"

@@ -3,19 +3,26 @@
 The engine's contract is that ``--jobs N`` is an invisible wall-clock
 optimization: results, ``--metrics`` blocks, and virtual-time numbers
 are byte-identical to a serial run.  These tests pin the unit pieces
-(SplitMix seed spread, job-key resolution and ordering) and the
-end-to-end guarantee on reduced fig2/table2 sweeps.
+(SplitMix seed spread, job-key resolution and ordering), the futures
+(cross-sweep pipelining, idempotent results), the error paths (failed
+jobs propagate their original exception, a dead worker raises instead
+of hanging, no worker outlives a shutdown) and the end-to-end
+guarantee on reduced fig2/table2 sweeps.
 """
 
+import multiprocessing
+import os
 import time
+from concurrent.futures import CancelledError
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.bench import parallel, runner
 from repro.bench.bandwidth import run_fig2
 from repro.bench.latency import lapi_pingpong_job, run_table2
-from repro.bench.parallel import (JobSpec, SweepExecutor, host_record,
-                                  parse_jobs, spread_seed)
+from repro.bench.parallel import (Deferred, JobSpec, SweepScheduler,
+                                  host_record, parse_jobs, spread_seed)
 
 
 # Module-level so worker processes can unpickle them by reference.
@@ -28,6 +35,14 @@ def _slow_identity(x, delay):
     # the merge must put results back in spec order regardless.
     time.sleep(delay)
     return x
+
+
+def _boom():
+    raise KeyError("boom")
+
+
+def _die():
+    os._exit(3)
 
 
 def _pingpong_job():
@@ -79,59 +94,153 @@ class TestJobKeys:
         specs = [JobSpec(_add, (0, 1), key=("dup",)),
                  JobSpec(_add, (1, 1), key=("dup",))]
         with pytest.raises(ValueError, match="duplicate job key"):
-            SweepExecutor(jobs=1).map(specs)
+            SweepScheduler(jobs=1).map(specs)
 
 
 class TestExecutor:
     def test_serial_results_in_spec_order(self):
-        ex = SweepExecutor(jobs=1)
+        ex = SweepScheduler(jobs=1)
         out = ex.map([JobSpec(_add, (i, 10), key=("s", i))
                       for i in range(5)])
         assert out == [10, 11, 12, 13, 14]
 
     def test_empty_sweep(self):
-        assert SweepExecutor(jobs=4).map([]) == []
+        assert SweepScheduler(jobs=4).map([]) == []
 
     def test_parallel_results_in_spec_order(self):
         # Later specs finish first (shorter sleeps); the merge by job
         # key must still return values in submission order.
         delays = [0.2, 0.15, 0.1, 0.05, 0.0]
-        ex = SweepExecutor(jobs=4)
+        ex = SweepScheduler(jobs=4)
         try:
             out = ex.map([JobSpec(_slow_identity, (i, d), key=("p", i))
                           for i, d in enumerate(delays)])
         finally:
             ex.shutdown()
         assert out == [0, 1, 2, 3, 4]
-        stats = ex.stats.record()
-        assert stats["jobs_run"] == 5
-        assert stats["sweeps"] == 1
 
     def test_single_spec_uses_pool(self):
         # Even one-spec sweeps go through the pool when jobs>1: under
         # pipelined submission an inline run would interleave its live
         # captures with other sweeps' worker-shipped ones.
-        ex = SweepExecutor(jobs=4)
+        ex = SweepScheduler(jobs=4)
         try:
             assert ex.map([JobSpec(_add, (1, 2))]) == [3]
-            assert ex._pool is not None
+            assert multiprocessing.active_children()
         finally:
             ex.shutdown()
 
     def test_serial_scheduler_never_forks(self):
-        ex = SweepExecutor(jobs=1)
+        ex = SweepScheduler(jobs=1)
         assert ex.map([JobSpec(_add, (1, 2)),
                        JobSpec(_add, (3, 4))]) == [3, 7]
-        assert ex._pool is None  # never forked
+        assert multiprocessing.active_children() == []  # never forked
 
     def test_worker_exception_propagates(self):
-        ex = SweepExecutor(jobs=2)
+        ex = SweepScheduler(jobs=2)
         specs = [JobSpec(_add, (1,), key=("bad", i)) for i in range(2)]
         try:
             with pytest.raises(TypeError):
                 ex.map(specs)
         finally:
             ex.shutdown()
+
+
+class TestPipelining:
+    def test_sweeps_overlap_without_barriers(self):
+        # Sweep A is slow, sweep B fast; B's future resolves while A
+        # is still outstanding, and A still merges correctly after.
+        ex = SweepScheduler(jobs=2)
+        try:
+            slow = ex.submit([JobSpec(_slow_identity, (0, 0.4),
+                                      key=("slow",))])
+            fast = ex.submit([JobSpec(_add, (i, 0), key=("fast", i))
+                              for i in range(3)])
+            t0 = time.perf_counter()
+            assert fast.result() == [0, 1, 2]
+            fast_wait = time.perf_counter() - t0
+            assert not slow.done()
+            assert slow.result() == [0]
+        finally:
+            ex.shutdown()
+        # Waiting on the fast sweep never waits out the slow one.
+        assert fast_wait < 0.4
+
+    def test_result_is_idempotent(self):
+        ex = SweepScheduler(jobs=1)
+        future = ex.submit([JobSpec(_add, (7, 0), key=("i",))])
+        assert future.result() == [7]
+        assert future.result() is future.result()
+
+
+class TestErrorPaths:
+    def test_original_exception_type_propagates(self):
+        ex = SweepScheduler(jobs=2)
+        try:
+            with pytest.raises(KeyError, match="boom"):
+                ex.map([JobSpec(_boom, key=("bad",)),
+                        JobSpec(_add, (1, 0), key=("ok",))])
+        finally:
+            ex.shutdown()
+
+    def test_pool_survives_a_failed_job(self):
+        # A job failure is shipped back as its exception; the same
+        # workers run the next sweep.
+        ex = SweepScheduler(jobs=2)
+        try:
+            with pytest.raises(KeyError):
+                ex.map([JobSpec(_boom, key=("bad",))])
+            pids = {p.pid for p in multiprocessing.active_children()}
+            assert ex.map([JobSpec(_add, (5, 0), key=("ok",))]) == [5]
+            assert {p.pid for p in multiprocessing.active_children()} \
+                == pids
+        finally:
+            ex.shutdown()
+
+    def test_dead_worker_raises_instead_of_hanging(self):
+        ex = SweepScheduler(jobs=2)
+        try:
+            future = ex.submit([JobSpec(_die, key=("die",))])
+            deadline = time.monotonic() + 30.0
+            while not future.done() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert future.done(), "a dead worker must not hang the sweep"
+            with pytest.raises(BrokenProcessPool):
+                future.result()
+        finally:
+            ex.shutdown()
+        assert multiprocessing.active_children() == []
+
+    def test_shutdown_leaves_no_children(self):
+        # Shutdown with jobs outstanding cancels the queued ones and
+        # joins those in flight (at most a few), so it returns well
+        # before the whole backlog could have run.
+        ex = SweepScheduler(jobs=2)
+        future = ex.submit([JobSpec(_slow_identity, (i, 0.2),
+                                    key=("backlog", i))
+                            for i in range(20)])
+        t0 = time.perf_counter()
+        ex.shutdown()
+        assert time.perf_counter() - t0 < 10 * 0.2
+        assert multiprocessing.active_children() == []
+        with pytest.raises(CancelledError):
+            future.result()
+
+    def test_failing_experiment_does_not_orphan_workers(
+            self, restore_engine, monkeypatch, capsys):
+        """Regression: the CLI must tear the pool down when an
+        experiment raises (the finally path), not leak workers."""
+        from repro.bench import __main__ as cli
+
+        def fake_submitters(quick):
+            return {"table1": lambda: Deferred(
+                parallel.submit([JobSpec(_boom, key=("boom",))]),
+                lambda values: values)}
+
+        monkeypatch.setattr(cli, "_submitters", fake_submitters)
+        with pytest.raises(KeyError, match="boom"):
+            cli.main(["table1", "--jobs", "2"])
+        assert multiprocessing.active_children() == []
 
 
 class TestCaptureShipping:

@@ -71,7 +71,7 @@ class TestCliArtifactIdentity:
             "flight": tmp_path / f"flight_{tag}.jsonl",
             "faults": tmp_path / f"faults_{tag}.json",
         }
-        argv = ["--perf-quick", "--faults-out", str(paths["faults"]),
+        argv = ["--quick", "--faults-out", str(paths["faults"]),
                 "--timeline-out", str(paths["timeline"]),
                 "--flight-out", str(paths["flight"]),
                 "--jobs", str(jobs), "chaos"]
@@ -109,7 +109,7 @@ class TestCliArtifactIdentity:
         """The chaos records are a pure function of the job args: the
         telemetry CLI flags must not change a byte of --faults-out."""
         bare = tmp_path / "faults_bare.json"
-        assert cli.main(["--perf-quick", "--faults-out", str(bare),
+        assert cli.main(["--quick", "--faults-out", str(bare),
                          "chaos"]) == 0
         armed = self._chaos_run(tmp_path, "armed", jobs=1)
         assert bare.read_bytes() == armed["faults"]

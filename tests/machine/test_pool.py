@@ -16,7 +16,7 @@ from repro.machine.config import SP_1998
 from repro.machine.packet import Packet, next_packet_id, \
     reset_packet_ids
 from repro.machine.pool import HotPools, PacketPool, TrainPool
-from repro.obs import SpanRecorder, merge_pool_stats, pool_stats
+from repro.obs import SpanRecorder, pool_stats
 
 NBYTES = 131072
 
@@ -174,15 +174,3 @@ class TestHotPoolsPlumbing:
         assert pool.hits == 1
         pool.release(again)
         assert pool.outstanding == 0
-
-    def test_merge_pool_stats_sums_and_recomputes_rates(self):
-        merged = merge_pool_stats([
-            {"packets": {"acquires": 10, "hits": 5, "releases": 10,
-                         "hit_rate": 0.5}},
-            {"packets": {"acquires": 30, "hits": 25, "releases": 30,
-                         "hit_rate": 0.8333}},
-            None,
-        ])
-        assert merged["packets"]["acquires"] == 40
-        assert merged["packets"]["hits"] == 30
-        assert merged["packets"]["hit_rate"] == 0.75

@@ -28,6 +28,14 @@ class TestConfig:
             TelemetryConfig(flight_entries=0).validate()
         TelemetryConfig().validate()
 
+    @pytest.mark.parametrize("window_us", [float("nan"), float("inf"),
+                                           -float("inf")])
+    def test_validate_rejects_non_finite_window(self, window_us):
+        # NaN compares False against everything, so a `<= 0` guard
+        # let it through to die later in window arithmetic.
+        with pytest.raises(SimulationError, match="finite"):
+            TelemetryConfig(window_us=window_us).validate()
+
     def test_config_is_hashable_and_frozen(self):
         cfg = TelemetryConfig()
         hash(cfg)
