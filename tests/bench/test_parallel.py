@@ -211,7 +211,14 @@ class TestErrorPaths:
             ex.shutdown()
         assert multiprocessing.active_children() == []
 
-    def test_shutdown_leaves_no_children(self):
+    def test_clean_shutdown_leaves_no_children(self):
+        ex = SweepScheduler(jobs=2)
+        assert ex.map([JobSpec(_add, (1, 0), key=("k",))]) == [1]
+        assert multiprocessing.active_children()
+        ex.shutdown()
+        assert multiprocessing.active_children() == []
+
+    def test_shutdown_with_jobs_outstanding_leaves_no_children(self):
         # Shutdown with jobs outstanding cancels the queued ones and
         # joins those in flight (at most a few), so it returns well
         # before the whole backlog could have run.
