@@ -528,21 +528,10 @@ class ReliableTransport:
         packet is fresh (first delivery); duplicates return False and
         must not be re-applied by the protocol layer.
         """
-        pools = self.sim.pools
-        if pools is not None:
-            # Pooled fast path: reset-on-acquire with a fresh uid (the
-            # uid stream is byte-identical to a fresh construction, and
-            # uid-keyed span tracks can never alias a recycled packet).
-            ack = pools.packets.acquire(
-                self.adapter.node_id, packet.src, self.proto,
-                self.ack_kind, ACK_HEADER_BYTES)
-            ack.info["acked_seq"] = packet.seq
-        else:
-            ack = _Packet(src=self.adapter.node_id, dst=packet.src,
-                          proto=self.proto, kind=self.ack_kind,
-                          header_bytes=ACK_HEADER_BYTES,
-                          info={"acked_seq": packet.seq})
-        self.adapter.inject_control(ack)
+        self.adapter.inject_control(_Packet(
+            src=self.adapter.node_id, dst=packet.src, proto=self.proto,
+            kind=self.ack_kind, header_bytes=ACK_HEADER_BYTES,
+            info={"acked_seq": packet.seq}))
         self.acks_sent += 1
         fresh = self._peer_rx(packet.src).fresh(packet.seq)
         if not fresh:
@@ -615,22 +604,17 @@ class ReliableTransport:
         self._retire_ack(packet)
 
     def _retire_ack(self, packet: "Packet") -> None:
-        """Recycle a fully-consumed acknowledgement packet.
+        """Retire a fully-consumed acknowledgement's span track.
 
         ``on_ack`` is the single consumption point for transport acks in
         both stacks (adapter fast path and dispatcher branch); nothing
         references the packet afterwards -- acks are never registered
-        for retransmission.  Pool-owned packets return to the free
-        list; foreign ones (tests driving ``on_ack`` directly) no-op.
-        The span recorder's uid-keyed track is retired alongside, so
-        the side table stays bounded on long runs.
+        for retransmission -- so the span recorder's uid-keyed track
+        can go, keeping the side table bounded on long runs.
         """
-        pools = self.sim.pools
-        if pools is not None and packet.pooled:
-            sp = self.sim.spans
-            if sp is not None:
-                sp.retire_packet(packet.uid)
-            pools.packets.release(packet)
+        sp = self.sim.spans
+        if sp is not None:
+            sp.retire_packet(packet.uid)
 
     # ------------------------------------------------------------------
     def metrics(self) -> dict:

@@ -37,7 +37,6 @@ from ..sim import PENDING, RngRegistry, Simulator, Tracer
 from .config import SP_1998, MachineConfig
 from .node import Node
 from .packet import reset_packet_ids
-from .pool import HotPools
 from .switch import Switch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -156,13 +155,6 @@ class Cluster:
         self.spans = spans
         self.sim = Simulator()
         self.sim.spans = spans
-        #: Per-cluster hot-path object pools (``repro.machine.pool``).
-        #: Owned here -- never process-global -- so a ``--jobs N``
-        #: worker's pool state is a function of its own cluster's
-        #: history only (the determinism contract).  Reachable by the
-        #: protocol stacks as ``sim.pools``.
-        self.pools = HotPools()
-        self.sim.pools = self.pools
         self.rng = RngRegistry(seed=seed)
         self.nodes = [Node(self.sim, i, config, trace=trace)
                       for i in range(nnodes)]

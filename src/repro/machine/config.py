@@ -95,25 +95,6 @@ class MachineConfig:
     #: on top of the per-hop latency -- global links are physically
     #: long.
     dragonfly_global_latency: float = 0.5
-    #: Simulator (not machine) switch: let the adapter TX engine
-    #: serialize the interior of a contiguous multi-packet train
-    #: analytically -- one precomputed schedule instead of generator
-    #: round-trips per packet.  Pure performance: engages only when
-    #: per-packet timing is provably deterministic (no loss, no jitter,
-    #: single candidate route, contiguous same-message packets) and the
-    #: resulting virtual times are bit-identical to the packet-by-packet
-    #: path, which equivalence tests assert.  Off = always packet-by-
-    #: packet (debugging aid).
-    fast_trains: bool = True
-    #: Simulator switch layered on ``fast_trains``: represent a peeled
-    #: train's interior as one struct-of-arrays :class:`PacketTrain`
-    #: record (``repro.machine.train``) instead of per-packet callback
-    #: items.  Same kernel events at the same instants; only the
-    #: per-event Python work shrinks.  Engages only when ``fast_trains``
-    #: peeled a train AND nothing observes interior packet identity
-    #: (no span recorder, no tracer); otherwise the object-path train
-    #: scheduler runs.  Off = always the object path (debugging aid).
-    soa_trains: bool = True
 
     # ------------------------------------------------------------------
     # Node: 120 MHz P2SC CPU, AIX 4.2.1

@@ -35,18 +35,6 @@ def reset_packet_ids() -> None:
     _packet_ids = itertools.count()
 
 
-def next_packet_id() -> int:
-    """Draw the next uid from the per-cluster stream.
-
-    The pool's reset-on-acquire path uses this so a recycled packet's
-    uid is exactly the one a fresh construction at the same point would
-    have drawn -- uid streams are byte-identical with pooling on or off,
-    and uid-keyed side tables (span tracks) can never alias a stale
-    entry.
-    """
-    return next(_packet_ids)
-
-
 class Packet:
     """One wire packet.
 
@@ -76,13 +64,10 @@ class Packet:
         Total bytes on the wire.  Precomputed: ``header_bytes`` and
         ``payload`` are fixed at construction, and ``size`` is read for
         every serialization/occupancy charge on the TX and route paths.
-    pooled:
-        True for instances owned by a :class:`repro.machine.pool`
-        free list; only those may be released back to it.
     """
 
     __slots__ = ("src", "dst", "proto", "kind", "header_bytes", "payload",
-                 "seq", "info", "uid", "size", "pooled")
+                 "seq", "info", "uid", "size")
 
     def __init__(self, src: int, dst: int, proto: str, kind: str,
                  header_bytes: int, payload: bytes = b"", seq: int = -1,
@@ -98,7 +83,6 @@ class Packet:
         self.info = {} if info is None else info
         self.uid = next(_packet_ids) if uid is None else uid
         self.size = header_bytes + len(payload)
-        self.pooled = False
 
     def validate(self, max_size: int,
                  nnodes: Optional[int] = None) -> None:

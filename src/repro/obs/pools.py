@@ -1,15 +1,10 @@
 """Hot-path pool statistics.
 
-The object pools live with their owners -- the per-cluster
-:class:`~repro.machine.pool.HotPools` (transport-ack packets and
-struct-of-arrays train records) and the span recorder's track free
-list.  :func:`pool_stats` condenses all of them into one picklable
-dict per cluster; the ledger reads it for its pool hit-rate metric.
+The one object pool left is the span recorder's track free list;
+:func:`pool_stats` condenses it into one picklable dict per cluster.
 
 These numbers are deliberately *not* part of the ``--metrics`` blocks:
-hit counts differ between fast-lane-on and fast-lane-off runs of the
-same scenario, and the equivalence contract requires those blocks
-byte-identical.
+the ``--metrics`` output must be byte-identical with spans armed or not.
 """
 
 from __future__ import annotations
@@ -20,17 +15,15 @@ __all__ = ["pool_stats"]
 def pool_stats(cluster) -> dict:
     """All pool counters of one finished cluster, keyed by pool name.
 
-    Works on any object with a ``sim`` attribute (ducks for
-    :class:`repro.machine.Cluster`); pools that are not armed on this
-    cluster are simply absent from the dict.
+    Works on any object with a ``spans`` attribute (ducks for
+    :class:`repro.machine.Cluster`); ``span_tracks`` is present only
+    when a span recorder is armed.
     """
-    sim = cluster.sim
-    stats: dict = {}
-    pools = getattr(sim, "pools", None)
-    if pools is not None:
-        stats.update(pools.stats())
+    # Always 0: the ledger's traced counters (``ledger/recorder.py``)
+    # still read these names from the retired packet and train pools.
+    stats: dict = {pool: {"acquires": 0, "hits": 0}
+                   for pool in ("packets", "trains")}
     spans = getattr(cluster, "spans", None)
     if spans is not None:
         stats["span_tracks"] = spans.pool_stats()
     return stats
-

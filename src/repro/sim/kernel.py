@@ -110,12 +110,6 @@ class Simulator:
         #: tables -- never the queue entries -- so :meth:`call_at`
         #: entries stay bare tuples with spans on.
         self.spans: Optional[Any] = None
-        #: Optional ``repro.machine.pool.HotPools`` attached by the
-        #: cluster: per-cluster free lists for hot-path model objects
-        #: (packets).  Like ``spans``, reached via the simulator only
-        #: for plumbing convenience -- the kernel itself never touches
-        #: it.
-        self.pools: Optional[Any] = None
         #: Optional ``repro.obs.flight.FlightRecorder`` attached by the
         #: cluster when telemetry is armed: the black box that fault
         #: and reliability trigger points dump into.  Same contract as

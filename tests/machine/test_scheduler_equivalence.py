@@ -6,7 +6,7 @@ now keeps one heap of ``(when, seq, fn, arg)``; these tests pin the
 ring jobs and the reduced Figure 2 / Table 2 sweeps to the event counts,
 final clocks and per-rank results both retired schedulers produced, and
 check that a second run in the same process renders the same bytes (no
-sequence counter or pooled object carries over between clusters).
+sequence counter or recycled object carries over between clusters).
 """
 
 import pytest

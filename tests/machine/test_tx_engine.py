@@ -85,10 +85,10 @@ class TestTxEngine:
         assert a0._tx_credits.value == credits
 
     def test_crash_after_the_train_was_peeled(self):
-        """Per-packet lane (what runs whenever something observes
-        packet identity; a fault schedule, the only source of crashes
-        in a job, keeps trains from peeling at all)."""
-        sim, a0, client = fabric(SP_1998.replace(soa_trains=False))
+        """Each peeled interior completion checks the crash like any
+        packet (in a job a fault schedule, the only source of crashes,
+        keeps trains from peeling at all)."""
+        sim, a0, client = fabric()
         credits = a0._tx_credits.value
         for p in train(6):
             assert a0.inject_async(p)

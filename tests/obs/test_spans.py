@@ -22,7 +22,7 @@ from repro.machine.packet import Packet
 from repro.obs import (MANDATORY_PHASES, PHASE_ORDER, SPAN_SCHEMA_KEYS,
                        SpanRecorder, bucket_of, chrome_trace_events,
                        critical_path, decompose, percentile,
-                       render_critical_path, render_decomposition,
+                       pool_stats, render_critical_path, render_decomposition,
                        span_to_dict, write_chrome_trace)
 
 
@@ -337,6 +337,12 @@ class TestClusterIntegration:
         assert (traced.sim.events_processed
                 == bare.sim.events_processed)
         assert len(sp) > 0
+
+    def test_consumed_acks_retire_their_span_tracks(self):
+        # The transport retires each consumed ack's uid-keyed track, so
+        # the recorder's side table stays bounded on long runs.
+        cluster = _put_job(SpanRecorder())
+        assert pool_stats(cluster)["span_tracks"]["tracks_recycled"] > 0
 
 
 def _pingpong_job():
