@@ -254,9 +254,6 @@ class NodeCrash(FaultClause):
                 "NodeCrash: start must be > 0 (a node cannot crash"
                 " before the run begins)")
 
-    def dead_window(self) -> tuple:
-        return (self.start, self.end)
-
 
 @dataclass(frozen=True)
 class NodeRestart(FaultClause):

@@ -70,9 +70,6 @@ class GlobalArray:
     # ------------------------------------------------------------------
     # address arithmetic (valid for any rank's block)
     # ------------------------------------------------------------------
-    def block_of(self, rank: int) -> Section:
-        return self.dist.block(rank)
-
     def element_addr(self, rank: int, i: int, j: int) -> int:
         """Address of global element (i, j) inside ``rank``'s block.
 

@@ -117,8 +117,6 @@ class MachineConfig:
     #: interrupt (the coalescing section 5.3.1 alludes to), while
     #: isolated messages still pay the full interrupt cost.
     interrupt_linger: float = 15.0
-    #: Thread context switch cost (used when handler threads hand off).
-    context_switch: float = 1.5
     #: Pthread mutex lock/unlock pair, uncontended.
     mutex_cost: float = 0.4
     #: Sustained double-precision rate of a P2SC node (flops per us ==
@@ -246,10 +244,6 @@ class MachineConfig:
     #: buffer space in MPL/MPI" of section 5.4, visible in Figure 3's
     #: 1 KB - 20 KB band).
     mpl_send_buffer_limit: int = 20480
-    #: Receive-side early-arrival buffer per message (eager messages that
-    #: arrive before the receive is posted are copied here, then copied
-    #: again when the receive posts: the "extra copy" of section 4).
-    mpl_early_arrival_limit: int = 65536
     #: Go-back-N window per destination for the MPL transport.
     mpl_window: int = 64
     #: MPL retransmission timeout (same sizing rule as LAPI's).

@@ -103,10 +103,6 @@ class Thread:
     def sim(self) -> "Simulator":
         return self.cpu.sim
 
-    @property
-    def holding_cpu(self) -> bool:
-        return self._holding
-
     def _main(self) -> Generator:
         yield from self._acquire()
         try:

@@ -16,6 +16,7 @@ data movement and time accounting independently testable.
 
 from __future__ import annotations
 
+import mmap
 from typing import Optional
 
 import numpy as np
@@ -27,6 +28,10 @@ __all__ = ["Memory", "OFFSET_BITS"]
 #: Bits reserved for the within-allocation offset (1 TiB per allocation).
 OFFSET_BITS = 40
 _OFFSET_MASK = (1 << OFFSET_BITS) - 1
+
+#: ``madvise`` advice keeping a sparse write from faulting in a 2 MiB
+#: huge page; None where the platform's ``mmap`` does not define it.
+_NO_HUGE_PAGES = getattr(mmap, "MADV_NOHUGEPAGE", None)
 
 
 class Memory:
@@ -49,8 +54,11 @@ class Memory:
     def malloc(self, nbytes: int, fill: int = 0) -> int:
         """Allocate ``nbytes`` of ``fill`` bytes; return the base address.
 
-        Zero-filled allocations (the default) come from the calloc path,
-        so the host only pays for the pages a job actually touches.
+        Each allocation is its own private anonymous mapping, advised
+        against huge pages, so the host pays one 4 KiB page per page a
+        job touches, and gets every page back as soon as the last
+        array over the mapping dies -- whatever the C allocator's reuse
+        policy or NumPy's huge-page advice.
         """
         if self.released:
             raise MemoryFault(self._released_msg())
@@ -64,10 +72,12 @@ class Memory:
                 or not 0 <= fill <= 255):
             raise AllocationError(
                 f"malloc fill {fill!r} is not a byte value (int 0..255)")
+        region = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+        if _NO_HUGE_PAGES is not None:
+            region.madvise(_NO_HUGE_PAGES)
+        buf = np.frombuffer(region, dtype=np.uint8)
         if fill:
-            buf = np.full(nbytes, fill, dtype=np.uint8)
-        else:
-            buf = np.zeros(nbytes, dtype=np.uint8)
+            buf.fill(fill)
         aid = self._next_id
         self._next_id += 1
         self._allocs[aid] = buf
@@ -98,7 +108,7 @@ class Memory:
         Called once, when the owning cluster is dropped: ``live_bytes``
         drops to 0 and any later access, ``malloc`` or ``free`` raises
         :class:`~repro.errors.MemoryFault`.  Views handed out earlier
-        keep their own buffers alive.
+        keep their own mappings alive.
         """
         self._allocs.clear()
         self.live_bytes = 0

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..errors import SimulationError
-from .sketch import DEFAULT_ALPHA, QuantileSketch, merge_sketches
+from .sketch import DEFAULT_ALPHA, QuantileSketch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim import Simulator
@@ -346,14 +346,6 @@ class Timeline:
         key = ("counter", subsystem, _node_key(node), name)
         series = self._series.get(key)
         return series.window_values() if series is not None else []
-
-    def merged_hist(self, subsystem: str, name: str) -> QuantileSketch:
-        """Cumulative sketch of one histogram stream merged across
-        every node -- the cross-node quantile view."""
-        parts = [s.cumulative for (kind, sub, _, nm), s
-                 in sorted(self._series.items())
-                 if kind == "hist" and sub == subsystem and nm == name]
-        return merge_sketches(parts, alpha=self.sketch_alpha)
 
     def snapshot(self) -> dict:
         """Deterministic picklable form of every series.

@@ -178,10 +178,6 @@ class Simulator:
         self._seq = seq = self._seq + 1
         heappush(self._queue, (when, seq, fn, arg))
 
-    def call_after(self, delay: float, fn, arg: Any = None) -> None:
-        """Schedule ``fn(arg)`` after ``delay`` us (see :meth:`call_at`)."""
-        self.call_at(self._now + delay, fn, arg)
-
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Condition that fires when any of ``events`` fires."""
         return AnyOf(self, events)

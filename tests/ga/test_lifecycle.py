@@ -8,7 +8,6 @@ find the finished cluster.
 """
 
 import gc
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,31 +134,32 @@ class TestTerminateReleases:
         drive(ga.terminate())
 
 
-def test_host_memory_does_not_accumulate_across_jobs():
+def test_host_memory_does_not_accumulate_across_jobs(mapped, monkeypatch):
     """Four consecutive GA jobs peak where one does, with the cyclic GC
-    off: refcounting alone returns a finished job's buffers."""
-    def job():
-        ga_putget.ga_transfer_rate("lapi", "put", "1d", 8192)
+    off and every finished cluster still held: refcounting alone, after
+    GA_Terminate's frees, unmaps a finished job's buffers."""
+    held = []
+    fresh = ga_putget.fresh_cluster
 
-    def traced_peak(njobs):
-        base, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
+    def holding(*args, **kw):
+        held.append(fresh(*args, **kw))
+        return held[-1]
+
+    def peak(njobs):
+        mapped.reset()
         for _ in range(njobs):
-            job()
-        return tracemalloc.get_traced_memory()[1] - base
+            ga_putget.ga_transfer_rate("lapi", "put", "1d", 8192)
+        return mapped.peak
 
-    job()  # imports and caches are not the jobs' footprint
-    gc.collect()
+    monkeypatch.setattr(ga_putget, "fresh_cluster", holding)
     was_enabled = gc.isenabled()
     gc.disable()
-    tracemalloc.start()
     try:
-        one = traced_peak(1)
-        gc.collect()
-        four = traced_peak(4)
+        one = peak(1)
+        four = peak(4)
     finally:
-        tracemalloc.stop()
         if was_enabled:
             gc.enable()
+    assert len(held) == 5
     assert one > 40e6  # the 33.5 MB array + four 4.25 MB slabs
-    assert four <= 1.25 * one
+    assert four == one

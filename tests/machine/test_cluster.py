@@ -2,7 +2,6 @@
 
 import contextlib
 import gc
-import tracemalloc
 import weakref
 
 import pytest
@@ -353,26 +352,18 @@ def _touching_job(kind):
 
 
 @pytest.mark.parametrize("kind", ["lapi_put", "mpl_rndv"])
-def test_host_memory_does_not_accumulate_across_jobs(kind):
+def test_host_memory_does_not_accumulate_across_jobs(kind, mapped):
     """Four back-to-back jobs peak where one does, with the cyclic GC
-    off: dropping a finished cluster returns what its job left
+    off: dropping a finished cluster unmaps what its job left
     allocated."""
-    def traced_peak(njobs):
-        base, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
+    def peak(njobs):
+        mapped.reset()
         for _ in range(njobs):
             _touching_job(kind)
-        return tracemalloc.get_traced_memory()[1] - base
+        return mapped.peak
 
-    _touching_job(kind)  # imports and caches are not the jobs' footprint
-    gc.collect()
     with _gc_disabled():
-        tracemalloc.start()
-        try:
-            one = traced_peak(1)
-            gc.collect()
-            four = traced_peak(4)
-        finally:
-            tracemalloc.stop()
-    assert one > 16 * _MIB  # two nodes x 2 x 4 MiB
-    assert four <= 1.25 * one
+        one = peak(1)
+        four = peak(4)
+    assert one >= 16 * _MIB  # two nodes x 2 x 4 MiB
+    assert four == one

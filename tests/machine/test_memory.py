@@ -1,5 +1,8 @@
 """Unit and property tests for the simulated node memory."""
 
+import mmap
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -168,6 +171,41 @@ class TestWordAccess:
         a = mem.malloc(8)
         with pytest.raises(MemoryFault):
             mem.read_i64(a + 1)
+
+
+_MIB = 1 << 20
+
+
+def _rss() -> int:
+    """Bytes of this process resident on the host right now."""
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * mmap.PAGESIZE
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                    reason="reads resident pages from /proc/self/statm")
+class TestHostPages:
+    """The host pays for the 4 KiB pages a job touches, and gets them
+    back when the allocation is freed."""
+
+    def test_sparse_writes_fault_small_pages(self, mem):
+        a = mem.malloc(16 * _MIB)
+        before = _rss()
+        for k in range(8):
+            mem.write(a + k * 2 * _MIB, b"12345678")
+        assert _rss() - before < _MIB
+
+    def test_reused_allocation_is_not_resident(self, mem):
+        mem.free(mem.malloc(16 * _MIB))
+        before = _rss()
+        kept = mem.malloc(6 * _MIB)
+        mem.free(mem.malloc(6 * _MIB))
+        reused = mem.malloc(6 * _MIB)
+        mem.write(reused, b"x")
+        assert _rss() - before < _MIB
+        mem.free(kept)
+        mem.free(reused)
+        assert _rss() - before < _MIB
 
 
 class TestProperties:
