@@ -35,22 +35,16 @@ Observability flags (see ``docs/observability.md``):
 
 Virtual-time telemetry (see ``docs/observability.md``):
 
-``--slo``
-    Arm the windowed telemetry pipeline with the default SLO rule set
-    (goodput floor, retransmission-rate ceiling, ack-RTT p99 target)
-    and print each experiment's burn-rate alert log.  Purely
-    observational: virtual-time results are byte-identical with the
-    flag on or off.
 ``--timeline-out FILE``
-    Arm the windowed telemetry pipeline and write every cluster's
-    per-window series (counter deltas, gauge values, latency sketches)
-    and SLO alerts as deterministic JSONL -- byte-identical between
-    ``--jobs 1`` and ``--jobs N``.
+    Arm the windowed telemetry pipeline (100 virtual-us windows) and
+    write every cluster's per-window series (counter deltas, gauge
+    values, latency sketches) as deterministic JSONL -- byte-identical
+    between ``--jobs 1`` and ``--jobs N``.  Purely observational:
+    virtual-time results are byte-identical with the flag on or off.
 ``--flight-out FILE``
-    Write every flight-recorder black-box dump (SLO pages, engaged
-    fault clauses, unreachable peers) as deterministic JSONL.
-``--window-us F``
-    Timeline window width in virtual microseconds (default 100).
+    Arm the same pipeline and write every flight-recorder black-box
+    dump (engaged fault clauses, convicted or unreachable peers) as
+    deterministic JSONL.
 
 Parallelism (see ``docs/performance.md``):
 
@@ -193,19 +187,12 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--decompose", action="store_true",
                         help="print a Table-1-style per-phase latency"
                              " decomposition per experiment")
-    parser.add_argument("--slo", action="store_true",
-                        help="arm windowed telemetry with the default"
-                             " SLO rules and print burn-rate alerts")
     parser.add_argument("--timeline-out", metavar="FILE", default=None,
-                        help="write per-window telemetry series and SLO"
-                             " alerts as deterministic JSONL")
+                        help="write per-window telemetry series as"
+                             " deterministic JSONL")
     parser.add_argument("--flight-out", metavar="FILE", default=None,
                         help="write flight-recorder black-box dumps as"
                              " deterministic JSONL")
-    parser.add_argument("--window-us", type=float, default=None,
-                        metavar="F",
-                        help="telemetry window width in virtual"
-                             " microseconds (default: 100)")
     parser.add_argument("--quick", action="store_true",
                         help="reduced fig2/fig3/fig4, scale and chaos"
                              " sweeps (CI smoke)")
@@ -242,15 +229,12 @@ def main(argv: list[str]) -> int:
 
     spans_on = (opts.spans or opts.spans_out is not None
                 or opts.decompose)
-    telemetry_on = (opts.slo or opts.timeline_out is not None
+    telemetry_on = (opts.timeline_out is not None
                     or opts.flight_out is not None)
     telemetry_cfg = None
     if telemetry_on:
-        from ..obs import TelemetryConfig, default_rules
-        kwargs = {"slo": default_rules() if opts.slo else ()}
-        if opts.window_us is not None:
-            kwargs["window_us"] = opts.window_us
-        telemetry_cfg = TelemetryConfig(**kwargs)
+        from ..obs import TelemetryConfig
+        telemetry_cfg = TelemetryConfig()
     observing = (opts.metrics or opts.trace_out is not None
                  or spans_on or telemetry_on)
     if observing:
@@ -270,35 +254,15 @@ def main(argv: list[str]) -> int:
     # orphaned pool workers outlive the CLI otherwise.
     try:
         return _run(opts, names, submitters, observing, spans_on,
-                    pipelined)
+                    telemetry_on, pipelined)
     finally:
         parallel.shutdown()
 
 
-def _render_slo(name: str, captures) -> str:
-    """The ``--slo`` alert block of one experiment: every burn-rate
-    state transition of every armed cluster, in deterministic order."""
-    lines = []
-    for i, c in enumerate(captures):
-        if c.telemetry is None:
-            continue
-        for alert in c.telemetry["alerts"]:
-            lines.append(
-                f"  cluster #{i} t={alert['t_us']}us"
-                f" window={alert['window']}"
-                f" {alert['event'].upper()} {alert['rule']}"
-                f" (burn short={alert['short_burn']}"
-                f" long={alert['long_burn']})")
-    pages = sum(1 for line in lines if " PAGE " in line)
-    header = (f"-- slo: {name}: {len(lines)} alert transition(s),"
-              f" {pages} page(s) --")
-    return header + ("\n" + "\n".join(lines) if lines else "")
-
-
 def _write_timeline(telemetry_records, path: str) -> int:
-    """Write ``--timeline-out``: one JSONL line per series and per SLO
-    alert, tagged with experiment and cluster index.  Sorted keys and
-    fixed separators -- byte-comparable between ``--jobs`` modes."""
+    """Write ``--timeline-out``: one JSONL line per series, tagged
+    with experiment and cluster index.  Sorted keys and fixed
+    separators -- byte-comparable between ``--jobs`` modes."""
     nlines = 0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for name, idx, snap in telemetry_records:
@@ -311,18 +275,11 @@ def _write_timeline(telemetry_records, path: str) -> int:
                 fh.write(json.dumps(row, sort_keys=True,
                                     separators=(",", ":")) + "\n")
                 nlines += 1
-            for alert in snap["alerts"]:
-                row = {"experiment": name, "cluster": idx,
-                       "record": "alert"}
-                row.update(alert)
-                fh.write(json.dumps(row, sort_keys=True,
-                                    separators=(",", ":")) + "\n")
-                nlines += 1
     return nlines
 
 
 def _run(opts, names: list[str], submitters: dict, observing: bool,
-         spans_on: bool, pipelined: bool) -> int:
+         spans_on: bool, telemetry_on: bool, pipelined: bool) -> int:
     failed = 0
     trace_lines = 0
     first_trace = True
@@ -331,10 +288,8 @@ def _run(opts, names: list[str], submitters: dict, observing: bool,
     span_streams: list[list[dict]] = []
     #: (experiment, cluster index, TelemetryRuntime.snapshot()) of
     #: every armed cluster, in submission order -- the deterministic
-    #: source of --timeline-out / --flight-out / --slo output.
+    #: source of --timeline-out / --flight-out output.
     telemetry_records: list[tuple] = []
-    telemetry_out = (opts.slo or opts.timeline_out is not None
-                     or opts.flight_out is not None)
     pending: dict[str, Deferred] = {}
     if pipelined:
         # Submit every experiment up front: all sweeps flow through the
@@ -362,15 +317,12 @@ def _run(opts, names: list[str], submitters: dict, observing: bool,
         if name == "scale":
             scale_payload = getattr(result, "payload", None)
         decomposition = None
-        slo_block = None
         if observing:
-            if telemetry_out:
+            if telemetry_on:
                 telemetry_records.extend(
                     (name, i, c.telemetry)
                     for i, c in enumerate(captures)
                     if c.telemetry is not None)
-                if opts.slo:
-                    slo_block = _render_slo(name, captures)
             if opts.metrics:
                 result.metrics_blocks = [
                     f"-- metrics: {name} cluster #{i}"
@@ -399,9 +351,6 @@ def _run(opts, names: list[str], submitters: dict, observing: bool,
         if decomposition is not None:
             print()
             print(decomposition)
-        if slo_block is not None:
-            print()
-            print(slo_block)
         print(f"(regenerated in {wall:.1f}s"
               f" {'cpu' if pipelined else 'wall'} time)")
         print()

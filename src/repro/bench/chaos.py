@@ -28,7 +28,6 @@ fixed-timeout fault-free path.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Optional
 
 from ..errors import PeerUnreachableError
@@ -38,7 +37,7 @@ from ..faults import (AckLoss, Corruption, CpuDegrade, CpuPause,
 from ..obs import TelemetryConfig
 from .parallel import Deferred, JobSpec, submit
 from .report import ExperimentResult
-from .runner import armed_telemetry, bandwidth_mbs, fresh_cluster
+from .runner import bandwidth_mbs, fresh_cluster
 
 __all__ = ["run_chaos", "submit_chaos", "chaos_jobs", "chaos_point",
            "chaos_scenarios", "crash_point", "crash_scenarios",
@@ -56,8 +55,8 @@ CHAOS_MSGS = 24
 CHAOS_MSGS_QUICK = 10
 
 #: Timeline window of the chaos recovery curves, in virtual
-#: microseconds.  Fixed here -- not taken from ``--window-us`` -- so a
-#: scenario's ``goodput_windows`` series is a pure function of
+#: microseconds.  Fixed here -- not taken from the CLI-armed telemetry
+#: -- so a scenario's ``goodput_windows`` series is a pure function of
 #: (nbytes, nmsgs, schedule, seed) and the ``--faults-out`` file is
 #: byte-identical with or without the telemetry CLI flags.
 CHAOS_WINDOW_US = 250.0
@@ -150,19 +149,24 @@ def chaos_point(nbytes: int, nmsgs: int,
         if task.rank == 1:
             records["intact"] = mem.read(buf, nbytes) == payload
 
-    # Chaos always arms its own telemetry (fixed CHAOS_WINDOW_US, no
-    # rules): the per-window goodput curve IS the scenario's recovery
-    # record.  When the CLI armed SLO rules (--slo), they are grafted
-    # on so chaos clusters page too -- rule evaluation is passive, so
-    # the records below are identical either way.
-    tcfg = TelemetryConfig(window_us=CHAOS_WINDOW_US)
-    armed = armed_telemetry()
-    if armed is not None and armed.slo:
-        tcfg = dataclasses.replace(tcfg, slo=armed.slo)
-    cluster = fresh_cluster(2, seed=seed, faults=schedule,
-                            telemetry=tcfg)
-    cluster.run_job(main, stacks=("lapi",), interrupt_mode=False,
-                    until=2_000_000.0)
+    _run_scenario(2, schedule, seed, main, records)
+    return records
+
+
+def _run_scenario(nnodes: int, schedule: Optional[FaultSchedule],
+                  seed: int, main, records: dict, **job_kw):
+    """Run ``main`` on a fresh chaos cluster and add the records every
+    scenario shares to ``records``; returns ``(cluster, results)``.
+
+    Chaos always arms its own telemetry (fixed CHAOS_WINDOW_US): the
+    per-window goodput curve IS the scenario's recovery record.
+    """
+    cluster = fresh_cluster(
+        nnodes, seed=seed, faults=schedule,
+        telemetry=TelemetryConfig(window_us=CHAOS_WINDOW_US))
+    results = cluster.run_job(main, stacks=("lapi",),
+                              interrupt_mode=False,
+                              until=2_000_000.0, **job_kw)
     faults = cluster.faults
     records["fault_drops"] = (
         0 if faults is None
@@ -170,25 +174,26 @@ def chaos_point(nbytes: int, nmsgs: int,
     records["crc_drops"] = 0 if faults is None else faults.crc_drops
     records["virtual_us"] = round(cluster.sim.now, 6)
     # Time-resolved goodput: fresh payload bytes delivered per window,
-    # summed across both ranks' transports (rank 1 receives the puts,
-    # rank 0 receives fence traffic).  Gap windows (no deliveries) are
-    # simply absent -- consumers treat missing as zero.
+    # summed across every rank's transport (the put target receives
+    # the payload, everyone receives fence traffic).  Gap windows (no
+    # deliveries) are simply absent -- consumers treat missing as zero.
     timeline = cluster.telemetry.timeline
     timeline.finalize()
     per_window: dict[int, int] = {}
-    for rank in (0, 1):
+    for rank in range(nnodes):
         for w, delta in timeline.counter_windows(
                 "telemetry.transport", "rx_payload_bytes", node=rank):
             per_window[w] = per_window.get(w, 0) + delta
     records["window_us"] = CHAOS_WINDOW_US
     records["goodput_windows"] = [[w, per_window[w]]
                                   for w in sorted(per_window)]
-    #: Virtual time the first fault engaged (first drop/CRC discard);
-    #: None for the baseline and for schedules that never fired.
+    # Virtual time the first fault engaged (first drop/CRC discard, or
+    # the crash itself); None for the baselines and for schedules that
+    # never fired.
     first = None if faults is None else faults.first_fault_us
     records["detection_us"] = (None if first is None
                                else round(first, 3))
-    return records
+    return cluster, results
 
 
 def crash_scenarios(quick: bool = False) -> list[tuple[str,
@@ -285,46 +290,22 @@ def crash_point(nbytes: int, nmsgs: int,
             records["intact"] = mem.read(buf, nbytes) == payload
         return sent
 
-    tcfg = TelemetryConfig(window_us=CHAOS_WINDOW_US)
-    armed = armed_telemetry()
-    if armed is not None and armed.slo:
-        tcfg = dataclasses.replace(tcfg, slo=armed.slo)
-    cluster = fresh_cluster(CRASH_NNODES, seed=seed, faults=schedule,
-                            telemetry=tcfg)
-    results = cluster.run_job(main, stacks=("lapi",),
-                              interrupt_mode=False,
-                              until=2_000_000.0,
-                              on_peer_failure="continue")
+    cluster, results = _run_scenario(CRASH_NNODES, schedule, seed, main,
+                                     records,
+                                     on_peer_failure="continue")
     records["sent_per_rank"] = [r if isinstance(r, int) else None
                                 for r in results]
     faults = cluster.faults
-    records["fault_drops"] = (
-        0 if faults is None
-        else faults.ge_drops + faults.outage_drops + faults.ack_drops)
-    records["crc_drops"] = 0 if faults is None else faults.crc_drops
     records["crash_dropped"] = sum(
         node.adapter.rx_crash_dropped + node.adapter.tx_crash_dropped
         for node in cluster.nodes)
     records["threads_killed"] = (0 if faults is None
                                  else faults.threads_killed)
-    records["virtual_us"] = round(cluster.sim.now, 6)
-    timeline = cluster.telemetry.timeline
-    timeline.finalize()
-    per_window: dict[int, int] = {}
-    for rank in range(CRASH_NNODES):
-        for w, delta in timeline.counter_windows(
-                "telemetry.transport", "rx_payload_bytes", node=rank):
-            per_window[w] = per_window.get(w, 0) + delta
-    records["window_us"] = CHAOS_WINDOW_US
-    records["goodput_windows"] = [[w, per_window[w]]
-                                  for w in sorted(per_window)]
     # Crash/recovery instants.  ``detection_us`` keeps the chaos-table
     # meaning (first fault engaged = the crash itself); conviction is
     # when the heartbeat detector *observed* it, and their difference
     # is the detection latency the table reports.
     first = None if faults is None else faults.first_fault_us
-    records["detection_us"] = (None if first is None
-                               else round(first, 3))
     records["crash_events"] = (
         [] if faults is None
         else [[round(t, 3), node, what]
@@ -347,18 +328,11 @@ def crash_point(nbytes: int, nmsgs: int,
             None if first_conv is None or first is None
             else round(first_conv - first, 3))
     # Black-box dumps (conviction/crash triggers): the bench's crash
-    # artifact, exported via --faults-out for CI to archive.  Only the
-    # crash-forensic reasons are kept: globally-armed telemetry (e.g.
-    # --slo) may trigger its own dumps, and --faults-out must stay a
-    # pure function of the job args.
-    # (their global dump "seq" is dropped for the same reason: an
-    # SLO-triggered dump in between would renumber ours).
-    flight = cluster.sim.flight
-    records["flight"] = [] if flight is None else [
-        {k: v for k, v in d.items() if k != "seq"}
-        for d in flight.dump_dicts()
-        if d.get("reason") in ("fault-engaged", "peer-convicted",
-                               "peer-unreachable")]
+    # artifact, exported via --faults-out for CI to archive.  A dump's
+    # "seq" is only its position in this list; it is left out so the
+    # --faults-out records keep their byte format.
+    records["flight"] = [{k: v for k, v in d.items() if k != "seq"}
+                         for d in cluster.sim.flight.dump_dicts()]
     return records
 
 

@@ -27,7 +27,7 @@ __all__ = ["fresh_cluster", "mean", "reps_for_size", "SIZE_SWEEP",
            "bandwidth_mbs", "configure_observability",
            "captured_clusters", "ClusterCapture", "capture_cluster",
            "record_captures", "drain_captures",
-           "observability_kwargs", "armed_telemetry", "peak_rss_mb"]
+           "observability_kwargs", "peak_rss_mb"]
 
 #: Message-size sweep of Figure 2 (16 bytes to 2 MB).
 SIZE_SWEEP = [16, 64, 256, 1024, 4096, 8192, 16384, 32768, 65536,
@@ -45,8 +45,8 @@ class _Observability:
         self.capture = False
         #: Arm causal span tracing (``--spans``/``--decompose``).
         self.spans = False
-        #: Armed :class:`repro.obs.TelemetryConfig` (``--slo`` /
-        #: ``--timeline-out``), or None.  Frozen and picklable, so
+        #: Armed :class:`repro.obs.TelemetryConfig` (``--timeline-out``
+        #: / ``--flight-out``), or None.  Frozen and picklable, so
         #: :func:`observability_kwargs` ships it to sweep workers
         #: verbatim and every worker arms the parent's exact config.
         self.telemetry = None
@@ -89,16 +89,6 @@ def observability_kwargs() -> dict:
             "trace_categories": _OBS.trace_categories}
 
 
-def armed_telemetry():
-    """The CLI-armed :class:`repro.obs.TelemetryConfig`, or None.
-
-    The chaos bench reads this to graft the armed SLO rules onto its
-    own always-on telemetry config (its recovery curves use a fixed
-    window so the ``--faults-out`` records are identical with or
-    without ``--slo``)."""
-    return _OBS.telemetry
-
-
 def captured_clusters() -> list[Cluster]:
     """Drain the clusters captured since the last call (CLI hook)."""
     clusters = _OBS.clusters
@@ -128,7 +118,7 @@ class ClusterCapture:
     #: from a live in-process cluster.
     spans: list[dict] = field(default_factory=list)
     #: Telemetry snapshot (``TelemetryRuntime.snapshot()``: windowed
-    #: series, SLO alert log, flight dumps) when the cluster was armed.
+    #: series and flight dumps) when the cluster was armed.
     #: Plain nested dicts in deterministic order, so worker-shipped and
     #: in-process captures serialize byte-identically.
     telemetry: Optional[dict] = None

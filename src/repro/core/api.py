@@ -165,16 +165,12 @@ class Lapi:
                                    self.transport.metrics, node=rank)
         telemetry = self.task.cluster.telemetry
         if telemetry is not None:
-            # Timeline-only goodput/retransmit streams: per-window
-            # curves with no end-of-run metric, so the registry's
-            # snapshots/renders stay identical armed or disarmed.
+            # Timeline-only goodput stream: a per-window curve with
+            # no end-of-run metric, so the registry's snapshots/renders
+            # stay identical armed or disarmed.
             tl = telemetry.timeline
             self.transport.rx_goodput_bytes = tl.stream_counter(
                 "telemetry.transport", "rx_payload_bytes", node=rank)
-            self.transport.rx_goodput_packets = tl.stream_counter(
-                "telemetry.transport", "rx_packets", node=rank)
-            self.transport.retx_stream = tl.stream_counter(
-                "telemetry.transport", "retransmits", node=rank)
         self.dispatcher.ooo_depth = metrics.histogram(
             "core.dispatcher", "reassembly_ooo_depth", node=rank,
             buckets=DEPTH_BUCKETS)

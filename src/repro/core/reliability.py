@@ -221,16 +221,13 @@ class ReliableTransport:
         #: virtual-time gap between a packet's (latest) injection and
         #: its acknowledgement.  Installed by the owning stack.
         self.ack_rtt = None
-        #: Optional timeline counter streams
+        #: Optional timeline counter stream
         #: (:mod:`repro.obs.timeline`), installed by the owning stack
         #: when cluster telemetry is armed: fresh (first-delivery)
-        #: payload bytes and packets received, and retransmissions --
-        #: the per-window goodput/retransmit curves the chaos bench and
-        #: the SLO goodput floor read.  Disarmed, each hot path pays a
+        #: payload bytes received -- the per-window goodput curve the
+        #: chaos bench reads.  Disarmed, the delivery path pays a
         #: single ``is None`` test.
         self.rx_goodput_bytes = None
-        self.rx_goodput_packets = None
-        self.retx_stream = None
 
     # ------------------------------------------------------------------
     @property
@@ -385,8 +382,6 @@ class ReliableTransport:
             st.attempts[seq] = tries
             self.retransmissions += 1
             retransmitted_any = True
-            if self.retx_stream is not None:
-                self.retx_stream.add(1)
             flight = self.sim.flight
             if flight is not None:
                 flight.note(self.adapter.node_id, "core.reliability",
@@ -542,7 +537,6 @@ class ReliableTransport:
             # packets are *not* goodput -- that distinction is the whole
             # point of the per-window recovery curves.
             self.rx_goodput_bytes.add(len(packet.payload))
-            self.rx_goodput_packets.add(1)
         return fresh
 
     def _observe_rtt(self, st: _PeerTx, sample: float) -> None:

@@ -179,9 +179,8 @@ class Cluster:
                                         self.switch.metrics)
         #: Armed virtual-time telemetry (``repro.obs.timeline``), or
         #: None.  Passing a :class:`repro.obs.TelemetryConfig` builds
-        #: the windowed timeline over this registry, hangs the flight
-        #: recorder off ``sim.flight``, and -- when the config carries
-        #: SLO rules -- arms burn-rate alerting.  Purely observational:
+        #: the windowed timeline over this registry and hangs the
+        #: flight recorder off ``sim.flight``.  Purely observational:
         #: snapshots, renders, virtual time, and event counts are
         #: identical armed or disarmed.
         self.telemetry = None

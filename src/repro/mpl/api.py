@@ -139,16 +139,12 @@ class Mpl:
                                    self.transport.metrics, node=rank)
         telemetry = self.task.cluster.telemetry
         if telemetry is not None:
-            # Same timeline-only streams as the LAPI stack, under the
-            # shared "telemetry.transport" subsystem so cross-stack
-            # goodput sums per window (the SLO floor reads the sum).
+            # Same timeline-only goodput stream as the LAPI stack,
+            # under the shared "telemetry.transport" subsystem so
+            # cross-stack goodput sums per window.
             tl = telemetry.timeline
             self.transport.rx_goodput_bytes = tl.stream_counter(
                 "telemetry.transport", "rx_payload_bytes", node=rank)
-            self.transport.rx_goodput_packets = tl.stream_counter(
-                "telemetry.transport", "rx_packets", node=rank)
-            self.transport.retx_stream = tl.stream_counter(
-                "telemetry.transport", "retransmits", node=rank)
         metrics.register_collector("mpl.matching",
                                    self._matching_metrics, node=rank)
 

@@ -46,32 +46,25 @@ from .profile import (MANDATORY_PHASES, PHASE_ORDER, SIZE_BUCKETS,
                       bucket_of, critical_path, decompose, percentile,
                       render_critical_path, render_decomposition)
 from .sketch import DEFAULT_ALPHA, QuantileSketch, merge_sketches
-from .slo import (BurnRatePolicy, ErrorRateSlo, GoodputSlo, LatencySlo,
-                  SloEvaluator, default_rules)
 from .spans import SPAN_SCHEMA_KEYS, Span, SpanRecorder, span_to_dict
 from .timeline import (TelemetryConfig, TelemetryRuntime, Timeline,
                        DEFAULT_WINDOW_US)
 
 __all__ = [
-    "BurnRatePolicy",
     "Counter",
     "DEFAULT_ALPHA",
     "DEFAULT_WINDOW_US",
     "DEPTH_BUCKETS",
-    "ErrorRateSlo",
     "FlightRecorder",
     "Gauge",
-    "GoodputSlo",
     "Histogram",
     "LATENCY_BUCKETS_US",
-    "LatencySlo",
     "MANDATORY_PHASES",
     "MetricsRegistry",
     "PHASE_ORDER",
     "QuantileSketch",
     "SIZE_BUCKETS",
     "SPAN_SCHEMA_KEYS",
-    "SloEvaluator",
     "Span",
     "SpanRecorder",
     "TelemetryConfig",
@@ -82,7 +75,6 @@ __all__ = [
     "coerce_value",
     "critical_path",
     "decompose",
-    "default_rules",
     "jsonl_lines",
     "merge_sketches",
     "percentile",

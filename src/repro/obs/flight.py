@@ -1,13 +1,13 @@
 """Fault-triggered flight recorder: a bounded black box per node.
 
-When something goes wrong mid-run -- an SLO page, a
-``PeerUnreachableError`` surfacing through the error handler, a fault
-clause engaging -- the interesting evidence is what each node was
-doing in the *moments before*, and by the end of the run that context
-is gone.  This module keeps a bounded ring of recent notes per node
-(retransmit timer fires, fault verdicts, delivery stalls) and, when a
-trigger fires, snapshots every ring into a dump: the aircraft
-flight-recorder pattern.
+When something goes wrong mid-run -- a ``PeerUnreachableError``
+surfacing through the error handler, a peer convicted by the failure
+detector, a fault clause engaging -- the interesting evidence is what
+each node was doing in the *moments before*, and by the end of the run
+that context is gone.  This module keeps a bounded ring of recent
+notes per node (retransmit timer fires, fault verdicts, delivery
+stalls) and, when a trigger fires, snapshots every ring into a dump:
+the aircraft flight-recorder pattern.
 
 Design constraints, same as the rest of ``repro.obs``:
 

@@ -1,7 +1,7 @@
 """Deterministic log-bucketed quantile sketches (DDSketch-style).
 
 The paper's profiles are quantile-shaped -- Table 1 decomposes a
-*median* latency, the serving roadmap wants p50/p99/p99.9 SLOs -- but
+*median* latency, the timeline reports p50/p99/p99.9 per window -- but
 the fixed-bucket :class:`repro.obs.Histogram` cannot answer "what is
 p99 of this window's latencies" with a useful error bound.  This
 module adds the standard streaming answer: a sketch that buckets each

@@ -1,6 +1,6 @@
 """Telemetry contracts: zero perturbation, jobs-N byte-identity.
 
-The ``--slo`` / ``--timeline-out`` / ``--flight-out`` pipeline is
+The ``--timeline-out`` / ``--flight-out`` pipeline is
 purely observational: arming it must not move a single virtual-time
 observable, and every artifact it writes must be byte-identical
 between ``--jobs 1`` and ``--jobs N`` and with or without the flags
@@ -14,7 +14,7 @@ import pytest
 from repro.bench import __main__ as cli
 from repro.bench import parallel, runner
 from repro.bench.runner import fresh_cluster
-from repro.obs import TelemetryConfig, default_rules
+from repro.obs import TelemetryConfig
 
 
 @pytest.fixture
@@ -46,7 +46,7 @@ class TestZeroPerturbation:
     def test_armed_run_matches_disarmed_virtual_time(self,
                                                      restore_engine):
         disarmed = self._run(None)
-        armed = self._run(TelemetryConfig(slo=default_rules()))
+        armed = self._run(TelemetryConfig())
         assert armed.sim.now == disarmed.sim.now
         assert armed.sim.events_processed == \
             disarmed.sim.events_processed
@@ -56,7 +56,7 @@ class TestZeroPerturbation:
         assert snap["timeline"]["series"]
 
     def test_armed_snapshot_is_deterministic(self, restore_engine):
-        cfg = TelemetryConfig(slo=default_rules())
+        cfg = TelemetryConfig()
         a = self._run(cfg).telemetry.snapshot()
         b = self._run(cfg).telemetry.snapshot()
         assert a == b
@@ -65,7 +65,7 @@ class TestZeroPerturbation:
 
 
 class TestCliArtifactIdentity:
-    def _chaos_run(self, tmp_path, tag, jobs, slo=True):
+    def _chaos_run(self, tmp_path, tag, jobs):
         paths = {
             "timeline": tmp_path / f"timeline_{tag}.jsonl",
             "flight": tmp_path / f"flight_{tag}.jsonl",
@@ -75,8 +75,6 @@ class TestCliArtifactIdentity:
                 "--timeline-out", str(paths["timeline"]),
                 "--flight-out", str(paths["flight"]),
                 "--jobs", str(jobs), "chaos"]
-        if slo:
-            argv.insert(0, "--slo")
         assert cli.main(argv) == 0
         return {k: p.read_bytes() for k, p in paths.items()}
 
@@ -90,19 +88,6 @@ class TestCliArtifactIdentity:
         # The artifacts carry real content, not empty parity.
         assert serial["timeline"].count(b"\n") > 10
         assert serial["flight"].count(b"\n") > 0
-
-    def test_slo_alert_log_matches_across_jobs(self, restore_engine,
-                                               tmp_path, capsys):
-        self._chaos_run(tmp_path, "s1", jobs=1)
-        out_serial = capsys.readouterr().out
-        self._chaos_run(tmp_path, "s4", jobs=4)
-        out_pooled = capsys.readouterr().out
-        pick = lambda out: [line for line in out.splitlines()
-                            if "slo:" in line or "PAGE" in line
-                            or "WARN" in line or "CLEAR" in line]
-        serial_alerts = pick(out_serial)
-        assert serial_alerts, "expected SLO output lines"
-        assert pick(out_pooled) == serial_alerts
 
     def test_faults_out_identical_without_telemetry_flags(
             self, restore_engine, tmp_path, capsys):

@@ -1,9 +1,10 @@
-"""Timeline: window boundaries, ring bounds, close listeners."""
+"""Timeline: window boundaries, ring bounds, per-series close."""
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.obs import TelemetryConfig, Timeline
+from repro.obs.timeline import RING_WINDOWS
 
 
 class FakeSim:
@@ -22,10 +23,6 @@ class TestConfig:
     def test_validate_rejects_bad_values(self):
         with pytest.raises(SimulationError):
             TelemetryConfig(window_us=0.0).validate()
-        with pytest.raises(SimulationError):
-            TelemetryConfig(ring_windows=0).validate()
-        with pytest.raises(SimulationError):
-            TelemetryConfig(flight_entries=0).validate()
         TelemetryConfig().validate()
 
     @pytest.mark.parametrize("window_us", [float("nan"), float("inf"),
@@ -99,15 +96,34 @@ class TestWindowing:
                                                            rel=0.02)
 
     def test_ring_is_bounded(self):
-        sim, tl = make_timeline(window_us=1.0, ring_windows=4)
+        sim, tl = make_timeline(window_us=1.0)
         c = tl.stream_counter("sub", "x")
-        for w in range(10):
+        nwindows = RING_WINDOWS + 6
+        for w in range(nwindows):
             sim.now = float(w)
             c.add(w + 1)
         tl.finalize()
         windows = tl.counter_windows("sub", "x")
-        assert len(windows) == 4
-        assert windows == [[6, 7], [7, 8], [8, 9], [9, 10]]
+        assert len(windows) == RING_WINDOWS
+        assert windows == [[w, w + 1]
+                           for w in range(6, nwindows)]
+
+    def test_idle_series_keeps_its_window_while_another_wraps(self):
+        # Series close independently: one that never moves past
+        # window 0 keeps its cell until finalize(), however far other
+        # series advance (and wrap their own rings) meanwhile.
+        sim, tl = make_timeline(window_us=1.0)
+        idle = tl.stream_counter("sub", "idle")
+        busy = tl.stream_counter("sub", "busy")
+        idle.add(3)
+        nwindows = RING_WINDOWS + 10
+        for w in range(nwindows):
+            sim.now = float(w)
+            busy.add(1)
+        tl.finalize()
+        assert tl.counter_windows("sub", "idle") == [[0, 3]]
+        assert tl.counter_windows("sub", "busy") == [
+            [w, 1] for w in range(nwindows - RING_WINDOWS, nwindows)]
 
     def test_finalize_is_idempotent(self):
         sim, tl = make_timeline(window_us=10.0)
@@ -123,22 +139,6 @@ class TestWindowing:
 
 
 class TestListeners:
-    def test_listener_sees_each_closed_window_once(self):
-        sim, tl = make_timeline(window_us=10.0)
-        seen = []
-        tl.add_close_listener(
-            lambda w, end, values: seen.append((w, end, dict(values))))
-        c = tl.stream_counter("sub", "x", node=0)
-        c.add(2)
-        sim.now = 30.0
-        c.add(5)  # closes windows 0..2; only window 0 carries data
-        tl.finalize()  # closes window 3
-        assert [(w, end) for w, end, _ in seen] == [
-            (0, 10.0), (1, 20.0), (2, 30.0), (3, 40.0)]
-        assert seen[0][2] == {("sub", "0", "x"): ("counter", 2)}
-        assert seen[1][2] == {}  # gap window: no values
-        assert seen[3][2] == {("sub", "0", "x"): ("counter", 5)}
-
     def test_series_registry_is_get_or_create(self):
         _, tl = make_timeline()
         a = tl.stream_counter("sub", "x", node=3)
