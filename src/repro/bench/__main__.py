@@ -20,10 +20,6 @@ Observability flags (see ``docs/observability.md``):
     Attach a structured tracer to every cluster and write all trace
     records to ``FILE`` as JSONL
     (``time_us, node, subsystem, event, fields``; ``.gz`` supported).
-``--spans``
-    Record causal phase spans on every cluster (implied by the two
-    flags below).  Purely observational: virtual-time results are
-    byte-identical with spans on or off.
 ``--decompose``
     Print a Table-1-style per-phase latency decomposition (count /
     mean / p50 / p99 per subsystem, phase, and message-size bucket)
@@ -32,6 +28,10 @@ Observability flags (see ``docs/observability.md``):
     Write all spans as a Chrome trace-event JSON file, loadable at
     https://ui.perfetto.dev (``.gz`` supported): one track per node,
     flow arrows for every wire hop.
+
+``--decompose`` and ``--spans-out`` record causal phase spans on every
+cluster.  Spans are purely observational: virtual-time results are
+byte-identical with them on or off.
 
 Virtual-time telemetry (see ``docs/observability.md``):
 
@@ -177,10 +177,6 @@ def main(argv: list[str]) -> int:
                         help="print per-subsystem metrics blocks")
     parser.add_argument("--trace-out", metavar="FILE", default=None,
                         help="write structured JSONL traces to FILE")
-    parser.add_argument("--spans", action="store_true",
-                        help="record causal phase spans on every"
-                             " cluster (implied by --spans-out /"
-                             " --decompose)")
     parser.add_argument("--spans-out", metavar="FILE", default=None,
                         help="write a Chrome trace-event JSON file"
                              " (Perfetto-loadable; .gz supported)")
@@ -227,8 +223,7 @@ def main(argv: list[str]) -> int:
             and "scale" not in names):
         names.append("scale")
 
-    spans_on = (opts.spans or opts.spans_out is not None
-                or opts.decompose)
+    spans_on = opts.spans_out is not None or opts.decompose
     telemetry_on = (opts.timeline_out is not None
                     or opts.flight_out is not None)
     telemetry_cfg = None

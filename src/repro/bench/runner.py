@@ -43,7 +43,7 @@ class _Observability:
         #: Retain clusters without attaching metrics/trace machinery
         #: (the ledger reads their kernel counters).
         self.capture = False
-        #: Arm causal span tracing (``--spans``/``--decompose``).
+        #: Arm causal span tracing (``--spans-out``/``--decompose``).
         self.spans = False
         #: Armed :class:`repro.obs.TelemetryConfig` (``--timeline-out``
         #: / ``--flight-out``), or None.  Frozen and picklable, so
@@ -113,7 +113,7 @@ class ClusterCapture:
     events: int
     metrics_block: Optional[str] = None
     trace: list[dict] = field(default_factory=list)
-    #: Serialized spans of this cluster (``--spans``), in canonical
+    #: Serialized spans of this cluster (``--spans-out``), in canonical
     #: order -- identical whether shipped from a worker or drained
     #: from a live in-process cluster.
     spans: list[dict] = field(default_factory=list)

@@ -36,141 +36,50 @@ from typing import (TYPE_CHECKING, Any, Callable, Generator, Optional,
                     Union)
 
 from ..errors import LapiError
-from ..machine.cpu import INTERRUPT
 from .amsend import do_amsend
-from .constants import PacketKind, QenvKey, RmwOp, SenvKey
+from .constants import QenvKey, RmwOp, SenvKey
 from .context import LapiContext, RmwPending
 from .counters import LapiCounter
 from .dispatcher import Dispatcher
+from .endpoint import Endpoint
 from .env import do_qenv, do_senv
 from .fence import do_fence, do_gfence
 from .protocol import PROTO
 from .putget import do_get, do_put
-from .reliability import ReliableTransport
 from .rmw import do_rmw
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..machine.cluster import Task
-    from ..machine.cpu import Thread
 
 __all__ = ["Lapi"]
 
 
-class Lapi:
+class Lapi(Endpoint):
     """LAPI communication handle of one task.
 
     Constructed by :meth:`repro.machine.cluster.Cluster.run_job`; user
     code reaches it as ``task.lapi``.
     """
 
+    PROTO = PROTO
+    PREFIX = "lapi"
+    LAYER = "core"
+    Error = LapiError
+    MISUSE = ("LAPI used before LAPI_Init", "LAPI used after LAPI_Term",
+              "LAPI_Init called twice")
+    Context = LapiContext
+    Dispatcher = Dispatcher
+
     def __init__(self, task: "Task", interrupt_mode: bool = True,
                  error_handler: Optional[Callable] = None) -> None:
-        self.task = task
-        self.config = task.node.config
-        cluster = task.cluster
-        #: The cluster's simulator, span recorder (None when tracing is
-        #: off) and tracer, taken once here so no operation goes
-        #: through the task's weak cluster reference.
-        self.sim = cluster.sim
-        self.spans = self.sim.spans
-        self.trace = cluster.trace
-        self.ctx = LapiContext(self.sim, task.rank, task.size)
-        self.interrupt_mode = interrupt_mode
-        self.client = None
-        self.transport: Optional[ReliableTransport] = None
-        self.dispatcher: Optional[Dispatcher] = None
-        self._initialized = False
-        self._terminated = False
-        #: User error handler (the ``LAPI_Init`` registration): called
-        #: with the terminal error when the transport declares a peer
-        #: unreachable.  A truthy return suppresses the failure (the
-        #: handler recovered); otherwise the run terminates cleanly
-        #: through ``Cluster.fail_run``.
-        self._error_handler: Optional[Callable] = None
+        super().__init__(task, interrupt_mode)
         self.register_error_handler(error_handler)
 
-    # convenient shorthands ------------------------------------------------
-    @property
-    def memory(self):
-        return self.task.node.memory
-
-    @property
-    def rank(self) -> int:
-        return self.ctx.rank
-
-    @property
-    def size(self) -> int:
-        return self.ctx.size
-
-    @property
-    def stats(self):
-        return self.ctx.stats
-
-    def current_thread(self) -> "Thread":
-        """The CPU thread executing the current call."""
-        return self.task.node.cpu.current_thread()
-
-    def _check_live(self) -> None:
-        if not self._initialized:
-            raise LapiError("LAPI used before LAPI_Init")
-        if self._terminated:
-            raise LapiError("LAPI used after LAPI_Term")
-
-    # ------------------------------------------------------------------
-    # setup
-    # ------------------------------------------------------------------
-    def init(self) -> Generator:
-        """LAPI_Init: attach to the adapter and start progress engines."""
-        if self._initialized:
-            raise LapiError("LAPI_Init called twice")
-        thread = self.current_thread()
-        yield from thread.execute(self.config.lapi_call_overhead)
-        adapter = self.task.node.adapter
-        self.client = adapter.attach_client(PROTO)
-        cfg = self.config
-        # adaptive_rto=None means auto: Jacobson/Karels timing exactly
-        # when a fault schedule is installed, fixed-timeout arithmetic
-        # (and its bit-exact virtual-time trajectory) otherwise.
-        adaptive = (cfg.adaptive_rto if cfg.adaptive_rto is not None
-                    else self.task.cluster.faults is not None)
-        self.transport = ReliableTransport(
-            self.sim, adapter, PROTO,
-            window=cfg.lapi_window,
-            timeout=cfg.lapi_retrans_timeout,
-            adaptive=adaptive, rto_min=cfg.rto_min,
-            rto_max=cfg.rto_max, backoff=cfg.rto_backoff,
-            degraded_after=cfg.peer_degraded_after,
-            retry_budget=cfg.retry_budget)
-        self.dispatcher = Dispatcher(self)
-        self.transport.wait_credit = self._wait_credit
-        self.transport.on_progress = self.ctx.progress_ws.notify_all
-        self.transport.on_fatal = self._transport_fatal
-        self.client.delivery_filter = self._ack_fast_path
-        self.client.on_arrival = self._spawn_interrupt_dispatcher
-        self.client.interrupts_enabled = self.interrupt_mode
-        self._register_metrics()
-        resilience = self.task.cluster.resilience
-        if resilience is not None:
-            resilience.attach_stack(self.task.node.node_id, self)
-        self._initialized = True
-
     def _register_metrics(self) -> None:
-        """Wire this stack into the cluster's observability registry."""
         from ..obs import DEPTH_BUCKETS
+        super()._register_metrics()
         metrics = self.task.cluster.metrics
         rank = self.ctx.rank
-        self.transport.ack_rtt = metrics.histogram(
-            "core.reliability", "ack_rtt_us", node=rank)
-        metrics.register_collector("core.reliability",
-                                   self.transport.metrics, node=rank)
-        telemetry = self.task.cluster.telemetry
-        if telemetry is not None:
-            # Timeline-only goodput stream: a per-window curve with
-            # no end-of-run metric, so the registry's snapshots/renders
-            # stay identical armed or disarmed.
-            tl = telemetry.timeline
-            self.transport.rx_goodput_bytes = tl.stream_counter(
-                "telemetry.transport", "rx_payload_bytes", node=rank)
         self.dispatcher.ooo_depth = metrics.histogram(
             "core.dispatcher", "reassembly_ooo_depth", node=rank,
             buckets=DEPTH_BUCKETS)
@@ -188,14 +97,6 @@ class Lapi:
             "bytes_received": s.bytes_received,
             "local_fastpaths": s.local_fastpaths,
         }
-
-    def _wait_credit(self, thread, event) -> Generator:
-        """Block on a send-window credit, driving progress if polling."""
-        if self.interrupt_mode:
-            yield from thread.wait(event)
-        else:
-            while not event.triggered:
-                yield from self.dispatcher.poll_step(thread)
 
     def register_error_handler(self, fn: Optional[Callable]) -> None:
         """Register (or clear) the LAPI error handler.
@@ -217,96 +118,6 @@ class Lapi:
                 f"LAPI error handler must be callable, got"
                 f" {type(fn).__name__}")
         self._error_handler = fn
-
-    def _transport_fatal(self, err) -> None:
-        """Terminal transport failure: user handler, then fail_run.
-
-        The handler runs inside a bare kernel timer callback (the
-        retransmit timer) or a detector conviction, so an exception it
-        raises must not escape: it is captured, chained to the original
-        transport error (``__cause__``), and routed through
-        ``Cluster.fail_run`` like the failure it was handling.
-        """
-        handler = self._error_handler
-        if handler is not None:
-            try:
-                if handler(err):
-                    return
-            except BaseException as handler_exc:
-                handler_exc.__cause__ = err
-                self.task.cluster.fail_run(handler_exc)
-                return
-        self.task.cluster.fail_run(err)
-
-    # ------------------------------------------------------------------
-    # failure-detector integration (called by repro.resilience)
-    # ------------------------------------------------------------------
-    def peer_unreachable(self, peer: int, err) -> None:
-        """The failure detector convicted ``peer``.
-
-        Crash-aware cleanup first (always): the peer joins
-        ``ctx.dead_peers`` (gfence rounds stop waiting for its token),
-        the transport's circuit breaker opens and in-flight operations
-        toward it complete in error (counters fire, credits post), and
-        progress waiters are notified so blocked predicates re-check.
-        Then policy: under ``on_peer_failure="fail"`` the error routes
-        through the registered handler and ``Cluster.fail_run``; under
-        ``"continue"`` the survivors keep running degraded.
-        """
-        self.ctx.dead_peers.add(peer)
-        self.transport.peer_down(peer)
-        self.ctx.progress_ws.notify_all()
-        if self.task.cluster.on_peer_failure == "fail":
-            self._transport_fatal(err)
-
-    def peer_absolved(self, peer: int) -> None:
-        """The detector heard from a convicted peer again (machine
-        restart): close the breaker.  The peer's *task* stays dead, so
-        it remains in ``dead_peers`` -- reachability is not
-        resurrection."""
-        self.transport.breaker_close(peer)
-
-    def crash_reset(self) -> None:
-        """This stack's own node restarted after a fail-stop crash:
-        clear all protocol state (the restarted machine has no memory
-        of in-flight transfers)."""
-        self.transport._tx.clear()
-        self.transport._rx.clear()
-        ctx = self.ctx
-        ctx.send_msgs.clear()
-        ctx.recv_asm.clear()
-        ctx.pending_gets.clear()
-        ctx.pending_rmws.clear()
-        ctx.outstanding.clear()
-        ctx.barrier_tokens.clear()
-
-    def _ack_fast_path(self, packet) -> bool:
-        """Adapter-level handling of transport acknowledgements.
-
-        Window bookkeeping is adapter-assisted: ACKs neither occupy the
-        RX FIFO nor raise interrupts, so pure ack traffic never
-        perturbs dispatcher scheduling (and cannot mask data-packet
-        interrupts).
-        """
-        if packet.kind == PacketKind.ACK:
-            self.transport.on_ack(packet)
-            return True
-        return False
-
-    def term(self) -> Generator:
-        """LAPI_Term: quiesce (collective) and detach."""
-        self._check_live()
-        yield from self.gfence()
-        yield from self.wait_for(lambda: self.ctx.active_handlers == 0)
-        # All peers have passed the gfence: nothing further will arrive.
-        self._terminated = True
-        self.client.interrupts_enabled = False
-
-    def _spawn_interrupt_dispatcher(self) -> None:
-        """Adapter arrival hook: run the dispatcher at interrupt priority."""
-        self.task.node.cpu.spawn(
-            self.dispatcher.interrupt_service,
-            name=f"lapi{self.rank}.irq", priority=INTERRUPT)
 
     def set_interrupt_mode(self, enabled: bool) -> None:
         """Switch between interrupt (True) and polling (False) modes."""
@@ -363,17 +174,6 @@ class Lapi:
         yield from thread.execute(self.config.poll_check_cost)
         if self.client.pending > 0:
             yield from self.dispatcher.drain(thread)
-
-    def wait_for(self, predicate: Callable[[], bool]) -> Generator:
-        """Block until ``predicate()`` holds, driving progress as the
-        current mode requires.  Internal building block for fence,
-        rmw_sync, and the GA layer."""
-        thread = self.current_thread()
-        while not predicate():
-            if self.interrupt_mode:
-                yield from thread.wait(self.ctx.progress_ws.wait())
-            else:
-                yield from self.dispatcher.poll_step(thread)
 
     # ------------------------------------------------------------------
     # data transfer

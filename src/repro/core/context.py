@@ -192,6 +192,15 @@ class LapiContext:
         self.active_handlers = 0
         self.stats = LapiStats()
 
+    def crash_reset(self) -> None:
+        """Forget every in-flight transfer (fail-stop node restart)."""
+        self.send_msgs.clear()
+        self.recv_asm.clear()
+        self.pending_gets.clear()
+        self.pending_rmws.clear()
+        self.outstanding.clear()
+        self.barrier_tokens.clear()
+
     # ------------------------------------------------------------------
     def new_counter(self, name: str = "") -> LapiCounter:
         cid = self._next_counter_id

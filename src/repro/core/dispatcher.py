@@ -18,10 +18,10 @@ module implements it:
   emits (ACKs, completions, RMW replies) rides the control path, and
   get requests are serviced by spawned threads.
 
-The dispatcher runs in two modes matching the paper's progress model:
-interrupt mode spawns an INTERRUPT-priority thread per arrival burst;
-polling mode runs the same code inline from LAPI calls
-(:meth:`Dispatcher.poll_step`).
+The receive loop itself -- interrupt and polling modes, the dispatch
+lock, duplicate suppression -- is shared with MPL
+(:class:`repro.core.endpoint.EndpointDispatcher`); this module is
+LAPI's per-packet-kind handling.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from typing import TYPE_CHECKING, Generator, Optional
 
 from ..errors import LapiError
 from ..machine.cpu import HANDLER
-from ..sim.park import linger_loop, poll_step
 from .constants import PacketKind
 from .context import RecvAssembly
+from .endpoint import EndpointDispatcher
 from .protocol import control_packet, get_reply_packets
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -55,111 +55,48 @@ def _to_signed(v: int) -> int:
     return v - (1 << 64) if v >= (1 << 63) else v
 
 
-class Dispatcher:
+class Dispatcher(EndpointDispatcher):
     """Receive-side engine of one LAPI context."""
 
     def __init__(self, lapi: "Lapi") -> None:
+        super().__init__(lapi)
         self.lapi = lapi
-        self.ctx = lapi.ctx
-        self.config = lapi.config
         #: Optional :class:`repro.obs.Histogram` observing the stash
         #: depth whenever a packet outraces its message's first packet
         #: (reassembly out-of-order depth).  Installed by Lapi.init.
         self.ooo_depth = None
 
-    # ------------------------------------------------------------------
-    # entry points
-    # ------------------------------------------------------------------
-    def drain(self, thread: "Thread") -> Generator:
-        """Process every packet currently queued; returns the count."""
-        processed = 0
-        while True:
-            ok, pkt = self.lapi.client.rx.try_get()
-            if not ok:
-                break
-            yield from self.process(thread, pkt, amortized=processed > 0)
-            processed += 1
-        if processed:
-            self.ctx.progress_ws.notify_all()
-        return processed
-
-    def poll_step(self, thread: "Thread") -> Generator:
-        """One polling-mode progress step (see
-        :func:`repro.sim.park.poll_step`)."""
-        return poll_step(thread, self, self.lapi.client.rx,
-                         self.ctx.progress_ws, self.config.poll_check_cost)
-
-    def interrupt_service(self, thread: "Thread") -> Generator:
-        """Body of the interrupt-mode dispatcher thread.
-
-        One hardware interrupt services a whole packet burst: after
-        draining, the thread lingers briefly (releasing the CPU) and
-        absorbs closely-following packets at the amortized rate -- the
-        interrupt coalescing that keeps bulk streams from paying the
-        full interrupt cost per packet.
-        """
-        self.ctx.stats.interrupts_taken += 1
-        yield from thread.execute(self.config.interrupt_latency)
-        yield from self.drain(thread)
-        yield from linger_loop(thread, self, self.lapi.client.rx,
-                               self.ctx.progress_ws,
-                               self.config.interrupt_linger)
-        # Re-arm before exiting; arrivals from now on re-fire.
-        self.lapi.client.arm_interrupt()
-
-    # ------------------------------------------------------------------
-    # per-packet processing
-    # ------------------------------------------------------------------
-    def process(self, thread: "Thread", pkt: "Packet",
-                amortized: bool = False) -> Generator:
-        """Handle one packet under the dispatch lock.
-
-        ``amortized`` marks packets after the first of a dispatch
-        batch: the wake-up/demux overhead is shared, so they pay the
-        cheaper bulk rate.
-        """
-        lock = self.ctx.dispatch_lock
-        if not lock.try_acquire(thread):
-            yield from thread.wait(lock.acquire(owner=thread))
-        try:
-            yield from self._process_locked(thread, pkt, amortized)
-        finally:
-            lock.release()
-
-    def _process_locked(self, thread: "Thread", pkt: "Packet",
-                        amortized: bool = False) -> Generator:
-        cfg = self.config
-        ctx = self.ctx
-        ctx.stats.packets_processed += 1
-        trace = self.lapi.trace
-        if trace is not None and trace.wants("lapi"):
-            trace.log(thread.sim.now, f"lapi{ctx.rank}", "lapi",
+    def _trace(self, trace, thread: "Thread", pkt: "Packet") -> None:
+        if trace.wants("lapi"):
+            trace.log(thread.sim.now, f"lapi{self.ctx.rank}", "lapi",
                       f"dispatch {pkt!r}", **pkt.trace_fields())
-        sp = self.lapi.spans
-        if pkt.kind == PacketKind.ACK:
-            # Lightweight: adjust transport state, run ack hooks.
-            yield from thread.execute(0.3)
-            if sp is not None:
-                sp.packet_dispatched(pkt, thread.sim.now)
-            self.lapi.transport.on_ack(pkt)
-            return
-        yield from thread.execute(cfg.lapi_pkt_recv_amortized if amortized
-                                  else cfg.lapi_pkt_recv_cost)
-        if sp is not None:
-            sp.packet_dispatched(pkt, thread.sim.now)
-        if not self.lapi.transport.on_packet(pkt):
-            return  # duplicate delivery (retransmission overlap)
+
+    def _handle(self, thread: "Thread", pkt: "Packet") -> Generator:
+        ctx = self.ctx
         kind = pkt.kind
         if kind == PacketKind.DATA:
-            yield from self._data(thread, pkt)
+            mtype = pkt.info["mtype"]
+            if mtype == PacketKind.MSG_PUT:
+                yield from self._put_data(thread, pkt)
+            elif mtype == PacketKind.MSG_AM:
+                yield from self._am_data(thread, pkt)
+            elif mtype == PacketKind.MSG_GET_REP:
+                yield from self._get_reply_data(thread, pkt)
+            elif mtype == "putv":
+                yield from self._putv_data(thread, pkt)
+            elif mtype == "getv_rep":
+                yield from self._getv_reply_data(thread, pkt)
+            else:
+                raise LapiError(f"dispatcher: unknown data mtype {mtype!r}")
         elif kind == PacketKind.GET_REQ:
             self._get_request(pkt)
         elif kind == "getv_req":
             self._getv_request(pkt)
         elif kind == PacketKind.CMPL:
+            sp = self.lapi.spans
             if sp is not None:
                 t_cu = thread.sim.now
-            yield from thread.execute(cfg.lapi_counter_update)
+            yield from thread.execute(self.config.lapi_counter_update)
             if sp is not None:
                 sp.emit(ctx.rank, "lapi", "cmpl", "counter_update", t_cu,
                         thread.sim.now, parent=sp.origin_of(pkt))
@@ -177,21 +114,6 @@ class Dispatcher:
     # ------------------------------------------------------------------
     # DATA packets: put / am / get replies
     # ------------------------------------------------------------------
-    def _data(self, thread: "Thread", pkt: "Packet") -> Generator:
-        mtype = pkt.info["mtype"]
-        if mtype == PacketKind.MSG_PUT:
-            yield from self._put_data(thread, pkt)
-        elif mtype == PacketKind.MSG_AM:
-            yield from self._am_data(thread, pkt)
-        elif mtype == PacketKind.MSG_GET_REP:
-            yield from self._get_reply_data(thread, pkt)
-        elif mtype == "putv":
-            yield from self._putv_data(thread, pkt)
-        elif mtype == "getv_rep":
-            yield from self._getv_reply_data(thread, pkt)
-        else:
-            raise LapiError(f"dispatcher: unknown data mtype {mtype!r}")
-
     def _assembly(self, pkt: "Packet") -> RecvAssembly:
         key = (pkt.src, pkt.info["msg_id"])
         asm = self.ctx.recv_asm.get(key)

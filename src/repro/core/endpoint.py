@@ -1,0 +1,372 @@
+"""What a protocol stack needs to sit on an adapter, written once.
+
+LAPI and MPL differ in their protocols -- packet formats, matching,
+the rendezvous round trip, header handlers -- but not in how they
+attach to the adapter or drive their receive side.  Both run the
+paper's progress model (section 2.1): an interrupt-priority thread per
+arrival burst in interrupt mode, the same processing inline from
+library calls in polling mode.  This module owns that model:
+
+* :class:`Endpoint` attaches a stack to its node's adapter at init,
+  builds its :class:`ReliableTransport`, wires the transport and
+  adapter hooks, registers the transport's metrics, waits on progress,
+  and handles peer failure, node restart and term;
+* :class:`EndpointDispatcher` pulls packets off the adapter's RX FIFO,
+  serialises them under the context's dispatch lock, charges the
+  per-packet receive cost and drops retransmitted duplicates before
+  handing each packet to the stack's ``_handle``.
+
+A stack subclasses both, sets the class attributes below and keeps
+only its protocol.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Callable, Generator, Optional
+
+from ..machine.cpu import INTERRUPT
+from ..sim.park import linger_loop, poll_step
+from .constants import PacketKind
+from .reliability import ReliableTransport
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..machine.cluster import Task
+    from ..machine.cpu import Thread
+    from ..machine.packet import Packet
+
+__all__ = ["Endpoint", "EndpointDispatcher"]
+
+
+class Endpoint:
+    """One task's attachment of a protocol stack to its adapter."""
+
+    #: Adapter protocol id.
+    PROTO: str
+    #: Prefix of the stack's ``MachineConfig`` fields and thread names.
+    PREFIX: str
+    #: Metrics layer the transport registers under (``LAYER.reliability``).
+    LAYER: str
+    #: Exception raised on misuse, and its messages: use before init,
+    #: use after term, init called twice.
+    Error: type
+    MISUSE: tuple[str, str, str]
+    #: Per-task state (built with ``sim, rank, size``) and receive engine.
+    Context: type
+    Dispatcher: type
+
+    def __init__(self, task: "Task", interrupt_mode: bool = True) -> None:
+        self.task = task
+        self.config = task.node.config
+        cluster = task.cluster
+        #: The cluster's simulator, span recorder (None when tracing is
+        #: off) and tracer, taken once here so no operation goes
+        #: through the task's weak cluster reference.
+        self.sim = cluster.sim
+        self.spans = self.sim.spans
+        self.trace = cluster.trace
+        self.ctx = self.Context(self.sim, task.rank, task.size)
+        self.interrupt_mode = interrupt_mode
+        self.client = None
+        self.transport: Optional[ReliableTransport] = None
+        self.dispatcher: Optional[EndpointDispatcher] = None
+        self._initialized = False
+        self._terminated = False
+        #: Interrupt-mask depth: while positive, arrivals raise no
+        #: interrupt and waits poll (MPL's lockrnc; LAPI never masks).
+        self._mask_depth = 0
+        #: Called with the terminal error when the transport declares a
+        #: peer unreachable; a truthy return suppresses the failure.
+        self._error_handler: Optional[Callable] = None
+
+    # convenient shorthands ------------------------------------------------
+    @property
+    def memory(self):
+        return self.task.node.memory
+
+    @property
+    def rank(self) -> int:
+        return self.ctx.rank
+
+    @property
+    def size(self) -> int:
+        return self.ctx.size
+
+    @property
+    def stats(self):
+        return self.ctx.stats
+
+    def current_thread(self) -> "Thread":
+        """The CPU thread executing the current call."""
+        return self.task.node.cpu.current_thread()
+
+    def _check_live(self) -> None:
+        if not self._initialized:
+            raise self.Error(self.MISUSE[0])
+        if self._terminated:
+            raise self.Error(self.MISUSE[1])
+
+    # ------------------------------------------------------------------
+    # setup and teardown
+    # ------------------------------------------------------------------
+    def init(self) -> Generator:
+        """Attach to the adapter and start the progress engine."""
+        if self._initialized:
+            raise self.Error(self.MISUSE[2])
+        cfg = self.config
+        prefix = self.PREFIX
+        thread = self.current_thread()
+        yield from thread.execute(getattr(cfg, prefix + "_call_overhead"))
+        adapter = self.task.node.adapter
+        self.client = adapter.attach_client(self.PROTO)
+        # adaptive_rto=None means auto: Jacobson/Karels timing exactly
+        # when a fault schedule is installed, fixed-timeout arithmetic
+        # (and its bit-exact virtual-time trajectory) otherwise.
+        adaptive = (cfg.adaptive_rto if cfg.adaptive_rto is not None
+                    else self.task.cluster.faults is not None)
+        self.transport = ReliableTransport(
+            self.sim, adapter, self.PROTO,
+            window=getattr(cfg, prefix + "_window"),
+            timeout=getattr(cfg, prefix + "_retrans_timeout"),
+            adaptive=adaptive, rto_min=cfg.rto_min,
+            rto_max=cfg.rto_max, backoff=cfg.rto_backoff,
+            degraded_after=cfg.peer_degraded_after,
+            retry_budget=cfg.retry_budget)
+        self.dispatcher = self.Dispatcher(self)
+        self.transport.wait_credit = self._wait_credit
+        self.transport.on_progress = self.ctx.progress_ws.notify_all
+        self.transport.on_fatal = self._transport_fatal
+        self.client.delivery_filter = self._ack_fast_path
+        self.client.on_arrival = self._spawn_interrupt_dispatcher
+        self.client.interrupts_enabled = self.interrupt_mode
+        self._register_metrics()
+        resilience = self.task.cluster.resilience
+        if resilience is not None:
+            resilience.attach_stack(self.task.node.node_id, self)
+        self._initialized = True
+
+    def _register_metrics(self) -> None:
+        """Wire the transport into the cluster's observability registry.
+        Stacks extend this with their own collectors."""
+        metrics = self.task.cluster.metrics
+        rank = self.ctx.rank
+        subsystem = self.LAYER + ".reliability"
+        self.transport.ack_rtt = metrics.histogram(
+            subsystem, "ack_rtt_us", node=rank)
+        metrics.register_collector(subsystem, self.transport.metrics,
+                                   node=rank)
+        telemetry = self.task.cluster.telemetry
+        if telemetry is not None:
+            # Timeline-only goodput stream: a per-window curve with
+            # no end-of-run metric, so the registry's snapshots/renders
+            # stay identical armed or disarmed.  Both stacks share the
+            # subsystem so cross-stack goodput sums per window.
+            self.transport.rx_goodput_bytes = \
+                telemetry.timeline.stream_counter(
+                    "telemetry.transport", "rx_payload_bytes", node=rank)
+
+    def term(self) -> Generator:
+        """Quiesce (collective) and detach."""
+        self._check_live()
+        yield from self.barrier()
+        yield from self.wait_for(lambda: self.ctx.active_handlers == 0)
+        # All peers have passed the barrier: nothing further will arrive.
+        self._terminated = True
+        self.client.interrupts_enabled = False
+
+    # ------------------------------------------------------------------
+    # progress
+    # ------------------------------------------------------------------
+    def wait_for(self, predicate: Callable[[], bool]) -> Generator:
+        """Block until ``predicate()`` holds, driving progress as the
+        current mode requires."""
+        thread = self.current_thread()
+        while not predicate():
+            if self.interrupt_mode and self._mask_depth == 0:
+                yield from thread.wait(self.ctx.progress_ws.wait())
+            else:
+                yield from self.dispatcher.poll_step(thread)
+
+    def _wait_credit(self, thread, event) -> Generator:
+        """Block on a send-window credit, driving progress if polling."""
+        if self.interrupt_mode and self._mask_depth == 0:
+            yield from thread.wait(event)
+        else:
+            while not event.triggered:
+                yield from self.dispatcher.poll_step(thread)
+
+    def _ack_fast_path(self, packet) -> bool:
+        """Adapter-level handling of transport acknowledgements.
+
+        Window bookkeeping is adapter-assisted: ACKs neither occupy the
+        RX FIFO nor raise interrupts, so pure ack traffic never
+        perturbs dispatcher scheduling (and cannot mask data-packet
+        interrupts).
+        """
+        if packet.kind == PacketKind.ACK:
+            self.transport.on_ack(packet)
+            return True
+        return False
+
+    def _spawn_interrupt_dispatcher(self) -> None:
+        """Adapter arrival hook: run the dispatcher at interrupt priority."""
+        if self._mask_depth > 0:
+            # Interrupts masked: serviced when the mask lifts.
+            return
+        self.task.node.cpu.spawn(
+            self.dispatcher.interrupt_service,
+            name=f"{self.PREFIX}{self.rank}.irq", priority=INTERRUPT)
+
+    # ------------------------------------------------------------------
+    # failures (called by the transport and by repro.resilience)
+    # ------------------------------------------------------------------
+    def _transport_fatal(self, err) -> None:
+        """Terminal transport failure: user handler, then fail_run.
+
+        The handler runs inside a bare kernel timer callback (the
+        retransmit timer) or a detector conviction, so an exception it
+        raises must not escape: it is captured, chained to the original
+        transport error (``__cause__``), and routed through
+        ``Cluster.fail_run`` like the failure it was handling.
+        """
+        handler = self._error_handler
+        if handler is not None:
+            try:
+                if handler(err):
+                    return
+            except BaseException as handler_exc:
+                handler_exc.__cause__ = err
+                self.task.cluster.fail_run(handler_exc)
+                return
+        self.task.cluster.fail_run(err)
+
+    def peer_unreachable(self, peer: int, err) -> None:
+        """The failure detector convicted ``peer``.
+
+        Crash-aware cleanup first (always): the peer joins
+        ``ctx.dead_peers`` (barrier waits stop waiting for it), the
+        transport's circuit breaker opens and in-flight operations
+        toward it complete in error (counters fire, credits post), and
+        progress waiters are notified so blocked predicates re-check.
+        Then policy: under ``on_peer_failure="fail"`` the error routes
+        through the registered handler and ``Cluster.fail_run``; under
+        ``"continue"`` the survivors keep running degraded.
+        """
+        self.ctx.dead_peers.add(peer)
+        self.transport.peer_down(peer)
+        self.ctx.progress_ws.notify_all()
+        if self.task.cluster.on_peer_failure == "fail":
+            self._transport_fatal(err)
+
+    def peer_absolved(self, peer: int) -> None:
+        """The detector heard from a convicted peer again (machine
+        restart): close the breaker.  The peer's *task* stays dead, so
+        it remains in ``dead_peers`` -- reachability is not
+        resurrection."""
+        self.transport.breaker_close(peer)
+
+    def crash_reset(self) -> None:
+        """This stack's own node restarted after a fail-stop crash:
+        clear all protocol state (the restarted machine has no memory
+        of in-flight transfers)."""
+        self.transport._tx.clear()
+        self.transport._rx.clear()
+        self.ctx.crash_reset()
+
+
+class EndpointDispatcher:
+    """Receive loop of one endpoint; stacks supply ``_handle``."""
+
+    def __init__(self, endpoint: Endpoint) -> None:
+        self.endpoint = endpoint
+        self.ctx = endpoint.ctx
+        self.config = cfg = endpoint.config
+        self._recv_cost = getattr(cfg, endpoint.PREFIX + "_pkt_recv_cost")
+        self._recv_amortized = getattr(
+            cfg, endpoint.PREFIX + "_pkt_recv_amortized")
+
+    # ------------------------------------------------------------------
+    # entry points
+    # ------------------------------------------------------------------
+    def drain(self, thread: "Thread") -> Generator:
+        """Process every packet currently queued; returns the count."""
+        rx = self.endpoint.client.rx
+        processed = 0
+        while True:
+            ok, pkt = rx.try_get()
+            if not ok:
+                break
+            yield from self.process(thread, pkt, amortized=processed > 0)
+            processed += 1
+        if processed:
+            self.ctx.progress_ws.notify_all()
+        return processed
+
+    def poll_step(self, thread: "Thread") -> Generator:
+        """One polling-mode progress step (see
+        :func:`repro.sim.park.poll_step`)."""
+        return poll_step(thread, self, self.endpoint.client.rx,
+                         self.ctx.progress_ws, self.config.poll_check_cost)
+
+    def interrupt_service(self, thread: "Thread") -> Generator:
+        """Body of the interrupt-mode dispatcher thread.
+
+        One hardware interrupt services a whole packet burst: after
+        draining, the thread lingers briefly (releasing the CPU) and
+        absorbs closely-following packets at the amortized rate -- the
+        interrupt coalescing that keeps bulk streams from paying the
+        full interrupt cost per packet.
+        """
+        self.ctx.stats.interrupts_taken += 1
+        yield from thread.execute(self.config.interrupt_latency)
+        yield from self.drain(thread)
+        client = self.endpoint.client
+        yield from linger_loop(thread, self, client.rx,
+                               self.ctx.progress_ws,
+                               self.config.interrupt_linger)
+        # Re-arm before exiting; arrivals from now on re-fire.
+        client.arm_interrupt()
+
+    # ------------------------------------------------------------------
+    # per-packet processing
+    # ------------------------------------------------------------------
+    def process(self, thread: "Thread", pkt: "Packet",
+                amortized: bool = False) -> Generator:
+        """Handle one packet under the dispatch lock.
+
+        ``amortized`` marks packets after the first of a dispatch
+        batch: the wake-up/demux overhead is shared, so they pay the
+        cheaper bulk rate.
+        """
+        ctx = self.ctx
+        lock = ctx.dispatch_lock
+        if not lock.try_acquire(thread):
+            yield from thread.wait(lock.acquire(owner=thread))
+        try:
+            ctx.stats.packets_processed += 1
+            endpoint = self.endpoint
+            if endpoint.trace is not None:
+                self._trace(endpoint.trace, thread, pkt)
+            sp = endpoint.spans
+            if pkt.kind == PacketKind.ACK:
+                # Lightweight: adjust transport state, run ack hooks.
+                yield from thread.execute(0.3)
+                if sp is not None:
+                    sp.packet_dispatched(pkt, thread.sim.now)
+                endpoint.transport.on_ack(pkt)
+                return
+            yield from thread.execute(self._recv_amortized if amortized
+                                      else self._recv_cost)
+            if sp is not None:
+                sp.packet_dispatched(pkt, thread.sim.now)
+            # False: a duplicate delivery (retransmission overlap).
+            if endpoint.transport.on_packet(pkt):
+                yield from self._handle(thread, pkt)
+        finally:
+            lock.release()
+
+    def _trace(self, trace, thread: "Thread", pkt: "Packet") -> None:
+        """Record the packet's dispatch with the cluster tracer."""
+
+    def _handle(self, thread: "Thread", pkt: "Packet") -> Generator:
+        """The stack's per-kind handling of one fresh packet."""
+        raise NotImplementedError

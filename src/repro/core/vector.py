@@ -25,9 +25,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator, Optional, Sequence
 
 from ..errors import LapiError
-from ..machine.packet import Packet
 from .constants import PacketKind
 from .context import SendState
+from .protocol import _mk
 from .putget import _make_send_complete
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -45,11 +45,6 @@ GETV_RUNS_PER_PACKET = 40
 MSG_PUTV = "putv"
 MSG_GETV_REP = "getv_rep"
 GETV_REQ = "getv_req"
-
-
-def _mk(config, src, dst, kind, header, payload, info) -> "Packet":
-    return Packet(src=src, dst=dst, proto="lapi", kind=kind,
-                  header_bytes=header, payload=payload, info=info)
 
 
 def pack_vector_packets(config, src: int, dst: int, msg_id: int,
@@ -76,7 +71,7 @@ def pack_vector_packets(config, src: int, dst: int, msg_id: int,
         if extra_info:
             info.update(extra_info)
         header = config.lapi_header + VECTOR_SUBHEADER * len(cur_runs)
-        packets.append(_mk(config, src, dst, PacketKind.DATA, header,
+        packets.append(_mk(src, dst, PacketKind.DATA, header,
                            b"".join(cur_chunks), info))
         cur_runs = []
         cur_chunks = []
@@ -215,6 +210,6 @@ def do_getv(lapi: "Lapi", target: int,
         if header > cfg.packet_size:
             raise LapiError("getv run group exceeds a packet")
         lapi.transport.send_control(_mk(
-            cfg, ctx.rank, target, GETV_REQ, header, b"",
+            ctx.rank, target, GETV_REQ, header, b"",
             {"msg_id": msg_id, "runs": group,
              "final": i + GETV_RUNS_PER_PACKET >= len(triples)}))

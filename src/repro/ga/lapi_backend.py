@@ -34,8 +34,9 @@ from ..errors import GaError
 from .buffers import AmBufferPool
 from .gencounters import GenCounterArray
 from .packing import (accumulate_packed_range, gather_packed_range,
-                      local_offset_of_piece, read_piece_packed,
-                      scatter_packed_range)
+                      local_offset_of_piece, read_local_packed,
+                      read_piece_packed, scatter_packed_range,
+                      write_local_packed)
 from .sections import Section
 from .wire import DESCRIPTOR_SIZE, Descriptor, GaOp
 
@@ -284,8 +285,8 @@ class LapiBackend:
             if contig_local:
                 src_addr = local_addr + loff
             else:
-                blob = self._extract_local(ga, section, piece,
-                                           local_addr)
+                blob = read_local_packed(self.memory, ga, section, piece,
+                                         local_addr)
                 yield from thread.execute(cfg.copy_cost(nbytes))
                 src_addr = self.memory.malloc(nbytes)
                 self.memory.write(src_addr, blob)
@@ -371,38 +372,13 @@ class LapiBackend:
             if offset >= nbytes:
                 return sent
 
-    def _extract_local(self, ga, section: Section, piece: Section,
-                       local_addr: int) -> bytes:
-        """Pack a strided piece out of the tight local section buffer."""
-        rel = piece.relative_to(section)
-        item = ga.itemsize
-        out = bytearray(piece.size * item)
-        pos = 0
-        for c in range(rel.jlo, rel.jhi + 1):
-            off = (c * section.rows + rel.ilo) * item
-            run = rel.rows * item
-            out[pos:pos + run] = self.memory.read(local_addr + off, run)
-            pos += run
-        return bytes(out)
-
-    def _insert_local(self, ga, section: Section, piece: Section,
-                      local_addr: int, blob: bytes) -> None:
-        """Unpack a piece's packed stream into the local section buffer."""
-        rel = piece.relative_to(section)
-        item = ga.itemsize
-        pos = 0
-        for c in range(rel.jlo, rel.jhi + 1):
-            off = (c * section.rows + rel.ilo) * item
-            run = rel.rows * item
-            self.memory.write(local_addr + off, blob[pos:pos + run])
-            pos += run
-
     def _local_put_acc(self, thread, ga, piece: Section, local_addr: int,
                        section: Section, op: int,
                        alpha: float) -> Generator:
         cfg = self.config
         nbytes = piece.size * ga.itemsize
-        blob = self._extract_local(ga, section, piece, local_addr)
+        blob = read_local_packed(self.memory, ga, section, piece,
+                                 local_addr)
         if op == GaOp.PUT:
             yield from thread.execute(cfg.copy_cost(nbytes))
             scatter_packed_range(self.memory, ga, self.lapi.rank, piece,
@@ -449,7 +425,8 @@ class LapiBackend:
                 yield from thread.execute(cfg.copy_cost(nbytes))
                 blob = read_piece_packed(self.memory, ga, lapi.rank,
                                          piece)
-                self._insert_local(ga, section, piece, local_addr, blob)
+                write_local_packed(self.memory, ga, section, piece,
+                                   local_addr, blob)
                 continue
             item = ga.itemsize
             rel = piece.relative_to(section)
@@ -508,7 +485,8 @@ class LapiBackend:
         for piece, stage, nbytes in staged:
             yield from thread.execute(cfg.copy_cost(nbytes))
             blob = self.memory.read(stage, nbytes)
-            self._insert_local(ga, section, piece, local_addr, blob)
+            write_local_packed(self.memory, ga, section, piece, local_addr,
+                               blob)
             self.memory.free(stage)
 
     # ==================================================================

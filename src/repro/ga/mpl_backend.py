@@ -28,7 +28,8 @@ import numpy as np
 from ..errors import GaError
 from ..sim import SimLock
 from .packing import (accumulate_packed_range, local_offset_of_piece,
-                      read_piece_packed, scatter_packed_range,
+                      read_local_packed, read_piece_packed,
+                      scatter_packed_range, write_local_packed,
                       write_piece_packed)
 from .sections import Section
 from .wire import DESCRIPTOR_SIZE, Descriptor, GaOp
@@ -219,7 +220,8 @@ class MplBackend:
         requests = []
         for owner, piece in ga.dist.locate(section):
             nbytes = piece.size * ga.itemsize
-            data = self._extract_local(ga, section, piece, local_addr)
+            data = read_local_packed(self.memory, ga, section, piece,
+                                     local_addr)
             if owner == mpl.rank:
                 if op == GaOp.PUT:
                     yield from thread.execute(cfg.copy_cost(nbytes))
@@ -262,7 +264,8 @@ class MplBackend:
                 yield from thread.execute(cfg.copy_cost(nbytes))
                 blob = read_piece_packed(self.memory, ga, mpl.rank,
                                          piece)
-                self._insert_local(ga, section, piece, local_addr, blob)
+                write_local_packed(self.memory, ga, section, piece,
+                                   local_addr, blob)
                 continue
             desc = Descriptor(op=GaOp.GET, handle=ga.handle,
                               section=piece, total=nbytes)
@@ -280,32 +283,8 @@ class MplBackend:
                 # every 2-D request.
                 reply = yield from mpl.recv_bytes(owner, GA_REP_TAG)
                 yield from thread.execute(cfg.copy_cost(nbytes))
-                self._insert_local(ga, section, piece, local_addr,
-                                   reply)
-
-    # The local pack/unpack helpers are identical to the LAPI backend's.
-    def _extract_local(self, ga, section, piece, local_addr) -> bytes:
-        rel = piece.relative_to(section)
-        item = ga.itemsize
-        out = bytearray(piece.size * item)
-        pos = 0
-        for c in range(rel.jlo, rel.jhi + 1):
-            off = (c * section.rows + rel.ilo) * item
-            run = rel.rows * item
-            out[pos:pos + run] = self.memory.read(local_addr + off, run)
-            pos += run
-        return bytes(out)
-
-    def _insert_local(self, ga, section, piece, local_addr,
-                      blob) -> None:
-        rel = piece.relative_to(section)
-        item = ga.itemsize
-        pos = 0
-        for c in range(rel.jlo, rel.jhi + 1):
-            off = (c * section.rows + rel.ilo) * item
-            run = rel.rows * item
-            self.memory.write(local_addr + off, blob[pos:pos + run])
-            pos += run
+                write_local_packed(self.memory, ga, section, piece,
+                                   local_addr, reply)
 
     # ------------------------------------------------------------------
     def scatter(self, ga: "GlobalArray", points, values) -> Generator:

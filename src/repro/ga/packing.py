@@ -23,7 +23,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["read_piece_packed", "write_piece_packed",
            "scatter_packed_range", "gather_packed_range",
-           "accumulate_packed_range", "local_offset_of_piece"]
+           "accumulate_packed_range", "local_offset_of_piece",
+           "read_local_packed", "write_local_packed"]
 
 
 def read_piece_packed(memory: "Memory", ga: "GlobalArray", rank: int,
@@ -137,3 +138,35 @@ def local_offset_of_piece(section: Section, piece: Section,
     contiguous = (piece.cols == 1
                   or (rel.ilo == 0 and rel.ihi == section.rows - 1))
     return contiguous, offset
+
+
+def read_local_packed(memory: "Memory", ga: "GlobalArray",
+                      section: Section, piece: Section,
+                      local_addr: int) -> bytes:
+    """Pack ``piece`` out of the tight local buffer at ``local_addr``
+    that holds the whole of ``section``."""
+    rel = piece.relative_to(section)
+    item = ga.itemsize
+    out = bytearray(piece.size * item)
+    pos = 0
+    for c in range(rel.jlo, rel.jhi + 1):
+        off = (c * section.rows + rel.ilo) * item
+        run = rel.rows * item
+        out[pos:pos + run] = memory.read(local_addr + off, run)
+        pos += run
+    return bytes(out)
+
+
+def write_local_packed(memory: "Memory", ga: "GlobalArray",
+                       section: Section, piece: Section, local_addr: int,
+                       blob: bytes) -> None:
+    """Unpack ``piece``'s packed stream into the tight local buffer at
+    ``local_addr`` that holds the whole of ``section``."""
+    rel = piece.relative_to(section)
+    item = ga.itemsize
+    pos = 0
+    for c in range(rel.jlo, rel.jhi + 1):
+        off = (c * section.rows + rel.ilo) * item
+        run = rel.rows * item
+        memory.write(local_addr + off, blob[pos:pos + run])
+        pos += run

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Generator, Optional, Union
 
+from ..core.endpoint import Endpoint
 from ..errors import MplError
-from ..machine.cpu import INTERRUPT
-from .constants import ANY_SOURCE, ANY_TAG, MplPacketKind, ReservedTag
+from .constants import ANY_SOURCE, ANY_TAG
 from .dispatcher import MplDispatcher
 from .matching import RecvRequest
 from .protocol import PROTO, data_packets, rts_packet
@@ -33,120 +33,39 @@ from .requests import MplContext, SendRequest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..machine.cluster import Task
-    from ..machine.cpu import Thread
 
 __all__ = ["Mpl", "ANY_SOURCE", "ANY_TAG"]
 
 
-class Mpl:
+class Mpl(Endpoint):
     """MPL/MPI communication handle of one task."""
+
+    PROTO = PROTO
+    PREFIX = "mpl"
+    LAYER = "mpl"
+    Error = MplError
+    MISUSE = ("MPL used before init", "MPL used after term",
+              "MPL init called twice")
+    Context = MplContext
+    Dispatcher = MplDispatcher
 
     def __init__(self, task: "Task", interrupt_mode: bool = True,
                  eager_limit: Optional[int] = None) -> None:
-        self.task = task
-        self.config = task.node.config
+        config = task.node.config
         if eager_limit is None:
-            eager_limit = self.config.mpl_eager_limit
-        if eager_limit > self.config.mpl_eager_limit_max:
+            eager_limit = config.mpl_eager_limit
+        if eager_limit > config.mpl_eager_limit_max:
             raise MplError(
                 f"MP_EAGER_LIMIT {eager_limit} exceeds the maximum"
-                f" {self.config.mpl_eager_limit_max}")
+                f" {config.mpl_eager_limit_max}")
+        super().__init__(task, interrupt_mode)
         #: Effective MP_EAGER_LIMIT for this task.
         self.eager_limit = eager_limit
-        #: The cluster's simulator and span recorder (None when tracing
-        #: is off), taken once here so no operation goes through the
-        #: task's weak cluster reference.
-        self.sim = task.cluster.sim
-        self.spans = self.sim.spans
-        self.ctx = MplContext(self.sim, task.rank, task.size)
-        self.interrupt_mode = interrupt_mode
-        self.client = None
-        self.transport = None
-        self.dispatcher: Optional[MplDispatcher] = None
-        self._initialized = False
-        #: Depth of lockrnc interrupt-disable nesting.
-        self._lockrnc_depth = 0
-
-    # shorthands ---------------------------------------------------------
-    @property
-    def memory(self):
-        return self.task.node.memory
-
-    @property
-    def rank(self) -> int:
-        return self.ctx.rank
-
-    @property
-    def size(self) -> int:
-        return self.ctx.size
-
-    @property
-    def stats(self):
-        return self.ctx.stats
-
-    def current_thread(self) -> "Thread":
-        return self.task.node.cpu.current_thread()
-
-    def _check_live(self) -> None:
-        if not self._initialized:
-            raise MplError("MPL used before init")
-
-    # ------------------------------------------------------------------
-    # setup
-    # ------------------------------------------------------------------
-    def init(self) -> Generator:
-        """Attach to the adapter and start the progress engine."""
-        if self._initialized:
-            raise MplError("MPL init called twice")
-        from ..core.reliability import ReliableTransport
-        thread = self.current_thread()
-        yield from thread.execute(self.config.mpl_call_overhead)
-        adapter = self.task.node.adapter
-        self.client = adapter.attach_client(PROTO)
-        cfg = self.config
-        # Same auto rule as LAPI: adapt exactly when a fault schedule
-        # is installed (see docs/reliability.md).
-        adaptive = (cfg.adaptive_rto if cfg.adaptive_rto is not None
-                    else self.task.cluster.faults is not None)
-        self.transport = ReliableTransport(
-            self.sim, adapter, PROTO,
-            window=cfg.mpl_window,
-            timeout=cfg.mpl_retrans_timeout,
-            adaptive=adaptive, rto_min=cfg.rto_min,
-            rto_max=cfg.rto_max, backoff=cfg.rto_backoff,
-            degraded_after=cfg.peer_degraded_after,
-            retry_budget=cfg.retry_budget)
-        self.dispatcher = MplDispatcher(self)
-        self.transport.wait_credit = self._wait_credit
-        self.transport.on_progress = self.ctx.progress_ws.notify_all
-        self.transport.on_fatal = self._transport_fatal
-        self.client.delivery_filter = self._ack_fast_path
-        self.client.on_arrival = self._spawn_interrupt_dispatcher
-        self.client.interrupts_enabled = self.interrupt_mode
-        self._register_metrics()
-        resilience = self.task.cluster.resilience
-        if resilience is not None:
-            resilience.attach_stack(self.task.node.node_id, self)
-        self._initialized = True
 
     def _register_metrics(self) -> None:
-        """Wire this stack into the cluster's observability registry."""
-        metrics = self.task.cluster.metrics
-        rank = self.ctx.rank
-        self.transport.ack_rtt = metrics.histogram(
-            "mpl.reliability", "ack_rtt_us", node=rank)
-        metrics.register_collector("mpl.reliability",
-                                   self.transport.metrics, node=rank)
-        telemetry = self.task.cluster.telemetry
-        if telemetry is not None:
-            # Same timeline-only goodput stream as the LAPI stack,
-            # under the shared "telemetry.transport" subsystem so
-            # cross-stack goodput sums per window.
-            tl = telemetry.timeline
-            self.transport.rx_goodput_bytes = tl.stream_counter(
-                "telemetry.transport", "rx_payload_bytes", node=rank)
-        metrics.register_collector("mpl.matching",
-                                   self._matching_metrics, node=rank)
+        super()._register_metrics()
+        self.task.cluster.metrics.register_collector(
+            "mpl.matching", self._matching_metrics, node=self.ctx.rank)
 
     def _matching_metrics(self) -> dict:
         m = self.ctx.match
@@ -163,90 +82,9 @@ class Mpl:
             "rcvncalls_run": s.rcvncalls_run,
         }
 
-    def _wait_credit(self, thread, event) -> Generator:
-        """Block on a send-window credit, driving progress if polling."""
-        if self.interrupt_mode and self._lockrnc_depth == 0:
-            yield from thread.wait(event)
-        else:
-            while not event.triggered:
-                yield from self.dispatcher.poll_step(thread)
-
-    def _ack_fast_path(self, packet) -> bool:
-        """Adapter-level transport-ACK handling (see the LAPI twin)."""
-        if packet.kind == MplPacketKind.ACK:
-            self.transport.on_ack(packet)
-            return True
-        return False
-
-    def _transport_fatal(self, err: Exception) -> None:
-        """Terminal transport failure.  MPL has no user error-handler
-        registration, so it goes straight to the structured run
-        termination path (``Cluster.fail_run``)."""
-        self.task.cluster.fail_run(err)
-
     # ------------------------------------------------------------------
-    # fail-stop peer handling (driven by repro.resilience)
+    # completion
     # ------------------------------------------------------------------
-    def peer_unreachable(self, peer: int, err: Exception) -> None:
-        """The failure detector convicted ``peer``.
-
-        Clean up first (open the breaker, complete unacked traffic in
-        error so window/fence waiters unblock) and only then route the
-        error by policy -- under ``on_peer_failure="continue"`` the
-        survivors keep running against the reduced peer set.
-        """
-        self.ctx.dead_peers.add(peer)
-        self.transport.peer_down(peer)
-        self.ctx.progress_ws.notify_all()
-        if self.task.cluster.on_peer_failure == "fail":
-            self._transport_fatal(err)
-
-    def peer_absolved(self, peer: int) -> None:
-        """A convicted peer answered a heartbeat again (restart)."""
-        self.transport.breaker_close(peer)
-
-    def crash_reset(self) -> None:
-        """Discard all protocol state after this node's crash.
-
-        Fail-stop semantics: the restarted node remembers nothing --
-        matching queues, rendezvous handshakes, and transport windows
-        all start empty.
-        """
-        self.transport._tx.clear()
-        self.transport._rx.clear()
-        ctx = self.ctx
-        ctx.recv_msgs.clear()
-        ctx.rndv_waiting.clear()
-        ctx.match.unexpected.clear()
-        ctx.match.posted.clear()
-
-    def term(self) -> Generator:
-        """Quiesce (collective) and detach."""
-        self._check_live()
-        yield from self.barrier()
-        yield from self.wait_for(lambda: self.ctx.active_handlers == 0)
-        self.client.interrupts_enabled = False
-        self._initialized = False
-
-    def _spawn_interrupt_dispatcher(self) -> None:
-        if self._lockrnc_depth > 0:
-            # Interrupts disabled via lockrnc: serviced on unlock.
-            return
-        self.task.node.cpu.spawn(
-            self.dispatcher.interrupt_service,
-            name=f"mpl{self.rank}.irq", priority=INTERRUPT)
-
-    # ------------------------------------------------------------------
-    # progress plumbing (mirrors the LAPI API)
-    # ------------------------------------------------------------------
-    def wait_for(self, predicate: Callable[[], bool]) -> Generator:
-        thread = self.current_thread()
-        while not predicate():
-            if self.interrupt_mode and self._lockrnc_depth == 0:
-                yield from thread.wait(self.ctx.progress_ws.wait())
-            else:
-                yield from self.dispatcher.poll_step(thread)
-
     def wait(self, request: Union[SendRequest, RecvRequest]) -> Generator:
         """Block until a send or receive request completes."""
         self._check_live()
@@ -276,13 +114,13 @@ class Mpl:
         """Disable (True) / re-enable (False) communication interrupts."""
         self._check_live()
         if disable:
-            self._lockrnc_depth += 1
+            self._mask_depth += 1
             self.client.interrupts_enabled = False
         else:
-            if self._lockrnc_depth == 0:
+            if self._mask_depth == 0:
                 raise MplError("lockrnc unlock without lock")
-            self._lockrnc_depth -= 1
-            if self._lockrnc_depth == 0 and self.interrupt_mode:
+            self._mask_depth -= 1
+            if self._mask_depth == 0 and self.interrupt_mode:
                 self.client.interrupts_enabled = True
                 self.client.arm_interrupt()
 
@@ -548,7 +386,7 @@ class Mpl:
         self._check_live()
         thread = self.current_thread()
         yield from thread.execute(self.config.mpl_call_overhead * 0.5)
-        if (not self.interrupt_mode or self._lockrnc_depth > 0) \
+        if (not self.interrupt_mode or self._mask_depth > 0) \
                 and self.client.pending > 0:
             yield from self.dispatcher.drain(thread)
         return self._match_unexpected(src, tag)
@@ -559,14 +397,9 @@ class Mpl:
         self._check_live()
         thread = self.current_thread()
         yield from thread.execute(self.config.mpl_call_overhead * 0.5)
-        while True:
-            found = self._match_unexpected(src, tag)
-            if found is not None:
-                return found
-            if self.interrupt_mode and self._lockrnc_depth == 0:
-                yield from thread.wait(self.ctx.progress_ws.wait())
-            else:
-                yield from self.dispatcher.poll_step(thread)
+        yield from self.wait_for(
+            lambda: self._match_unexpected(src, tag) is not None)
+        return self._match_unexpected(src, tag)
 
     def _match_unexpected(self, src: int, tag: int):
         for msg in self.ctx.match.unexpected:

@@ -5,18 +5,19 @@ send order, matching against posted receives, early-arrival buffering
 (the "extra copy" of section 4), rendezvous handshakes, and ``rcvncall``
 handler dispatch with its AIX context-creation cost (section 5.2).
 
-Like the LAPI dispatcher it runs either on an interrupt-priority thread
-(interrupt mode) or inline from blocked MPL calls (polling mode), and it
-never blocks on flow control.
+The receive loop -- an interrupt-priority thread in interrupt mode,
+inline from blocked MPL calls in polling mode -- is the one LAPI uses,
+:class:`repro.core.endpoint.EndpointDispatcher`; it never blocks on
+flow control.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
+from ..core.endpoint import EndpointDispatcher
 from ..errors import MplError
 from ..machine.cpu import HANDLER
-from ..sim.park import linger_loop, poll_step
 from .constants import MplPacketKind
 from .matching import MessageState, RecvRequest
 from .protocol import cts_packet
@@ -29,70 +30,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["MplDispatcher"]
 
 
-class MplDispatcher:
+class MplDispatcher(EndpointDispatcher):
     """Receive-side engine of one MPL context."""
 
     def __init__(self, mpl: "Mpl") -> None:
+        super().__init__(mpl)
         self.mpl = mpl
-        self.ctx = mpl.ctx
-        self.config = mpl.config
 
-    # ------------------------------------------------------------------
-    # entry points (same structure as the LAPI dispatcher)
-    # ------------------------------------------------------------------
-    def drain(self, thread: "Thread") -> Generator:
-        processed = 0
-        while True:
-            ok, pkt = self.mpl.client.rx.try_get()
-            if not ok:
-                break
-            yield from self.process(thread, pkt, amortized=processed > 0)
-            processed += 1
-        if processed:
-            self.ctx.progress_ws.notify_all()
-        return processed
-
-    def poll_step(self, thread: "Thread") -> Generator:
-        return poll_step(thread, self, self.mpl.client.rx,
-                         self.ctx.progress_ws, self.config.poll_check_cost)
-
-    def interrupt_service(self, thread: "Thread") -> Generator:
-        self.ctx.stats.interrupts_taken += 1
-        yield from thread.execute(self.config.interrupt_latency)
-        yield from self.drain(thread)
-        yield from linger_loop(thread, self, self.mpl.client.rx,
-                               self.ctx.progress_ws,
-                               self.config.interrupt_linger)
-        self.mpl.client.arm_interrupt()
-
-    # ------------------------------------------------------------------
-    def process(self, thread: "Thread", pkt: "Packet",
-                amortized: bool = False) -> Generator:
-        lock = self.ctx.dispatch_lock
-        if not lock.try_acquire(thread):
-            yield from thread.wait(lock.acquire(owner=thread))
-        try:
-            yield from self._process_locked(thread, pkt, amortized)
-        finally:
-            lock.release()
-
-    def _process_locked(self, thread: "Thread", pkt: "Packet",
-                        amortized: bool = False) -> Generator:
-        cfg = self.config
-        self.ctx.stats.packets_processed += 1
-        sp = self.mpl.spans
-        if pkt.kind == MplPacketKind.ACK:
-            yield from thread.execute(0.3)
-            if sp is not None:
-                sp.packet_dispatched(pkt, thread.sim.now)
-            self.mpl.transport.on_ack(pkt)
-            return
-        yield from thread.execute(cfg.mpl_pkt_recv_amortized if amortized
-                                  else cfg.mpl_pkt_recv_cost)
-        if sp is not None:
-            sp.packet_dispatched(pkt, thread.sim.now)
-        if not self.mpl.transport.on_packet(pkt):
-            return
+    def _handle(self, thread: "Thread", pkt: "Packet") -> Generator:
         kind = pkt.kind
         if kind == MplPacketKind.DATA:
             yield from self._data(thread, pkt)

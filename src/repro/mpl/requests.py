@@ -88,6 +88,14 @@ class MplContext:
         self.active_handlers = 0
         self.stats = MplStats()
 
+    def crash_reset(self) -> None:
+        """Forget every in-flight message (fail-stop node restart):
+        matching queues and rendezvous handshakes start empty."""
+        self.recv_msgs.clear()
+        self.rndv_waiting.clear()
+        self.match.unexpected.clear()
+        self.match.posted.clear()
+
     def next_seq(self, dst: int) -> int:
         seq = self._next_seq.get(dst, 0)
         self._next_seq[dst] = seq + 1

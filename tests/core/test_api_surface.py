@@ -101,6 +101,49 @@ class TestGuards:
         msg = cluster.sim.run_until_complete(t.process)
         assert "before LAPI_Init" in msg
 
+    @pytest.mark.parametrize("stack,before,after,twice", [
+        ("lapi", "LAPI used before LAPI_Init", "LAPI used after LAPI_Term",
+         "LAPI_Init called twice"),
+        ("mpl", "MPL used before init", "MPL used after term",
+         "MPL init called twice"),
+    ])
+    def test_misuse_rejected_on_both_stacks(self, stack, before, after,
+                                            twice):
+        from repro.errors import LapiError, MplError
+        from repro.machine import Cluster
+        from repro.machine.cluster import Task
+        from repro.mpl import Mpl
+
+        def call_on(cluster, endpoint, call):
+            def body(thread):
+                try:
+                    yield from call(endpoint)
+                except (LapiError, MplError) as exc:
+                    return str(exc)
+
+            t = cluster.nodes[0].cpu.spawn(body)
+            return cluster.sim.run_until_complete(t.process)
+
+        def use(endpoint):
+            return (endpoint.probe() if stack == "lapi"
+                    else endpoint.iprobe(0, 0))
+
+        cluster = Cluster(nnodes=1)
+        task = Task(cluster, 0, 1, cluster.nodes[0])
+        fresh = Lapi(task) if stack == "lapi" else Mpl(task)
+        assert call_on(cluster, fresh, use) == before
+
+        def main(task):
+            try:
+                yield from getattr(task, stack).init()
+            except (LapiError, MplError) as exc:
+                return task, str(exc)
+
+        cluster = Cluster(nnodes=1)
+        task, msg = cluster.run_job(main, stacks=(stack,))[0]
+        assert msg == twice
+        assert call_on(cluster, getattr(task, stack), use) == after
+
     def test_senv_toggles_interrupt_mode(self):
         def main(task):
             lapi = task.lapi

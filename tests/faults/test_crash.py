@@ -149,6 +149,75 @@ class TestCrashSemantics:
         assert runs[0] == runs[1]
 
 
+def _leave_lapi_state(task):
+    """Rank 0 receives a put, then leaves a get outstanding: rank 1
+    never polls again, so the request is never serviced."""
+    lapi = task.lapi
+    buf = task.memory.malloc(64)
+    tgt = lapi.counter()
+    if task.rank == 1:
+        yield from lapi.put(0, 64, buf, buf, tgt_cntr=tgt.id)
+    else:
+        yield from lapi.waitcntr(tgt, 1)
+        yield from lapi.get(1, 64, buf, buf)
+    yield from task.thread.sleep(1e6)
+
+
+def _leave_mpl_state(task):
+    """Rank 0 posts a receive that never matches, starts a rendezvous
+    rank 1 never answers and holds an unexpected message."""
+    mpl = task.mpl
+    if task.rank == 1:
+        yield from mpl.isend(0, b"u" * 16, 16, 7)
+    else:
+        yield from mpl.irecv(1, 5, None, 64)
+        nbytes = mpl.eager_limit + 1
+        yield from mpl.isend(1, b"r" * nbytes, nbytes, 9)
+        yield from mpl.probe(1, 7)
+    yield from task.thread.sleep(1e6)
+
+
+class TestCrashReset:
+    @pytest.mark.parametrize("stack", ["lapi", "mpl"])
+    def test_crash_reset_clears_transport_and_context(self, stack):
+        """A restarted node's stack forgets every in-flight transfer."""
+        if stack == "lapi":
+            main = _leave_lapi_state
+            tables = ("send_msgs", "recv_asm", "pending_gets",
+                      "pending_rmws", "outstanding", "barrier_tokens")
+        else:
+            main = _leave_mpl_state
+            tables = ("recv_msgs", "rndv_waiting", "match.unexpected",
+                      "match.posted")
+        tasks = {}
+
+        def job(task):
+            tasks[task.rank] = task
+            yield from main(task)
+
+        cluster = Cluster(nnodes=2)
+        with pytest.raises(MachineError, match="virtual-time budget"):
+            cluster.run_job(job, stacks=(stack,), interrupt_mode=False,
+                            until=1000.0)
+        ep = getattr(tasks[0], stack)
+
+        def table(name):
+            obj = ep.ctx
+            for part in name.split("."):
+                obj = getattr(obj, part)
+            return obj
+
+        left = {name for name in tables if table(name)}
+        expected = ({"pending_gets", "outstanding"} if stack == "lapi"
+                    else {"recv_msgs", "rndv_waiting", "match.unexpected",
+                          "match.posted"})
+        assert expected <= left
+        assert ep.transport._tx and ep.transport._rx
+        ep.crash_reset()
+        assert not ep.transport._tx and not ep.transport._rx
+        assert {name for name in tables if table(name)} == set()
+
+
 class TestDetector:
     def test_conviction_within_one_detection_period(self):
         crash_at = 700.0

@@ -281,6 +281,31 @@ class TestPacking:
         out = np.frombuffer(read_piece_packed(mem, ga, 0, piece))
         assert np.allclose(out, 10.0 + 2.0 * add)
 
+    def test_local_pack_roundtrip_of_partial_columns(self):
+        """A piece covering rows 2-4 of a 6-row section: its columns
+        are strided in the local buffer, and only it is written back."""
+        from repro.ga.packing import read_local_packed, write_local_packed
+        mem, ga = self._make_ga()
+        section = Section(1, 6, 2, 5)
+        piece = Section(3, 5, 3, 4)
+        nbytes = section.size * ga.itemsize
+        src = mem.malloc(nbytes)
+        local = np.arange(section.size, dtype=np.float64)
+        mem.write(src, local.tobytes())
+        blob = read_local_packed(mem, ga, section, piece, src)
+        grid = local.reshape(section.cols, section.rows)
+        assert blob == grid[1:3, 2:5].tobytes()
+
+        dst = mem.malloc(nbytes)
+        mem.write(dst, b"\0" * nbytes)
+        write_local_packed(mem, ga, section, piece, dst, blob)
+        out = np.frombuffer(mem.read(dst, nbytes)).reshape(
+            section.cols, section.rows)
+        assert out[1:3, 2:5].tobytes() == blob
+        out_rest = out.copy()
+        out_rest[1:3, 2:5] = 0.0
+        assert not out_rest.any()
+
     def test_chunk_overrun_rejected(self):
         from repro.ga.packing import scatter_packed_range
         mem, ga = self._make_ga()
