@@ -1,21 +1,23 @@
 #!/usr/bin/env python
 """Observability: trace a one-sided transfer packet by packet.
 
-Attaches a :class:`repro.sim.Tracer` to the machine and runs a single
-multi-packet LAPI put, then prints the adapter/switch event timeline,
+Arms the ``trace`` artifact of :class:`repro.obs.ObsSpec` (a
+:class:`repro.sim.Tracer` on every adapter and the switch) and runs a
+single multi-packet LAPI put, then prints the adapter/switch timeline,
 the cluster's unified metrics registry (``repro.obs``), and a sample of
 the structured JSONL trace export -- the view an SP operator's
 monitoring tools would give, and the first tool to reach for when
 debugging a protocol change in this code base.
 
-Run:  python examples/packet_trace.py [--trace-out trace.jsonl]
+Run:  python examples/packet_trace.py [--obs-out DIR]
+(``--obs-out`` writes the packet records to ``DIR/trace.jsonl.gz``.)
 """
 
+import os
 import sys
 
 from repro.machine import Cluster, snapshot
-from repro.obs import jsonl_lines, write_trace_jsonl
-from repro.sim import Tracer
+from repro.obs import ARTIFACTS, ObsSpec, jsonl_lines, write_trace_jsonl
 
 
 def main(task):
@@ -35,12 +37,13 @@ def main(task):
 
 
 if __name__ == "__main__":
-    tracer = Tracer(categories=["tx", "rx", "route"])
-    cluster = Cluster(nnodes=2, trace=tracer)
+    cluster = Cluster(nnodes=2, obs=ObsSpec({"trace"}))
     processed = cluster.run_job(main, stacks=("lapi",))
+    packets = [r for r in cluster.trace.records
+               if r.category in ("tx", "rx", "route")]
 
     print("=== packet timeline (tx/rx/route events) ===")
-    for record in tracer.records:
+    for record in packets:
         print(record)
 
     print()
@@ -53,12 +56,14 @@ if __name__ == "__main__":
 
     print()
     print("=== structured trace export (first 5 JSONL records) ===")
-    for line in list(jsonl_lines(tracer.records))[:5]:
+    for line in list(jsonl_lines(packets))[:5]:
         print(line)
 
-    if "--trace-out" in sys.argv:
-        path = sys.argv[sys.argv.index("--trace-out") + 1]
-        n = write_trace_jsonl(tracer.records, path)
+    if "--obs-out" in sys.argv:
+        out_dir = sys.argv[sys.argv.index("--obs-out") + 1]
+        os.makedirs(out_dir, exist_ok=True)
+        path = os.path.join(out_dir, ARTIFACTS["trace"].filename)
+        n = write_trace_jsonl(packets, path)
         print(f"\nwrote {n} trace records to {path}")
 
     print()

@@ -1,76 +1,66 @@
 """Benchmark harness: regenerates every table and figure of the paper.
 
-One ``run_*`` function per artifact (see DESIGN.md's experiment index):
-
-* :func:`run_table1` -- the LAPI function inventory.
-* :func:`run_table2` -- latency (polling / round trips / interrupts).
-* :func:`run_pipeline_latency` -- non-blocking call return times.
-* :func:`run_fig2` -- LAPI vs MPI bandwidth (both eager settings).
-* :func:`run_fig3` / :func:`run_fig4` -- GA put/get under LAPI and MPL.
-* :func:`run_ga_latency` -- GA single-element latencies.
-* :func:`run_apps` -- application-kernel improvement percentages.
-
-Each returns an :class:`~repro.bench.report.ExperimentResult` with the
-regenerated rows, the paper's reference values, and shape-check
-verdicts.  ``python -m repro.bench`` runs everything.
+:data:`EXPERIMENTS` is the one list of experiments: each name maps to
+its ``submit_*`` entry point, which queues the experiment's sweeps and
+returns a :class:`~repro.bench.parallel.Deferred` whose ``finish()``
+builds an :class:`~repro.bench.report.ExperimentResult` (regenerated
+rows, the paper's reference values, shape-check verdicts).  Each
+experiment module also has the blocking ``run_*`` form, and DESIGN.md's
+experiment index maps each name to its paper artifact.
+``python -m repro.bench`` runs the paper's experiments.
 """
 
-from .apps import run_apps, submit_apps
-from .bandwidth import run_fig2, submit_fig2
-from .chaos import run_chaos, submit_chaos
+from . import ablations
+from .apps import submit_apps
+from .bandwidth import submit_fig2
+from .chaos import submit_chaos
+from .ga_putget import submit_fig3, submit_fig4, submit_ga_latency
+from .latency import submit_pipeline_latency, submit_table2
 from .parallel import (Deferred, JobSpec, SweepFuture, SweepScheduler,
                        configure, get_executor, spread_seed, submit,
                        sweep)
-from .ga_putget import (run_fig3, run_fig4, run_ga_latency,
-                        submit_fig3, submit_fig4, submit_ga_latency)
-from .latency import (run_pipeline_latency, run_table2,
-                      submit_pipeline_latency, submit_table2)
 from .report import ExperimentResult, ShapeCheck
-from .scale import run_scale, submit_scale
-from .table1 import run_table1
+from .scale import submit_scale
+from .scaling import submit_scaling
+from .table1 import submit_table1
 
-#: Every experiment, in paper order (name -> runner).
-ALL_EXPERIMENTS = {
-    "table1": run_table1,
-    "table2": run_table2,
-    "pipeline": run_pipeline_latency,
-    "fig2": run_fig2,
-    "fig3": run_fig3,
-    "fig4": run_fig4,
-    "ga_lat": run_ga_latency,
-    "apps": run_apps,
+PAPER, OPT_IN = True, False
+
+#: Every experiment: name -> (submit entry point, in the paper).  The
+#: paper's tables and figures come first, in paper order, then the
+#: opt-ins, which run only when named.
+EXPERIMENTS = {
+    "table1": (submit_table1, PAPER),
+    "table2": (submit_table2, PAPER),
+    "pipeline": (submit_pipeline_latency, PAPER),
+    "fig2": (submit_fig2, PAPER),
+    "fig3": (submit_fig3, PAPER),
+    "fig4": (submit_fig4, PAPER),
+    "ga_lat": (submit_ga_latency, PAPER),
+    "apps": (submit_apps, PAPER),
+    "chaos": (submit_chaos, OPT_IN),
+    "scale": (submit_scale, OPT_IN),
+    "scaling": (submit_scaling, OPT_IN),
+    "ablation_header": (ablations.submit_ablation_header, OPT_IN),
+    "ablation_eager": (ablations.submit_ablation_eager, OPT_IN),
+    "ablation_chunk": (ablations.submit_ablation_chunk, OPT_IN),
+    "ablation_hybrid": (ablations.submit_ablation_hybrid, OPT_IN),
+    "ablation_interrupt": (ablations.submit_ablation_interrupt, OPT_IN),
+    "ablation_noncontig": (ablations.submit_ablation_noncontig, OPT_IN),
 }
 
-__all__ = [
-    "ALL_EXPERIMENTS",
-    "Deferred",
-    "ExperimentResult",
-    "JobSpec",
-    "ShapeCheck",
-    "SweepFuture",
-    "SweepScheduler",
-    "configure",
-    "get_executor",
-    "spread_seed",
-    "submit",
-    "sweep",
-    "run_apps",
-    "run_chaos",
-    "run_fig2",
-    "run_fig3",
-    "run_fig4",
-    "run_ga_latency",
-    "run_pipeline_latency",
-    "run_scale",
-    "run_table1",
-    "run_table2",
-    "submit_apps",
-    "submit_chaos",
-    "submit_fig2",
-    "submit_fig3",
-    "submit_fig4",
-    "submit_ga_latency",
-    "submit_pipeline_latency",
-    "submit_scale",
-    "submit_table2",
-]
+
+def _runner(submit_fn):
+    def run(**kwargs) -> ExperimentResult:
+        return submit_fn(**kwargs).finish()
+    return run
+
+
+#: The paper's experiments, in paper order (name -> blocking runner).
+ALL_EXPERIMENTS = {name: _runner(submit_fn)
+                   for name, (submit_fn, in_paper) in EXPERIMENTS.items()
+                   if in_paper}
+
+__all__ = ["ALL_EXPERIMENTS", "EXPERIMENTS", "Deferred", "ExperimentResult",
+           "JobSpec", "ShapeCheck", "SweepFuture", "SweepScheduler",
+           "configure", "get_executor", "spread_seed", "submit", "sweep"]

@@ -28,16 +28,17 @@ fixed-timeout fault-free path.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from ..errors import PeerUnreachableError
 from ..faults import (AckLoss, Corruption, CpuDegrade, CpuPause,
                       FaultSchedule, GilbertElliott, LinkOutage,
                       NodeCrash, NodeRestart)
-from ..obs import TelemetryConfig
+from . import runner
 from .parallel import Deferred, JobSpec, submit
 from .report import ExperimentResult
-from .runner import bandwidth_mbs, fresh_cluster
+from .runner import bandwidth_mbs
 
 __all__ = ["run_chaos", "submit_chaos", "chaos_jobs", "chaos_point",
            "chaos_scenarios", "crash_point", "crash_scenarios",
@@ -55,10 +56,10 @@ CHAOS_MSGS = 24
 CHAOS_MSGS_QUICK = 10
 
 #: Timeline window of the chaos recovery curves, in virtual
-#: microseconds.  Fixed here -- not taken from the CLI-armed telemetry
-#: -- so a scenario's ``goodput_windows`` series is a pure function of
-#: (nbytes, nmsgs, schedule, seed) and the ``--faults-out`` file is
-#: byte-identical with or without the telemetry CLI flags.
+#: microseconds.  Fixed here -- not taken from the armed
+#: :class:`repro.obs.ObsSpec` -- so a scenario's ``goodput_windows``
+#: series is a pure function of (nbytes, nmsgs, schedule, seed) and the
+#: ``--faults-out`` file is byte-identical whatever ``--obs`` names.
 CHAOS_WINDOW_US = 250.0
 
 #: A goodput window counts as *impaired* below this fraction of the
@@ -158,12 +159,15 @@ def _run_scenario(nnodes: int, schedule: Optional[FaultSchedule],
     """Run ``main`` on a fresh chaos cluster and add the records every
     scenario shares to ``records``; returns ``(cluster, results)``.
 
-    Chaos always arms its own telemetry (fixed CHAOS_WINDOW_US): the
-    per-window goodput curve IS the scenario's recovery record.
+    Chaos always arms a timeline and flight recorder at the fixed
+    CHAOS_WINDOW_US, on top of whatever the CLI armed: the per-window
+    goodput curve IS the scenario's recovery record.
     """
-    cluster = fresh_cluster(
-        nnodes, seed=seed, faults=schedule,
-        telemetry=TelemetryConfig(window_us=CHAOS_WINDOW_US))
+    armed, _ = runner.armed()
+    obs = replace(armed, names=armed.names | {"timeline", "flight"},
+                  window_us=CHAOS_WINDOW_US)
+    cluster = runner.fresh_cluster(nnodes, seed=seed, faults=schedule,
+                                   obs=obs)
     results = cluster.run_job(main, stacks=("lapi",),
                               interrupt_mode=False,
                               until=2_000_000.0, **job_kw)
@@ -177,7 +181,7 @@ def _run_scenario(nnodes: int, schedule: Optional[FaultSchedule],
     # summed across every rank's transport (the put target receives
     # the payload, everyone receives fence traffic).  Gap windows (no
     # deliveries) are simply absent -- consumers treat missing as zero.
-    timeline = cluster.telemetry.timeline
+    timeline = cluster.telemetry
     timeline.finalize()
     per_window: dict[int, int] = {}
     for rank in range(nnodes):

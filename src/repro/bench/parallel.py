@@ -21,7 +21,7 @@ Determinism contract
   pickled arguments (configs are frozen dataclasses).  Nothing a job
   computes depends on which worker ran it or when.
 * Results and observability captures are merged in **spec submission
-  order**, never in completion order.  Tables, ``--metrics`` blocks,
+  order**, never in completion order.  Tables, metrics blocks,
   trace files, span streams, and virtual-time sums are therefore
   byte-identical between ``--jobs 1`` and ``--jobs N``.
 * Per-job seeds are part of the spec, derived up front with a
@@ -110,11 +110,11 @@ def _resolved_keys(specs: Sequence[JobSpec]) -> list[tuple]:
     return keys
 
 
-def _worker_init(obs_kwargs: dict) -> None:
-    """Arm each worker's private observability switchboard."""
+def _worker_init(obs, capture: bool) -> None:
+    """Arm the parent's observability spec in each worker."""
     global _IN_WORKER
     _IN_WORKER = True
-    runner.configure_observability(**obs_kwargs)
+    runner.configure_observability(obs, capture=capture)
 
 
 def _run_one(spec: JobSpec) -> tuple:
@@ -235,7 +235,7 @@ class SweepScheduler:
                 mp_context=multiprocessing.get_context(
                     "fork" if "fork" in methods else "spawn"),
                 initializer=_worker_init,
-                initargs=(runner.observability_kwargs(),))
+                initargs=runner.armed())
         return SweepFuture([self._executor.submit(_run_one, spec)
                             for spec in specs])
 

@@ -40,9 +40,6 @@ class ExperimentResult:
     rows: list[Sequence[Any]]
     checks: list[ShapeCheck] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
-    #: Rendered per-subsystem metrics blocks (one per cluster the
-    #: experiment ran), attached by the CLI under ``--metrics``.
-    metrics_blocks: list[str] = field(default_factory=list)
 
     @property
     def all_passed(self) -> bool:
@@ -58,8 +55,6 @@ class ExperimentResult:
             out.append(f"note: {note}")
         for check in self.checks:
             out.append(str(check))
-        for block in self.metrics_blocks:
-            out.append(block)
         return "\n".join(out)
 
 

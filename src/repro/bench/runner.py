@@ -4,145 +4,74 @@ Experiments are SPMD jobs on fresh clusters measured in *virtual* time;
 these helpers standardize cluster construction, repetition/averaging,
 and unit conversions (bytes/us == MB/s).
 
-The module also carries the harness's observability switchboard: when
-``python -m repro.bench`` runs with ``--metrics`` or ``--trace-out``,
-:func:`configure_observability` arms capture and every cluster built by
-:func:`fresh_cluster` gets a structured tracer attached and is retained
-so the CLI can render its per-subsystem metrics block and export its
-JSONL trace after the experiment finishes.
+The module also holds the harness's armed observability: when
+``python -m repro.bench`` runs with ``--obs NAMES``,
+:func:`configure_observability` arms an :class:`repro.obs.ObsSpec`,
+every cluster built by :func:`fresh_cluster` gets its recorders and is
+retained, and the CLI drains their captures after each experiment.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..machine import Cluster
 from ..machine.config import SP_1998, MachineConfig
-from ..obs import SpanRecorder, record_to_dict
-from ..sim import Tracer
+from ..obs import ClusterCapture, ObsSpec
 
 __all__ = ["fresh_cluster", "mean", "reps_for_size", "SIZE_SWEEP",
-           "bandwidth_mbs", "configure_observability",
+           "bandwidth_mbs", "configure_observability", "armed",
            "captured_clusters", "ClusterCapture", "capture_cluster",
-           "record_captures", "drain_captures",
-           "observability_kwargs", "peak_rss_mb"]
+           "record_captures", "drain_captures", "peak_rss_mb"]
 
 #: Message-size sweep of Figure 2 (16 bytes to 2 MB).
 SIZE_SWEEP = [16, 64, 256, 1024, 4096, 8192, 16384, 32768, 65536,
               131072, 262144, 524288, 1048576, 2097152]
 
-
-class _Observability:
-    """Capture state armed by the CLI; off by default."""
-
-    def __init__(self) -> None:
-        self.collect_metrics = False
-        self.trace = False
-        #: Retain clusters without attaching metrics/trace machinery
-        #: (the ledger reads their kernel counters).
-        self.capture = False
-        #: Arm causal span tracing (``--spans-out``/``--decompose``).
-        self.spans = False
-        #: Armed :class:`repro.obs.TelemetryConfig` (``--timeline-out``
-        #: / ``--flight-out``), or None.  Frozen and picklable, so
-        #: :func:`observability_kwargs` ships it to sweep workers
-        #: verbatim and every worker arms the parent's exact config.
-        self.telemetry = None
-        self.trace_limit = 250_000
-        self.trace_categories: Optional[Sequence[str]] = None
-        self.clusters: list[Cluster] = []
-        #: Captures shipped back from sweep-engine workers (see
-        #: ``repro.bench.parallel``), already in job-spec order.
-        self.captures: list["ClusterCapture"] = []
+#: The armed spec; empty (nothing armed) by default.
+_spec = ObsSpec()
+#: Retain clusters even with nothing armed (the ledger reads their
+#: kernel counters).
+_capture = False
+#: Live clusters built in this process since the last drain.
+_clusters: list[Cluster] = []
+#: Captures shipped back from sweep-engine workers (see
+#: ``repro.bench.parallel``), already in job-spec order.
+_captures: list[ClusterCapture] = []
 
 
-_OBS = _Observability()
+def configure_observability(obs: ObsSpec = ObsSpec(), *,
+                            capture: bool = False) -> None:
+    """Arm ``obs`` for new clusters (the empty spec disarms) and drop
+    anything retained so far."""
+    global _spec, _capture, _clusters, _captures
+    _spec, _capture, _clusters, _captures = obs, capture, [], []
 
 
-def configure_observability(*, metrics: bool = False, trace: bool = False,
-                            capture: bool = False, spans: bool = False,
-                            telemetry=None,
-                            trace_limit: int = 250_000,
-                            trace_categories: Optional[Sequence[str]]
-                            = None) -> None:
-    """Arm (or disarm) metrics/trace/span capture for new clusters."""
-    _OBS.collect_metrics = metrics
-    _OBS.trace = trace
-    _OBS.capture = capture
-    _OBS.spans = spans
-    _OBS.telemetry = telemetry
-    _OBS.trace_limit = trace_limit
-    _OBS.trace_categories = trace_categories
-    _OBS.clusters = []
-    _OBS.captures = []
-
-
-def observability_kwargs() -> dict:
-    """The armed capture flags, in :func:`configure_observability`
-    keyword form -- what the sweep engine replays in each worker."""
-    return {"metrics": _OBS.collect_metrics, "trace": _OBS.trace,
-            "capture": _OBS.capture, "spans": _OBS.spans,
-            "telemetry": _OBS.telemetry,
-            "trace_limit": _OBS.trace_limit,
-            "trace_categories": _OBS.trace_categories}
+def armed() -> tuple[ObsSpec, bool]:
+    """The armed spec and capture flag, in
+    :func:`configure_observability`'s argument order -- what the sweep
+    engine replays in each worker."""
+    return _spec, _capture
 
 
 def captured_clusters() -> list[Cluster]:
     """Drain the clusters captured since the last call (CLI hook)."""
-    clusters = _OBS.clusters
-    _OBS.clusters = []
+    global _clusters
+    clusters, _clusters = _clusters, []
     return clusters
 
 
-@dataclass
-class ClusterCapture:
-    """Picklable observability summary of one finished cluster.
-
-    Everything the CLI reads after an experiment -- kernel event
-    counts, final virtual time, the rendered ``--metrics`` block, and
-    serialized trace records -- without the (unpicklable) live
-    cluster.  Sweep-engine workers ship these back to the parent; the
-    serial path converts live clusters lazily, so both modes feed the
-    CLI byte-identical material.
-    """
-
-    nnodes: int
-    now: float
-    events: int
-    metrics_block: Optional[str] = None
-    trace: list[dict] = field(default_factory=list)
-    #: Serialized spans of this cluster (``--spans-out``), in canonical
-    #: order -- identical whether shipped from a worker or drained
-    #: from a live in-process cluster.
-    spans: list[dict] = field(default_factory=list)
-    #: Telemetry snapshot (``TelemetryRuntime.snapshot()``: windowed
-    #: series and flight dumps) when the cluster was armed.
-    #: Plain nested dicts in deterministic order, so worker-shipped and
-    #: in-process captures serialize byte-identically.
-    telemetry: Optional[dict] = None
-
-
 def capture_cluster(cluster: Cluster) -> ClusterCapture:
-    """Condense a finished cluster into a :class:`ClusterCapture`."""
-    metrics_block = (cluster.metrics.render()
-                     if _OBS.collect_metrics else None)
-    trace = ([record_to_dict(r) for r in cluster.trace.records]
-             if cluster.trace is not None else [])
-    spans = (cluster.spans.span_dicts()
-             if cluster.spans is not None else [])
-    telemetry = (cluster.telemetry.snapshot()
-                 if cluster.telemetry is not None else None)
-    return ClusterCapture(nnodes=cluster.nnodes, now=cluster.sim.now,
-                          events=cluster.sim.events_processed,
-                          metrics_block=metrics_block, trace=trace,
-                          spans=spans, telemetry=telemetry)
+    """Condense a finished cluster into a :class:`ClusterCapture` of
+    the armed artifacts."""
+    return _spec.capture(cluster)
 
 
 def record_captures(captures: Sequence[ClusterCapture]) -> None:
     """Append worker-shipped captures (sweep engine, in job order)."""
-    _OBS.captures.extend(captures)
+    _captures.extend(captures)
 
 
 def drain_captures() -> list[ClusterCapture]:
@@ -154,36 +83,26 @@ def drain_captures() -> list[ClusterCapture]:
     two within one drain: either its jobs all ran on the pool or all
     ran inline.
     """
-    captures = _OBS.captures
-    clusters = _OBS.clusters
-    _OBS.captures = []
-    _OBS.clusters = []
-    return captures + [capture_cluster(c) for c in clusters]
+    global _captures
+    captures, _captures = _captures, []
+    return captures + [capture_cluster(c) for c in captured_clusters()]
 
 
 def fresh_cluster(nnodes: int = 2, config: MachineConfig = SP_1998,
                   seed: int = 0xBE1, faults=None,
-                  telemetry=None) -> Cluster:
+                  obs: Optional[ObsSpec] = None) -> Cluster:
     """A new cluster per measurement: no cross-experiment state.
 
     ``faults`` is an optional :class:`repro.faults.FaultSchedule`
     installed at construction time (the chaos bench's entry point).
-    ``telemetry`` overrides the armed
-    :class:`repro.obs.TelemetryConfig` for this cluster (the chaos
-    bench always arms its own); None falls back to whatever the CLI
-    armed, usually nothing.
+    ``obs`` replaces the armed spec for this cluster; it must name
+    every armed artifact (the chaos bench adds its own timeline).
     """
-    trace = Tracer(categories=_OBS.trace_categories,
-                   limit=_OBS.trace_limit) if _OBS.trace else None
-    spans = SpanRecorder() if _OBS.spans else None
-    if telemetry is None:
-        telemetry = _OBS.telemetry
     cluster = Cluster(nnodes=nnodes, config=config, seed=seed,
-                      trace=trace, spans=spans, faults=faults,
-                      telemetry=telemetry)
-    if (_OBS.collect_metrics or _OBS.trace or _OBS.capture
-            or _OBS.spans or telemetry is not None):
-        _OBS.clusters.append(cluster)
+                      faults=faults,
+                      obs=_spec if obs is None else obs)
+    if _capture or _spec.names:
+        _clusters.append(cluster)
     return cluster
 
 

@@ -54,7 +54,7 @@ SCALE_PUT_BYTES = 4096
 #: spread, so shards stay RNG-independent however scheduled).
 SCALE_SEED = 0x5CA1E
 
-#: ``Switch.metrics_top_links`` during scale runs: a --metrics block
+#: ``Switch.metrics_top_links`` during scale runs: a metrics block
 #: at 4096 nodes must not carry ~20k per-link gauges.
 _METRICS_TOP_LINKS = 8
 

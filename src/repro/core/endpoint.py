@@ -154,15 +154,14 @@ class Endpoint:
             subsystem, "ack_rtt_us", node=rank)
         metrics.register_collector(subsystem, self.transport.metrics,
                                    node=rank)
-        telemetry = self.task.cluster.telemetry
-        if telemetry is not None:
+        timeline = self.task.cluster.telemetry
+        if timeline is not None:
             # Timeline-only goodput stream: a per-window curve with
             # no end-of-run metric, so the registry's snapshots/renders
             # stay identical armed or disarmed.  Both stacks share the
             # subsystem so cross-stack goodput sums per window.
-            self.transport.rx_goodput_bytes = \
-                telemetry.timeline.stream_counter(
-                    "telemetry.transport", "rx_payload_bytes", node=rank)
+            self.transport.rx_goodput_bytes = timeline.stream_counter(
+                "telemetry.transport", "rx_payload_bytes", node=rank)
 
     def term(self) -> Generator:
         """Quiesce (collective) and detach."""

@@ -616,7 +616,7 @@ class ReliableTransport:
 
         The adaptive-mode counters (Karn skips, health transitions)
         appear only once nonzero, so fault-free fixed-timeout runs keep
-        their historical ``--metrics`` blocks byte-identical.
+        their historical metrics blocks byte-identical.
         """
         out = {
             "retransmissions": self.retransmissions,

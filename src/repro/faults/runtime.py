@@ -136,7 +136,7 @@ class FaultRuntime:
         #: drop, CRC discard, or node crash), or None on a clean run.
         #: This is the chaos bench's *detection* timestamp --
         #: deliberately not part of :meth:`metrics` so historical
-        #: ``--metrics`` blocks stay byte-identical.
+        #: metrics blocks stay byte-identical.
         self.first_fault_us: Optional[float] = None
 
         # Fail-stop crash windows (resolved + validated by the

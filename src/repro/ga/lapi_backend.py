@@ -38,7 +38,10 @@ from .packing import (accumulate_packed_range, gather_packed_range,
                       read_piece_packed, scatter_packed_range,
                       write_local_packed)
 from .sections import Section
-from .wire import DESCRIPTOR_SIZE, Descriptor, GaOp
+from .wire import (DESCRIPTOR_SIZE, GATHER_PAIR_SIZE, Descriptor, GaOp,
+                   decode_gather, decode_scatter, encode_gather,
+                   encode_scatter, read_elements, remote_groups,
+                   write_elements)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .api import GlobalArrays
@@ -147,10 +150,16 @@ class LapiBackend:
             elif desc.op == GaOp.ACC:
                 yield from self._apply_acc(thread, ga, desc, blob)
             elif desc.op == GaOp.SCATTER:
-                yield from self._apply_scatter(thread, ga, blob)
+                yield from thread.execute(cfg.copy_cost(nbytes))
+                write_elements(self.memory, ga, self.lapi.rank,
+                               decode_scatter(blob))
             elif desc.op == GaOp.GATHER:
-                yield from self._serve_gather(thread, ga, desc, src,
-                                              blob)
+                # Read the listed elements and put the values back.
+                yield from thread.execute(cfg.copy_cost(
+                    nbytes // GATHER_PAIR_SIZE * ga.itemsize))
+                out = read_elements(self.memory, ga, self.lapi.rank,
+                                    decode_gather(blob))
+                yield from self._put_reply(thread, src, desc, out)
             else:
                 raise GaError(
                     f"unexpected data chunk op {desc.op_name!r}")
@@ -172,29 +181,6 @@ class LapiBackend:
                                     desc.alpha)
         finally:
             mutex.release()
-
-    def _apply_scatter(self, thread, ga, blob: bytes) -> Generator:
-        """Apply a scatter chunk: 24-byte [i, j, raw value] records."""
-        cfg = self.config
-        yield from thread.execute(cfg.copy_cost(len(blob)))
-        for k in range(len(blob) // 24):
-            rec = blob[k * 24:(k + 1) * 24]
-            i = int(np.frombuffer(rec[:8], dtype=np.int64)[0])
-            j = int(np.frombuffer(rec[8:16], dtype=np.int64)[0])
-            addr = ga.element_addr(self.lapi.rank, i, j)
-            self.memory.write(addr, rec[16:16 + ga.itemsize])
-
-    def _serve_gather(self, thread, ga, desc: Descriptor, src: int,
-                      blob: bytes) -> Generator:
-        """Serve a gather chunk: read listed elements, put values back."""
-        cfg = self.config
-        pairs = np.frombuffer(blob, dtype=np.int64).reshape(-1, 2)
-        yield from thread.execute(cfg.copy_cost(len(pairs) * ga.itemsize))
-        out = bytearray()
-        for i, j in pairs:
-            addr = ga.element_addr(self.lapi.rank, int(i), int(j))
-            out += self.memory.read(addr, ga.itemsize)
-        yield from self._put_reply(thread, src, desc, bytes(out))
 
     def _ctrl_cmpl(self, task, info):
         """Completion handler for data-less requests (get)."""
@@ -497,35 +483,22 @@ class LapiBackend:
         lapi = self.lapi
         thread = lapi.current_thread()
         yield from thread.execute(self.gcfg.ga_call_overhead)
-        by_owner: dict[int, list[int]] = {}
-        for k, (i, j) in enumerate(points):
-            by_owner.setdefault(ga.dist.owner_of(i, j), []).append(k)
+
+        def local(idxs):
+            blob = encode_scatter(points, values, idxs, ga.dtype)
+            write_elements(self.memory, ga, lapi.rank, decode_scatter(blob))
+
         ops = 0
-        for owner, idxs in by_owner.items():
-            if owner == lapi.rank:
-                for k in idxs:
-                    i, j = points[k]
-                    addr = ga.element_addr(owner, i, j)
-                    self.memory.write(
-                        addr, np.asarray(values[k],
-                                         dtype=ga.dtype).tobytes())
-                continue
-            step = self.gcfg.scatter_chunk_elems
+        step = self.gcfg.scatter_chunk_elems
+        for owner, idxs in remote_groups(ga, points, lapi.rank, local):
             for s in range(0, len(idxs), step):
                 group = idxs[s:s + step]
-                blob = bytearray()
-                for k in group:
-                    i, j = points[k]
-                    v = np.asarray(values[k], dtype=ga.dtype)
-                    blob += np.int64(i).tobytes()
-                    blob += np.int64(j).tobytes()
-                    blob += v.tobytes().ljust(8, b"\0")
+                blob = encode_scatter(points, values, group, ga.dtype)
                 desc = Descriptor(op=GaOp.SCATTER, handle=ga.handle,
                                   section=ga.local_block,
                                   total=len(blob), aux=len(group))
                 yield from lapi.amsend(owner, self._chunk_hid,
-                                       desc.pack(), bytes(blob),
-                                       len(blob),
+                                       desc.pack(), blob, len(blob),
                                        org_cntr=self._org_cntr,
                                        cmpl_cntr=self.gen[owner].cntr)
                 self.gen[owner].record("scatter")
@@ -540,28 +513,18 @@ class LapiBackend:
         thread = lapi.current_thread()
         yield from thread.execute(self.gcfg.ga_call_overhead)
         out = np.zeros(len(points), dtype=ga.dtype)
-        by_owner: dict[int, list[int]] = {}
-        for k, (i, j) in enumerate(points):
-            by_owner.setdefault(ga.dist.owner_of(i, j), []).append(k)
+
+        def local(idxs):
+            raw = read_elements(self.memory, ga, lapi.rank,
+                                (points[k] for k in idxs))
+            out[idxs] = np.frombuffer(raw, dtype=ga.dtype)
+
         pending: list[tuple[list[int], int]] = []
-        replies = 0
-        for owner, idxs in by_owner.items():
-            if owner == lapi.rank:
-                for k in idxs:
-                    i, j = points[k]
-                    addr = ga.element_addr(owner, i, j)
-                    out[k] = np.frombuffer(
-                        self.memory.read(addr, ga.itemsize),
-                        dtype=ga.dtype)[0]
-                continue
-            step = self.gcfg.scatter_chunk_elems
+        step = self.gcfg.scatter_chunk_elems
+        for owner, idxs in remote_groups(ga, points, lapi.rank, local):
             for s in range(0, len(idxs), step):
                 group = idxs[s:s + step]
-                blob = bytearray()
-                for k in group:
-                    i, j = points[k]
-                    blob += np.int64(i).tobytes()
-                    blob += np.int64(j).tobytes()
+                blob = encode_gather(points, group)
                 stage = self.memory.malloc(len(group) * ga.itemsize)
                 desc = Descriptor(op=GaOp.GATHER, handle=ga.handle,
                                   section=ga.local_block,
@@ -570,20 +533,16 @@ class LapiBackend:
                                   reply_cntr=self._reply_cntr.id,
                                   aux=len(group))
                 yield from lapi.amsend(owner, self._chunk_hid,
-                                       desc.pack(), bytes(blob),
-                                       len(blob))
+                                       desc.pack(), blob, len(blob))
                 pending.append((group, stage))
-                replies += 1
-        if replies:
-            yield from lapi.waitcntr(self._reply_cntr, replies)
+        if pending:
+            yield from lapi.waitcntr(self._reply_cntr, len(pending))
         for group, stage in pending:
             yield from thread.execute(
                 cfg.copy_cost(len(group) * ga.itemsize))
-            vals = np.frombuffer(
+            out[group] = np.frombuffer(
                 self.memory.read(stage, len(group) * ga.itemsize),
                 dtype=ga.dtype)
-            for k, v in zip(group, vals):
-                out[k] = v
             self.memory.free(stage)
         return out
 

@@ -32,7 +32,10 @@ from .packing import (accumulate_packed_range, local_offset_of_piece,
                       scatter_packed_range, write_local_packed,
                       write_piece_packed)
 from .sections import Section
-from .wire import DESCRIPTOR_SIZE, Descriptor, GaOp
+from .wire import (DESCRIPTOR_SIZE, GATHER_PAIR_SIZE, Descriptor, GaOp,
+                   decode_gather, decode_scatter, encode_gather,
+                   encode_scatter, read_elements, remote_groups,
+                   write_elements)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .api import GlobalArrays
@@ -163,23 +166,14 @@ class MplBackend:
             elif desc.op == GaOp.SCATTER:
                 ga = self.runtime.array(desc.handle)
                 yield from thread.execute(cfg.copy_cost(len(data)))
-                for k in range(len(data) // 24):
-                    rec = data[k * 24:(k + 1) * 24]
-                    i = int(np.frombuffer(rec[:8], np.int64)[0])
-                    j = int(np.frombuffer(rec[8:16], np.int64)[0])
-                    addr = ga.element_addr(rank, i, j)
-                    self.memory.write(addr, rec[16:16 + ga.itemsize])
+                write_elements(self.memory, ga, rank, decode_scatter(data))
             elif desc.op == GaOp.GATHER:
                 ga = self.runtime.array(desc.handle)
-                pairs = np.frombuffer(data, np.int64).reshape(-1, 2)
-                yield from thread.execute(
-                    cfg.copy_cost(len(pairs) * ga.itemsize))
-                out = bytearray()
-                for i, j in pairs:
-                    addr = ga.element_addr(rank, int(i), int(j))
-                    out += self.memory.read(addr, ga.itemsize)
-                yield from self.mpl.send(src, bytes(out), len(out),
-                                         GA_REP_TAG)
+                yield from thread.execute(cfg.copy_cost(
+                    len(data) // GATHER_PAIR_SIZE * ga.itemsize))
+                out = read_elements(self.memory, ga, rank,
+                                    decode_gather(data))
+                yield from self.mpl.send(src, out, len(out), GA_REP_TAG)
             else:
                 raise GaError(f"unknown GA request {desc.op_name!r}")
         finally:
@@ -291,32 +285,18 @@ class MplBackend:
         mpl = self.mpl
         thread = mpl.current_thread()
         yield from thread.execute(self.gcfg.ga_call_overhead)
-        by_owner: dict[int, list[int]] = {}
-        for k, (i, j) in enumerate(points):
-            by_owner.setdefault(ga.dist.owner_of(i, j), []).append(k)
+
+        def local(idxs):
+            blob = encode_scatter(points, values, idxs, ga.dtype)
+            write_elements(self.memory, ga, mpl.rank, decode_scatter(blob))
+
         requests = []
-        for owner, idxs in by_owner.items():
-            if owner == mpl.rank:
-                for k in idxs:
-                    i, j = points[k]
-                    addr = ga.element_addr(owner, i, j)
-                    self.memory.write(
-                        addr, np.asarray(values[k],
-                                         dtype=ga.dtype).tobytes())
-                continue
-            blob = bytearray()
-            for k in idxs:
-                i, j = points[k]
-                blob += np.int64(i).tobytes()
-                blob += np.int64(j).tobytes()
-                blob += np.asarray(values[k],
-                                   dtype=ga.dtype).tobytes().ljust(8,
-                                                                   b"\0")
+        for owner, idxs in remote_groups(ga, points, mpl.rank, local):
+            blob = encode_scatter(points, values, idxs, ga.dtype)
             desc = Descriptor(op=GaOp.SCATTER, handle=ga.handle,
                               section=ga.local_block, total=len(blob),
                               aux=len(idxs))
-            msg = yield from self._pack_request(thread, desc,
-                                                bytes(blob))
+            msg = yield from self._pack_request(thread, desc, blob)
             req = yield from mpl.isend(owner, msg, len(msg), GA_REQ_TAG)
             requests.append(req)
             self._count(owner)
@@ -328,35 +308,23 @@ class MplBackend:
         thread = mpl.current_thread()
         yield from thread.execute(self.gcfg.ga_call_overhead)
         out = np.zeros(len(points), dtype=ga.dtype)
-        by_owner: dict[int, list[int]] = {}
-        for k, (i, j) in enumerate(points):
-            by_owner.setdefault(ga.dist.owner_of(i, j), []).append(k)
-        for owner, idxs in by_owner.items():
-            if owner == mpl.rank:
-                for k in idxs:
-                    i, j = points[k]
-                    addr = ga.element_addr(owner, i, j)
-                    out[k] = np.frombuffer(
-                        self.memory.read(addr, ga.itemsize),
-                        dtype=ga.dtype)[0]
-                continue
-            blob = bytearray()
-            for k in idxs:
-                i, j = points[k]
-                blob += np.int64(i).tobytes()
-                blob += np.int64(j).tobytes()
+
+        def local(idxs):
+            raw = read_elements(self.memory, ga, mpl.rank,
+                                (points[k] for k in idxs))
+            out[idxs] = np.frombuffer(raw, dtype=ga.dtype)
+
+        for owner, idxs in remote_groups(ga, points, mpl.rank, local):
+            blob = encode_gather(points, idxs)
             desc = Descriptor(op=GaOp.GATHER, handle=ga.handle,
                               section=ga.local_block, total=len(blob),
                               aux=len(idxs))
-            msg = yield from self._pack_request(thread, desc,
-                                                bytes(blob))
+            msg = yield from self._pack_request(thread, desc, blob)
             yield from mpl.send(owner, msg, len(msg), GA_REQ_TAG)
             reply = yield from mpl.recv_bytes(owner, GA_REP_TAG)
             yield from thread.execute(
                 cfg.copy_cost(len(idxs) * ga.itemsize))
-            vals = np.frombuffer(reply, dtype=ga.dtype)
-            for k, v in zip(idxs, vals):
-                out[k] = v
+            out[idxs] = np.frombuffer(reply, dtype=ga.dtype)
         return out
 
     def read_inc(self, ga: "GlobalArray", point, inc: int) -> Generator:

@@ -1,21 +1,30 @@
-"""Binary request descriptors for the GA protocols.
+"""Binary wire formats of the GA protocols.
 
-The LAPI backend ships these in the AM user header (uhdr), so they must
-stay small (LAPI_Qenv(MAX_UHDR_SZ) is 128 bytes here); the MPL backend
-prefixes its single packed request message with the same encoding.
-A fixed-layout struct -- not pickle -- keeps the size deterministic and
-the wire format honest.
+Request descriptors: the LAPI backend ships these in the AM user header
+(uhdr), so they must stay small (LAPI_Qenv(MAX_UHDR_SZ) is 128 bytes
+here); the MPL backend prefixes its single packed request message with
+the same encoding.  A fixed-layout struct -- not pickle -- keeps the
+size deterministic and the wire format honest.
+
+Scatter/gather points travel as 24-byte ``[i, j, value]`` records and
+16-byte ``[i, j]`` pairs (int64 indices; GA elements are 8 bytes).
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from ..errors import GaError
 from .sections import Section
 
-__all__ = ["GaOp", "Descriptor", "DESCRIPTOR_SIZE"]
+__all__ = ["GaOp", "Descriptor", "DESCRIPTOR_SIZE", "SCATTER_RECORD_SIZE",
+           "GATHER_PAIR_SIZE", "encode_scatter", "decode_scatter",
+           "encode_gather", "decode_gather", "remote_groups",
+           "write_elements", "read_elements"]
 
 
 class GaOp:
@@ -94,3 +103,58 @@ class Descriptor:
     @property
     def op_name(self) -> str:
         return GaOp.NAMES.get(self.op, f"op{self.op}")
+
+
+_POINT = struct.Struct("<qq")
+GATHER_PAIR_SIZE = _POINT.size
+SCATTER_RECORD_SIZE = GATHER_PAIR_SIZE + 8
+
+
+def encode_scatter(points: Sequence, values, idxs: Iterable[int],
+                   dtype) -> bytes:
+    return b"".join(_POINT.pack(*points[k])
+                    + np.asarray(values[k], dtype=dtype).tobytes()
+                    for k in idxs)
+
+
+def decode_scatter(blob: bytes) -> Iterator[tuple[int, int, bytes]]:
+    """``(i, j, value bytes)`` per record."""
+    for off in range(0, len(blob), SCATTER_RECORD_SIZE):
+        i, j = _POINT.unpack_from(blob, off)
+        yield i, j, blob[off + GATHER_PAIR_SIZE:off + SCATTER_RECORD_SIZE]
+
+
+def encode_gather(points: Sequence, idxs: Iterable[int]) -> bytes:
+    return b"".join(_POINT.pack(*points[k]) for k in idxs)
+
+
+def decode_gather(blob: bytes) -> Iterator[tuple[int, int]]:
+    return _POINT.iter_unpack(blob)
+
+
+def remote_groups(ga, points: Sequence, rank: int,
+                  local: Callable[[list[int]], None]
+                  ) -> Iterator[tuple[int, list[int]]]:
+    """Point indexes grouped by owning rank, in first-seen order: each
+    remote group is yielded as ``(owner, idxs)``, and ``rank``'s own
+    group goes to ``local(idxs)`` at its turn instead."""
+    by_owner: dict[int, list[int]] = {}
+    for k, (i, j) in enumerate(points):
+        by_owner.setdefault(ga.dist.owner_of(i, j), []).append(k)
+    for owner, idxs in by_owner.items():
+        if owner == rank:
+            local(idxs)
+        else:
+            yield owner, idxs
+
+
+def write_elements(memory, ga, rank: int,
+                   records: Iterable[tuple[int, int, bytes]]) -> None:
+    for i, j, raw in records:
+        memory.write(ga.element_addr(rank, i, j), raw)
+
+
+def read_elements(memory, ga, rank: int,
+                  pairs: Iterable[tuple[int, int]]) -> bytes:
+    return b"".join(memory.read(ga.element_addr(rank, i, j), ga.itemsize)
+                    for i, j in pairs)

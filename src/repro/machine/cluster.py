@@ -32,8 +32,8 @@ import weakref
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional, Sequence
 
 from ..errors import MachineError
-from ..obs import MetricsRegistry
-from ..sim import PENDING, RngRegistry, Simulator, Tracer
+from ..obs import MetricsRegistry, ObsSpec
+from ..sim import PENDING, RngRegistry, Simulator
 from .config import SP_1998, MachineConfig
 from .node import Node
 from .packet import reset_packet_ids
@@ -132,10 +132,8 @@ class Cluster:
 
     def __init__(self, nnodes: int, config: MachineConfig = SP_1998,
                  seed: int = 0xC0FFEE,
-                 trace: Optional[Tracer] = None,
-                 spans: Optional[Any] = None,
                  faults: Optional[Any] = None,
-                 telemetry: Optional[Any] = None) -> None:
+                 obs: ObsSpec = ObsSpec()) -> None:
         if nnodes < 1:
             raise MachineError("cluster needs at least one node")
         config.validate()
@@ -145,16 +143,15 @@ class Cluster:
             _older_gc_passes_seen = _older_gc_passes()
         reset_packet_ids()
         self.config = config
-        self.trace = trace
-        #: Optional :class:`repro.obs.SpanRecorder` collecting causal
-        #: phase spans for this cluster.  Packet uids restart per
-        #: cluster (``reset_packet_ids`` above), so span streams are a
-        #: function of the cluster's own history -- the serial/parallel
-        #: parity requirement.  Exposed to every component as
-        #: ``sim.spans``; purely observational (never perturbs time).
-        self.spans = spans
+        # ``obs`` (:class:`repro.obs.ObsSpec`) builds each recorder, or
+        # None when it names no artifact that needs it; none perturbs
+        # virtual time.  Packet uids restart per cluster (above), so
+        # trace and span streams are a function of the cluster's own
+        # history -- the serial/parallel parity requirement.
+        trace = self.trace = obs.tracer()
+        self.spans = obs.span_recorder()
         self.sim = Simulator()
-        self.sim.spans = spans
+        self.sim.spans = self.spans
         self.rng = RngRegistry(seed=seed)
         self.nodes = [Node(self.sim, i, config, trace=trace)
                       for i in range(nnodes)]
@@ -177,17 +174,10 @@ class Cluster:
                 node=node.node_id)
         self.metrics.register_collector("machine.switch",
                                         self.switch.metrics)
-        #: Armed virtual-time telemetry (``repro.obs.timeline``), or
-        #: None.  Passing a :class:`repro.obs.TelemetryConfig` builds
-        #: the windowed timeline over this registry and hangs the
-        #: flight recorder off ``sim.flight``.  Purely observational:
-        #: snapshots, renders, virtual time, and event counts are
-        #: identical armed or disarmed.
-        self.telemetry = None
-        if telemetry is not None:
-            from ..obs.timeline import TelemetryRuntime
-            self.telemetry = TelemetryRuntime.install(
-                telemetry, self.sim, self.metrics)
+        #: Windowed timeline over this registry (``repro.obs.timeline``)
+        #: when the spec names ``timeline`` or ``flight``, which also
+        #: hangs a flight recorder off ``sim.flight``; else None.
+        self.telemetry = obs.timeline(self.sim, self.metrics)
         #: Survivor policy for convicted peers; set per job by
         #: :meth:`run_job` (``on_peer_failure``).  "fail" terminates the
         #: run with the conviction error, "continue" lets survivors keep

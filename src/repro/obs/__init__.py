@@ -1,38 +1,30 @@
-"""Unified observability: metrics, trace export, and causal spans.
+"""Unified observability: metrics, traces, spans, telemetry.
 
 The paper's whole argument is quantitative (Tables 1-2, Figures 2-4
 are counter- and latency-derived), so the simulator carries one
-first-class measurement surface instead of per-subsystem ad-hoc
-counters:
+measurement surface, armed by one handle: an :class:`ObsSpec`
+(:mod:`repro.obs.spec`) names the artifacts a run produces
+(:data:`ARTIFACTS`), and ``Cluster(obs=...)`` asks it for recorders.
 
 * :class:`MetricsRegistry` -- cluster-wide named counters, gauges, and
   fixed-bucket virtual-time histograms, addressed by
-  ``(subsystem, node, name)``.  Every :class:`repro.machine.Cluster`
-  owns one as ``cluster.metrics``; the machine, LAPI, MPL, and GA
-  layers wire themselves into it at init time.
-* :func:`write_trace_jsonl` and friends -- export
-  :class:`repro.sim.Tracer` records as JSONL
-  (``time_us, node, subsystem, event, fields``), transparently
-  gzipped for ``.gz`` paths.
-* :class:`SpanRecorder` (:mod:`repro.obs.spans`) -- causal span
-  tracing: every LAPI/MPL/GA operation as a tree of virtual-time
-  spans (call/tx/wire/rx_dma/dispatch/handler phases), stitched
-  across nodes by packet uids and message ids.
-* :func:`decompose` / :func:`critical_path`
-  (:mod:`repro.obs.profile`) -- per-phase latency decomposition in
-  the shape of the paper's Table 1, plus the gating node/phase of
-  each synchronization epoch.
-* :func:`write_chrome_trace` (:mod:`repro.obs.chrome`) -- Chrome
-  trace-event export, loadable in Perfetto, with cross-node flow
-  events for wire hops.
+  ``(subsystem, node, name)``; every cluster owns one as
+  ``cluster.metrics``.
+* :func:`write_trace_jsonl` and friends -- :class:`repro.sim.Tracer`
+  records as JSONL (``time_us, node, subsystem, event, fields``).
+* :class:`SpanRecorder` (:mod:`repro.obs.spans`) -- every LAPI/MPL/GA
+  operation as a tree of virtual-time phase spans, stitched across
+  nodes; :func:`decompose` / :func:`critical_path` reduce them to the
+  paper's Table 1, and :func:`write_chrome_trace` to Perfetto.
+* :class:`Timeline` / :class:`FlightRecorder` -- per-window series of
+  every metric, and fault-triggered black-box dumps.
 
 Determinism is a hard guarantee: identical seeds produce identical
 snapshots (and byte-identical rendered blocks / trace files / span
 streams), serial or parallel.  Recording is purely observational --
 arming any of it never perturbs virtual time.  See
-``docs/observability.md`` for the schemas and the bench-harness flags
-(``python -m repro.bench --metrics --trace-out FILE --spans
---spans-out FILE --decompose``).
+``docs/observability.md`` for the schemas and the bench harness's
+``python -m repro.bench --obs metrics,trace,spans --obs-out DIR``.
 """
 
 from .chrome import chrome_trace_events, write_chrome_trace
@@ -47,10 +39,12 @@ from .profile import (MANDATORY_PHASES, PHASE_ORDER, SIZE_BUCKETS,
                       render_critical_path, render_decomposition)
 from .sketch import DEFAULT_ALPHA, QuantileSketch, merge_sketches
 from .spans import SPAN_SCHEMA_KEYS, Span, SpanRecorder, span_to_dict
-from .timeline import (TelemetryConfig, TelemetryRuntime, Timeline,
-                       DEFAULT_WINDOW_US)
+from .spec import ARTIFACTS, TRACE_LIMIT, ClusterCapture, ObsOutput, ObsSpec
+from .timeline import DEFAULT_WINDOW_US, Timeline
 
 __all__ = [
+    "ARTIFACTS",
+    "ClusterCapture",
     "Counter",
     "DEFAULT_ALPHA",
     "DEFAULT_WINDOW_US",
@@ -61,14 +55,15 @@ __all__ = [
     "LATENCY_BUCKETS_US",
     "MANDATORY_PHASES",
     "MetricsRegistry",
+    "ObsOutput",
+    "ObsSpec",
     "PHASE_ORDER",
     "QuantileSketch",
     "SIZE_BUCKETS",
     "SPAN_SCHEMA_KEYS",
     "Span",
     "SpanRecorder",
-    "TelemetryConfig",
-    "TelemetryRuntime",
+    "TRACE_LIMIT",
     "Timeline",
     "bucket_of",
     "chrome_trace_events",

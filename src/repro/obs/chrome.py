@@ -20,10 +20,11 @@ the path ends in ``.gz``.
 
 from __future__ import annotations
 
-import gzip
 import json
 import os
 from typing import Sequence, Union
+
+from .export import write_lines
 
 __all__ = ["chrome_trace_events", "write_chrome_trace"]
 
@@ -123,16 +124,7 @@ def write_chrome_trace(span_streams: Sequence[Sequence[dict]],
     count.  Transparently gzips when the name ends in ``.gz``
     (deterministically: zeroed mtime, no embedded filename)."""
     events = chrome_trace_events(span_streams)
-    payload = json.dumps({"traceEvents": events,
-                          "displayTimeUnit": "ms"},
-                         separators=(",", ":"), default=str)
-    data = payload.encode("utf-8") + b"\n"
-    if str(path).endswith(".gz"):
-        with open(path, "wb") as raw:
-            with gzip.GzipFile(filename="", mode="wb", fileobj=raw,
-                               mtime=0) as fh:
-                fh.write(data)
-    else:
-        with open(path, "wb") as fh:
-            fh.write(data)
+    write_lines([json.dumps({"traceEvents": events,
+                             "displayTimeUnit": "ms"},
+                            separators=(",", ":"), default=str)], path)
     return len(events)

@@ -7,9 +7,9 @@ serializes them to the observability schema::
     {"time_us": 12.5, "node": "adapter0", "subsystem": "tx",
      "event": "...", "fields": {"src": 0, "dst": 1, ...}}
 
-one JSON object per line (JSONL), the format ``python -m repro.bench
---trace-out FILE`` writes and every log pipeline ingests.  Encoding is
-deterministic: top-level keys emit in a *fixed* order (schema order,
+one JSON object per line (JSONL), the format of the ``trace`` artifact
+(``python -m repro.bench --obs trace``) and what log pipelines ingest.
+Encoding is deterministic: top-level keys emit in a *fixed* order (schema order,
 not alphabetical), field keys sort, and non-JSON-serializable field
 values (bytes payload fragments, tuples, sets...) are coerced
 deterministically instead of raising mid-export.  Identical seeds
@@ -31,12 +31,8 @@ from typing import TYPE_CHECKING, Any, Iterable, Union
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.trace import TraceRecord
 
-__all__ = ["record_to_dict", "jsonl_lines", "write_trace_jsonl",
-           "coerce_value"]
-
-#: Fixed top-level key order of the JSONL schema.
-_SCHEMA_ORDER = ("time_us", "node", "subsystem", "event", "fields")
-
+__all__ = ["record_to_dict", "jsonl_lines", "write_lines",
+           "write_trace_jsonl", "coerce_value"]
 
 def coerce_value(value: Any) -> Any:
     """Map one field value onto a deterministic JSON-serializable form.
@@ -60,35 +56,16 @@ def coerce_value(value: Any) -> Any:
     return str(value)
 
 
-def _coerce_fields(fields: dict) -> dict:
-    return {str(k): coerce_value(v)
-            for k, v in sorted(fields.items(),
-                               key=lambda kv: str(kv[0]))}
-
-
-def record_to_dict(record: Union["TraceRecord", dict]) -> dict:
-    """Map one trace record onto the JSONL schema, keys in fixed order.
-
-    Accepts live :class:`~repro.sim.Tracer` records and already-
-    serialized dicts (the form the parallel sweep engine ships back
-    from worker processes) interchangeably; both normalize to the same
-    key order and coerced field values, so mixing sources cannot
-    perturb byte-level determinism.
-    """
-    if isinstance(record, dict):
-        out = {key: record[key] for key in _SCHEMA_ORDER
-               if key in record}
-        for key in record:  # preserve any extension keys, sorted last
-            if key not in out:
-                out[key] = record[key]
-        out["fields"] = _coerce_fields(out.get("fields") or {})
-        return out
+def record_to_dict(record: "TraceRecord") -> dict:
+    """Map one trace record onto the JSONL schema, keys in fixed order."""
     return {
         "time_us": round(record.time, 6),
         "node": record.source,
         "subsystem": record.category,
         "event": record.message,
-        "fields": _coerce_fields(dict(record.fields)),
+        "fields": {str(k): coerce_value(v)
+                   for k, v in sorted(record.fields.items(),
+                                      key=lambda kv: str(kv[0]))},
     }
 
 
@@ -104,28 +81,28 @@ def jsonl_lines(records: Iterable["TraceRecord"]) -> Iterable[str]:
                          separators=(",", ":"), default=str)
 
 
+def write_lines(lines: Iterable[str], path: Union[str, "os.PathLike"],
+                *, append: bool = False) -> int:
+    """Write ``lines`` to ``path``, one per line; returns the count.
+
+    A path ending in ``.gz`` is gzip-compressed with a zeroed timestamp
+    and no embedded name (byte-deterministic); appending adds a gzip
+    member, which decompressors treat as a continuation of the stream.
+    """
+    count = 0
+    with open(path, "ab" if append else "wb") as raw:
+        out = (gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0)
+               if str(path).endswith(".gz") else raw)
+        with out:
+            for line in lines:
+                out.write(line.encode("utf-8") + b"\n")
+                count += 1
+    return count
+
+
 def write_trace_jsonl(records: Iterable["TraceRecord"],
                       path: Union[str, "os.PathLike"], *,
                       append: bool = False) -> int:
-    """Write ``records`` to ``path`` as JSONL; returns the line count.
-
-    A path ending in ``.gz`` writes gzip-compressed JSONL with a
-    zeroed timestamp (byte-deterministic); appending adds a gzip
-    member, which decompressors treat as a continuation of the stream.
-    """
-    written = 0
-    if str(path).endswith(".gz"):
-        with open(path, "ab" if append else "wb") as raw:
-            with gzip.GzipFile(filename="", mode="wb", fileobj=raw,
-                               mtime=0) as fh:
-                for line in jsonl_lines(records):
-                    fh.write(line.encode("utf-8"))
-                    fh.write(b"\n")
-                    written += 1
-        return written
-    with open(path, "a" if append else "w", encoding="utf-8") as fh:
-        for line in jsonl_lines(records):
-            fh.write(line)
-            fh.write("\n")
-            written += 1
-    return written
+    """Write ``records`` to ``path`` as JSONL (see :func:`write_lines`);
+    returns the line count."""
+    return write_lines(jsonl_lines(records), path, append=append)

@@ -33,13 +33,12 @@ where each entry is ``{"event", "node", "seq", "subsystem", "t_us",
 
 from __future__ import annotations
 
-import io
 import json
 from collections import deque
 from typing import TYPE_CHECKING, Optional
 
 from ..errors import SimulationError
-from .export import coerce_value
+from .export import coerce_value, write_lines
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim import Simulator
@@ -130,9 +129,6 @@ class FlightRecorder:
 def write_flight_jsonl(dumps: list, path: str) -> int:
     """Write flight dumps as deterministic JSONL (one dump per line,
     sorted keys, fixed separators).  Returns the line count."""
-    with io.open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for dump in dumps:
-            fh.write(json.dumps(dump, sort_keys=True,
-                                separators=(",", ":")))
-            fh.write("\n")
-    return len(dumps)
+    return write_lines((json.dumps(dump, sort_keys=True,
+                                   separators=(",", ":"))
+                        for dump in dumps), path)

@@ -180,7 +180,7 @@ class MetricsRegistry:
     wire themselves up independently.  Snapshots are plain nested dicts
     (``subsystem -> node -> name -> value``) with deterministically
     sorted keys; :meth:`render` produces the per-subsystem text block
-    the bench harness prints under ``--metrics``.
+    the bench harness prints under ``--obs metrics``.
     """
 
     #: Instrument class -> timeline series kind.
@@ -202,7 +202,7 @@ class MetricsRegistry:
         into a :class:`repro.obs.timeline.Timeline` series.
 
         Purely additive: snapshots, renders, and collectors are
-        untouched, so ``--metrics`` output is identical armed or not.
+        untouched, so ``--obs metrics`` output is identical armed or not.
         """
         self._timeline = timeline
         for (subsystem, node_key, name), inst in \
@@ -279,7 +279,7 @@ class MetricsRegistry:
         }
 
     def render(self) -> str:
-        """Per-subsystem text block (what ``--metrics`` prints)."""
+        """Per-subsystem text block (what ``--obs metrics`` prints)."""
         snap = self.snapshot()
         if not snap:
             return "(no metrics registered)"

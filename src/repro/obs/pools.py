@@ -3,8 +3,8 @@
 The one object pool left is the span recorder's track free list;
 :func:`pool_stats` condenses it into one picklable dict per cluster.
 
-These numbers are deliberately *not* part of the ``--metrics`` blocks:
-the ``--metrics`` output must be byte-identical with spans armed or not.
+These numbers are deliberately *not* part of the metrics blocks:
+the ``--obs metrics`` output must be byte-identical with spans armed or not.
 """
 
 from __future__ import annotations

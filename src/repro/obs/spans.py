@@ -19,7 +19,7 @@ the kernel's allocation-free ``call_at`` fast path is untouched).
 Hard invariant: recording is *purely observational*.  Every hook reads
 ``sim.now`` and appends to host-level lists; none schedules events,
 consumes RNG, or touches protocol state.  Arming a recorder therefore
-cannot perturb virtual time -- ``--metrics`` blocks and figure outputs
+cannot perturb virtual time -- metrics blocks and figure outputs
 are byte-identical with spans on or off (asserted by tests).
 
 Spans are recorded per cluster (packet uids and span ids both restart
@@ -158,7 +158,7 @@ class SpanRecorder:
         self._msg: dict[tuple, tuple[Optional[int], int]] = {}
         #: Free list of retired packet tracks (reset-on-acquire).
         self._track_free: list[_PacketTrack] = []
-        #: Track pool counters (obs export; never in --metrics blocks).
+        #: Track pool counters (obs export; never in metrics blocks).
         self.tracks_created = 0
         self.tracks_recycled = 0
 

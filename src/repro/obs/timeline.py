@@ -31,25 +31,21 @@ windows in a ring (empty windows occupy no ring slot), so 4096-node
 
 Everything here is a pure function of the observation stream, so
 serial and ``--jobs N`` runs produce byte-identical snapshots -- the
-``--timeline-out`` parity CI enforces.
+parity CI enforces on the ``timeline`` artifact.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
 from ..errors import SimulationError
-from .flight import FlightRecorder
 from .sketch import QuantileSketch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim import Simulator
 
-__all__ = ["TelemetryConfig", "Timeline", "TelemetryRuntime",
-           "DEFAULT_WINDOW_US", "RING_WINDOWS"]
+__all__ = ["Timeline", "DEFAULT_WINDOW_US", "RING_WINDOWS"]
 
 #: Default window width: 100 virtual microseconds resolves the chaos
 #: bench's few-thousand-us runs into dozens of points while keeping
@@ -61,26 +57,6 @@ RING_WINDOWS = 512
 
 #: Quantiles reported in timeline snapshots.
 _SNAPSHOT_QUANTILES = (("p50", 0.50), ("p99", 0.99), ("p999", 0.999))
-
-
-@dataclass(frozen=True)
-class TelemetryConfig:
-    """Declarative arming record for the virtual-time telemetry stack.
-
-    Frozen and picklable: the sweep engine ships it to ``--jobs N``
-    workers verbatim, so every worker arms exactly the parent's
-    configuration (the byte-identity contract).
-    """
-
-    window_us: float = DEFAULT_WINDOW_US
-
-    def validate(self) -> None:
-        # Negated so NaN fails too; inf would fold every sample into
-        # window 0.
-        if not 0.0 < self.window_us < math.inf:
-            raise SimulationError(
-                f"telemetry window_us must be finite and > 0,"
-                f" got {self.window_us}")
 
 
 def _node_key(node: Optional[int]) -> str:
@@ -213,11 +189,10 @@ class Timeline:
     """
 
     def __init__(self, sim: "Simulator",
-                 config: Optional[TelemetryConfig] = None) -> None:
-        config = config if config is not None else TelemetryConfig()
-        config.validate()
+                 window_us: float = DEFAULT_WINDOW_US) -> None:
         self.sim = sim
-        self.window_us = config.window_us
+        #: Validated by :class:`repro.obs.ObsSpec`.
+        self.window_us = window_us
         #: (kind, subsystem, node_key, name) -> series
         self._series: dict[tuple, _Series] = {}
         self._finalized = False
@@ -281,7 +256,7 @@ class Timeline:
 
         Finalizes first (the trailing window is sealed), then emits
         series sorted by (subsystem, node, name, kind) -- the order
-        ``--timeline-out`` writes and CI byte-compares.
+        the ``timeline`` artifact is written in.
         """
         self.finalize()
         entries = sorted(
@@ -299,34 +274,3 @@ class Timeline:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Timeline {len(self._series)} series,"
                 f" window={self.window_us}us>")
-
-
-@dataclass
-class TelemetryRuntime:
-    """The armed telemetry stack of one cluster.
-
-    Built by :class:`repro.machine.Cluster` when a
-    :class:`TelemetryConfig` is passed: the timeline attaches to the
-    cluster's metrics registry (arming every instrument, present and
-    future), and the flight recorder hangs off ``sim.flight`` for the
-    reliability/fault trigger points.
-    """
-
-    timeline: Timeline
-    flight: FlightRecorder
-
-    @classmethod
-    def install(cls, config: TelemetryConfig, sim: "Simulator",
-                metrics) -> "TelemetryRuntime":
-        timeline = Timeline(sim, config)
-        metrics.attach_timeline(timeline)
-        flight = FlightRecorder(sim)
-        sim.flight = flight
-        return cls(timeline=timeline, flight=flight)
-
-    def snapshot(self) -> dict:
-        """Picklable telemetry capture of one finished cluster: the
-        windowed series and every flight-recorder dump, both in
-        deterministic order."""
-        return {"timeline": self.timeline.snapshot(),
-                "flight": self.flight.dump_dicts()}

@@ -71,10 +71,15 @@ class Tracer:
 
         Hot paths check this before building expensive record content
         (``repr`` of packets/events), so suppressed records cost
-        nothing.
+        nothing.  A record refused at the cap counts as suppressed
+        here, since those callers never reach :meth:`log`.
         """
-        return ((self.categories is None or category in self.categories)
-                and len(self.records) < self.limit)
+        if self.categories is not None and category not in self.categories:
+            return False
+        if len(self.records) >= self.limit:
+            self.suppressed += 1
+            return False
+        return True
 
     def log(self, time: float, source: str, category: str,
             message: str, **fields: Any) -> None:

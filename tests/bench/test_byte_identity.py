@@ -1,7 +1,7 @@
 """Byte-identity of virtual-time observables across worker counts.
 
 The acceptance contract of the sweep engine: the worker count is a
-pure wall-clock optimization -- every rendered table, ``--metrics``
+pure wall-clock optimization -- every rendered table, metrics
 block, and span stream is byte-identical to the serial run.  These
 tests drive the real CLI, diffing its output and its Perfetto span
 file between ``--jobs 1`` and ``--jobs 4``.
@@ -12,6 +12,7 @@ import pytest
 from repro.bench import __main__ as cli
 from repro.bench import parallel, runner
 from repro.bench.latency import run_table2
+from repro.obs import ObsSpec
 
 
 @pytest.fixture
@@ -22,11 +23,12 @@ def restore_engine():
 
 
 def _cli_run(tmp_path, capsys, jobs):
-    """``--quick --metrics --spans-out`` on fig2: the stdout lines that
+    """``--quick --obs metrics,spans`` on fig2: the stdout lines that
     must match, and the span file's bytes."""
-    spans = tmp_path / f"spans_{jobs}.json"
-    assert cli.main(["--quick", "--metrics", "--spans-out", str(spans),
-                     "--jobs", str(jobs), "fig2"]) == 0
+    out = tmp_path / f"obs_{jobs}"
+    assert cli.main(["--quick", "--obs", "metrics,spans", "--obs-out",
+                     str(out), "--jobs", str(jobs), "fig2"]) == 0
+    spans = out / "spans.json.gz"
     out = [line for line in capsys.readouterr().out.splitlines()
            if not line.startswith(("(regenerated in", "parallel:",
                                    "wrote "))]
@@ -44,8 +46,9 @@ class TestSchedulingModesAreInvisible:
                    for line in serial_out)
 
     def test_spans_actually_captured(self, restore_engine):
-        runner.configure_observability(spans=True)
+        runner.configure_observability(ObsSpec({"spans"}))
         parallel.configure(4)
         run_table2()
-        assert any(c.spans for c in runner.drain_captures()), \
+        assert any(c.artifacts["spans"]
+                   for c in runner.drain_captures()), \
             "worker-shipped span streams should be non-empty"

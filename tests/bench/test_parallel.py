@@ -1,7 +1,7 @@
 """The parallel sweep engine: seed spread, key merge, determinism.
 
 The engine's contract is that ``--jobs N`` is an invisible wall-clock
-optimization: results, ``--metrics`` blocks, and virtual-time numbers
+optimization: results, metrics blocks, and virtual-time numbers
 are byte-identical to a serial run.  These tests pin the unit pieces
 (SplitMix seed spread, job-key resolution and ordering), the futures
 (cross-sweep pipelining, idempotent results), the error paths (failed
@@ -21,6 +21,7 @@ import pytest
 from repro.bench import parallel, runner
 from repro.bench.bandwidth import run_fig2
 from repro.bench.latency import lapi_pingpong_job, run_table2
+from repro.obs import ObsSpec
 from repro.bench.parallel import (Deferred, JobSpec, SweepScheduler,
                                   host_record, parse_jobs, spread_seed)
 
@@ -256,7 +257,7 @@ class TestCaptureShipping:
         specs = [JobSpec(_pingpong_job, key=("cap", i))
                  for i in range(3)]
 
-        runner.configure_observability(metrics=True, capture=True)
+        runner.configure_observability(ObsSpec({"metrics"}), capture=True)
         parallel.configure(1)
         serial_values = parallel.sweep(specs)
         serial_caps = runner.drain_captures()
@@ -271,7 +272,7 @@ class TestCaptureShipping:
             assert a.nnodes == b.nnodes
             assert a.now == b.now
             assert a.events == b.events
-            assert a.metrics_block == b.metrics_block
+            assert a.artifacts == b.artifacts
 
     def test_trace_records_match_serial(self, restore_engine):
         """Trace parity requires packet uids to restart per cluster:
@@ -280,7 +281,7 @@ class TestCaptureShipping:
         specs = [JobSpec(_pingpong_job, key=("trace", i))
                  for i in range(3)]
 
-        runner.configure_observability(trace=True, capture=True)
+        runner.configure_observability(ObsSpec({"trace"}), capture=True)
         parallel.configure(1)
         parallel.sweep(specs)
         serial_caps = runner.drain_captures()
@@ -289,9 +290,9 @@ class TestCaptureShipping:
         parallel.sweep(specs)
         par_caps = runner.drain_captures()
 
-        serial_traces = [c.trace for c in serial_caps]
-        par_traces = [c.trace for c in par_caps]
-        assert serial_traces[0], "expected trace records"
+        serial_traces = [c.artifacts["trace"] for c in serial_caps]
+        par_traces = [c.artifacts["trace"] for c in par_caps]
+        assert serial_traces[0][0], "expected trace records"
         # Identical clusters produce identical traces...
         assert serial_traces[0] == serial_traces[1] == serial_traces[2]
         # ...and the worker-shipped records match the serial ones,
@@ -309,7 +310,8 @@ def _run_reduced_suite():
     return {
         "fig2_render": fig2.render(),
         "table2_render": table2.render(),
-        "metrics": [c.metrics_block for c in fig2_caps + table2_caps],
+        "metrics": [c.artifacts["metrics"]
+                    for c in fig2_caps + table2_caps],
         "virtual_us": [c.now for c in fig2_caps + table2_caps],
         "events": [c.events for c in fig2_caps + table2_caps],
         "clusters": len(fig2_caps) + len(table2_caps),
@@ -321,7 +323,7 @@ class TestDeterminism:
         """The acceptance guarantee on a reduced sweep: rendered
         tables, metrics blocks, and virtual-time results identical
         between serial and 4-way parallel execution."""
-        runner.configure_observability(metrics=True, capture=True)
+        runner.configure_observability(ObsSpec({"metrics"}), capture=True)
         parallel.configure(1)
         serial = _run_reduced_suite()
         parallel.configure(4)

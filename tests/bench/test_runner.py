@@ -1,8 +1,11 @@
 """Bench harness plumbing: mean() warm-up handling and observability."""
 
+import pickle
+
 import pytest
 
 from repro.bench import runner
+from repro.obs import ObsSpec
 
 
 class TestMean:
@@ -44,22 +47,21 @@ class TestClusterCapture:
         runner.configure_observability()
 
     def test_capture_condenses_live_cluster(self):
-        runner.configure_observability(metrics=True)
+        runner.configure_observability(ObsSpec({"metrics"}))
         cluster = runner.fresh_cluster(nnodes=2)
         cap = runner.capture_cluster(cluster)
         assert cap.nnodes == 2
         assert cap.now == cluster.sim.now
         assert cap.events == cluster.sim.events_processed
-        assert cap.metrics_block == cluster.metrics.render()
-        assert cap.trace == []
+        assert cap.artifacts == {"metrics": cluster.metrics.render()}
 
     def test_metrics_block_omitted_when_disarmed(self):
         runner.configure_observability(capture=True)
         cap = runner.capture_cluster(runner.fresh_cluster(nnodes=2))
-        assert cap.metrics_block is None
+        assert cap.artifacts == {}
 
     def test_drain_orders_shipped_before_live(self):
-        runner.configure_observability(metrics=True)
+        runner.configure_observability(ObsSpec({"metrics"}))
         shipped = runner.capture_cluster(runner.fresh_cluster(nnodes=2))
         runner.captured_clusters()  # reset the live list
         runner.record_captures([shipped])
@@ -69,14 +71,14 @@ class TestClusterCapture:
         assert drained[1].now == live.sim.now
         assert runner.drain_captures() == []
 
-    def test_observability_kwargs_round_trip(self):
-        runner.configure_observability(metrics=True, trace=True,
-                                       trace_limit=99)
-        kwargs = runner.observability_kwargs()
+    def test_armed_spec_round_trip(self):
+        """What a sweep worker receives re-arms the parent's state."""
+        spec = ObsSpec({"metrics", "trace"}, window_us=50.0)
+        runner.configure_observability(spec, capture=True)
+        obs, capture = pickle.loads(pickle.dumps(runner.armed()))
         runner.configure_observability()
-        runner.configure_observability(**kwargs)
-        assert runner.observability_kwargs() == kwargs
-        assert kwargs["trace_limit"] == 99
+        runner.configure_observability(obs, capture=capture)
+        assert runner.armed() == (spec, True)
 
 
 class TestObservabilitySwitchboard:
@@ -89,7 +91,7 @@ class TestObservabilitySwitchboard:
         assert runner.captured_clusters() == []
 
     def test_armed_capture_retains_clusters_with_tracers(self):
-        runner.configure_observability(metrics=True, trace=True)
+        runner.configure_observability(ObsSpec({"metrics", "trace"}))
         a = runner.fresh_cluster(nnodes=2)
         b = runner.fresh_cluster(nnodes=2)
         assert a.trace is not None
@@ -99,7 +101,7 @@ class TestObservabilitySwitchboard:
         assert runner.captured_clusters() == []
 
     def test_metrics_only_capture_skips_tracer(self):
-        runner.configure_observability(metrics=True)
+        runner.configure_observability(ObsSpec({"metrics"}))
         cluster = runner.fresh_cluster(nnodes=2)
         assert cluster.trace is None
         assert runner.captured_clusters() == [cluster]

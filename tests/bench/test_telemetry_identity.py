@@ -1,6 +1,6 @@
 """Telemetry contracts: zero perturbation, jobs-N byte-identity.
 
-The ``--timeline-out`` / ``--flight-out`` pipeline is
+The ``timeline`` / ``flight`` artifacts of ``--obs`` are
 purely observational: arming it must not move a single virtual-time
 observable, and every artifact it writes must be byte-identical
 between ``--jobs 1`` and ``--jobs N`` and with or without the flags
@@ -14,7 +14,7 @@ import pytest
 from repro.bench import __main__ as cli
 from repro.bench import parallel, runner
 from repro.bench.runner import fresh_cluster
-from repro.obs import TelemetryConfig
+from repro.obs import ObsSpec
 
 
 @pytest.fixture
@@ -38,25 +38,24 @@ def put_workload(task):
 
 
 class TestZeroPerturbation:
-    def _run(self, telemetry):
-        cluster = fresh_cluster(2, seed=0xBE1, telemetry=telemetry)
+    def _run(self, obs):
+        cluster = fresh_cluster(2, seed=0xBE1, obs=obs)
         cluster.run_job(put_workload, stacks=("lapi",))
         return cluster
 
     def test_armed_run_matches_disarmed_virtual_time(self,
                                                      restore_engine):
-        disarmed = self._run(None)
-        armed = self._run(TelemetryConfig())
+        disarmed = self._run(ObsSpec())
+        armed = self._run(ObsSpec({"timeline", "flight"}))
         assert armed.sim.now == disarmed.sim.now
         assert armed.sim.events_processed == \
             disarmed.sim.events_processed
         assert armed.metrics.render() == disarmed.metrics.render()
         # And the armed run actually recorded something.
-        snap = armed.telemetry.snapshot()
-        assert snap["timeline"]["series"]
+        assert armed.telemetry.snapshot()["series"]
 
     def test_armed_snapshot_is_deterministic(self, restore_engine):
-        cfg = TelemetryConfig()
+        cfg = ObsSpec({"timeline", "flight"})
         a = self._run(cfg).telemetry.snapshot()
         b = self._run(cfg).telemetry.snapshot()
         assert a == b
@@ -66,14 +65,14 @@ class TestZeroPerturbation:
 
 class TestCliArtifactIdentity:
     def _chaos_run(self, tmp_path, tag, jobs):
+        out = tmp_path / tag
         paths = {
-            "timeline": tmp_path / f"timeline_{tag}.jsonl",
-            "flight": tmp_path / f"flight_{tag}.jsonl",
+            "timeline": out / "timeline.jsonl",
+            "flight": out / "flight.jsonl",
             "faults": tmp_path / f"faults_{tag}.json",
         }
         argv = ["--quick", "--faults-out", str(paths["faults"]),
-                "--timeline-out", str(paths["timeline"]),
-                "--flight-out", str(paths["flight"]),
+                "--obs", "timeline,flight", "--obs-out", str(out),
                 "--jobs", str(jobs), "chaos"]
         assert cli.main(argv) == 0
         return {k: p.read_bytes() for k, p in paths.items()}
@@ -91,8 +90,9 @@ class TestCliArtifactIdentity:
 
     def test_faults_out_identical_without_telemetry_flags(
             self, restore_engine, tmp_path, capsys):
-        """The chaos records are a pure function of the job args: the
-        telemetry CLI flags must not change a byte of --faults-out."""
+        """The chaos records are a pure function of the job args:
+        arming telemetry with --obs must not change a byte of
+        --faults-out."""
         bare = tmp_path / "faults_bare.json"
         assert cli.main(["--quick", "--faults-out", str(bare),
                          "chaos"]) == 0

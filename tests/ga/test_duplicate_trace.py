@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.machine import Cluster
-from repro.sim import Tracer
+from repro.obs import ObsSpec
 
 from .conftest import run_ga
 
@@ -56,7 +56,6 @@ class TestDuplicate:
 
 class TestProtocolTracing:
     def test_dispatcher_events_recorded(self):
-        tracer = Tracer(categories=["lapi"])
 
         def main(task):
             lapi = task.lapi
@@ -71,13 +70,15 @@ class TestProtocolTracing:
                 yield from lapi.waitcntr(tgt, 1)
             yield from lapi.gfence()
 
-        Cluster(nnodes=2, trace=tracer).run_job(main, stacks=("lapi",))
-        assert len(tracer.records) > 0
-        text = " ".join(r.message for r in tracer.records)
+        cluster = Cluster(nnodes=2, obs=ObsSpec({"trace"}))
+        cluster.run_job(main, stacks=("lapi",))
+        records = cluster.trace.by_category("lapi")
+        assert len(records) > 0
+        text = " ".join(r.message for r in records)
         assert "lapi.data" in text  # the put's data packet
         assert "lapi.barrier" in text  # gfence tokens
         # Both ends dispatched something.
-        sources = {r.source for r in tracer.records}
+        sources = {r.source for r in records}
         assert {"lapi0", "lapi1"} <= sources
 
     def test_tracing_off_by_default_costs_nothing(self):
@@ -88,7 +89,6 @@ class TestProtocolTracing:
 
         t_untraced = Cluster(nnodes=2).run_job(main,
                                                stacks=("lapi",))[0]
-        tracer = Tracer(categories=["lapi"])
-        t_traced = Cluster(nnodes=2, trace=tracer).run_job(
+        t_traced = Cluster(nnodes=2, obs=ObsSpec({"trace"})).run_job(
             main, stacks=("lapi",))[0]
         assert t_traced == t_untraced  # identical virtual timings

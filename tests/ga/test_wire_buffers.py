@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from repro.errors import GaError
 from repro.ga import DESCRIPTOR_SIZE, Descriptor, GaOp, Section
 from repro.ga.buffers import AmBufferPool
+from repro.ga.wire import (GATHER_PAIR_SIZE, SCATTER_RECORD_SIZE,
+                           decode_gather, decode_scatter, encode_gather,
+                           encode_scatter)
 from repro.machine.memory import Memory
 
 
@@ -50,6 +53,24 @@ class TestDescriptor:
                        section=Section(0, 3, 0, 3), total=total,
                        reply_addr=addr, alpha=alpha)
         assert Descriptor.unpack(d.pack()) == d
+
+
+class TestPointWire:
+    def test_scatter_and_gather_points_round_trip(self):
+        points = [(0, 1), (7, 3), (1 << 40, 5)]
+        values = np.array([1.5, -2.0, 3.25])
+        blob = encode_scatter(points, values, [2, 0], np.float64)
+        assert len(blob) == 2 * SCATTER_RECORD_SIZE == 48
+        assert list(decode_scatter(blob)) == [
+            (1 << 40, 5, np.float64(3.25).tobytes()),
+            (0, 1, np.float64(1.5).tobytes())]
+        # Record layout: int64 i, int64 j, then the element's raw bytes.
+        assert blob[:SCATTER_RECORD_SIZE] == (
+            np.int64(1 << 40).tobytes() + np.int64(5).tobytes()
+            + np.float64(3.25).tobytes())
+        pairs = encode_gather(points, [2, 0])
+        assert len(pairs) == 2 * GATHER_PAIR_SIZE == 32
+        assert list(decode_gather(pairs)) == [points[2], points[0]]
 
 
 class TestBufferPool:

@@ -25,8 +25,8 @@ from repro.faults import FaultSchedule, LinkOutage
 from repro.machine import Adapter, Cluster
 from repro.machine.config import SP_1998
 from repro.machine.switch import Switch
-from repro.obs import SpanRecorder, pool_stats, record_to_dict
-from repro.sim import RngRegistry, Simulator, Tracer
+from repro.obs import ObsSpec, pool_stats, record_to_dict
+from repro.sim import RngRegistry, Simulator
 
 NBYTES = 262144  # enough packets for several trains
 
@@ -74,10 +74,10 @@ def _no_peel():
 
 def _run(config, job, nnodes=2, *, spans=False, trace=False,
          faults=None, seed=0xFA57):
+    names = {"spans"} if spans else set()
+    names |= {"trace"} if trace else set()
     cluster = Cluster(nnodes=nnodes, config=config, seed=seed,
-                      spans=SpanRecorder() if spans else None,
-                      trace=Tracer() if trace else None,
-                      faults=faults)
+                      faults=faults, obs=ObsSpec(names))
     cluster.run_job(job, stacks=("lapi",), interrupt_mode=False)
     return cluster
 
@@ -228,8 +228,8 @@ class TestBenchEquivalence:
         """Real bench experiments produce byte-identical tables, metrics
         blocks, virtual times and span streams with the peel or on the
         per-packet reference."""
-        runner.configure_observability(metrics=True, capture=True,
-                                       spans=True)
+        runner.configure_observability(ObsSpec({"metrics", "spans"}),
+                                       capture=True)
         try:
             fast, fast_clusters = _bench_suite()
             with _no_peel():

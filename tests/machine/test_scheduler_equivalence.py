@@ -17,6 +17,7 @@ from repro.bench.latency import run_table2
 from repro.machine import Cluster
 from repro.machine.config import SP_1998
 from repro.machine.stats import snapshot
+from repro.obs import ObsSpec
 
 
 @pytest.fixture
@@ -95,10 +96,10 @@ def _bench_suite():
     return {
         "fig2_render": fig2.render(),
         "table2_render": table2.render(),
-        "metrics": [c.metrics_block for c in caps],
+        "metrics": [c.artifacts["metrics"] for c in caps],
         "virtual_us": [c.now for c in caps],
         "events": [c.events for c in caps],
-        "spans": [c.spans for c in caps],
+        "spans": [c.artifacts["spans"] for c in caps],
     }
 
 
@@ -108,8 +109,8 @@ class TestBenchEquivalence:
         total and virtual time the retired schedulers gave, and a second
         run renders byte-identical tables, metrics blocks, virtual times
         and span streams."""
-        runner.configure_observability(metrics=True, capture=True,
-                                       spans=True)
+        runner.configure_observability(ObsSpec({"metrics", "spans"}),
+                                       capture=True)
         first = _bench_suite()
         assert first["spans"][0], "expected span records"
         assert len(first["events"]) == 10

@@ -3,8 +3,8 @@
 import gzip
 import json
 
-from repro.obs import jsonl_lines, record_to_dict, write_trace_jsonl
-from repro.sim import TraceRecord, Tracer
+from repro.obs import ObsSpec, jsonl_lines, record_to_dict, write_trace_jsonl
+from repro.sim import TraceRecord
 
 
 def _sample_records():
@@ -103,13 +103,14 @@ class TestWriteTraceJsonl:
                 yield from lapi.fence()
             yield from lapi.gfence()
 
-        tracer = Tracer(categories=["tx", "rx", "route"])
-        cluster = Cluster(nnodes=2, trace=tracer)
+        cluster = Cluster(nnodes=2, obs=ObsSpec({"trace"}))
         cluster.run_job(main, stacks=("lapi",))
-        assert tracer.records, "trace should capture packet events"
+        records = [r for r in cluster.trace.records
+                   if r.category in ("tx", "rx", "route")]
+        assert records, "trace should capture packet events"
         path = tmp_path / "cluster.jsonl"
-        n = write_trace_jsonl(tracer.records, path)
-        assert n == len(tracer.records)
+        n = write_trace_jsonl(records, path)
+        assert n == len(records)
         times = [json.loads(line)["time_us"]
                  for line in path.read_text().splitlines()]
         assert times == sorted(times)

@@ -20,7 +20,7 @@ from repro.bench.latency import lapi_pingpong_job
 from repro.machine import Cluster
 from repro.machine.packet import Packet
 from repro.obs import (MANDATORY_PHASES, PHASE_ORDER, SPAN_SCHEMA_KEYS,
-                       SpanRecorder, bucket_of, chrome_trace_events,
+                       ObsSpec, SpanRecorder, bucket_of, chrome_trace_events,
                        critical_path, decompose, percentile,
                        pool_stats, render_critical_path, render_decomposition,
                        span_to_dict, write_chrome_trace)
@@ -283,7 +283,8 @@ class TestChromeTrace:
 
 
 def _put_job(spans):
-    """One 2-node LAPI put/gfence cluster; returns (cluster, recorder)."""
+    """One 2-node LAPI put/gfence cluster, spans armed or not; returns
+    the cluster (its recorder is ``cluster.spans``)."""
 
     def main(task):
         lapi = task.lapi
@@ -298,16 +299,15 @@ def _put_job(spans):
             yield from lapi.waitcntr(tgt, 1)
         yield from lapi.gfence()
 
-    cluster = Cluster(nnodes=2, spans=spans)
+    cluster = Cluster(nnodes=2,
+                      obs=ObsSpec({"spans"}) if spans else ObsSpec())
     cluster.run_job(main, stacks=("lapi",))
     return cluster
 
 
 class TestClusterIntegration:
     def test_real_cluster_produces_causal_spans(self):
-        sp = SpanRecorder()
-        _put_job(sp)
-        dicts = sp.span_dicts()
+        dicts = _put_job(True).spans.span_dicts()
         assert dicts, "a put/gfence job must produce spans"
         phases = {d["phase"] for d in dicts}
         assert {"call", "tx", "wire", "rx_dma", "dispatch",
@@ -324,24 +324,21 @@ class TestClusterIntegration:
                 assert d["parent"] in sids
 
     def test_identical_seeds_identical_span_streams(self):
-        a, b = SpanRecorder(), SpanRecorder()
-        _put_job(a)
-        _put_job(b)
+        a, b = _put_job(True).spans, _put_job(True).spans
         assert a.span_dicts() == b.span_dicts()
 
     def test_spans_do_not_perturb_virtual_time(self):
-        bare = _put_job(None)
-        sp = SpanRecorder()
-        traced = _put_job(sp)
+        bare = _put_job(False)
+        traced = _put_job(True)
         assert traced.sim.now == bare.sim.now
         assert (traced.sim.events_processed
                 == bare.sim.events_processed)
-        assert len(sp) > 0
+        assert len(traced.spans) > 0
 
     def test_consumed_acks_retire_their_span_tracks(self):
         # The transport retires each consumed ack's uid-keyed track, so
         # the recorder's side table stays bounded on long runs.
-        cluster = _put_job(SpanRecorder())
+        cluster = _put_job(True)
         assert pool_stats(cluster)["span_tracks"]["tracks_recycled"] > 0
 
 
@@ -364,14 +361,14 @@ class TestParallelParity:
         specs = [parallel.JobSpec(_pingpong_job, key=("sp", i))
                  for i in range(3)]
 
-        runner.configure_observability(spans=True, capture=True)
+        runner.configure_observability(ObsSpec({"spans"}), capture=True)
         parallel.configure(1)
         serial_values = parallel.sweep(specs)
-        serial = [c.spans for c in runner.drain_captures()]
+        serial = [c.artifacts["spans"] for c in runner.drain_captures()]
 
         parallel.configure(4)
         par_values = parallel.sweep(specs)
-        par = [c.spans for c in runner.drain_captures()]
+        par = [c.artifacts["spans"] for c in runner.drain_captures()]
 
         assert par_values == serial_values
         assert len(serial) == len(par) == 3

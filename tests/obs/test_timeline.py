@@ -1,9 +1,11 @@
 """Timeline: window boundaries, ring bounds, per-series close."""
 
+import pickle
+
 import pytest
 
 from repro.errors import SimulationError
-from repro.obs import TelemetryConfig, Timeline
+from repro.obs import ObsSpec, Timeline
 from repro.obs.timeline import RING_WINDOWS
 
 
@@ -16,14 +18,19 @@ class FakeSim:
 
 def make_timeline(**kwargs):
     sim = FakeSim()
-    return sim, Timeline(sim, TelemetryConfig(**kwargs))
+    return sim, Timeline(sim, **kwargs)
 
 
 class TestConfig:
+    """The timeline window travels in :class:`ObsSpec`, which checks it
+    (and the artifact names) at construction."""
+
     def test_validate_rejects_bad_values(self):
         with pytest.raises(SimulationError):
-            TelemetryConfig(window_us=0.0).validate()
-        TelemetryConfig().validate()
+            ObsSpec(window_us=0.0)
+        with pytest.raises(SimulationError, match="unknown"):
+            ObsSpec({"timeline", "tracee"})
+        ObsSpec({"timeline"})
 
     @pytest.mark.parametrize("window_us", [float("nan"), float("inf"),
                                            -float("inf")])
@@ -31,11 +38,12 @@ class TestConfig:
         # NaN compares False against everything, so a `<= 0` guard
         # let it through to die later in window arithmetic.
         with pytest.raises(SimulationError, match="finite"):
-            TelemetryConfig(window_us=window_us).validate()
+            ObsSpec({"timeline"}, window_us=window_us)
 
     def test_config_is_hashable_and_frozen(self):
-        cfg = TelemetryConfig()
+        cfg = ObsSpec({"timeline"})
         hash(cfg)
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
         with pytest.raises(Exception):
             cfg.window_us = 5.0
 

@@ -1,5 +1,7 @@
 """Hot-path trace gating: suppressed records must cost nothing."""
 
+from repro.machine import Cluster
+from repro.obs import ObsSpec
 from repro.sim import Simulator, Tracer
 
 
@@ -74,3 +76,45 @@ class TestWants:
         rec = tracer.records[0]
         assert rec.fields == {"uid": 7, "bytes": 1024}
         assert "uid=7" in str(rec)
+
+
+def _put_trace(limit=None):
+    """A 2-node LAPI put with every record category traced."""
+
+    def main(task):
+        lapi = task.lapi
+        buf = task.memory.malloc(64)
+        yield from lapi.gfence()
+        if task.rank == 0:
+            src = task.memory.malloc(64)
+            yield from lapi.put(1, 64, buf, src)
+            yield from lapi.fence()
+        yield from lapi.gfence()
+
+    cluster = Cluster(nnodes=2, obs=ObsSpec({"trace"}))
+    if limit is not None:
+        cluster.trace.limit = limit
+    cluster.run_job(main, stacks=("lapi",))
+    return cluster.trace
+
+
+class TestCapCountsDrops:
+    def test_wants_counts_a_record_refused_at_the_cap(self):
+        tracer = Tracer(limit=1)
+        tracer.log(0.0, "adapter0", "tx", "first")
+        assert not tracer.wants("tx")
+        assert tracer.suppressed == 1
+        # A category the filter rejects is not a drop.
+        filtered = Tracer(categories=["rx"], limit=0)
+        assert not filtered.wants("tx")
+        assert filtered.suppressed == 0
+
+    def test_gated_sites_report_every_dropped_record(self):
+        # Adapter, switch and dispatcher sites call log() only after
+        # wants(): the cap's drops must still add up.
+        full = _put_trace()
+        capped = _put_trace(limit=1)
+        assert len(full.records) > 1
+        assert full.suppressed == 0
+        assert len(capped.records) == 1
+        assert capped.suppressed == len(full.records) - 1
