@@ -177,11 +177,24 @@ class Endpoint:
     # ------------------------------------------------------------------
     def wait_for(self, predicate: Callable[[], bool]) -> Generator:
         """Block until ``predicate()`` holds, driving progress as the
-        current mode requires."""
+        current mode requires.
+
+        In interrupt mode the thread sleeps on a gated progress wait:
+        a notify wakes it only once ``predicate`` holds or the stack
+        has left interrupt mode (``set_interrupt_mode(False)``, MPL's
+        ``lockrnc``), when it must go on polling instead.  Every
+        ``predicate`` is a pure read (see :meth:`WaitSet.wait
+        <repro.sim.sync.WaitSet.wait>`).
+        """
         thread = self.current_thread()
+
+        def can_leave() -> bool:
+            return predicate() or not (self.interrupt_mode
+                                       and self._mask_depth == 0)
+
         while not predicate():
             if self.interrupt_mode and self._mask_depth == 0:
-                yield from thread.wait(self.ctx.progress_ws.wait())
+                yield from thread.wait(self.ctx.progress_ws.wait(can_leave))
             else:
                 yield from self.dispatcher.poll_step(thread)
 

@@ -146,21 +146,21 @@ def mpl_rcvncall_echo(task):
 #: (job, stack, interrupt_mode) -> (sim.events_processed, sim.now)
 BUDGET = {
     (put_pingpong, "lapi", False): (179, 354.87807017543895),
-    (put_pingpong, "lapi", True): (202, 512.8780701754388),
+    (put_pingpong, "lapi", True): (200, 512.8780701754388),
     (amsend_handlers, "lapi", False): (208, 308.0212280701756),
-    (amsend_handlers, "lapi", True): (208, 467.2212280701755),
+    (amsend_handlers, "lapi", True): (204, 467.2212280701755),
     (get_sync, "lapi", False): (188, 321.5040350877196),
-    (get_sync, "lapi", True): (204, 476.7040350877195),
+    (get_sync, "lapi", True): (189, 476.7040350877195),
     (rmw_sync, "lapi", False): (172, 273.6988888888891),
-    (rmw_sync, "lapi", True): (194, 411.1988888888891),
+    (rmw_sync, "lapi", True): (178, 411.1988888888891),
     (put_64k, "lapi", False): (772, 828.15461988304),
-    (put_64k, "lapi", True): (854, 866.8384210526307),
+    (put_64k, "lapi", True): (827, 866.8384210526307),
     (satisfied_waitcntr, "lapi", False): (68, 101.19),
     (satisfied_waitcntr, "lapi", True): (82, 143.19),
     (mpl_sendrecv, "mpl", False): (194, 509.49140350877207),
-    (mpl_sendrecv, "mpl", True): (228, 706.4914035087718),
+    (mpl_sendrecv, "mpl", True): (215, 706.4914035087718),
     (mpl_rcvncall_echo, "mpl", False): (211, 900.2396491228064),
-    (mpl_rcvncall_echo, "mpl", True): (237, 1051.2396491228064),
+    (mpl_rcvncall_echo, "mpl", True): (216, 1051.2396491228064),
 }
 
 
@@ -213,9 +213,9 @@ def test_no_wait_builds_a_completed_event(monkeypatch, job, stack,
 #: while every 2-node job above stays put.  ``virtual_us`` is the final
 #: ``sim.now`` as the record carries it (rounded to the picosecond).
 RING_BUDGET = {
-    "sp": (17175, 746.669399),
-    "fattree": (17099, 688.910702),
-    "dragonfly": (17339, 732.831666),
+    "sp": (16513, 746.669399),
+    "fattree": (16475, 688.910702),
+    "dragonfly": (16571, 732.831666),
 }
 
 

@@ -128,7 +128,7 @@ class TestTrainEquivalence:
         # does not engage, the fast path is dead code.
         assert _train_packets(fast) > 0
         assert (fast.sim.events_processed, _trains_collapsed(fast)) \
-            == (2943, 11)
+            == (2879, 11)
 
     def test_lossy_config_falls_back(self):
         cfg = SP_1998.replace(loss_rate=0.02)
@@ -187,7 +187,7 @@ class TestTrainEquivalence:
                                   spans=True)
         assert fast.spans.span_dicts()
         assert (fast.sim.events_processed, _trains_collapsed(fast)) \
-            == (2943, 11)
+            == (2879, 11)
 
     def test_tracer_armed_keeps_trains(self):
         fast = _assert_equivalent(SP_1998, _put_job(NBYTES, 1),

@@ -1,9 +1,12 @@
 """Unit tests for repro.sim.sync primitives."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Semaphore, SimLock, Simulator, WaitSet
+from repro.sim import Channel, Semaphore, SimLock, Simulator, WaitSet, park
 
 
 @pytest.fixture
@@ -157,6 +160,24 @@ class TestSemaphore:
         assert sem.try_wait()
         assert not sem.try_wait()
 
+    def test_post_to_an_unobserved_wait_completes_in_place(self, sim):
+        """A polling loop checks ``triggered`` and never listens: the
+        credit is handed over with no kernel event."""
+        sem = Semaphore(sim)
+        polled, listened = sem.wait(), sem.wait()
+        log = []
+        listened.callbacks.append(lambda ev: log.append(sim.now))
+        sem.post()
+        assert polled.triggered and polled.processed
+        assert not listened.triggered
+        assert sim._pending() == 0
+        sem.post()
+        assert listened.triggered and not listened.processed
+        sim.run()
+        assert log == [0.0]
+        assert sim.events_processed == 1
+        assert sem.value == 0
+
 
 class TestWaitSet:
     def test_notify_all_wakes_everyone(self, sim):
@@ -179,3 +200,102 @@ class TestWaitSet:
         assert not w.triggered
         ws.notify_all()
         assert w.triggered
+
+
+class _Flag:
+    """A gate predicate whose truth the test sets."""
+
+    def __init__(self, value=False):
+        self.value = value
+        self.calls = 0
+
+    def __call__(self):
+        self.calls += 1
+        return self.value
+
+
+def _listen(ev, log, tag):
+    """Stand in for the process that yields ``ev``."""
+    ev.callbacks.append(lambda _ev: log.append(tag))
+    return ev
+
+
+class TestGatedWaitSet:
+    def test_false_gate_keeps_registration_and_queues_nothing(self, sim):
+        ws, gate, log = WaitSet(sim), _Flag(), []
+        ev = _listen(ws.wait(gate), log, "g")
+        assert ws.notify_all() == 0
+        assert gate.calls == 1
+        assert not ev.triggered
+        assert len(ws) == 1
+        assert sim._pending() == 0
+        sim.run()
+        assert log == [] and sim.events_processed == 0
+
+    def test_true_gate_wakes_exactly_once(self, sim):
+        ws, gate, log = WaitSet(sim), _Flag(), []
+        ev = _listen(ws.wait(gate), log, "g")
+        ws.notify_all()
+        gate.value = True
+        assert ws.notify_all("v") == 1
+        assert ev.triggered and ev.value == "v"
+        assert len(ws) == 0
+        assert ws.notify_all() == 0
+        assert gate.calls == 2
+        sim.run()
+        assert log == ["g"] and sim.events_processed == 1
+
+    def test_discard_drops_the_predicate(self, sim):
+        ws, gate = WaitSet(sim), _Flag()
+        ref = weakref.ref(gate)
+        ev = _listen(ws.wait(gate), [], "g")
+        del gate
+        ws.discard(ev)
+        gc.collect()
+        assert ref() is None
+        assert len(ws) == 0
+
+    def test_ungated_park_wakes_on_every_notify(self, sim):
+        ws, gate, log = WaitSet(sim), _Flag(), []
+        gated = _listen(ws.wait(gate), log, "g")
+        for _ in range(3):
+            parked = park(Channel(sim), ws)
+            assert ws.notify_all() == 1
+            assert parked.triggered and not gated.triggered
+        assert len(ws) == 1
+        assert gate.calls == 3
+
+    def test_kept_waiters_keep_their_order(self, sim):
+        ws, log = WaitSet(sim), []
+        first, second = _Flag(), _Flag()
+        _listen(ws.wait(first), log, "first")
+        _listen(ws.wait(), log, "plain")
+        _listen(ws.wait(second), log, "second")
+        assert ws.notify_all() == 1
+        _listen(ws.wait(), log, "late")
+        first.value = second.value = True
+        assert ws.notify_all() == 3
+        sim.run()
+        assert log == ["plain", "first", "second", "late"]
+
+    @pytest.mark.parametrize("holds", [False, True])
+    def test_killed_waiter_is_dropped_without_a_wake(self, sim, holds):
+        """A node crash kills the process blocked on a gated wait: the
+        registration is dropped, its predicate with it, and no event
+        is queued for it."""
+        ws, gate = WaitSet(sim), _Flag(holds)
+        ref = weakref.ref(gate)
+
+        def sleeper():
+            yield ws.wait(gate)
+
+        proc = sim.process(sleeper())
+        sim.run()
+        del gate
+        proc.kill()
+        queued = sim._pending()  # the killed process's own completion
+        assert ws.notify_all() == 0
+        assert len(ws) == 0
+        assert sim._pending() == queued
+        gc.collect()
+        assert ref() is None
