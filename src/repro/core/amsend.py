@@ -151,7 +151,6 @@ def _local_amsend(lapi: "Lapi", thread, handler_id: int, uhdr: bytes,
             ctx.counter_by_id(tgt_cntr).add(1)
         if cmpl_cntr is not None:
             cmpl_cntr.add(1)
-        ctx.progress_ws.notify_all()
 
     ctx.active_handlers += 1
 
@@ -160,6 +159,8 @@ def _local_amsend(lapi: "Lapi", thread, handler_id: int, uhdr: bytes,
             yield from finish(hthread)
         finally:
             ctx.active_handlers -= 1
+        # After the count drops: a gated ``term`` waits for zero.
+        ctx.progress_ws.notify_all()
 
     thread.cpu.spawn(wrapped, name=f"lapi{ctx.rank}.localcmpl",
                      priority=HANDLER)

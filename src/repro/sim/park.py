@@ -66,7 +66,7 @@ def park(channel: Channel, waitset: Optional[WaitSet] = None,
     ev = Event(sim, name=channel._get_name)
     channel._getters.append(ev)
     if waitset is not None:
-        waitset._waiters.append(ev)
+        waitset._waiters.append((ev, None))
     if timeout is not None:
         sim.call_at(sim._now + timeout, _expire, ev)
     return ev
