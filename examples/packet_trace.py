@@ -16,7 +16,7 @@ Run:  python examples/packet_trace.py [--obs-out DIR]
 import os
 import sys
 
-from repro.machine import Cluster, snapshot
+from repro.machine import Cluster
 from repro.obs import ARTIFACTS, ObsSpec, jsonl_lines, write_trace_jsonl
 
 
@@ -46,9 +46,6 @@ if __name__ == "__main__":
     for record in packets:
         print(record)
 
-    print()
-    print("=== cluster statistics ===")
-    print(snapshot(cluster).render())
 
     print()
     print("=== unified metrics (repro.obs) ===")

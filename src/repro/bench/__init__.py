@@ -4,9 +4,9 @@
 its ``submit_*`` entry point, which queues the experiment's sweeps and
 returns a :class:`~repro.bench.parallel.Deferred` whose ``finish()``
 builds an :class:`~repro.bench.report.ExperimentResult` (regenerated
-rows, the paper's reference values, shape-check verdicts).  Each
-experiment module also has the blocking ``run_*`` form, and DESIGN.md's
-experiment index maps each name to its paper artifact.
+rows, the paper's reference values, shape-check verdicts); a blocking
+run is ``submit_*(...).finish()``.  DESIGN.md's experiment index maps
+each name to its paper artifact.
 ``python -m repro.bench`` runs the paper's experiments.
 """
 

@@ -52,8 +52,7 @@ def _submitters(quick: bool) -> dict[str, Callable[[], Deferred]]:
     scheduler and returns a :class:`Deferred` whose ``finish()``
     assembles the result -- the seam that lets ``--jobs N`` submit
     everything up front and pipeline all sweeps through one pool.
-    Serial runs call submit+finish back to back, which runs the jobs
-    inline exactly as a direct ``run_*`` call would.
+    Serial runs call submit+finish back to back and run the jobs inline.
     """
     return {name: partial(submit_fn, **(QUICK.get(name, {}) if quick
                                          else {}))

@@ -14,9 +14,9 @@ performance consequence the design argument predicts:
 * **interrupt cost** -- how the polling/interrupt latency gap of
   Table 2 scales with the hardware's interrupt overhead.
 
-Every ablation comes in ``submit_*``/``run_*`` form: submission queues
-the sweep on the shared scheduler (so ablations pipeline with every
-other pending experiment) and ``finish()`` assembles the table.
+Every ablation is a ``submit_*`` entry point: submission queues the
+sweep on the shared scheduler (so ablations pipeline with every other
+pending experiment) and ``finish()`` assembles the table.
 """
 
 from __future__ import annotations
@@ -29,10 +29,7 @@ from .latency import lapi_pingpong_job
 from .parallel import Deferred, JobSpec, submit
 from .report import ExperimentResult
 
-__all__ = ["run_ablation_header", "run_ablation_eager",
-           "run_ablation_chunk", "run_ablation_hybrid",
-           "run_ablation_interrupt", "run_ablation_noncontig",
-           "submit_ablation_header", "submit_ablation_eager",
+__all__ = ["submit_ablation_header", "submit_ablation_eager",
            "submit_ablation_chunk", "submit_ablation_hybrid",
            "submit_ablation_interrupt", "submit_ablation_noncontig"]
 
@@ -64,10 +61,6 @@ def submit_ablation_noncontig(config: MachineConfig = SP_1998
     return Deferred(future,
                     lambda values: _noncontig(values, combos, sizes))
 
-
-def run_ablation_noncontig(config: MachineConfig = SP_1998
-                           ) -> ExperimentResult:
-    return submit_ablation_noncontig(config).finish()
 
 
 def _noncontig(values: list, combos: list,
@@ -118,10 +111,6 @@ def submit_ablation_header(config: MachineConfig = SP_1998
                     lambda values: _header(values, headers, configs))
 
 
-def run_ablation_header(config: MachineConfig = SP_1998
-                        ) -> ExperimentResult:
-    return submit_ablation_header(config).finish()
-
 
 def _header(values: list, headers: list,
             configs: dict) -> ExperimentResult:
@@ -161,10 +150,6 @@ def submit_ablation_eager(config: MachineConfig = SP_1998) -> Deferred:
                     lambda values: _eager(values, limits, probe))
 
 
-def run_ablation_eager(config: MachineConfig = SP_1998
-                       ) -> ExperimentResult:
-    return submit_ablation_eager(config).finish()
-
 
 def _eager(values: list, limits: list, probe: int) -> ExperimentResult:
     rows = []
@@ -199,10 +184,6 @@ def submit_ablation_chunk(config: MachineConfig = SP_1998) -> Deferred:
                      for cap in caps])
     return Deferred(future, lambda rates: _chunk(rates, caps, probe))
 
-
-def run_ablation_chunk(config: MachineConfig = SP_1998
-                       ) -> ExperimentResult:
-    return submit_ablation_chunk(config).finish()
 
 
 def _chunk(rates: list, caps: list, probe: int) -> ExperimentResult:
@@ -241,10 +222,6 @@ def submit_ablation_hybrid(config: MachineConfig = SP_1998
                     lambda values: _hybrid(values, thresholds, probe))
 
 
-def run_ablation_hybrid(config: MachineConfig = SP_1998
-                        ) -> ExperimentResult:
-    return submit_ablation_hybrid(config).finish()
-
 
 def _hybrid(values: list, thresholds: list,
             probe: int) -> ExperimentResult:
@@ -281,10 +258,6 @@ def submit_ablation_interrupt(config: MachineConfig = SP_1998
                      for interrupt_mode in (False, True)])
     return Deferred(future, lambda values: _interrupt(values, costs))
 
-
-def run_ablation_interrupt(config: MachineConfig = SP_1998
-                           ) -> ExperimentResult:
-    return submit_ablation_interrupt(config).finish()
 
 
 def _interrupt(values: list, costs: list) -> ExperimentResult:

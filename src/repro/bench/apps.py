@@ -28,7 +28,7 @@ from .parallel import Deferred, JobSpec, submit
 from .report import ExperimentResult
 from .runner import fresh_cluster
 
-__all__ = ["run_apps", "submit_apps", "app_elapsed", "apps_jobs"]
+__all__ = ["submit_apps", "app_elapsed", "apps_jobs"]
 
 
 def _scf_driver(task):
@@ -102,10 +102,6 @@ def submit_apps(config: MachineConfig = SP_1998) -> Deferred:
     """Queue every kernel/backend job; ``finish()`` builds the table."""
     return Deferred(submit(apps_jobs(config)), _apps)
 
-
-def run_apps(config: MachineConfig = SP_1998) -> ExperimentResult:
-    """Regenerate the application-improvement comparison."""
-    return submit_apps(config).finish()
 
 
 def _apps(elapsed: list) -> ExperimentResult:

@@ -26,7 +26,7 @@ from .report import ExperimentResult
 from .runner import SIZE_SWEEP, bandwidth_mbs, fresh_cluster, mean, \
     reps_for_size
 
-__all__ = ["run_fig2", "submit_fig2", "fig2_jobs", "lapi_bandwidth",
+__all__ = ["submit_fig2", "fig2_jobs", "lapi_bandwidth",
            "mpl_bandwidth", "lapi_bandwidth_point",
            "mpl_bandwidth_point", "half_peak_size"]
 
@@ -135,11 +135,6 @@ def submit_fig2(config: MachineConfig = SP_1998,
     return Deferred(future,
                     lambda values: _fig2(values, config, sizes))
 
-
-def run_fig2(config: MachineConfig = SP_1998,
-             sizes=SIZE_SWEEP) -> ExperimentResult:
-    """Regenerate Figure 2's three bandwidth curves."""
-    return submit_fig2(config, sizes).finish()
 
 
 def _fig2(values: list, config: MachineConfig,

@@ -40,7 +40,7 @@ from .parallel import Deferred, JobSpec, submit
 from .report import ExperimentResult
 from .runner import bandwidth_mbs
 
-__all__ = ["run_chaos", "submit_chaos", "chaos_jobs", "chaos_point",
+__all__ = ["submit_chaos", "chaos_jobs", "chaos_point",
            "chaos_scenarios", "crash_point", "crash_scenarios",
            "degradation_pct", "CHAOS_SEED", "CHAOS_WINDOW_US",
            "CRASH_AT_US", "RESTART_AT_US"]
@@ -365,10 +365,6 @@ def submit_chaos(quick: bool = False) -> Deferred:
     return Deferred(submit(chaos_jobs(quick)),
                     lambda values: _chaos(values, quick))
 
-
-def run_chaos(quick: bool = False) -> ExperimentResult:
-    """Run the chaos sweep and shape-check the degradation curves."""
-    return submit_chaos(quick).finish()
 
 
 def degradation_pct(goodput: float, base_goodput: float) -> float:

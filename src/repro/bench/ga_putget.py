@@ -26,9 +26,8 @@ from .parallel import Deferred, JobSpec, submit
 from .report import ExperimentResult
 from .runner import bandwidth_mbs, fresh_cluster, mean
 
-__all__ = ["run_fig3", "run_fig4", "run_ga_latency", "submit_fig3",
-           "submit_fig4", "submit_ga_latency", "ga_transfer_rate",
-           "figure_jobs", "GA_SIZE_SWEEP"]
+__all__ = ["submit_fig3", "submit_fig4", "submit_ga_latency",
+           "ga_transfer_rate", "figure_jobs", "GA_SIZE_SWEEP"]
 
 #: Backend/kind series of Figures 3-4, in serial construction order.
 _SERIES = [("lapi", "1d"), ("lapi", "2d"), ("mpl", "1d"),
@@ -181,22 +180,12 @@ def submit_fig3(config: MachineConfig = SP_1998,
     return _submit_figure("put", config, sizes)
 
 
-def run_fig3(config: MachineConfig = SP_1998,
-             sizes=GA_SIZE_SWEEP) -> ExperimentResult:
-    """Regenerate Figure 3 (GA put)."""
-    return submit_fig3(config, sizes).finish()
-
 
 def submit_fig4(config: MachineConfig = SP_1998,
                 sizes=GA_SIZE_SWEEP) -> Deferred:
     """Queue Figure 4's sweep; ``finish()`` builds the result."""
     return _submit_figure("get", config, sizes)
 
-
-def run_fig4(config: MachineConfig = SP_1998,
-             sizes=GA_SIZE_SWEEP) -> ExperimentResult:
-    """Regenerate Figure 4 (GA get)."""
-    return submit_fig4(config, sizes).finish()
 
 
 #: (op, backend) combinations of the latency table, in row order.
@@ -212,11 +201,6 @@ def submit_ga_latency(config: MachineConfig = SP_1998) -> Deferred:
                      for op, backend in _LAT_COMBOS])
     return Deferred(future, _ga_latency)
 
-
-def run_ga_latency(config: MachineConfig = SP_1998
-                   ) -> ExperimentResult:
-    """Regenerate the section 5.4 single-element latency numbers."""
-    return submit_ga_latency(config).finish()
 
 
 def _ga_latency(rates: list) -> ExperimentResult:

@@ -26,8 +26,8 @@ from .parallel import Deferred, JobSpec, submit
 from .report import ExperimentResult
 from .runner import fresh_cluster, mean
 
-__all__ = ["run_table2", "submit_table2", "run_pipeline_latency",
-           "submit_pipeline_latency", "lapi_pingpong", "mpl_pingpong",
+__all__ = ["submit_table2", "submit_pipeline_latency", "lapi_pingpong",
+           "mpl_pingpong",
            "lapi_pingpong_job", "mpl_pingpong_job", "table2_jobs",
            "pipeline_latency_job"]
 
@@ -155,10 +155,6 @@ def submit_table2(config: MachineConfig = SP_1998) -> Deferred:
     return Deferred(submit(table2_jobs(config)), _table2)
 
 
-def run_table2(config: MachineConfig = SP_1998) -> ExperimentResult:
-    """Regenerate Table 2: LAPI vs MPI/MPL latency."""
-    return submit_table2(config).finish()
-
 
 def _table2(values: list) -> ExperimentResult:
     ((lapi_ow, lapi_rt), (_, lapi_irt),
@@ -232,11 +228,6 @@ def submit_pipeline_latency(config: MachineConfig = SP_1998
                              key=("pipeline", "lapi"))])
     return Deferred(future, _pipeline_latency)
 
-
-def run_pipeline_latency(config: MachineConfig = SP_1998
-                         ) -> ExperimentResult:
-    """Regenerate the section-4 pipeline-latency numbers."""
-    return submit_pipeline_latency(config).finish()
 
 
 def _pipeline_latency(values: list) -> ExperimentResult:

@@ -36,7 +36,7 @@ from .parallel import Deferred, JobSpec, spread_seed, submit
 from .report import ExperimentResult
 from .runner import fresh_cluster, peak_rss_mb
 
-__all__ = ["run_scale", "submit_scale", "scale_jobs", "scale_point",
+__all__ = ["submit_scale", "scale_jobs", "scale_point",
            "scale_config", "SCALE_SIZES", "SCALE_QUICK_SIZES",
            "SCALE_TOPOLOGIES", "SCALE_SEED"]
 
@@ -156,10 +156,6 @@ def submit_scale(quick: bool = False, sizes=None) -> Deferred:
     future = submit(scale_jobs(sizes))
     return Deferred(future, lambda records: _scale(records, sizes))
 
-
-def run_scale(quick: bool = False, sizes=None) -> ExperimentResult:
-    """Run the scale sweep and check its invariants."""
-    return submit_scale(quick, sizes).finish()
 
 
 def _scale(records: list, sizes: list) -> ExperimentResult:

@@ -31,7 +31,7 @@ from .parallel import Deferred, JobSpec, spread_seed, submit
 from .report import ExperimentResult
 from .runner import fresh_cluster, mean
 
-__all__ = ["run_scaling", "submit_scaling", "scaling_jobs",
+__all__ = ["submit_scaling", "scaling_jobs",
            "gfence_latency", "alltoall_aggregate", "SCALING_SEED"]
 
 NODE_COUNTS = [2, 4, 8, 16]
@@ -116,10 +116,6 @@ def submit_scaling(config: MachineConfig = SP_1998) -> Deferred:
     return Deferred(submit(scaling_jobs(config)),
                     lambda values: _scaling(values, config))
 
-
-def run_scaling(config: MachineConfig = SP_1998) -> ExperimentResult:
-    """Regenerate the supplemental scaling table."""
-    return submit_scaling(config).finish()
 
 
 def _scaling(values: list, config: MachineConfig) -> ExperimentResult:

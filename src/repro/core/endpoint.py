@@ -118,16 +118,15 @@ class Endpoint:
         yield from thread.execute(getattr(cfg, prefix + "_call_overhead"))
         adapter = self.task.node.adapter
         self.client = adapter.attach_client(self.PROTO)
-        # adaptive_rto=None means auto: Jacobson/Karels timing exactly
-        # when a fault schedule is installed, fixed-timeout arithmetic
-        # (and its bit-exact virtual-time trajectory) otherwise.
-        adaptive = (cfg.adaptive_rto if cfg.adaptive_rto is not None
-                    else self.task.cluster.faults is not None)
+        # Jacobson/Karels timing exactly when a fault schedule is
+        # installed, fixed-timeout arithmetic (and its bit-exact
+        # virtual-time trajectory) otherwise.
         self.transport = ReliableTransport(
             self.sim, adapter, self.PROTO,
             window=getattr(cfg, prefix + "_window"),
             timeout=getattr(cfg, prefix + "_retrans_timeout"),
-            adaptive=adaptive, rto_min=cfg.rto_min,
+            adaptive=self.task.cluster.faults is not None,
+            rto_min=cfg.rto_min,
             rto_max=cfg.rto_max, backoff=cfg.rto_backoff,
             degraded_after=cfg.peer_degraded_after,
             retry_budget=cfg.retry_budget)

@@ -22,13 +22,14 @@ Design:
   control packets bypass the window so a dispatcher can always respond
   without blocking (deadlock freedom).
 
-Retransmission timing comes in two modes (see ``docs/reliability.md``):
+Retransmission timing comes in two modes (see ``docs/reliability.md``);
+the owning stack selects adaptive exactly when a ``FaultSchedule`` is
+installed:
 
-* **fixed** (default): every packet's retransmit deadline is
-  ``now + timeout`` -- the original arithmetic, kept bit-for-bit so
-  fault-free runs are byte-identical to historical outputs;
-* **adaptive** (``adaptive=True``; selected automatically when a
-  ``FaultSchedule`` is installed): Jacobson/Karels smoothed-RTT
+* **fixed**: every packet's retransmit deadline is ``now + timeout``
+  -- the original arithmetic, kept bit-for-bit so fault-free runs are
+  byte-identical to historical outputs;
+* **adaptive**: Jacobson/Karels smoothed-RTT
   estimation (``SRTT + 4*RTTVAR``, clamped to ``[rto_min, rto_max]``)
   with exponential per-round backoff and Karn's rule (no RTT sample
   from a retransmitted packet), plus a per-peer health state machine
@@ -129,42 +130,30 @@ class _PeerRx:
 class ReliableTransport:
     """Sequencing + ack + retransmission for one protocol stack."""
 
-    #: Default retransmission budget for one packet before the
-    #: transport declares the peer unreachable.  Real transports give
-    #: up too; in the model the overwhelmingly common cause is a
-    #: program bug (mismatched collectives leaving one task
-    #: retransmitting to a terminated peer), and a loud error beats an
-    #: eternal silent retry loop.  Configurable per transport via the
-    #: ``retry_budget`` constructor argument
-    #: (``MachineConfig.retry_budget``).
-    MAX_RETRANSMITS_PER_PACKET = 50
-
     def __init__(self, sim: "Simulator", adapter: "Adapter", proto: str,
-                 *, window: int, timeout: float, ack_kind: str = "ack",
-                 adaptive: bool = False, rto_min: float = 200.0,
-                 rto_max: float = 30000.0, backoff: float = 2.0,
-                 degraded_after: int = 3,
-                 retry_budget: Optional[int] = None) -> None:
+                 *, window: int, timeout: float, adaptive: bool,
+                 rto_min: float, rto_max: float, backoff: float,
+                 degraded_after: int, retry_budget: int) -> None:
         self.sim = sim
         self.adapter = adapter
         self.proto = proto
         self.window_size = window
         self.timeout = timeout
-        self.ack_kind = ack_kind
-        #: Adaptive (Jacobson/Karels) retransmission timing.  Off by
-        #: default: the fixed-timeout arithmetic below is kept
-        #: bit-identical to the historical path, which the byte-identity
-        #: contract of fault-free runs depends on.
+        #: Adaptive (Jacobson/Karels) retransmission timing.  When off, the
+        #: fixed-timeout arithmetic below is kept bit-identical to the
+        #: historical path, which the byte-identity contract of
+        #: fault-free runs depends on.
         self.adaptive = adaptive
         self.rto_min = rto_min
         self.rto_max = rto_max
         self.backoff = backoff
         self.degraded_after = degraded_after
-        #: Retransmissions of one packet before giving up on the peer;
-        #: ``None`` falls back to ``MAX_RETRANSMITS_PER_PACKET`` at
-        #: check time (instance overrides of the class cap keep
-        #: working).
-        self._retry_budget = retry_budget
+        #: Retransmissions of one packet before giving up on the peer.
+        #: Real transports give up too; in the model the overwhelmingly
+        #: common cause is a program bug (mismatched collectives leaving
+        #: one task retransmitting to a terminated peer), and a loud
+        #: error beats an eternal silent retry loop.
+        self.retry_budget = retry_budget
         self._tx: dict[int, _PeerTx] = {}
         self._rx: dict[int, _PeerRx] = {}
         #: Called with (packet) after every retransmission (stats hooks).
@@ -230,13 +219,6 @@ class ReliableTransport:
         self.rx_goodput_bytes = None
 
     # ------------------------------------------------------------------
-    @property
-    def retry_budget(self) -> int:
-        """Effective per-packet retransmission cap."""
-        if self._retry_budget is not None:
-            return self._retry_budget
-        return self.MAX_RETRANSMITS_PER_PACKET
-
     def _peer_tx(self, peer: int) -> _PeerTx:
         st = self._tx.get(peer)
         if st is None:
@@ -366,7 +348,7 @@ class ReliableTransport:
             if deadline > now:
                 continue
             tries = st.attempts.get(seq, 0) + 1
-            if tries > self.retry_budget:  # property: config or class cap
+            if tries > self.retry_budget:
                 self._peer_fatal(peer, st, pkt, tries)
                 return
             if uses_window:
@@ -417,17 +399,7 @@ class ReliableTransport:
         only; stacks install a structured path through the registered
         error handler and ``Cluster.fail_run``.
         """
-        st.health = UNREACHABLE
-        st.timer_running = False
-        if not st.breaker_open:
-            st.breaker_open = True
-            self.breaker_opens += 1
-        self.peers_unreachable += 1
-        for _, (_, _, uses_window, _, _) in sorted(st.unacked.items()):
-            if uses_window:
-                st.window.post()
-        st.unacked.clear()
-        st.attempts.clear()
+        self._open_breaker(st, complete_in_error=False)
         err = PeerUnreachableError(
             f"{self.proto}@{self.adapter.node_id}: no"
             f" acknowledgement from node {peer} after"
@@ -470,8 +442,23 @@ class ReliableTransport:
         st = self._peer_tx(peer)
         if st.breaker_open:
             return
-        st.breaker_open = True
-        self.breaker_opens += 1
+        self._open_breaker(st, complete_in_error=True)
+        if self.on_progress is not None:
+            self.on_progress()
+
+    def _open_breaker(self, st: _PeerTx, *, complete_in_error: bool) -> None:
+        """Open ``st``'s breaker and abandon everything in flight.
+
+        Marks the peer unreachable, stops its timer chain and posts the
+        window credit of every cleared entry, in sequence order, so
+        blocked senders wake and observe the failure.  With
+        ``complete_in_error`` each cleared entry's ``on_ack`` also
+        fires (right after its credit) as a counted completion in
+        error.
+        """
+        if not st.breaker_open:
+            st.breaker_open = True
+            self.breaker_opens += 1
         if st.health != UNREACHABLE:
             st.health = UNREACHABLE
             self.peers_unreachable += 1
@@ -482,11 +469,9 @@ class ReliableTransport:
         for _, (_, _, uses_window, on_ack, _) in cleared:
             if uses_window:
                 st.window.post()
-            if on_ack is not None:
+            if complete_in_error and on_ack is not None:
                 self.completed_in_error += 1
                 on_ack()
-        if self.on_progress is not None:
-            self.on_progress()
 
     def breaker_close(self, peer: int) -> None:
         """The detector absolved ``peer`` (machine restart): close the
@@ -525,7 +510,7 @@ class ReliableTransport:
         """
         self.adapter.inject_control(_Packet(
             src=self.adapter.node_id, dst=packet.src, proto=self.proto,
-            kind=self.ack_kind, header_bytes=ACK_HEADER_BYTES,
+            kind="ack", header_bytes=ACK_HEADER_BYTES,
             info={"acked_seq": packet.seq}))
         self.acks_sent += 1
         fresh = self._peer_rx(packet.src).fresh(packet.seq)

@@ -18,14 +18,12 @@ from .memory import Memory
 from .node import Node
 from .packet import Packet
 from .routing import Route, SerialResource, Topology
-from .stats import ClusterStats, snapshot
 from .switch import Switch
 
 __all__ = [
     "Adapter",
     "AdapterClient",
     "Cluster",
-    "ClusterStats",
     "Cpu",
     "HANDLER",
     "INTERRUPT",
@@ -37,7 +35,6 @@ __all__ = [
     "Route",
     "SP_1998",
     "SerialResource",
-    "snapshot",
     "Switch",
     "TASK_CRASHED",
     "Task",

@@ -184,28 +184,24 @@ class Cluster:
         #: running against the reduced peer set.
         self.on_peer_failure = "fail"
         #: Heartbeat failure detector (:mod:`repro.resilience`), or
-        #: None.  Armed below, after faults install, because the auto
-        #: rule depends on whether the schedule carries node crashes.
+        #: None.  Armed below, after faults install, because it arms
+        #: only when the schedule carries node crashes.
         self.resilience = None
         #: Compiled fault runtime (:mod:`repro.faults`), or None.  An
         #: installed schedule hooks the switch/adapters/CPUs above and
         #: flips the reliable transports into adaptive-RTO mode; no
         #: schedule (or an empty one) leaves every hot path untouched.
         self.faults = faults.install(self) if faults is not None else None
-        # Auto rule mirrors adaptive-RTO's: the detector arms exactly
-        # when the fault schedule can kill a node.  Fault-free runs (and
-        # fault runs without crashes) carry zero heartbeat traffic, so
-        # their event streams stay byte-identical to pre-detector trees.
-        detector = config.failure_detector
-        if detector is None:
-            detector = self.faults is not None and self.faults.has_crashes
-        if detector:
+        # The detector arms exactly when the fault schedule can kill a
+        # node.  Fault-free runs (and fault runs without crashes) carry
+        # zero heartbeat traffic, so their event streams stay
+        # byte-identical to pre-detector trees.
+        if self.faults is not None and self.faults.has_crashes:
             from ..resilience import ResilienceRuntime
             self.resilience = ResilienceRuntime(self)
-            if self.faults is not None:
-                # Crash and restart hooks notify the detector, which
-                # arms after the fault runtime.
-                self.faults.resilience = self.resilience
+            # Crash and restart hooks notify the detector, which arms
+            # after the fault runtime.
+            self.faults.resilience = self.resilience
 
     def fail_run(self, err: BaseException) -> None:
         """Terminate the running job cleanly with ``err``.

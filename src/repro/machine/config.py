@@ -24,7 +24,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 __all__ = ["MachineConfig", "SP_1998"]
 
@@ -169,13 +168,11 @@ class MachineConfig:
 
     # ------------------------------------------------------------------
     # Adaptive retransmission (Jacobson/Karels RTO; see
-    # docs/reliability.md).  ``adaptive_rto=None`` means *auto*: the
-    # transports adapt exactly when a ``FaultSchedule`` is installed on
-    # the cluster, so fault-free runs keep the fixed-timeout arithmetic
-    # (and its virtual-time trajectory) bit-for-bit.  ``True``/``False``
-    # force the choice either way (ablations).
+    # docs/reliability.md).  The transports adapt exactly when a
+    # ``FaultSchedule`` is installed on the cluster, so fault-free runs
+    # keep the fixed-timeout arithmetic (and its virtual-time
+    # trajectory) bit-for-bit.
     # ------------------------------------------------------------------
-    adaptive_rto: Optional[bool] = None
     #: Lower clamp on the estimated RTO: below this, jitter in the RTT
     #: samples would cause spurious retransmission storms.
     rto_min: float = 200.0
@@ -196,13 +193,11 @@ class MachineConfig:
 
     # ------------------------------------------------------------------
     # Failure detection (repro.resilience; see docs/reliability.md).
-    # ``failure_detector=None`` means *auto*: the heartbeat detector is
-    # armed exactly when the installed fault schedule fail-stops a node
-    # (NodeCrash clauses), so every other run -- including non-crash
-    # fault scenarios -- keeps its virtual-time trajectory bit-for-bit.
-    # ``True``/``False`` force the choice either way.
+    # The heartbeat detector is armed exactly when the installed fault
+    # schedule fail-stops a node (NodeCrash clauses), so every other
+    # run -- including non-crash fault scenarios -- keeps its
+    # virtual-time trajectory bit-for-bit.
     # ------------------------------------------------------------------
-    failure_detector: Optional[bool] = None
     #: Heartbeat period: every node pings every peer this often
     #: (virtual us) through an adapter-assisted responder.
     heartbeat_period: float = 400.0

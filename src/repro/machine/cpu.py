@@ -39,6 +39,9 @@ INTERRUPT = 0
 HANDLER = 5
 #: Priority for ordinary application threads.
 NORMAL = 10
+#: Longest slice of :meth:`Thread.compute` between chances for other
+#: threads to run (us).
+COMPUTE_QUANTUM = 50.0
 
 
 class _TaskCrashed:
@@ -190,15 +193,16 @@ class Thread:
         wake.when = t
         return (wake,)
 
-    def compute(self, cost: float, quantum: float = 50.0) -> Generator:
-        """Consume ``cost`` us of CPU, yielding between ``quantum`` slices.
+    def compute(self, cost: float) -> Generator:
+        """Consume ``cost`` us of CPU, yielding between
+        :data:`COMPUTE_QUANTUM` slices.
 
         Use for long application compute phases so interrupts and
         handler threads are not starved for the whole duration.
         """
         remaining = float(cost)
         while remaining > 0:
-            step = min(quantum, remaining)
+            step = min(COMPUTE_QUANTUM, remaining)
             yield from self.execute(step)
             remaining -= step
             if remaining > 0 and self.cpu._lock._waiters:

@@ -51,8 +51,8 @@ class Memory:
     # ------------------------------------------------------------------
     # allocation
     # ------------------------------------------------------------------
-    def malloc(self, nbytes: int, fill: int = 0) -> int:
-        """Allocate ``nbytes`` of ``fill`` bytes; return the base address.
+    def malloc(self, nbytes: int) -> int:
+        """Allocate ``nbytes`` of zero bytes; return the base address.
 
         Each allocation is its own private anonymous mapping, advised
         against huge pages, so the host pays one 4 KiB page per page a
@@ -68,16 +68,10 @@ class Memory:
             raise AllocationError(
                 f"malloc({nbytes}) exceeds the {self.max_allocation}-byte"
                 " single-allocation cap")
-        if (not isinstance(fill, (int, np.integer))
-                or not 0 <= fill <= 255):
-            raise AllocationError(
-                f"malloc fill {fill!r} is not a byte value (int 0..255)")
         region = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
         if _NO_HUGE_PAGES is not None:
             region.madvise(_NO_HUGE_PAGES)
         buf = np.frombuffer(region, dtype=np.uint8)
-        if fill:
-            buf.fill(fill)
         aid = self._next_id
         self._next_id += 1
         self._allocs[aid] = buf

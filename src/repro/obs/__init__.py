@@ -39,7 +39,7 @@ from .profile import (MANDATORY_PHASES, PHASE_ORDER, SIZE_BUCKETS,
                       render_critical_path, render_decomposition)
 from .sketch import DEFAULT_ALPHA, QuantileSketch, merge_sketches
 from .spans import SPAN_SCHEMA_KEYS, Span, SpanRecorder, span_to_dict
-from .spec import ARTIFACTS, TRACE_LIMIT, ClusterCapture, ObsOutput, ObsSpec
+from .spec import ARTIFACTS, ClusterCapture, ObsOutput, ObsSpec
 from .timeline import DEFAULT_WINDOW_US, Timeline
 
 __all__ = [
@@ -63,7 +63,6 @@ __all__ = [
     "SPAN_SCHEMA_KEYS",
     "Span",
     "SpanRecorder",
-    "TRACE_LIMIT",
     "Timeline",
     "bucket_of",
     "chrome_trace_events",

@@ -13,9 +13,9 @@ Design constraints, same as the rest of ``repro.obs``:
 
 * **Zero cost disarmed.**  The recorder hangs off ``sim.flight``
   (``None`` by default); hot paths pay one ``is None`` test.
-* **Bounded.**  Rings hold ``entries`` notes per node; at most
-  ``max_dumps`` dumps are kept; each distinct trigger ``key`` fires
-  once (a retransmit storm produces one dump, not thousands).
+* **Bounded.**  Rings hold :data:`RING_ENTRIES` notes per node; at
+  most :data:`MAX_DUMPS` dumps are kept; each distinct trigger ``key``
+  fires once (a retransmit storm produces one dump, not thousands).
 * **Deterministic.**  Notes carry a global sequence number assigned in
   simulation order (the kernel is serial per cluster), dumps merge
   rings by that sequence, and :func:`write_flight_jsonl` emits sorted
@@ -37,7 +37,6 @@ import json
 from collections import deque
 from typing import TYPE_CHECKING, Optional
 
-from ..errors import SimulationError
 from .export import coerce_value, write_lines
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -45,18 +44,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["FlightRecorder", "write_flight_jsonl"]
 
+#: Notes kept per node ring.
+RING_ENTRIES = 64
+#: Dumps kept per recorder; later triggers are counted, not kept.
+MAX_DUMPS = 8
+
 
 class FlightRecorder:
     """Per-node rings of recent notes plus the triggered dumps."""
 
-    def __init__(self, sim: "Simulator", entries: int = 64,
-                 max_dumps: int = 8) -> None:
-        if entries < 1:
-            raise SimulationError(
-                f"flight recorder needs entries >= 1, got {entries}")
+    def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
-        self.entries = entries
-        self.max_dumps = max_dumps
         self._rings: dict = {}
         self._seq = 0
         self._fired: set = set()
@@ -79,7 +77,7 @@ class FlightRecorder:
         """
         ring = self._rings.get(node)
         if ring is None:
-            ring = self._rings[node] = deque(maxlen=self.entries)
+            ring = self._rings[node] = deque(maxlen=RING_ENTRIES)
         self._seq += 1
         self.notes_total += 1
         entry = dict(fields) if fields else {}
@@ -94,13 +92,13 @@ class FlightRecorder:
         ``key`` deduplicates: a given key fires at most once (pass
         ``None`` to always fire).  Returns ``True`` when a dump was
         captured, ``False`` when suppressed (duplicate key or the
-        ``max_dumps`` cap)."""
+        :data:`MAX_DUMPS` cap)."""
         if key is not None:
             if key in self._fired:
                 self.suppressed += 1
                 return False
             self._fired.add(key)
-        if len(self.dumps) >= self.max_dumps:
+        if len(self.dumps) >= MAX_DUMPS:
             self.suppressed += 1
             return False
         entries = sorted((entry for ring in self._rings.values()

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional
 
 from ..errors import SimulationError
-from ..sim import Tracer
+from ..sim import Tracer, trace as sim_trace
 from .chrome import write_chrome_trace
 from .export import jsonl_lines, write_lines
 from .flight import FlightRecorder
@@ -31,11 +31,7 @@ from .timeline import DEFAULT_WINDOW_US, Timeline
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..machine import Cluster
 
-__all__ = ["ARTIFACTS", "ClusterCapture", "ObsOutput", "ObsSpec",
-           "TRACE_LIMIT"]
-
-#: Trace records kept per cluster; later ones are counted, not kept.
-TRACE_LIMIT = 250_000
+__all__ = ["ARTIFACTS", "ClusterCapture", "ObsOutput", "ObsSpec"]
 
 
 @dataclass
@@ -118,7 +114,7 @@ class _LineFile:
         line = f"wrote {self.count} {self.noun} to {self.path}"
         if self.dropped:
             line += (f" ({self.dropped} more dropped: the cap is"
-                     f" {TRACE_LIMIT} per cluster)")
+                     f" {sim_trace.TRACE_LIMIT} per cluster)")
         return line
 
 
@@ -218,7 +214,7 @@ class ObsSpec:
         return [n for n in self.ordered() if ARTIFACTS[n].filename]
 
     def tracer(self) -> Optional[Tracer]:
-        return Tracer(limit=TRACE_LIMIT) if "trace" in self.names else None
+        return Tracer() if "trace" in self.names else None
 
     def span_recorder(self) -> Optional[SpanRecorder]:
         armed = not self.names.isdisjoint(("spans", "decompose"))

@@ -19,8 +19,7 @@ gracefully.
 
 Arming is automatic and zero-cost when off: the cluster builds a
 runtime exactly when its fault schedule carries
-:class:`~repro.faults.NodeCrash` clauses (or when
-``MachineConfig.failure_detector`` forces it), so fault-free runs and
+:class:`~repro.faults.NodeCrash` clauses, so fault-free runs and
 non-crash fault runs keep their virtual-time trajectories bit-for-bit.
 """
 

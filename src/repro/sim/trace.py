@@ -12,11 +12,14 @@ record construction on :meth:`Tracer.wants`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Optional
+from typing import Any, Mapping
 
 from .kernel import _fire_event, _fire_timeout
 
-__all__ = ["TraceRecord", "Tracer"]
+__all__ = ["TRACE_LIMIT", "TraceRecord", "Tracer"]
+
+#: Records one tracer keeps; later ones are counted, not kept.
+TRACE_LIMIT = 250_000
 
 _NO_FIELDS: Mapping[str, Any] = {}
 
@@ -46,68 +49,45 @@ class TraceRecord:
 
 
 class Tracer:
-    """Collects trace records, optionally filtered by category.
+    """Collects trace records, up to :data:`TRACE_LIMIT` of them."""
 
-    Parameters
-    ----------
-    categories:
-        If given, only these categories are recorded.
-    echo:
-        When True, records are printed as they arrive (debugging aid).
-    limit:
-        Hard cap on stored records to bound memory in long runs.
-    """
-
-    def __init__(self, categories: Optional[Iterable[str]] = None,
-                 echo: bool = False, limit: int = 1_000_000) -> None:
+    def __init__(self) -> None:
         self.records: list[TraceRecord] = []
-        self.categories = frozenset(categories) if categories else None
-        self.echo = echo
-        self.limit = limit
         self.suppressed = 0
 
     def wants(self, category: str) -> bool:
         """Would a record of ``category`` be stored right now?
 
         Hot paths check this before building expensive record content
-        (``repr`` of packets/events), so suppressed records cost
+        (``repr`` of packets/events), so records past the cap cost
         nothing.  A record refused at the cap counts as suppressed
         here, since those callers never reach :meth:`log`.
         """
-        if self.categories is not None and category not in self.categories:
-            return False
-        if len(self.records) >= self.limit:
+        if len(self.records) >= TRACE_LIMIT:
             self.suppressed += 1
             return False
         return True
 
     def log(self, time: float, source: str, category: str,
             message: str, **fields: Any) -> None:
-        """Record one entry (subject to category filter and cap)."""
-        if self.categories is not None and category not in self.categories:
-            return
-        if len(self.records) >= self.limit:
+        """Record one entry (subject to the cap)."""
+        if len(self.records) >= TRACE_LIMIT:
             self.suppressed += 1
             return
-        rec = TraceRecord(time, source, category, message,
-                          fields if fields else _NO_FIELDS)
-        self.records.append(rec)
-        if self.echo:  # pragma: no cover - interactive aid
-            print(rec)
+        self.records.append(TraceRecord(time, source, category, message,
+                                        fields if fields else _NO_FIELDS))
 
     def kernel_event(self, time: float, fn: Any, arg: Any) -> None:
         """Hook invoked by the kernel for every queue entry it fires.
 
         ``fn(arg)`` is the entry: an event's firing (rendered as the
         event's ``repr``) or a :meth:`~repro.sim.Simulator.call_at`
-        callback (rendered as ``<call_at qualname(arg)>``).  The
-        filter/cap check runs *before* any of that is built: on long
-        runs with kernel events filtered out, this hook must not format
-        millions of strings that are immediately discarded.
+        callback (rendered as ``<call_at qualname(arg)>``).  The cap
+        check runs *before* any of that is built: on long runs past the
+        cap, this hook must not format millions of strings that are
+        immediately discarded.
         """
-        if self.categories is not None and "event" not in self.categories:
-            return
-        if len(self.records) >= self.limit:
+        if len(self.records) >= TRACE_LIMIT:
             self.suppressed += 1
             return
         if fn is _fire_event:

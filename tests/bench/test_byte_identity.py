@@ -11,7 +11,7 @@ import pytest
 
 from repro.bench import __main__ as cli
 from repro.bench import parallel, runner
-from repro.bench.latency import run_table2
+from repro.bench.latency import submit_table2
 from repro.obs import ObsSpec
 
 
@@ -48,7 +48,7 @@ class TestSchedulingModesAreInvisible:
     def test_spans_actually_captured(self, restore_engine):
         runner.configure_observability(ObsSpec({"spans"}))
         parallel.configure(4)
-        run_table2()
+        submit_table2().finish()
         assert any(c.artifacts["spans"]
                    for c in runner.drain_captures()), \
             "worker-shipped span streams should be non-empty"

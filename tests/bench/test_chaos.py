@@ -7,7 +7,7 @@ from repro.bench.chaos import (CHAOS_BYTES, CHAOS_SEED,
                                CHAOS_WINDOW_US, chaos_jobs,
                                chaos_point, chaos_scenarios,
                                crash_scenarios, degradation_pct,
-                               run_chaos)
+                               submit_chaos)
 from repro.bench.parallel import sweep
 from repro.faults import FaultSchedule, GilbertElliott, LinkOutage
 
@@ -98,7 +98,7 @@ class TestDegradationPct:
 
 class TestRunChaos:
     def test_quick_sweep_passes_all_checks(self):
-        result = run_chaos(quick=True)
+        result = submit_chaos(quick=True).finish()
         assert result.all_passed, result.render()
         expected = [n for n, _ in chaos_scenarios(quick=True)]
         expected += [n for n, _ in crash_scenarios(quick=True)]

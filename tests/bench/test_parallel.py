@@ -19,8 +19,8 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from repro.bench import parallel, runner
-from repro.bench.bandwidth import run_fig2
-from repro.bench.latency import lapi_pingpong_job, run_table2
+from repro.bench.bandwidth import submit_fig2
+from repro.bench.latency import lapi_pingpong_job, submit_table2
 from repro.obs import ObsSpec
 from repro.bench.parallel import (Deferred, JobSpec, SweepScheduler,
                                   host_record, parse_jobs, spread_seed)
@@ -303,9 +303,9 @@ class TestCaptureShipping:
 def _run_reduced_suite():
     """Reduced fig2 + table2 with full observability; returns every
     surface the determinism guarantee covers."""
-    fig2 = run_fig2(sizes=[1024, 16384])
+    fig2 = submit_fig2(sizes=[1024, 16384]).finish()
     fig2_caps = runner.drain_captures()
-    table2 = run_table2()
+    table2 = submit_table2().finish()
     table2_caps = runner.drain_captures()
     return {
         "fig2_render": fig2.render(),

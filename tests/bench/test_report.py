@@ -108,7 +108,7 @@ class TestRunnerHelpers:
         assert bandwidth_mbs(1000, 10.0) == 100.0
 
     def test_table1_experiment_passes(self):
-        from repro.bench.table1 import run_table1
-        result = run_table1()
+        from repro.bench.table1 import submit_table1
+        result = submit_table1().finish()
         assert result.all_passed
         assert len(result.rows) == 8

@@ -40,8 +40,8 @@ def mapped(monkeypatch):
     meter = MappedBytes()
     malloc = Memory.malloc
 
-    def recording(self, nbytes, fill=0):
-        addr = malloc(self, nbytes, fill)
+    def recording(self, nbytes):
+        addr = malloc(self, nbytes)
         meter.record(self._allocs[addr >> OFFSET_BITS])
         return addr
 

@@ -49,11 +49,14 @@ def _ack_for(pkt):
                   header_bytes=16, info={"acked_seq": pkt.seq})
 
 
-def _transport(adapter, **kw):
+def _transport(adapter):
     sim = Simulator()
-    kw.setdefault("window", 4)
-    kw.setdefault("timeout", 100.0)
-    return sim, ReliableTransport(sim, adapter, "lapi", **kw)
+    return sim, ReliableTransport(
+        sim, adapter, "lapi", window=4, timeout=100.0, adaptive=False,
+        rto_min=SP_1998.rto_min, rto_max=SP_1998.rto_max,
+        backoff=SP_1998.rto_backoff,
+        degraded_after=SP_1998.peer_degraded_after,
+        retry_budget=SP_1998.retry_budget)
 
 
 class TestRetransmitInjectionPath:

@@ -293,9 +293,11 @@ class TestDetector:
         assert block["convictions"] == 1
         assert block["peers_convicted_now"] == 1
 
-    def test_forced_detector_without_schedule(self):
-        cfg = SP_1998.replace(failure_detector=True)
-        cluster = Cluster(nnodes=2, config=cfg)
+    def test_detector_with_a_crash_after_the_job(self):
+        # The crash clause arms the detector, but the job ends long
+        # before it starts: the detector runs with nobody to convict.
+        sched = FaultSchedule([NodeCrash(node=1, start=400_000.0)])
+        cluster = Cluster(nnodes=2, faults=sched)
         assert cluster.resilience is not None
         cluster.run_job(_idle, stacks=("lapi",), until=500_000.0)
         assert cluster.resilience.convictions == []

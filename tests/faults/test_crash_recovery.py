@@ -41,11 +41,14 @@ class _StubAdapter:
         self.injected.append(packet)
 
 
-def _transport(**kw):
+def _transport():
     sim = Simulator()
-    kw.setdefault("window", 2)
-    kw.setdefault("timeout", 1000.0)
-    return sim, ReliableTransport(sim, _StubAdapter(), "t", **kw)
+    return sim, ReliableTransport(
+        sim, _StubAdapter(), "t", window=2, timeout=1000.0,
+        adaptive=False, rto_min=SP_1998.rto_min, rto_max=SP_1998.rto_max,
+        backoff=SP_1998.rto_backoff,
+        degraded_after=SP_1998.peer_degraded_after,
+        retry_budget=SP_1998.retry_budget)
 
 
 def _data(dst=1):
@@ -111,19 +114,6 @@ class TestCircuitBreaker:
         # Closing an already-closed breaker is a no-op.
         tr.breaker_close(1)
         assert tr.breaker_closes == 1
-
-    def test_retry_budget_property_precedence(self):
-        # No config: falls back to the class cap, and the historical
-        # instance-attribute override idiom keeps working.
-        _, tr = _transport()
-        assert tr.retry_budget == ReliableTransport.MAX_RETRANSMITS_PER_PACKET
-        tr.MAX_RETRANSMITS_PER_PACKET = 2
-        assert tr.retry_budget == 2
-        # An explicit budget (what the stacks pass from MachineConfig)
-        # wins over the class cap.
-        _, tr2 = _transport(retry_budget=7)
-        tr2.MAX_RETRANSMITS_PER_PACKET = 2
-        assert tr2.retry_budget == 7
 
 
 CRASH_RANK = 3

@@ -36,7 +36,8 @@ class _StubAdapter:
 
 def make_transport(**overrides):
     kw = dict(window=8, timeout=1000.0, adaptive=True, rto_min=50.0,
-              rto_max=4000.0, backoff=2.0, degraded_after=2)
+              rto_max=4000.0, backoff=2.0, degraded_after=2,
+              retry_budget=SP_1998.retry_budget)
     kw.update(overrides)
     sim = Simulator()
     tr = ReliableTransport(sim, _StubAdapter(), "t", **kw)
@@ -145,8 +146,7 @@ class TestBackoffAndHealth:
 
 class TestPeerFatal:
     def test_exhaustion_routes_through_on_fatal(self):
-        sim, tr = make_transport()
-        tr.MAX_RETRANSMITS_PER_PACKET = 2
+        sim, tr = make_transport(retry_budget=2)
         seen = []
         tr.on_fatal = seen.append
         st = tr._peer_tx(1)
@@ -165,16 +165,14 @@ class TestPeerFatal:
         assert not st.timer_running
 
     def test_exhaustion_without_hook_raises_from_timer(self):
-        sim, tr = make_transport()
-        tr.MAX_RETRANSMITS_PER_PACKET = 1
+        sim, tr = make_transport(retry_budget=1)
         st = tr._peer_tx(1)
         tr._register(st, data_packet(), uses_window=False, on_ack=None)
         with pytest.raises(PeerUnreachableError):
             run_until(sim, 60_000.0)
 
     def test_error_pickles_with_context(self):
-        sim, tr = make_transport()
-        tr.MAX_RETRANSMITS_PER_PACKET = 1
+        sim, tr = make_transport(retry_budget=1)
         seen = []
         tr.on_fatal = seen.append
         st = tr._peer_tx(1)
@@ -259,4 +257,4 @@ class TestErrorHandlerRouting:
         assert err.proto == "lapi"
         assert err.node == 0
         assert err.peer == 1
-        assert err.attempts == ReliableTransport.MAX_RETRANSMITS_PER_PACKET
+        assert err.attempts == SP_1998.retry_budget

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import MachineError
 from repro.machine import HANDLER, INTERRUPT, NORMAL, Cpu
 from repro.machine.config import SP_1998
+from repro.machine.cpu import COMPUTE_QUANTUM
 from repro.sim import Simulator
 
 
@@ -232,7 +233,7 @@ class TestMutualExclusion:
         order = []
 
         def long_job(thread):
-            yield from thread.compute(100.0, quantum=10.0)
+            yield from thread.compute(100.0)
             order.append(("job", sim.now))
 
         def interrupt(thread):
@@ -248,7 +249,7 @@ class TestMutualExclusion:
         sim.process(spawner())
         sim.run_until_complete(job.process)
         # The interrupt ran at the first quantum boundary, not at 100us.
-        assert ("irq", 11.0) in order
+        assert ("irq", COMPUTE_QUANTUM + 1.0) in order
         assert ("job", 101.0) in order
 
 

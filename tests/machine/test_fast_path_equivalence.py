@@ -19,8 +19,8 @@ import contextlib
 import pytest
 
 from repro.bench import runner
-from repro.bench.bandwidth import run_fig2
-from repro.bench.latency import run_table2
+from repro.bench.bandwidth import submit_fig2
+from repro.bench.latency import submit_table2
 from repro.faults import FaultSchedule, LinkOutage
 from repro.machine import Adapter, Cluster
 from repro.machine.config import SP_1998
@@ -213,8 +213,8 @@ class TestLedgerCompatibility:
 
 def _bench_suite():
     """Reduced fig2 + table2 under full observability."""
-    fig2 = run_fig2(sizes=[1024, 16384])
-    table2 = run_table2()
+    fig2 = submit_fig2(sizes=[1024, 16384]).finish()
+    table2 = submit_table2().finish()
     clusters = runner.captured_clusters()
     return {
         "fig2_render": fig2.render(),

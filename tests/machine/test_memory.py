@@ -35,19 +35,8 @@ class TestAllocation:
             mem.malloc(2048)
 
     def test_fill(self, mem):
-        a = mem.malloc(4, fill=0xAB)
-        assert mem.read(a, 4) == b"\xab\xab\xab\xab"
-
-    @pytest.mark.parametrize("fill", [300, -1, 256, 1.5, "7", None])
-    def test_fill_must_be_a_byte_value(self, mem, fill):
-        with pytest.raises(AllocationError, match="fill"):
-            mem.malloc(4, fill=fill)
-        assert mem.live_bytes == 0
-
-    @pytest.mark.parametrize("fill", [0, 255, np.uint8(9)])
-    def test_fill_byte_values_accepted(self, mem, fill):
-        a = mem.malloc(3, fill=fill)
-        assert mem.read(a, 3) == bytes([int(fill)]) * 3
+        a = mem.malloc(4)
+        assert mem.read(a, 4) == bytes(4)  # mappings start zeroed
 
     def test_free_releases(self, mem):
         a = mem.malloc(64)
@@ -143,7 +132,8 @@ class TestViews:
             mem.view(a, 10, dtype=np.float64)
 
     def test_raw_view_default(self, mem):
-        a = mem.malloc(4, fill=7)
+        a = mem.malloc(4)
+        mem.write(a, b"\x07" * 4)
         v = mem.view(a, 4)
         assert v.dtype == np.uint8
         assert list(v) == [7, 7, 7, 7]

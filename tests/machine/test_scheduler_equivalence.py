@@ -14,11 +14,10 @@ recycled object carries over between clusters).
 import pytest
 
 from repro.bench import runner
-from repro.bench.bandwidth import run_fig2
-from repro.bench.latency import run_table2
+from repro.bench.bandwidth import submit_fig2
+from repro.bench.latency import submit_table2
 from repro.machine import Cluster
 from repro.machine.config import SP_1998
-from repro.machine.stats import snapshot
 from repro.obs import ObsSpec
 
 
@@ -52,7 +51,6 @@ def _ring_job(nnodes, topology="sp"):
         "now": cluster.sim.now,
         "events": cluster.sim.events_processed,
         "metrics": cluster.metrics.render(),
-        "stats": snapshot(cluster).render(),
     }
 
 
@@ -91,9 +89,9 @@ class TestJobEquivalence:
 
 def _bench_suite():
     """Reduced fig2 + table2 under full observability."""
-    fig2 = run_fig2(sizes=[1024, 16384])
+    fig2 = submit_fig2(sizes=[1024, 16384]).finish()
     fig2_caps = runner.drain_captures()
-    table2 = run_table2()
+    table2 = submit_table2().finish()
     table2_caps = runner.drain_captures()
     caps = fig2_caps + table2_caps
     return {

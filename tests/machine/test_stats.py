@@ -1,8 +1,6 @@
-"""Tests for cluster statistics snapshots."""
+"""Machine counters as the metrics registry reports them."""
 
-import pytest
-
-from repro.machine import Cluster, snapshot
+from repro.machine import Cluster
 
 
 def run_traffic(nnodes=2):
@@ -23,39 +21,39 @@ def run_traffic(nnodes=2):
 class TestSnapshot:
     def test_counters_consistent(self):
         cluster = run_traffic()
-        stats = snapshot(cluster)
-        assert stats.virtual_time_us > 0
-        assert stats.packets_routed > 0
-        assert stats.packets_lost == 0
+        snap = cluster.metrics.snapshot()
+        adapters = snap["machine.adapter"]
+        switch = snap["machine.switch"]["-"]
+        assert set(adapters) == {"0", "1"}
+        assert switch["packets_routed"] > 0
+        assert switch["packets_lost"] == 0
+        assert switch["bytes_routed"] >= 4096  # at least the payload
         # Every routed packet was sent by some adapter.
-        assert stats.total_sent == stats.packets_routed
+        assert sum(a["packets_sent"] for a in adapters.values()) \
+            == switch["packets_routed"]
         # Conservation: received + dropped == delivered.
-        assert sum(stats.adapter_received.values()) \
-            <= stats.packets_routed
-
-    def test_bytes_and_bandwidth(self):
-        cluster = run_traffic()
-        stats = snapshot(cluster)
-        assert stats.bytes_routed >= 4096  # at least the payload
-        assert stats.effective_bandwidth_mbs > 0
+        assert sum(a["packets_received"] + a["rx_dropped"]
+                   for a in adapters.values()) <= switch["packets_routed"]
 
     def test_busiest_links_sorted(self):
-        cluster = run_traffic()
-        stats = snapshot(cluster, top_links=3)
-        utils = [u for _, u in stats.busiest_links]
+        switch = run_traffic().switch
+        busiest = switch.busiest_links(3)
+        utils = [u for _, u in busiest]
         assert utils == sorted(utils, reverse=True)
-        assert len(stats.busiest_links) <= 3
+        assert len(busiest) == 3
         assert all(0.0 <= u <= 1.0 for u in utils)
+        # The top links are the busiest of the full utilization view.
+        full = sorted(switch.link_utilization().values(), reverse=True)
+        assert utils == full[:3]
 
     def test_render_mentions_every_node(self):
-        cluster = run_traffic()
-        text = snapshot(cluster).render()
-        assert "node 0" in text and "node 1" in text
-        assert "switch:" in text
+        text = run_traffic().metrics.render()
+        assert "machine.adapter:" in text and "machine.switch:" in text
+        assert "node 0:" in text and "node 1:" in text
 
     def test_empty_cluster_snapshot(self):
         cluster = Cluster(nnodes=2)
-        stats = snapshot(cluster)
-        assert stats.packets_routed == 0
-        assert stats.effective_bandwidth_mbs == 0.0
-        assert stats.render()  # renders without traffic too
+        switch = cluster.metrics.snapshot()["machine.switch"]["-"]
+        assert switch["packets_routed"] == 0
+        assert switch["bytes_routed"] == 0
+        assert cluster.metrics.render()  # renders without traffic too

@@ -1,9 +1,7 @@
 """Flight recorder: bounded rings, trigger dedup, deterministic dumps."""
 
-import pytest
-
-from repro.errors import SimulationError
 from repro.obs import FlightRecorder, write_flight_jsonl
+from repro.obs.flight import MAX_DUMPS, RING_ENTRIES
 
 
 class FakeSim:
@@ -11,21 +9,23 @@ class FakeSim:
         self.now = 0.0
 
 
-def make_recorder(**kwargs):
+def make_recorder():
     sim = FakeSim()
-    return sim, FlightRecorder(sim, **kwargs)
+    return sim, FlightRecorder(sim)
 
 
 class TestNotes:
     def test_ring_keeps_only_the_trailing_entries(self):
-        sim, fr = make_recorder(entries=2)
-        for i in range(5):
+        sim, fr = make_recorder()
+        total = RING_ENTRIES + 3
+        for i in range(total):
             sim.now = float(i)
             fr.note(0, "sub", f"e{i}")
         fr.trigger("test")
         entries = fr.dumps[0]["entries"]
-        assert [e["event"] for e in entries] == ["e3", "e4"]
-        assert fr.notes_total == 5
+        assert [e["event"] for e in entries] \
+            == [f"e{i}" for i in range(3, total)]
+        assert fr.notes_total == total
 
     def test_entries_merge_across_nodes_in_sim_order(self):
         sim, fr = make_recorder()
@@ -59,10 +59,6 @@ class TestNotes:
         assert entry["seq"] == 1
         assert entry["t_us"] == 5.0
 
-    def test_bad_entries_rejected(self):
-        with pytest.raises(SimulationError):
-            FlightRecorder(FakeSim(), entries=0)
-
 
 class TestTriggers:
     def test_key_dedup_fires_once(self):
@@ -74,10 +70,10 @@ class TestTriggers:
         assert fr.suppressed == 1
 
     def test_max_dumps_cap(self):
-        _, fr = make_recorder(max_dumps=2)
-        for i in range(5):
+        _, fr = make_recorder()
+        for i in range(MAX_DUMPS + 3):
             fr.trigger("r", key=("k", i))
-        assert len(fr.dumps) == 2
+        assert len(fr.dumps) == MAX_DUMPS
         assert fr.suppressed == 3
 
     def test_dump_detail_is_sorted_and_coerced(self):

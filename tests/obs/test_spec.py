@@ -9,7 +9,8 @@ from repro.bench import __main__ as cli
 from repro.bench import parallel, runner
 from repro.errors import SimulationError
 from repro.machine import Cluster
-from repro.obs import ObsSpec, spec as obs_spec
+from repro.obs import ObsSpec
+from repro.sim import trace as sim_trace
 
 
 @pytest.fixture
@@ -66,7 +67,7 @@ class TestCli:
     def test_trace_write_line_reports_the_cap(self, restore_engine,
                                               tmp_path, capsys,
                                               monkeypatch):
-        monkeypatch.setattr(obs_spec, "TRACE_LIMIT", 10)
+        monkeypatch.setattr(sim_trace, "TRACE_LIMIT", 10)
         assert cli.main(["--obs", "trace", "--obs-out", str(tmp_path),
                          "pipeline"]) == 0
         [line] = [line for line in capsys.readouterr().out.splitlines()

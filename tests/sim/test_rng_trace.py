@@ -1,6 +1,7 @@
 """Unit tests for repro.sim.rng and repro.sim.trace."""
 
 from repro.sim import RngRegistry, Simulator, TraceRecord, Tracer
+from repro.sim import trace as sim_trace
 
 
 class TestRngRegistry:
@@ -49,16 +50,9 @@ class TestTracer:
         assert tr.records[0] == TraceRecord(1.0, "node0", "lapi",
                                             "put issued")
 
-    def test_category_filter(self):
-        tr = Tracer(categories=["net"])
-        tr.log(1.0, "a", "net", "pkt")
-        tr.log(1.0, "a", "lapi", "ignored")
-        assert len(tr) == 1
-        assert tr.by_category("net")[0].message == "pkt"
-        assert tr.by_category("lapi") == []
-
-    def test_limit_suppresses(self):
-        tr = Tracer(limit=2)
+    def test_limit_suppresses(self, monkeypatch):
+        monkeypatch.setattr(sim_trace, "TRACE_LIMIT", 2)
+        tr = Tracer()
         for i in range(5):
             tr.log(float(i), "s", "c", str(i))
         assert len(tr) == 2
@@ -77,7 +71,7 @@ class TestTracer:
         assert "12.500" in text and "node3" in text and "accumulate" in text
 
     def test_kernel_hookup(self):
-        tr = Tracer(categories=["event"])
+        tr = Tracer()
         sim = Simulator(trace=tr)
         sim.timeout(1.0)
         sim.run()

@@ -1,8 +1,11 @@
 """Hot-path trace gating: suppressed records must cost nothing."""
 
+import pytest
+
 from repro.machine import Cluster
 from repro.obs import ObsSpec
 from repro.sim import Simulator, Tracer
+from repro.sim import trace as sim_trace
 
 
 class _CountingRepr:
@@ -28,15 +31,10 @@ def _fire_one(tracer, arg):
 
 
 class TestKernelEventGating:
-    def test_filtered_category_skips_repr(self):
-        tracer = Tracer(categories=["tx"])  # "event" filtered out
-        arg = _CountingRepr()
-        _fire_one(tracer, arg)
-        assert arg.reprs == 0
-        assert len(tracer) == 0
-
-    def test_cap_reached_skips_repr_and_counts_suppressed(self):
-        tracer = Tracer(limit=0)
+    def test_cap_reached_skips_repr_and_counts_suppressed(self,
+                                                          monkeypatch):
+        monkeypatch.setattr(sim_trace, "TRACE_LIMIT", 0)
+        tracer = Tracer()
         arg = _CountingRepr()
         _fire_one(tracer, arg)
         assert arg.reprs == 0
@@ -63,13 +61,6 @@ class TestKernelEventGating:
 
 
 class TestWants:
-    def test_wants_respects_filter_and_cap(self):
-        tracer = Tracer(categories=["tx"], limit=1)
-        assert tracer.wants("tx")
-        assert not tracer.wants("rx")
-        tracer.log(0.0, "n", "tx", "one")
-        assert not tracer.wants("tx")  # cap reached
-
     def test_log_fields_carried_on_record(self):
         tracer = Tracer()
         tracer.log(0.5, "node0", "tx", "inject", uid=7, bytes=1024)
@@ -91,23 +82,22 @@ def _put_trace(limit=None):
             yield from lapi.fence()
         yield from lapi.gfence()
 
-    cluster = Cluster(nnodes=2, obs=ObsSpec({"trace"}))
-    if limit is not None:
-        cluster.trace.limit = limit
-    cluster.run_job(main, stacks=("lapi",))
+    with pytest.MonkeyPatch.context() as mp:
+        if limit is not None:
+            mp.setattr(sim_trace, "TRACE_LIMIT", limit)
+        cluster = Cluster(nnodes=2, obs=ObsSpec({"trace"}))
+        cluster.run_job(main, stacks=("lapi",))
     return cluster.trace
 
 
 class TestCapCountsDrops:
-    def test_wants_counts_a_record_refused_at_the_cap(self):
-        tracer = Tracer(limit=1)
+    def test_wants_counts_a_record_refused_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(sim_trace, "TRACE_LIMIT", 1)
+        tracer = Tracer()
+        assert tracer.wants("tx")
         tracer.log(0.0, "adapter0", "tx", "first")
         assert not tracer.wants("tx")
         assert tracer.suppressed == 1
-        # A category the filter rejects is not a drop.
-        filtered = Tracer(categories=["rx"], limit=0)
-        assert not filtered.wants("tx")
-        assert filtered.suppressed == 0
 
     def test_gated_sites_report_every_dropped_record(self):
         # Adapter, switch and dispatcher sites call log() only after
