@@ -67,7 +67,7 @@ class Dispatcher(EndpointDispatcher):
         self.ooo_depth = None
 
     def _trace(self, trace, thread: "Thread", pkt: "Packet") -> None:
-        if trace.wants("lapi"):
+        if trace.wants():
             trace.log(thread.sim.now, f"lapi{self.ctx.rank}", "lapi",
                       f"dispatch {pkt!r}", **pkt.trace_fields())
 

@@ -5,8 +5,8 @@ failed in structured ways: bursty CRC errors on a marginal link, a
 whole link going dark while a cable was reseated, an overloaded node
 starving its dispatcher.  Section 5.3.1's internal send buffers exist
 precisely "since retransmissions might be required in a case of switch
-failures".  A single uniform ``loss_rate`` scalar cannot express any
-of those regimes, so this module provides a *schedule*: a validated,
+failures".  A single uniform loss probability cannot express any of
+those regimes, so this module provides a *schedule*: a validated,
 immutable list of scenario clauses that a
 :class:`~repro.machine.cluster.Cluster` compiles into runtime hooks
 (:mod:`repro.faults.runtime`).

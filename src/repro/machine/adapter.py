@@ -59,8 +59,7 @@ class AdapterClient:
         self.adapter = adapter
         self.proto = proto
         self.rx = Channel(adapter.sim, name=f"rx{adapter.node_id}.{proto}",
-                          capacity=adapter.config.adapter_rx_fifo,
-                          drop_on_overflow=True)
+                          capacity=adapter.config.adapter_rx_fifo)
         self.interrupts_enabled = True
         self.on_arrival: Optional[Callable[[], None]] = None
         #: Optional fast-path filter run at delivery time, before the
@@ -169,7 +168,7 @@ class Adapter:
 
     def _count_drop(self, packet: "Packet") -> None:
         self.rx_dropped += 1
-        if self.trace is not None and self.trace.wants("rxdrop"):
+        if self.trace is not None and self.trace.wants():
             self.trace.log(self.sim.now, f"adapter{self.node_id}",
                            "rxdrop", repr(packet),
                            **packet.trace_fields())
@@ -366,7 +365,7 @@ class Adapter:
                 self._tx_credits.post()
             return
         self.packets_sent += 1
-        if self.trace is not None and self.trace.wants("tx"):
+        if self.trace is not None and self.trace.wants():
             self.trace.log(self.sim.now, f"adapter{self.node_id}",
                            "tx", repr(packet),
                            **packet.trace_fields())
@@ -390,7 +389,6 @@ class Adapter:
         left queued) may be serialized analytically only when nothing
         can perturb per-packet timing:
 
-        * no fabric loss (a loss draw would consume RNG per packet),
         * no fault schedule (its judge draws per packet),
         * a single candidate route (multipath picks routes randomly),
         * no route jitter on that route,
@@ -401,7 +399,7 @@ class Adapter:
         ``None`` when the fast path must not engage.
         """
         cfg = self.config
-        if cfg.loss_rate > 0.0 or self.faults is not None:
+        if self.faults is not None:
             return None
         hinfo = head.info
         msg_key = hinfo.get("msg_id", hinfo.get("msg_seq"))
@@ -497,7 +495,7 @@ class Adapter:
         self.rx_crc_dropped += 1
         if self.faults is not None:
             self.faults.record_crc(packet, self.sim.now)
-        if self.trace is not None and self.trace.wants("rxdrop"):
+        if self.trace is not None and self.trace.wants():
             self.trace.log(self.sim.now, f"adapter{self.node_id}",
                            "rxdrop", f"{packet!r} [crc]", crc=True,
                            **packet.trace_fields())
@@ -508,7 +506,7 @@ class Adapter:
     def _crash_drop_rx(self, packet: "Packet") -> None:
         """Drop an arrival (or in-flight receive DMA) on a dead node."""
         self.rx_crash_dropped += 1
-        if self.trace is not None and self.trace.wants("rxdrop"):
+        if self.trace is not None and self.trace.wants():
             self.trace.log(self.sim.now, f"adapter{self.node_id}",
                            "rxdrop", f"{packet!r} [crashed]",
                            crashed=True, **packet.trace_fields())
@@ -527,7 +525,7 @@ class Adapter:
                 f"node {self.node_id}: packet for unattached protocol"
                 f" {packet.proto!r}")
         self.packets_received += 1
-        if self.trace is not None and self.trace.wants("rx"):
+        if self.trace is not None and self.trace.wants():
             self.trace.log(self.sim.now, f"adapter{self.node_id}",
                            "rx", repr(packet), **packet.trace_fields())
         sp = self.sim.spans

@@ -56,10 +56,6 @@ class MachineConfig:
     #: route-length/queueing variation; this is what makes concurrent
     #: packets arrive out of order (a property LAPI must tolerate).
     route_jitter: float = 0.15
-    #: Probability a packet is lost in the fabric (CRC error, link fault).
-    #: Zero by default; fault-injection tests and the reliability layer
-    #: benches raise it.
-    loss_rate: float = 0.0
     #: Adapter FIFO depths, in packets.
     adapter_tx_fifo: int = 64
     adapter_rx_fifo: int = 512
@@ -302,8 +298,6 @@ class MachineConfig:
             raise ValueError("packet_size must exceed protocol headers")
         if self.lapi_uhdr_max >= self.lapi_payload:
             raise ValueError("lapi_uhdr_max must fit in a packet payload")
-        if not (0.0 <= self.loss_rate < 1.0):
-            raise ValueError("loss_rate must be in [0, 1)")
         if self.link_bandwidth <= 0 or self.cpu_copy_bandwidth <= 0:
             raise ValueError("bandwidths must be positive")
         if self.switch_group_size < 1 or self.switch_mid_count < 1:

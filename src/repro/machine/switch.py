@@ -39,7 +39,6 @@ class Switch:
         self.topology = build_topology(nnodes, config)
         self._adapters: list[Optional["Adapter"]] = [None] * nnodes
         self._route_rng = rng.stream("switch.route")
-        self._loss_rng = rng.stream("switch.loss")
         self.trace = trace
         #: Optional :class:`repro.faults.FaultRuntime` consulted per
         #: routed packet.  None (the default) keeps the hot path at a
@@ -88,17 +87,6 @@ class Switch:
         if dst_adapter is None:
             raise NetworkError(f"packet to unattached node {packet.dst}")
 
-        cfg = self.config
-        if cfg.loss_rate > 0.0 and self._loss_rng.random() < cfg.loss_rate:
-            self.packets_lost += 1
-            if self.trace is not None and self.trace.wants("loss"):
-                self.trace.log(self.sim.now, "switch", "loss",
-                               repr(packet), **packet.trace_fields())
-            sp = self.sim.spans
-            if sp is not None:
-                sp.packet_lost(packet, self.sim.now)
-            return
-
         corrupt = False
         if self.faults is not None:
             verdict = self.faults.judge(packet, self.sim.now)
@@ -110,7 +98,7 @@ class Switch:
             elif verdict is not None:
                 self.packets_lost += 1
                 self.faults.record_drop(verdict, packet, self.sim.now)
-                if self.trace is not None and self.trace.wants("loss"):
+                if self.trace is not None and self.trace.wants():
                     self.trace.log(self.sim.now, "switch", "loss",
                                    f"{packet!r} [{verdict}]",
                                    fault=verdict,
@@ -123,6 +111,7 @@ class Switch:
         # The topology computes the route from its link tables: the
         # route draw happens inside, and only for multipath pairs, so
         # the stream's draws come before the jitter draw below.
+        cfg = self.config
         _, links, latency, crosses = self.topology.path(
             packet.src, packet.dst, cfg, self._pick)
 
@@ -138,7 +127,7 @@ class Switch:
 
         self.packets_routed += 1
         self.bytes_routed += packet.size
-        if self.trace is not None and self.trace.wants("route"):
+        if self.trace is not None and self.trace.wants():
             self.trace.log(now, "switch", "route",
                            f"{packet!r} arrives t={t:.3f}",
                            arrival_us=round(t, 6),

@@ -6,9 +6,9 @@ measurement surface, armed by one handle: an :class:`ObsSpec`
 (:mod:`repro.obs.spec`) names the artifacts a run produces
 (:data:`ARTIFACTS`), and ``Cluster(obs=...)`` asks it for recorders.
 
-* :class:`MetricsRegistry` -- cluster-wide named counters, gauges, and
-  fixed-bucket virtual-time histograms, addressed by
-  ``(subsystem, node, name)``; every cluster owns one as
+* :class:`MetricsRegistry` -- cluster-wide fixed-bucket virtual-time
+  histograms plus the counters subsystems expose through collectors,
+  addressed by ``(subsystem, node, name)``; every cluster owns one as
   ``cluster.metrics``.
 * :func:`write_trace_jsonl` and friends -- :class:`repro.sim.Tracer`
   records as JSONL (``time_us, node, subsystem, event, fields``).
@@ -17,7 +17,8 @@ measurement surface, armed by one handle: an :class:`ObsSpec`
   nodes; :func:`decompose` / :func:`critical_path` reduce them to the
   paper's Table 1, and :func:`write_chrome_trace` to Perfetto.
 * :class:`Timeline` / :class:`FlightRecorder` -- per-window series of
-  every metric, and fault-triggered black-box dumps.
+  every histogram and goodput stream, and fault-triggered black-box
+  dumps.
 
 Determinism is a hard guarantee: identical seeds produce identical
 snapshots (and byte-identical rendered blocks / trace files / span
@@ -31,8 +32,8 @@ from .chrome import chrome_trace_events, write_chrome_trace
 from .export import (coerce_value, jsonl_lines, record_to_dict,
                      write_trace_jsonl)
 from .flight import FlightRecorder, write_flight_jsonl
-from .metrics import (Counter, DEPTH_BUCKETS, Gauge, Histogram,
-                      LATENCY_BUCKETS_US, MetricsRegistry)
+from .metrics import (DEPTH_BUCKETS, Histogram, LATENCY_BUCKETS_US,
+                      MetricsRegistry)
 from .pools import pool_stats
 from .profile import (MANDATORY_PHASES, PHASE_ORDER, SIZE_BUCKETS,
                       bucket_of, critical_path, decompose, percentile,
@@ -45,12 +46,10 @@ from .timeline import DEFAULT_WINDOW_US, Timeline
 __all__ = [
     "ARTIFACTS",
     "ClusterCapture",
-    "Counter",
     "DEFAULT_ALPHA",
     "DEFAULT_WINDOW_US",
     "DEPTH_BUCKETS",
     "FlightRecorder",
-    "Gauge",
     "Histogram",
     "LATENCY_BUCKETS_US",
     "MANDATORY_PHASES",

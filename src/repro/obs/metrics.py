@@ -1,12 +1,13 @@
-"""Cluster-wide metrics: named counters, gauges, and histograms.
+"""Cluster-wide metrics: fixed-bucket histograms plus collectors.
 
-The registry is the single measurement surface of the simulator: every
-subsystem (adapter, switch, reliability layer, LAPI/MPL dispatchers,
-GA buffer pools) either updates registry instruments directly on its
-hot path or exposes its existing ad-hoc counters through a *collector*
--- a zero-argument callable returning ``{name: value}`` that the
-registry invokes lazily at snapshot time.  Collectors keep hot paths
-untouched while still aggregating everything into one report.
+The registry is the single measurement surface of the simulator.  Every
+count comes from a *collector*: a zero-argument callable a subsystem
+(adapter, switch, reliability layer, LAPI/MPL dispatchers, GA buffer
+pools) registers to expose the counters it already keeps, which the
+registry invokes lazily at snapshot time -- hot paths stay untouched
+while everything still aggregates into one report.  The only
+instruments updated on a hot path are histograms (:class:`Histogram`),
+for distributions no plain counter can carry.
 
 Metrics are addressed by ``(subsystem, node, name)``; ``node=None``
 denotes a cluster-wide metric (the switch).  All values derive from
@@ -22,74 +23,18 @@ depths (queue/stash occupancy).
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from ..errors import SimulationError
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "LATENCY_BUCKETS_US", "DEPTH_BUCKETS"]
+__all__ = ["Histogram", "MetricsRegistry", "LATENCY_BUCKETS_US",
+           "DEPTH_BUCKETS"]
 
 #: Log-spaced virtual-time latency buckets: 0.5us .. ~1s, then +inf.
 LATENCY_BUCKETS_US = tuple(2.0 ** k for k in range(-1, 21))
 
 #: Log-spaced occupancy/depth buckets: 1, 2, 4 .. 1024, then +inf.
 DEPTH_BUCKETS = tuple(float(2 ** k) for k in range(0, 11))
-
-
-class Counter:
-    """A monotonically increasing named count.
-
-    Negative increments raise: monotonicity is what makes per-window
-    timeline deltas (:mod:`repro.obs.timeline`) provably non-negative.
-    ``_tl`` is the optional timeline series armed by
-    :meth:`MetricsRegistry.attach_timeline`; disarmed, each update
-    pays exactly one ``is None`` test.
-    """
-
-    __slots__ = ("name", "value", "_tl")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-        self._tl = None
-
-    def inc(self, n: int = 1) -> None:
-        if n < 0:
-            raise SimulationError(f"counter {self.name}: negative inc {n}")
-        self.value += n
-        if self._tl is not None:
-            self._tl.add(n)
-
-    def snapshot_value(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Counter {self.name}={self.value}>"
-
-
-class Gauge:
-    """A point-in-time value (occupancy, utilization, high-water)."""
-
-    __slots__ = ("name", "value", "high_water", "_tl")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-        self.high_water = 0.0
-        self._tl = None
-
-    def set(self, v: float) -> None:
-        self.value = v
-        if v > self.high_water:
-            self.high_water = v
-        if self._tl is not None:
-            self._tl.set(v)
-
-    def snapshot_value(self) -> float:
-        return self.value
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Gauge {self.name}={self.value}>"
 
 
 class Histogram:
@@ -175,7 +120,7 @@ def _fmt_value(v: Any) -> str:
 class MetricsRegistry:
     """All metrics of one simulated cluster.
 
-    Instruments are get-or-create: asking twice for the same
+    Histograms are get-or-create: asking twice for the same
     ``(subsystem, node, name)`` returns the same object, so layers can
     wire themselves up independently.  Snapshots are plain nested dicts
     (``subsystem -> node -> name -> value``) with deterministically
@@ -183,22 +128,18 @@ class MetricsRegistry:
     the bench harness prints under ``--obs metrics``.
     """
 
-    #: Instrument class -> timeline series kind.
-    _TIMELINE_KINDS = {Counter: "counter", Gauge: "gauge",
-                       Histogram: "hist"}
-
     def __init__(self) -> None:
-        #: (subsystem, node_key, name) -> instrument
-        self._instruments: dict[tuple[str, str, str], Any] = {}
+        #: (subsystem, node_key, name) -> histogram
+        self._instruments: dict[tuple[str, str, str], Histogram] = {}
         #: (subsystem, node_key) -> [collector, ...]
         self._collectors: dict[tuple[str, str], list[Callable]] = {}
         #: Armed timeline (repro.obs.timeline.Timeline) or None.
         self._timeline = None
 
-    # -- instrument factories -------------------------------------------
+    # -- histograms -----------------------------------------------------
     def attach_timeline(self, timeline) -> None:
-        """Arm windowed telemetry: every existing instrument -- and
-        every instrument created from now on -- mirrors its updates
+        """Arm windowed telemetry: every existing histogram -- and
+        every histogram created from now on -- mirrors its observations
         into a :class:`repro.obs.timeline.Timeline` series.
 
         Purely additive: snapshots, renders, and collectors are
@@ -207,39 +148,21 @@ class MetricsRegistry:
         self._timeline = timeline
         for (subsystem, node_key, name), inst in \
                 self._instruments.items():
-            kind = self._TIMELINE_KINDS[type(inst)]
-            inst._tl = timeline.series(kind, subsystem, name, node_key)
-
-    def _get_or_create(self, cls, subsystem: str, name: str,
-                       node: Optional[int], *args):
-        key = (subsystem, _node_key(node), name)
-        inst = self._instruments.get(key)
-        if inst is None:
-            inst = cls(f"{subsystem}.{name}", *args)
-            self._instruments[key] = inst
-            if self._timeline is not None:
-                inst._tl = self._timeline.series(
-                    self._TIMELINE_KINDS[cls], subsystem, name, key[1])
-        elif not isinstance(inst, cls):
-            raise SimulationError(
-                f"metric {key} already registered as"
-                f" {type(inst).__name__}, not {cls.__name__}")
-        return inst
-
-    def counter(self, subsystem: str, name: str,
-                node: Optional[int] = None) -> Counter:
-        return self._get_or_create(Counter, subsystem, name, node)
-
-    def gauge(self, subsystem: str, name: str,
-              node: Optional[int] = None) -> Gauge:
-        return self._get_or_create(Gauge, subsystem, name, node)
+            inst._tl = timeline.series("hist", subsystem, name, node_key)
 
     def histogram(self, subsystem: str, name: str,
                   node: Optional[int] = None,
                   buckets: Sequence[float] = LATENCY_BUCKETS_US
                   ) -> Histogram:
-        return self._get_or_create(Histogram, subsystem, name, node,
-                                   buckets)
+        key = (subsystem, _node_key(node), name)
+        inst = self._instruments.get(key)
+        if inst is None:
+            inst = Histogram(f"{subsystem}.{name}", buckets)
+            self._instruments[key] = inst
+            if self._timeline is not None:
+                inst._tl = self._timeline.series(
+                    "hist", subsystem, name, key[1])
+        return inst
 
     # -- lazy collectors ------------------------------------------------
     def register_collector(self, subsystem: str, fn: Callable[[], dict],

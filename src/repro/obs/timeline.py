@@ -3,24 +3,22 @@
 The registry (:mod:`repro.obs.metrics`) answers "what happened by the
 end of the run"; the paper's figures -- and the chaos bench's recovery
 curves -- need "what happened *when*".  This module resolves every
-registered counter, gauge, and histogram over fixed-width virtual-time
-windows:
+registered histogram, and the timeline-only counter streams components
+request directly, over fixed-width virtual-time windows:
 
 * window ``k`` covers ``[k * window_us, (k + 1) * window_us)`` --
   an observation exactly on an edge belongs to the *later* window;
-* counters record the per-window **delta** (provably monotone:
-  :meth:`repro.obs.Counter.inc` rejects negative increments);
-* gauges record the last value set within the window;
+* counter streams record the per-window **delta**;
 * histograms record a per-window :class:`~repro.obs.sketch.QuantileSketch`
   (p50/p99/p99.9 per window) plus a cumulative whole-run sketch.
 
-Recording is **push-based**: instruments armed by
+Recording is **push-based**: histograms armed by
 :meth:`repro.obs.MetricsRegistry.attach_timeline` route each update
 here together with the current virtual time, so no window-boundary
 timers exist -- the kernel's event stream, ``events_processed``, and
 every virtual-time observable are untouched (the zero-perturbation
 contract), and a disarmed run pays exactly one ``is None`` test per
-instrument update.  Series are independent: each one closes its open
+histogram observation.  Series are independent: each one closes its open
 window into its own ring when its next update lands in a later window
 (virtual time is monotone, so a closed window can never receive more
 data), and :meth:`Timeline.finalize` closes whatever is still open.
@@ -127,20 +125,6 @@ class _CounterSeries(_Series):
         self.cur += n
 
 
-class _GaugeSeries(_Series):
-    """Last value set per window."""
-
-    __slots__ = ()
-    kind = "gauge"
-
-    def _fresh(self) -> float:
-        return 0.0
-
-    def set(self, value: float) -> None:
-        self._open(self.timeline.window_of(self.timeline.sim.now))
-        self.cur = value
-
-
 class _HistSeries(_Series):
     """Per-window quantile sketches plus a cumulative run sketch."""
 
@@ -174,14 +158,13 @@ class _HistSeries(_Series):
         return out
 
 
-_SERIES_KINDS = {"counter": _CounterSeries, "gauge": _GaugeSeries,
-                 "hist": _HistSeries}
+_SERIES_KINDS = {"counter": _CounterSeries, "hist": _HistSeries}
 
 
 class Timeline:
     """All windowed series of one cluster.
 
-    Series exist for (a) every instrument the metrics registry armed
+    Series exist for (a) every histogram the metrics registry armed
     via :meth:`repro.obs.MetricsRegistry.attach_timeline` and (b)
     timeline-only streams components request directly (payload-byte
     goodput) -- streams that have no end-of-run metric but matter per

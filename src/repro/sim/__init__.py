@@ -4,12 +4,14 @@ Public surface:
 
 * :class:`Simulator` -- clock, pending-event heap and the one loop that
   pops it, process launcher.
-* :class:`Event`, :class:`Timeout`, :class:`AnyOf`, :class:`AllOf` --
-  awaitable occurrences.
-* :class:`Process`, :class:`Interrupt` -- generator-based processes.
+* :class:`Event`, :class:`Timeout`, :class:`AllOf` -- awaitable
+  occurrences.
+* :class:`Process` -- generator-based processes; a process may also
+  yield a float (sleep that long) or a
+  :class:`~repro.sim.events.WakeAt` (sleep until that instant).
 * :class:`SimLock`, :class:`Semaphore`, :class:`WaitSet` -- virtual-time
   synchronization.
-* :class:`Channel` -- FIFO queues with optional bounded/dropping behavior.
+* :class:`Channel` -- FIFO queues; a bounded one drops on overflow.
 * :func:`park` / :func:`unpark` -- one wake-up registered with a channel,
   a wait set and a deadline at once (:mod:`repro.sim.park` also holds
   the polling and linger loops built on it).
@@ -18,21 +20,18 @@ Public surface:
 """
 
 from .channel import Channel
-from .events import AllOf, AnyOf, ConditionValue, Event, PENDING, Timeout
+from .events import AllOf, Event, PENDING, Timeout
 from .kernel import Simulator
 from .park import park, unpark
-from .process import Interrupt, Process, ProcessGen
+from .process import Process, ProcessGen
 from .rng import RngRegistry
 from .sync import Semaphore, SimLock, WaitSet
 from .trace import TraceRecord, Tracer
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Channel",
-    "ConditionValue",
     "Event",
-    "Interrupt",
     "PENDING",
     "Process",
     "ProcessGen",

@@ -2,10 +2,9 @@
 
 :class:`Channel` is the glue between asynchronous producers and consumers
 inside the machine model -- e.g. the adapter's receive FIFO feeding the
-LAPI dispatcher, or the switch feeding an adapter.  A channel may be
-bounded; a bounded channel can be configured to *drop* on overflow (how a
-real adapter FIFO behaves, exercising the retransmission path) or to
-back-pressure the producer.
+LAPI dispatcher.  A channel may be bounded; a bounded channel *drops*
+what it has no room for, which is how a real adapter FIFO behaves and
+what exercises the retransmission path.
 """
 
 from __future__ import annotations
@@ -30,29 +29,21 @@ class Channel:
     sim:
         Owning simulator.
     capacity:
-        Maximum queued items; ``None`` means unbounded.
-    drop_on_overflow:
-        When True, ``put`` on a full channel discards the item and calls
-        ``on_drop`` (if set) instead of raising.
+        Maximum queued items; ``None`` means unbounded.  ``put`` on a
+        full channel discards the item and calls ``on_drop`` (if set).
     """
 
     def __init__(self, sim: "Simulator", name: str = "chan",
-                 capacity: Optional[int] = None,
-                 drop_on_overflow: bool = False) -> None:
+                 capacity: Optional[int] = None) -> None:
         if capacity is not None and capacity <= 0:
             raise SimulationError("channel capacity must be positive")
         self.sim = sim
         self.name = name
         self.capacity = capacity
-        self.drop_on_overflow = drop_on_overflow
         #: Callback invoked with the dropped item on overflow.
         self.on_drop: Optional[Callable[[Any], None]] = None
-        #: Callback invoked with each successfully enqueued item.
-        self.on_put: Optional[Callable[[Any], None]] = None
         self._items: deque[Any] = deque()
         self._getters: deque[Event] = deque()
-        self.dropped: int = 0
-        self.total_put: int = 0
         # Formatted once: get() runs per packet on the hot path.
         self._get_name = f"get:{name}"
 
@@ -81,26 +72,16 @@ class Channel:
         """
         if self._getters:
             getter = self._getters.popleft()
-            self.total_put += 1
-            if self.on_put is not None:
-                self.on_put(item)
             if getter._value is PENDING:
                 getter.succeed(item)
             else:
                 getter._value = item
             return True
         if self.full:
-            if self.drop_on_overflow:
-                self.dropped += 1
-                if self.on_drop is not None:
-                    self.on_drop(item)
-                return False
-            raise SimulationError(
-                f"channel {self.name!r} overflow (capacity={self.capacity})")
+            if self.on_drop is not None:
+                self.on_drop(item)
+            return False
         self._items.append(item)
-        self.total_put += 1
-        if self.on_put is not None:
-            self.on_put(item)
         return True
 
     def get(self) -> Event:

@@ -13,7 +13,10 @@ scratch and trimmed to exactly what the SP machine model needs:
   :meth:`Event.fail`.
 * :class:`Timeout` -- triggers after a fixed delay; the workhorse used by
   the machine model to represent latencies and occupancies.
-* :class:`AnyOf` / :class:`AllOf` -- composite conditions.
+* :class:`AllOf` -- triggers once every one of a set of events has.
+
+A wait on whichever of several sources comes first is not an event
+here: it is :func:`repro.sim.park.park`.
 
 All times are in **microseconds** of virtual time, matching the units the
 paper reports (latency tables in us, bandwidth in MB/s == bytes/us).
@@ -28,8 +31,7 @@ from ..errors import SimulationError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .kernel import Simulator
 
-__all__ = ["PENDING", "FLOAT_WAKE", "WakeAt", "Event", "Timeout", "AnyOf",
-           "AllOf", "ConditionValue"]
+__all__ = ["PENDING", "FLOAT_WAKE", "WakeAt", "Event", "Timeout", "AllOf"]
 
 
 class _Pending:
@@ -187,15 +189,6 @@ class Event:
         self.sim._enqueue_triggered(self)
         return self
 
-    # ------------------------------------------------------------------
-    # composition
-    # ------------------------------------------------------------------
-    def __or__(self, other: "Event") -> "AnyOf":
-        return AnyOf(self.sim, [self, other])
-
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.sim, [self, other])
-
     def _label(self) -> str:
         return self.name or self.__class__.__name__
 
@@ -215,7 +208,7 @@ class Timeout(Event):
     __slots__ = ("delay", "_pending_value")
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None,
-                 name: str = "", at: Optional[float] = None) -> None:
+                 name: str = "") -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
         # The default name is built lazily in _label: timeouts are the
@@ -227,90 +220,39 @@ class Timeout(Event):
         # the kernel pops the timeout at its due time; until then the event
         # reports untriggered, which is what conditions and waiters expect.
         self._pending_value = value
-        # ``at`` pins the absolute due time exactly (used by
-        # Simulator.timeout_at); the default path keeps the historical
-        # now + delay float round trip.
-        sim._schedule_at(sim.now + delay if at is None else at, self)
+        sim._schedule_at(sim.now + delay, self)
 
     def _label(self) -> str:
         return self.name or f"timeout({self.delay})"
 
 
-class ConditionValue:
-    """Ordered mapping of the sub-events that fired for a condition.
+class AllOf(Event):
+    """Triggers once every one of the given events has triggered.
 
-    Behaves like a read-only dict keyed by the original event objects,
-    preserving the order in which sub-events were given to the condition.
+    Its value is a plain ``{event: value}`` dict in the order the events
+    were given.  Events that already triggered are counted at
+    construction, so a condition over finished events fires without
+    waiting a tick; the first failure fails the condition with that
+    event's exception.
     """
-
-    __slots__ = ("events",)
-
-    def __init__(self, events: list[Event]) -> None:
-        self.events = events
-
-    def __getitem__(self, key: Event) -> Any:
-        # Identity scan, not ``in``: list containment falls back to
-        # ``==`` per element, which would invoke payload equality on
-        # value-comparable event subclasses and costs a rich-compare
-        # dispatch per entry either way.  Keys are the original event
-        # *objects*, so identity is the correct relation.
-        for ev in self.events:
-            if ev is key:
-                return ev.value
-        raise KeyError(repr(key))
-
-    def __contains__(self, key: Event) -> bool:
-        for ev in self.events:
-            if ev is key:
-                return True
-        return False
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def todict(self) -> dict[Event, Any]:
-        """Return a plain dict of event -> value."""
-        return {ev: ev.value for ev in self.events}
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ConditionValue):
-            return self.todict() == other.todict()
-        return NotImplemented
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<ConditionValue {self.todict()!r}>"
-
-
-class _Condition(Event):
-    """Common machinery for :class:`AnyOf` / :class:`AllOf`."""
 
     __slots__ = ("_events", "_count")
 
-    def __init__(self, sim: "Simulator", events: Iterable[Event],
-                 name: str = "") -> None:
-        super().__init__(sim, name=name)
+    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
+        super().__init__(sim, name="AllOf")
         self._events = list(events)
         self._count = 0
         for ev in self._events:
             if ev.sim is not sim:
                 raise SimulationError(
                     "cannot mix events from different simulators")
-        # Evaluate already-triggered events eagerly so that conditions over
-        # finished events fire without waiting a tick.
         for ev in self._events:
             if ev.triggered:
                 self._check(ev)
             else:
                 ev.callbacks.append(self._check)
-        if not self._events and not self.triggered:
-            # Trivially satisfied empty condition.
-            self.succeed(ConditionValue([]))
-
-    def _matched(self) -> list[Event]:
-        return [ev for ev in self._events if ev.triggered]
+        if not self._events:
+            self.succeed({})
 
     def _check(self, ev: Event) -> None:
         if self.triggered:
@@ -319,35 +261,5 @@ class _Condition(Event):
             self.fail(ev.value)
             return
         self._count += 1
-        if self._satisfied():
-            self.succeed(ConditionValue(self._matched()))
-
-    def _satisfied(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AnyOf(_Condition):
-    """Triggers as soon as any one of the given events triggers."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        events = list(events)
-        if not events:
-            raise SimulationError("AnyOf() requires at least one event")
-        super().__init__(sim, events, name="AnyOf")
-
-    def _satisfied(self) -> bool:
-        return self._count >= 1
-
-
-class AllOf(_Condition):
-    """Triggers once every one of the given events has triggered."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        super().__init__(sim, list(events), name="AllOf")
-
-    def _satisfied(self) -> bool:
-        return self._count >= len(self._events)
+        if self._count == len(self._events):
+            self.succeed({e: e.value for e in self._events})

@@ -35,7 +35,7 @@ from heapq import heappop, heappush
 from typing import Any, Iterable, Optional
 
 from ..errors import DeadlockError, SimulationError
-from .events import PENDING, AllOf, AnyOf, Event, Timeout
+from .events import PENDING, AllOf, Event, Timeout
 from .process import Process, ProcessGen
 
 __all__ = ["Simulator"]
@@ -143,19 +143,6 @@ class Simulator:
         """Create an event that fires ``delay`` us from now."""
         return Timeout(self, delay, value=value, name=name)
 
-    def timeout_at(self, when: float, value: Any = None,
-                   name: str = "") -> Timeout:
-        """Timeout firing at absolute virtual time ``when``.
-
-        Unlike ``timeout(when - now)``, the due time is pinned to the
-        exact float ``when`` -- no ``now + delay`` float round trip,
-        which can differ in the last ulp.  Used where a sleeper must
-        wake at a time computed elsewhere (e.g. the TX engine sleeping
-        to the end of an analytically scheduled packet train).
-        """
-        return Timeout(self, when - self._now, value=value, name=name,
-                       at=when)
-
     def process(self, gen: ProcessGen, name: str = "") -> Process:
         """Launch ``gen`` as a process; returns the process event."""
         return Process(self, gen, name=name)
@@ -177,10 +164,6 @@ class Simulator:
                 f"cannot schedule call_at({when}) before now={self._now}")
         self._seq = seq = self._seq + 1
         heappush(self._queue, (when, seq, fn, arg))
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Condition that fires when any of ``events`` fires."""
-        return AnyOf(self, events)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Condition that fires when all of ``events`` have fired."""

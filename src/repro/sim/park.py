@@ -4,12 +4,14 @@ consumer loops built on it.
 A consumer that must wake on the next item of a :class:`Channel` *or*
 on a broadcast from a :class:`WaitSet` *or* at a deadline -- a polling
 thread waiting for "a packet or any progress", an interrupt handler
-lingering for "a packet or quiet" -- used to build an ``AnyOf`` over one
-event per source.  Every wake then cost two kernel events (the source's,
-then the condition's), and the losing sources' events stayed registered
-and fired later into a condition that no longer cared.
+lingering for "a packet or quiet" -- does not wait on a composite of
+one event per source (every wake would cost two kernel events, and the
+losing sources' events would fire later into a condition that no
+longer cared).
 
-:func:`park` registers **one** event with every source instead.  The
+:func:`park` registers **one** event with every source instead; it is
+the simulator's only way to wait on whichever of several sources
+comes first.  The
 first source to fire triggers it and the others never wake it again:
 ``WaitSet.notify_all`` skips a registration that is already triggered,
 and ``Channel.put`` hands such a parker its item silently -- the owner

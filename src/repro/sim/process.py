@@ -21,25 +21,10 @@ from .events import FLOAT_WAKE, PENDING, Event, WakeAt
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .kernel import Simulator
 
-__all__ = ["Process", "Interrupt", "ProcessGen"]
+__all__ = ["Process", "ProcessGen"]
 
 #: Type alias for generator bodies accepted by :meth:`Simulator.process`.
 ProcessGen = Generator[Event, Any, Any]
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    The interrupted process receives the exception at its current yield
-    point; ``cause`` carries the interrupter's payload.
-    """
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0]
 
 
 class Process(Event):
@@ -79,30 +64,12 @@ class Process(Event):
         """The event the process is suspended on, if any."""
         return self._target
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its yield point.
-
-        Interrupting a dead process is an error; interrupting a process
-        that is waiting on an event detaches it from that event (the event
-        itself is unaffected and may fire later for other waiters).
-        """
-        if not self.is_alive:
-            raise SimulationError(f"cannot interrupt dead process {self!r}")
-        target = self._target
-        if target is not None and not target.processed:
-            if target.callbacks is not None and self._resume in target.callbacks:
-                target.callbacks.remove(self._resume)
-        self._target = None
-        wakeup = Event(self.sim, name=f"interrupt:{self.name}")
-        wakeup.callbacks.append(self._resume)
-        wakeup.fail(Interrupt(cause))
-
     def kill(self, value: Any = None) -> None:
         """Terminate the process in place, completing it with ``value``.
 
-        Unlike :meth:`interrupt`, the generator never sees an exception:
-        it is closed at its current yield point (fail-stop semantics --
-        the body gets no chance to react).  The process *succeeds* with
+        The generator never sees an exception: it is closed at its
+        current yield point (fail-stop semantics -- the body gets no
+        chance to react).  The process *succeeds* with
         ``value`` so that aggregates like :class:`AllOf` treat the death
         as completion, not failure; callers distinguish killed processes
         by the sentinel they pass.  Killing a dead process is a no-op.
@@ -147,9 +114,8 @@ class Process(Event):
                 # of a Timeout object + callbacks list); scheduled at the
                 # same point in execution, so it consumes the same kernel
                 # sequence number and virtual time is byte-identical.
-                # Float sleeps are kernel-internal and non-interruptible
-                # (see ``interrupt``); the machine model only uses them
-                # for non-preemptive CPU bursts.
+                # The machine model uses them for non-preemptive CPU
+                # bursts.
                 cls = nxt.__class__
                 if cls is float or cls is int:
                     sim.call_at(sim._now + nxt, self._resume, FLOAT_WAKE)

@@ -55,8 +55,8 @@ class Tracer:
         self.records: list[TraceRecord] = []
         self.suppressed = 0
 
-    def wants(self, category: str) -> bool:
-        """Would a record of ``category`` be stored right now?
+    def wants(self) -> bool:
+        """Would a record be stored right now?
 
         Hot paths check this before building expensive record content
         (``repr`` of packets/events), so records past the cap cost

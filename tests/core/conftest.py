@@ -7,9 +7,10 @@ from repro.machine.config import SP_1998
 
 
 def run_spmd(fn, nnodes=2, *, config=SP_1998, interrupt_mode=True,
-             seed=1, **kw):
+             seed=1, faults=None, **kw):
     """Run ``fn`` as an SPMD job on a fresh cluster; returns rank results."""
-    cluster = Cluster(nnodes=nnodes, config=config, seed=seed)
+    cluster = Cluster(nnodes=nnodes, config=config, seed=seed,
+                      faults=faults)
     return cluster.run_job(fn, stacks=("lapi",),
                            interrupt_mode=interrupt_mode, **kw)
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.faults import FaultSchedule, GilbertElliott
 from repro.machine.config import SP_1998
 
 from .conftest import run_spmd
@@ -44,7 +45,7 @@ class TestLossRecovery:
     @pytest.mark.parametrize("loss", [0.05, 0.2])
     def test_put_survives_packet_loss(self, loss):
         """Data delivered intact despite fabric loss (retransmission)."""
-        cfg = SP_1998.replace(loss_rate=loss)
+        faults = FaultSchedule([GilbertElliott(loss_good=loss)])
         n = SP_1998.lapi_payload * 6 + 99
         payload = bytes(i % 241 for i in range(n))
 
@@ -65,11 +66,11 @@ class TestLossRecovery:
                 yield from lapi.gfence()
                 return task.memory.read(buf, n)
 
-        results = run_spmd(main, config=cfg, seed=7)
+        results = run_spmd(main, faults=faults, seed=7)
         assert results[1] == payload
 
     def test_retransmissions_actually_happen(self):
-        cfg = SP_1998.replace(loss_rate=0.3)
+        faults = FaultSchedule([GilbertElliott(loss_good=0.3)])
 
         def main(task):
             lapi = task.lapi
@@ -85,12 +86,12 @@ class TestLossRecovery:
             yield from lapi.gfence()
             return lapi.transport.duplicates_dropped
 
-        results = run_spmd(main, config=cfg, seed=3)
+        results = run_spmd(main, faults=faults, seed=3)
         assert results[0] > 0  # sender retransmitted
 
     def test_rmw_survives_loss_without_double_apply(self):
         """A lost RMW reply must not cause the op to apply twice."""
-        cfg = SP_1998.replace(loss_rate=0.25)
+        faults = FaultSchedule([GilbertElliott(loss_good=0.25)])
 
         def main(task):
             lapi = task.lapi
@@ -106,11 +107,11 @@ class TestLossRecovery:
             if task.rank == 1:
                 return task.memory.read_i64(addr)
 
-        results = run_spmd(main, config=cfg, seed=11)
+        results = run_spmd(main, faults=faults, seed=11)
         assert results[1] == 10
 
     def test_gfence_survives_loss(self):
-        cfg = SP_1998.replace(loss_rate=0.2)
+        faults = FaultSchedule([GilbertElliott(loss_good=0.2)])
 
         def main(task):
             lapi = task.lapi
@@ -118,7 +119,7 @@ class TestLossRecovery:
                 yield from lapi.gfence()
             return "ok"
 
-        assert run_spmd(main, nnodes=4, config=cfg,
+        assert run_spmd(main, nnodes=4, faults=faults,
                         seed=5) == ["ok"] * 4
 
 

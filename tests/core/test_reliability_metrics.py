@@ -2,6 +2,7 @@
 counting, and registry/transport agreement under a lossy switch."""
 
 from repro.core.reliability import ReliableTransport
+from repro.faults import FaultSchedule, GilbertElliott
 from repro.machine import Cluster
 from repro.machine.config import SP_1998
 from repro.machine.packet import Packet
@@ -153,7 +154,7 @@ class TestRegistryAgreement:
     def test_lossy_run_metrics_match_transport_counters(self):
         """Registry numbers are the transport's numbers, and a lossy
         switch makes them nonzero."""
-        cfg = SP_1998.replace(loss_rate=0.2)
+        faults = FaultSchedule([GilbertElliott(loss_good=0.2)])
 
         def main(task):
             lapi = task.lapi
@@ -167,7 +168,7 @@ class TestRegistryAgreement:
             yield from lapi.gfence()
             return lapi.transport.retransmissions
 
-        cluster = Cluster(nnodes=2, config=cfg, seed=3)
+        cluster = Cluster(nnodes=2, seed=3, faults=faults)
         per_rank = cluster.run_job(main, stacks=("lapi",))
         snap = cluster.metrics.snapshot()
         rel = snap["core.reliability"]

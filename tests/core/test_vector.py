@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import LapiError
+from repro.faults import FaultSchedule, GilbertElliott
 from repro.machine.config import SP_1998
 
 from .conftest import run_spmd
@@ -177,7 +178,7 @@ class TestGetv:
         assert run_spmd(main)[0] is True
 
     def test_getv_survives_loss(self):
-        cfg = SP_1998.replace(loss_rate=0.15)
+        faults = FaultSchedule([GilbertElliott(loss_good=0.15)])
 
         def main(task):
             lapi = task.lapi
@@ -200,7 +201,7 @@ class TestGetv:
                 return ok
             yield from lapi.gfence()
 
-        assert run_spmd(main, config=cfg, seed=5)[0] is True
+        assert run_spmd(main, faults=faults, seed=5)[0] is True
 
 
 class TestGaVectorBackend:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.faults import FaultSchedule, GilbertElliott
 from repro.machine import Cluster
 from repro.machine.config import SP_1998
 
@@ -27,7 +28,8 @@ class TestRxOverflow:
                 yield from lapi.fence()
                 yield from lapi.gfence()
                 return (lapi.transport.retransmissions,
-                        task.node.adapter.rx_dropped)
+                        task.node.adapter.rx_dropped,
+                        lapi.transport.adaptive)
             # Polling mode + a long sleep: the burst lands while nobody
             # drains the 4-slot FIFO, forcing overload drops.
             yield from task.thread.sleep(1500.0)
@@ -40,15 +42,18 @@ class TestRxOverflow:
             main, stacks=("lapi",), interrupt_mode=False)
         data, drops_at_target = results[1]
         assert data == payload
-        retx, _ = results[0]
+        retx, _, adaptive = results[0]
         # The overload must actually have happened and been recovered.
         assert drops_at_target > 0
         assert retx > 0
+        # With no fault schedule the fixed retransmission timeout did
+        # the recovering: this is the test that keeps that path covered.
+        assert adaptive is False
 
     def test_ga_survives_lossy_fabric(self):
         """A full GA workload (puts, gets, accumulates, sync) over a
         5%-loss fabric produces exact results."""
-        cfg = SP_1998.replace(loss_rate=0.05)
+        faults = FaultSchedule([GilbertElliott(loss_good=0.05)])
         data = np.arange(20 * 20, dtype=np.float64).reshape(20, 20)
 
         def main(task):
@@ -65,12 +70,12 @@ class TestRxOverflow:
             yield from ga.sync()
             return np.array_equal(got, data + task.size)
 
-        results = Cluster(nnodes=4, config=cfg, seed=23).run_job(
+        results = Cluster(nnodes=4, seed=23, faults=faults).run_job(
             main, ga_backend="lapi")
         assert all(results)
 
     def test_mpl_collectives_survive_loss(self):
-        cfg = SP_1998.replace(loss_rate=0.1)
+        faults = FaultSchedule([GilbertElliott(loss_good=0.1)])
 
         def main(task):
             mpl = task.mpl
@@ -80,7 +85,7 @@ class TestRxOverflow:
                 b"lossy" if task.rank == 0 else None)
             return total, blob
 
-        results = Cluster(nnodes=4, config=cfg, seed=31).run_job(
+        results = Cluster(nnodes=4, seed=31, faults=faults).run_job(
             main, stacks=("mpl",))
         assert all(r == (10, b"lossy") for r in results)
 

@@ -4,8 +4,8 @@ traffic, contention, fault injection -- the whole stack at once."""
 import numpy as np
 import pytest
 
+from repro.faults import FaultSchedule, GilbertElliott
 from repro.machine import Cluster
-from repro.machine.config import SP_1998
 
 
 class TestEightNodeLapi:
@@ -64,14 +64,14 @@ class TestEightNodeLapi:
         assert len(set(fetched)) == len(fetched)
 
     def test_gfence_under_loss_eight_nodes(self):
-        cfg = SP_1998.replace(loss_rate=0.08)
+        faults = FaultSchedule([GilbertElliott(loss_good=0.08)])
 
         def main(task):
             for _ in range(3):
                 yield from task.lapi.gfence()
             return "ok"
 
-        results = Cluster(nnodes=8, config=cfg, seed=17).run_job(
+        results = Cluster(nnodes=8, seed=17, faults=faults).run_job(
             main, stacks=("lapi",))
         assert results == ["ok"] * 8
 

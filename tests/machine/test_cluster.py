@@ -23,7 +23,7 @@ class TestConstruction:
         assert all(n.adapter.switch is c.switch for n in c.nodes)
 
     def test_invalid_config_rejected(self):
-        bad = SP_1998.replace(loss_rate=2.0)
+        bad = SP_1998.replace(switch_group_size=0)
         with pytest.raises(ValueError):
             Cluster(nnodes=2, config=bad)
 

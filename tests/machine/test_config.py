@@ -55,8 +55,8 @@ class TestReplaceAndValidate:
     @pytest.mark.parametrize("changes", [
         {"packet_size": 32},
         {"lapi_uhdr_max": 100000},
-        {"loss_rate": 1.5},
-        {"loss_rate": -0.1},
+        {"dragonfly_global_latency": -1.0},
+        {"fattree_leaf_size": 0},
         {"link_bandwidth": 0.0},
         {"cpu_copy_bandwidth": -1.0},
         {"switch_group_size": 0},

@@ -21,12 +21,13 @@ import pytest
 from repro.bench import runner
 from repro.bench.bandwidth import submit_fig2
 from repro.bench.latency import submit_table2
-from repro.faults import FaultSchedule, LinkOutage
+from repro.faults import FaultSchedule, GilbertElliott, LinkOutage
 from repro.machine import Adapter, Cluster
 from repro.machine.config import SP_1998
 from repro.machine.switch import Switch
 from repro.obs import ObsSpec, pool_stats, record_to_dict
 from repro.sim import RngRegistry, Simulator
+from repro.sim.events import WakeAt
 
 NBYTES = 262144  # enough packets for several trains
 
@@ -131,8 +132,10 @@ class TestTrainEquivalence:
             == (2879, 11)
 
     def test_lossy_config_falls_back(self):
-        cfg = SP_1998.replace(loss_rate=0.02)
-        fast = _assert_equivalent(cfg, _put_job(NBYTES, 1))
+        def sched():
+            return FaultSchedule([GilbertElliott(loss_good=0.02)])
+        fast = _assert_equivalent(SP_1998, _put_job(NBYTES, 1),
+                                  faults_factory=sched)
         assert _train_packets(fast) == 0
 
     def test_fault_schedule_falls_back(self):
@@ -272,10 +275,10 @@ class TestPerfHarnessPlumbing:
         def proc():
             yield sim.timeout(1.1)
             # A target where now + (target - now) != target, the ulp
-            # drift timeout_at() exists to avoid.
+            # drift an absolute wake-up avoids.
             target = 5.55
             assert sim.now + (target - sim.now) != target
-            yield sim.timeout_at(target)
+            yield WakeAt(target)
             woke.append(sim.now)
             assert sim.now == target
 

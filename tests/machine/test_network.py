@@ -181,12 +181,15 @@ class TestSwitchDelivery:
             dup.connect(switch)
 
     def test_loss_injection(self):
-        cfg = SP_1998.replace(loss_rate=1.0)
-        sim, switch, (a0, a1) = build_fabric(config=cfg)
-        client = a1.attach_client("lapi")
-        switch.route(make_packet())
-        sim.run()
-        assert switch.packets_lost == 1
+        from repro.faults import FaultSchedule, LinkOutage
+        from repro.machine import Cluster
+
+        cluster = Cluster(nnodes=2, faults=FaultSchedule(
+            [LinkOutage(src=0, dst=1, end=100.0)]))
+        client = cluster.nodes[1].adapter.attach_client("lapi")
+        cluster.switch.route(make_packet())
+        cluster.sim.run()
+        assert cluster.switch.packets_lost == 1
         assert client.pending == 0
 
     def test_same_link_packets_keep_order(self):

@@ -7,6 +7,7 @@ the per-packet engine on the canonical put, and that loss keeps the peel
 off.  The full disengage matrix lives in ``test_fast_path_equivalence``.
 """
 
+from repro.faults import FaultSchedule, GilbertElliott
 from repro.machine.config import SP_1998
 
 from .test_fast_path_equivalence import (NBYTES, _assert_equivalent,
@@ -28,7 +29,9 @@ class TestSoaEquivalence:
     def test_lossy_config_disengages(self):
         # Loss disables train peeling entirely (packet identity is
         # needed for every loss draw).
-        cfg = SP_1998.replace(loss_rate=0.02)
-        fast = _assert_equivalent(cfg, _put_job(NBYTES, 1), seed=SEED)
+        def sched():
+            return FaultSchedule([GilbertElliott(loss_good=0.02)])
+        fast = _assert_equivalent(SP_1998, _put_job(NBYTES, 1), seed=SEED,
+                                  faults_factory=sched)
         assert _train_packets(fast) == 0
         assert _trains_collapsed(fast) == 0

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.faults import FaultSchedule, GilbertElliott
 from repro.machine.config import SP_1998
 
 from .conftest import run_mpl
@@ -250,7 +251,7 @@ class TestOrderingSemantics:
 
 class TestLossAndStress:
     def test_eager_survives_loss(self):
-        cfg = SP_1998.replace(loss_rate=0.15)
+        faults = FaultSchedule([GilbertElliott(loss_good=0.15)])
         n = 3000
 
         def main(task):
@@ -263,11 +264,11 @@ class TestLossAndStress:
                 yield from mpl.barrier()
                 return data
 
-        assert run_mpl(main, config=cfg, seed=9)[1] == \
+        assert run_mpl(main, faults=faults, seed=9)[1] == \
             (bytes(range(256)) * 12)[:3000]
 
     def test_rendezvous_survives_loss(self):
-        cfg = SP_1998.replace(loss_rate=0.1)
+        faults = FaultSchedule([GilbertElliott(loss_good=0.1)])
         n = SP_1998.mpl_eager_limit * 3
 
         def main(task):
@@ -280,7 +281,7 @@ class TestLossAndStress:
                 yield from mpl.barrier()
                 return len(data)
 
-        assert run_mpl(main, config=cfg, seed=4)[1] == n
+        assert run_mpl(main, faults=faults, seed=4)[1] == n
 
     def test_many_outstanding_isends(self):
         count = 20

@@ -3,33 +3,8 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.obs import (Counter, Gauge, Histogram, MetricsRegistry,
-                       DEPTH_BUCKETS, LATENCY_BUCKETS_US)
-
-
-class TestCounter:
-    def test_starts_at_zero_and_accumulates(self):
-        c = Counter("x")
-        assert c.snapshot_value() == 0
-        c.inc()
-        c.inc(5)
-        assert c.snapshot_value() == 6
-
-    def test_negative_increment_rejected(self):
-        c = Counter("x")
-        with pytest.raises(SimulationError):
-            c.inc(-1)
-        assert c.snapshot_value() == 0
-
-
-class TestGauge:
-    def test_set_tracks_high_water(self):
-        g = Gauge("occ")
-        g.set(3.0)
-        g.set(9.0)
-        g.set(2.0)
-        assert g.snapshot_value() == 2.0
-        assert g.high_water == 9.0
+from repro.obs import (Histogram, MetricsRegistry, DEPTH_BUCKETS,
+                       LATENCY_BUCKETS_US)
 
 
 class TestHistogram:
@@ -81,29 +56,23 @@ class TestHistogram:
 class TestRegistry:
     def test_get_or_create_returns_same_instrument(self):
         reg = MetricsRegistry()
-        a = reg.counter("core.reliability", "retx", node=0)
-        b = reg.counter("core.reliability", "retx", node=0)
+        a = reg.histogram("core.reliability", "rtt", node=0)
+        b = reg.histogram("core.reliability", "rtt", node=0)
         assert a is b
         # Different node or subsystem means a different instrument.
-        assert reg.counter("core.reliability", "retx", node=1) is not a
-        assert reg.counter("mpl.reliability", "retx", node=0) is not a
-
-    def test_type_mismatch_rejected(self):
-        reg = MetricsRegistry()
-        reg.counter("sub", "m", node=0)
-        with pytest.raises(SimulationError):
-            reg.gauge("sub", "m", node=0)
+        assert reg.histogram("core.reliability", "rtt", node=1) is not a
+        assert reg.histogram("mpl.reliability", "rtt", node=0) is not a
 
     def test_snapshot_shape_and_sorting(self):
         reg = MetricsRegistry()
-        reg.counter("b.sub", "z", node=10).inc(1)
-        reg.counter("b.sub", "a", node=2).inc(2)
-        reg.gauge("a.sub", "util").set(0.5)
+        reg.register_collector("b.sub", lambda: {"z": 1}, node=10)
+        reg.register_collector("b.sub", lambda: {"a": 2}, node=2)
+        reg.histogram("a.sub", "util").observe(0.5)
         snap = reg.snapshot()
         assert list(snap) == ["a.sub", "b.sub"]
         # Numeric node keys sort numerically; cluster-wide is "-".
         assert list(snap["b.sub"]) == ["2", "10"]
-        assert snap["a.sub"]["-"]["util"] == 0.5
+        assert snap["a.sub"]["-"]["util"]["sum"] == 0.5
         assert snap["b.sub"]["10"]["z"] == 1
 
     def test_collectors_merge_at_snapshot_time(self):
@@ -117,7 +86,8 @@ class TestRegistry:
 
     def test_render_lists_every_subsystem_block(self):
         reg = MetricsRegistry()
-        reg.counter("core.dispatcher", "pkts", node=0).inc(3)
+        reg.register_collector("core.dispatcher", lambda: {"pkts": 3},
+                               node=0)
         h = reg.histogram("core.reliability", "ack_rtt_us", node=0)
         h.observe(12.0)
         text = reg.render()
@@ -133,6 +103,7 @@ class TestDeterminism:
     """Identical seeds must produce byte-identical metric snapshots."""
 
     def _run(self, seed):
+        from repro.faults import FaultSchedule, GilbertElliott
         from repro.machine import Cluster
         from repro.machine.config import SP_1998
 
@@ -147,8 +118,8 @@ class TestDeterminism:
                 yield from lapi.fence()
             yield from lapi.gfence()
 
-        cfg = SP_1998.replace(loss_rate=0.1)
-        cluster = Cluster(nnodes=2, config=cfg, seed=seed)
+        faults = FaultSchedule([GilbertElliott(loss_good=0.1)])
+        cluster = Cluster(nnodes=2, seed=seed, faults=faults)
         cluster.run_job(main, stacks=("lapi",))
         return cluster
 

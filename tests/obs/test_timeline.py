@@ -78,18 +78,6 @@ class TestWindowing:
         tl.finalize()
         assert tl.counter_windows("sub", "x") == [[0, 7], [1, 5]]
 
-    def test_gauge_keeps_last_value_per_window(self):
-        sim, tl = make_timeline(window_us=10.0)
-        g = tl.series("gauge", "sub", "depth")
-        g.set(3.0)
-        g.set(8.0)
-        sim.now = 10.0
-        g.set(1.0)
-        tl.finalize()
-        snap = tl.snapshot()
-        (series,) = snap["series"]
-        assert series["windows"] == [[0, 8.0], [1, 1.0]]
-
     def test_hist_series_tracks_per_window_and_cumulative(self):
         sim, tl = make_timeline(window_us=10.0)
         h = tl.series("hist", "sub", "lat", node=0)

@@ -71,23 +71,16 @@ class TestBoundedChannel:
         with pytest.raises(SimulationError):
             Channel(sim, capacity=0)
 
-    def test_overflow_raises_by_default(self, sim):
-        ch = Channel(sim, capacity=1)
-        ch.put(1)
-        assert ch.full
-        with pytest.raises(SimulationError, match="overflow"):
-            ch.put(2)
-
     def test_overflow_drops_when_configured(self, sim):
         dropped = []
-        ch = Channel(sim, capacity=2, drop_on_overflow=True)
+        ch = Channel(sim, capacity=2)
         ch.on_drop = dropped.append
         assert ch.put(1)
         assert ch.put(2)
+        assert ch.full
         assert not ch.put(3)
         assert dropped == [3]
-        assert ch.dropped == 1
-        assert ch.total_put == 2
+        assert ch.drain() == [1, 2]
 
     def test_waiting_getter_bypasses_capacity(self, sim):
         ch = Channel(sim, capacity=1)
@@ -99,17 +92,6 @@ class TestBoundedChannel:
         g = ch.get()
         ch.put("direct")
         assert g.value == "direct"
-
-    def test_on_put_hook(self, sim):
-        seen = []
-        ch = Channel(sim)
-        ch.on_put = seen.append
-        ch.put("a")
-        assert ch.get().value == "a"
-        g = ch.get()  # now waiting on an empty channel
-        ch.put("b")  # direct hand-off also reports via on_put
-        assert seen == ["a", "b"]
-        assert g.value == "b"
 
 
 class TestChannelWithProcesses:

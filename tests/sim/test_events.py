@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import AllOf, AnyOf, Event, Simulator, Timeout
+from repro.sim import AllOf, Event, Simulator, Timeout
 
 
 @pytest.fixture
@@ -103,17 +103,6 @@ class TestTimeout:
 
 
 class TestConditions:
-    def test_anyof_fires_on_first(self, sim):
-        a = sim.timeout(1.0, value="a")
-        b = sim.timeout(2.0, value="b")
-        cond = AnyOf(sim, [a, b])
-        results = []
-        cond.callbacks.append(lambda e: results.append(e.value))
-        sim.run()
-        (val,) = results
-        assert a in val
-        assert val[a] == "a"
-
     def test_allof_waits_for_all(self, sim):
         a = sim.timeout(1.0, value="a")
         b = sim.timeout(2.0, value="b")
@@ -122,50 +111,48 @@ class TestConditions:
         cond.callbacks.append(lambda e: fired_at.append(sim.now))
         sim.run()
         assert fired_at == [2.0]
-        assert cond.value.todict() == {a: "a", b: "b"}
+        assert cond.value == {a: "a", b: "b"}
 
     def test_empty_allof_is_trivially_true(self, sim):
         cond = AllOf(sim, [])
         sim.run()
         assert cond.triggered
-        assert len(cond.value) == 0
-
-    def test_empty_anyof_rejected(self, sim):
-        with pytest.raises(SimulationError):
-            AnyOf(sim, [])
+        assert cond.value == {}
 
     def test_condition_over_already_triggered(self, sim):
         a = sim.event()
         a.succeed(7)
-        cond = AnyOf(sim, [a])
+        cond = AllOf(sim, [a])
         sim.run()
         assert cond.triggered
         assert cond.value[a] == 7
 
-    def test_operator_sugar(self, sim):
+    def test_first_failure_fails_the_condition(self, sim):
         a = sim.timeout(1.0)
-        b = sim.timeout(2.0)
-        both = a & b
-        either = a | b
+        b = sim.event()
+        cond = AllOf(sim, [a, b])
+        b.fail(ValueError("boom"))
+        seen = []
+        cond.callbacks.append(lambda e: seen.append(e.value))
         sim.run()
-        assert both.triggered
-        assert either.triggered
+        assert not cond.ok
+        assert isinstance(seen[0], ValueError)
 
     def test_cross_simulator_mix_rejected(self, sim):
         other = Simulator()
         a = sim.event()
         b = other.event()
         with pytest.raises(SimulationError):
-            AnyOf(sim, [a, b])
+            AllOf(sim, [a, b])
 
     def test_condition_value_mapping_protocol(self, sim):
         a = sim.timeout(0.0, value=1)
         b = sim.timeout(0.0, value=2)
-        cond = AllOf(sim, [a, b])
+        cond = AllOf(sim, [b, a])
         sim.run()
         val = cond.value
         assert len(val) == 2
-        assert list(val) == [a, b]
+        assert list(val) == [b, a]  # the order the events were given
         assert a in val and b in val
         with pytest.raises(KeyError):
             _ = val[sim.event()]

@@ -8,6 +8,7 @@ plain list on every pop.
 """
 
 from repro.sim import Simulator
+from repro.sim.events import WakeAt
 
 
 class _SortedList:
@@ -49,22 +50,31 @@ def _brew(sched):
 
 class TestKernelEdgeCases:
     def test_timeout_at_fires_on_exact_float(self):
-        # 0.1 + 0.2 is the canonical non-representable sum; timeout_at
-        # must pin the due time to the given float exactly, with no
-        # now + delay round trip perturbing it.
+        # 0.1 + 0.2 is the canonical non-representable sum; a WakeAt
+        # must wake on the given float exactly, with no now + delay
+        # round trip perturbing it.
         sim = Simulator()
         due = 0.1 + 0.2
         fired = []
-        sim.timeout_at(due).callbacks.append(
-            lambda ev: fired.append(sim.now))
+
+        def sleeper():
+            yield WakeAt(due)
+            fired.append(sim.now)
+
+        sim.process(sleeper())
         sim.run()
         assert fired == [due]
 
     def test_timeout_at_run_ends_on_the_last_due_time(self):
         sim = Simulator()
-        for k in range(40):
-            sim.timeout_at(k * 0.7 + 0.1)
-        assert (sim.run(), sim.events_processed) == (39 * 0.7 + 0.1, 40)
+
+        def sleeper():
+            for k in range(40):
+                yield WakeAt(k * 0.7 + 0.1)
+
+        sim.process(sleeper())
+        # One start-up entry plus one wake per instant.
+        assert (sim.run(), sim.events_processed) == (39 * 0.7 + 0.1, 41)
 
     def test_equal_timestamp_fifo(self):
         # Callbacks scheduled for the same instant fire in scheduling

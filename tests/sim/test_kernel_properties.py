@@ -119,14 +119,3 @@ def test_all_of_fires_at_max_time(n):
     cond.callbacks.append(lambda e: fired_at.append(sim.now))
     sim.run()
     assert fired_at == [float(max(i % 7 for i in range(n)))]
-
-
-@given(n=st.integers(min_value=1, max_value=40))
-def test_any_of_fires_at_min_time(n):
-    sim = Simulator()
-    events = [sim.timeout(float((i * 3) % 11 + 1)) for i in range(n)]
-    cond = sim.any_of(events)
-    fired_at = []
-    cond.callbacks.append(lambda e: fired_at.append(sim.now))
-    sim.run()
-    assert fired_at[0] == float(min((i * 3) % 11 + 1 for i in range(n)))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim import Interrupt, Simulator
+from repro.sim import Simulator
 from repro.sim.events import WakeAt
 
 
@@ -210,55 +210,6 @@ class TestFailures:
         assert sim.run_until_complete(w) == "observed"
 
 
-class TestInterrupt:
-    def test_interrupt_wakes_blocked_process(self, sim):
-        def body():
-            try:
-                yield sim.timeout(100.0)
-            except Interrupt as irq:
-                return ("interrupted", irq.cause, sim.now)
-
-        proc = sim.process(body())
-
-        def interrupter():
-            yield sim.timeout(2.0)
-            proc.interrupt("why")
-
-        sim.process(interrupter())
-        assert sim.run_until_complete(proc) == ("interrupted", "why", 2.0)
-
-    def test_interrupt_dead_process_raises(self, sim):
-        def body():
-            yield sim.timeout(1.0)
-
-        proc = sim.process(body())
-        sim.run()
-        with pytest.raises(SimulationError):
-            proc.interrupt()
-
-    def test_interrupted_process_can_rewait(self, sim):
-        ev = sim.event()
-
-        def body():
-            try:
-                yield ev
-            except Interrupt:
-                pass
-            val = yield ev  # wait again after interruption
-            return val
-
-        proc = sim.process(body())
-
-        def driver():
-            yield sim.timeout(1.0)
-            proc.interrupt()
-            yield sim.timeout(1.0)
-            ev.succeed("finally")
-
-        sim.process(driver())
-        assert sim.run_until_complete(proc) == "finally"
-
-
 class TestKernel:
     def test_run_until_time(self, sim):
         sim.timeout(10.0)
@@ -359,9 +310,15 @@ class TestNanTime:
         assert sim.peek() == float("inf")
 
     def test_timeout_at_nan_rejected(self, sim):
+        def body():
+            yield WakeAt(NAN)
+
+        proc = sim.process(body())
         with pytest.raises(SimulationError, match="nan"):
-            sim.timeout_at(NAN)
-        assert sim.peek() == float("inf")
+            sim.run_until_complete(proc)
+        # No NaN entry reached the queue: all that is left is the
+        # process's own failure, queued at the instant it failed.
+        assert sim.now == 0.0 and sim.peek() == 0.0
 
     def test_float_yield_nan_fails_the_process(self, sim):
         def body():

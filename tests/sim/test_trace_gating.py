@@ -94,9 +94,9 @@ class TestCapCountsDrops:
     def test_wants_counts_a_record_refused_at_the_cap(self, monkeypatch):
         monkeypatch.setattr(sim_trace, "TRACE_LIMIT", 1)
         tracer = Tracer()
-        assert tracer.wants("tx")
+        assert tracer.wants()
         tracer.log(0.0, "adapter0", "tx", "first")
-        assert not tracer.wants("tx")
+        assert not tracer.wants()
         assert tracer.suppressed == 1
 
     def test_gated_sites_report_every_dropped_record(self):
