@@ -13,8 +13,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator, Optional, Union
 
 from ..errors import LapiError
+from ..machine.packet import packet_count, reserve_uids
 from .context import SendState
-from .protocol import am_packets
+from .protocol import am_first_room, am_packet
 from .putget import _make_send_complete, _origin_bursts
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -87,13 +88,18 @@ def do_amsend(lapi: "Lapi", target: int, handler_id: int, uhdr: bytes,
 
     msg_id = ctx.new_msg_id()
     cmpl_id = cmpl_cntr.id if cmpl_cntr is not None else None
-    packets = am_packets(cfg, ctx.rank, target, msg_id, handler_id,
-                         bytes(uhdr), data, tgt_cntr, cmpl_id)
+    uhdr = bytes(uhdr)
+    first_room = am_first_room(cfg, uhdr)
+    chunk = cfg.lapi_payload
+    header = cfg.lapi_header
+    send_cost = cfg.lapi_pkt_send_cost
+    npkts = packet_count(len(uhdr) + udata_len, chunk)
+    uid0 = reserve_uids(npkts)
     if sp is not None:
-        sp.bind_packets(packets, op_sid, "amsend", udata_len,
+        sp.bind_packets(uid0, npkts, op_sid, "amsend", udata_len,
                         msg_key=("lapi", ctx.rank, msg_id))
 
-    state = SendState(msg_id, target, total_packets=len(packets),
+    state = SendState(msg_id, target, total_packets=npkts,
                       org_cntr=None if small else org_cntr,
                       org_counted=small)
     ctx.send_msgs[msg_id] = state
@@ -104,15 +110,20 @@ def do_amsend(lapi: "Lapi", target: int, handler_id: int, uhdr: bytes,
     charged = not (small and org_cntr is not None)
     if not charged:
         org_cntr.add(1)
-    for pkt in packets:
+    rank = ctx.rank
+    send_data = lapi.transport.send_data
+    on_ack = state.ack_one
+    for i in range(npkts):
         if charged:
             charged = False
         else:
-            yield from thread.execute(cfg.lapi_pkt_send_cost)
-        yield from lapi.transport.send_data(thread, pkt,
-                                            on_ack=state.ack_one)
+            yield from thread.execute(send_cost)
+        yield from send_data(thread, am_packet(
+            rank, target, msg_id, handler_id, uhdr, data, tgt_cntr,
+            cmpl_id, chunk, header, first_room, i, uid0 + i),
+            on_ack=on_ack)
     if sp is not None:
-        sp.close(op_sid, lapi.sim.now, packets=len(packets))
+        sp.close(op_sid, lapi.sim.now, packets=npkts)
 
 
 def _local_amsend(lapi: "Lapi", thread, handler_id: int, uhdr: bytes,

@@ -30,10 +30,11 @@ from typing import TYPE_CHECKING, Generator, Optional
 
 from ..errors import LapiError
 from ..machine.cpu import HANDLER
+from ..machine.packet import packet_count, reserve_uids
 from .constants import PacketKind
 from .context import RecvAssembly
 from .endpoint import EndpointDispatcher
-from .protocol import control_packet, get_reply_packets
+from .protocol import control_packet, get_reply_packet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..machine.cpu import Thread
@@ -425,19 +426,28 @@ class Dispatcher(EndpointDispatcher):
         origin = sp.origin_of(pkt) if sp is not None else None
 
         def body(thread):
-            data = lapi.memory.read(info["tgt_addr"], info["length"])
-            packets = get_reply_packets(cfg, lapi.ctx.rank, src,
-                                        info["msg_id"], data)
+            length = info["length"]
+            data = lapi.memory.read(info["tgt_addr"], length)
+            rank = lapi.ctx.rank
+            msg_id = info["msg_id"]
+            chunk = cfg.lapi_payload
+            header = cfg.lapi_header
+            send_cost = cfg.lapi_pkt_send_cost
+            npkts = packet_count(length, chunk)
+            uid0 = reserve_uids(npkts)
             if sp is not None:
-                sp.bind_packets(packets, origin, "get", info["length"])
-            # Small replies are copied into LAPI's retransmission
-            # buffers; large ones stream straight from target memory
-            # (the same zero-copy rule as large puts).
-            if info["length"] <= cfg.lapi_retrans_copy_limit:
-                yield from thread.execute(cfg.copy_cost(info["length"]))
-            for p in packets:
-                yield from thread.execute(cfg.lapi_pkt_send_cost)
-                yield from lapi.transport.send_data(thread, p)
+                sp.bind_packets(uid0, npkts, origin, "get", length)
+            # The reply's bytes are one snapshot, read above when the
+            # request is serviced, and each packet is cut from it as it
+            # is sent.  Only a small reply is charged the copy into
+            # LAPI's retransmission buffers, as for a small put.
+            if length <= cfg.lapi_retrans_copy_limit:
+                yield from thread.execute(cfg.copy_cost(length))
+            send_data = lapi.transport.send_data
+            for i in range(npkts):
+                yield from thread.execute(send_cost)
+                yield from send_data(thread, get_reply_packet(
+                    rank, src, msg_id, data, chunk, header, i, uid0 + i))
             # Target counter: data has been copied out of target memory.
             if info.get("tgt_cntr_id") is not None:
                 yield from thread.execute(cfg.lapi_counter_update)

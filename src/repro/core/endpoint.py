@@ -22,6 +22,7 @@ only its protocol.
 
 from __future__ import annotations
 
+from inspect import getclosurevars
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from ..machine.cpu import INTERRUPT
@@ -196,6 +197,16 @@ class Endpoint:
                 yield from thread.wait(self.ctx.progress_ws.wait(can_leave))
             else:
                 yield from self.dispatcher.poll_step(thread)
+
+    def ready_waits(self) -> list[str]:
+        """``"<wait set>: <predicate>"`` for each interrupt-mode
+        :meth:`wait_for` whose condition holds but which no notify has
+        woken, naming the predicate the caller gave (not the gate that
+        wraps it)."""
+        ws = self.ctx.progress_ws
+        named = [getclosurevars(gate).nonlocals.get("predicate", gate)
+                 for gate in ws.ready()]
+        return [f"{ws.name}: {fn.__qualname__}" for fn in named]
 
     def _wait_credit(self, thread, event) -> Generator:
         """Block on a send-window credit, driving progress if polling."""

@@ -2,9 +2,11 @@
 
 Put and Get are the remote-memory-copy (RMC) primitives of section 2.2:
 unilateral, non-blocking, unordered.  The origin-side work is: charge
-the call overhead, packetize (for put) or issue a request (for get),
-register fence/counter bookkeeping, and hand packets to the reliable
-transport.  Target-side placement happens in the dispatcher.
+the call overhead, snapshot the data and reserve its packet uids (for
+put; each packet is cut from the snapshot just before it is sent) or
+issue a request (for get), register fence/counter bookkeeping, and hand
+packets to the reliable transport.  Target-side placement happens in
+the dispatcher.
 
 Origin-counter semantics (section 2.3): for a put no larger than the
 internal-retransmit-copy limit, LAPI copies the data into its own
@@ -19,9 +21,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator, Optional
 
 from ..errors import LapiError
+from ..machine.packet import packet_count, reserve_uids
 from .constants import PacketKind
 from .context import GetPending, SendState
-from .protocol import control_packet, put_packets
+from .protocol import control_packet, put_packet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .api import Lapi
@@ -81,12 +84,15 @@ def do_put(lapi: "Lapi", target: int, length: int, tgt_addr: int,
     data = lapi.memory.read(org_addr, length) if length else b""
     msg_id = ctx.new_msg_id()
     cmpl_id = cmpl_cntr.id if cmpl_cntr is not None else None
-    packets = put_packets(cfg, ctx.rank, target, msg_id, data, tgt_addr,
-                          tgt_cntr, cmpl_id)
+    chunk = cfg.lapi_payload
+    header = cfg.lapi_header
+    send_cost = cfg.lapi_pkt_send_cost
+    npkts = packet_count(length, chunk)
+    uid0 = reserve_uids(npkts)
     if sp is not None:
-        sp.bind_packets(packets, op_sid, "put", length,
+        sp.bind_packets(uid0, npkts, op_sid, "put", length,
                         msg_key=("lapi", ctx.rank, msg_id))
-    state = SendState(msg_id, target, total_packets=len(packets),
+    state = SendState(msg_id, target, total_packets=npkts,
                       org_cntr=None if small else org_cntr,
                       org_counted=small)
     ctx.send_msgs[msg_id] = state
@@ -97,15 +103,19 @@ def do_put(lapi: "Lapi", target: int, length: int, tgt_addr: int,
     charged = not (small and org_cntr is not None)
     if not charged:
         org_cntr.add(1)
-    for pkt in packets:
+    rank = ctx.rank
+    send_data = lapi.transport.send_data
+    on_ack = state.ack_one
+    for i in range(npkts):
         if charged:
             charged = False
         else:
-            yield from thread.execute(cfg.lapi_pkt_send_cost)
-        yield from lapi.transport.send_data(thread, pkt,
-                                            on_ack=state.ack_one)
+            yield from thread.execute(send_cost)
+        yield from send_data(thread, put_packet(
+            rank, target, msg_id, data, tgt_addr, tgt_cntr, cmpl_id,
+            chunk, header, i, uid0 + i), on_ack=on_ack)
     if sp is not None:
-        sp.close(op_sid, lapi.sim.now, packets=len(packets))
+        sp.close(op_sid, lapi.sim.now, packets=npkts)
 
 
 def _origin_bursts(lapi: "Lapi", thread, op: str, op_sid, t_call: float,

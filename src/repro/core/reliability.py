@@ -13,7 +13,8 @@ Design:
 * the receiver acknowledges each packet (control path, no CPU thread)
   and filters duplicates with a cumulative watermark + sparse set;
 * the sender keeps unacknowledged packets and retransmits them after a
-  timeout (a lazily started per-peer timer process); retransmitted
+  timeout (a per-peer ``call_at`` chain, armed while packets remain
+  unacknowledged; see ``_arm_timer``); retransmitted
   *data* packets re-enter the adapter through the credit-accounted
   data path (best-effort, retried next round when the TX FIFO is
   saturated) while control packets keep their reserved slots;

@@ -127,6 +127,17 @@ def _release_memories(memories: list) -> None:
         memory.release()
 
 
+def _ready_waits(tasks: list["Task"]) -> str:
+    """Name every progress wait that a notify would have ended: its
+    condition holds, but the state change came with no notify after
+    it.  Empty when there is none."""
+    ready = [w for task in tasks for stack in (task.lapi, task.mpl)
+             if stack is not None for w in stack.ready_waits()]
+    if not ready:
+        return ""
+    return "; waits whose condition holds: " + ", ".join(ready)
+
+
 class Cluster:
     """A simulated SP system ready to run SPMD jobs."""
 
@@ -369,11 +380,13 @@ class Cluster:
             # The queue is empty or its next entry (left unpopped) lies
             # past ``until``; an empty queue peeks as inf, so a set
             # budget reports before the deadlock check.
+            stuck = _ready_waits(tasks)
             if until is not None:
                 raise MachineError(
-                    f"job exceeded virtual-time budget of {until}us")
+                    f"job exceeded virtual-time budget of {until}us{stuck}")
             alive = [t.process.name for t in threads if t.process.is_alive]
-            raise MachineError(f"job deadlocked; unfinished tasks: {alive}")
+            raise MachineError(
+                f"job deadlocked; unfinished tasks: {alive}{stuck}")
         for t in threads:
             if t.process.triggered and not t.process.ok:
                 raise t.process.value

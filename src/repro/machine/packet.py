@@ -13,6 +13,14 @@ acknowledgement), and the per-instance ``__dict__`` plus generated
 ``__init__``/``__post_init__`` chain of the dataclass it used to be were
 measurable on the hot path.  Construction semantics are unchanged; uids
 still come from the per-cluster counter.
+
+A data message is cut into packets as the send window admits them, not
+all at once when it is issued, so a message in flight costs one data
+snapshot plus a window of packets.  Its uids are still taken when it is
+issued: :func:`reserve_uids` takes the message's block of consecutive
+uids and packet *i* carries ``first + i``, so the numbering (which
+trace records, span side tables and MPL's ``reply_to`` name) does not
+depend on the acknowledgements built while the message streams.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from typing import Any, Optional
 
 from ..errors import NetworkError
 
-__all__ = ["Packet", "reset_packet_ids"]
+__all__ = ["Packet", "packet_count", "reserve_uids", "reset_packet_ids"]
 
 _packet_ids = itertools.count()
 
@@ -33,6 +41,21 @@ def reset_packet_ids() -> None:
     in the process — a requirement for serial/parallel trace parity)."""
     global _packet_ids
     _packet_ids = itertools.count()
+
+
+def reserve_uids(n: int) -> int:
+    """Take a block of ``n`` consecutive uids; returns the first."""
+    global _packet_ids
+    first = next(_packet_ids)
+    if n > 1:
+        _packet_ids = itertools.count(first + n)
+    return first
+
+
+def packet_count(nbytes: int, chunk: int) -> int:
+    """Packets of an ``nbytes`` message cut into ``chunk``-byte
+    payloads (>= 1: an empty message still sends one packet)."""
+    return -(-nbytes // chunk) or 1
 
 
 class Packet:

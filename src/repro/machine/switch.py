@@ -4,8 +4,10 @@ The switch owns the :class:`~repro.machine.routing.Topology`, has it
 compute a route per packet (randomly among the disjoint middle-stage
 routes for cross-group traffic -- the source of out-of-order delivery;
 nothing is memoized per node pair), charges link
-occupancy along the route, injects optional jitter and loss, and hands
-the packet to the destination adapter at its computed arrival time.
+occupancy along the route, adds optional route jitter, drops or
+corrupts a packet only when an installed fault schedule's verdict says
+so, and hands the packet to the destination adapter at its computed
+arrival time.
 """
 
 from __future__ import annotations

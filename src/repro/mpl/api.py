@@ -25,10 +25,11 @@ from typing import TYPE_CHECKING, Callable, Generator, Optional, Union
 
 from ..core.endpoint import Endpoint
 from ..errors import MplError
+from ..machine.packet import packet_count, reserve_uids
 from .constants import ANY_SOURCE, ANY_TAG
 from .dispatcher import MplDispatcher
 from .matching import RecvRequest
-from .protocol import PROTO, data_packets, rts_packet
+from .protocol import PROTO, data_packet, rts_packet
 from .requests import MplContext, SendRequest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -206,18 +207,22 @@ class Mpl(Endpoint):
 
     def _send_eager(self, thread, dst: int, msg_seq: int, tag: int,
                     data: bytes, op_sid=None) -> Generator:
-        """Packetize and send; :meth:`isend` already charged the copy
-        and the first packet's send cost."""
+        """Send packet by packet; :meth:`isend` already charged the
+        copy and the first packet's send cost."""
         cfg = self.config
         ctx = self.ctx
         buffered = len(data) <= cfg.mpl_send_buffer_limit
         proto = "eager-buffered" if buffered else "eager-direct"
         req = SendRequest(dst, msg_seq, len(data), proto)
-        packets = data_packets(cfg, ctx.rank, dst, msg_seq, tag, data)
-        req.total_packets = len(packets)
+        chunk = cfg.mpl_payload
+        header = cfg.mpl_header
+        send_cost = cfg.mpl_pkt_send_cost
+        npkts = packet_count(len(data), chunk)
+        uid0 = reserve_uids(npkts)
+        req.total_packets = npkts
         sp = self.spans
         if sp is not None:
-            sp.bind_packets(packets, op_sid, "send", len(data),
+            sp.bind_packets(uid0, npkts, op_sid, "send", len(data),
                             msg_key=("mpl", ctx.rank, msg_seq))
         if buffered:
             req.complete = True
@@ -229,19 +234,23 @@ class Mpl(Endpoint):
             if r.ack_one():
                 ctx.progress_ws.notify_all()
 
-        charged = True
-        for pkt in packets:
-            if charged:
-                charged = False
-            else:
-                yield from thread.execute(cfg.mpl_pkt_send_cost)
-            yield from self.transport.send_data(thread, pkt,
-                                                on_ack=on_ack)
+        rank = ctx.rank
+        send_data = self.transport.send_data
+        for i in range(npkts):
+            if i:
+                yield from thread.execute(send_cost)
+            yield from send_data(thread, data_packet(
+                rank, dst, msg_seq, tag, data, False, chunk, header, i,
+                uid0 + i), on_ack=on_ack)
         return req
 
     def _send_rndv(self, thread, dst: int, msg_seq: int, tag: int,
                    data: bytes, op_sid=None) -> Generator:
-        """Rendezvous: RTS now; a service thread streams after CTS."""
+        """Rendezvous: RTS now; a service thread streams after CTS.
+
+        From RTS to CTS the message holds only its data snapshot and
+        its reserved uids; packets are cut as the streamer sends them.
+        """
         cfg = self.config
         ctx = self.ctx
         ctx.stats.rendezvous += 1
@@ -254,11 +263,14 @@ class Mpl(Endpoint):
         if sp is not None:
             sp.bind_packet(rts, op_sid, "send", len(data))
         self.transport.send_control(rts)
-        packets = data_packets(cfg, ctx.rank, dst, msg_seq, tag, data,
-                               is_rndv=True)
-        req.total_packets = len(packets)
+        chunk = cfg.mpl_payload
+        header = cfg.mpl_header
+        send_cost = cfg.mpl_pkt_send_cost
+        npkts = packet_count(len(data), chunk)
+        uid0 = reserve_uids(npkts)
+        req.total_packets = npkts
         if sp is not None:
-            sp.bind_packets(packets, op_sid, "send", len(data),
+            sp.bind_packets(uid0, npkts, op_sid, "send", len(data),
                             msg_key=("mpl", ctx.rank, msg_seq))
         mpl = self
 
@@ -274,10 +286,13 @@ class Mpl(Endpoint):
                 sp.emit(ctx.rank, "mpl", "send", "rndv_wait", t_w,
                         sthread.sim.now, parent=op_sid, bytes=len(data))
             yield from sthread.execute(cfg.mpl_rendezvous_ctrl_cost)
-            for pkt in packets:
-                yield from sthread.execute(cfg.mpl_pkt_send_cost)
-                yield from mpl.transport.send_data(sthread, pkt,
-                                                   on_ack=on_ack)
+            rank = ctx.rank
+            send_data = mpl.transport.send_data
+            for i in range(npkts):
+                yield from sthread.execute(send_cost)
+                yield from send_data(sthread, data_packet(
+                    rank, dst, msg_seq, tag, data, True, chunk, header,
+                    i, uid0 + i), on_ack=on_ack)
 
         from ..machine.cpu import HANDLER
         self.task.node.cpu.spawn(streamer,

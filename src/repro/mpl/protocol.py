@@ -17,10 +17,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from ..machine.packet import Packet
 from .constants import MplPacketKind
 
-__all__ = ["data_packets", "rts_packet", "cts_packet", "PROTO"]
+__all__ = ["data_packet", "rts_packet", "cts_packet", "PROTO"]
 
 #: Adapter demultiplexing key for the MPL stack.
 PROTO = "mpl"
+
+_DATA = MplPacketKind.DATA
 
 
 def _mk(src: int, dst: int, kind: str, header: int, payload: bytes,
@@ -29,30 +31,25 @@ def _mk(src: int, dst: int, kind: str, header: int, payload: bytes,
                   header_bytes=header, payload=payload, info=info)
 
 
-def data_packets(config: "MachineConfig", src: int, dst: int,
-                 msg_seq: int, tag: int, data: bytes,
-                 is_rndv: bool = False) -> list["Packet"]:
-    """Packets of one message's data stream (eager or post-CTS).
+def data_packet(src: int, dst: int, msg_seq: int, tag: int, data: bytes,
+                is_rndv: bool, chunk: int, header: int, i: int,
+                uid: int) -> "Packet":
+    """Packet ``i`` of one message's data stream (eager or post-CTS).
 
-    The first packet carries the envelope (tag, total, protocol); later
-    packets carry only sequence/offset, as real 16-byte headers would.
+    The stream is cut into ``chunk``-byte payloads (``mpl_payload``)
+    behind ``header``-byte headers and has
+    ``packet_count(len(data), chunk)`` packets.  The first packet
+    carries the envelope (tag, total, protocol); later packets carry
+    only sequence/offset, as real 16-byte headers would.
     """
-    chunk = config.mpl_payload
-    total = len(data)
-    packets = []
-    offset = 0
-    while True:
-        part = data[offset:offset + chunk]
+    offset = i * chunk
+    if i:
         info = {"msg_seq": msg_seq, "offset": offset}
-        if offset == 0:
-            info.update(tag=tag, total=total, is_first=True,
-                        is_rndv=is_rndv)
-        packets.append(_mk(src, dst, MplPacketKind.DATA,
-                           config.mpl_header, bytes(part), info))
-        offset += len(part)
-        if offset >= total:
-            break
-    return packets
+    else:
+        info = {"msg_seq": msg_seq, "offset": 0, "tag": tag,
+                "total": len(data), "is_first": True, "is_rndv": is_rndv}
+    return Packet(src, dst, PROTO, _DATA, header,
+                  data[offset:offset + chunk], -1, info, uid)
 
 
 def rts_packet(config: "MachineConfig", src: int, dst: int, msg_seq: int,

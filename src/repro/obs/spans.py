@@ -30,7 +30,7 @@ already obey.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..machine.packet import Packet
@@ -210,18 +210,21 @@ class SpanRecorder:
     # ------------------------------------------------------------------
     # causal side tables (origin registration)
     # ------------------------------------------------------------------
-    def bind_packets(self, packets: Iterable["Packet"],
+    def bind_packets(self, first_uid: int, count: int,
                      parent: Optional[int], op: str, nbytes: int,
                      msg_key: Optional[tuple] = None) -> None:
         """Register a message's packets under their originating span.
 
-        Subsequent adapter/switch hooks attribute each packet's
-        tx/wire/rx_dma/dispatch phases to ``op`` with ``parent`` as the
-        causal parent; ``msg_key`` additionally lets the *target* side
-        (header/completion handlers) find the origin span.
+        The message's packets are the ``count`` uids from ``first_uid``
+        on, the block reserved when it was issued; they are bound
+        before any of them is built.  Subsequent adapter/switch hooks
+        attribute each packet's tx/wire/rx_dma/dispatch phases to ``op``
+        with ``parent`` as the causal parent; ``msg_key`` additionally
+        lets the *target* side (header/completion handlers) find the
+        origin span.
         """
-        for pkt in packets:
-            self._pkt[pkt.uid] = self._new_track(parent, op, nbytes)
+        for uid in range(first_uid, first_uid + count):
+            self._pkt[uid] = self._new_track(parent, op, nbytes)
         if msg_key is not None:
             self._msg[msg_key] = (parent, nbytes)
 

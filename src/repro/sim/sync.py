@@ -217,6 +217,15 @@ class WaitSet:
                 del waiters[i]
                 return
 
+    def ready(self) -> list[Callable[[], bool]]:
+        """Gates of the live gated registrations whose predicate holds
+        now: waiters the next notify would wake.  One still registered
+        when a job stops means its state changed with no notify after
+        it (a diagnostic read; it wakes nobody)."""
+        return [gate for ev, gate in self._waiters
+                if gate is not None and ev._value is PENDING
+                and ev.callbacks and gate()]
+
     def notify_all(self, value: Optional[Any] = None) -> int:
         """Fire all pending waits whose gate (if any) holds; returns how
         many were woken.

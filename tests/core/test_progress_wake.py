@@ -13,6 +13,7 @@ polling.
 import pytest
 
 from repro.core.endpoint import Endpoint
+from repro.errors import MachineError
 from repro.machine import Cluster
 from repro.sim.kernel import _fire_event
 
@@ -173,3 +174,26 @@ def test_term_waits_out_a_local_completion_handler():
                            until=UNTIL)
     assert left == [1, 0]
     assert ran == [0]
+
+
+def test_a_stopped_job_names_the_wait_a_notify_would_end():
+    """A flag set by a bare ``call_at``, with no notify after it, never
+    wakes the interrupt-mode wait on it.  The job runs out of budget,
+    and the error names the wait set and the predicate the waiter gave
+    ``wait_for``."""
+    flag = []
+
+    def flag_is_set():
+        return bool(flag)
+
+    def main(task):
+        task.cluster.sim.call_at(task.now() + 100.0, flag.append, True)
+        yield from task.lapi.wait_for(flag_is_set)
+
+    cluster = Cluster(nnodes=2, seed=1)
+    with pytest.raises(MachineError, match="virtual-time budget") as err:
+        cluster.run_job(main, ntasks=1, stacks=("lapi",),
+                        interrupt_mode=True, until=UNTIL)
+    assert flag == [True]
+    assert ("waits whose condition holds: lapi0.progress: "
+            + flag_is_set.__qualname__) in str(err.value)

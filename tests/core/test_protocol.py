@@ -1,25 +1,54 @@
-"""Unit + property tests for LAPI packetization."""
+"""Unit + property tests for LAPI packetization.
+
+The builders make one packet at a time; ``_put``/``_am``/``_reply``
+build every packet of a message in index order, the way the senders do,
+so each test sees the whole message."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.constants import PacketKind
-from repro.core.protocol import (am_packets, control_packet,
-                                 get_reply_packets, put_packets)
+from repro.core.protocol import (am_first_room, am_packet, control_packet,
+                                 get_reply_packet, put_packet)
 from repro.errors import LapiError
 from repro.machine.config import SP_1998
+from repro.machine.packet import packet_count
+
+CHUNK = SP_1998.lapi_payload
+HEADER = SP_1998.lapi_header
+
+
+def _put(msg_id, data, tgt_addr, tgt_cntr_id, cmpl_cntr_id):
+    n = packet_count(len(data), CHUNK)
+    return [put_packet(0, 1, msg_id, data, tgt_addr, tgt_cntr_id,
+                       cmpl_cntr_id, CHUNK, HEADER, i, 100 + i)
+            for i in range(n)]
+
+
+def _am(msg_id, handler_id, uhdr, data):
+    room = am_first_room(SP_1998, uhdr)
+    n = packet_count(len(uhdr) + len(data), CHUNK)
+    return [am_packet(0, 1, msg_id, handler_id, uhdr, data, None, None,
+                      CHUNK, HEADER, room, i, 100 + i) for i in range(n)]
+
+
+def _reply(msg_id, data):
+    n = packet_count(len(data), CHUNK)
+    return [get_reply_packet(1, 0, msg_id, data, CHUNK, HEADER, i, 100 + i)
+            for i in range(n)]
 
 
 class TestPutPackets:
     def test_empty_put_sends_one_packet(self):
-        pkts = put_packets(SP_1998, 0, 1, 7, b"", 100, None, None)
+        pkts = _put(7, b"", 100, None, None)
         assert len(pkts) == 1
+        assert pkts[0].uid == 100
         assert pkts[0].payload == b""
         assert pkts[0].info["total"] == 0
 
     def test_single_packet_put(self):
-        pkts = put_packets(SP_1998, 0, 1, 7, b"x" * 100, 100, 3, 4)
+        pkts = _put(7, b"x" * 100, 100, 3, 4)
         assert len(pkts) == 1
         p = pkts[0]
         assert p.info["tgt_addr"] == 100
@@ -29,8 +58,9 @@ class TestPutPackets:
 
     def test_multi_packet_split(self):
         n = SP_1998.lapi_payload * 3 + 10
-        pkts = put_packets(SP_1998, 0, 1, 7, b"a" * n, 0, None, None)
+        pkts = _put(7, b"a" * n, 0, None, None)
         assert len(pkts) == 4
+        assert [p.uid for p in pkts] == [100, 101, 102, 103]
         assert sum(len(p.payload) for p in pkts) == n
         offsets = [p.info["offset"] for p in pkts]
         assert offsets == sorted(offsets)
@@ -40,20 +70,20 @@ class TestPutPackets:
         # One-sided semantics: any packet alone carries enough to place
         # its bytes (this is what the 48-byte header pays for).
         n = SP_1998.lapi_payload * 2 + 5
-        for p in put_packets(SP_1998, 0, 1, 9, b"b" * n, 555, 1, None):
+        for p in _put(9, b"b" * n, 555, 1, None):
             assert p.info["tgt_addr"] == 555
             assert p.info["total"] == n
             assert "offset" in p.info
 
     def test_all_packets_fit_wire(self):
         n = SP_1998.lapi_payload * 2 + 5
-        for p in put_packets(SP_1998, 0, 1, 9, b"c" * n, 0, None, None):
+        for p in _put(9, b"c" * n, 0, None, None):
             p.validate(SP_1998.packet_size)
 
     @given(st.integers(min_value=0, max_value=5 * SP_1998.lapi_payload))
     def test_reassembly_roundtrip(self, n):
         data = bytes(i % 251 for i in range(n))
-        pkts = put_packets(SP_1998, 0, 1, 1, data, 0, None, None)
+        pkts = _put(1, data, 0, None, None)
         buf = bytearray(n)
         for p in pkts:
             off = p.info["offset"]
@@ -63,8 +93,7 @@ class TestPutPackets:
 
 class TestAmPackets:
     def test_uhdr_rides_first_packet(self):
-        pkts = am_packets(SP_1998, 0, 1, 3, 0, b"H" * 40, b"d" * 10,
-                          None, None)
+        pkts = _am(3, 0, b"H" * 40, b"d" * 10)
         assert len(pkts) == 1
         p = pkts[0]
         assert p.info["is_first"]
@@ -74,19 +103,19 @@ class TestAmPackets:
     def test_uhdr_too_large_rejected(self):
         big = b"x" * (SP_1998.lapi_uhdr_max + 1)
         with pytest.raises(LapiError, match="uhdr"):
-            am_packets(SP_1998, 0, 1, 3, 0, big, b"", None, None)
+            am_first_room(SP_1998, big)
 
     def test_first_packet_room_shrinks_with_uhdr(self):
         uhdr = b"u" * 100
         data = b"d" * SP_1998.packet_size  # forces a split
-        pkts = am_packets(SP_1998, 0, 1, 3, 0, uhdr, data, None, None)
+        pkts = _am(3, 0, uhdr, data)
         first_room = SP_1998.packet_size - SP_1998.lapi_header - 100
         assert len(pkts[0].payload) == first_room
         assert not pkts[1].info["is_first"]
         assert "uhdr" not in pkts[1].info
 
     def test_dataless_am_single_packet(self):
-        pkts = am_packets(SP_1998, 0, 1, 3, 2, b"req", b"", None, None)
+        pkts = _am(3, 2, b"req", b"")
         assert len(pkts) == 1
         assert pkts[0].payload == b""
         assert pkts[0].info["handler_id"] == 2
@@ -95,7 +124,7 @@ class TestAmPackets:
         # Section 5.3.1: GA sends ~900-byte chunks in single AMs.
         data = b"z" * SP_1998.am_uhdr_payload
         uhdr = b"u" * SP_1998.lapi_uhdr_max
-        pkts = am_packets(SP_1998, 0, 1, 3, 0, uhdr, data, None, None)
+        pkts = _am(3, 0, uhdr, data)
         assert len(pkts) == 1
         pkts[0].validate(SP_1998.packet_size)
 
@@ -103,14 +132,15 @@ class TestAmPackets:
            st.integers(min_value=0, max_value=SP_1998.lapi_uhdr_max))
     def test_am_reassembly_roundtrip(self, n, uh):
         data = bytes(i % 249 for i in range(n))
-        pkts = am_packets(SP_1998, 0, 1, 1, 0, b"h" * uh, data,
-                          None, None)
+        pkts = _am(1, 0, b"h" * uh, data)
         buf = bytearray(n)
         for p in pkts:
             p.validate(SP_1998.packet_size)
             off = p.info["offset"]
             buf[off:off + len(p.payload)] = p.payload
         assert bytes(buf) == data
+        # No packet past the first is empty: the count is exact.
+        assert all(p.payload for p in pkts[1:])
 
 
 class TestGetReplyAndControl:
@@ -118,7 +148,7 @@ class TestGetReplyAndControl:
         n = SP_1998.lapi_payload + 17
         data = bytes(range(256)) * (n // 256 + 1)
         data = data[:n]
-        pkts = get_reply_packets(SP_1998, 1, 0, 5, data)
+        pkts = _reply(5, data)
         assert len(pkts) == 2
         assert all(p.info["mtype"] == PacketKind.MSG_GET_REP for p in pkts)
 

@@ -82,7 +82,7 @@ class TestPacketHooks:
         sp = SpanRecorder()
         pkt = _pkt(uid=3)
         parent = sp.open(0, "lapi", "put", 0.0)
-        sp.bind_packets([pkt], parent, "put", 64,
+        sp.bind_packets(pkt.uid, 1, parent, "put", 64,
                         msg_key=("lapi", 0, 0))
         sp.packet_submitted(pkt, 1.0)
         sp.packet_tx_done(pkt, 2.0)
@@ -214,7 +214,7 @@ class TestChromeTrace:
         sp = SpanRecorder()
         parent = sp.open(0, "lapi", "put", 0.0)
         pkt = _pkt(uid=5)
-        sp.bind_packets([pkt], parent, "put", 64)
+        sp.bind_packets(pkt.uid, 1, parent, "put", 64)
         sp.packet_submitted(pkt, 1.0)
         sp.packet_tx_done(pkt, 2.0)
         sp.packet_delivered(pkt, 3.0)
