@@ -107,6 +107,10 @@ class _PeerTx:
         self.breaker_open = False
 
 
+#: ``_PeerRx.seen`` of every peer that has had only in-order deliveries.
+_NONE_SEEN: frozenset[int] = frozenset()
+
+
 class _PeerRx:
     """Receiver-side duplicate filter for one peer."""
 
@@ -115,15 +119,23 @@ class _PeerRx:
     def __init__(self) -> None:
         #: All seqs < cum have been delivered.
         self.cum = 0
-        self.seen: set[int] = set()
+        #: Delivered seqs above ``cum``.  Shared and empty until the
+        #: first out-of-order delivery, so an in-order peer costs no set.
+        self.seen: set[int] | frozenset[int] = _NONE_SEEN
 
     def fresh(self, seq: int) -> bool:
         """Record ``seq``; True if it has not been delivered before."""
-        if seq < self.cum or seq in self.seen:
+        seen = self.seen
+        if seq == self.cum and not seen:
+            self.cum = seq + 1
+            return True
+        if seq < self.cum or seq in seen:
             return False
-        self.seen.add(seq)
-        while self.cum in self.seen:
-            self.seen.remove(self.cum)
+        if seen is _NONE_SEEN:
+            seen = self.seen = set()
+        seen.add(seq)
+        while self.cum in seen:
+            seen.remove(self.cum)
             self.cum += 1
         return True
 

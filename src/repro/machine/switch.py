@@ -69,7 +69,7 @@ class Switch:
 
     def _pick(self, n: int) -> int:
         """Draw one of ``n`` candidate routes (multipath pairs only)."""
-        return int(self._route_rng.integers(0, n))
+        return self._route_rng.integers(0, n)
 
     def route(self, packet: "Packet") -> None:
         """Send ``packet`` through the fabric (called at injection time).
@@ -125,7 +125,7 @@ class Switch:
             t = link.occupy(t, transfer)
         t += latency
         if crosses and cfg.route_jitter > 0.0:
-            t += float(self._route_rng.random()) * cfg.route_jitter
+            t += self._route_rng.random() * cfg.route_jitter
 
         self.packets_routed += 1
         self.bytes_routed += packet.size

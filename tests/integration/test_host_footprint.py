@@ -1,0 +1,85 @@
+"""Host memory a run pays for state it does not use.
+
+Random streams are pure Python, so a run never imports ``numpy.random``
+(about 2 MB of resident memory) -- not even one that draws routes or
+fault dice.  Idle wait queues and in-order duplicate filters cost next
+to nothing, so the Python heap of a large job is what its nodes do, not
+one empty ``deque`` per semaphore and channel and one empty ``set`` per
+peer that has talked.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+import tracemalloc
+
+import repro
+from repro.bench.scale import _ring_task, scale_config
+from repro.machine import Cluster
+
+MB = 1e6
+
+_GUARD = textwrap.dedent("""
+    import sys
+
+    from repro.faults import FaultSchedule, GilbertElliott
+    from repro.machine import Cluster
+
+    def lapi_job(task):
+        lapi = task.lapi
+        buf = task.memory.malloc(4096)
+        addrs = yield from lapi.address_init(buf)
+        if task.rank == 0:
+            yield from lapi.put_sync(1, 4096, addrs[1], buf)
+        yield from lapi.gfence()
+
+    def mpl_job(task):
+        total = yield from task.mpl.allreduce(task.rank + 1,
+                                              lambda a, b: a + b)
+        yield from task.mpl.barrier()
+        return total
+
+    Cluster(nnodes=2).run_job(lapi_job, stacks=("lapi",))
+    assert Cluster(nnodes=2).run_job(mpl_job, stacks=("mpl",)) == [3, 3]
+    lossy = Cluster(nnodes=4, seed=31, faults=FaultSchedule(
+        [GilbertElliott(loss_good=0.1)]))
+    assert lossy.run_job(mpl_job, stacks=("mpl",)) == [10] * 4
+    assert lossy.switch.packets_lost > 0, "the fault dice never fired"
+    assert "numpy.random" not in sys.modules, "numpy.random was imported"
+""")
+
+
+def test_jobs_never_import_numpy_random():
+    """A LAPI job, an MPL job and a lossy job (which draws from the
+    ``faults`` stream) leave ``numpy.random`` unimported."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _GUARD], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_ring_job_heap_bound():
+    """The Python heap of one 256-node sp ring job stays <= 11.0 MB.
+
+    ``tracemalloc`` peak over building the cluster and running the job,
+    after an 8-node warm-up: 12.31 MB (48.1 KB per node) with numpy's
+    Generator, a ``deque`` per idle semaphore and channel and a ``set``
+    per peer's duplicate filter; 10.08 MB (39.4 KB per node) with
+    pure-Python streams, list wait queues and a shared empty filter.
+    """
+    cfg = scale_config("sp")
+    Cluster(nnodes=8, config=cfg, seed=1998).run_job(
+        _ring_task, stacks=("lapi",))
+    tracemalloc.start()
+    try:
+        cluster = Cluster(nnodes=256, config=cfg, seed=1998)
+        cluster.run_job(_ring_task, stacks=("lapi",))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cluster.sim.now > 0
+    assert peak <= 11.0 * MB, f"heap peak {peak / MB:.2f} MB"
