@@ -18,10 +18,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-import numpy as np
-
-from ..apps import (ga_matmul, ga_transpose, jacobi_sweeps,
-                    md_step_loop, scf_iteration)
+from .. import apps as kernels
 from ..machine.config import SP_1998, MachineConfig
 from .paper import APPS
 from .parallel import Deferred, JobSpec, submit
@@ -32,13 +29,14 @@ __all__ = ["submit_apps", "app_elapsed", "apps_jobs"]
 
 
 def _scf_driver(task):
-    out = yield from scf_iteration(task, nbf=48, patch=12,
-                                   work_per_patch=6.0, iterations=1)
+    out = yield from kernels.scf_iteration(task, nbf=48, patch=12,
+                                           work_per_patch=6.0,
+                                           iterations=1)
     return out["elapsed_us"]
 
 
 def _md_driver(task):
-    out = yield from md_step_loop(task, natoms=512, steps=2)
+    out = yield from kernels.md_step_loop(task, natoms=512, steps=2)
     return out["elapsed_us"]
 
 
@@ -49,7 +47,7 @@ def _transpose_driver(task):
     b_h = yield from ga.create((n, n), name="B")
     yield from ga.zero(a_h)
     yield from ga.sync()
-    elapsed = yield from ga_transpose(task, a_h, b_h)
+    elapsed = yield from kernels.ga_transpose(task, a_h, b_h)
     return elapsed
 
 
@@ -62,12 +60,12 @@ def _matmul_driver(task):
     yield from ga.zero(a_h)
     yield from ga.zero(b_h)
     yield from ga.sync()
-    elapsed = yield from ga_matmul(task, a_h, b_h, c_h, kblock=24)
+    elapsed = yield from kernels.ga_matmul(task, a_h, b_h, c_h, kblock=24)
     return elapsed
 
 
 def _jacobi_driver(task):
-    out = yield from jacobi_sweeps(task, n=96, sweeps=2)
+    out = yield from kernels.jacobi_sweeps(task, n=96, sweeps=2)
     return out["elapsed_us"]
 
 

@@ -226,9 +226,10 @@ class SweepScheduler:
             # multiprocessing queues) that serial runs never use.
             from concurrent.futures import ProcessPoolExecutor
 
-            # fork, where available, skips re-importing numpy and the
-            # model in every worker; the bench runs no threads of its
-            # own for a forked child to inherit mid-operation.
+            # fork, where available, skips re-importing the model (and
+            # numpy, once GA has loaded it) in every worker; the bench
+            # runs no threads of its own for a forked child to inherit
+            # mid-operation.
             methods = multiprocessing.get_all_start_methods()
             self._executor = ProcessPoolExecutor(
                 max_workers=self.jobs,

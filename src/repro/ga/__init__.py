@@ -9,24 +9,35 @@ read-and-increment, global mutexes, and sync/fence -- implemented on
   protocols of section 5.3;
 * :class:`~repro.ga.mpl_backend.MplBackend` -- the older
   ``rcvncall``-based implementation of section 5.2.
+
+GA is the layer that needs numpy, so only :mod:`.config` loads with the
+package; every other name loads its module on first access (PEP 562),
+and a LAPI or MPL run that reads ``GA_DEFAULTS`` never imports numpy.
 """
 
-from .api import GlobalArrays
-from .array import GlobalArray
-from .config import GA_DEFAULTS, GaConfig
-from .distribution import BlockDistribution, process_grid
-from .sections import Section
-from .wire import DESCRIPTOR_SIZE, Descriptor, GaOp
+import importlib
 
-__all__ = [
-    "BlockDistribution",
-    "DESCRIPTOR_SIZE",
-    "Descriptor",
-    "GA_DEFAULTS",
-    "GaConfig",
-    "GaOp",
-    "GlobalArray",
-    "GlobalArrays",
-    "Section",
-    "process_grid",
-]
+from .config import GA_DEFAULTS, GaConfig
+
+#: Exported name -> the submodule that defines it, loaded on first use.
+_LAZY = {
+    "BlockDistribution": "distribution",
+    "DESCRIPTOR_SIZE": "wire",
+    "Descriptor": "wire",
+    "GaOp": "wire",
+    "GlobalArray": "array",
+    "GlobalArrays": "api",
+    "Section": "sections",
+    "process_grid": "distribution",
+}
+
+__all__ = sorted(["GA_DEFAULTS", "GaConfig", *_LAZY])
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -9,24 +9,25 @@ from repro.machine.memory import OFFSET_BITS, Memory
 
 class MappedBytes:
     """Bytes of simulated memory the host has mapped, via weak
-    references to the buffer behind every ``Memory.malloc``.
+    references to the mapping behind every ``Memory.malloc``.
 
-    A mapping counts until the last array over it dies, whether or not
-    its allocation was freed; ``tracemalloc`` does not see mappings.
+    A mapping counts until the last reference to it dies (an ndarray
+    view keeps it alive), whether or not its allocation was freed;
+    ``tracemalloc`` does not see mappings.
     """
 
     def __init__(self) -> None:
-        self._buffers: list[tuple[weakref.ref, int]] = []
+        self._mappings: list[tuple[weakref.ref, int]] = []
         #: Most bytes mapped at once since the last :meth:`reset`.
         self.peak = 0
 
     def now(self) -> int:
-        self._buffers = [(ref, n) for ref, n in self._buffers
+        self._mappings = [(ref, n) for ref, n in self._mappings
                          if ref() is not None]
-        return sum(n for _, n in self._buffers)
+        return sum(n for _, n in self._mappings)
 
-    def record(self, buf) -> None:
-        self._buffers.append((weakref.ref(buf.base), buf.nbytes))
+    def record(self, region) -> None:
+        self._mappings.append((weakref.ref(region), len(region)))
         self.peak = max(self.peak, self.now())
 
     def reset(self) -> None:

@@ -1,11 +1,14 @@
 """Host memory a run pays for state it does not use.
 
-Random streams are pure Python, so a run never imports ``numpy.random``
-(about 2 MB of resident memory) -- not even one that draws routes or
-fault dice.  Idle wait queues and in-order duplicate filters cost next
-to nothing, so the Python heap of a large job is what its nodes do, not
-one empty ``deque`` per semaphore and channel and one empty ``set`` per
-peer that has talked.
+numpy is a dependency of Global Arrays and the apps only: simulated
+memory is bare mappings and random streams are pure Python, so a LAPI,
+MPL or fault-injection run never imports numpy (about 13 MB of resident
+memory), nor ``numpy.random`` -- not even one that draws routes or
+fault dice -- while a GA job still loads it on demand.  Idle wait
+queues and in-order duplicate filters cost next to nothing, so the
+Python heap of a large job is what its nodes do, not one empty
+``deque`` per semaphore and channel and one empty ``set`` per peer
+that has talked.
 """
 
 import os
@@ -13,6 +16,8 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+
+import pytest
 
 import repro
 from repro.bench.scale import _ring_task, scale_config
@@ -23,6 +28,10 @@ MB = 1e6
 _GUARD = textwrap.dedent("""
     import sys
 
+    import repro.bench
+    import repro.bench.chaos
+    import repro.bench.scale
+    import repro.core
     from repro.faults import FaultSchedule, GilbertElliott
     from repro.machine import Cluster
 
@@ -47,19 +56,64 @@ _GUARD = textwrap.dedent("""
     assert lossy.run_job(mpl_job, stacks=("mpl",)) == [10] * 4
     assert lossy.switch.packets_lost > 0, "the fault dice never fired"
     assert "numpy.random" not in sys.modules, "numpy.random was imported"
+    assert "numpy" not in sys.modules, "numpy was imported"
+""")
+
+_GA_ON_DEMAND = textwrap.dedent("""
+    import struct
+    import sys
+
+    from repro.machine import Cluster
+
+    N = 4 * 4
+
+    def ga_job(task):
+        ga, mem = task.ga, task.memory
+        h = yield from ga.create((4, 4), name="A")
+        buf = mem.malloc(8 * N)
+        if task.rank == 0:
+            mem.write(buf, struct.pack(f"<{N}d", *range(N)))
+            yield from ga.put(h, (0, 3, 0, 3), buf)
+        yield from ga.sync()
+        yield from ga.get(h, (0, 3, 0, 3), buf)
+        return struct.unpack(f"<{N}d", mem.read(buf, 8 * N))
+
+    backend = sys.argv[1]
+    assert "numpy" not in sys.modules, "numpy loaded before GA ran"
+    got = Cluster(nnodes=2).run_job(ga_job, stacks=(backend,),
+                                    ga_backend=backend)
+    assert got == [tuple(float(k) for k in range(N))] * 2, got
+    assert "numpy" in sys.modules, "GA ran without numpy"
 """)
 
 
-def test_jobs_never_import_numpy_random():
-    """A LAPI job, an MPL job and a lossy job (which draws from the
-    ``faults`` stream) leave ``numpy.random`` unimported."""
+def _run(script: str, *args: str) -> None:
+    """Run ``script`` with ``args`` in a fresh interpreter that imports
+    this tree."""
     src = os.path.dirname(os.path.dirname(repro.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _GUARD], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_jobs_never_import_numpy_random():
+    """Importing everything a LAPI, MPL or fault-injection run uses
+    (``repro.bench`` and its chaos and scale runners included), then
+    running a LAPI job, an MPL job and a lossy job (which draws from the
+    ``faults`` stream) leaves ``numpy`` and ``numpy.random``
+    unimported."""
+    _run(_GUARD)
+
+
+@pytest.mark.parametrize("backend", ["lapi", "mpl"])
+def test_ga_job_loads_numpy_on_demand(backend):
+    """A 2-node GA put/get job imports numpy when it runs, not before,
+    and reads back what it put."""
+    _run(_GA_ON_DEMAND, backend)
 
 
 def test_ring_job_heap_bound():

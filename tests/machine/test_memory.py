@@ -65,6 +65,7 @@ class TestAllocation:
     def test_release_returns_everything_for_good(self, mem):
         a = mem.malloc(64)
         mem.malloc(32)
+        mem.write(a, b"kept")
         view = mem.view(a, 8)
         mem.release()
         assert mem.released and mem.live_bytes == 0
@@ -73,7 +74,9 @@ class TestAllocation:
                      lambda: mem.malloc(8)):
             with pytest.raises(MemoryFault, match="dropped cluster"):
                 call()
-        view[:] = 1  # a view handed out earlier owns its buffer
+        # A view handed out earlier keeps its mapping alive.
+        assert bytes(view[:4]) == b"kept"
+        view[:] = 1
 
 
 class TestAccess:
@@ -104,6 +107,12 @@ class TestAccess:
         with pytest.raises(MemoryFault):
             mem.read(12345, 1)
 
+    @pytest.mark.parametrize("wrap", [bytearray, memoryview])
+    def test_write_from_any_bytes_like(self, mem, wrap):
+        a = mem.malloc(8)
+        mem.write(a + 2, wrap(b"abcd"))
+        assert mem.read(a, 8) == b"\x00\x00abcd\x00\x00"
+
     def test_cross_allocation_arithmetic_faults(self, mem):
         a = mem.malloc(8)
         mem.malloc(8)
@@ -131,6 +140,16 @@ class TestViews:
         with pytest.raises(MemoryFault):
             mem.view(a, 10, dtype=np.float64)
 
+    def test_repeated_views_alias_the_same_bytes(self, mem):
+        a = mem.malloc(16)
+        first = mem.view(a, 16)
+        second = mem.view(a + 8, 8, dtype=np.int64)
+        first[8] = 5
+        assert second[0] == 5
+        second[0] = -1
+        assert list(first[8:]) == [0xFF] * 8
+        assert np.shares_memory(first, second)
+
     def test_raw_view_default(self, mem):
         a = mem.malloc(4)
         mem.write(a, b"\x07" * 4)
@@ -156,6 +175,24 @@ class TestWordAccess:
         a = mem.malloc(16)
         mem.write_i64(a + 3, 0x0102030405060708)
         assert mem.read_i64(a + 3) == 0x0102030405060708
+
+    @pytest.mark.parametrize("value", [-1, -2**63, 2**63 - 1])
+    def test_i64_extremes_roundtrip(self, mem, value):
+        a = mem.malloc(8)
+        mem.write_i64(a, value)
+        assert mem.read_i64(a) == value
+
+    @pytest.mark.parametrize("value", [2**63, -2**63 - 1])
+    def test_i64_out_of_range_overflows(self, mem, value):
+        a = mem.malloc(8)
+        with pytest.raises(OverflowError):
+            mem.write_i64(a, value)
+        assert mem.read_i64(a) == 0
+
+    def test_i64_is_little_endian(self, mem):
+        a = mem.malloc(8)
+        mem.write_i64(a, 1)
+        assert mem.read(a, 8) == b"\x01" + 7 * b"\x00"
 
     def test_i64_out_of_bounds(self, mem):
         a = mem.malloc(8)
