@@ -258,7 +258,7 @@ def crash_point(nbytes: int, nmsgs: int,
         t0 = task.now()
         for _ in range(nmsgs):
             try:
-                if dst not in lapi.ctx.dead_peers:
+                if dst not in task.dead_peers:
                     if dst == CRASH_NODE:
                         # Plain put: a completion counter at a peer
                         # that may die mid-flight would never fire;

@@ -175,12 +175,6 @@ class LapiContext:
         # -- barrier (gfence) -------------------------------------------
         self.barrier_epoch = 0
         self.barrier_tokens: set[tuple[int, int]] = set()
-        # -- fail-stop peers --------------------------------------------
-        #: Peers the failure detector convicted (fail-stop dead).  A
-        #: dead peer satisfies barrier-token waits (its token will
-        #: never come) and fails fast on new data sends; populated only
-        #: when ``repro.resilience`` is armed, empty otherwise.
-        self.dead_peers: set[int] = set()
         # -- progress signalling ----------------------------------------
         #: Notified after every dispatcher batch and local completion;
         #: predicate waits (fence, rmw_sync, polling loops) hang off it.

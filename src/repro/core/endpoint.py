@@ -134,7 +134,7 @@ class Endpoint:
         self.dispatcher = self.Dispatcher(self)
         self.transport.wait_credit = self._wait_credit
         self.transport.on_progress = self.ctx.progress_ws.notify_all
-        self.transport.on_fatal = self._transport_fatal
+        self.transport.on_fatal = self._retries_exhausted
         self.client.delivery_filter = self._ack_fast_path
         self.client.on_arrival = self._spawn_interrupt_dispatcher
         self.client.interrupts_enabled = self.interrupt_mode
@@ -261,28 +261,40 @@ class Endpoint:
                 return
         self.task.cluster.fail_run(err)
 
+    def _retries_exhausted(self, err) -> None:
+        """The transport's retry budget toward ``err.peer`` ran out (its
+        breaker is already open): record the loss as a conviction does,
+        then route the error through the handler and ``fail_run``."""
+        self._peer_lost(err.peer)
+        self._transport_fatal(err)
+
     def peer_unreachable(self, peer: int, err) -> None:
         """The failure detector convicted ``peer``.
 
-        Crash-aware cleanup first (always): the peer joins
-        ``ctx.dead_peers`` (barrier waits stop waiting for it), the
-        transport's circuit breaker opens and in-flight operations
-        toward it complete in error (counters fire, credits post), and
-        progress waiters are notified so blocked predicates re-check.
-        Then policy: under ``on_peer_failure="fail"`` the error routes
+        Crash-aware cleanup first (always, :meth:`_peer_lost`).  Then
+        policy: under ``on_peer_failure="fail"`` the error routes
         through the registered handler and ``Cluster.fail_run``; under
         ``"continue"`` the survivors keep running degraded.
         """
-        self.ctx.dead_peers.add(peer)
-        self.transport.peer_down(peer)
-        self.ctx.progress_ws.notify_all()
+        self._peer_lost(peer)
         if self.task.cluster.on_peer_failure == "fail":
             self._transport_fatal(err)
+
+    def _peer_lost(self, peer: int) -> None:
+        """What either way of losing ``peer`` does first, in this order:
+        the peer joins ``task.dead_peers`` (the node's one record, which
+        barrier waits read), the transport's breaker opens (in-flight
+        operations toward it complete in error, credits post), and only
+        then are progress waiters notified -- their gates read the
+        record, so it must be written before the notify."""
+        self.task.dead_peers.add(peer)
+        self.transport.peer_down(peer)
+        self.ctx.progress_ws.notify_all()
 
     def peer_absolved(self, peer: int) -> None:
         """The detector heard from a convicted peer again (machine
         restart): close the breaker.  The peer's *task* stays dead, so
-        it remains in ``dead_peers`` -- reachability is not
+        it remains in ``task.dead_peers`` -- reachability is not
         resurrection."""
         self.transport.breaker_close(peer)
 

@@ -96,14 +96,14 @@ def do_gfence(lapi: "Lapi") -> Generator:
         if sp is not None:
             sp.bind_packet(token, op_sid, "gfence")
         lapi.transport.send_control(token)
-        # A round's token comes from (rank - dist) mod size; a peer
-        # the failure detector convicted will never send it, so a dead
-        # sender satisfies the wait (degraded-mode barrier: survivors
-        # synchronize among themselves instead of hanging).
+        # A round's token comes from (rank - dist) mod size; a lost
+        # peer (convicted, or out of retries) will never send it, so a
+        # dead sender satisfies the wait (degraded-mode barrier:
+        # survivors synchronize among themselves instead of hanging).
         src_peer = (ctx.rank - dist) % size
         yield from lapi.wait_for(
             lambda e=epoch, rr=r, src=src_peer:
-            (e, rr) in ctx.barrier_tokens or src in ctx.dead_peers)
+            (e, rr) in ctx.barrier_tokens or src in lapi.task.dead_peers)
     # Tokens of this epoch are consumed; drop them to bound memory.
     ctx.barrier_tokens = {(e, r) for (e, r) in ctx.barrier_tokens
                           if e != epoch}

@@ -78,7 +78,7 @@ class _PeerTx:
 
     __slots__ = ("next_seq", "unacked", "window", "timer_running",
                  "attempts", "srtt", "rttvar", "rto", "backoff_mult",
-                 "health", "breaker_open")
+                 "health")
 
     def __init__(self, sim: "Simulator", window: int, name: str,
                  rto: float) -> None:
@@ -98,13 +98,13 @@ class _PeerTx:
         #: Karn backoff multiplier; doubles per retransmitting timer
         #: round, resets to 1.0 on any fresh acknowledgement.
         self.backoff_mult = 1.0
+        #: ``UNREACHABLE`` doubles as the open circuit breaker: set
+        #: once the peer is convicted (by the failure detector) or
+        #: exhausts its retry budget.  Open, data sends fail fast and
+        #: control sends are suppressed -- no more retransmit storms
+        #: toward a dead peer.  Closed again when the detector absolves
+        #: the peer after a machine restart.
         self.health = HEALTHY
-        #: Circuit breaker: True once the peer is convicted (by the
-        #: failure detector) or exhausts its retry budget.  Open, data
-        #: sends fail fast and control sends are suppressed -- no more
-        #: retransmit storms toward a dead peer.  Closed again when the
-        #: detector absolves the peer after a machine restart.
-        self.breaker_open = False
 
 
 #: ``_PeerRx.seen`` of every peer that has had only in-order deliveries.
@@ -208,13 +208,11 @@ class ReliableTransport:
         #: Peer health transitions (healthy -> degraded and back).
         self.peer_degraded_events = 0
         self.peer_recovered_events = 0
-        #: Peers declared unreachable (terminal).
-        self.peers_unreachable = 0
-        #: Circuit-breaker transitions and consequences: opens
-        #: (conviction or retry-budget exhaustion), closes (peer
-        #: absolved after a machine restart), control packets
-        #: suppressed while open, and in-flight operations completed
-        #: in error when a conviction cleared their entries.
+        #: Circuit-breaker transitions and consequences: opens (the
+        #: peer declared unreachable, by conviction or retry-budget
+        #: exhaustion), closes (peer absolved after a machine restart),
+        #: control packets suppressed while open, and in-flight
+        #: operations completed in error when an open cleared them.
         self.breaker_opens = 0
         self.breaker_closes = 0
         self.breaker_suppressed = 0
@@ -279,7 +277,7 @@ class ReliableTransport:
         retransmit storm) while the peer's circuit breaker is open.
         """
         st = self._peer_tx(packet.dst)
-        if st.breaker_open:
+        if st.health == UNREACHABLE:
             raise self._breaker_error(packet.dst)
         window = st.window
         if not window.try_wait():
@@ -299,7 +297,7 @@ class ReliableTransport:
         will not answer anyway.
         """
         st = self._peer_tx(packet.dst)
-        if st.breaker_open:
+        if st.health == UNREACHABLE:
             self.breaker_suppressed += 1
             return
         self._register(st, packet, uses_window=False, on_ack=on_ack)
@@ -347,10 +345,10 @@ class ReliableTransport:
         :meth:`Adapter.inject_control`.
         """
         peer, st = peer_st
-        if self.adapter.crashed or st.breaker_open:
+        if self.adapter.crashed or st.health == UNREACHABLE:
             # This node died (its timers die with it) or the peer was
-            # convicted and its in-flight state already cleared: either
-            # way the chain ends here.
+            # declared unreachable and its in-flight state already
+            # cleared: either way the chain ends here.
             st.timer_running = False
             return
         now = self.sim.now
@@ -362,7 +360,7 @@ class ReliableTransport:
                 continue
             tries = st.attempts.get(seq, 0) + 1
             if tries > self.retry_budget:
-                self._peer_fatal(peer, st, pkt, tries)
+                self._peer_fatal(peer, pkt, tries)
                 return
             if uses_window:
                 if not self.adapter.inject_async(pkt):
@@ -400,19 +398,17 @@ class ReliableTransport:
         else:
             st.timer_running = False
 
-    def _peer_fatal(self, peer: int, st: _PeerTx, pkt: "Packet",
-                    tries: int) -> None:
+    def _peer_fatal(self, peer: int, pkt: "Packet", tries: int) -> None:
         """Declare ``peer`` unreachable and route the terminal error.
 
-        Abandons all packets in flight toward the peer (posting their
-        window credits so blocked senders can observe the failure
-        instead of hanging) and hands a :class:`PeerUnreachableError`
-        with full context to ``on_fatal``.  Raising from here -- a bare
-        kernel timer callback -- is the fallback for bare transports
-        only; stacks install a structured path through the registered
-        error handler and ``Cluster.fail_run``.
+        Opens the breaker (:meth:`peer_down`) and hands a
+        :class:`PeerUnreachableError` with full context to
+        ``on_fatal``.  Raising from here -- a bare kernel timer
+        callback -- is the fallback for bare transports only; stacks
+        install a structured path through the registered error handler
+        and ``Cluster.fail_run``.
         """
-        self._open_breaker(st, complete_in_error=False)
+        self.peer_down(peer)
         err = PeerUnreachableError(
             f"{self.proto}@{self.adapter.node_id}: no"
             f" acknowledgement from node {peer} after"
@@ -439,42 +435,25 @@ class ReliableTransport:
             raise err
 
     # ------------------------------------------------------------------
-    # failure-detector integration (circuit breaker)
+    # circuit breaker
     # ------------------------------------------------------------------
     def peer_down(self, peer: int) -> None:
-        """The failure detector convicted ``peer``: open the breaker.
+        """Open ``peer``'s breaker and abandon everything in flight.
 
-        Clears all in-flight state toward the peer so blocked
-        primitives resolve promptly instead of timing out one by one:
-        window credits are posted (blocked senders wake), every cleared
-        entry's ``on_ack`` fires as a *completion in error* (counted --
-        counters advance so waiters unblock; the data was **not**
-        delivered), and ``on_progress`` is notified so predicate
-        waiters re-evaluate.  Idempotent.
+        The one teardown, whether the failure detector convicted the
+        peer or its retry budget ran out: marks it unreachable, stops
+        its timer chain and clears every in-flight entry in sequence
+        order, posting the entry's window credit (blocked senders wake
+        and observe the failure) and then firing its ``on_ack`` as a
+        counted *completion in error* (counters advance so waiters
+        unblock; the data was **not** delivered).  The owning stack
+        notifies its progress waiters afterwards.  Idempotent.
         """
         st = self._peer_tx(peer)
-        if st.breaker_open:
+        if st.health == UNREACHABLE:
             return
-        self._open_breaker(st, complete_in_error=True)
-        if self.on_progress is not None:
-            self.on_progress()
-
-    def _open_breaker(self, st: _PeerTx, *, complete_in_error: bool) -> None:
-        """Open ``st``'s breaker and abandon everything in flight.
-
-        Marks the peer unreachable, stops its timer chain and posts the
-        window credit of every cleared entry, in sequence order, so
-        blocked senders wake and observe the failure.  With
-        ``complete_in_error`` each cleared entry's ``on_ack`` also
-        fires (right after its credit) as a counted completion in
-        error.
-        """
-        if not st.breaker_open:
-            st.breaker_open = True
-            self.breaker_opens += 1
-        if st.health != UNREACHABLE:
-            st.health = UNREACHABLE
-            self.peers_unreachable += 1
+        st.health = UNREACHABLE
+        self.breaker_opens += 1
         st.timer_running = False
         cleared = sorted(st.unacked.items())
         st.unacked.clear()
@@ -482,7 +461,7 @@ class ReliableTransport:
         for _, (_, _, uses_window, on_ack, _) in cleared:
             if uses_window:
                 st.window.post()
-            if complete_in_error and on_ack is not None:
+            if on_ack is not None:
                 self.completed_in_error += 1
                 on_ack()
 
@@ -490,16 +469,11 @@ class ReliableTransport:
         """The detector absolved ``peer`` (machine restart): close the
         breaker so control traffic flows again.  Idempotent."""
         st = self._tx.get(peer)
-        if st is None or not st.breaker_open:
+        if st is None or st.health != UNREACHABLE:
             return
-        st.breaker_open = False
         st.health = HEALTHY
         st.backoff_mult = 1.0
         self.breaker_closes += 1
-
-    def breaker_is_open(self, peer: int) -> bool:
-        st = self._tx.get(peer)
-        return st.breaker_open if st is not None else False
 
     def _breaker_error(self, peer: int) -> PeerUnreachableError:
         err = PeerUnreachableError(
@@ -630,9 +604,9 @@ class ReliableTransport:
             out["peer_degraded_events"] = self.peer_degraded_events
         if self.peer_recovered_events:
             out["peer_recovered_events"] = self.peer_recovered_events
-        if self.peers_unreachable:
-            out["peers_unreachable"] = self.peers_unreachable
         if self.breaker_opens:
+            # Peers declared unreachable and breaker opens: one event.
+            out["peers_unreachable"] = self.breaker_opens
             out["breaker_opens"] = self.breaker_opens
         if self.breaker_closes:
             out["breaker_closes"] = self.breaker_closes

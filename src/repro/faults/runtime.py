@@ -159,7 +159,7 @@ class FaultRuntime:
         # The nodes, not the cluster: nothing a cluster owns refers back
         # to it (see repro.machine.cluster).
         self.nodes = cluster.nodes
-        #: The failure detector crash/restart hooks notify, or None;
+        #: The failure detector the restart hook notifies, or None;
         #: wired by the cluster once it arms one.
         self.resilience = None
 
@@ -293,9 +293,6 @@ class FaultRuntime:
             flight.trigger("fault-engaged", key=("crash", node_id),
                            verdict="crash", node=node_id,
                            threads_killed=killed)
-        res = self.resilience
-        if res is not None:
-            res.node_crashed(node_id, now)
 
     def _restart_node(self, node_id: int) -> None:
         """Machine-level restart of ``node_id`` at the scheduled instant."""

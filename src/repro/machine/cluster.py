@@ -62,6 +62,10 @@ class Task:
     lapi, mpl, ga:
         Communication stacks, present according to the job's ``stacks``
         and ``ga_backend`` arguments.
+    dead_peers:
+        Ranks this task's stacks have lost, to a failure-detector
+        conviction or an exhausted retry budget: the node's one record,
+        written by both stacks before they notify their waiters.
     """
 
     def __init__(self, cluster: "Cluster", rank: int, size: int,
@@ -78,6 +82,7 @@ class Task:
         self.lapi: Optional["Lapi"] = None
         self.mpl: Optional["Mpl"] = None
         self.ga: Optional["GlobalArrays"] = None
+        self.dead_peers: set[int] = set()
 
     @property
     def cluster(self) -> "Cluster":

@@ -82,9 +82,6 @@ class MplContext:
         self._next_seq: dict[int, int] = {}
         self.progress_ws = WaitSet(sim, name=f"mpl{rank}.progress")
         self.dispatch_lock = SimLock(sim, name=f"mpl{rank}.dispatch")
-        #: Peers the failure detector convicted (fail-stop dead); only
-        #: populated when ``repro.resilience`` is armed.
-        self.dead_peers: set[int] = set()
         self.active_handlers = 0
         self.stats = MplStats()
 

@@ -26,8 +26,8 @@ Conviction fans out to the registered protocol stacks
 fully-attributed :class:`~repro.errors.PeerUnreachableError`; a later
 packet from a convicted peer *absolves* it
 (``stack.peer_absolved(peer)`` -- circuit breakers close, but the
-stacks keep the peer in their dead sets: reachability of a restarted
-machine is not resurrection of the task that died on it).
+peer stays in the observer's ``task.dead_peers``: reachability of a
+restarted machine is not resurrection of the task that died on it).
 """
 
 from __future__ import annotations
@@ -220,12 +220,8 @@ class ResilienceRuntime:
             self._stacks[observer][proto].peer_absolved(peer)
 
     # ------------------------------------------------------------------
-    # crash/restart hooks (called by repro.faults.FaultRuntime)
+    # restart hook (called by repro.faults.FaultRuntime)
     # ------------------------------------------------------------------
-    def node_crashed(self, node_id: int, now: float) -> None:
-        """``node_id`` fail-stopped; detection itself stays heartbeat-
-        driven (crashes are *observed*, never short-circuited)."""
-
     def node_restarted(self, node_id: int, now: float) -> None:
         """``node_id``'s machine is back (task threads stay dead)."""
         # Adapter.crash() cleared every client's hooks; re-install the

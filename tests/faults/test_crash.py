@@ -253,7 +253,7 @@ class TestDetector:
         def main(task):
             yield from task.lapi.gfence()
             yield from task.thread.sleep(6000.0)
-            return sorted(task.lapi.ctx.dead_peers)
+            return sorted(task.dead_peers)
 
         results = cluster.run_job(main, stacks=("lapi",),
                                   until=500_000.0,

@@ -12,9 +12,9 @@ import pytest
 
 from repro.bench.chaos import (CHAOS_BYTES, CHAOS_MSGS_QUICK, CRASH_AT_US,
                                crash_point, crash_scenarios)
-from repro.core.reliability import ReliableTransport
+from repro.core.reliability import UNREACHABLE, ReliableTransport
 from repro.errors import PeerUnreachableError
-from repro.faults import FaultSchedule, NodeCrash
+from repro.faults import FaultSchedule, LinkOutage, NodeCrash
 from repro.machine import TASK_CRASHED, Cluster
 from repro.machine.config import SP_1998
 from repro.machine.packet import Packet
@@ -69,7 +69,7 @@ class TestCircuitBreaker:
         assert fired == [1, 2]
         assert tr.completed_in_error == 2
         assert tr.outstanding_total() == 0
-        assert tr.breaker_is_open(1)
+        assert tr.peer_health(1) == UNREACHABLE
         assert tr.breaker_opens == 1
         # Window credits were posted: the window is full again.
         assert tr._peer_tx(1).window.value == 2
@@ -104,7 +104,7 @@ class TestCircuitBreaker:
         st = tr._peer_tx(1)
         st.backoff_mult = 8.0
         tr.breaker_close(1)
-        assert not tr.breaker_is_open(1)
+        assert tr.peer_health(1) != UNREACHABLE
         assert tr.breaker_closes == 1
         assert st.backoff_mult == 1.0  # Karn backoff reset
         assert tr.peer_health(1) == "healthy"
@@ -226,6 +226,58 @@ class TestErrorHandlerSatellites:
         assert clone.via == "heartbeat"
         assert clone.last_heard_us == err.last_heard_us
         assert clone.convicted_us == err.convicted_us
+
+
+class TestSuppressedRetryExhaustion:
+    """A peer lost to an exhausted retry budget, with a handler that
+    suppresses the error, is recorded like a convicted one: barrier
+    waits stop waiting for it and operations toward it complete in
+    error."""
+
+    @staticmethod
+    def _run(main):
+        seen = []
+
+        def handler(err):
+            seen.append(err)
+            return True
+
+        # Both directions dark for the whole job: every packet is lost
+        # and each rank gives up on the other after two retransmissions.
+        cluster = Cluster(nnodes=2, config=SP_1998.replace(retry_budget=2),
+                          faults=FaultSchedule([LinkOutage(start=0.0,
+                                                           end=1e7)]))
+        results = cluster.run_job(main, stacks=("lapi",),
+                                  error_handler=handler, until=200_000.0)
+        assert sorted((e.node, e.peer, e.via) for e in seen) \
+            == [(0, 1, "retries"), (1, 0, "retries")]
+        return cluster, results
+
+    def test_survivors_leave_gfence_and_record_the_peer(self):
+        def main(task):
+            yield from task.lapi.gfence()
+            return set(task.dead_peers)
+
+        _, results = self._run(main)
+        assert results == [{1}, {0}]
+
+    def test_put_toward_the_lost_peer_completes_in_error(self):
+        def main(task):
+            lapi = task.lapi
+            buf = task.memory.malloc(64)
+            if task.rank == 0:
+                cmpl = lapi.counter()
+                yield from lapi.put(1, 64, buf, buf, cmpl_cntr=cmpl)
+                # The fence waits for the put's packets to complete at
+                # the transport level, which here they do in error.
+                # ``cmpl`` never fires: the target never completed it.
+                yield from lapi.fence(1)
+            return task.now()
+
+        cluster, results = self._run(main)
+        assert results[0] > 0.0
+        rel = cluster.metrics.snapshot()["core.reliability"]
+        assert rel["0"]["completed_in_error"] == 1
 
 
 class TestChaosCrashPoints:

@@ -160,7 +160,7 @@ class TestPeerFatal:
         assert "terminated" in str(err)
         assert st.health == UNREACHABLE
         assert tr.peer_health(1) == UNREACHABLE
-        assert tr.peers_unreachable == 1
+        assert tr.metrics()["peers_unreachable"] == 1
         assert not st.unacked and not st.attempts
         assert not st.timer_running
 
