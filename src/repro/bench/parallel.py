@@ -35,10 +35,7 @@ in order, through exactly the code path a direct call would take.
 
 from __future__ import annotations
 
-import argparse
-import multiprocessing
 import os
-import platform
 import sys
 import time
 from dataclasses import dataclass, field
@@ -222,8 +219,10 @@ class SweepScheduler:
         if not specs or self.jobs <= 1 or _IN_WORKER:
             return SweepFuture(values=[spec.run() for spec in specs])
         if self._executor is None:
-            # Imported here: it loads ~1 MB of modules (logging,
-            # multiprocessing queues) that serial runs never use.
+            # Imported here: they load ~1 MB of modules (logging,
+            # pickle, sockets, multiprocessing queues) that serial runs
+            # never use.
+            import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
             # fork, where available, skips re-importing the model (and
@@ -304,6 +303,8 @@ def auto_jobs() -> int:
 
 def parse_jobs(value: str) -> int:
     """argparse type for ``--jobs``: a positive int or ``auto``."""
+    import argparse
+
     if value == "auto":
         return auto_jobs()
     try:
@@ -320,6 +321,8 @@ def parse_jobs(value: str) -> int:
 def host_record(jobs: int) -> dict:
     """Host metadata stamped into ``BENCH_SCALE.json`` so scale runs
     stay comparable across machines and job counts."""
+    import platform
+
     return {
         "cpu_count": os.cpu_count() or 1,
         "cpus_usable": auto_jobs(),

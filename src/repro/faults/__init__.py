@@ -7,13 +7,30 @@ pause/slowdown windows, and fail-stop node crashes with optional
 restart.  Build a :class:`FaultSchedule` from clauses and hand it to
 ``Cluster(..., faults=schedule)``; see ``docs/reliability.md`` for the
 model and the adaptive retransmission machinery that survives it.
+
+Only the schedule loads with the package: :class:`FaultRuntime` loads
+when a non-empty schedule is installed (or on first access), so a
+fault-free run never imports it.
 """
 
-from .runtime import FaultRuntime
+import importlib
+
 from .schedule import (AckLoss, Corruption, CpuDegrade, CpuPause,
                        FaultClause, FaultSchedule, GilbertElliott,
                        LinkOutage, NodeCrash, NodeRestart)
 
+#: Exported name -> the submodule that defines it, loaded on first use.
+_LAZY = {"FaultRuntime": "runtime"}
+
 __all__ = ["FaultSchedule", "FaultClause", "GilbertElliott",
            "LinkOutage", "AckLoss", "Corruption", "CpuPause",
-           "CpuDegrade", "NodeCrash", "NodeRestart", "FaultRuntime"]
+           "CpuDegrade", "NodeCrash", "NodeRestart", *_LAZY]
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

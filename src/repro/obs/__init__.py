@@ -26,57 +26,61 @@ streams), serial or parallel.  Recording is purely observational --
 arming any of it never perturbs virtual time.  See
 ``docs/observability.md`` for the schemas and the bench harness's
 ``python -m repro.bench --obs metrics,trace,spans --obs-out DIR``.
+
+Every name loads its module on first access (PEP 562), and
+:class:`ObsSpec` imports each recorder and writer only in the path that
+arms, captures or writes its artifact: a cluster built with the empty
+spec loads :mod:`.metrics` and :mod:`.spec` and nothing else.
 """
 
-from .chrome import chrome_trace_events, write_chrome_trace
-from .export import (coerce_value, jsonl_lines, record_to_dict,
-                     write_trace_jsonl)
-from .flight import FlightRecorder, write_flight_jsonl
-from .metrics import (DEPTH_BUCKETS, Histogram, LATENCY_BUCKETS_US,
-                      MetricsRegistry)
-from .pools import pool_stats
-from .profile import (MANDATORY_PHASES, PHASE_ORDER, SIZE_BUCKETS,
-                      bucket_of, critical_path, decompose, percentile,
-                      render_critical_path, render_decomposition)
-from .sketch import DEFAULT_ALPHA, QuantileSketch, merge_sketches
-from .spans import SPAN_SCHEMA_KEYS, Span, SpanRecorder, span_to_dict
-from .spec import ARTIFACTS, ClusterCapture, ObsOutput, ObsSpec
-from .timeline import DEFAULT_WINDOW_US, Timeline
+import importlib
 
-__all__ = [
-    "ARTIFACTS",
-    "ClusterCapture",
-    "DEFAULT_ALPHA",
-    "DEFAULT_WINDOW_US",
-    "DEPTH_BUCKETS",
-    "FlightRecorder",
-    "Histogram",
-    "LATENCY_BUCKETS_US",
-    "MANDATORY_PHASES",
-    "MetricsRegistry",
-    "ObsOutput",
-    "ObsSpec",
-    "PHASE_ORDER",
-    "QuantileSketch",
-    "SIZE_BUCKETS",
-    "SPAN_SCHEMA_KEYS",
-    "Span",
-    "SpanRecorder",
-    "Timeline",
-    "bucket_of",
-    "chrome_trace_events",
-    "coerce_value",
-    "critical_path",
-    "decompose",
-    "jsonl_lines",
-    "merge_sketches",
-    "percentile",
-    "pool_stats",
-    "record_to_dict",
-    "render_critical_path",
-    "render_decomposition",
-    "span_to_dict",
-    "write_chrome_trace",
-    "write_flight_jsonl",
-    "write_trace_jsonl",
-]
+#: Exported name -> the submodule that defines it, loaded on first use.
+_LAZY = {
+    "ARTIFACTS": "spec",
+    "ClusterCapture": "spec",
+    "DEFAULT_ALPHA": "sketch",
+    "DEFAULT_WINDOW_US": "spec",
+    "DEPTH_BUCKETS": "metrics",
+    "FlightRecorder": "flight",
+    "Histogram": "metrics",
+    "LATENCY_BUCKETS_US": "metrics",
+    "MANDATORY_PHASES": "profile",
+    "MetricsRegistry": "metrics",
+    "ObsOutput": "spec",
+    "ObsSpec": "spec",
+    "PHASE_ORDER": "profile",
+    "QuantileSketch": "sketch",
+    "SIZE_BUCKETS": "profile",
+    "SPAN_SCHEMA_KEYS": "spans",
+    "Span": "spans",
+    "SpanRecorder": "spans",
+    "Timeline": "timeline",
+    "bucket_of": "profile",
+    "chrome_trace_events": "chrome",
+    "coerce_value": "export",
+    "critical_path": "profile",
+    "decompose": "profile",
+    "jsonl_lines": "export",
+    "merge_sketches": "sketch",
+    "percentile": "profile",
+    "pool_stats": "pools",
+    "record_to_dict": "export",
+    "render_critical_path": "profile",
+    "render_decomposition": "profile",
+    "span_to_dict": "spans",
+    "write_chrome_trace": "chrome",
+    "write_flight_jsonl": "flight",
+    "write_trace_jsonl": "export",
+}
+
+__all__ = sorted(_LAZY)
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -13,7 +13,6 @@ files are byte-identical between ``--jobs 1`` and ``--jobs N``.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -21,17 +20,19 @@ from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional
 
 from ..errors import SimulationError
 from ..sim import Tracer, trace as sim_trace
-from .chrome import write_chrome_trace
-from .export import jsonl_lines, write_lines
-from .flight import FlightRecorder
-from .profile import render_critical_path, render_decomposition
-from .spans import SpanRecorder
-from .timeline import DEFAULT_WINDOW_US, Timeline
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..machine import Cluster
+    from .spans import SpanRecorder
+    from .timeline import Timeline
 
-__all__ = ["ARTIFACTS", "ClusterCapture", "ObsOutput", "ObsSpec"]
+__all__ = ["ARTIFACTS", "ClusterCapture", "DEFAULT_WINDOW_US", "ObsOutput",
+           "ObsSpec"]
+
+#: Default timeline window: 100 virtual microseconds resolves the chaos
+#: bench's few-thousand-us runs into dozens of points while keeping
+#: Figure-2-scale runs to a few hundred windows.
+DEFAULT_WINDOW_US = 100.0
 
 
 @dataclass
@@ -48,6 +49,8 @@ class ClusterCapture:
 
 def _capture_trace(cluster: "Cluster") -> tuple[list[str], int]:
     """The kept records as JSONL lines, and how many the cap dropped."""
+    from .export import jsonl_lines
+
     trace = cluster.trace
     return list(jsonl_lines(trace.records)), trace.suppressed
 
@@ -68,6 +71,8 @@ def _render_decompose(experiment: str, captures: list) -> Optional[str]:
     flat = [s for c in captures for s in c.artifacts["decompose"]]
     if not flat:
         return None
+    from .profile import render_critical_path, render_decomposition
+
     cpath = render_critical_path(flat)
     return ("\n" + render_decomposition(flat, experiment)
             + ("\n" + cpath if cpath else ""))
@@ -94,6 +99,8 @@ def _flight_lines(experiment: str, captures: list):
 
 
 def _row(row: dict) -> str:
+    import json
+
     return json.dumps(row, sort_keys=True, separators=(",", ":"))
 
 
@@ -107,6 +114,8 @@ class _LineFile:
         open(path, "wb").close()
 
     def add(self, experiment: str, captures: list) -> None:
+        from .export import write_lines
+
         self.count += write_lines(self.lines(experiment, captures),
                                   self.path, append=True)
 
@@ -140,6 +149,8 @@ class _SpanFile:
                          if c.artifacts["spans"]]
 
     def close(self) -> str:
+        from .chrome import write_chrome_trace
+
         nevents = write_chrome_trace(self.streams, self.path)
         nspans = sum(len(s) for s in self.streams)
         return (f"wrote {nevents} trace events ({nspans} spans,"
@@ -217,8 +228,11 @@ class ObsSpec:
         return Tracer() if "trace" in self.names else None
 
     def span_recorder(self) -> Optional[SpanRecorder]:
-        armed = not self.names.isdisjoint(("spans", "decompose"))
-        return SpanRecorder() if armed else None
+        if self.names.isdisjoint(("spans", "decompose")):
+            return None
+        from .spans import SpanRecorder
+
+        return SpanRecorder()
 
     def timeline(self, sim, metrics) -> Optional[Timeline]:
         """Arm a timeline over ``metrics`` and hang a flight recorder
@@ -226,6 +240,9 @@ class ObsSpec:
         named."""
         if self.names.isdisjoint(("timeline", "flight")):
             return None
+        from .flight import FlightRecorder
+        from .timeline import Timeline
+
         timeline = Timeline(sim, self.window_us)
         metrics.attach_timeline(timeline)
         sim.flight = FlightRecorder(sim)

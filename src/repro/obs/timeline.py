@@ -39,16 +39,12 @@ from typing import TYPE_CHECKING, Any, Optional
 
 from ..errors import SimulationError
 from .sketch import QuantileSketch
+from .spec import DEFAULT_WINDOW_US
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim import Simulator
 
 __all__ = ["Timeline", "DEFAULT_WINDOW_US", "RING_WINDOWS"]
-
-#: Default window width: 100 virtual microseconds resolves the chaos
-#: bench's few-thousand-us runs into dozens of points while keeping
-#: Figure-2-scale runs to a few hundred windows.
-DEFAULT_WINDOW_US = 100.0
 
 #: Trailing-window ring depth per series.
 RING_WINDOWS = 512

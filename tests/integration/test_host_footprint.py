@@ -9,6 +9,11 @@ queues and in-order duplicate filters cost next to nothing, so the
 Python heap of a large job is what its nodes do, not one empty
 ``deque`` per semaphore and channel and one empty ``set`` per peer
 that has talked.
+
+The same rule holds for the repo's own modules: the bench harness, the
+observability writers, the fault runtime and the process pool load when
+a run first uses them, so a serial run with nothing armed imports none
+of the paper's experiment runners.
 """
 
 import os
@@ -57,6 +62,43 @@ _GUARD = textwrap.dedent("""
     assert lossy.switch.packets_lost > 0, "the fault dice never fired"
     assert "numpy.random" not in sys.modules, "numpy.random was imported"
     assert "numpy" not in sys.modules, "numpy was imported"
+    unused = {*(f"repro.bench.{name}" for name in (
+                  "ablations", "apps", "bandwidth", "ga_putget",
+                  "latency", "scaling", "table1")),
+              "repro.ga.config",
+              *(f"repro.obs.{name}" for name in (
+                  "chrome", "export", "flight", "profile", "spans",
+                  "timeline")),
+              "multiprocessing"}
+    loaded = sorted(unused & sys.modules.keys())
+    assert not loaded, f"unused modules were imported: {loaded}"
+""")
+
+_FAULT_FREE = textwrap.dedent("""
+    import sys
+
+    import repro.faults
+    from repro.machine import Cluster
+
+    def lapi_job(task):
+        yield from task.lapi.gfence()
+
+    Cluster(nnodes=2).run_job(lapi_job, stacks=("lapi",))
+    assert "repro.faults.runtime" not in sys.modules, \
+        "a fault-free run imported the fault runtime"
+    assert repro.faults.FaultRuntime.__module__ == "repro.faults.runtime"
+""")
+
+_EXPERIMENT_ON_DEMAND = textwrap.dedent("""
+    import sys
+
+    from repro.bench import ALL_EXPERIMENTS
+
+    assert "repro.bench.latency" not in sys.modules, \
+        "table2's module loaded with the package"
+    result = ALL_EXPERIMENTS["table2"]()
+    assert "repro.bench.latency" in sys.modules, "table2 ran without it"
+    assert result.all_passed, result.render()
 """)
 
 _GA_ON_DEMAND = textwrap.dedent("""
@@ -105,8 +147,22 @@ def test_jobs_never_import_numpy_random():
     (``repro.bench`` and its chaos and scale runners included), then
     running a LAPI job, an MPL job and a lossy job (which draws from the
     ``faults`` stream) leaves ``numpy`` and ``numpy.random``
-    unimported."""
+    unimported, and with them every experiment runner but chaos and
+    scale, ``repro.ga.config``, every observability writer and
+    ``multiprocessing``."""
     _run(_GUARD)
+
+
+def test_fault_free_job_never_imports_fault_runtime():
+    """``repro.faults`` imported and a job run without a schedule leave
+    ``FaultRuntime``'s module unloaded until the name is read."""
+    _run(_FAULT_FREE)
+
+
+def test_experiment_loads_its_module_on_demand():
+    """``ALL_EXPERIMENTS["table2"]()`` imports ``repro.bench.latency``
+    when it runs, not with the package, and its shape checks pass."""
+    _run(_EXPERIMENT_ON_DEMAND)
 
 
 @pytest.mark.parametrize("backend", ["lapi", "mpl"])
