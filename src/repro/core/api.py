@@ -45,7 +45,7 @@ from .endpoint import Endpoint
 from .env import do_qenv, do_senv
 from .fence import do_fence, do_gfence
 from .protocol import PROTO
-from .putget import do_get, do_put
+from .putget import do_get, do_getv, do_put, do_putv
 from .rmw import do_rmw
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -213,7 +213,6 @@ class Lapi(Endpoint):
         """LAPI_Putv -- the non-contiguous put of section 6's future
         work: one call scatters ``(tgt_addr, org_addr, nbytes)`` runs."""
         self._check_live()
-        from .vector import do_putv
         return do_putv(self, target, runs, tgt_cntr, org_cntr, cmpl_cntr)
 
     def getv(self, target: int, runs,
@@ -221,7 +220,6 @@ class Lapi(Endpoint):
         """LAPI_Getv -- the non-contiguous get of section 6's future
         work: one call gathers ``(tgt_addr, org_addr, nbytes)`` runs."""
         self._check_live()
-        from .vector import do_getv
         return do_getv(self, target, runs, org_cntr)
 
     def rmw(self, op: RmwOp, target: int, tgt_addr: int, in_val: int,

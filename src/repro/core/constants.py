@@ -76,9 +76,6 @@ class PacketKind:
     #: Dissemination-barrier token (LAPI_Gfence).
     BARRIER = "barrier"
 
-    #: Kinds that the reliability layer sequences and retransmits.
-    RELIABLE = frozenset({DATA, GET_REQ, CMPL, RMW_REQ, RMW_REP, BARRIER})
-
     #: Message types carried inside DATA packets.
     MSG_PUT = "put"
     MSG_AM = "am"

@@ -34,7 +34,9 @@ from ..machine.packet import packet_count, reserve_uids
 from .constants import PacketKind
 from .context import RecvAssembly
 from .endpoint import EndpointDispatcher
-from .protocol import control_packet, get_reply_packet
+from .protocol import (control_packet, get_reply_packet, read_runs,
+                       split_runs, strided_packet_count, strided_packets,
+                       write_runs)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..machine.cpu import Thread
@@ -83,16 +85,10 @@ class Dispatcher(EndpointDispatcher):
                 yield from self._am_data(thread, pkt)
             elif mtype == PacketKind.MSG_GET_REP:
                 yield from self._get_reply_data(thread, pkt)
-            elif mtype == "putv":
-                yield from self._putv_data(thread, pkt)
-            elif mtype == "getv_rep":
-                yield from self._getv_reply_data(thread, pkt)
             else:
                 raise LapiError(f"dispatcher: unknown data mtype {mtype!r}")
         elif kind == PacketKind.GET_REQ:
             self._get_request(pkt)
-        elif kind == "getv_req":
-            self._getv_request(pkt)
         elif kind == PacketKind.CMPL:
             sp = self.lapi.spans
             if sp is not None:
@@ -125,14 +121,16 @@ class Dispatcher(EndpointDispatcher):
         return asm
 
     def _put_data(self, thread: "Thread", pkt: "Packet") -> Generator:
-        """A put packet is fully self-describing: place it directly."""
+        """A put packet is fully self-describing: place it directly, at
+        base + offset or, for a strided put, run by run."""
         cfg = self.config
+        info = pkt.info
         asm = self._assembly(pkt)
         if not asm.hdr_seen:
             asm.hdr_seen = True  # every put packet carries the header
-            asm.buf_addr = pkt.info["tgt_addr"]
-            asm.tgt_cntr_id = pkt.info["tgt_cntr_id"]
-            asm.cmpl_cntr_id = pkt.info["cmpl_cntr_id"]
+            asm.buf_addr = info.get("tgt_addr")
+            asm.tgt_cntr_id = info["tgt_cntr_id"]
+            asm.cmpl_cntr_id = info["cmpl_cntr_id"]
         payload = pkt.payload
         counted = False
         if payload:
@@ -154,8 +152,12 @@ class Dispatcher(EndpointDispatcher):
                         thread.burst_ends[0] if counted
                         else thread.sim.now,
                         parent=sp.origin_of(pkt), bytes=n)
-            self.lapi.memory.write(asm.buf_addr + pkt.info["offset"],
-                                   payload)
+            runs = info.get("runs")
+            if runs is None:
+                self.lapi.memory.write(asm.buf_addr + info["offset"],
+                                       payload)
+            else:
+                write_runs(self.lapi.memory, runs, payload)
             asm.received += n
             self.ctx.stats.bytes_received += n
         if asm.complete:
@@ -328,88 +330,6 @@ class Dispatcher(EndpointDispatcher):
             self.lapi.transport.send_control(cmpl)
 
     # ------------------------------------------------------------------
-    # vector (non-contiguous) extension: putv / getv (section 6 #1)
-    # ------------------------------------------------------------------
-    def _putv_data(self, thread: "Thread", pkt: "Packet") -> Generator:
-        """A putv packet scatters its runs straight into memory."""
-        cfg = self.config
-        asm = self._assembly(pkt)
-        if not asm.hdr_seen:
-            asm.hdr_seen = True
-            asm.tgt_cntr_id = pkt.info["tgt_cntr_id"]
-            asm.cmpl_cntr_id = pkt.info["cmpl_cntr_id"]
-        payload = pkt.payload
-        if payload:
-            yield from thread.execute(cfg.copy_cost(len(payload)))
-            pos = 0
-            for addr, length in pkt.info["runs"]:
-                self.lapi.memory.write(addr, payload[pos:pos + length])
-                pos += length
-            asm.received += len(payload)
-            self.ctx.stats.bytes_received += len(payload)
-        if asm.complete:
-            del self.ctx.recv_asm[(asm.src, asm.msg_id)]
-            yield from self._message_complete(thread, asm)
-
-    def _getv_request(self, pkt: "Packet") -> None:
-        """Service one getv request packet: stream its runs back,
-        addressed directly to the origin's final locations."""
-        from .vector import MSG_GETV_REP, pack_vector_packets
-
-        lapi = self.lapi
-        cfg = self.config
-        runs = [tuple(r) for r in pkt.info["runs"]]
-        msg_id = pkt.info["msg_id"]
-        src = pkt.src
-
-        def body(thread):
-            dest_runs = [(org_addr, n) for _, org_addr, n in runs]
-            sources = [(tgt_addr, n) for tgt_addr, _, n in runs]
-
-            def read_run(ridx, off, length):
-                addr, _ = sources[ridx]
-                return lapi.memory.read(addr + off, length)
-
-            packets = pack_vector_packets(
-                cfg, lapi.ctx.rank, src, msg_id, MSG_GETV_REP,
-                dest_runs, read_run)
-            total = sum(n for _, n in dest_runs)
-            if total <= cfg.lapi_retrans_copy_limit:
-                yield from thread.execute(cfg.copy_cost(total))
-            for p in packets:
-                yield from thread.execute(cfg.lapi_pkt_send_cost)
-                yield from lapi.transport.send_data(thread, p)
-
-        lapi.task.node.cpu.spawn(body,
-                                 name=f"lapi{self.ctx.rank}.getvsvc",
-                                 priority=HANDLER)
-
-    def _getv_reply_data(self, thread: "Thread",
-                         pkt: "Packet") -> Generator:
-        """Vector reply runs land directly in their final addresses."""
-        cfg = self.config
-        pending = self.ctx.pending_gets.get(pkt.info["msg_id"])
-        if pending is None:
-            raise LapiError(
-                f"task {self.ctx.rank}: getv reply for unknown msg"
-                f" {pkt.info['msg_id']}")
-        payload = pkt.payload
-        if payload:
-            yield from thread.execute(cfg.copy_cost(len(payload)))
-            pos = 0
-            for addr, length in pkt.info["runs"]:
-                self.lapi.memory.write(addr, payload[pos:pos + length])
-                pos += length
-            pending.received += len(payload)
-            self.ctx.stats.bytes_received += len(payload)
-        if pending.complete:
-            del self.ctx.pending_gets[pending.msg_id]
-            if pending.org_cntr is not None:
-                yield from thread.execute(cfg.lapi_counter_update)
-                pending.org_cntr.add(1)
-            self.ctx.op_completed(pending.target)
-
-    # ------------------------------------------------------------------
     # GET servicing
     # ------------------------------------------------------------------
     def _get_request(self, pkt: "Packet") -> None:
@@ -427,14 +347,26 @@ class Dispatcher(EndpointDispatcher):
 
         def body(thread):
             length = info["length"]
-            data = lapi.memory.read(info["tgt_addr"], length)
+            runs = info.get("runs")
             rank = lapi.ctx.rank
             msg_id = info["msg_id"]
             chunk = cfg.lapi_payload
             header = cfg.lapi_header
             send_cost = cfg.lapi_pkt_send_cost
-            npkts = packet_count(length, chunk)
-            uid0 = reserve_uids(npkts)
+            packets = None
+            if runs is None:
+                data = lapi.memory.read(info["tgt_addr"], length)
+                npkts = packet_count(length, chunk)
+                uid0 = reserve_uids(npkts)
+            else:
+                # A strided request's runs land straight in the
+                # origin's final addresses.
+                source, dest = split_runs(runs)
+                npkts = strided_packet_count(dest, cfg)
+                uid0 = reserve_uids(npkts)
+                packets = strided_packets(
+                    rank, src, msg_id, PacketKind.MSG_GET_REP,
+                    read_runs(lapi.memory, source), dest, cfg, uid0)
             if sp is not None:
                 sp.bind_packets(uid0, npkts, origin, "get", length)
             # The reply's bytes are one snapshot, read above when the
@@ -447,7 +379,8 @@ class Dispatcher(EndpointDispatcher):
             for i in range(npkts):
                 yield from thread.execute(send_cost)
                 yield from send_data(thread, get_reply_packet(
-                    rank, src, msg_id, data, chunk, header, i, uid0 + i))
+                    rank, src, msg_id, data, chunk, header, i, uid0 + i)
+                    if packets is None else next(packets))
             # Target counter: data has been copied out of target memory.
             if info.get("tgt_cntr_id") is not None:
                 yield from thread.execute(cfg.lapi_counter_update)
@@ -478,8 +411,12 @@ class Dispatcher(EndpointDispatcher):
                                           cfg.lapi_counter_update)
             else:
                 yield from thread.execute(cfg.copy_cost(n))
-            self.lapi.memory.write(pending.org_addr + pkt.info["offset"],
-                                   payload)
+            runs = pkt.info.get("runs")
+            if runs is None:
+                self.lapi.memory.write(
+                    pending.org_addr + pkt.info["offset"], payload)
+            else:
+                write_runs(self.lapi.memory, runs, payload)
             pending.received += n
             self.ctx.stats.bytes_received += n
         if pending.complete or pending.length == 0:

@@ -14,11 +14,18 @@ packets arriving in any order.  The builders make one packet at a time,
 by index, from the message's data snapshot: a sender builds packet *i*
 just before it sends it, under uid ``first + i`` of the block
 ``reserve_uids`` took for the message when the call was issued.
+
+A strided put or get reply (LAPI_Putv / LAPI_Getv, section 6's first
+future-work item) is the same message with a run list: its snapshot is
+the concatenation of its runs, and each packet carries, in
+``info["runs"]``, the ``(addr, nbytes)`` pieces of runs its payload
+covers, at a 16-byte descriptor each on the wire.  Tiny runs share a
+packet; a long run straddles packets as pieces with advanced addresses.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from ..errors import LapiError
 from ..machine.packet import Packet
@@ -26,14 +33,23 @@ from .constants import PacketKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..machine.config import MachineConfig
+    from ..machine.memory import Memory
 
 __all__ = ["put_packet", "am_first_room", "am_packet", "get_reply_packet",
-           "control_packet", "PROTO"]
+           "split_runs", "run_groups", "strided_packet_count",
+           "strided_packets", "read_runs", "write_runs", "control_packet",
+           "PROTO", "VECTOR_SUBHEADER", "GETV_RUNS_PER_PACKET"]
 
 #: Adapter demultiplexing key for the LAPI stack.
 PROTO = "lapi"
+#: Wire bytes per run descriptor (address + length) of a strided packet.
+VECTOR_SUBHEADER = 16
+#: Run descriptors per strided GET_REQ packet.
+GETV_RUNS_PER_PACKET = 40
 
 _DATA = PacketKind.DATA
+_CONTROL = (PacketKind.GET_REQ, PacketKind.CMPL, PacketKind.RMW_REQ,
+            PacketKind.RMW_REP, PacketKind.BARRIER)
 
 
 def _mk(src: int, dst: int, kind: str, header: int, payload: bytes,
@@ -129,11 +145,100 @@ def get_reply_packet(src: int, dst: int, msg_id: int, data: bytes,
                   }, uid)
 
 
+def split_runs(runs: Sequence[tuple[int, int, int]]
+               ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The target-side and origin-side ``(addr, nbytes)`` runs of
+    Putv/Getv ``(tgt_addr, org_addr, nbytes)`` triples."""
+    return [(t, n) for t, _, n in runs], [(o, n) for _, o, n in runs]
+
+
+def run_groups(runs: Sequence[tuple[int, int]],
+               room: int) -> Iterator[list[tuple[int, int]]]:
+    """Cut ``(addr, nbytes)`` runs into the run lists of a strided
+    message's consecutive packets, each with ``room`` wire bytes behind
+    its LAPI header for descriptors and data."""
+    group: list[tuple[int, int]] = []
+    left = room
+    for addr, nbytes in runs:
+        off = 0
+        while off < nbytes:
+            if left <= VECTOR_SUBHEADER:
+                yield group
+                group = []
+                left = room
+            take = min(nbytes - off, left - VECTOR_SUBHEADER)
+            group.append((addr + off, take))
+            left -= VECTOR_SUBHEADER + take
+            off += take
+    yield group
+
+
+def strided_packet_count(runs: Sequence[tuple[int, int]],
+                         config: "MachineConfig") -> int:
+    """Packets of a strided message over ``runs``."""
+    return sum(1 for _ in run_groups(runs, config.lapi_payload))
+
+
+def strided_packets(src: int, dst: int, msg_id: int, mtype: str,
+                    data: bytes, runs: Sequence[tuple[int, int]],
+                    config: "MachineConfig", uid: int,
+                    **info) -> Iterator["Packet"]:
+    """The packets of a strided put (``MSG_PUT``, ``info`` naming its
+    counters) or get reply (``MSG_GET_REP``), one per
+    :func:`run_groups` group of the runs ``data`` lands in.
+
+    Packet *i* gets uid ``uid + i`` and is cut from the snapshot
+    ``data`` when it is asked for.
+    """
+    view = memoryview(data)
+    header = config.lapi_header
+    total = len(data)
+    off = 0
+    for group in run_groups(runs, config.lapi_payload):
+        n = sum(take for _, take in group)
+        yield Packet(src, dst, PROTO, _DATA,
+                     header + VECTOR_SUBHEADER * len(group),
+                     bytes(view[off:off + n]), -1, {
+                         "mtype": mtype, "msg_id": msg_id,
+                         "total": total, "runs": group, **info}, uid)
+        off += n
+        uid += 1
+
+
+def read_runs(memory: "Memory",
+              runs: Sequence[tuple[int, int]]) -> bytearray:
+    """One snapshot of the ``(addr, nbytes)`` runs, concatenated."""
+    data = bytearray(sum(n for _, n in runs))
+    pos = 0
+    for addr, n in runs:
+        data[pos:pos + n] = memory.read(addr, n)
+        pos += n
+    return data
+
+
+def write_runs(memory: "Memory", runs: Sequence[tuple[int, int]],
+               data: bytes) -> None:
+    """Place ``data`` run by run: each ``(addr, nbytes)`` run takes the
+    next ``nbytes`` of it."""
+    view = memoryview(data)
+    pos = 0
+    for addr, n in runs:
+        memory.write(addr, view[pos:pos + n])
+        pos += n
+
+
 def control_packet(config: "MachineConfig", src: int, dst: int, kind: str,
-                   **info) -> "Packet":
-    """A single control packet (GET_REQ, CMPL, RMW_*, BARRIER)."""
-    if kind not in (PacketKind.GET_REQ, PacketKind.CMPL,
-                    PacketKind.RMW_REQ, PacketKind.RMW_REP,
-                    PacketKind.BARRIER):
+                   runs: Optional[list] = None, **info) -> "Packet":
+    """A single control packet: GET_REQ, CMPL, RMW_REQ, RMW_REP or
+    BARRIER.  A strided GET_REQ carries ``runs``, at most
+    :data:`GETV_RUNS_PER_PACKET` ``(tgt_addr, org_addr, nbytes)``
+    triples, at a descriptor each in its header."""
+    if kind not in _CONTROL:
         raise LapiError(f"not a control packet kind: {kind!r}")
-    return _mk(src, dst, kind, config.lapi_header, b"", info)
+    header = config.lapi_header
+    if runs is not None:
+        header += VECTOR_SUBHEADER * len(runs)
+        if header > config.packet_size:
+            raise LapiError("strided get request exceeds a packet")
+        info["runs"] = runs
+    return _mk(src, dst, kind, header, b"", info)

@@ -191,8 +191,8 @@ class Cluster:
         self.metrics.register_collector("machine.switch",
                                         self.switch.metrics)
         #: Windowed timeline over this registry (``repro.obs.timeline``)
-        #: when the spec names ``timeline`` or ``flight``, which also
-        #: hangs a flight recorder off ``sim.flight``; else None.
+        #: when the spec names ``timeline``, else None.  A spec naming
+        #: ``flight`` hangs a flight recorder off ``sim.flight``.
         self.telemetry = obs.timeline(self.sim, self.metrics)
         #: Survivor policy for convicted peers; set per job by
         #: :meth:`run_job` (``on_peer_failure``).  "fail" terminates the

@@ -235,17 +235,19 @@ class ObsSpec:
         return SpanRecorder()
 
     def timeline(self, sim, metrics) -> Optional[Timeline]:
-        """Arm a timeline over ``metrics`` and hang a flight recorder
-        off ``sim.flight``; None unless ``timeline`` or ``flight`` is
-        named."""
-        if self.names.isdisjoint(("timeline", "flight")):
+        """Hang a flight recorder off ``sim.flight`` if ``flight`` is
+        named; arm and return a timeline over ``metrics`` if
+        ``timeline`` is named, else None."""
+        if "flight" in self.names:
+            from .flight import FlightRecorder
+
+            sim.flight = FlightRecorder(sim)
+        if "timeline" not in self.names:
             return None
-        from .flight import FlightRecorder
         from .timeline import Timeline
 
         timeline = Timeline(sim, self.window_us)
         metrics.attach_timeline(timeline)
-        sim.flight = FlightRecorder(sim)
         return timeline
 
     def capture(self, cluster: "Cluster") -> ClusterCapture:

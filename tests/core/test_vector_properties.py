@@ -1,24 +1,22 @@
 """Property-based tests for vector packetization and reliability."""
 
-import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.vector import VECTOR_SUBHEADER, pack_vector_packets
+from repro.core.constants import PacketKind
+from repro.core.protocol import (VECTOR_SUBHEADER, strided_packet_count,
+                                 strided_packets)
 from repro.machine.config import SP_1998
 
 
-def _reassemble(packets, run_bases):
-    """Apply packet runs into a flat address space dict."""
-    memory = {}
-    for p in packets:
-        pos = 0
-        for addr, length in p.info["runs"]:
-            memory[addr] = p.payload[pos:pos + length]
-            pos += length
-        assert pos == len(p.payload)
-    return memory
+def _packets(cfg, runs, data):
+    """Every packet of a strided put, built in order as a sender does."""
+    packets = list(strided_packets(0, 1, 1, PacketKind.MSG_PUT, data,
+                                   runs, cfg, 100))
+    assert len(packets) == strided_packet_count(runs, cfg)
+    assert [p.uid for p in packets] == list(range(100,
+                                                  100 + len(packets)))
+    return packets
 
 
 @given(st.lists(st.integers(min_value=1, max_value=3000), min_size=1,
@@ -37,10 +35,7 @@ def test_vector_packets_cover_all_runs_exactly(lengths):
         blobs.append(bytes((addr + i) % 251 for i in range(n)))
         addr += n + 64
 
-    def read_run(ridx, off, length):
-        return blobs[ridx][off:off + length]
-
-    packets = pack_vector_packets(cfg, 0, 1, 1, "putv", runs, read_run)
+    packets = _packets(cfg, runs, b"".join(blobs))
     # Wire-size invariant.
     for p in packets:
         assert p.size <= cfg.packet_size
@@ -67,10 +62,7 @@ def test_vector_packets_tiny_runs_pack_densely(scale):
     count = 40 * scale
     runs = [(i * 16, 8) for i in range(count)]
 
-    def read_run(ridx, off, length):
-        return b"\0" * length
-
-    packets = pack_vector_packets(cfg, 0, 1, 1, "putv", runs, read_run)
+    packets = _packets(cfg, runs, bytes(8 * count))
     per_packet = (cfg.packet_size - cfg.lapi_header) // \
         (VECTOR_SUBHEADER + 8)
     assert len(packets) <= count // per_packet + 1

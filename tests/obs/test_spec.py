@@ -33,17 +33,19 @@ class TestSpec:
             ObsSpec.parse("metrics,spam")
 
     @pytest.mark.parametrize("names,armed", [
-        ((), (False, False, False)),
-        (("metrics",), (False, False, False)),
-        (("trace",), (True, False, False)),
-        (("decompose",), (False, True, False)),
-        (("flight",), (False, False, True)),
+        ((), (False, False, False, False)),
+        (("metrics",), (False, False, False, False)),
+        (("trace",), (True, False, False, False)),
+        (("decompose",), (False, True, False, False)),
+        (("flight",), (False, False, False, True)),
+        (("timeline",), (False, False, True, False)),
+        (("timeline", "flight"), (False, False, True, True)),
     ])
     def test_cluster_builds_only_the_named_recorders(self, names, armed):
         cluster = Cluster(nnodes=2, obs=ObsSpec(names))
         assert (cluster.trace is not None, cluster.spans is not None,
-                cluster.telemetry is not None) == armed
-        assert (cluster.sim.flight is not None) == armed[2]
+                cluster.telemetry is not None,
+                cluster.sim.flight is not None) == armed
 
     def test_artifacts_of_one_recorder_share_a_payload(self):
         cluster = Cluster(nnodes=2, obs=ObsSpec({"spans", "decompose"}))
