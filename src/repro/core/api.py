@@ -120,12 +120,17 @@ class Lapi(Endpoint):
         self._error_handler = fn
 
     def set_interrupt_mode(self, enabled: bool) -> None:
-        """Switch between interrupt (True) and polling (False) modes."""
+        """Switch between interrupt (True) and polling (False) modes.
+
+        Waits sleeping in interrupt mode are notified after the switch:
+        their gates read the mode, and on leaving it they must go on
+        polling."""
         self.interrupt_mode = enabled
         if self.client is not None:
             self.client.interrupts_enabled = enabled
             if enabled:
                 self.client.arm_interrupt()
+        self.ctx.progress_ws.notify_all()
 
     # ------------------------------------------------------------------
     # counters
@@ -158,14 +163,11 @@ class Lapi(Endpoint):
         self._check_live()
         thread = self.current_thread()
         yield from thread.execute(self.config.lapi_call_overhead * 0.5)
-        if self.interrupt_mode:
-            # A counter that already holds ``value`` is consumed in
-            # place; an event is built only to block.
-            if cntr.waiting or not cntr.try_consume(value):
-                yield from thread.wait(cntr.wait_event(value))
-        else:
-            while not cntr.try_consume(value):
-                yield from self.dispatcher.poll_step(thread)
+        # ``wait_for`` returns in the step its predicate holds, so the
+        # second ``try_consume`` takes the value before any other
+        # thread runs.
+        while not cntr.try_consume(value):
+            yield from self.wait_for(lambda: cntr.value >= value)
 
     def probe(self) -> Generator:
         """LAPI_Probe: explicitly drive progress (polling mode)."""

@@ -199,7 +199,7 @@ class LapiContext:
     def new_counter(self, name: str = "") -> LapiCounter:
         cid = self._next_counter_id
         self._next_counter_id += 1
-        cntr = LapiCounter(self.sim, cid, name=name)
+        cntr = LapiCounter(cid, name=name)
         cntr.on_change = self.progress_ws.notify_all
         self.counters[cid] = cntr
         return cntr

@@ -13,13 +13,7 @@ notifications can address it by id.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
-
 from ..errors import LapiError
-from ..sim import Event
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..sim import Simulator
 
 __all__ = ["LapiCounter"]
 
@@ -31,22 +25,17 @@ class LapiCounter:
     so the counter is registered for remote notification.
     """
 
-    def __init__(self, sim: "Simulator", cid: int, name: str = "") -> None:
-        self._sim = sim
+    def __init__(self, cid: int, name: str = "") -> None:
         #: Context-local id; remote tasks address the counter by this.
         self.id = cid
         self.name = name or f"cntr{cid}"
-        self._wait_name = f"waitcntr:{self.name}"
         self._value = 0
-        #: FIFO waiters: (threshold, event).  Served strictly in order --
-        #: a large-threshold waiter at the head blocks later small ones,
-        #: matching the single-consumer pattern LAPI counters are used in.
-        self._waiters: list[tuple[int, Event]] = []
         #: Total increments ever applied (monotonic; handy in tests).
         self.total = 0
         #: Hook fired after every value change; the owning context
-        #: points it at its progress wait-set so polling loops wake on
-        #: counter updates that arrive without a packet (adapter-level
+        #: points it at its progress wait-set, which is where
+        #: ``LAPI_Waitcntr`` waits (and polling loops wake on counter
+        #: updates that arrive without a packet: adapter-level
         #: acknowledgements).
         self.on_change = None
 
@@ -57,12 +46,11 @@ class LapiCounter:
         return self._value
 
     def add(self, count: int = 1) -> None:
-        """Increment the counter and serve any satisfiable waiters."""
+        """Increment the counter and notify its waiters."""
         if count <= 0:
             raise LapiError(f"counter increment must be positive: {count}")
         self._value += count
         self.total += count
-        self._serve()
         if self.on_change is not None:
             self.on_change()
 
@@ -71,51 +59,19 @@ class LapiCounter:
         if value < 0:
             raise LapiError(f"counter value must be >= 0: {value}")
         self._value = value
-        self._serve()
         if self.on_change is not None:
             self.on_change()
 
-    def _serve(self) -> None:
-        while self._waiters and self._value >= self._waiters[0][0]:
-            threshold, ev = self._waiters.pop(0)
-            self._value -= threshold
-            ev.succeed(self._value)
-
     # ------------------------------------------------------------------
-    def wait_event(self, threshold: int) -> Event:
-        """Event firing once the counter has absorbed ``threshold``.
-
-        The decrement-on-return semantics of ``LAPI_Waitcntr`` happen at
-        fire time.  Immediate satisfaction is checked synchronously.
-        """
-        if threshold <= 0:
-            raise LapiError(f"wait threshold must be positive: {threshold}")
-        ev = Event(self._sim, name=self._wait_name)
-        self._waiters.append((threshold, ev))
-        self._serve()
-        return ev
-
     def try_consume(self, threshold: int) -> bool:
-        """Non-blocking ``Waitcntr`` attempt (polling-mode fast path).
-
-        Only valid when no event waiter is queued ahead (mixed use would
-        break FIFO fairness); consumes and returns True when satisfied.
-        """
+        """Non-blocking ``Waitcntr`` attempt: consumes ``threshold``
+        and returns True when the counter holds it."""
         if threshold <= 0:
             raise LapiError(f"wait threshold must be positive: {threshold}")
-        if self._waiters:
-            raise LapiError(
-                f"try_consume on {self.name} with queued waiters")
         if self._value >= threshold:
             self._value -= threshold
             return True
         return False
 
-    @property
-    def waiting(self) -> int:
-        """Number of queued waiters (diagnostics)."""
-        return len(self._waiters)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<LapiCounter {self.name} value={self._value}"
-                f" waiters={len(self._waiters)}>")
+        return f"<LapiCounter {self.name} value={self._value}>"

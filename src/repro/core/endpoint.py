@@ -132,7 +132,7 @@ class Endpoint:
             degraded_after=cfg.peer_degraded_after,
             retry_budget=cfg.retry_budget)
         self.dispatcher = self.Dispatcher(self)
-        self.transport.wait_credit = self._wait_credit
+        self.transport.wait_for = self.wait_for
         self.transport.on_progress = self.ctx.progress_ws.notify_all
         self.transport.on_fatal = self._retries_exhausted
         self.client.delivery_filter = self._ack_fast_path
@@ -177,7 +177,8 @@ class Endpoint:
     # ------------------------------------------------------------------
     def wait_for(self, predicate: Callable[[], bool]) -> Generator:
         """Block until ``predicate()`` holds, driving progress as the
-        current mode requires.
+        current mode requires.  Every blocking call of either stack
+        waits here, ``waitcntr`` and send-window credits included.
 
         In interrupt mode the thread sleeps on a gated progress wait:
         a notify wakes it only once ``predicate`` holds or the stack
@@ -207,14 +208,6 @@ class Endpoint:
         named = [getclosurevars(gate).nonlocals.get("predicate", gate)
                  for gate in ws.ready()]
         return [f"{ws.name}: {fn.__qualname__}" for fn in named]
-
-    def _wait_credit(self, thread, event) -> Generator:
-        """Block on a send-window credit, driving progress if polling."""
-        if self.interrupt_mode and self._mask_depth == 0:
-            yield from thread.wait(event)
-        else:
-            while not event.triggered:
-                yield from self.dispatcher.poll_step(thread)
 
     def _ack_fast_path(self, packet) -> bool:
         """Adapter-level handling of transport acknowledgements.
@@ -381,13 +374,6 @@ class EndpointDispatcher:
             if endpoint.trace is not None:
                 self._trace(endpoint.trace, thread, pkt)
             sp = endpoint.spans
-            if pkt.kind == PacketKind.ACK:
-                # Lightweight: adjust transport state, run ack hooks.
-                yield from thread.execute(0.3)
-                if sp is not None:
-                    sp.packet_dispatched(pkt, thread.sim.now)
-                endpoint.transport.on_ack(pkt)
-                return
             yield from thread.execute(self._recv_amortized if amortized
                                       else self._recv_cost)
             if sp is not None:

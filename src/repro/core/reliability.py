@@ -53,7 +53,6 @@ from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from ..errors import PeerUnreachableError
 from ..machine.packet import Packet as _Packet
-from ..sim import Semaphore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..machine.adapter import Adapter
@@ -76,18 +75,19 @@ UNREACHABLE = "unreachable"
 class _PeerTx:
     """Sender-side state toward one peer."""
 
-    __slots__ = ("next_seq", "unacked", "window", "timer_running",
+    __slots__ = ("next_seq", "unacked", "credits", "timer_running",
                  "attempts", "srtt", "rttvar", "rto", "backoff_mult",
                  "health")
 
-    def __init__(self, sim: "Simulator", window: int, name: str,
-                 rto: float) -> None:
+    def __init__(self, window: int, rto: float) -> None:
         self.next_seq = 0
         #: seq -> (packet, deadline, uses_window, on_ack, sent_at)
         self.unacked: dict[int, tuple] = {}
         #: seq -> retransmission count.
         self.attempts: dict[int, int] = {}
-        self.window = Semaphore(sim, value=window, name=f"win:{name}")
+        #: Free send-window slots: data packets that may still go
+        #: out before an acknowledgement returns one.
+        self.credits = window
         self.timer_running = False
         # Adaptive-RTO estimator state (Jacobson/Karels).  ``srtt`` is
         # None until the first valid sample; ``rto`` starts at the
@@ -178,18 +178,19 @@ class ReliableTransport:
         #: the timer callback -- loud, but with no run context.
         self.on_fatal: Optional[
             Callable[[PeerUnreachableError], None]] = None
-        #: Generator ``(thread, event) -> None`` used to block on a send
-        #: window credit.  The owning stack installs a progress-aware
-        #: version: in polling mode the waiting thread must drive the
-        #: dispatcher (to process the very acknowledgements that free
-        #: credits), or a long transfer deadlocks -- the polling-mode
-        #: hazard section 2.1 warns about, solved the way real LAPI
-        #: does: every LAPI call makes progress.
-        self.wait_credit: Callable = \
-            lambda thread, event: thread.wait(event)
+        #: Generator ``(predicate) -> None`` that blocks the calling
+        #: thread until ``predicate()`` holds; :meth:`send_data` waits
+        #: on it for a window credit.  The owning stack installs its
+        #: ``Endpoint.wait_for``: in polling mode the waiting thread
+        #: must drive the dispatcher (to process the very
+        #: acknowledgements that free credits), or a long transfer
+        #: deadlocks -- the polling-mode hazard section 2.1 warns
+        #: about, solved the way real LAPI does: every LAPI call makes
+        #: progress.
+        self.wait_for: Optional[Callable] = None
         #: Called after every acknowledgement is applied; the stack
-        #: points it at its progress wait-set so pollers blocked on a
-        #: window credit wake up when acks free one.
+        #: points it at its progress wait-set, where senders blocked
+        #: on a window credit wait.
         self.on_progress: Optional[Callable[[], None]] = None
         # Statistics
         self.retransmissions = 0
@@ -233,9 +234,7 @@ class ReliableTransport:
     def _peer_tx(self, peer: int) -> _PeerTx:
         st = self._tx.get(peer)
         if st is None:
-            st = _PeerTx(self.sim, self.window_size,
-                         f"{self.proto}{self.adapter.node_id}->{peer}",
-                         self.timeout)
+            st = _PeerTx(self.window_size, self.timeout)
             self._tx[peer] = st
         return st
 
@@ -279,9 +278,9 @@ class ReliableTransport:
         st = self._peer_tx(packet.dst)
         if st.health == UNREACHABLE:
             raise self._breaker_error(packet.dst)
-        window = st.window
-        if not window.try_wait():
-            yield from self.wait_credit(thread, window.wait())
+        if st.credits == 0:
+            yield from self.wait_for(lambda: st.credits > 0)
+        st.credits -= 1
         self._register(st, packet, uses_window=True, on_ack=on_ack)
         yield from self.adapter.inject(thread, packet)
 
@@ -443,11 +442,11 @@ class ReliableTransport:
         The one teardown, whether the failure detector convicted the
         peer or its retry budget ran out: marks it unreachable, stops
         its timer chain and clears every in-flight entry in sequence
-        order, posting the entry's window credit (blocked senders wake
-        and observe the failure) and then firing its ``on_ack`` as a
-        counted *completion in error* (counters advance so waiters
-        unblock; the data was **not** delivered).  The owning stack
-        notifies its progress waiters afterwards.  Idempotent.
+        order, returning the entry's window credit and then firing its
+        ``on_ack`` as a counted *completion in error* (counters advance
+        so waiters unblock; the data was **not** delivered).  The
+        owning stack notifies its progress waiters afterwards, senders
+        blocked on a credit among them.  Idempotent.
         """
         st = self._peer_tx(peer)
         if st.health == UNREACHABLE:
@@ -460,7 +459,7 @@ class ReliableTransport:
         st.attempts.clear()
         for _, (_, _, uses_window, on_ack, _) in cleared:
             if uses_window:
-                st.window.post()
+                st.credits += 1
             if on_ack is not None:
                 self.completed_in_error += 1
                 on_ack()
@@ -562,7 +561,7 @@ class ReliableTransport:
                 st.health = HEALTHY
                 self.peer_recovered_events += 1
         if uses_window:
-            st.window.post()
+            st.credits += 1
         if on_ack is not None:
             on_ack()
         if self.on_progress is not None:
@@ -573,7 +572,7 @@ class ReliableTransport:
         """Retire a fully-consumed acknowledgement's span track.
 
         ``on_ack`` is the single consumption point for transport acks in
-        both stacks (adapter fast path and dispatcher branch); nothing
+        both stacks (the adapter's delivery filter); nothing
         references the packet afterwards -- acks are never registered
         for retransmission -- so the span recorder's uid-keyed track
         can go, keeping the side table bounded on long runs.

@@ -122,23 +122,13 @@ class Semaphore:
     def post(self, count: int = 1) -> None:
         """Increment the semaphore, waking up to ``count`` waiters.
 
-        A unit goes to the longest waiter.  One whose event has no
-        callbacks is not resumed by the kernel -- it checks
-        ``triggered`` from a polling loop -- so its event completes in
-        place, with no kernel event (as ``Process._resume`` completes
-        an exit nobody waits on).
+        A unit goes to the longest waiter.
         """
         if count <= 0:
             raise SimulationError("post count must be positive")
         for _ in range(count):
             if self._waiters:
-                ev = self._waiters.pop(0)
-                if ev.callbacks:
-                    ev.succeed(None)
-                else:
-                    ev._ok = True
-                    ev._value = None
-                    ev.callbacks = None
+                self._waiters.pop(0).succeed(None)
             else:
                 self._value += 1
 

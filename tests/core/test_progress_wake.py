@@ -197,3 +197,33 @@ def test_a_stopped_job_names_the_wait_a_notify_would_end():
     assert flag == [True]
     assert ("waits whose condition holds: lapi0.progress: "
             + flag_is_set.__qualname__) in str(err.value)
+
+
+def test_waitcntr_falls_back_to_polling_when_interrupts_go_off():
+    """Rank 0 sits in ``waitcntr`` when a second thread on its node
+    turns interrupts off; nothing else it waits for notifies its stack
+    before the put that fills the counter, which now raises no
+    interrupt.  The mode switch itself must wake the waiter so that it
+    polls."""
+    def main(task):
+        lapi = task.lapi
+        buf = task.memory.malloc(64)
+        cntr = lapi.counter()
+        start = task.now()
+        if task.rank == 1:
+            yield from task.thread.sleep(100.0)
+            yield from lapi.put(0, 64, buf, buf, tgt_cntr=cntr.id)
+            return None
+
+        def flipper(thread):
+            yield from thread.sleep(10.0)
+            lapi.set_interrupt_mode(False)
+
+        task.node.cpu.spawn(flipper, name="flipper")
+        yield from lapi.waitcntr(cntr, 1)
+        return task.now() - start, cntr.value
+
+    cluster = Cluster(nnodes=2, seed=1)
+    results = cluster.run_job(main, stacks=("lapi",), interrupt_mode=True,
+                              until=UNTIL)
+    assert results[0] == (pytest.approx(132.274, abs=1e-3), 0)

@@ -71,8 +71,8 @@ class TestCircuitBreaker:
         assert tr.outstanding_total() == 0
         assert tr.peer_health(1) == UNREACHABLE
         assert tr.breaker_opens == 1
-        # Window credits were posted: the window is full again.
-        assert tr._peer_tx(1).window.value == 2
+        # Window credits were returned: the window is full again.
+        assert tr._peer_tx(1).credits == 2
         # Idempotent.
         tr.peer_down(1)
         assert tr.breaker_opens == 1

@@ -160,24 +160,6 @@ class TestSemaphore:
         assert sem.try_wait()
         assert not sem.try_wait()
 
-    def test_post_to_an_unobserved_wait_completes_in_place(self, sim):
-        """A polling loop checks ``triggered`` and never listens: the
-        credit is handed over with no kernel event."""
-        sem = Semaphore(sim)
-        polled, listened = sem.wait(), sem.wait()
-        log = []
-        listened.callbacks.append(lambda ev: log.append(sim.now))
-        sem.post()
-        assert polled.triggered and polled.processed
-        assert not listened.triggered
-        assert sim._pending() == 0
-        sem.post()
-        assert listened.triggered and not listened.processed
-        sim.run()
-        assert log == [0.0]
-        assert sim.events_processed == 1
-        assert sem.value == 0
-
 
 class TestWaitSet:
     def test_notify_all_wakes_everyone(self, sim):
