@@ -10,6 +10,11 @@ read-and-increment, global mutexes, and sync/fence -- implemented on
 * :class:`~repro.ga.mpl_backend.MplBackend` -- the older
   ``rcvncall``-based implementation of section 5.2.
 
+Only the transport differs between them: :mod:`.api` runs each put,
+get and accumulate (call charge, ``ga.*`` span, owner loop, this
+rank's own piece), and a backend supplies the remote pieces, their
+completion and the accumulate critical section.
+
 GA is the layer that needs numpy, so only :mod:`.config` loads with the
 package; every other name loads its module on first access (PEP 562),
 and a LAPI or MPL run that reads ``GA_DEFAULTS`` never imports numpy.

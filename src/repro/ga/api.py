@@ -40,11 +40,13 @@ from typing import TYPE_CHECKING, Generator, Optional, Sequence
 
 import numpy as np
 
+from ..core.protocol import read_runs, write_runs
 from ..errors import GaError
 from .array import GlobalArray
 from .config import GA_DEFAULTS, GaConfig
 from .distribution import BlockDistribution
 from .sections import Section
+from .wire import GaOp
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..machine.cluster import Task
@@ -63,6 +65,7 @@ class GlobalArrays:
         self._arrays: dict[int, GlobalArray] = {}
         self._next_handle = 0
         self._mutex_addrs: list[tuple[int, int]] = []  # (owner, addr)
+        self.spans = task.cluster.sim.spans
         if backend == "lapi":
             from .lapi_backend import LapiBackend
             self.backend = LapiBackend(self)
@@ -107,14 +110,14 @@ class GlobalArrays:
     def terminate(self) -> Generator:
         """GA_Terminate: sync, then give back everything GA allocated.
 
-        After the backend's closing sync no task can touch this node's
+        After the closing sync no task can touch this node's
         GA state any more, so the release is host-side only (no
         simulated cost): undestroyed arrays, mutex words and the
         backend's buffers are freed and the node's
         ``Memory.live_bytes`` returns to its pre-``GA_Init`` level.
         """
         if self._initialized:
-            yield from self.backend.terminate()
+            yield from self.sync()
             self._initialized = False
             for ga in self._arrays.values():
                 if not ga.destroyed:
@@ -194,25 +197,92 @@ class GlobalArrays:
     # ------------------------------------------------------------------
     def put(self, handle: int, section, local_addr: int) -> Generator:
         """Store ``section`` from a tight local buffer (one-sided)."""
-        self._check_live()
-        ga = self.array(handle)
-        yield from self.backend.put(ga, ga.check_section(section),
-                                    local_addr)
+        yield from self._data_call(handle, section, local_addr, GaOp.PUT)
 
     def get(self, handle: int, section, local_addr: int) -> Generator:
         """Fetch ``section`` into a tight local buffer (blocking)."""
-        self._check_live()
-        ga = self.array(handle)
-        yield from self.backend.get(ga, ga.check_section(section),
-                                    local_addr)
+        yield from self._data_call(handle, section, local_addr, GaOp.GET)
 
     def acc(self, handle: int, section, local_addr: int,
             alpha: float = 1.0) -> Generator:
         """Atomic accumulate: ``A[section] += alpha * local``."""
+        yield from self._data_call(handle, section, local_addr, GaOp.ACC,
+                                   alpha)
+
+    def _data_call(self, handle: int, section, local_addr: int, op: int,
+                   alpha: float = 1.0) -> Generator:
+        """One put/get/acc inside its ``ga.put``/``ga.get``/``ga.acc``
+        span: the transport operations it issues parent under it."""
         self._check_live()
         ga = self.array(handle)
-        yield from self.backend.acc(ga, ga.check_section(section),
-                                    local_addr, alpha)
+        section = ga.check_section(section)
+        sp = self.spans
+        if sp is None:
+            yield from self._pieces(ga, section, local_addr, op, alpha)
+            return
+        thread = self.task.node.cpu.current_thread()
+        prev = getattr(thread, "span_parent", None)
+        sid = sp.open(self.rank, "ga", f"ga.{GaOp.NAMES[op]}",
+                      self.task.now(), parent=prev,
+                      bytes=section.size * ga.itemsize)
+        thread.span_parent = sid
+        try:
+            yield from self._pieces(ga, section, local_addr, op, alpha)
+        finally:
+            thread.span_parent = prev
+            sp.close(sid, self.task.now())
+
+    def _pieces(self, ga: GlobalArray, section: Section, local_addr: int,
+                op: int, alpha: float) -> Generator:
+        """The call charge, then every owner's piece in ``locate``
+        order -- this rank's own piece in place, the others through the
+        backend -- then the backend's completion of the remote ones."""
+        backend = self.backend
+        thread = yield from self._charge_call()
+        pending = []
+        for owner, piece in ga.dist.locate(section):
+            if owner == self.rank:
+                yield from self._local_piece(thread, ga, section, piece,
+                                             local_addr, op, alpha)
+            elif op == GaOp.GET:
+                pending.append((yield from backend.get_piece(
+                    thread, ga, owner, piece, section, local_addr)))
+            else:
+                pending.append((yield from backend.store_piece(
+                    thread, ga, owner, piece, section, local_addr, op,
+                    alpha)))
+        if op == GaOp.GET:
+            yield from backend.finish_get(thread, pending)
+        else:
+            yield from backend.finish_store(thread, pending)
+
+    def _local_piece(self, thread, ga: GlobalArray, section: Section,
+                     piece: Section, local_addr: int, op: int,
+                     alpha: float) -> Generator:
+        """Move this rank's own piece with one charged copy (or DAXPY
+        inside the backend's accumulate critical section)."""
+        memory = self.memory
+        cfg = self.config
+        mine = ga.piece_runs(self.rank, piece)
+        local = ga.buffer_runs(section, piece, local_addr)
+        nbytes = piece.size * ga.itemsize
+        if op == GaOp.GET:
+            yield from thread.execute(cfg.copy_cost(nbytes))
+            write_runs(memory, local, read_runs(memory, mine))
+        elif op == GaOp.PUT:
+            yield from thread.execute(cfg.copy_cost(nbytes))
+            write_runs(memory, mine, read_runs(memory, local))
+        else:
+            data = read_runs(memory, local)
+            yield from self.backend.critical(
+                thread, cfg.daxpy_cost(nbytes),
+                lambda: ga.accumulate(memory, mine, data, alpha))
+
+    def _charge_call(self) -> Generator:
+        """Charge GA's own per-call work; returns the calling thread."""
+        thread = self.task.node.cpu.current_thread()
+        yield from thread.execute(self.gcfg.ga_call_overhead)
+        return thread
 
     # ------------------------------------------------------------------
     # ndarray conveniences (tests, examples)
@@ -274,7 +344,8 @@ class GlobalArrays:
         for i, j in points:
             if not ga.full_section().contains_point(i, j):
                 raise GaError(f"scatter point ({i},{j}) out of range")
-        yield from self.backend.scatter(ga, list(points), vals)
+        thread = yield from self._charge_call()
+        yield from self.backend.scatter(thread, ga, list(points), vals)
 
     def gather(self, handle: int,
                points: Sequence[tuple[int, int]]) -> Generator:
@@ -284,7 +355,8 @@ class GlobalArrays:
         for i, j in points:
             if not ga.full_section().contains_point(i, j):
                 raise GaError(f"gather point ({i},{j}) out of range")
-        result = yield from self.backend.gather(ga, list(points))
+        thread = yield from self._charge_call()
+        result = yield from self.backend.gather(thread, ga, list(points))
         return result
 
     def read_inc(self, handle: int, point: tuple[int, int],
@@ -294,7 +366,10 @@ class GlobalArrays:
         ga = self.array(handle)
         if not ga.full_section().contains_point(*point):
             raise GaError(f"read_inc point {point} out of range")
-        prev = yield from self.backend.read_inc(ga, point, inc)
+        if ga.dtype != np.int64:
+            raise GaError("read_inc requires an int64 global array")
+        thread = yield from self._charge_call()
+        prev = yield from self.backend.read_inc(thread, ga, point, inc)
         return prev
 
     # ------------------------------------------------------------------
@@ -366,7 +441,8 @@ class GlobalArrays:
     def sync(self) -> Generator:
         """Collective barrier + completion of all outstanding stores."""
         self._check_live()
-        yield from self.backend.sync()
+        yield from self.backend.fence()
+        yield from self.backend.barrier()
 
     def fence(self, *, ordering_only: bool = False) -> Generator:
         """Complete this task's outstanding store operations."""

@@ -19,7 +19,27 @@ from ..errors import GaError
 from .distribution import BlockDistribution
 from .sections import Section
 
-__all__ = ["GlobalArray"]
+__all__ = ["GlobalArray", "contiguous"]
+
+
+def contiguous(runs: list[tuple[int, int]]) -> bool:
+    """True when ``runs`` lie back to back: one contiguous byte range."""
+    return all(a + n == b for (a, n), (b, _) in zip(runs, runs[1:]))
+
+
+def _column_runs(first: int, stride: int, col_bytes: int, offset: int,
+                 end: int) -> list[tuple[int, int]]:
+    """Runs under bytes ``[offset, end)`` of a column-major stream whose
+    ``col_bytes``-long columns start ``stride`` bytes apart at
+    ``first``."""
+    runs = []
+    pos = offset
+    while pos < end:
+        col, within = divmod(pos, col_bytes)
+        take = min(col_bytes - within, end - pos)
+        runs.append((first + col * stride + within, take))
+        pos += take
+    return runs
 
 
 @dataclass
@@ -86,30 +106,48 @@ class GlobalArray:
         off = (j - block.jlo + w) * ld + (i - block.ilo + w)
         return self.base_addrs[rank] + off * self.itemsize
 
-    def column_run(self, rank: int, piece: Section,
-                   j: int) -> tuple[int, int]:
-        """(address, nbytes) of column ``j`` of ``piece`` in ``rank``'s
-        block -- one contiguous run."""
-        addr = self.element_addr(rank, piece.ilo, j)
-        return addr, piece.rows * self.itemsize
-
-    def piece_is_contiguous(self, rank: int, piece: Section) -> bool:
-        """True if ``piece`` occupies one contiguous byte range of
-        ``rank``'s block: a single column, or full-height columns (the
-        latter only without ghost padding between columns)."""
-        if piece.is_single_column:
-            return True
-        if self.ghost_width:
-            return False
+    def piece_runs(self, rank: int, piece: Section, offset: int = 0,
+                   nbytes: Optional[int] = None) -> list[tuple[int, int]]:
+        """``(addr, nbytes)`` column runs of ``piece`` in ``rank``'s
+        block: the whole piece, or only the runs under bytes
+        ``[offset, offset + nbytes)`` of its column-major stream (an AM
+        chunk's share, whose offset arrives off the wire)."""
         block = self.dist.block(rank)
-        return piece.ilo == block.ilo and piece.ihi == block.ihi
+        if block is None or not block.contains(piece):
+            raise GaError(
+                f"piece {piece} not in rank {rank}'s block {block}")
+        total = piece.size * self.itemsize
+        end = total if nbytes is None else offset + nbytes
+        if offset < 0 or end > total:
+            raise GaError(f"chunk [{offset}:{end}] overruns piece {piece}")
+        ld = block.rows + 2 * self.ghost_width
+        return _column_runs(self.element_addr(rank, piece.ilo, piece.jlo),
+                            ld * self.itemsize, piece.rows * self.itemsize,
+                            offset, end)
 
-    def piece_addr_len(self, rank: int, piece: Section) -> tuple[int, int]:
-        """(address, nbytes) of a contiguous piece."""
-        if not self.piece_is_contiguous(rank, piece):
-            raise GaError(f"piece {piece} is strided, not contiguous")
-        addr = self.element_addr(rank, piece.ilo, piece.jlo)
-        return addr, piece.size * self.itemsize
+    def buffer_runs(self, section: Section, piece: Section,
+                    addr: int) -> list[tuple[int, int]]:
+        """``(addr, nbytes)`` column runs of ``piece`` inside the tight
+        column-major buffer at ``addr`` that holds all of ``section``."""
+        rel = piece.relative_to(section)
+        item = self.itemsize
+        return _column_runs(addr + (rel.jlo * section.rows + rel.ilo) * item,
+                            section.rows * item, piece.rows * item,
+                            0, piece.size * item)
+
+    def accumulate(self, memory, runs: list[tuple[int, int]], data,
+                   alpha: float) -> None:
+        """DAXPY ``runs += alpha * data``, run by run; the caller holds
+        the accumulate critical section."""
+        item = self.itemsize
+        if len(data) % item or any(addr % item for addr, _ in runs):
+            raise GaError("accumulate chunk not element-aligned")
+        scale = np.asarray(alpha, dtype=self.dtype)
+        pos = 0
+        for addr, n in runs:
+            view = memory.view(addr, n, dtype=self.dtype)
+            view += scale * np.frombuffer(data, self.dtype, n // item, pos)
+            pos += n
 
     # ------------------------------------------------------------------
     # local access

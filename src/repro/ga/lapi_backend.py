@@ -1,6 +1,13 @@
 """The GA-on-LAPI backend: section 5.3's hybrid protocols.
 
-Protocol selection, per owner piece of a request:
+:mod:`.api` runs the GA call itself (the call charge, the span, the
+owner loop and this rank's own piece); this backend issues the remote
+pieces (:meth:`LapiBackend.store_piece`, :meth:`LapiBackend.get_piece`),
+completes them per call (the origin-counter wait; the reply wait and
+the staged unpacks) and supplies the accumulate critical section
+(:meth:`LapiBackend.critical`: the GA mutex).
+
+Protocol selection, per remote owner piece of a request:
 
 * **contiguous** piece (single column -- the paper's "1-D" -- or
   full-height columns): direct ``LAPI_Put`` / ``LAPI_Get``, zero
@@ -30,13 +37,11 @@ from typing import TYPE_CHECKING, Generator, Optional
 
 import numpy as np
 
+from ..core.protocol import read_runs, write_runs
 from ..errors import GaError
+from .array import contiguous
 from .buffers import AmBufferPool
 from .gencounters import GenCounterArray
-from .packing import (accumulate_packed_range, gather_packed_range,
-                      local_offset_of_piece, read_local_packed,
-                      read_piece_packed, scatter_packed_range,
-                      write_local_packed)
 from .sections import Section
 from .wire import (DESCRIPTOR_SIZE, GATHER_PAIR_SIZE, Descriptor, GaOp,
                    decode_gather, decode_scatter, encode_gather,
@@ -111,9 +116,6 @@ class LapiBackend:
             "in_use": pool.in_use,
         }
 
-    def terminate(self) -> Generator:
-        yield from self.sync()
-
     def close(self) -> None:
         """Host-side release after :meth:`terminate`: the pool's slab.
         The pool object stays, so ``ga.buffers`` keeps rendering."""
@@ -143,12 +145,18 @@ class LapiBackend:
         try:
             blob = self.memory.read(slot, nbytes)
             ga = self.runtime.array(desc.handle)
+            if desc.op in (GaOp.PUT, GaOp.ACC):
+                # This chunk's share of the piece's column runs.
+                runs = ga.piece_runs(self.lapi.rank, desc.section,
+                                     desc.offset, nbytes)
             if desc.op == GaOp.PUT:
                 yield from thread.execute(cfg.copy_cost(nbytes))
-                scatter_packed_range(self.memory, ga, self.lapi.rank,
-                                     desc.section, blob, desc.offset)
+                write_runs(self.memory, runs, blob)
             elif desc.op == GaOp.ACC:
-                yield from self._apply_acc(thread, ga, desc, blob)
+                yield from self.critical(
+                    thread, cfg.daxpy_cost(nbytes),
+                    lambda: ga.accumulate(self.memory, runs, blob,
+                                          desc.alpha))
             elif desc.op == GaOp.SCATTER:
                 yield from thread.execute(cfg.copy_cost(nbytes))
                 write_elements(self.memory, ga, self.lapi.rank,
@@ -166,19 +174,15 @@ class LapiBackend:
         finally:
             self.pool.release(slot)
 
-    def _apply_acc(self, thread, ga, desc: Descriptor,
-                   blob: bytes) -> Generator:
-        """Atomic accumulate: mutex + DAXPY (section 5.3.3)."""
-        cfg = self.config
+    def critical(self, thread, cost: float, apply) -> Generator:
+        """The accumulate critical section (section 5.3.3): ``apply()``
+        after ``mutex_cost + cost`` under the node's GA mutex."""
         mutex = self._acc_mutex
         if not mutex.try_acquire(thread):
             yield from thread.wait(mutex.acquire(owner=thread))
         try:
-            yield from thread.execute(cfg.mutex_cost
-                                      + cfg.daxpy_cost(len(blob)))
-            accumulate_packed_range(self.memory, ga, self.lapi.rank,
-                                    desc.section, blob, desc.offset,
-                                    desc.alpha)
+            yield from thread.execute(self.config.mutex_cost + cost)
+            return apply()
         finally:
             mutex.release()
 
@@ -194,7 +198,7 @@ class LapiBackend:
         nbytes = piece.size * ga.itemsize
         # Pack the piece (one copy at the target, charged)...
         yield from thread.execute(cfg.copy_cost(nbytes))
-        blob = read_piece_packed(self.memory, ga, self.lapi.rank, piece)
+        blob = read_runs(self.memory, ga.piece_runs(self.lapi.rank, piece))
         # ...and push it into the origin's staging buffer.
         yield from self._put_reply(thread, src, desc, blob)
 
@@ -212,132 +216,80 @@ class LapiBackend:
         self.memory.free(scratch)
 
     # ==================================================================
-    # origin side: put / get / acc
+    # origin side: the remote pieces of put / acc / get
     # ==================================================================
-    def put(self, ga: "GlobalArray", section: Section,
-            local_addr: int) -> Generator:
-        yield from self._put_or_acc(ga, section, local_addr,
-                                    op=GaOp.PUT, alpha=1.0)
-
-    def acc(self, ga: "GlobalArray", section: Section, local_addr: int,
-            alpha: float = 1.0) -> Generator:
-        yield from self._put_or_acc(ga, section, local_addr,
-                                    op=GaOp.ACC, alpha=alpha)
-
-    def _put_or_acc(self, ga: "GlobalArray", section: Section,
-                    local_addr: int, *, op: int,
-                    alpha: float) -> Generator:
+    def store_piece(self, thread, ga: "GlobalArray", owner: int,
+                    piece: Section, section: Section, local_addr: int,
+                    op: int, alpha: float) -> Generator:
+        """Issue one remote put/acc piece; returns ``(operations
+        issued, scratch address or None)``."""
         lapi = self.lapi
-        sp = lapi.spans
-        if sp is None:
-            yield from self._put_or_acc_body(ga, section, local_addr,
-                                             op=op, alpha=alpha)
-            return
-        thread = lapi.current_thread()
-        name = "ga.acc" if op == GaOp.ACC else "ga.put"
-        op_sid = sp.open(lapi.rank, "ga", name, lapi.sim.now,
-                         parent=getattr(thread, "span_parent", None),
-                         bytes=section.size * ga.itemsize)
-        # Nested LAPI puts/amsends parent under the GA operation.
-        prev = getattr(thread, "span_parent", None)
-        thread.span_parent = op_sid
-        try:
-            yield from self._put_or_acc_body(ga, section, local_addr,
-                                             op=op, alpha=alpha)
-        finally:
-            thread.span_parent = prev
-            sp.close(op_sid, lapi.sim.now)
-
-    def _put_or_acc_body(self, ga: "GlobalArray", section: Section,
-                         local_addr: int, *, op: int,
-                         alpha: float) -> Generator:
-        lapi = self.lapi
-        cfg = self.config
-        thread = lapi.current_thread()
-        yield from thread.execute(self.gcfg.ga_call_overhead)
-        ops_issued = 0
-        scratches = []
-        for owner, piece in ga.dist.locate(section):
-            contig_local, loff = local_offset_of_piece(
-                section, piece, ga.itemsize)
-            nbytes = piece.size * ga.itemsize
-            if owner == lapi.rank:
-                yield from self._local_put_acc(thread, ga, piece,
-                                               local_addr, section, op,
-                                               alpha)
-                continue
-            # Source bytes: direct from the local buffer when the piece
-            # is contiguous there, else packed into a scratch (a copy).
-            if contig_local:
-                src_addr = local_addr + loff
-            else:
-                blob = read_local_packed(self.memory, ga, section, piece,
-                                         local_addr)
-                yield from thread.execute(cfg.copy_cost(nbytes))
-                src_addr = self.memory.malloc(nbytes)
-                self.memory.write(src_addr, blob)
-                scratches.append(src_addr)
-
-            if op == GaOp.PUT and ga.piece_is_contiguous(owner, piece):
-                # Direct RMC: the paper's preferred 1-D path.
-                tgt_addr, _ = ga.piece_addr_len(owner, piece)
-                yield from lapi.put(owner, nbytes, tgt_addr, src_addr,
+        nbytes = piece.size * ga.itemsize
+        # Source bytes: direct from the local buffer when the piece is
+        # contiguous there, else packed into a scratch (a copy).
+        src = ga.buffer_runs(section, piece, local_addr)
+        scratch = None
+        if contiguous(src):
+            src_addr = src[0][0]
+        else:
+            data = read_runs(self.memory, src)
+            yield from thread.execute(self.config.copy_cost(nbytes))
+            src_addr = scratch = self.memory.malloc(nbytes)
+            self.memory.write(src_addr, data)
+        gen = self.gen[owner]
+        tgt = ga.piece_runs(owner, piece)
+        if op == GaOp.PUT and contiguous(tgt):
+            # Direct RMC: the paper's preferred 1-D path.
+            yield from lapi.put(owner, nbytes, tgt[0][0], src_addr,
+                                org_cntr=self._org_cntr,
+                                cmpl_cntr=gen.cntr)
+            gen.record("put")
+            return 1, scratch
+        if op == GaOp.PUT and self.gcfg.use_vector_rmc:
+            # Future-work path (section 6 #1): one vector put, no
+            # per-column calls, no pack copies.
+            yield from lapi.putv(owner, [(t, src_addr + c * n, n)
+                                         for c, (t, n) in enumerate(tgt)],
+                                 org_cntr=self._org_cntr,
+                                 cmpl_cntr=gen.cntr)
+            gen.record("put")
+            return 1, scratch
+        if op == GaOp.PUT and nbytes >= self.gcfg.strided_rmc_threshold:
+            # Large strided: per-column RMC (the 0.5 MB switch).
+            for c, (t, n) in enumerate(tgt):
+                yield from lapi.put(owner, n, t, src_addr + c * n,
                                     org_cntr=self._org_cntr,
-                                    cmpl_cntr=self.gen[owner].cntr)
-                self.gen[owner].record("put")
-                ops_issued += 1
-            elif op == GaOp.PUT and self.gcfg.use_vector_rmc:
-                # Future-work path (section 6 #1): one vector put, no
-                # per-column calls, no pack copies.
-                col_bytes = piece.rows * ga.itemsize
-                runs = []
-                for ci, col in enumerate(piece.columns()):
-                    runs.append((ga.element_addr(owner, piece.ilo,
-                                                 col.jlo),
-                                 src_addr + ci * col_bytes, col_bytes))
-                yield from lapi.putv(owner, runs,
-                                     org_cntr=self._org_cntr,
-                                     cmpl_cntr=self.gen[owner].cntr)
-                self.gen[owner].record("put")
-                ops_issued += 1
-            elif (op == GaOp.PUT
-                  and nbytes >= self.gcfg.strided_rmc_threshold):
-                # Large strided: per-column RMC (the 0.5 MB switch).
-                col_bytes = piece.rows * ga.itemsize
-                for ci, col in enumerate(piece.columns()):
-                    tgt_addr = ga.element_addr(owner, piece.ilo, col.jlo)
-                    yield from lapi.put(
-                        owner, col_bytes, tgt_addr,
-                        src_addr + ci * col_bytes,
-                        org_cntr=self._org_cntr,
-                        cmpl_cntr=self.gen[owner].cntr)
-                    ops_issued += 1
-                self.gen[owner].record("put", piece.cols)
-            else:
-                # Pipelined AM chunks.
-                chunk = self.chunk_payload
-                if op == GaOp.ACC and nbytes > self.gcfg.acc_large_threshold:
-                    chunk = self.gcfg.pool_large_size
-                sent = yield from self._send_chunks(
-                    thread, ga, owner, piece, src_addr, nbytes, op,
-                    alpha, chunk)
-                ops_issued += sent
-        # GA put/acc returns when the local buffer is reusable.  Small
-        # operations fired the origin counter synchronously (internal
-        # retransmit copy), so a cheap inline check usually suffices and
-        # the full Waitcntr call is only paid when something is still
-        # in flight.
-        if ops_issued:
-            if self._org_cntr.value >= ops_issued:
-                yield from thread.execute(cfg.lapi_counter_update)
-                self._org_cntr.set(self._org_cntr.value - ops_issued)
-            else:
-                yield from lapi.waitcntr(self._org_cntr, ops_issued)
-        for addr in scratches:
-            self.memory.free(addr)
+                                    cmpl_cntr=gen.cntr)
+            gen.record("put", piece.cols)
+            return piece.cols, scratch
+        # Pipelined AM chunks.
+        chunk = self.chunk_payload
+        if op == GaOp.ACC and nbytes > self.gcfg.acc_large_threshold:
+            chunk = self.gcfg.pool_large_size
+        sent = yield from self._send_chunks(ga, owner, piece, src_addr,
+                                            nbytes, op, alpha, chunk)
+        return sent, scratch
 
-    def _send_chunks(self, thread, ga, owner: int, piece: Section,
-                     src_addr: int, nbytes: int, op: int, alpha: float,
+    def finish_store(self, thread, pending: list) -> Generator:
+        """GA put/acc returns when the local buffer is reusable.  Small
+        operations fired the origin counter synchronously (internal
+        retransmit copy), so a cheap inline check usually suffices and
+        the full Waitcntr call is only paid when something is still in
+        flight."""
+        ops_issued = sum(ops for ops, _ in pending)
+        if ops_issued:
+            org = self._org_cntr
+            if org.value >= ops_issued:
+                yield from thread.execute(self.config.lapi_counter_update)
+                org.set(org.value - ops_issued)
+            else:
+                yield from self.lapi.waitcntr(org, ops_issued)
+        for _, scratch in pending:
+            if scratch is not None:
+                self.memory.free(scratch)
+
+    def _send_chunks(self, ga, owner: int, piece: Section, src_addr: int,
+                     nbytes: int, op: int, alpha: float,
                      chunk: int) -> Generator:
         """Stream the packed piece as AM chunks; returns the count."""
         lapi = self.lapi
@@ -358,131 +310,74 @@ class LapiBackend:
             if offset >= nbytes:
                 return sent
 
-    def _local_put_acc(self, thread, ga, piece: Section, local_addr: int,
-                       section: Section, op: int,
-                       alpha: float) -> Generator:
-        cfg = self.config
-        nbytes = piece.size * ga.itemsize
-        blob = read_local_packed(self.memory, ga, section, piece,
-                                 local_addr)
-        if op == GaOp.PUT:
-            yield from thread.execute(cfg.copy_cost(nbytes))
-            scatter_packed_range(self.memory, ga, self.lapi.rank, piece,
-                                 blob, 0)
-        else:
-            desc = Descriptor(op=GaOp.ACC, handle=ga.handle,
-                              section=piece, total=nbytes, alpha=alpha)
-            yield from self._apply_acc(thread, ga, desc, blob)
-
-    # ------------------------------------------------------------------
-    def get(self, ga: "GlobalArray", section: Section,
-            local_addr: int) -> Generator:
-        """Blocking GA get (the operation is blocking in GA)."""
-        lapi = self.lapi
-        sp = lapi.spans
-        if sp is None:
-            yield from self._get_body(ga, section, local_addr)
-            return
-        thread = lapi.current_thread()
-        op_sid = sp.open(lapi.rank, "ga", "ga.get", lapi.sim.now,
-                         parent=getattr(thread, "span_parent", None),
-                         bytes=section.size * ga.itemsize)
-        prev = getattr(thread, "span_parent", None)
-        thread.span_parent = op_sid
-        try:
-            yield from self._get_body(ga, section, local_addr)
-        finally:
-            thread.span_parent = prev
-            sp.close(op_sid, lapi.sim.now)
-
-    def _get_body(self, ga: "GlobalArray", section: Section,
+    def get_piece(self, thread, ga: "GlobalArray", owner: int,
+                  piece: Section, section: Section,
                   local_addr: int) -> Generator:
+        """Issue one remote get piece; returns ``(replies expected,
+        (local runs, staging address) or None)``."""
         lapi = self.lapi
-        cfg = self.config
-        thread = lapi.current_thread()
-        yield from thread.execute(self.gcfg.ga_call_overhead)
-        replies_expected = 0
-        staged: list[tuple[Section, int, int]] = []  # piece, stage, len
-        for owner, piece in ga.dist.locate(section):
-            contig_local, loff = local_offset_of_piece(
-                section, piece, ga.itemsize)
-            nbytes = piece.size * ga.itemsize
-            if owner == lapi.rank:
-                yield from thread.execute(cfg.copy_cost(nbytes))
-                blob = read_piece_packed(self.memory, ga, lapi.rank,
-                                         piece)
-                write_local_packed(self.memory, ga, section, piece,
-                                   local_addr, blob)
-                continue
-            item = ga.itemsize
-            rel = piece.relative_to(section)
-            if ga.piece_is_contiguous(owner, piece) and contig_local:
-                # Direct RMC straight into the user's buffer: zero
-                # copies end to end (section 5.4's 1-D fast path).
-                tgt_addr, _ = ga.piece_addr_len(owner, piece)
-                yield from lapi.get(owner, nbytes, tgt_addr,
-                                    local_addr + loff,
+        nbytes = piece.size * ga.itemsize
+        dst = ga.buffer_runs(section, piece, local_addr)
+        tgt = ga.piece_runs(owner, piece)
+        if contiguous(tgt) and contiguous(dst):
+            # Direct RMC straight into the user's buffer: zero copies
+            # end to end (section 5.4's 1-D fast path).
+            yield from lapi.get(owner, nbytes, tgt[0][0], dst[0][0],
+                                org_cntr=self._reply_cntr)
+            return 1, None
+        if self.gcfg.use_vector_rmc:
+            # Future-work path: one vector get, runs land directly in
+            # the user's buffer.
+            yield from lapi.getv(owner, [(t, d, n) for (t, n), (d, _)
+                                         in zip(tgt, dst)],
+                                 org_cntr=self._reply_cntr)
+            return 1, None
+        if (self.gcfg.get_strided_rmc_threshold is not None
+                and nbytes >= self.gcfg.get_strided_rmc_threshold):
+            # The paper's 0.5MB switch: per-column gets into the user
+            # buffer (opt-in; see GaConfig for why).
+            for (t, n), (d, _) in zip(tgt, dst):
+                yield from lapi.get(owner, n, t, d,
                                     org_cntr=self._reply_cntr)
-                replies_expected += 1
-            elif self.gcfg.use_vector_rmc:
-                # Future-work path: one vector get, runs land directly
-                # in the user's buffer.
-                runs = []
-                for ci, col in enumerate(piece.columns()):
-                    dst = local_addr + ((rel.jlo + ci) * section.rows
-                                        + rel.ilo) * item
-                    runs.append((ga.element_addr(owner, piece.ilo,
-                                                 col.jlo),
-                                 dst, piece.rows * item))
-                yield from lapi.getv(owner, runs,
-                                     org_cntr=self._reply_cntr)
-                replies_expected += 1
-            elif (self.gcfg.get_strided_rmc_threshold is not None
-                  and nbytes >= self.gcfg.get_strided_rmc_threshold):
-                # The paper's 0.5MB switch: per-column gets into the
-                # user buffer (opt-in; see GaConfig for why).
-                for ci, col in enumerate(piece.columns()):
-                    tgt_addr = ga.element_addr(owner, piece.ilo, col.jlo)
-                    dst = local_addr + ((rel.jlo + ci) * section.rows
-                                        + rel.ilo) * item
-                    yield from lapi.get(owner, piece.rows * item,
-                                        tgt_addr, dst,
-                                        org_cntr=self._reply_cntr)
-                    replies_expected += 1
-            else:
-                # AM request; the target puts the packed piece back.
-                # When the piece occupies one run of the local buffer
-                # the reply lands there directly; otherwise it goes via
-                # a staging buffer and is scattered (the extra copy).
-                if contig_local:
-                    reply_addr = local_addr + loff
-                else:
-                    reply_addr = self.memory.malloc(nbytes)
-                    staged.append((piece, reply_addr, nbytes))
-                desc = Descriptor(op=GaOp.GET, handle=ga.handle,
-                                  section=piece, total=nbytes,
-                                  reply_addr=reply_addr,
-                                  reply_cntr=self._reply_cntr.id)
-                yield from lapi.amsend(owner, self._chunk_hid,
-                                       desc.pack(), None, 0)
-                replies_expected += 1
-        if replies_expected:
-            yield from lapi.waitcntr(self._reply_cntr, replies_expected)
-        for piece, stage, nbytes in staged:
-            yield from thread.execute(cfg.copy_cost(nbytes))
-            blob = self.memory.read(stage, nbytes)
-            write_local_packed(self.memory, ga, section, piece, local_addr,
-                               blob)
-            self.memory.free(stage)
+            return piece.cols, None
+        # AM request; the target puts the packed piece back.  When the
+        # piece occupies one run of the local buffer the reply lands
+        # there directly; otherwise it goes via a staging buffer and is
+        # unpacked (the extra copy).
+        staged = None
+        if contiguous(dst):
+            reply_addr = dst[0][0]
+        else:
+            reply_addr = self.memory.malloc(nbytes)
+            staged = (dst, reply_addr)
+        desc = Descriptor(op=GaOp.GET, handle=ga.handle, section=piece,
+                          total=nbytes, reply_addr=reply_addr,
+                          reply_cntr=self._reply_cntr.id)
+        yield from lapi.amsend(owner, self._chunk_hid, desc.pack(),
+                               None, 0)
+        return 1, staged
+
+    def finish_get(self, thread, pending: list) -> Generator:
+        """Wait for every reply, then unpack the staged ones."""
+        replies = sum(n for n, _ in pending)
+        if replies:
+            yield from self.lapi.waitcntr(self._reply_cntr, replies)
+        for _, staged in pending:
+            if staged is not None:
+                dst, stage = staged
+                nbytes = sum(n for _, n in dst)
+                yield from thread.execute(self.config.copy_cost(nbytes))
+                write_runs(self.memory, dst,
+                           self.memory.read(stage, nbytes))
+                self.memory.free(stage)
 
     # ==================================================================
     # scatter / gather / read_inc / locks / sync
     # ==================================================================
-    def scatter(self, ga: "GlobalArray", points: list[tuple[int, int]],
+    def scatter(self, thread, ga: "GlobalArray",
+                points: list[tuple[int, int]],
                 values: np.ndarray) -> Generator:
         lapi = self.lapi
-        thread = lapi.current_thread()
-        yield from thread.execute(self.gcfg.ga_call_overhead)
 
         def local(idxs):
             blob = encode_scatter(points, values, idxs, ga.dtype)
@@ -506,12 +401,10 @@ class LapiBackend:
         if ops:
             yield from lapi.waitcntr(self._org_cntr, ops)
 
-    def gather(self, ga: "GlobalArray",
+    def gather(self, thread, ga: "GlobalArray",
                points: list[tuple[int, int]]) -> Generator:
         lapi = self.lapi
         cfg = self.config
-        thread = lapi.current_thread()
-        yield from thread.execute(self.gcfg.ga_call_overhead)
         out = np.zeros(len(points), dtype=ga.dtype)
 
         def local(idxs):
@@ -546,20 +439,13 @@ class LapiBackend:
             self.memory.free(stage)
         return out
 
-    def read_inc(self, ga: "GlobalArray", point: tuple[int, int],
+    def read_inc(self, thread, ga: "GlobalArray", point: tuple[int, int],
                  inc: int) -> Generator:
         """Atomic fetch-and-add on an int64 element via LAPI_Rmw."""
         from ..core import RmwOp
-        if ga.dtype != np.int64:
-            raise GaError("read_inc requires an int64 global array")
-        lapi = self.lapi
-        thread = lapi.current_thread()
-        yield from thread.execute(self.gcfg.ga_call_overhead)
-        i, j = point
-        owner = ga.dist.owner_of(i, j)
-        addr = ga.element_addr(owner, i, j)
-        prev = yield from lapi.rmw_sync(RmwOp.FETCH_AND_ADD, owner,
-                                        addr, inc)
+        owner = ga.dist.owner_of(*point)
+        prev = yield from self.lapi.rmw_sync(
+            RmwOp.FETCH_AND_ADD, owner, ga.element_addr(owner, *point), inc)
         return prev
 
     def lock_cas(self, owner: int, addr: int) -> Generator:
@@ -576,10 +462,6 @@ class LapiBackend:
     # ------------------------------------------------------------------
     def fence(self, *, ordering_only: bool = False) -> Generator:
         yield from self.gen.wait_all(ordering_only=ordering_only)
-
-    def sync(self) -> Generator:
-        yield from self.fence()
-        yield from self.lapi.gfence()
 
     def barrier(self) -> Generator:
         yield from self.lapi.gfence()

@@ -17,6 +17,12 @@ target and invoke a ``rcvncall`` message handler:
 * **fence** exploits per-source in-order request servicing: a flush
   request's reply proves all earlier requests from this origin were
   handled.
+
+:mod:`.api` runs the GA call itself (the call charge, the span, the
+owner loop and this rank's own piece); this backend issues the remote
+pieces (:meth:`MplBackend.store_piece`, :meth:`MplBackend.get_piece`),
+completes a put/acc with ``waitall`` and supplies the critical section
+(:meth:`MplBackend.critical`: ``lockrnc``).
 """
 
 from __future__ import annotations
@@ -25,12 +31,10 @@ from typing import TYPE_CHECKING, Generator, Optional
 
 import numpy as np
 
+from ..core.protocol import read_runs, write_runs
 from ..errors import GaError
 from ..sim import SimLock
-from .packing import (accumulate_packed_range, local_offset_of_piece,
-                      read_local_packed, read_piece_packed,
-                      scatter_packed_range, write_local_packed,
-                      write_piece_packed)
+from .array import contiguous
 from .sections import Section
 from .wire import (DESCRIPTOR_SIZE, GATHER_PAIR_SIZE, Descriptor, GaOp,
                    decode_gather, decode_scatter, encode_gather,
@@ -83,9 +87,6 @@ class MplBackend:
         self.mpl.rcvncall(GA_REQ_TAG, self._request_handler)
         yield from self.mpl.barrier()
 
-    def terminate(self) -> Generator:
-        yield from self.sync()
-
     def close(self) -> None:
         """Host-side release after :meth:`terminate`: MPL receives
         into message buffers, so this backend holds no node memory."""
@@ -108,20 +109,17 @@ class MplBackend:
             if desc.op == GaOp.PUT:
                 ga = self.runtime.array(desc.handle)
                 yield from thread.execute(cfg.copy_cost(len(data)))
-                scatter_packed_range(self.memory, ga, rank,
-                                     desc.section, data, desc.offset)
+                write_runs(self.memory, ga.piece_runs(
+                    rank, desc.section, desc.offset, len(data)), data)
             elif desc.op == GaOp.ACC:
                 ga = self.runtime.array(desc.handle)
+                runs = ga.piece_runs(rank, desc.section, desc.offset,
+                                     len(data))
                 # lockrnc guards against re-entry, as in section 5.2.
-                self.mpl.lockrnc(True)
-                try:
-                    yield from thread.execute(
-                        cfg.mutex_cost + cfg.daxpy_cost(len(data)))
-                    accumulate_packed_range(self.memory, ga, rank,
-                                            desc.section, data,
-                                            desc.offset, desc.alpha)
-                finally:
-                    self.mpl.lockrnc(False)
+                yield from self.critical(
+                    thread, cfg.daxpy_cost(len(data)),
+                    lambda: ga.accumulate(self.memory, runs, data,
+                                          desc.alpha))
             elif desc.op == GaOp.GET:
                 ga = self.runtime.array(desc.handle)
                 piece = desc.section
@@ -130,33 +128,12 @@ class MplBackend:
                 # buffer: the handler packs unconditionally (the copy
                 # LAPI's one-sided replies avoid).
                 yield from thread.execute(cfg.copy_cost(nbytes))
-                payload = read_piece_packed(self.memory, ga, rank,
-                                            piece)
+                payload = read_runs(self.memory,
+                                    ga.piece_runs(rank, piece))
                 yield from self.mpl.send(src, payload, nbytes,
                                          GA_REP_TAG)
-            elif desc.op == GaOp.READ_INC:
-                ga = self.runtime.array(desc.handle)
-                i, j = desc.section.ilo, desc.section.jlo
-                addr = ga.element_addr(rank, i, j)
-                self.mpl.lockrnc(True)
-                try:
-                    yield from thread.execute(cfg.mutex_cost + 0.5)
-                    prev = self.memory.read_i64(addr)
-                    self.memory.write_i64(addr, prev + desc.aux)
-                finally:
-                    self.mpl.lockrnc(False)
-                yield from self.mpl.send(
-                    src, np.int64(prev).tobytes(), 8, GA_REP_TAG)
-            elif desc.op == GaOp.LOCK_CAS:
-                addr = desc.reply_addr  # lock word address (local)
-                self.mpl.lockrnc(True)
-                try:
-                    yield from thread.execute(cfg.mutex_cost + 0.5)
-                    prev = self.memory.read_i64(addr)
-                    if prev == desc.aux:
-                        self.memory.write_i64(addr, int(desc.alpha))
-                finally:
-                    self.mpl.lockrnc(False)
+            elif desc.op in (GaOp.READ_INC, GaOp.LOCK_CAS):
+                prev = yield from self._word_here(thread, desc)
                 yield from self.mpl.send(
                     src, np.int64(prev).tobytes(), 8, GA_REP_TAG)
             elif desc.op == GaOp.FENCE:
@@ -179,6 +156,39 @@ class MplBackend:
         finally:
             lock.release()
 
+    def critical(self, thread, cost: float, apply) -> Generator:
+        """The critical section of section 5.2: ``apply()`` after
+        ``mutex_cost + cost`` with interrupts masked by ``lockrnc``."""
+        mpl = self.mpl
+        mpl.lockrnc(True)
+        try:
+            yield from thread.execute(self.config.mutex_cost + cost)
+            return apply()
+        finally:
+            mpl.lockrnc(False)
+
+    def _word_here(self, thread, desc: Descriptor) -> Generator:
+        """READ_INC (add ``aux``) or LOCK_CAS (``aux`` -> ``alpha``) on
+        one of this rank's int64 words; returns the old value."""
+        memory = self.memory
+        if desc.op == GaOp.READ_INC:
+            s = desc.section
+            addr = self.runtime.array(desc.handle).element_addr(
+                self.mpl.rank, s.ilo, s.jlo)
+        else:
+            addr = desc.reply_addr  # the lock word's local address
+
+        def apply():
+            prev = memory.read_i64(addr)
+            if desc.op == GaOp.READ_INC:
+                memory.write_i64(addr, prev + desc.aux)
+            elif prev == desc.aux:
+                memory.write_i64(addr, int(desc.alpha))
+            return prev
+
+        prev = yield from self.critical(thread, 0.5, apply)
+        return prev
+
     # ==================================================================
     # origin side
     # ==================================================================
@@ -191,100 +201,70 @@ class MplBackend:
                                                 + len(data)))
         return desc.pack() + data
 
+    def _request(self, thread, owner: int, desc: Descriptor,
+                 data: bytes = b"") -> Generator:
+        """Send one request and return the bytes of its reply."""
+        msg = yield from self._pack_request(thread, desc, data)
+        yield from self.mpl.send(owner, msg, len(msg), GA_REQ_TAG)
+        reply = yield from self.mpl.recv_bytes(owner, GA_REP_TAG)
+        return reply
+
     def _count(self, owner: int) -> None:
         self._issued[owner] = self._issued.get(owner, 0) + 1
 
-    def put(self, ga: "GlobalArray", section: Section,
-            local_addr: int) -> Generator:
-        yield from self._put_or_acc(ga, section, local_addr, GaOp.PUT,
-                                    1.0)
+    def store_piece(self, thread, ga: "GlobalArray", owner: int,
+                    piece: Section, section: Section, local_addr: int,
+                    op: int, alpha: float) -> Generator:
+        """Send one remote put/acc piece as a single request message;
+        returns its send request."""
+        data = read_runs(self.memory,
+                         ga.buffer_runs(section, piece, local_addr))
+        desc = Descriptor(op=op, handle=ga.handle, section=piece,
+                          offset=0, total=len(data), alpha=alpha)
+        blob = yield from self._pack_request(thread, desc, data)
+        req = yield from self.mpl.isend(owner, blob, len(blob),
+                                        GA_REQ_TAG)
+        self._count(owner)
+        return req
 
-    def acc(self, ga: "GlobalArray", section: Section, local_addr: int,
-            alpha: float = 1.0) -> Generator:
-        yield from self._put_or_acc(ga, section, local_addr, GaOp.ACC,
-                                    alpha)
+    def finish_store(self, thread, pending: list) -> Generator:
+        """GA put returns when local buffers are reusable; the packed
+        blob is already a private copy, so only transport completion
+        of unbuffered sends gates us."""
+        yield from self.mpl.waitall(pending)
 
-    def _put_or_acc(self, ga: "GlobalArray", section: Section,
-                    local_addr: int, op: int,
-                    alpha: float) -> Generator:
+    def get_piece(self, thread, ga: "GlobalArray", owner: int,
+                  piece: Section, section: Section,
+                  local_addr: int) -> Generator:
+        """Fetch one remote piece: a request, then its reply."""
         mpl = self.mpl
-        cfg = self.config
-        thread = mpl.current_thread()
-        yield from thread.execute(self.gcfg.ga_call_overhead)
-        requests = []
-        for owner, piece in ga.dist.locate(section):
-            nbytes = piece.size * ga.itemsize
-            data = read_local_packed(self.memory, ga, section, piece,
-                                     local_addr)
-            if owner == mpl.rank:
-                if op == GaOp.PUT:
-                    yield from thread.execute(cfg.copy_cost(nbytes))
-                    scatter_packed_range(self.memory, ga, mpl.rank,
-                                         piece, data, 0)
-                else:
-                    mpl.lockrnc(True)
-                    try:
-                        yield from thread.execute(
-                            cfg.mutex_cost + cfg.daxpy_cost(nbytes))
-                        accumulate_packed_range(self.memory, ga,
-                                                mpl.rank, piece, data,
-                                                0, alpha)
-                    finally:
-                        mpl.lockrnc(False)
-                continue
-            desc = Descriptor(op=op, handle=ga.handle, section=piece,
-                              offset=0, total=nbytes, alpha=alpha)
-            blob = yield from self._pack_request(thread, desc, data)
-            req = yield from mpl.isend(owner, blob, len(blob),
-                                       GA_REQ_TAG)
-            requests.append(req)
-            self._count(owner)
-        # GA put returns when local buffers are reusable; the packed
-        # blob is already a private copy, so only transport completion
-        # of unbuffered sends gates us.
-        yield from mpl.waitall(requests)
+        nbytes = piece.size * ga.itemsize
+        desc = Descriptor(op=GaOp.GET, handle=ga.handle, section=piece,
+                          total=nbytes)
+        blob = yield from self._pack_request(thread, desc, b"")
+        yield from mpl.send(owner, blob, len(blob), GA_REQ_TAG)
+        dst = ga.buffer_runs(section, piece, local_addr)
+        if contiguous(ga.piece_runs(owner, piece)) and contiguous(dst):
+            # 1-D fast path: post the receive straight onto the user's
+            # buffer -- "the MPL implementation is able to avoid one
+            # memory copy" (section 5.4).
+            yield from mpl.recv(owner, GA_REP_TAG, dst[0][0], nbytes)
+        else:
+            # Strided replies go through the receive buffer and are
+            # unpacked -- the extra copy the 1998 code paid on every
+            # 2-D request.
+            reply = yield from mpl.recv_bytes(owner, GA_REP_TAG)
+            yield from thread.execute(self.config.copy_cost(nbytes))
+            write_runs(self.memory, dst, reply)
 
-    def get(self, ga: "GlobalArray", section: Section,
-            local_addr: int) -> Generator:
-        mpl = self.mpl
-        cfg = self.config
-        thread = mpl.current_thread()
-        yield from thread.execute(self.gcfg.ga_call_overhead)
-        for owner, piece in ga.dist.locate(section):
-            nbytes = piece.size * ga.itemsize
-            contig_local, loff = local_offset_of_piece(
-                section, piece, ga.itemsize)
-            if owner == mpl.rank:
-                yield from thread.execute(cfg.copy_cost(nbytes))
-                blob = read_piece_packed(self.memory, ga, mpl.rank,
-                                         piece)
-                write_local_packed(self.memory, ga, section, piece,
-                                   local_addr, blob)
-                continue
-            desc = Descriptor(op=GaOp.GET, handle=ga.handle,
-                              section=piece, total=nbytes)
-            blob = yield from self._pack_request(thread, desc, b"")
-            yield from mpl.send(owner, blob, len(blob), GA_REQ_TAG)
-            if ga.piece_is_contiguous(owner, piece) and contig_local:
-                # 1-D fast path: post the receive straight onto the
-                # user's buffer -- "the MPL implementation is able to
-                # avoid one memory copy" (section 5.4).
-                yield from mpl.recv(owner, GA_REP_TAG,
-                                    local_addr + loff, nbytes)
-            else:
-                # Strided replies go through the receive buffer and
-                # are unpacked -- the extra copy the 1998 code paid on
-                # every 2-D request.
-                reply = yield from mpl.recv_bytes(owner, GA_REP_TAG)
-                yield from thread.execute(cfg.copy_cost(nbytes))
-                write_local_packed(self.memory, ga, section, piece,
-                                   local_addr, reply)
+    def finish_get(self, thread, pending: list) -> Generator:
+        """Nothing left: each piece's reply arrived as it was fetched."""
+        yield from ()
 
     # ------------------------------------------------------------------
-    def scatter(self, ga: "GlobalArray", points, values) -> Generator:
+    def scatter(self, thread, ga: "GlobalArray", points,
+                values) -> Generator:
         mpl = self.mpl
-        thread = mpl.current_thread()
-        yield from thread.execute(self.gcfg.ga_call_overhead)
 
         def local(idxs):
             blob = encode_scatter(points, values, idxs, ga.dtype)
@@ -302,11 +282,8 @@ class MplBackend:
             self._count(owner)
         yield from mpl.waitall(requests)
 
-    def gather(self, ga: "GlobalArray", points) -> Generator:
+    def gather(self, thread, ga: "GlobalArray", points) -> Generator:
         mpl = self.mpl
-        cfg = self.config
-        thread = mpl.current_thread()
-        yield from thread.execute(self.gcfg.ga_call_overhead)
         out = np.zeros(len(points), dtype=ga.dtype)
 
         def local(idxs):
@@ -319,85 +296,49 @@ class MplBackend:
             desc = Descriptor(op=GaOp.GATHER, handle=ga.handle,
                               section=ga.local_block, total=len(blob),
                               aux=len(idxs))
-            msg = yield from self._pack_request(thread, desc, blob)
-            yield from mpl.send(owner, msg, len(msg), GA_REQ_TAG)
-            reply = yield from mpl.recv_bytes(owner, GA_REP_TAG)
+            reply = yield from self._request(thread, owner, desc, blob)
             yield from thread.execute(
-                cfg.copy_cost(len(idxs) * ga.itemsize))
+                self.config.copy_cost(len(idxs) * ga.itemsize))
             out[idxs] = np.frombuffer(reply, dtype=ga.dtype)
         return out
 
-    def read_inc(self, ga: "GlobalArray", point, inc: int) -> Generator:
-        if ga.dtype != np.int64:
-            raise GaError("read_inc requires an int64 global array")
-        mpl = self.mpl
-        thread = mpl.current_thread()
-        yield from thread.execute(self.gcfg.ga_call_overhead)
+    def read_inc(self, thread, ga: "GlobalArray", point,
+                 inc: int) -> Generator:
         i, j = point
-        owner = ga.dist.owner_of(i, j)
-        if owner == mpl.rank:
-            addr = ga.element_addr(owner, i, j)
-            mpl.lockrnc(True)
-            try:
-                yield from thread.execute(self.config.mutex_cost + 0.5)
-                prev = self.memory.read_i64(addr)
-                self.memory.write_i64(addr, prev + inc)
-            finally:
-                mpl.lockrnc(False)
-            return prev
         desc = Descriptor(op=GaOp.READ_INC, handle=ga.handle,
                           section=Section(i, i, j, j), aux=inc)
-        blob = yield from self._pack_request(thread, desc, b"")
-        yield from mpl.send(owner, blob, len(blob), GA_REQ_TAG)
-        reply = yield from mpl.recv_bytes(owner, GA_REP_TAG)
-        return int(np.frombuffer(reply, np.int64)[0])
+        prev = yield from self._word(thread, ga.dist.owner_of(i, j), desc)
+        return prev
 
     def lock_cas(self, owner: int, addr: int) -> Generator:
-        """One CAS attempt on a remote lock word via a request."""
-        mpl = self.mpl
-        thread = mpl.current_thread()
-        if owner == mpl.rank:
-            mpl.lockrnc(True)
-            try:
-                yield from thread.execute(self.config.mutex_cost + 0.5)
-                prev = self.memory.read_i64(addr)
-                if prev == 0:
-                    self.memory.write_i64(addr, 1)
-            finally:
-                mpl.lockrnc(False)
-            return prev == 0
+        """One CAS attempt (0 -> 1) on a lock word."""
         desc = Descriptor(op=GaOp.LOCK_CAS, handle=-1,
                           section=Section(0, 0, 0, 0), alpha=1.0,
                           reply_addr=addr, aux=0)
-        blob = yield from self._pack_request(thread, desc, b"")
-        yield from mpl.send(owner, blob, len(blob), GA_REQ_TAG)
-        reply = yield from mpl.recv_bytes(owner, GA_REP_TAG)
-        return int(np.frombuffer(reply, np.int64)[0]) == 0
+        prev = yield from self._word(self.mpl.current_thread(), owner,
+                                     desc)
+        return prev == 0
 
     def unlock_swap(self, owner: int, addr: int) -> Generator:
-        mpl = self.mpl
-        thread = mpl.current_thread()
-        if owner == mpl.rank:
-            mpl.lockrnc(True)
-            try:
-                yield from thread.execute(self.config.mutex_cost + 0.5)
-                self.memory.write_i64(addr, 0)
-            finally:
-                mpl.lockrnc(False)
-            return
         desc = Descriptor(op=GaOp.LOCK_CAS, handle=-1,
                           section=Section(0, 0, 0, 0), alpha=0.0,
                           reply_addr=addr, aux=1)
-        blob = yield from self._pack_request(thread, desc, b"")
-        yield from mpl.send(owner, blob, len(blob), GA_REQ_TAG)
-        yield from mpl.recv_bytes(owner, GA_REP_TAG)
+        yield from self._word(self.mpl.current_thread(), owner, desc)
+
+    def _word(self, thread, owner: int, desc: Descriptor) -> Generator:
+        """A word operation in place when this rank owns the word, else
+        as a request; returns the old value."""
+        if owner == self.mpl.rank:
+            prev = yield from self._word_here(thread, desc)
+            return prev
+        reply = yield from self._request(thread, owner, desc)
+        return int(np.frombuffer(reply, np.int64)[0])
 
     # ------------------------------------------------------------------
     def fence(self, *, ordering_only: bool = False) -> Generator:
         """Flush: in-order servicing makes one round trip per target
         with outstanding requests sufficient."""
-        mpl = self.mpl
-        thread = mpl.current_thread()
+        thread = self.mpl.current_thread()
         for owner in list(self._issued):
             count = self._issued.get(owner, 0)
             if count <= 0:
@@ -405,13 +346,7 @@ class MplBackend:
             self._issued[owner] = 0
             desc = Descriptor(op=GaOp.FENCE, handle=-1,
                               section=Section(0, 0, 0, 0), aux=count)
-            blob = yield from self._pack_request(thread, desc, b"")
-            yield from mpl.send(owner, blob, len(blob), GA_REQ_TAG)
-            yield from mpl.recv_bytes(owner, GA_REP_TAG)
-
-    def sync(self) -> Generator:
-        yield from self.fence()
-        yield from self.mpl.barrier()
+            yield from self._request(thread, owner, desc)
 
     def barrier(self) -> Generator:
         yield from self.mpl.barrier()

@@ -1,10 +1,11 @@
-"""Unit tests for GA wire descriptors, buffer pool, packing helpers."""
+"""Unit tests for GA wire descriptors, buffer pool, column runs."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.protocol import read_runs, write_runs
 from repro.errors import GaError
 from repro.ga import DESCRIPTOR_SIZE, Descriptor, GaOp, Section
 from repro.ga.buffers import AmBufferPool
@@ -257,55 +258,39 @@ class TestPacking:
         return mem, ga
 
     def test_read_write_piece_roundtrip(self):
-        from repro.ga.packing import read_piece_packed, write_piece_packed
         mem, ga = self._make_ga()
         piece = Section(1, 4, 2, 5)
+        runs = ga.piece_runs(0, piece)
+        assert len(runs) == piece.cols
         data = np.arange(piece.size, dtype=np.float64).tobytes()
-        write_piece_packed(mem, ga, 0, piece, data)
-        assert read_piece_packed(mem, ga, 0, piece) == data
+        write_runs(mem, runs, data)
+        assert read_runs(mem, runs) == data
 
     def test_scatter_range_equals_full_write(self):
-        from repro.ga.packing import (read_piece_packed,
-                                      scatter_packed_range)
         mem, ga = self._make_ga()
         piece = Section(0, 5, 1, 6)
         data = np.arange(piece.size, dtype=np.float64).tobytes()
         # Deliver in awkward chunk sizes.
         for off in range(0, len(data), 56):
-            scatter_packed_range(mem, ga, 0, piece,
-                                 data[off:off + 56], off)
-        assert read_piece_packed(mem, ga, 0, piece) == data
-
-    def test_gather_range_matches(self):
-        from repro.ga.packing import (gather_packed_range,
-                                      write_piece_packed)
-        mem, ga = self._make_ga()
-        piece = Section(2, 6, 0, 3)
-        data = np.arange(piece.size, dtype=np.float64).tobytes()
-        write_piece_packed(mem, ga, 0, piece, data)
-        got = b"".join(gather_packed_range(mem, ga, 0, piece, off,
-                                           min(48, len(data) - off))
-                       for off in range(0, len(data), 48))
-        assert got == data
+            chunk = data[off:off + 56]
+            write_runs(mem, ga.piece_runs(0, piece, off, len(chunk)),
+                       chunk)
+        assert read_runs(mem, ga.piece_runs(0, piece)) == data
 
     def test_accumulate_range(self):
-        from repro.ga.packing import (accumulate_packed_range,
-                                      read_piece_packed,
-                                      write_piece_packed)
         mem, ga = self._make_ga()
         piece = Section(0, 3, 0, 3)
+        runs = ga.piece_runs(0, piece)
         base = np.full(piece.size, 10.0)
-        write_piece_packed(mem, ga, 0, piece, base.tobytes())
+        write_runs(mem, runs, base.tobytes())
         add = np.arange(piece.size, dtype=np.float64)
-        accumulate_packed_range(mem, ga, 0, piece, add.tobytes(), 0,
-                                alpha=2.0)
-        out = np.frombuffer(read_piece_packed(mem, ga, 0, piece))
+        ga.accumulate(mem, runs, add.tobytes(), alpha=2.0)
+        out = np.frombuffer(read_runs(mem, runs))
         assert np.allclose(out, 10.0 + 2.0 * add)
 
     def test_local_pack_roundtrip_of_partial_columns(self):
         """A piece covering rows 2-4 of a 6-row section: its columns
         are strided in the local buffer, and only it is written back."""
-        from repro.ga.packing import read_local_packed, write_local_packed
         mem, ga = self._make_ga()
         section = Section(1, 6, 2, 5)
         piece = Section(3, 5, 3, 4)
@@ -313,13 +298,13 @@ class TestPacking:
         src = mem.malloc(nbytes)
         local = np.arange(section.size, dtype=np.float64)
         mem.write(src, local.tobytes())
-        blob = read_local_packed(mem, ga, section, piece, src)
+        blob = read_runs(mem, ga.buffer_runs(section, piece, src))
         grid = local.reshape(section.cols, section.rows)
         assert blob == grid[1:3, 2:5].tobytes()
 
         dst = mem.malloc(nbytes)
         mem.write(dst, b"\0" * nbytes)
-        write_local_packed(mem, ga, section, piece, dst, blob)
+        write_runs(mem, ga.buffer_runs(section, piece, dst), blob)
         out = np.frombuffer(mem.read(dst, nbytes)).reshape(
             section.cols, section.rows)
         assert out[1:3, 2:5].tobytes() == blob
@@ -328,21 +313,18 @@ class TestPacking:
         assert not out_rest.any()
 
     def test_chunk_overrun_rejected(self):
-        from repro.ga.packing import scatter_packed_range
         mem, ga = self._make_ga()
         piece = Section(0, 1, 0, 1)
         with pytest.raises(GaError, match="overruns"):
-            scatter_packed_range(mem, ga, 0, piece, b"x" * 64, 0)
+            ga.piece_runs(0, piece, 0, 64)
 
     @given(st.integers(1, 7), st.integers(1, 7), st.data())
     def test_chunked_scatter_roundtrip_property(self, rows, cols, data):
-        from repro.ga.packing import (read_piece_packed,
-                                      scatter_packed_range)
         mem, ga = self._make_ga()
         piece = Section(0, rows - 1, 0, cols - 1)
         blob = np.random.default_rng(0).random(piece.size).tobytes()
         chunk = data.draw(st.integers(8, 128))
         for off in range(0, len(blob), chunk):
-            scatter_packed_range(mem, ga, 0, piece,
-                                 blob[off:off + chunk], off)
-        assert read_piece_packed(mem, ga, 0, piece) == blob
+            part = blob[off:off + chunk]
+            write_runs(mem, ga.piece_runs(0, piece, off, len(part)), part)
+        assert read_runs(mem, ga.piece_runs(0, piece)) == blob
