@@ -3,9 +3,11 @@
 The active-message primitive of section 2.1: ships a user header and
 optional user data to the target, where a registered *header handler*
 names the receive buffer and an optional *completion handler* runs once
-all packets have landed.  Origin-side mechanics mirror put (same
-internal-copy / acknowledgement counter semantics); what differs is the
-first packet, which carries the uhdr and the handler id.
+all packets have landed.  A remote active message is a put on the wire:
+the same origin chain, internal-copy / acknowledgement counter
+semantics and sender (:func:`repro.core.putget.send_message`); what
+differs is the first packet, which carries the uhdr and the handler id.
+Every argument is checked before anything is charged.
 """
 
 from __future__ import annotations
@@ -13,10 +15,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator, Optional, Union
 
 from ..errors import LapiError
-from ..machine.packet import packet_count, reserve_uids
-from .context import SendState
-from .protocol import am_first_room, am_packet
-from .putget import _make_send_complete, _origin_bursts
+from ..machine.packet import packet_count
+from .protocol import am_first_room, am_packets
+from .putget import _origin_bursts, send_message
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .api import Lapi
@@ -45,6 +46,15 @@ def do_amsend(lapi: "Lapi", target: int, handler_id: int, uhdr: bytes,
             f"target {target} outside job of {ctx.size} tasks")
     if udata_len < 0:
         raise LapiError(f"negative udata_len {udata_len}")
+    uhdr = bytes(uhdr)
+    first_room = am_first_room(cfg, uhdr)
+    if udata is None:
+        if udata_len:
+            raise LapiError("udata_len nonzero but no udata supplied")
+    elif isinstance(udata, (bytes, bytearray, memoryview)):
+        if len(udata) < udata_len:
+            raise LapiError(
+                f"udata holds {len(udata)} bytes, expected {udata_len}")
     sp = lapi.spans
     op_sid = None
     t_call = lapi.sim.now
@@ -53,14 +63,14 @@ def do_amsend(lapi: "Lapi", target: int, handler_id: int, uhdr: bytes,
                          parent=getattr(thread, "span_parent", None),
                          dst=target, bytes=udata_len, handler=handler_id)
     local = target == ctx.rank
-    small = udata_len <= cfg.lapi_retrans_copy_limit
     if local:
         yield from thread.execute(cfg.lapi_call_overhead)
         if sp is not None:
             sp.emit(ctx.rank, "lapi", "amsend", "call", t_call,
                     lapi.sim.now, parent=op_sid, bytes=udata_len)
     else:
-        yield from _origin_bursts(
+        small = udata_len <= cfg.lapi_retrans_copy_limit
+        chained = yield from _origin_bursts(
             lapi, thread, "amsend", op_sid, t_call, udata_len,
             cfg.copy_cost(udata_len + len(uhdr)) if small else None,
             org_cntr)
@@ -68,62 +78,30 @@ def do_amsend(lapi: "Lapi", target: int, handler_id: int, uhdr: bytes,
     ctx.stats.bytes_sent += udata_len
 
     if udata is None:
-        if udata_len:
-            raise LapiError("udata_len nonzero but no udata supplied")
         data = b""
     elif isinstance(udata, (bytes, bytearray, memoryview)):
         data = bytes(udata[:udata_len])
-        if len(data) != udata_len:
-            raise LapiError(
-                f"udata holds {len(data)} bytes, expected {udata_len}")
     else:
         data = lapi.memory.read(udata, udata_len) if udata_len else b""
 
     if local:
-        yield from _local_amsend(lapi, thread, handler_id, bytes(uhdr),
-                                 data, tgt_cntr, org_cntr, cmpl_cntr)
+        yield from _local_amsend(lapi, thread, handler_id, uhdr, data,
+                                 tgt_cntr, org_cntr, cmpl_cntr)
         if sp is not None:
             sp.close(op_sid, lapi.sim.now, local=True)
         return
 
     msg_id = ctx.new_msg_id()
-    cmpl_id = cmpl_cntr.id if cmpl_cntr is not None else None
-    uhdr = bytes(uhdr)
-    first_room = am_first_room(cfg, uhdr)
-    chunk = cfg.lapi_payload
-    header = cfg.lapi_header
-    send_cost = cfg.lapi_pkt_send_cost
-    npkts = packet_count(len(uhdr) + udata_len, chunk)
-    uid0 = reserve_uids(npkts)
-    if sp is not None:
-        sp.bind_packets(uid0, npkts, op_sid, "amsend", udata_len,
-                        msg_key=("lapi", ctx.rank, msg_id))
-
-    state = SendState(msg_id, target, total_packets=npkts,
-                      org_cntr=None if small else org_cntr,
-                      org_counted=small)
-    ctx.send_msgs[msg_id] = state
-    ctx.op_issued(target)
-    state.on_complete = _make_send_complete(lapi, state)
-    # The first packet's send cost rode the origin chain unless an
-    # origin-counter update ended it (see ``_origin_bursts``).
-    charged = not (small and org_cntr is not None)
-    if not charged:
-        org_cntr.add(1)
     rank = ctx.rank
-    send_data = lapi.transport.send_data
-    on_ack = state.ack_one
-    for i in range(npkts):
-        if charged:
-            charged = False
-        else:
-            yield from thread.execute(send_cost)
-        yield from send_data(thread, am_packet(
-            rank, target, msg_id, handler_id, uhdr, data, tgt_cntr,
-            cmpl_id, chunk, header, first_room, i, uid0 + i),
-            on_ack=on_ack)
-    if sp is not None:
-        sp.close(op_sid, lapi.sim.now, packets=npkts)
+    cmpl_id = cmpl_cntr.id if cmpl_cntr is not None else None
+    yield from send_message(
+        lapi, thread, target,
+        packet_count(len(uhdr) + udata_len, cfg.lapi_payload),
+        lambda uid: am_packets(rank, target, msg_id, handler_id, uhdr,
+                               data, first_room, cfg, uid,
+                               tgt_cntr_id=tgt_cntr, cmpl_cntr_id=cmpl_id),
+        "amsend", op_sid, udata_len, msg_id=msg_id, org_cntr=org_cntr,
+        chained=chained)
 
 
 def _local_amsend(lapi: "Lapi", thread, handler_id: int, uhdr: bytes,

@@ -45,7 +45,7 @@ from .endpoint import Endpoint
 from .env import do_qenv, do_senv
 from .fence import do_fence, do_gfence
 from .protocol import PROTO
-from .putget import do_get, do_getv, do_put, do_putv
+from .putget import do_get, do_put
 from .rmw import do_rmw
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -144,6 +144,14 @@ class Lapi(Endpoint):
         """
         return self.ctx.new_counter(name=name)
 
+    def local_counter(self) -> LapiCounter:
+        """Create a counter only this task updates, for an ``org_cntr``:
+        unregistered, so it cannot be named as a ``tgt_cntr`` or
+        ``cmpl_cntr`` (both travel by id)."""
+        cntr = LapiCounter(-1, name="local")
+        cntr.on_change = self.ctx.progress_ws.notify_all
+        return cntr
+
     def setcntr(self, cntr: LapiCounter, value: int) -> None:
         """LAPI_Setcntr."""
         cntr.set(value)
@@ -215,14 +223,16 @@ class Lapi(Endpoint):
         """LAPI_Putv -- the non-contiguous put of section 6's future
         work: one call scatters ``(tgt_addr, org_addr, nbytes)`` runs."""
         self._check_live()
-        return do_putv(self, target, runs, tgt_cntr, org_cntr, cmpl_cntr)
+        return do_put(self, target, None, None, None, tgt_cntr, org_cntr,
+                      cmpl_cntr, runs)
 
     def getv(self, target: int, runs,
              org_cntr: Optional[LapiCounter] = None) -> Generator:
         """LAPI_Getv -- the non-contiguous get of section 6's future
         work: one call gathers ``(tgt_addr, org_addr, nbytes)`` runs."""
         self._check_live()
-        return do_getv(self, target, runs, org_cntr)
+        return do_get(self, target, None, None, None, None, org_cntr,
+                      runs)
 
     def rmw(self, op: RmwOp, target: int, tgt_addr: int, in_val: int,
             cmp_val: Optional[int] = None,
@@ -247,7 +257,7 @@ class Lapi(Endpoint):
     def get_sync(self, target: int, length: int, tgt_addr: int,
                  org_addr: int) -> Generator:
         """Get and wait until the data has arrived locally."""
-        org = self.counter()
+        org = self.local_counter()
         yield from self.get(target, length, tgt_addr, org_addr,
                             org_cntr=org)
         yield from self.waitcntr(org, 1)

@@ -2,10 +2,10 @@
 
 Everything a LAPI instance tracks between calls lives in a
 :class:`LapiContext`: the counter and handler tables, in-flight send
-message states, receive-side reassembly buffers, pending gets and RMWs,
-fence accounting, barrier tokens, and statistics.  Keeping it in one
-object (separate from the API facade) makes the dispatcher/API split
-clean and the state inspectable from tests.
+message states, receive-side assemblies (gets' replies among them),
+pending RMWs, fence accounting, barrier tokens, and statistics.
+Keeping it in one object (separate from the API facade) makes the
+dispatcher/API split clean and the state inspectable from tests.
 """
 
 from __future__ import annotations
@@ -15,13 +15,14 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..errors import LapiError
 from ..sim import SimLock, WaitSet
+from .constants import PacketKind
 from .counters import LapiCounter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim import Event, Simulator
 
 __all__ = ["LapiContext", "LapiStats", "SendState", "RecvAssembly",
-           "GetPending", "RmwPending"]
+           "RmwPending"]
 
 
 @dataclass
@@ -47,11 +48,10 @@ class SendState:
     """Origin-side tracking of one outgoing data message."""
 
     __slots__ = ("msg_id", "dst", "total_packets", "acked_packets",
-                 "org_cntr", "org_counted", "on_complete")
+                 "org_cntr", "on_complete")
 
     def __init__(self, msg_id: int, dst: int, total_packets: int,
-                 org_cntr: Optional[LapiCounter],
-                 org_counted: bool) -> None:
+                 org_cntr: Optional[LapiCounter]) -> None:
         self.msg_id = msg_id
         self.dst = dst
         self.total_packets = total_packets
@@ -60,7 +60,6 @@ class SendState:
         #: fully acknowledged (None if it fired at send time -- the
         #: small-message internal-copy case).
         self.org_cntr = org_cntr
-        self.org_counted = org_counted
         #: Hook run when the last packet is acknowledged.
         self.on_complete: Optional[Callable[[], None]] = None
 
@@ -77,60 +76,59 @@ class SendState:
 
 
 class RecvAssembly:
-    """Target-side reassembly of one multi-packet message.
+    """Receive-side assembly of one data message: a put or active
+    message at its target, a get's reply at its origin.
 
-    Tolerates arbitrary packet arrival order: packets that land before
-    the message's first packet (which carries the AM user header) are
-    stashed in LAPI-internal buffers and flushed once the header handler
-    has supplied the destination buffer.
+    Tolerates arbitrary packet arrival order.  Put and get-reply packets
+    are self-describing, so each lands as it arrives; an active
+    message's packets that land before its first packet (which carries
+    the user header) are stashed in LAPI-internal buffers and flushed
+    once the header handler has supplied the destination buffer.
     """
 
     __slots__ = ("src", "msg_id", "mtype", "total_len", "received",
                  "buf_addr", "stash", "hdr_seen", "cmpl_fn", "user_info",
-                 "tgt_cntr_id", "cmpl_cntr_id", "tgt_addr")
+                 "tgt_cntr_id", "cmpl_cntr_id", "org_cntr", "origin")
 
-    def __init__(self, src: int, msg_id: int, mtype: str,
-                 total_len: int) -> None:
+    def __init__(self, src: int, msg_id: int, mtype: str, total_len: int,
+                 *, buf_addr: Optional[int] = None,
+                 tgt_cntr_id: Optional[int] = None,
+                 cmpl_cntr_id: Optional[int] = None,
+                 org_cntr: Optional[LapiCounter] = None,
+                 origin: Optional[int] = None) -> None:
+        #: The peer the data comes from (for a get reply, the target).
         self.src = src
         self.msg_id = msg_id
         self.mtype = mtype
         self.total_len = total_len
         self.received = 0
-        #: Destination base address (known immediately for put; supplied
-        #: by the header handler for active messages).
-        self.buf_addr: Optional[int] = None
+        #: Destination base address (known at once for a put or get;
+        #: supplied by the header handler for an active message).
+        self.buf_addr = buf_addr
         #: Early packets awaiting the buffer address: (offset, payload).
         self.stash: list[tuple[int, bytes]] = []
-        self.hdr_seen = False
+        self.hdr_seen = mtype != PacketKind.MSG_AM
         self.cmpl_fn: Optional[Callable] = None
         self.user_info: Any = None
-        self.tgt_cntr_id: Optional[int] = None
-        self.cmpl_cntr_id: Optional[int] = None
-        self.tgt_addr: Optional[int] = None
+        #: Counters the completed message bumps: a put or AM's target
+        #: counter (by id) and origin's completion counter (by id, with
+        #: a CMPL packet), a get's origin counter.
+        self.tgt_cntr_id = tgt_cntr_id
+        self.cmpl_cntr_id = cmpl_cntr_id
+        self.org_cntr = org_cntr
+        #: Span of the operation that sent the message (spans armed).
+        self.origin = origin
+
+    @property
+    def key(self) -> tuple[int, int, str]:
+        """Entry in ``LapiContext.recv_asm``.  A put numbers its message
+        at its sender, a get reply at this task, so the message type
+        keeps a put from a peer and a get reply from it apart."""
+        return (self.src, self.msg_id, self.mtype)
 
     @property
     def complete(self) -> bool:
         return self.hdr_seen and self.received >= self.total_len
-
-
-class GetPending:
-    """Origin-side state of one outstanding LAPI_Get."""
-
-    __slots__ = ("msg_id", "target", "org_addr", "length", "received",
-                 "org_cntr")
-
-    def __init__(self, msg_id: int, target: int, org_addr: int,
-                 length: int, org_cntr: Optional[LapiCounter]) -> None:
-        self.msg_id = msg_id
-        self.target = target
-        self.org_addr = org_addr
-        self.length = length
-        self.received = 0
-        self.org_cntr = org_cntr
-
-    @property
-    def complete(self) -> bool:
-        return self.received >= self.length
 
 
 class RmwPending:
@@ -165,8 +163,7 @@ class LapiContext:
         self._next_msg_id = 0
         self._next_req_id = 0
         self.send_msgs: dict[int, SendState] = {}
-        self.recv_asm: dict[tuple[int, int], RecvAssembly] = {}
-        self.pending_gets: dict[int, GetPending] = {}
+        self.recv_asm: dict[tuple[int, int, str], RecvAssembly] = {}
         self.pending_rmws: dict[int, RmwPending] = {}
         # -- fence accounting -------------------------------------------
         #: Data-bearing operations issued to each target and not yet
@@ -190,7 +187,6 @@ class LapiContext:
         """Forget every in-flight transfer (fail-stop node restart)."""
         self.send_msgs.clear()
         self.recv_asm.clear()
-        self.pending_gets.clear()
         self.pending_rmws.clear()
         self.outstanding.clear()
         self.barrier_tokens.clear()

@@ -11,12 +11,17 @@ module implements it:
   execute concurrently (the paper permits multiple completion handlers;
   synchronization between them is the user's job);
 * arriving data is copied straight into the address the header handler
-  (or the self-describing put header) names -- no intermediate
-  buffering beyond the stash for packets that outrace their message's
-  first packet;
+  names -- no intermediate buffering beyond the stash for packets that
+  outrace their active message's first packet;
+* put and get-reply packets are self-describing, so one routine
+  (:meth:`Dispatcher._place`) lands both, at base + offset or run by
+  run, and completes the message: a put at its target (target counter,
+  CMPL notice to the origin), a get's reply at its origin (origin
+  counter, fence retirement);
 * the dispatcher itself never blocks on flow control: everything it
   emits (ACKs, completions, RMW replies) rides the control path, and
-  get requests are serviced by spawned threads.
+  get requests are served by spawned threads, which stream the reply
+  through the origin side's one sender.
 
 The receive loop itself -- interrupt and polling modes, the dispatch
 lock, duplicate suppression -- is shared with MPL
@@ -30,13 +35,13 @@ from typing import TYPE_CHECKING, Generator, Optional
 
 from ..errors import LapiError
 from ..machine.cpu import HANDLER
-from ..machine.packet import packet_count, reserve_uids
+from ..machine.packet import packet_count
 from .constants import PacketKind
 from .context import RecvAssembly
 from .endpoint import EndpointDispatcher
-from .protocol import (control_packet, get_reply_packet, read_runs,
-                       split_runs, strided_packet_count, strided_packets,
-                       write_runs)
+from .protocol import (control_packet, data_packets, read_runs, split_runs,
+                       strided_packet_count, write_runs)
+from .putget import send_message
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..machine.cpu import Thread
@@ -79,12 +84,10 @@ class Dispatcher(EndpointDispatcher):
         kind = pkt.kind
         if kind == PacketKind.DATA:
             mtype = pkt.info["mtype"]
-            if mtype == PacketKind.MSG_PUT:
-                yield from self._put_data(thread, pkt)
-            elif mtype == PacketKind.MSG_AM:
+            if mtype == PacketKind.MSG_AM:
                 yield from self._am_data(thread, pkt)
-            elif mtype == PacketKind.MSG_GET_REP:
-                yield from self._get_reply_data(thread, pkt)
+            elif mtype in (PacketKind.MSG_PUT, PacketKind.MSG_GET_REP):
+                yield from self._place(thread, pkt)
             else:
                 raise LapiError(f"dispatcher: unknown data mtype {mtype!r}")
         elif kind == PacketKind.GET_REQ:
@@ -112,46 +115,57 @@ class Dispatcher(EndpointDispatcher):
     # DATA packets: put / am / get replies
     # ------------------------------------------------------------------
     def _assembly(self, pkt: "Packet") -> RecvAssembly:
-        key = (pkt.src, pkt.info["msg_id"])
+        """The message ``pkt`` belongs to; a put or active message's
+        first packet to arrive opens it.  A get reply's was opened when
+        the get was issued."""
+        info = pkt.info
+        mtype = info["mtype"]
+        key = (pkt.src, info["msg_id"], mtype)
         asm = self.ctx.recv_asm.get(key)
         if asm is None:
-            asm = RecvAssembly(pkt.src, pkt.info["msg_id"],
-                               pkt.info["mtype"], pkt.info["total"])
+            if mtype == PacketKind.MSG_GET_REP:
+                raise LapiError(
+                    f"task {self.ctx.rank}: get reply for unknown msg"
+                    f" {info['msg_id']}")
+            sp = self.lapi.spans
+            asm = RecvAssembly(
+                pkt.src, info["msg_id"], mtype, info["total"],
+                buf_addr=info.get("tgt_addr"),
+                tgt_cntr_id=info["tgt_cntr_id"],
+                cmpl_cntr_id=info["cmpl_cntr_id"],
+                origin=sp.origin_of(pkt) if sp is not None else None)
             self.ctx.recv_asm[key] = asm
         return asm
 
-    def _put_data(self, thread: "Thread", pkt: "Packet") -> Generator:
-        """A put packet is fully self-describing: place it directly, at
-        base + offset or, for a strided put, run by run."""
+    def _place(self, thread: "Thread", pkt: "Packet") -> Generator:
+        """Put and get-reply packets are self-describing: place each as
+        it arrives, at base + offset or, for a strided message, run by
+        run."""
         cfg = self.config
+        ctx = self.ctx
         info = pkt.info
         asm = self._assembly(pkt)
-        if not asm.hdr_seen:
-            asm.hdr_seen = True  # every put packet carries the header
-            asm.buf_addr = info.get("tgt_addr")
-            asm.tgt_cntr_id = info["tgt_cntr_id"]
-            asm.cmpl_cntr_id = info["cmpl_cntr_id"]
         payload = pkt.payload
         counted = False
         if payload:
             n = len(payload)
+            # The copy that completes a message runs straight into its
+            # counter update: one wake-up for both bursts.
+            counted = ((asm.tgt_cntr_id is not None
+                        or asm.org_cntr is not None)
+                       and asm.received + n >= asm.total_len)
             sp = self.lapi.spans
             if sp is not None:
                 t_cp = thread.sim.now
-            # The copy that completes a put runs straight into its
-            # target-counter update: one wake-up for both bursts.
-            counted = (asm.tgt_cntr_id is not None
-                       and asm.received + n >= asm.total_len)
             if counted:
                 yield from thread.execute(cfg.copy_cost(n),
                                           cfg.lapi_counter_update)
             else:
                 yield from thread.execute(cfg.copy_cost(n))
-            if sp is not None:
-                sp.emit(self.ctx.rank, "lapi", "put", "copy", t_cp,
+            if sp is not None and asm.mtype == PacketKind.MSG_PUT:
+                sp.emit(ctx.rank, "lapi", "put", "copy", t_cp,
                         thread.burst_ends[0] if counted
-                        else thread.sim.now,
-                        parent=sp.origin_of(pkt), bytes=n)
+                        else thread.sim.now, parent=asm.origin, bytes=n)
             runs = info.get("runs")
             if runs is None:
                 self.lapi.memory.write(asm.buf_addr + info["offset"],
@@ -159,10 +173,10 @@ class Dispatcher(EndpointDispatcher):
             else:
                 write_runs(self.lapi.memory, runs, payload)
             asm.received += n
-            self.ctx.stats.bytes_received += n
+            ctx.stats.bytes_received += n
         if asm.complete:
-            del self.ctx.recv_asm[(asm.src, asm.msg_id)]
-            yield from self._message_complete(thread, asm, counted)
+            del ctx.recv_asm[asm.key]
+            yield from self._signal_completion(thread, asm, counted)
 
     def _am_data(self, thread: "Thread", pkt: "Packet") -> Generator:
         cfg = self.config
@@ -172,11 +186,8 @@ class Dispatcher(EndpointDispatcher):
             if asm.hdr_seen:
                 raise LapiError("duplicate first packet escaped dedup")
             asm.hdr_seen = True
-            asm.tgt_cntr_id = pkt.info["tgt_cntr_id"]
-            asm.cmpl_cntr_id = pkt.info["cmpl_cntr_id"]
             sp = self.lapi.spans
             if sp is not None:
-                mkey = ("lapi", pkt.src, pkt.info["msg_id"])
                 t_hh = thread.sim.now
             # --- the header handler (one at a time per context) -------
             yield from thread.execute(cfg.lapi_hdr_handler_cost)
@@ -186,8 +197,8 @@ class Dispatcher(EndpointDispatcher):
                             asm.total_len)
             if sp is not None:
                 sp.emit(ctx.rank, "lapi", "amsend", "hdr_handler", t_hh,
-                        thread.sim.now, parent=sp.message_origin(mkey),
-                        bytes=sp.message_bytes(mkey))
+                        thread.sim.now, parent=asm.origin,
+                        bytes=asm.total_len)
             buf_addr, cmpl_fn, user_info = self._check_hh_reply(
                 reply, asm.total_len)
             asm.buf_addr = buf_addr
@@ -208,8 +219,7 @@ class Dispatcher(EndpointDispatcher):
                         flushed += len(payload)
                 if sp is not None:
                     sp.emit(ctx.rank, "lapi", "amsend", "copy", t_fl,
-                            thread.sim.now,
-                            parent=sp.message_origin(mkey),
+                            thread.sim.now, parent=asm.origin,
                             bytes=flushed, stash_flush=True)
                 asm.stash.clear()
 
@@ -235,7 +245,7 @@ class Dispatcher(EndpointDispatcher):
                 if self.ooo_depth is not None:
                     self.ooo_depth.observe(float(len(asm.stash)))
         if asm.complete:
-            del ctx.recv_asm[(asm.src, asm.msg_id)]
+            del ctx.recv_asm[asm.key]
             yield from self._message_complete(thread, asm)
 
     @staticmethod
@@ -253,24 +263,17 @@ class Dispatcher(EndpointDispatcher):
                 f" {total_len} bytes of user data")
         return buf_addr, cmpl_fn, user_info
 
-    def _message_complete(self, thread: "Thread", asm: RecvAssembly,
-                          counted: bool = False) -> Generator:
-        """All bytes of a put/am message are in place at the target.
-
-        ``counted``: the target-counter update was already charged, on
-        the tail of the copy that completed the message.
-        """
+    def _message_complete(self, thread: "Thread",
+                          asm: RecvAssembly) -> Generator:
+        """All bytes of an active message are in place at the target."""
         cfg = self.config
         sp = self.lapi.spans
         if asm.cmpl_fn is not None:
             cs_sid = None
             if sp is not None:
-                mkey = ("lapi", asm.src, asm.msg_id)
-                cs_sid = sp.open(self.ctx.rank, "lapi",
-                                 _MTYPE_OP.get(asm.mtype, str(asm.mtype)),
+                cs_sid = sp.open(self.ctx.rank, "lapi", "amsend",
                                  thread.sim.now, phase="cmpl_handler",
-                                 parent=sp.message_origin(mkey),
-                                 bytes=sp.message_bytes(mkey))
+                                 parent=asm.origin, bytes=asm.total_len)
             # Completion handlers run concurrently on their own threads.
             yield from thread.execute(cfg.lapi_cmpl_handler_cost)
             self.ctx.active_handlers += 1
@@ -298,36 +301,44 @@ class Dispatcher(EndpointDispatcher):
             thread.cpu.spawn(body, name=f"lapi{self.ctx.rank}.cmpl",
                              priority=HANDLER)
         else:
-            yield from self._signal_completion(thread, asm, counted)
+            yield from self._signal_completion(thread, asm)
 
     def _signal_completion(self, thread: "Thread", asm: RecvAssembly,
                            counted: bool = False) -> Generator:
-        """Update the target counter; notify the origin's cmpl counter."""
+        """A message is in place: bump the counter it names (a put or
+        AM's target counter, a get's origin counter), then notify a put
+        or AM's origin (its cmpl counter) or retire a get at its origin.
+
+        ``counted``: the counter update was already charged, on the
+        tail of the copy that completed the message.
+        """
         cfg = self.config
+        ctx = self.ctx
         sp = self.lapi.spans
-        if sp is not None:
-            mkey = ("lapi", asm.src, asm.msg_id)
-            origin = sp.message_origin(mkey)
-            op = _MTYPE_OP.get(asm.mtype, str(asm.mtype))
-        if asm.tgt_cntr_id is not None:
+        cntr = asm.org_cntr
+        if cntr is not None or asm.tgt_cntr_id is not None:
             if counted:
                 t_cu = thread.burst_ends[0]
             else:
                 t_cu = thread.sim.now
                 yield from thread.execute(cfg.lapi_counter_update)
             if sp is not None:
-                sp.emit(self.ctx.rank, "lapi", op, "counter_update",
-                        t_cu, thread.sim.now, parent=origin)
-            self.ctx.counter_by_id(asm.tgt_cntr_id).add(1)
-            self.ctx.progress_ws.notify_all()
+                sp.emit(ctx.rank, "lapi", _MTYPE_OP[asm.mtype],
+                        "counter_update", t_cu, thread.sim.now,
+                        parent=asm.origin)
+            if cntr is None:
+                cntr = ctx.counter_by_id(asm.tgt_cntr_id)
+            cntr.add(1)
         if asm.cmpl_cntr_id is not None:
             yield from thread.execute(cfg.lapi_ack_cost)
             cmpl = control_packet(
-                cfg, self.ctx.rank, asm.src, PacketKind.CMPL,
+                cfg, ctx.rank, asm.src, PacketKind.CMPL,
                 cntr_id=asm.cmpl_cntr_id)
             if sp is not None:
-                sp.bind_packet(cmpl, origin, "cmpl")
+                sp.bind_packet(cmpl, asm.origin, "cmpl")
             self.lapi.transport.send_control(cmpl)
+        if asm.mtype == PacketKind.MSG_GET_REP:
+            ctx.op_completed(asm.src)
 
     # ------------------------------------------------------------------
     # GET servicing
@@ -348,39 +359,24 @@ class Dispatcher(EndpointDispatcher):
         def body(thread):
             length = info["length"]
             runs = info.get("runs")
-            rank = lapi.ctx.rank
-            msg_id = info["msg_id"]
-            chunk = cfg.lapi_payload
-            header = cfg.lapi_header
-            send_cost = cfg.lapi_pkt_send_cost
-            packets = None
+            # The reply's bytes are one snapshot, read when the request
+            # is serviced; each packet is cut from it as it is sent.
             if runs is None:
+                dest = None
                 data = lapi.memory.read(info["tgt_addr"], length)
-                npkts = packet_count(length, chunk)
-                uid0 = reserve_uids(npkts)
+                npkts = packet_count(length, cfg.lapi_payload)
             else:
                 # A strided request's runs land straight in the
                 # origin's final addresses.
                 source, dest = split_runs(runs)
+                data = read_runs(lapi.memory, source)
                 npkts = strided_packet_count(dest, cfg)
-                uid0 = reserve_uids(npkts)
-                packets = strided_packets(
-                    rank, src, msg_id, PacketKind.MSG_GET_REP,
-                    read_runs(lapi.memory, source), dest, cfg, uid0)
-            if sp is not None:
-                sp.bind_packets(uid0, npkts, origin, "get", length)
-            # The reply's bytes are one snapshot, read above when the
-            # request is serviced, and each packet is cut from it as it
-            # is sent.  Only a small reply is charged the copy into
-            # LAPI's retransmission buffers, as for a small put.
-            if length <= cfg.lapi_retrans_copy_limit:
-                yield from thread.execute(cfg.copy_cost(length))
-            send_data = lapi.transport.send_data
-            for i in range(npkts):
-                yield from thread.execute(send_cost)
-                yield from send_data(thread, get_reply_packet(
-                    rank, src, msg_id, data, chunk, header, i, uid0 + i)
-                    if packets is None else next(packets))
+            yield from send_message(
+                lapi, thread, src, npkts,
+                lambda uid: data_packets(lapi.ctx.rank, src, info["msg_id"],
+                                         PacketKind.MSG_GET_REP, data, cfg,
+                                         uid, dest),
+                "get", origin, length)
             # Target counter: data has been copied out of target memory.
             if info.get("tgt_cntr_id") is not None:
                 yield from thread.execute(cfg.lapi_counter_update)
@@ -389,51 +385,6 @@ class Dispatcher(EndpointDispatcher):
 
         lapi.task.node.cpu.spawn(body, name=f"lapi{self.ctx.rank}.getsvc",
                                  priority=HANDLER)
-
-    def _get_reply_data(self, thread: "Thread",
-                        pkt: "Packet") -> Generator:
-        cfg = self.config
-        pending = self.ctx.pending_gets.get(pkt.info["msg_id"])
-        if pending is None:
-            raise LapiError(
-                f"task {self.ctx.rank}: get reply for unknown msg"
-                f" {pkt.info['msg_id']}")
-        payload = pkt.payload
-        counted = False
-        if payload:
-            n = len(payload)
-            # As for a put: the copy that completes the get chains into
-            # the origin-counter update.
-            counted = (pending.org_cntr is not None
-                       and pending.received + n >= pending.length)
-            if counted:
-                yield from thread.execute(cfg.copy_cost(n),
-                                          cfg.lapi_counter_update)
-            else:
-                yield from thread.execute(cfg.copy_cost(n))
-            runs = pkt.info.get("runs")
-            if runs is None:
-                self.lapi.memory.write(
-                    pending.org_addr + pkt.info["offset"], payload)
-            else:
-                write_runs(self.lapi.memory, runs, payload)
-            pending.received += n
-            self.ctx.stats.bytes_received += n
-        if pending.complete or pending.length == 0:
-            del self.ctx.pending_gets[pending.msg_id]
-            if pending.org_cntr is not None:
-                sp = self.lapi.spans
-                if counted:
-                    t_cu = thread.burst_ends[0]
-                else:
-                    t_cu = thread.sim.now
-                    yield from thread.execute(cfg.lapi_counter_update)
-                if sp is not None:
-                    sp.emit(self.ctx.rank, "lapi", "get",
-                            "counter_update", t_cu, thread.sim.now,
-                            parent=sp.origin_of(pkt))
-                pending.org_cntr.add(1)
-            self.ctx.op_completed(pending.target)
 
     # ------------------------------------------------------------------
     # RMW

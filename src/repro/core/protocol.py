@@ -10,10 +10,14 @@ ride in ``Packet.info`` for inspectability.
 A message larger than one packet is split into payload-sized chunks;
 each chunk is fully self-describing (message id, offset, total length,
 destination address/handler), which is what lets the dispatcher place
-packets arriving in any order.  The builders make one packet at a time,
-by index, from the message's data snapshot: a sender builds packet *i*
-just before it sends it, under uid ``first + i`` of the block
-``reserve_uids`` took for the message when the call was issued.
+packets arriving in any order.  A put and a get reply differ only in
+their message type and the put's target fields, so one builder,
+:func:`data_packets`, makes both; an active message's first packet
+carries the user header (:func:`am_packets`).  Each builder yields a
+message's packets in order from its data snapshot, so the sender
+(:func:`repro.core.putget.send_message`) builds packet *i* just before
+it sends it, under uid ``first + i`` of the block ``reserve_uids`` took
+for the message.
 
 A strided put or get reply (LAPI_Putv / LAPI_Getv, section 6's first
 future-work item) is the same message with a run list: its snapshot is
@@ -28,17 +32,17 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from ..errors import LapiError
-from ..machine.packet import Packet
+from ..machine.packet import Packet, packet_count
 from .constants import PacketKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..machine.config import MachineConfig
     from ..machine.memory import Memory
 
-__all__ = ["put_packet", "am_first_room", "am_packet", "get_reply_packet",
-           "split_runs", "run_groups", "strided_packet_count",
-           "strided_packets", "read_runs", "write_runs", "control_packet",
-           "PROTO", "VECTOR_SUBHEADER", "GETV_RUNS_PER_PACKET"]
+__all__ = ["data_packets", "am_first_room", "am_packets", "split_runs",
+           "run_groups", "strided_packet_count", "strided_packets",
+           "read_runs", "write_runs", "control_packet", "PROTO",
+           "VECTOR_SUBHEADER", "GETV_RUNS_PER_PACKET"]
 
 #: Adapter demultiplexing key for the LAPI stack.
 PROTO = "lapi"
@@ -52,34 +56,32 @@ _CONTROL = (PacketKind.GET_REQ, PacketKind.CMPL, PacketKind.RMW_REQ,
             PacketKind.RMW_REP, PacketKind.BARRIER)
 
 
-def _mk(src: int, dst: int, kind: str, header: int, payload: bytes,
-        info: dict) -> "Packet":
-    return Packet(src=src, dst=dst, proto=PROTO, kind=kind,
-                  header_bytes=header, payload=payload, info=info)
+def data_packets(src: int, dst: int, msg_id: int, mtype: str,
+                 data: bytes, config: "MachineConfig", uid: int,
+                 runs: Optional[Sequence[tuple[int, int]]] = None,
+                 **fields) -> Iterator["Packet"]:
+    """The packets of a put (``MSG_PUT``, ``fields`` naming its target
+    address and counters) or get reply (``MSG_GET_REP``) of ``data``.
 
-
-def put_packet(src: int, dst: int, msg_id: int, data: bytes,
-               tgt_addr: int, tgt_cntr_id: Optional[int],
-               cmpl_cntr_id: Optional[int], chunk: int, header: int,
-               i: int, uid: int) -> "Packet":
-    """Packet ``i`` of one LAPI_Put message of ``data``.
-
-    The message is cut into ``chunk``-byte payloads (``lapi_payload``)
-    behind ``header``-byte wire headers; it has
-    ``packet_count(len(data), chunk)`` packets, >= 1 even for zero
-    length.
+    The message is cut into ``lapi_payload``-byte payloads at their
+    offsets behind ``lapi_header``-byte wire headers, >= 1 packet even
+    for zero length; given the ``runs`` it lands in, into the packets
+    of :func:`strided_packets`.  Packet *i* gets uid ``uid + i`` and is
+    cut from the snapshot ``data`` when it is asked for.
     """
-    offset = i * chunk
-    return Packet(src, dst, PROTO, _DATA, header,
-                  data[offset:offset + chunk], -1, {
-                      "mtype": PacketKind.MSG_PUT,
-                      "msg_id": msg_id,
-                      "offset": offset,
-                      "total": len(data),
-                      "tgt_addr": tgt_addr,
-                      "tgt_cntr_id": tgt_cntr_id,
-                      "cmpl_cntr_id": cmpl_cntr_id,
-                  }, uid)
+    if runs is not None:
+        yield from strided_packets(src, dst, msg_id, mtype, data, runs,
+                                   config, uid, **fields)
+        return
+    chunk = config.lapi_payload
+    header = config.lapi_header
+    total = len(data)
+    for offset in range(0, total or 1, chunk):
+        yield Packet(src, dst, PROTO, _DATA, header,
+                     data[offset:offset + chunk], -1, {
+                         "mtype": mtype, "msg_id": msg_id,
+                         "offset": offset, "total": total, **fields}, uid)
+        uid += 1
 
 
 def am_first_room(config: "MachineConfig", uhdr: bytes) -> int:
@@ -100,49 +102,35 @@ def am_first_room(config: "MachineConfig", uhdr: bytes) -> int:
     return config.packet_size - config.lapi_header - len(uhdr)
 
 
-def am_packet(src: int, dst: int, msg_id: int, handler_id: int,
-              uhdr: bytes, data: bytes, tgt_cntr_id: Optional[int],
-              cmpl_cntr_id: Optional[int], chunk: int, header: int,
-              first_room: int, i: int, uid: int) -> "Packet":
-    """Packet ``i`` of one LAPI_Amsend message (see
-    :func:`am_first_room` for the layout)."""
-    if i:
-        offset = first_room + (i - 1) * chunk
-        payload = data[offset:offset + chunk]
-    else:
-        # The uhdr occupies wire bytes in the first packet alongside the
-        # 48-byte transport header.
-        offset = 0
-        payload = data[:first_room]
-        header += len(uhdr)
-    info = {
-        "mtype": PacketKind.MSG_AM,
-        "msg_id": msg_id,
-        "total": len(data),
-        "tgt_cntr_id": tgt_cntr_id,
-        "cmpl_cntr_id": cmpl_cntr_id,
-        "offset": offset,
-        "is_first": not i,
-    }
-    if not i:
-        info["handler_id"] = handler_id
-        info["uhdr"] = uhdr
-    return Packet(src, dst, PROTO, _DATA, header, payload, -1, info, uid)
-
-
-def get_reply_packet(src: int, dst: int, msg_id: int, data: bytes,
-                     chunk: int, header: int, i: int,
-                     uid: int) -> "Packet":
-    """Packet ``i`` of a LAPI_Get reply streaming ``data`` back to the
-    origin (cut like a put)."""
-    offset = i * chunk
-    return Packet(src, dst, PROTO, _DATA, header,
-                  data[offset:offset + chunk], -1, {
-                      "mtype": PacketKind.MSG_GET_REP,
-                      "msg_id": msg_id,
-                      "offset": offset,
-                      "total": len(data),
-                  }, uid)
+def am_packets(src: int, dst: int, msg_id: int, handler_id: int,
+               uhdr: bytes, data: bytes, first_room: int,
+               config: "MachineConfig", uid: int,
+               **fields) -> Iterator["Packet"]:
+    """The packets of one LAPI_Amsend message, ``fields`` naming its
+    counters (see :func:`am_first_room` for the layout).  Packet *i*
+    gets uid ``uid + i``."""
+    chunk = config.lapi_payload
+    header = config.lapi_header
+    total = len(data)
+    for i in range(packet_count(len(uhdr) + total, chunk)):
+        if i:
+            offset = first_room + (i - 1) * chunk
+            payload = data[offset:offset + chunk]
+            wire = header
+        else:
+            # The uhdr occupies wire bytes in the first packet alongside
+            # the 48-byte transport header.
+            offset = 0
+            payload = data[:first_room]
+            wire = header + len(uhdr)
+        info = {"mtype": PacketKind.MSG_AM, "msg_id": msg_id,
+                "total": total, **fields, "offset": offset,
+                "is_first": not i}
+        if not i:
+            info["handler_id"] = handler_id
+            info["uhdr"] = uhdr
+        yield Packet(src, dst, PROTO, _DATA, wire, payload, -1, info,
+                     uid + i)
 
 
 def split_runs(runs: Sequence[tuple[int, int, int]]
@@ -241,4 +229,5 @@ def control_packet(config: "MachineConfig", src: int, dst: int, kind: str,
         if header > config.packet_size:
             raise LapiError("strided get request exceeds a packet")
         info["runs"] = runs
-    return _mk(src, dst, kind, header, b"", info)
+    return Packet(src=src, dst=dst, proto=PROTO, kind=kind,
+                  header_bytes=header, payload=b"", info=info)

@@ -1,15 +1,12 @@
-"""Origin-side implementation of LAPI_Put and LAPI_Get.
+"""Origin side of LAPI's data messages: Put, Get, and the one sender.
 
 Put and Get are the remote-memory-copy (RMC) primitives of section 2.2:
 unilateral, non-blocking, unordered.  Putv and Getv, the non-contiguous
-interface section 6 proposes, are the same calls with a run list: one
-message whose packets carry the runs they land in.  The origin-side
-work is: charge
-the call overhead, snapshot the data and reserve its packet uids (for
-put; each packet is cut from the snapshot just before it is sent) or
-issue a request (for get), register fence/counter bookkeeping, and hand
-packets to the reliable transport.  Target-side placement happens in
-the dispatcher.
+interface section 6 proposes, are the same calls with a run list.  A
+put, a get's reply and an active message (``amsend.py``) are each a
+stream of self-describing packets cut from one data snapshot, sent by
+:func:`send_message`; a put or get to self is one local copy.
+Target-side placement happens in the dispatcher.
 
 Origin-counter semantics (section 2.3): for a put no larger than the
 internal-retransmit-copy limit, LAPI copies the data into its own
@@ -21,37 +18,40 @@ ack.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional, Sequence
+from typing import (TYPE_CHECKING, Callable, Generator, Iterator, Optional,
+                    Sequence)
 
 from ..errors import LapiError
 from ..machine.packet import packet_count, reserve_uids
 from .constants import PacketKind
-from .context import GetPending, SendState
-from .protocol import (GETV_RUNS_PER_PACKET, control_packet, put_packet,
+from .context import RecvAssembly, SendState
+from .protocol import (GETV_RUNS_PER_PACKET, control_packet, data_packets,
                        read_runs, split_runs, strided_packet_count,
-                       strided_packets, write_runs)
+                       write_runs)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..machine.packet import Packet
     from .api import Lapi
     from .counters import LapiCounter
 
-__all__ = ["do_put", "do_get", "do_putv", "do_getv"]
+__all__ = ["do_put", "do_get", "send_message"]
 
 #: A run list: ``(tgt_addr, org_addr, nbytes)`` triples.
 Runs = Sequence[tuple[int, int, int]]
 
 
-def _validate_common(lapi: "Lapi", target: int, length: int) -> None:
+def _length(lapi: "Lapi", target: int, length: int,
+            runs: Optional[Runs]) -> int:
+    """Bytes a put or get moves: ``length``, or the total of a Putv or
+    Getv's ``runs``.  Rejects a target outside the job, a negative
+    length, and an empty run list or a non-positive run."""
     if not (0 <= target < lapi.ctx.size):
         raise LapiError(
             f"target {target} outside job of {lapi.ctx.size} tasks")
-    if length < 0:
-        raise LapiError(f"negative transfer length {length}")
-
-
-def _run_total(runs: Runs) -> int:
-    """Bytes a Putv/Getv moves; an empty or non-positive run is an
-    error."""
+    if runs is None:
+        if length < 0:
+            raise LapiError(f"negative transfer length {length}")
+        return length
     if not runs:
         raise LapiError("vector operation needs at least one run")
     for run in runs:
@@ -67,13 +67,15 @@ def do_put(lapi: "Lapi", target: int, length: int, tgt_addr: int,
            cmpl_cntr: Optional["LapiCounter"],
            runs: Optional[Runs] = None) -> Generator:
     """LAPI_Put: copy ``length`` bytes from local ``org_addr`` to
-    ``tgt_addr`` in ``target``'s address space (or, given ``runs``, the
-    runs of a :func:`do_putv`).  Non-blocking: returns after the
-    message is staged/queued (the "pipeline latency" of section 4)."""
+    ``tgt_addr`` in ``target``'s address space -- or, for LAPI_Putv,
+    each ``(tgt_addr, org_addr, nbytes)`` run of ``runs``, with neither
+    a call per run nor a pack/unpack copy.  Non-blocking: returns after
+    the message is staged/queued (the "pipeline latency" of section
+    4)."""
     cfg = lapi.config
     ctx = lapi.ctx
     thread = lapi.current_thread()
-    _validate_common(lapi, target, length)
+    length = _length(lapi, target, length, runs)
     sp = lapi.spans
     op_sid = None
     t_call = lapi.sim.now
@@ -83,100 +85,62 @@ def do_put(lapi: "Lapi", target: int, length: int, tgt_addr: int,
                          dst=target, bytes=length)
 
     if target == ctx.rank:
-        yield from thread.execute(cfg.lapi_call_overhead)
-        if sp is not None:
-            sp.emit(ctx.rank, "lapi", "put", "call", t_call, lapi.sim.now,
-                    parent=op_sid, bytes=length)
-        ctx.stats.puts += 1
-        ctx.stats.bytes_sent += length
-        dest = None
-        if runs is not None:
-            dest, source = split_runs(runs)
-            data = read_runs(lapi.memory, source)
-        else:
-            data = lapi.memory.read(org_addr, length) if length else b""
-        yield from _local_put(lapi, thread, data, tgt_addr, dest,
-                              tgt_cntr, org_cntr, cmpl_cntr)
-        if sp is not None:
-            sp.close(op_sid, lapi.sim.now, local=True)
+        yield from _local_copy(lapi, thread, "put", op_sid, t_call,
+                               cfg.lapi_call_overhead, length, tgt_addr,
+                               org_addr, runs, tgt_cntr, org_cntr,
+                               cmpl_cntr)
         return
 
     small = length <= cfg.lapi_retrans_copy_limit
-    # A small message's origin counter fires once the copy is done; a
-    # strided put's fires uncharged, so its chain still ends with the
-    # first packet's send cost.
-    counted = small and org_cntr is not None
-    yield from _origin_bursts(lapi, thread, "put", op_sid, t_call, length,
-                              cfg.copy_cost(length) if small else None,
-                              org_cntr if runs is None else None)
+    chained = yield from _origin_bursts(
+        lapi, thread, "put", op_sid, t_call, length,
+        cfg.copy_cost(length) if small else None, org_cntr,
+        strided=runs is not None)
     ctx.stats.puts += 1
     ctx.stats.bytes_sent += length
     msg_id = ctx.new_msg_id()
-    cmpl_id = cmpl_cntr.id if cmpl_cntr is not None else None
-    chunk = cfg.lapi_payload
-    header = cfg.lapi_header
-    send_cost = cfg.lapi_pkt_send_cost
-    rank = ctx.rank
-    packets = None
     if runs is None:
+        dest = None
         data = lapi.memory.read(org_addr, length) if length else b""
-        npkts = packet_count(length, chunk)
-        uid0 = reserve_uids(npkts)
+        npkts = packet_count(length, cfg.lapi_payload)
     else:
         dest, source = split_runs(runs)
+        data = read_runs(lapi.memory, source)
         npkts = strided_packet_count(dest, cfg)
-        uid0 = reserve_uids(npkts)
-        packets = strided_packets(
-            rank, target, msg_id, PacketKind.MSG_PUT,
-            read_runs(lapi.memory, source), dest, cfg, uid0,
-            tgt_cntr_id=tgt_cntr, cmpl_cntr_id=cmpl_id)
-    if sp is not None:
-        sp.bind_packets(uid0, npkts, op_sid, "put", length,
-                        msg_key=("lapi", ctx.rank, msg_id))
-    state = SendState(msg_id, target, total_packets=npkts,
-                      org_cntr=None if small else org_cntr,
-                      org_counted=small)
-    ctx.send_msgs[msg_id] = state
-    ctx.op_issued(target)
-    state.on_complete = _make_send_complete(lapi, state)
-    # The first packet's send cost rode the origin chain unless an
-    # origin-counter update ended it.
-    charged = not (counted and runs is None)
-    if counted:
-        org_cntr.add(1)
-    send_data = lapi.transport.send_data
-    on_ack = state.ack_one
-    for i in range(npkts):
-        if charged:
-            charged = False
-        else:
-            yield from thread.execute(send_cost)
-        yield from send_data(thread, put_packet(
-            rank, target, msg_id, data, tgt_addr, tgt_cntr, cmpl_id,
-            chunk, header, i, uid0 + i) if packets is None
-            else next(packets), on_ack=on_ack)
-    if sp is not None:
-        sp.close(op_sid, lapi.sim.now, packets=npkts)
+    rank = ctx.rank
+    cmpl_id = cmpl_cntr.id if cmpl_cntr is not None else None
+    yield from send_message(
+        lapi, thread, target, npkts,
+        lambda uid: data_packets(rank, target, msg_id, PacketKind.MSG_PUT,
+                                 data, cfg, uid, dest, tgt_addr=tgt_addr,
+                                 tgt_cntr_id=tgt_cntr,
+                                 cmpl_cntr_id=cmpl_id),
+        "put", op_sid, length, msg_id=msg_id, org_cntr=org_cntr,
+        chained=chained)
 
 
 def _origin_bursts(lapi: "Lapi", thread, op: str, op_sid, t_call: float,
                    nbytes: int, copy_cost: Optional[float],
-                   org_cntr: Optional["LapiCounter"]) -> Generator:
+                   org_cntr: Optional["LapiCounter"],
+                   strided: bool = False) -> Generator:
     """Charge a remote put/amsend up to its first packet: one wake-up.
 
     Call overhead, the copy into LAPI's internal (retransmission)
     buffers for a small message (``copy_cost``; the user buffer is
     reusable once it is done) and the first packet's send cost run back
-    to back with nothing observable in between, so they chain.  An
-    origin counter breaks the chain: its update burst ends it, and the
-    caller charges the first packet's send cost with the others.
+    to back with nothing observable in between, so they chain.  The
+    update burst of a small message's origin counter ends the chain
+    instead.  Returns whether the first packet's send cost rode it.
     """
     cfg = lapi.config
+    # A strided put's origin counter fires uncharged, with no update
+    # burst: a term or a bug, an open question (ROADMAP item 3).
+    update = (copy_cost is not None and org_cntr is not None
+              and not strided)
     costs = [cfg.lapi_call_overhead]
     if copy_cost is not None:
         costs.append(copy_cost)
-    counted = copy_cost is not None and org_cntr is not None
-    costs.append(cfg.lapi_counter_update if counted
+    costs.append(cfg.lapi_counter_update if update
                  else cfg.lapi_pkt_send_cost)
     yield from thread.execute(*costs)
     sp = lapi.spans
@@ -188,9 +152,59 @@ def _origin_bursts(lapi: "Lapi", thread, op: str, op_sid, t_call: float,
         if copy_cost is not None:
             sp.emit(rank, "lapi", op, "copy", ends[0], ends[1],
                     parent=op_sid, bytes=nbytes)
-        if counted:
+        if update:
             sp.emit(rank, "lapi", op, "counter_update", ends[1], ends[2],
                     parent=op_sid)
+    return not update
+
+
+def send_message(lapi: "Lapi", thread, dst: int, npkts: int,
+                 packets: Callable[[int], Iterator["Packet"]], op: str,
+                 parent: Optional[int], nbytes: int, *,
+                 msg_id: Optional[int] = None,
+                 org_cntr: Optional["LapiCounter"] = None,
+                 chained: bool = False) -> Generator:
+    """Send one data message: a put, an active message or a get reply.
+
+    ``packets(uid)`` yields its ``npkts`` packets under the uids
+    reserved here, bound to span ``parent`` as ``op`` moving ``nbytes``.
+    Every packet pays the send cost but a first one whose cost rode the
+    caller's origin chain (``chained``).  A put or amsend passes its
+    ``msg_id`` and is tracked: fence sees it until the last ack, and
+    ``org_cntr`` fires then -- or now, for a small message already
+    copied.  A get reply only streams; a small one is charged its copy
+    into the retransmission buffers here.
+    """
+    cfg = lapi.config
+    ctx = lapi.ctx
+    small = nbytes <= cfg.lapi_retrans_copy_limit
+    uid = reserve_uids(npkts)
+    sp = lapi.spans
+    if sp is not None:
+        sp.bind_packets(uid, npkts, parent, op, nbytes)
+    on_ack = None
+    if msg_id is None:
+        if small:
+            yield from thread.execute(cfg.copy_cost(nbytes))
+    else:
+        state = SendState(msg_id, dst, npkts,
+                          None if small else org_cntr)
+        ctx.send_msgs[msg_id] = state
+        ctx.op_issued(dst)
+        state.on_complete = _make_send_complete(lapi, state)
+        on_ack = state.ack_one
+        if small and org_cntr is not None:
+            org_cntr.add(1)
+    send_cost = cfg.lapi_pkt_send_cost
+    send_data = lapi.transport.send_data
+    for pkt in packets(uid):
+        if chained:
+            chained = False
+        else:
+            yield from thread.execute(send_cost)
+        yield from send_data(thread, pkt, on_ack=on_ack)
+    if sp is not None and msg_id is not None:
+        sp.close(parent, lapi.sim.now, packets=npkts)
 
 
 def _make_send_complete(lapi: "Lapi", state: SendState):
@@ -202,29 +216,42 @@ def _make_send_complete(lapi: "Lapi", state: SendState):
     return on_complete
 
 
-def _local_put(lapi: "Lapi", thread, data: bytes, tgt_addr: int,
-               dest: Optional[list[tuple[int, int]]],
-               tgt_cntr: Optional[int],
-               org_cntr: Optional["LapiCounter"],
-               cmpl_cntr: Optional["LapiCounter"]) -> Generator:
-    """Put to self: one memcpy (into ``tgt_addr``, or run by run into
-    the ``dest`` runs of a strided put), all three counters fire
-    locally."""
-    cfg = lapi.config
+def _local_copy(lapi: "Lapi", thread, op: str, op_sid, t_call: float,
+                call_cost: float, length: int, tgt_addr: int,
+                org_addr: int, runs: Optional[Runs],
+                tgt_cntr: Optional[int], org_cntr: Optional["LapiCounter"],
+                cmpl_cntr: Optional["LapiCounter"] = None) -> Generator:
+    """A put or get to self: after the call overhead, one memcpy from
+    the origin to the target address (a put) or back (a get), run by
+    run for Putv/Getv; every counter of the call fires locally."""
     ctx = lapi.ctx
+    yield from thread.execute(call_cost)
+    sp = lapi.spans
+    if sp is not None:
+        sp.emit(ctx.rank, "lapi", op, "call", t_call, lapi.sim.now,
+                parent=op_sid, bytes=length)
+    if runs is None:
+        runs = [(tgt_addr, org_addr, length)] if length else []
+    dest, source = split_runs(runs)
+    if op == "put":
+        ctx.stats.puts += 1
+        ctx.stats.bytes_sent += length
+    else:
+        ctx.stats.gets += 1
+        source, dest = dest, source
     ctx.stats.local_fastpaths += 1
+    data = read_runs(lapi.memory, source)
     if data:
-        yield from thread.execute(cfg.copy_cost(len(data)))
-        if dest is None:
-            lapi.memory.write(tgt_addr, data)
-        else:
-            write_runs(lapi.memory, dest, data)
+        yield from thread.execute(lapi.config.copy_cost(len(data)))
+        write_runs(lapi.memory, dest, data)
     for cntr in (org_cntr, cmpl_cntr):
         if cntr is not None:
             cntr.add(1)
     if tgt_cntr is not None:
         ctx.counter_by_id(tgt_cntr).add(1)
     ctx.progress_ws.notify_all()
+    if sp is not None:
+        sp.close(op_sid, lapi.sim.now, local=True)
 
 
 def do_get(lapi: "Lapi", target: int, length: int, tgt_addr: int,
@@ -232,13 +259,14 @@ def do_get(lapi: "Lapi", target: int, length: int, tgt_addr: int,
            org_cntr: Optional["LapiCounter"],
            runs: Optional[Runs] = None) -> Generator:
     """LAPI_Get: pull ``length`` bytes from ``tgt_addr`` at ``target``
-    into local ``org_addr`` (or, given ``runs``, the runs of a
-    :func:`do_getv`).  Non-blocking: returns once the request is
-    queued; ``org_cntr`` fires when the data has arrived."""
+    into local ``org_addr`` -- or, for LAPI_Getv, each ``(tgt_addr,
+    org_addr, nbytes)`` run of ``runs``, straight into its origin
+    address.  Non-blocking: returns once the request is queued;
+    ``org_cntr`` fires when the data has arrived."""
     cfg = lapi.config
     ctx = lapi.ctx
     thread = lapi.current_thread()
-    _validate_common(lapi, target, length)
+    length = _length(lapi, target, length, runs)
     sp = lapi.spans
     op_sid = None
     t_call = lapi.sim.now
@@ -249,28 +277,9 @@ def do_get(lapi: "Lapi", target: int, length: int, tgt_addr: int,
     call_cost = cfg.lapi_call_overhead + cfg.lapi_get_extra
 
     if target == ctx.rank:
-        yield from thread.execute(call_cost)
-        if sp is not None:
-            sp.emit(ctx.rank, "lapi", "get", "call", t_call, lapi.sim.now,
-                    parent=op_sid, bytes=length)
-        ctx.stats.gets += 1
-        ctx.stats.local_fastpaths += 1
-        if runs is not None:
-            source, dest = split_runs(runs)
-            data = read_runs(lapi.memory, source)
-            yield from thread.execute(cfg.copy_cost(length))
-            write_runs(lapi.memory, dest, data)
-        elif length:
-            data = lapi.memory.read(tgt_addr, length)
-            yield from thread.execute(cfg.copy_cost(length))
-            lapi.memory.write(org_addr, data)
-        if org_cntr is not None:
-            org_cntr.add(1)
-        if tgt_cntr is not None:
-            ctx.counter_by_id(tgt_cntr).add(1)
-        ctx.progress_ws.notify_all()
-        if sp is not None:
-            sp.close(op_sid, lapi.sim.now, local=True)
+        yield from _local_copy(lapi, thread, "get", op_sid, t_call,
+                               call_cost, length, tgt_addr, org_addr, runs,
+                               tgt_cntr, org_cntr)
         return
 
     # Call overhead and the request packet's send cost: one wake-up.
@@ -280,47 +289,31 @@ def do_get(lapi: "Lapi", target: int, length: int, tgt_addr: int,
                 thread.burst_ends[0], parent=op_sid, bytes=length)
     ctx.stats.gets += 1
     msg_id = ctx.new_msg_id()
-    ctx.pending_gets[msg_id] = GetPending(msg_id, target, org_addr,
-                                          length, org_cntr)
+    # The reply is placed here like a put at its target; keyed by its
+    # message type, it shares no entry with a put from the same peer.
+    asm = RecvAssembly(target, msg_id, PacketKind.MSG_GET_REP, length,
+                       buf_addr=org_addr, org_cntr=org_cntr,
+                       origin=op_sid)
+    ctx.recv_asm[asm.key] = asm
     ctx.op_issued(target)
-    if runs is None:
-        req = control_packet(
-            cfg, ctx.rank, target, PacketKind.GET_REQ,
-            msg_id=msg_id, tgt_addr=tgt_addr, length=length,
-            tgt_cntr_id=tgt_cntr)
-        if sp is not None:
-            sp.bind_packet(req, op_sid, "get", length)
-            sp.close(op_sid, lapi.sim.now)
-        lapi.transport.send_control(req)
-        return
-    # The run list travels GETV_RUNS_PER_PACKET runs to a request; the
-    # target serves each request as a reply stream of its own.
-    for i in range(0, len(runs), GETV_RUNS_PER_PACKET):
+    # A Getv's run list travels GETV_RUNS_PER_PACKET runs to a request;
+    # the target serves each request as a reply stream of its own.
+    groups = [None] if runs is None else [
+        list(runs[i:i + GETV_RUNS_PER_PACKET])
+        for i in range(0, len(runs), GETV_RUNS_PER_PACKET)]
+    for i, group in enumerate(groups):
         if i:
             yield from thread.execute(cfg.lapi_pkt_send_cost)
-        group = list(runs[i:i + GETV_RUNS_PER_PACKET])
-        nbytes = sum(n for _, _, n in group)
-        req = control_packet(cfg, ctx.rank, target, PacketKind.GET_REQ,
-                             runs=group, msg_id=msg_id, length=nbytes)
+        if group is None:
+            req = control_packet(cfg, ctx.rank, target, PacketKind.GET_REQ,
+                                 msg_id=msg_id, tgt_addr=tgt_addr,
+                                 length=length, tgt_cntr_id=tgt_cntr)
+        else:
+            req = control_packet(cfg, ctx.rank, target, PacketKind.GET_REQ,
+                                 runs=group, msg_id=msg_id,
+                                 length=sum(n for _, _, n in group))
         if sp is not None:
-            sp.bind_packet(req, op_sid, "get", nbytes)
+            sp.bind_packet(req, op_sid, "get", req.info["length"])
         lapi.transport.send_control(req)
     if sp is not None:
         sp.close(op_sid, lapi.sim.now)
-
-
-def do_putv(lapi: "Lapi", target: int, runs: Runs,
-            tgt_cntr: Optional[int], org_cntr: Optional["LapiCounter"],
-            cmpl_cntr: Optional["LapiCounter"]) -> Generator:
-    """LAPI_Putv: one put of the ``(tgt_addr, org_addr, nbytes)`` runs,
-    with neither a call per run nor a pack/unpack copy."""
-    return do_put(lapi, target, _run_total(runs), None, None, tgt_cntr,
-                  org_cntr, cmpl_cntr, runs)
-
-
-def do_getv(lapi: "Lapi", target: int, runs: Runs,
-            org_cntr: Optional["LapiCounter"]) -> Generator:
-    """LAPI_Getv: one get of the ``(tgt_addr, org_addr, nbytes)`` runs,
-    each landing straight in its origin address."""
-    return do_get(lapi, target, _run_total(runs), None, None, None,
-                  org_cntr, runs)

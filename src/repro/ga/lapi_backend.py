@@ -208,7 +208,9 @@ class LapiBackend:
         reply counter; holds the scratch until retransmit-safe."""
         scratch = self.memory.malloc(max(len(blob), 1))
         self.memory.write(scratch, blob)
-        org = self.lapi.counter()
+        # One origin counter per reply: a shared one would let two
+        # concurrent replies consume each other's increment.
+        org = self.lapi.local_counter()
         yield from self.lapi.put(src, len(blob), desc.reply_addr,
                                  scratch, tgt_cntr=desc.reply_cntr,
                                  org_cntr=org)

@@ -247,3 +247,42 @@ class TestActiveMessages:
         data, ran = run_spmd(main, nnodes=1)[0]
         assert data == b"A" * 16
         assert ran == ["local"]
+
+
+class TestArgumentChecks:
+    """A bad amsend is rejected before it costs anything: no charged
+    time, no ``stats.amsends``, no message id, for a remote and a local
+    target alike."""
+
+    BAD = {
+        "oversized uhdr": (b"u" * (SP_1998.lapi_uhdr_max + 1), None, 0),
+        "uhdr of 4000 bytes": (b"u" * 4000, None, 0),
+        "no udata for udata_len": (b"h", None, 8),
+        "short udata": (b"h", b"1234", 8),
+        "negative udata_len": (b"h", None, -1),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    @pytest.mark.parametrize("where", ["peer", "self"])
+    def test_rejected_before_any_charge(self, case, where):
+        uhdr, udata, udata_len = self.BAD[case]
+
+        def main(task):
+            lapi = task.lapi
+            buf = task.memory.malloc(64)
+            hid = lapi.register_handler(lambda t, src, u, n:
+                                        (buf, None, None))
+            yield from lapi.gfence()
+            if task.rank == 0:
+                target = 1 if where == "peer" else 0
+                before = (task.now(), lapi.stats.amsends,
+                          lapi.ctx.new_msg_id())
+                with pytest.raises(LapiError):
+                    yield from lapi.amsend(target, hid, uhdr, udata,
+                                           udata_len)
+                after = (task.now(), lapi.stats.amsends,
+                         lapi.ctx.new_msg_id() - 1)
+                assert after == before
+            yield from lapi.gfence()
+
+        run_spmd(main)

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core.context import (GetPending, LapiContext, RecvAssembly,
-                                RmwPending, SendState)
+from repro.core.constants import PacketKind
+from repro.core.context import (LapiContext, RecvAssembly, RmwPending,
+                                SendState)
 from repro.errors import LapiError
 from repro.sim import Simulator
 
@@ -15,8 +16,7 @@ def ctx():
 
 class TestSendState:
     def test_completion_via_acks(self):
-        st = SendState(1, 2, total_packets=3, org_cntr=None,
-                       org_counted=True)
+        st = SendState(1, 2, total_packets=3, org_cntr=None)
         fired = []
         st.on_complete = lambda: fired.append(True)
         st.ack_one()
@@ -27,8 +27,7 @@ class TestSendState:
         assert fired == [True]
 
     def test_single_packet_message(self):
-        st = SendState(1, 2, total_packets=1, org_cntr=None,
-                       org_counted=True)
+        st = SendState(1, 2, total_packets=1, org_cntr=None)
         st.on_complete = lambda: None
         st.ack_one()
         assert st.complete
@@ -58,7 +57,12 @@ class TestRecvAssembly:
 
 class TestPendings:
     def test_get_pending(self):
-        p = GetPending(1, 2, org_addr=100, length=10, org_cntr=None)
+        """A get's reply is assembled like a put, under a key of its
+        own: a put from the same peer with the same message id never
+        shares its entry."""
+        p = RecvAssembly(2, 1, PacketKind.MSG_GET_REP, 10, buf_addr=100)
+        put = RecvAssembly(2, 1, PacketKind.MSG_PUT, 10)
+        assert p.key != put.key
         assert not p.complete
         p.received = 10
         assert p.complete

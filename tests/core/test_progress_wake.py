@@ -227,3 +227,27 @@ def test_waitcntr_falls_back_to_polling_when_interrupts_go_off():
     results = cluster.run_job(main, stacks=("lapi",), interrupt_mode=True,
                               until=UNTIL)
     assert results[0] == (pytest.approx(132.274, abs=1e-3), 0)
+
+
+@pytest.mark.xfail(raises=MachineError, strict=True,
+                   reason="a polling wait can park after its predicate"
+                   " came true during the doorbell check")
+def test_polling_fence_after_a_dataless_amsend_returns():
+    """Both ranks send each other a data-less active message and fence
+    in polling mode.  The ack that empties a rank's fence lands at the
+    adapter while the rank is still paying ``poll_check_cost``; its
+    notify wakes nobody, and ``poll_step`` then parks on an RX FIFO
+    that stays empty, so the fence never returns."""
+    def main(task):
+        lapi = task.lapi
+        buf = task.memory.malloc(64)
+        hid = lapi.register_handler(lambda t, src, uhdr, n:
+                                    (buf, None, None))
+        yield from lapi.gfence()
+        yield from lapi.amsend(1 - task.rank, hid, b"uhdr", None, 0)
+        yield from lapi.fence()
+        return task.now()
+
+    cluster = Cluster(nnodes=2, seed=1)
+    cluster.run_job(main, stacks=("lapi",), interrupt_mode=False,
+                    until=UNTIL)

@@ -1,16 +1,16 @@
 """Unit + property tests for LAPI packetization.
 
-The builders make one packet at a time; ``_put``/``_am``/``_reply``
-build every packet of a message in index order, the way the senders do,
-so each test sees the whole message."""
+The builders yield a message's packets in index order, the way the
+sender consumes them; ``_put``/``_am``/``_reply`` collect every packet
+of a message, so each test sees the whole message."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.constants import PacketKind
-from repro.core.protocol import (am_first_room, am_packet, control_packet,
-                                 get_reply_packet, put_packet)
+from repro.core.protocol import (am_first_room, am_packets, control_packet,
+                                 data_packets)
 from repro.errors import LapiError
 from repro.machine.config import SP_1998
 from repro.machine.packet import packet_count
@@ -20,23 +20,29 @@ HEADER = SP_1998.lapi_header
 
 
 def _put(msg_id, data, tgt_addr, tgt_cntr_id, cmpl_cntr_id):
-    n = packet_count(len(data), CHUNK)
-    return [put_packet(0, 1, msg_id, data, tgt_addr, tgt_cntr_id,
-                       cmpl_cntr_id, CHUNK, HEADER, i, 100 + i)
-            for i in range(n)]
+    pkts = list(data_packets(0, 1, msg_id, PacketKind.MSG_PUT, data,
+                             SP_1998, 100, tgt_addr=tgt_addr,
+                             tgt_cntr_id=tgt_cntr_id,
+                             cmpl_cntr_id=cmpl_cntr_id))
+    # The sender reserves this many uids before the first is built.
+    assert len(pkts) == packet_count(len(data), CHUNK)
+    return pkts
 
 
 def _am(msg_id, handler_id, uhdr, data):
     room = am_first_room(SP_1998, uhdr)
-    n = packet_count(len(uhdr) + len(data), CHUNK)
-    return [am_packet(0, 1, msg_id, handler_id, uhdr, data, None, None,
-                      CHUNK, HEADER, room, i, 100 + i) for i in range(n)]
+    pkts = list(am_packets(0, 1, msg_id, handler_id, uhdr, data, room,
+                           SP_1998, 100, tgt_cntr_id=None,
+                           cmpl_cntr_id=None))
+    assert len(pkts) == packet_count(len(uhdr) + len(data), CHUNK)
+    return pkts
 
 
 def _reply(msg_id, data):
-    n = packet_count(len(data), CHUNK)
-    return [get_reply_packet(1, 0, msg_id, data, CHUNK, HEADER, i, 100 + i)
-            for i in range(n)]
+    pkts = list(data_packets(1, 0, msg_id, PacketKind.MSG_GET_REP, data,
+                             SP_1998, 100))
+    assert len(pkts) == packet_count(len(data), CHUNK)
+    return pkts
 
 
 class TestPutPackets:

@@ -335,3 +335,16 @@ class TestPipelining:
 
         sync_one, pipelined = run_spmd(main)[0]
         assert pipelined < reps * sync_one * 0.7, (sync_one, pipelined)
+
+
+class TestSyncCounters:
+    def test_get_sync_registers_no_counter(self):
+        def main(task):
+            lapi = task.lapi
+            buf = task.memory.malloc(64)
+            first = lapi.counter().id
+            for _ in range(5):
+                yield from lapi.get_sync(1 - task.rank, 64, buf, buf)
+            return lapi.counter().id - first
+
+        assert run_spmd(main) == [1, 1]

@@ -183,8 +183,8 @@ class TestCrashReset:
         """A restarted node's stack forgets every in-flight transfer."""
         if stack == "lapi":
             main = _leave_lapi_state
-            tables = ("send_msgs", "recv_asm", "pending_gets",
-                      "pending_rmws", "outstanding", "barrier_tokens")
+            tables = ("send_msgs", "recv_asm", "pending_rmws",
+                      "outstanding", "barrier_tokens")
         else:
             main = _leave_mpl_state
             tables = ("recv_msgs", "rndv_waiting", "match.unexpected",
@@ -208,7 +208,7 @@ class TestCrashReset:
             return obj
 
         left = {name for name in tables if table(name)}
-        expected = ({"pending_gets", "outstanding"} if stack == "lapi"
+        expected = ({"recv_asm", "outstanding"} if stack == "lapi"
                     else {"recv_msgs", "rndv_waiting", "match.unexpected",
                           "match.posted"})
         assert expected <= left

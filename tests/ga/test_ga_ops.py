@@ -306,3 +306,23 @@ class TestReadInc:
                 return "rejected"
 
         assert run_ga(main, backend=backend)[0] == "rejected"
+
+
+class TestReplyCounters:
+    def test_get_replies_take_no_counter_ids(self):
+        """Each GA-on-LAPI get reply is a put with an origin counter of
+        its own; that counter is never addressed by id, so serving gets
+        leaves the counter table alone and the next counter created
+        gets the same id on every rank."""
+        def main(task):
+            ga = task.ga
+            h = yield from ga.create((64, 64))
+            owned = ga.distribution(h)
+            first = task.lapi.counter().id
+            other = (0, 10, 40, 50) if owned.jlo == 0 else (0, 10, 5, 15)
+            for _ in range(10):
+                yield from ga.get_ndarray(h, other)
+            yield from ga.sync()
+            return task.lapi.counter().id - first
+
+        assert run_ga(main, nnodes=2) == [1, 1]
