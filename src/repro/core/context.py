@@ -11,6 +11,7 @@ dispatcher/API split clean and the state inspectable from tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..errors import LapiError
@@ -155,7 +156,9 @@ class LapiContext:
         self.rank = rank
         self.size = size
         # -- counters ---------------------------------------------------
-        self._next_counter_id = 0
+        self._counter_ids = count()
+        #: Ids of counters registered for one call (-1 is a local one).
+        self._scoped_ids = count(-2, -1)
         self.counters: dict[int, LapiCounter] = {}
         # -- active message handlers ------------------------------------
         self.handlers: list[Callable] = []
@@ -192,9 +195,12 @@ class LapiContext:
         self.barrier_tokens.clear()
 
     # ------------------------------------------------------------------
-    def new_counter(self, name: str = "") -> LapiCounter:
-        cid = self._next_counter_id
-        self._next_counter_id += 1
+    def new_counter(self, name: str = "", *,
+                    scoped: bool = False) -> LapiCounter:
+        """Create and register a counter.  A ``scoped`` one serves one
+        call, which unregisters it; its id is outside the user's
+        sequence, so SPMD counter ids stay symmetric."""
+        cid = next(self._scoped_ids if scoped else self._counter_ids)
         cntr = LapiCounter(cid, name=name)
         cntr.on_change = self.progress_ws.notify_all
         self.counters[cid] = cntr

@@ -162,9 +162,9 @@ class Dispatcher(EndpointDispatcher):
                                           cfg.lapi_counter_update)
             else:
                 yield from thread.execute(cfg.copy_cost(n))
-            if sp is not None and asm.mtype == PacketKind.MSG_PUT:
-                sp.emit(ctx.rank, "lapi", "put", "copy", t_cp,
-                        thread.burst_ends[0] if counted
+            if sp is not None:
+                sp.emit(ctx.rank, "lapi", _MTYPE_OP[asm.mtype], "copy",
+                        t_cp, thread.burst_ends[0] if counted
                         else thread.sim.now, parent=asm.origin, bytes=n)
             runs = info.get("runs")
             if runs is None:

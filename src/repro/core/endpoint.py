@@ -9,8 +9,9 @@ library calls in polling mode.  This module owns that model:
 
 * :class:`Endpoint` attaches a stack to its node's adapter at init,
   builds its :class:`ReliableTransport`, wires the transport and
-  adapter hooks, registers the transport's metrics, waits on progress,
-  and handles peer failure, node restart and term;
+  adapter hooks, registers the transport's metrics, sends every data
+  message of both stacks (:meth:`Endpoint.send_packets`), waits on
+  progress, and handles peer failure, node restart and term;
 * :class:`EndpointDispatcher` pulls packets off the adapter's RX FIFO,
   serialises them under the context's dispatch lock, charges the
   per-packet receive cost and drops retransmitted duplicates before
@@ -23,9 +24,10 @@ only its protocol.
 from __future__ import annotations
 
 from inspect import getclosurevars
-from typing import TYPE_CHECKING, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Callable, Generator, Iterable, Optional
 
 from ..machine.cpu import INTERRUPT
+from ..machine.packet import reserve_uids
 from ..sim.park import linger_loop, poll_step
 from .constants import PacketKind
 from .reliability import ReliableTransport
@@ -132,6 +134,7 @@ class Endpoint:
             degraded_after=cfg.peer_degraded_after,
             retry_budget=cfg.retry_budget)
         self.dispatcher = self.Dispatcher(self)
+        self._send_cost = getattr(cfg, prefix + "_pkt_send_cost")
         self.transport.wait_for = self.wait_for
         self.transport.on_progress = self.ctx.progress_ws.notify_all
         self.transport.on_fatal = self._retries_exhausted
@@ -171,6 +174,37 @@ class Endpoint:
         # All peers have passed the barrier: nothing further will arrive.
         self._terminated = True
         self.client.interrupts_enabled = False
+
+    # ------------------------------------------------------------------
+    # sending
+    # ------------------------------------------------------------------
+    def reserve_message(self, npkts: int, parent: Optional[int], op: str,
+                        nbytes: int) -> int:
+        """Take the uids of a message's ``npkts`` packets; returns the
+        first.  Spans bind them to ``parent`` as ``op`` moving
+        ``nbytes`` before any packet is built."""
+        uid = reserve_uids(npkts)
+        sp = self.spans
+        if sp is not None:
+            sp.bind_packets(uid, npkts, parent, op, nbytes)
+        return uid
+
+    def send_packets(self, thread: "Thread", packets: Iterable["Packet"], *,
+                     on_ack: Optional[Callable[[], object]] = None,
+                     chained: bool = False) -> Generator:
+        """The one sender of both stacks: stream a message's data
+        packets from ``thread``, each taken from ``packets`` just
+        before it goes.  Each pays the stack's send cost, but a first
+        one whose cost rode the caller's chain (``chained``), then
+        waits for a window credit; ``on_ack`` runs per acked packet."""
+        send_cost = self._send_cost
+        send_data = self.transport.send_data
+        for pkt in packets:
+            if chained:
+                chained = False
+            else:
+                yield from thread.execute(send_cost)
+            yield from send_data(thread, pkt, on_ack=on_ack)
 
     # ------------------------------------------------------------------
     # progress

@@ -15,9 +15,10 @@ their message type and the put's target fields, so one builder,
 :func:`data_packets`, makes both; an active message's first packet
 carries the user header (:func:`am_packets`).  Each builder yields a
 message's packets in order from its data snapshot, so the sender
-(:func:`repro.core.putget.send_message`) builds packet *i* just before
-it sends it, under uid ``first + i`` of the block ``reserve_uids`` took
-for the message.
+(:meth:`repro.core.endpoint.Endpoint.send_packets`) builds packet *i*
+just before it sends it, under uid ``first + i`` of the block
+:meth:`~repro.core.endpoint.Endpoint.reserve_message` took for the
+message.
 
 A strided put or get reply (LAPI_Putv / LAPI_Getv, section 6's first
 future-work item) is the same message with a run list: its snapshot is

@@ -22,7 +22,7 @@ from typing import (TYPE_CHECKING, Callable, Generator, Iterator, Optional,
                     Sequence)
 
 from ..errors import LapiError
-from ..machine.packet import packet_count, reserve_uids
+from ..machine.packet import packet_count
 from .constants import PacketKind
 from .context import RecvAssembly, SendState
 from .protocol import (GETV_RUNS_PER_PACKET, control_packet, data_packets,
@@ -167,9 +167,11 @@ def send_message(lapi: "Lapi", thread, dst: int, npkts: int,
     """Send one data message: a put, an active message or a get reply.
 
     ``packets(uid)`` yields its ``npkts`` packets under the uids
-    reserved here, bound to span ``parent`` as ``op`` moving ``nbytes``.
-    Every packet pays the send cost but a first one whose cost rode the
-    caller's origin chain (``chained``).  A put or amsend passes its
+    reserved here, bound to span ``parent`` as ``op`` moving ``nbytes``;
+    the endpoint's sender (:meth:`Endpoint.send_packets
+    <repro.core.endpoint.Endpoint.send_packets>`) streams them, the
+    first without a send cost if it rode the caller's origin chain
+    (``chained``).  A put or amsend passes its
     ``msg_id`` and is tracked: fence sees it until the last ack, and
     ``org_cntr`` fires then -- or now, for a small message already
     copied.  A get reply only streams; a small one is charged its copy
@@ -178,10 +180,7 @@ def send_message(lapi: "Lapi", thread, dst: int, npkts: int,
     cfg = lapi.config
     ctx = lapi.ctx
     small = nbytes <= cfg.lapi_retrans_copy_limit
-    uid = reserve_uids(npkts)
-    sp = lapi.spans
-    if sp is not None:
-        sp.bind_packets(uid, npkts, parent, op, nbytes)
+    uid = lapi.reserve_message(npkts, parent, op, nbytes)
     on_ack = None
     if msg_id is None:
         if small:
@@ -195,16 +194,10 @@ def send_message(lapi: "Lapi", thread, dst: int, npkts: int,
         on_ack = state.ack_one
         if small and org_cntr is not None:
             org_cntr.add(1)
-    send_cost = cfg.lapi_pkt_send_cost
-    send_data = lapi.transport.send_data
-    for pkt in packets(uid):
-        if chained:
-            chained = False
-        else:
-            yield from thread.execute(send_cost)
-        yield from send_data(thread, pkt, on_ack=on_ack)
-    if sp is not None and msg_id is not None:
-        sp.close(parent, lapi.sim.now, packets=npkts)
+    yield from lapi.send_packets(thread, packets(uid), on_ack=on_ack,
+                                 chained=chained)
+    if msg_id is not None and lapi.spans is not None:
+        lapi.spans.close(parent, lapi.sim.now, packets=npkts)
 
 
 def _make_send_complete(lapi: "Lapi", state: SendState):

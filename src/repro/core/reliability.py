@@ -273,13 +273,16 @@ class ReliableTransport:
         Blocks (in virtual time) while the peer's send window is full.
         ``on_ack`` fires when this packet is acknowledged.  Raises
         :class:`PeerUnreachableError` immediately (fail fast, no
-        retransmit storm) while the peer's circuit breaker is open.
+        retransmit storm) while the peer's circuit breaker is open, and
+        after a credit wait during which it opened.
         """
         st = self._peer_tx(packet.dst)
         if st.health == UNREACHABLE:
             raise self._breaker_error(packet.dst)
         if st.credits == 0:
             yield from self.wait_for(lambda: st.credits > 0)
+            if st.health == UNREACHABLE:
+                raise self._breaker_error(packet.dst)
         st.credits -= 1
         self._register(st, packet, uses_window=True, on_ack=on_ack)
         yield from self.adapter.inject(thread, packet)
@@ -575,7 +578,8 @@ class ReliableTransport:
         both stacks (the adapter's delivery filter); nothing
         references the packet afterwards -- acks are never registered
         for retransmission -- so the span recorder's uid-keyed track
-        can go, keeping the side table bounded on long runs.
+        can go.  Only acks are retired: the tracks of data and control
+        packets stay for the life of the recorder.
         """
         sp = self.sim.spans
         if sp is not None:

@@ -25,11 +25,12 @@ from typing import TYPE_CHECKING, Callable, Generator, Optional, Union
 
 from ..core.endpoint import Endpoint
 from ..errors import MplError
-from ..machine.packet import packet_count, reserve_uids
+from ..machine.cpu import HANDLER
+from ..machine.packet import packet_count
 from .constants import ANY_SOURCE, ANY_TAG
 from .dispatcher import MplDispatcher
-from .matching import RecvRequest
-from .protocol import PROTO, data_packet, rts_packet
+from .matching import MessageState, RecvRequest
+from .protocol import PROTO, data_packets, rts_packet
 from .requests import MplContext, SendRequest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -189,59 +190,35 @@ class Mpl(Endpoint):
             data = self.memory.read(source, nbytes) if nbytes else b""
 
         if dst == ctx.rank:
-            req = yield from self._local_send(thread, data, tag)
+            req = yield from self._local_send(thread, data, tag, op_sid)
             if sp is not None:
                 sp.close(op_sid, self.sim.now, local=True)
             return req
 
         msg_seq = ctx.next_seq(dst)
         if eager:
-            req = yield from self._send_eager(thread, dst, msg_seq, tag,
-                                              data, op_sid)
+            req = SendRequest(dst, msg_seq, nbytes,
+                              "eager-buffered" if buffered
+                              else "eager-direct")
+            npkts = packet_count(nbytes, cfg.mpl_payload)
+            uid = self.reserve_message(npkts, op_sid, "send", nbytes)
+            req.total_packets = npkts
+            if buffered:
+                req.complete = True
+                ctx.stats.eager_buffered += 1
+            else:
+                ctx.stats.eager_direct += 1
+            # The call's chain above already charged the first packet's
+            # send cost.
+            yield from self.send_packets(
+                thread, data_packets(ctx.rank, dst, msg_seq, tag, data,
+                                     False, cfg, uid),
+                on_ack=req.ack_one, chained=True)
         else:
             req = yield from self._send_rndv(thread, dst, msg_seq, tag,
                                              data, op_sid)
         if sp is not None:
             sp.close(op_sid, self.sim.now)
-        return req
-
-    def _send_eager(self, thread, dst: int, msg_seq: int, tag: int,
-                    data: bytes, op_sid=None) -> Generator:
-        """Send packet by packet; :meth:`isend` already charged the
-        copy and the first packet's send cost."""
-        cfg = self.config
-        ctx = self.ctx
-        buffered = len(data) <= cfg.mpl_send_buffer_limit
-        proto = "eager-buffered" if buffered else "eager-direct"
-        req = SendRequest(dst, msg_seq, len(data), proto)
-        chunk = cfg.mpl_payload
-        header = cfg.mpl_header
-        send_cost = cfg.mpl_pkt_send_cost
-        npkts = packet_count(len(data), chunk)
-        uid0 = reserve_uids(npkts)
-        req.total_packets = npkts
-        sp = self.spans
-        if sp is not None:
-            sp.bind_packets(uid0, npkts, op_sid, "send", len(data),
-                            msg_key=("mpl", ctx.rank, msg_seq))
-        if buffered:
-            req.complete = True
-            ctx.stats.eager_buffered += 1
-        else:
-            ctx.stats.eager_direct += 1
-
-        def on_ack(r=req):
-            if r.ack_one():
-                ctx.progress_ws.notify_all()
-
-        rank = ctx.rank
-        send_data = self.transport.send_data
-        for i in range(npkts):
-            if i:
-                yield from thread.execute(send_cost)
-            yield from send_data(thread, data_packet(
-                rank, dst, msg_seq, tag, data, False, chunk, header, i,
-                uid0 + i), on_ack=on_ack)
         return req
 
     def _send_rndv(self, thread, dst: int, msg_seq: int, tag: int,
@@ -263,20 +240,9 @@ class Mpl(Endpoint):
         if sp is not None:
             sp.bind_packet(rts, op_sid, "send", len(data))
         self.transport.send_control(rts)
-        chunk = cfg.mpl_payload
-        header = cfg.mpl_header
-        send_cost = cfg.mpl_pkt_send_cost
-        npkts = packet_count(len(data), chunk)
-        uid0 = reserve_uids(npkts)
+        npkts = packet_count(len(data), cfg.mpl_payload)
+        uid = self.reserve_message(npkts, op_sid, "send", len(data))
         req.total_packets = npkts
-        if sp is not None:
-            sp.bind_packets(uid0, npkts, op_sid, "send", len(data),
-                            msg_key=("mpl", ctx.rank, msg_seq))
-        mpl = self
-
-        def on_ack(r=req):
-            if r.ack_one():
-                ctx.progress_ws.notify_all()
 
         def streamer(sthread):
             if sp is not None:
@@ -286,26 +252,22 @@ class Mpl(Endpoint):
                 sp.emit(ctx.rank, "mpl", "send", "rndv_wait", t_w,
                         sthread.sim.now, parent=op_sid, bytes=len(data))
             yield from sthread.execute(cfg.mpl_rendezvous_ctrl_cost)
-            rank = ctx.rank
-            send_data = mpl.transport.send_data
-            for i in range(npkts):
-                yield from sthread.execute(send_cost)
-                yield from send_data(sthread, data_packet(
-                    rank, dst, msg_seq, tag, data, True, chunk, header,
-                    i, uid0 + i), on_ack=on_ack)
+            yield from self.send_packets(
+                sthread, data_packets(ctx.rank, dst, msg_seq, tag, data,
+                                      True, cfg, uid),
+                on_ack=req.ack_one)
 
-        from ..machine.cpu import HANDLER
         self.task.node.cpu.spawn(streamer,
                                  name=f"mpl{ctx.rank}.rndv{msg_seq}",
                                  priority=HANDLER)
         return req
 
-    def _local_send(self, thread, data: bytes, tag: int) -> Generator:
+    def _local_send(self, thread, data: bytes, tag: int,
+                    op_sid=None) -> Generator:
         """Send to self: goes through the matching engine locally."""
         cfg = self.config
         ctx = self.ctx
-        from .matching import MessageState
-        msg = MessageState(ctx.rank, ctx.next_seq(ctx.rank))
+        msg = MessageState(ctx.rank, ctx.next_seq(ctx.rank), op_sid)
         msg.set_envelope(tag, len(data), False)
         yield from thread.execute(cfg.copy_cost(len(data)))
         req = SendRequest(ctx.rank, msg.msg_seq, len(data),

@@ -51,11 +51,15 @@ class MplDispatcher(EndpointDispatcher):
     # ------------------------------------------------------------------
     # message state helpers
     # ------------------------------------------------------------------
-    def _state(self, src: int, msg_seq: int) -> MessageState:
-        key = (src, msg_seq)
+    def _state(self, pkt: "Packet") -> MessageState:
+        """The message ``pkt`` belongs to; its first packet to arrive
+        opens it, carrying the packet's origin span."""
+        key = (pkt.src, pkt.info["msg_seq"])
         msg = self.ctx.recv_msgs.get(key)
         if msg is None:
-            msg = MessageState(src, msg_seq)
+            sp = self.mpl.spans
+            msg = MessageState(*key, sp.origin_of(pkt) if sp is not None
+                               else None)
             self.ctx.recv_msgs[key] = msg
         return msg
 
@@ -71,9 +75,7 @@ class MplDispatcher(EndpointDispatcher):
             yield from thread.execute(cfg.mpl_match_cost)
             if sp is not None:
                 sp.emit(self.ctx.rank, "mpl", "recv", "match", t_m,
-                        thread.sim.now,
-                        parent=sp.message_origin(
-                            ("mpl", env.src, env.msg_seq)),
+                        thread.sim.now, parent=env.origin,
                         bytes=env.total, src=env.src)
             req = self.ctx.match.match_arrival(env)
             if req is not None:
@@ -90,7 +92,7 @@ class MplDispatcher(EndpointDispatcher):
                          msg.msg_seq, reply_to=msg.rts_uid)
         sp = self.mpl.spans
         if sp is not None:
-            sp.bind_packet(cts, sp.origin_of_uid(msg.rts_uid), "cts")
+            sp.bind_packet(cts, msg.origin, "cts")
         self.mpl.transport.send_control(cts)
 
     def _bind_flush(self, thread: "Thread",
@@ -148,9 +150,7 @@ class MplDispatcher(EndpointDispatcher):
             yield from thread.execute(cfg.copy_cost(msg.total))
             if sp is not None:
                 sp.emit(self.ctx.rank, "mpl", "recv", "copy", t_cp,
-                        thread.sim.now,
-                        parent=sp.message_origin(
-                            ("mpl", msg.src, msg.msg_seq)),
+                        thread.sim.now, parent=msg.origin,
                         bytes=msg.total, early_arrival=True)
             blob = bytes(msg.early_buffer[:msg.total])
             if req.addr is not None:
@@ -183,9 +183,8 @@ class MplDispatcher(EndpointDispatcher):
             if sp is not None:
                 cs_sid = sp.open(mpl.ctx.rank, "mpl", "rcvncall",
                                  hthread.sim.now, phase="cmpl_handler",
-                                 parent=sp.message_origin(
-                                     ("mpl", msg.src, msg.msg_seq)),
-                                 bytes=msg.total, tag=msg.tag)
+                                 parent=msg.origin, bytes=msg.total,
+                                 tag=msg.tag)
                 hthread.span_parent = cs_sid
             try:
                 yield from hthread.execute(cfg.rcvncall_context_cost)
@@ -206,7 +205,7 @@ class MplDispatcher(EndpointDispatcher):
     # packet kinds
     # ------------------------------------------------------------------
     def _data(self, thread: "Thread", pkt: "Packet") -> Generator:
-        msg = self._state(pkt.src, pkt.info["msg_seq"])
+        msg = self._state(pkt)
         if pkt.info.get("is_first") and not msg.envelope_known:
             # For rendezvous traffic the RTS already delivered the
             # envelope; only admit it once.
@@ -226,7 +225,7 @@ class MplDispatcher(EndpointDispatcher):
         yield from self._maybe_complete(thread, msg)
 
     def _rts(self, thread: "Thread", pkt: "Packet") -> Generator:
-        msg = self._state(pkt.src, pkt.info["msg_seq"])
+        msg = self._state(pkt)
         msg.rts_uid = pkt.uid
         msg.set_envelope(pkt.info["tag"], pkt.info["total"], True)
         yield from self._admit_and_match(thread, msg)

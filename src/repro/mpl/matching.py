@@ -35,11 +35,16 @@ class MessageState:
     __slots__ = ("src", "msg_seq", "tag", "total", "received",
                  "is_rndv", "early_buffer", "recv_req", "rcvncall_fn",
                  "matched", "envelope_known", "stash", "used_early",
-                 "rts_uid", "unexpected_at", "parked_at")
+                 "rts_uid", "origin", "unexpected_at", "parked_at")
 
-    def __init__(self, src: int, msg_seq: int) -> None:
+    def __init__(self, src: int, msg_seq: int,
+                 origin: Optional[int] = None) -> None:
         self.src = src
         self.msg_seq = msg_seq
+        #: The sender's ``mpl send`` span (None when tracing is off),
+        #: read from the first packet to arrive: every receive-side
+        #: span of the message parents to it.
+        self.origin = origin
         # Envelope fields; valid once envelope_known.
         self.tag = -2
         self.total = -1
@@ -168,9 +173,8 @@ class MatchEngine:
             if sp is not None and admitted.parked_at is not None:
                 sp.emit(self.rank, "mpl", "recv", "reorder_wait",
                         admitted.parked_at, self.sim.now,
-                        parent=sp.message_origin(
-                            ("mpl", admitted.src, admitted.msg_seq)),
-                        bytes=admitted.total, src=admitted.src)
+                        parent=admitted.origin, bytes=admitted.total,
+                        src=admitted.src)
             ready.append(admitted)
             stream.next_seq += 1
         return ready
@@ -212,9 +216,7 @@ class MatchEngine:
                 if sp is not None and msg.unexpected_at is not None:
                     sp.emit(self.rank, "mpl", "recv", "unexpected_wait",
                             msg.unexpected_at, self.sim.now,
-                            parent=sp.message_origin(
-                                ("mpl", msg.src, msg.msg_seq)),
-                            bytes=msg.total, src=msg.src)
+                            parent=msg.origin, bytes=msg.total, src=msg.src)
                 return msg
         self.posted.append(req)
         return None

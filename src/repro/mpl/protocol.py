@@ -9,7 +9,7 @@ why everything below the peak is slower.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..machine.config import MachineConfig
@@ -17,7 +17,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from ..machine.packet import Packet
 from .constants import MplPacketKind
 
-__all__ = ["data_packet", "rts_packet", "cts_packet", "PROTO"]
+__all__ = ["data_packets", "rts_packet", "cts_packet", "PROTO"]
 
 #: Adapter demultiplexing key for the MPL stack.
 PROTO = "mpl"
@@ -31,25 +31,30 @@ def _mk(src: int, dst: int, kind: str, header: int, payload: bytes,
                   header_bytes=header, payload=payload, info=info)
 
 
-def data_packet(src: int, dst: int, msg_seq: int, tag: int, data: bytes,
-                is_rndv: bool, chunk: int, header: int, i: int,
-                uid: int) -> "Packet":
-    """Packet ``i`` of one message's data stream (eager or post-CTS).
+def data_packets(src: int, dst: int, msg_seq: int, tag: int, data: bytes,
+                 is_rndv: bool, config: "MachineConfig",
+                 uid: int) -> Iterator["Packet"]:
+    """The packets of one message's data stream (eager or post-CTS).
 
-    The stream is cut into ``chunk``-byte payloads (``mpl_payload``)
-    behind ``header``-byte headers and has
-    ``packet_count(len(data), chunk)`` packets.  The first packet
-    carries the envelope (tag, total, protocol); later packets carry
-    only sequence/offset, as real 16-byte headers would.
+    The stream is cut into ``mpl_payload``-byte payloads behind
+    ``mpl_header``-byte headers, >= 1 packet even for zero length.  The
+    first packet carries the envelope (tag, total, protocol); later
+    packets carry only sequence/offset, as real 16-byte headers would.
+    Packet *i* gets uid ``uid + i`` and is cut from the snapshot
+    ``data`` when it is asked for.
     """
-    offset = i * chunk
-    if i:
-        info = {"msg_seq": msg_seq, "offset": offset}
-    else:
-        info = {"msg_seq": msg_seq, "offset": 0, "tag": tag,
-                "total": len(data), "is_first": True, "is_rndv": is_rndv}
-    return Packet(src, dst, PROTO, _DATA, header,
-                  data[offset:offset + chunk], -1, info, uid)
+    chunk = config.mpl_payload
+    header = config.mpl_header
+    total = len(data)
+    yield Packet(src, dst, PROTO, _DATA, header, data[:chunk], -1,
+                 {"msg_seq": msg_seq, "offset": 0, "tag": tag,
+                  "total": total, "is_first": True, "is_rndv": is_rndv},
+                 uid)
+    for offset in range(chunk, total, chunk):
+        uid += 1
+        yield Packet(src, dst, PROTO, _DATA, header,
+                     data[offset:offset + chunk], -1,
+                     {"msg_seq": msg_seq, "offset": offset}, uid)
 
 
 def rts_packet(config: "MachineConfig", src: int, dst: int, msg_seq: int,

@@ -12,9 +12,12 @@ virtual-time spans following the full lifecycle
     interrupt-or-poll dispatch -> header handler ->
     completion handler -> counter update
 
-with cross-node causality stitched through packet uids and message
-ids (origin-registered side tables; no ambient per-timer context, so
-the kernel's allocation-free ``call_at`` fast path is untouched).
+with cross-node causality stitched through packet uids: the sender
+binds each message's block of uids to its operation span
+(one origin-registered side table), and the target's receive state
+carries the span read from the first packet to arrive.  There is no
+ambient per-timer context, so the kernel's allocation-free ``call_at``
+fast path is untouched.
 
 Hard invariant: recording is *purely observational*.  Every hook reads
 ``sim.now`` and appends to host-level lists; none schedules events,
@@ -141,9 +144,11 @@ class SpanRecorder:
     The machine and protocol layers call the hooks below at phase
     boundaries; each hook is a pure host-side append.  Packet-phase
     spans (tx/wire/rx_dma/dispatch) are stitched to their originating
-    operation through :meth:`bind_packets` side tables keyed by packet
-    uid; target-side handler spans parent through message keys
-    (``("lapi", src, msg_id)`` / ``("mpl", src, msg_seq)``).
+    operation through the :meth:`bind_packets` side table keyed by
+    packet uid; target-side spans (handlers, copies, matching) parent
+    through the origin the receive state (LAPI's ``RecvAssembly``,
+    MPL's ``MessageState``) read with :meth:`origin_of` from its first
+    packet.
     """
 
     def __init__(self, limit: int = 2_000_000) -> None:
@@ -155,7 +160,6 @@ class SpanRecorder:
         self._sid = 0
         self._open: dict[int, Span] = {}
         self._pkt: dict[int, _PacketTrack] = {}
-        self._msg: dict[tuple, tuple[Optional[int], int]] = {}
         #: Free list of retired packet tracks (reset-on-acquire).
         self._track_free: list[_PacketTrack] = []
         #: Track pool counters (obs export; never in metrics blocks).
@@ -211,22 +215,19 @@ class SpanRecorder:
     # causal side tables (origin registration)
     # ------------------------------------------------------------------
     def bind_packets(self, first_uid: int, count: int,
-                     parent: Optional[int], op: str, nbytes: int,
-                     msg_key: Optional[tuple] = None) -> None:
+                     parent: Optional[int], op: str, nbytes: int) -> None:
         """Register a message's packets under their originating span.
 
         The message's packets are the ``count`` uids from ``first_uid``
         on, the block reserved when it was issued; they are bound
         before any of them is built.  Subsequent adapter/switch hooks
         attribute each packet's tx/wire/rx_dma/dispatch phases to ``op``
-        with ``parent`` as the causal parent; ``msg_key`` additionally
-        lets the *target* side (header/completion handlers) find the
-        origin span.
+        with ``parent`` as the causal parent, and the target's receive
+        state reads ``parent`` from the first packet to arrive
+        (:meth:`origin_of`).
         """
         for uid in range(first_uid, first_uid + count):
             self._pkt[uid] = self._new_track(parent, op, nbytes)
-        if msg_key is not None:
-            self._msg[msg_key] = (parent, nbytes)
 
     def bind_packet(self, pkt: "Packet", parent: Optional[int], op: str,
                     nbytes: int = 0) -> None:
@@ -246,10 +247,12 @@ class SpanRecorder:
     def retire_packet(self, uid: int) -> None:
         """Drop a finished packet's track and recycle the record.
 
-        Called when a packet's lifecycle is provably over (the
-        transport consumed its acknowledgement); keeps the side table
-        bounded on long runs instead of growing one entry per packet
-        ever sent.  Unknown uids no-op.
+        Called for a transport acknowledgement once it is consumed: its
+        lifecycle is provably over, so acks never pile up in the side
+        table.  Data and control packets are not retired -- a spurious
+        retransmission after the ack must still find its origin -- so
+        the table keeps one track per such packet for the life of the
+        recorder.  Unknown uids no-op.
         """
         track = self._pkt.pop(uid, None)
         if track is not None:
@@ -269,23 +272,6 @@ class SpanRecorder:
         """Originating span sid of a bound packet (None if unbound)."""
         track = self._pkt.get(pkt.uid)
         return track.parent if track is not None else None
-
-    def origin_of_uid(self, uid: Optional[int]) -> Optional[int]:
-        """Originating span sid of a bound packet uid."""
-        if uid is None:
-            return None
-        track = self._pkt.get(uid)
-        return track.parent if track is not None else None
-
-    def message_origin(self, key: tuple) -> Optional[int]:
-        """Origin span sid registered for a message key."""
-        entry = self._msg.get(key)
-        return entry[0] if entry is not None else None
-
-    def message_bytes(self, key: tuple) -> Optional[int]:
-        """Message byte count registered for a message key."""
-        entry = self._msg.get(key)
-        return entry[1] if entry is not None else None
 
     # ------------------------------------------------------------------
     # packet lifecycle hooks (machine layer)

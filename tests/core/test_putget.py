@@ -348,3 +348,22 @@ class TestSyncCounters:
             return lapi.counter().id - first
 
         assert run_spmd(main) == [1, 1]
+
+    def test_put_sync_leaves_counter_ids_symmetric(self):
+        """put_sync's completion counter is addressed by id from the
+        target, but lives only for the call: the user's counter ids
+        stay symmetric across ranks and the table keeps its size."""
+        def main(task):
+            lapi = task.lapi
+            buf = task.memory.malloc(64)
+            before = len(lapi.ctx.counters)
+            yield from lapi.gfence()
+            if task.rank == 0:
+                for _ in range(5):
+                    yield from lapi.put_sync(1, 64, buf, buf)
+            yield from lapi.gfence()
+            return lapi.counter().id, len(lapi.ctx.counters) - 1 - before
+
+        (id0, grew0), (id1, grew1) = run_spmd(main)
+        assert id0 == id1
+        assert grew0 == grew1 == 0

@@ -13,7 +13,7 @@ import pytest
 from repro.bench.chaos import (CHAOS_BYTES, CHAOS_MSGS_QUICK, CRASH_AT_US,
                                crash_point, crash_scenarios)
 from repro.core.reliability import UNREACHABLE, ReliableTransport
-from repro.errors import PeerUnreachableError
+from repro.errors import MachineError, PeerUnreachableError
 from repro.faults import FaultSchedule, LinkOutage, NodeCrash
 from repro.machine import TASK_CRASHED, Cluster
 from repro.machine.config import SP_1998
@@ -278,6 +278,31 @@ class TestSuppressedRetryExhaustion:
         assert results[0] > 0.0
         rel = cluster.metrics.snapshot()["core.reliability"]
         assert rel["0"]["completed_in_error"] == 1
+
+    def test_sender_waiting_for_credits_sees_the_breaker_open(self):
+        """A put longer than the send window blocks on credits; when the
+        breaker opens during that wait, the put raises instead of
+        registering one more packet toward the lost peer."""
+        npkts = SP_1998.lapi_window + 16
+        observed = []
+
+        def main(task):
+            lapi = task.lapi
+            nbytes = npkts * SP_1998.lapi_payload
+            buf = task.memory.malloc(nbytes)
+            if task.rank == 0:
+                with pytest.raises(PeerUnreachableError):
+                    yield from lapi.put(1, nbytes, buf, buf)
+                transport = lapi.transport
+                observed.append((transport.outstanding_to(1),
+                                 transport._peer_tx(1).credits))
+
+        # The interrupted put never completes its message, so the fence
+        # in term waits until ``until`` (ROADMAP item 1(c)); the put's
+        # own outcome is what this test checks.
+        with pytest.raises(MachineError, match="virtual-time budget"):
+            self._run(main)
+        assert observed == [(0, SP_1998.lapi_window)]
 
 
 class TestChaosCrashPoints:

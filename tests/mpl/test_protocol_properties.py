@@ -8,7 +8,7 @@ from repro.machine.config import SP_1998
 from repro.machine.packet import packet_count
 from repro.mpl import ANY_SOURCE, ANY_TAG
 from repro.mpl.matching import MatchEngine, MessageState, RecvRequest
-from repro.mpl.protocol import cts_packet, data_packet, rts_packet
+from repro.mpl.protocol import cts_packet, data_packets, rts_packet
 
 
 class TestDataPacketsProperties:
@@ -17,10 +17,8 @@ class TestDataPacketsProperties:
     @settings(max_examples=60)
     def test_roundtrip_and_envelope(self, n, tag, rndv):
         data = bytes(i % 251 for i in range(n))
-        chunk = SP_1998.mpl_payload
-        pkts = [data_packet(0, 1, 7, tag, data, rndv, chunk,
-                            SP_1998.mpl_header, i, 50 + i)
-                for i in range(packet_count(n, chunk))]
+        pkts = list(data_packets(0, 1, 7, tag, data, rndv, SP_1998, 50))
+        assert len(pkts) == packet_count(n, SP_1998.mpl_payload)
         assert [p.uid for p in pkts] == list(range(50, 50 + len(pkts)))
         # Exactly one envelope, on the first packet.
         firsts = [p for p in pkts if p.info.get("is_first")]

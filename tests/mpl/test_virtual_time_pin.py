@@ -1,0 +1,183 @@
+"""Virtual time of the MPL send and receive paths, pinned exactly.
+
+A 3-node job runs every MPL message path once per rank, in polling and
+in interrupt mode.  Each rank sends to the next rank and receives from
+the previous one (so every rank is a sender and a receiver at once),
+then does the same to itself.  With ``MP_EAGER_LIMIT`` raised past the
+send-buffer limit, one job covers all three send protocols:
+
+* eager-buffered sends of 0 bytes, one packet and 4 096 bytes, an
+  eager-direct send and a rendezvous send;
+* each with the receive posted first, and unexpected: sent before the
+  receive is posted, received with a wildcard source or tag, found
+  with ``probe`` or a loop of ``iprobe`` first;
+* an ``rcvncall`` handler that replies, at every size but a data-less
+  message to a peer;
+* the ``barrier`` that lines the ranks up between steps.
+
+After each operation, and after waiting for it to complete, every rank
+records ``task.now()``; the expected times, each cluster's kernel event
+count and every rank's ``MplStats`` are in ``virtual_time_pin.json``.
+Regenerate it only for a change that moves MPL virtual time on
+purpose::
+
+    PYTHONPATH=src python tests/mpl/test_virtual_time_pin.py
+"""
+
+import dataclasses
+import json
+import pathlib
+
+import pytest
+
+from repro.machine import Cluster
+from repro.machine.config import SP_1998
+from repro.mpl import ANY_SOURCE, ANY_TAG
+
+PIN = pathlib.Path(__file__).with_name("virtual_time_pin.json")
+
+PAYLOAD = SP_1998.mpl_payload
+#: Past the send-buffer limit, so eager-direct sends exist.
+EAGER_LIMIT = 32 * 1024
+SIZES = {
+    "0": 0,
+    "one packet": PAYLOAD,
+    "4096": 4096,
+    "eager-direct": SP_1998.mpl_send_buffer_limit + 3 * PAYLOAD + 17,
+    "rendezvous": EAGER_LIMIT + 5 * PAYLOAD + 9,
+}
+BUF = max(SIZES.values())
+TAG = 5
+RCVNCALL_TAG = 77
+REPLY_TAG = 78
+
+
+def program(task):
+    mpl = task.mpl
+    mem = task.memory
+    peer = (task.rank + 1) % task.size
+    prev = (task.rank - 1) % task.size
+    times = []
+
+    def mark(label):
+        times.append([label, task.now()])
+
+    src = mem.malloc(BUF)
+    dst = mem.malloc(BUF)
+    mem.write(src, bytes(i % 251 for i in range(BUF)))
+
+    def handler(t, origin, tag, data):
+        yield from t.mpl.send(origin, data[:8], min(len(data), 8),
+                              REPLY_TAG)
+
+    mpl.rcvncall(RCVNCALL_TAG, handler)
+    yield from mpl.barrier()
+    mark("start")
+
+    for where, to, frm in (("peer", peer, prev),
+                           ("self", task.rank, task.rank)):
+        for name, size in SIZES.items():
+            tag = f"{name} {where}"
+            # Receive posted before the message arrives.
+            rreq = yield from mpl.irecv(frm, TAG, dst, BUF)
+            sreq = yield from mpl.isend(to, src, size, TAG)
+            mark(f"isend {tag}")
+            yield from mpl.waitall([sreq, rreq])
+            mark(f"posted {tag} done")
+            assert rreq.received_len == size
+
+            # Unexpected: the message lands before any receive; the
+            # receive names any source, then any tag.
+            for label, rsrc, rtag in (("any source", ANY_SOURCE, TAG),
+                                      ("any tag", frm, ANY_TAG)):
+                sreq = yield from mpl.isend(to, src, size, TAG)
+                yield from mpl.barrier()
+                mark(f"unexpected {label} {tag} sent")
+                rreq = yield from mpl.recv(rsrc, rtag, dst, BUF)
+                mark(f"unexpected {label} {tag} received")
+                yield from mpl.wait(sreq)
+                yield from mpl.barrier()
+                mark(f"unexpected {label} {tag} done")
+                assert (rreq.received_src, rreq.received_len) == (frm, size)
+
+            # Probe, blocking and polled, before the receive.
+            sreq = yield from mpl.isend(to, src, size, TAG)
+            found = yield from mpl.probe(ANY_SOURCE, TAG)
+            mark(f"probe {tag}")
+            assert found == (frm, TAG, size)
+            yield from mpl.recv(frm, TAG, dst, BUF)
+            yield from mpl.wait(sreq)
+            mark(f"probe {tag} done")
+            sreq = yield from mpl.isend(to, src, size, TAG)
+            found = None
+            while found is None:
+                # A busy loop would hold the CPU from the interrupt
+                # thread: nothing preempts an executing thread.
+                found = yield from mpl.iprobe(frm, ANY_TAG)
+                if found is None:
+                    yield from task.thread.sleep(10.0)
+            mark(f"iprobe {tag}")
+            assert found == (frm, TAG, size)
+            yield from mpl.recv(frm, TAG, dst, BUF)
+            yield from mpl.wait(sreq)
+            yield from mpl.barrier()
+            mark(f"iprobe {tag} done")
+
+            if not size and to != task.rank:
+                # A data-less message to a peer's rcvncall runs its
+                # completion twice and fails the job (KeyError in
+                # MplDispatcher._maybe_complete).
+                continue
+            # rcvncall: the handler at ``to`` answers with a short reply.
+            sreq = yield from mpl.isend(to, src, size, RCVNCALL_TAG)
+            mark(f"rcvncall {tag}")
+            reply = yield from mpl.recv_bytes(to, REPLY_TAG)
+            yield from mpl.wait(sreq)
+            mark(f"rcvncall {tag} replied")
+            assert len(reply) == min(size, 8)
+            yield from mpl.barrier()
+            mark(f"rcvncall {tag} done")
+    mark("end")
+    return times, dataclasses.asdict(mpl.stats)
+
+
+def measure(interrupt_mode):
+    cluster = Cluster(nnodes=3, config=SP_1998, seed=1)
+    results = cluster.run_job(program, stacks=("mpl",),
+                              interrupt_mode=interrupt_mode,
+                              eager_limit=EAGER_LIMIT)
+    return {"events": cluster.sim.events_processed,
+            "times": [times for times, _ in results],
+            "stats": [stats for _, stats in results]}
+
+
+MODES = {"interrupt": True, "polling": False}
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    return json.loads(PIN.read_text())
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_mpl_virtual_time_is_pinned(mode, pinned):
+    got = measure(MODES[mode])
+    want = pinned[mode]
+    for rank, (g, w) in enumerate(zip(got["times"], want["times"])):
+        assert g == w, f"{mode}: rank {rank}"
+    assert got["stats"] == want["stats"]
+    assert got["events"] == want["events"]
+
+
+if __name__ == "__main__":
+    # One line per rank, so a moved time shows as a one-line diff.
+    runs = []
+    for mode in sorted(MODES):
+        got = measure(MODES[mode])
+        ranks = ",\n   ".join(json.dumps(t) for t in got["times"])
+        stats = ",\n   ".join(json.dumps(s, sort_keys=True)
+                              for s in got["stats"])
+        runs.append(f' "{mode}": {{"events": {got["events"]},'
+                    f' "times": [\n   {ranks}],'
+                    f' "stats": [\n   {stats}]}}')
+    PIN.write_text("{\n" + ",\n".join(runs) + "\n}\n")

@@ -18,6 +18,7 @@ import pytest
 from repro.bench import parallel, runner
 from repro.bench.latency import lapi_pingpong_job
 from repro.machine import Cluster
+from repro.machine.config import SP_1998
 from repro.machine.packet import Packet
 from repro.obs import (MANDATORY_PHASES, PHASE_ORDER, SPAN_SCHEMA_KEYS,
                        ObsSpec, SpanRecorder, bucket_of, chrome_trace_events,
@@ -82,8 +83,7 @@ class TestPacketHooks:
         sp = SpanRecorder()
         pkt = _pkt(uid=3)
         parent = sp.open(0, "lapi", "put", 0.0)
-        sp.bind_packets(pkt.uid, 1, parent, "put", 64,
-                        msg_key=("lapi", 0, 0))
+        sp.bind_packets(pkt.uid, 1, parent, "put", 64)
         sp.packet_submitted(pkt, 1.0)
         sp.packet_tx_done(pkt, 2.0)
         sp.packet_delivered(pkt, 3.0)
@@ -98,11 +98,7 @@ class TestPacketHooks:
         wire = sp.records[1]
         assert wire.flow == 3  # pairs with rx_dma in the Chrome trace
         assert sp.records[2].flow == 3
-        assert sp.message_origin(("lapi", 0, 0)) == parent
-        assert sp.message_bytes(("lapi", 0, 0)) == 64
         assert sp.origin_of(pkt) == parent
-        assert sp.origin_of_uid(3) == parent
-        assert sp.origin_of_uid(None) is None
 
     def test_unbound_packet_still_tracked(self):
         sp = SpanRecorder()
@@ -337,9 +333,32 @@ class TestClusterIntegration:
 
     def test_consumed_acks_retire_their_span_tracks(self):
         # The transport retires each consumed ack's uid-keyed track, so
-        # the recorder's side table stays bounded on long runs.
+        # acks never pile up in the recorder's side table.
         cluster = _put_job(True)
         assert pool_stats(cluster)["span_tracks"]["tracks_recycled"] > 0
+
+    def test_get_reply_copies_have_spans_like_put_copies(self):
+        """Each packet a put lands at its target and each packet of a
+        get's reply lands at its origin records a ``copy`` span."""
+        nbytes = 4000
+        npkts = -(-nbytes // SP_1998.lapi_payload)
+
+        def main(task):
+            lapi = task.lapi
+            buf = task.memory.malloc(nbytes)
+            yield from lapi.gfence()
+            if task.rank == 0:
+                yield from lapi.get_sync(1, nbytes, buf, buf)
+                yield from lapi.put_sync(1, nbytes, buf, buf)
+            yield from lapi.gfence()
+
+        cluster = Cluster(nnodes=2, obs=ObsSpec({"spans"}))
+        cluster.run_job(main, stacks=("lapi",))
+        copies = [(s.op, s.node) for s in cluster.spans.records
+                  if s.phase == "copy" and s.subsystem == "lapi"]
+        assert npkts == 5
+        assert copies.count(("get", 0)) == npkts
+        assert copies.count(("put", 1)) == npkts
 
 
 def _pingpong_job():
