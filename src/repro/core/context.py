@@ -168,6 +168,10 @@ class LapiContext:
         self.send_msgs: dict[int, SendState] = {}
         self.recv_asm: dict[tuple[int, int, str], RecvAssembly] = {}
         self.pending_rmws: dict[int, RmwPending] = {}
+        #: ``(origin, cmpl counter id)`` -> ``[count, span]`` while that
+        #: pair's one CMPL notice is unacknowledged: the completions
+        #: held for the next notice and the origin span of the first.
+        self.cmpl_held: dict[tuple[int, int], list] = {}
         # -- fence accounting -------------------------------------------
         #: Data-bearing operations issued to each target and not yet
         #: known complete at the data-transfer level (section 5.3.2).
@@ -191,6 +195,7 @@ class LapiContext:
         self.send_msgs.clear()
         self.recv_asm.clear()
         self.pending_rmws.clear()
+        self.cmpl_held.clear()
         self.outstanding.clear()
         self.barrier_tokens.clear()
 

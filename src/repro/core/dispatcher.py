@@ -21,7 +21,10 @@ module implements it:
 * the dispatcher itself never blocks on flow control: everything it
   emits (ACKs, completions, RMW replies) rides the control path, and
   get requests are served by spawned threads, which stream the reply
-  through the origin side's one sender.
+  through the origin side's one sender;
+* control packets bypass the send window, so completion notices pace
+  themselves: at most one per (origin, counter) is unacknowledged, and
+  completions meanwhile ride the next one (:meth:`Dispatcher._send_cmpl`).
 
 The receive loop itself -- interrupt and polling modes, the dispatch
 lock, duplicate suppression -- is shared with MPL
@@ -42,6 +45,7 @@ from .endpoint import EndpointDispatcher
 from .protocol import (control_packet, data_packets, read_runs, split_runs,
                        strided_packet_count, write_runs)
 from .putget import send_message
+from .reliability import UNREACHABLE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..machine.cpu import Thread
@@ -100,7 +104,7 @@ class Dispatcher(EndpointDispatcher):
             if sp is not None:
                 sp.emit(ctx.rank, "lapi", "cmpl", "counter_update", t_cu,
                         thread.sim.now, parent=sp.origin_of(pkt))
-            ctx.counter_by_id(pkt.info["cntr_id"]).add(1)
+            ctx.counter_by_id(pkt.info["cntr_id"]).add(pkt.info["count"])
         elif kind == PacketKind.RMW_REQ:
             yield from self._rmw_request(thread, pkt)
         elif kind == PacketKind.RMW_REP:
@@ -331,14 +335,44 @@ class Dispatcher(EndpointDispatcher):
             cntr.add(1)
         if asm.cmpl_cntr_id is not None:
             yield from thread.execute(cfg.lapi_ack_cost)
-            cmpl = control_packet(
-                cfg, ctx.rank, asm.src, PacketKind.CMPL,
-                cntr_id=asm.cmpl_cntr_id)
-            if sp is not None:
-                sp.bind_packet(cmpl, asm.origin, "cmpl")
-            self.lapi.transport.send_control(cmpl)
+            held = ctx.cmpl_held.get((asm.src, asm.cmpl_cntr_id))
+            if held is None:
+                self._send_cmpl(asm.src, asm.cmpl_cntr_id, 1, asm.origin)
+            else:
+                if held[0] == 0:
+                    held[1] = asm.origin
+                held[0] += 1
         if asm.mtype == PacketKind.MSG_GET_REP:
             ctx.op_completed(asm.src)
+
+    def _send_cmpl(self, origin: int, cid: int, count: int,
+                   span: Optional[int]) -> None:
+        """Notify ``origin`` that ``count`` messages naming its counter
+        ``cid`` completed here.  Until the notice is acknowledged, later
+        completions for the pair are held (:attr:`LapiContext.cmpl_held`),
+        and its acknowledgement sends one notice carrying them all, so
+        at most one notice per pair is ever in flight.  Held counts die
+        with the origin (its breaker opens) or with this node's restart.
+        """
+        ctx = self.ctx
+        key = (origin, cid)
+        held = [0, None]
+        transport = self.lapi.transport
+        if transport.peer_health(origin) != UNREACHABLE:
+            # A suppressed notice is never acknowledged: hold nothing.
+            ctx.cmpl_held[key] = held
+
+        def acked() -> None:
+            del ctx.cmpl_held[key]
+            if held[0] and transport.peer_health(origin) != UNREACHABLE:
+                self._send_cmpl(origin, cid, held[0], held[1])
+
+        cmpl = control_packet(self.config, ctx.rank, origin,
+                              PacketKind.CMPL, cntr_id=cid, count=count)
+        sp = self.lapi.spans
+        if sp is not None:
+            sp.bind_packet(cmpl, span, "cmpl")
+        transport.send_control(cmpl, on_ack=acked)
 
     # ------------------------------------------------------------------
     # GET servicing

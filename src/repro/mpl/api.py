@@ -29,7 +29,7 @@ from ..machine.cpu import HANDLER
 from ..machine.packet import packet_count
 from .constants import ANY_SOURCE, ANY_TAG
 from .dispatcher import MplDispatcher
-from .matching import MessageState, RecvRequest
+from .matching import MessageState, RecvRequest, tag_matches
 from .protocol import PROTO, data_packets, rts_packet
 from .requests import MplContext, SendRequest
 
@@ -381,7 +381,7 @@ class Mpl(Endpoint):
     def _match_unexpected(self, src: int, tag: int):
         for msg in self.ctx.match.unexpected:
             if ((src == ANY_SOURCE or src == msg.src)
-                    and (tag == ANY_TAG or tag == msg.tag)):
+                    and tag_matches(tag, msg.tag)):
                 return (msg.src, msg.tag, msg.total)
         return None
 

@@ -217,12 +217,14 @@ class MplDispatcher(EndpointDispatcher):
             if msg.matched or msg.envelope_known:
                 yield from self._place(thread, msg, pkt.info["offset"],
                                        payload)
+                # A data-less message completed (if at all) when its
+                # envelope was matched above.
+                yield from self._maybe_complete(thread, msg)
             else:
                 # Outran its own envelope: stash until it arrives.
                 yield from thread.execute(
                     self.config.copy_cost(len(payload)))
                 msg.stash.append((pkt.info["offset"], payload))
-        yield from self._maybe_complete(thread, msg)
 
     def _rts(self, thread: "Thread", pkt: "Packet") -> Generator:
         msg = self._state(pkt)

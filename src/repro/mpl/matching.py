@@ -24,9 +24,17 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ..errors import MplError
-from .constants import ANY_SOURCE, ANY_TAG
+from .constants import ANY_SOURCE, ANY_TAG, ReservedTag
 
-__all__ = ["MessageState", "RecvRequest", "MatchEngine"]
+__all__ = ["MessageState", "RecvRequest", "MatchEngine", "tag_matches"]
+
+
+def tag_matches(want: int, tag: int) -> bool:
+    """A receive or probe for ``want`` takes a message tagged ``tag``:
+    the same tag, or ``ANY_TAG`` and a user tag.  The wildcard never
+    takes a :class:`ReservedTag`, so no user receive swallows a
+    collective's traffic."""
+    return want == tag or (want == ANY_TAG and tag >= ReservedTag.USER_MIN)
 
 
 class MessageState:
@@ -109,7 +117,7 @@ class RecvRequest:
 
     def matches(self, src: int, tag: int) -> bool:
         return ((self.src == ANY_SOURCE or self.src == src)
-                and (self.tag == ANY_TAG or self.tag == tag))
+                and tag_matches(self.tag, tag))
 
 
 @dataclass

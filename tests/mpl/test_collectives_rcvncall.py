@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.machine.config import SP_1998
+from repro.mpl import ANY_TAG
 
 from .conftest import run_mpl
 
@@ -62,6 +63,22 @@ class TestCollectives:
             return v
 
         assert run_mpl(main, nnodes=4) == [3, 3, 3, 3]
+
+    def test_any_tag_receive_leaves_barrier_tokens_alone(self, progress_mode):
+        """A wildcard-tag receive posted before a barrier takes the user
+        message after it, not the barrier's token."""
+        def main(task):
+            mpl = task.mpl
+            if task.rank == 1:
+                req = yield from mpl.irecv(0, ANY_TAG, None, 64)
+                yield from mpl.barrier()
+                yield from mpl.wait(req)
+                return req.received_tag, req.data
+            yield from mpl.barrier()
+            yield from mpl.send(1, b"late", 4, tag=5)
+
+        results = run_mpl(main, interrupt_mode=progress_mode, until=50_000)
+        assert results[1] == (5, b"late")
 
     def test_barrier_single_rank(self):
         def main(task):
@@ -170,6 +187,28 @@ class TestRcvncall:
             yield from mpl.barrier()
 
         assert run_mpl(main)[0] == list(range(count))
+
+
+    def test_dataless_message_runs_handler_once(self, progress_mode):
+        """A 0-byte send to the next rank's rcvncall completes when its
+        envelope is matched; the handler runs exactly once."""
+        seen = []
+
+        def main(task):
+            mpl = task.mpl
+
+            def handler(t, src, tag, data):
+                seen.append((t.rank, src, data))
+
+            mpl.rcvncall(42, handler)
+            yield from mpl.barrier()
+            nxt = (task.rank + 1) % task.size
+            yield from mpl.send(nxt, b"", 0, tag=42)
+            yield from mpl.barrier()
+            yield from mpl.barrier()  # give handlers time to drain
+
+        run_mpl(main, nnodes=3, interrupt_mode=progress_mode)
+        assert sorted(seen) == [(0, 2, b""), (1, 0, b""), (2, 1, b"")]
 
 
 class TestLockrnc:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import MplError
 from repro.mpl import ANY_SOURCE, ANY_TAG
+from repro.mpl.constants import ReservedTag
 from repro.mpl.matching import MatchEngine, MessageState, RecvRequest
 
 
@@ -83,6 +84,15 @@ class TestMatching:
         req = RecvRequest(2, ANY_TAG, None, 100)
         eng.post_recv(req)
         assert eng.match_arrival(env(src=2, tag=77)) is req
+
+    def test_wildcard_tag_skips_reserved_tags(self):
+        eng = MatchEngine(0)
+        req = RecvRequest(ANY_SOURCE, ANY_TAG, None, 100)
+        eng.post_recv(req)
+        barrier = env(src=2, tag=ReservedTag.BARRIER)
+        assert eng.match_arrival(barrier) is None
+        assert barrier in eng.unexpected
+        assert eng.match_arrival(env(src=2, seq=1, tag=0)) is req
 
     def test_non_matching_tag_skipped(self):
         eng = MatchEngine(0)

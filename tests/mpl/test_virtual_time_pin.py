@@ -124,9 +124,9 @@ def program(task):
             mark(f"iprobe {tag} done")
 
             if not size and to != task.rank:
-                # A data-less message to a peer's rcvncall runs its
-                # completion twice and fails the job (KeyError in
-                # MplDispatcher._maybe_complete).
+                # Left out of the pinned run: it failed the job when the
+                # pin was captured (its completion ran twice); the
+                # rcvncall tests now cover it.
                 continue
             # rcvncall: the handler at ``to`` answers with a short reply.
             sreq = yield from mpl.isend(to, src, size, RCVNCALL_TAG)
