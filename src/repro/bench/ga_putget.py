@@ -45,6 +45,13 @@ def _reps(nbytes: int) -> int:
     return max(2, min(12, (1 << 20) // max(nbytes, 1)))
 
 
+def _section_elems(kind: str, nbytes: int) -> int:
+    """Doubles a ``kind`` section of about ``nbytes`` moves: a column
+    of whole doubles, or (2-D) the largest square that fits in it."""
+    elems = max(1, nbytes // 8)
+    return math.isqrt(elems) ** 2 if kind == "2d" else elems
+
+
 def ga_transfer_rate(backend: str, op: str, kind: str, nbytes: int,
                      config: MachineConfig = SP_1998,
                      gcfg: GaConfig = GA_DEFAULTS,
@@ -54,10 +61,8 @@ def ga_transfer_rate(backend: str, op: str, kind: str, nbytes: int,
     Parameters: ``backend`` in {"lapi", "mpl"}; ``op`` in {"put",
     "get"}; ``kind`` in {"1d", "2d"}.
     """
-    elems = max(1, nbytes // 8)
-    if kind == "2d":
-        side = max(1, math.isqrt(elems))
-        elems = side * side
+    elems = _section_elems(kind, nbytes)
+    side = math.isqrt(elems)
     nbytes = elems * 8
     reps = _reps(nbytes)
     records = {}
@@ -111,9 +116,23 @@ def ga_transfer_rate(backend: str, op: str, kind: str, nbytes: int,
 def figure_jobs(op: str, config: MachineConfig = SP_1998,
                 sizes=GA_SIZE_SWEEP) -> list[JobSpec]:
     """One Figure-3/4 sweep as specs: every (backend, kind, size)
-    combination is an independent 4-node cluster simulation."""
+    combination is an independent 4-node cluster simulation.
+
+    An MPL put charges by bytes alone (the origin's ``store_piece``
+    packs, the owner copies ``len(data)``), so a 2-D MPL put cell whose
+    square section moves the 1-D cell's bytes is the 1-D cell's spec,
+    run once per sweep.
+    """
     figure = "fig3" if op == "put" else "fig4"
-    return [JobSpec(ga_transfer_rate, (backend, op, kind, n, config),
+
+    def run_as(backend: str, kind: str, n: int) -> str:
+        if (op, backend, kind) == ("put", "mpl", "2d") and \
+                _section_elems("2d", n) == _section_elems("1d", n):
+            return "1d"
+        return kind
+
+    return [JobSpec(ga_transfer_rate,
+                    (backend, op, run_as(backend, kind, n), n, config),
                     key=(figure, backend, kind, n))
             for backend, kind in _SERIES for n in sizes]
 

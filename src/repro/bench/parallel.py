@@ -28,6 +28,10 @@ Determinism contract
   SplitMix64-style spread (:func:`spread_seed`) where an experiment
   wants distinct shards -- there is no shared RNG between jobs, so
   sharding cannot perturb any stream.
+* Equal specs in one :func:`submit` are one job.  Specs whose ``fn``,
+  ``args`` and ``kwargs`` compare equal run once (the first of them);
+  every one gets its value, in spec order, and the job's captures are
+  recorded once.  Nothing is shared across submits.
 
 The serial path (``jobs=1``, the default) runs specs inline, eagerly,
 in order, through exactly the code path a direct call would take.
@@ -107,6 +111,27 @@ def _resolved_keys(specs: Sequence[JobSpec]) -> list[tuple]:
     return keys
 
 
+def _distinct_jobs(specs: Sequence[JobSpec]
+                   ) -> tuple[list[JobSpec], list[int]]:
+    """The distinct jobs of ``specs`` and, per spec, its job's index.
+
+    Two specs are one job when their ``fn``, ``args`` and ``kwargs``
+    are equal; the first of them runs.  A linear scan, so arguments
+    need not be hashable: a sweep has at most a few hundred specs, and
+    each job is a whole cluster simulation.
+    """
+    jobs: list[JobSpec] = []
+    slots = []
+    for spec in specs:
+        same = (spec.fn, spec.args, spec.kwargs)
+        slot = next((i for i, job in enumerate(jobs)
+                     if (job.fn, job.args, job.kwargs) == same), len(jobs))
+        if slot == len(jobs):
+            jobs.append(spec)
+        slots.append(slot)
+    return jobs, slots
+
+
 def _worker_init(obs, capture: bool) -> None:
     """Arm the parent's observability spec in each worker."""
     global _IN_WORKER
@@ -147,6 +172,9 @@ class SweepFuture:
                  values: Optional[list] = None) -> None:
         self._futures = list(futures)
         self._values = values
+        #: Per spec, the index of the job that ran it (set by
+        #: :func:`submit`); None when each spec ran as its own job.
+        self.slots: Optional[list[int]] = None
         #: CPU seconds the sweep's pool jobs consumed, known once
         #: ``result()`` returned (0.0 for inline sweeps).
         self.job_cpu_s = 0.0
@@ -163,6 +191,9 @@ class SweepFuture:
                 runner.record_captures(captures)
             self.job_cpu_s = sum(cpu for _, cpu, _ in outcomes)
             self._values = [value for value, _, _ in outcomes]
+        if self.slots is not None:
+            slots, self.slots = self.slots, None
+            self._values = [self._values[i] for i in slots]
         return self._values
 
 
@@ -280,14 +311,24 @@ def shutdown() -> None:
 
 def submit(specs: Sequence[JobSpec]) -> SweepFuture:
     """Queue ``specs`` on the installed scheduler; returns the future
-    immediately so independent sweeps pipeline through the pool."""
-    return _EXECUTOR.submit(specs)
+    immediately so independent sweeps pipeline through the pool.
+
+    Equal specs are queued as one job (see :func:`_distinct_jobs`);
+    the future hands its value to each of them, in spec order.
+    """
+    specs = list(specs)
+    _resolved_keys(specs)
+    jobs, slots = _distinct_jobs(specs)
+    future = _EXECUTOR.submit(jobs)
+    if len(jobs) < len(specs):
+        future.slots = slots
+    return future
 
 
 def sweep(specs: Sequence[JobSpec]) -> list[Any]:
     """Run ``specs`` on the installed scheduler; results in spec
     order (submit + block)."""
-    return _EXECUTOR.map(specs)
+    return submit(specs).result()
 
 
 # ----------------------------------------------------------------------

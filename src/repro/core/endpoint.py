@@ -231,7 +231,7 @@ class Endpoint:
             if self.interrupt_mode and self._mask_depth == 0:
                 yield from thread.wait(self.ctx.progress_ws.wait(can_leave))
             else:
-                yield from self.dispatcher.poll_step(thread)
+                yield from self.dispatcher.poll_step(thread, predicate)
 
     def ready_waits(self) -> list[str]:
         """``"<wait set>: <predicate>"`` for each interrupt-mode
@@ -362,11 +362,13 @@ class EndpointDispatcher:
             self.ctx.progress_ws.notify_all()
         return processed
 
-    def poll_step(self, thread: "Thread") -> Generator:
-        """One polling-mode progress step (see
+    def poll_step(self, thread: "Thread",
+                  done: Callable[[], bool]) -> Generator:
+        """One polling-mode progress step of a wait for ``done()`` (see
         :func:`repro.sim.park.poll_step`)."""
         return poll_step(thread, self, self.endpoint.client.rx,
-                         self.ctx.progress_ws, self.config.poll_check_cost)
+                         self.ctx.progress_ws, self.config.poll_check_cost,
+                         done)
 
     def interrupt_service(self, thread: "Thread") -> Generator:
         """Body of the interrupt-mode dispatcher thread.

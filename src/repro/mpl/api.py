@@ -113,11 +113,16 @@ class Mpl(Endpoint):
     # lockrnc: MPL's interrupt disable (atomicity tool of GA-on-MPL)
     # ------------------------------------------------------------------
     def lockrnc(self, disable: bool) -> None:
-        """Disable (True) / re-enable (False) communication interrupts."""
+        """Disable (True) / re-enable (False) communication interrupts.
+
+        Masking notifies the progress wait set after raising the depth:
+        an interrupt-mode wait's gate reads it, and a masked waiter must
+        go on polling."""
         self._check_live()
         if disable:
             self._mask_depth += 1
             self.client.interrupts_enabled = False
+            self.ctx.progress_ws.notify_all()
         else:
             if self._mask_depth == 0:
                 raise MplError("lockrnc unlock without lock")

@@ -30,7 +30,7 @@ anything with ``process(thread, item, amortized=False)`` and
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Any, Callable, Generator, Optional
 
 from .channel import Channel
 from .events import PENDING, Event
@@ -88,21 +88,25 @@ def unpark(ev: Event, channel: Channel,
 
 
 def poll_step(thread, consumer, rx: Channel, progress: WaitSet,
-              check_cost: float) -> Generator:
+              check_cost: float, done: Callable[[], bool]) -> Generator:
     """One polling-mode progress step (section 2.1's polling mode).
 
-    Charges the doorbell check; drains pending packets if any,
-    otherwise blocks the calling thread until the next arrival *or* any
-    progress signal -- window acknowledgements are consumed at the
-    adapter level, so a poller must not insist on seeing a packet --
-    and processes what arrived.  Used by wait loops in polling mode, so
-    a polling task makes progress exactly while it sits in library
+    Charges the doorbell check; drains pending packets if any, returns
+    if the caller's wait condition ``done()`` came true meanwhile (an
+    acknowledgement consumed at the adapter during the check notifies
+    nobody), otherwise blocks the calling thread until the next arrival
+    *or* any progress signal -- window acknowledgements are consumed at
+    the adapter level, so a poller must not insist on seeing a packet
+    -- and processes what arrived.  Used by wait loops in polling mode,
+    so a polling task makes progress exactly while it sits in library
     calls -- and a task that never calls the library makes none (the
     documented deadlock hazard of polling mode).
     """
     yield from thread.execute(check_cost)
     if len(rx):
         yield from consumer.drain(thread)
+        return
+    if done():
         return
     parked = park(rx, progress)
     yield from thread.wait(parked)

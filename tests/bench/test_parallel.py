@@ -42,11 +42,20 @@ def _boom():
     raise KeyError("boom")
 
 
+def _logged_add(log, a, b):
+    # Appends one line per call, so calls made in pool workers count.
+    with open(log, "a") as f:
+        f.write("call\n")
+    return a + b
+
+
 def _die():
     os._exit(3)
 
 
-def _pingpong_job():
+def _pingpong_job(shard):
+    # ``shard`` only keeps the specs distinct: equal specs in one
+    # submit are one job.
     return lapi_pingpong_job(interrupt_mode=False)
 
 
@@ -254,7 +263,7 @@ class TestErrorPaths:
 class TestCaptureShipping:
     def test_parallel_captures_match_serial(self, restore_engine):
         """Worker-shipped captures equal in-process conversions."""
-        specs = [JobSpec(_pingpong_job, key=("cap", i))
+        specs = [JobSpec(_pingpong_job, (i,), key=("cap", i))
                  for i in range(3)]
 
         runner.configure_observability(ObsSpec({"metrics"}), capture=True)
@@ -278,7 +287,7 @@ class TestCaptureShipping:
         """Trace parity requires packet uids to restart per cluster:
         a serial run's second cluster must not number its packets
         after the first's, or a fork-fresh worker diverges."""
-        specs = [JobSpec(_pingpong_job, key=("trace", i))
+        specs = [JobSpec(_pingpong_job, (i,), key=("trace", i))
                  for i in range(3)]
 
         runner.configure_observability(ObsSpec({"trace"}), capture=True)
@@ -298,6 +307,56 @@ class TestCaptureShipping:
         # ...and the worker-shipped records match the serial ones,
         # packet uids included.
         assert par_traces == serial_traces
+
+
+class TestEqualSpecs:
+    """Equal specs in one submit are one job; nothing is shared across
+    submits."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_equal_specs_run_once(self, restore_engine, tmp_path, jobs):
+        log = tmp_path / "calls"
+        parallel.configure(jobs)
+        values = parallel.sweep([
+            JobSpec(_logged_add, (str(log), 1, 2), key=("a",)),
+            JobSpec(_logged_add, (str(log), 5, 5), key=("b",)),
+            JobSpec(_logged_add, (str(log), 1, 2), key=("c",))])
+        assert values == [3, 10, 3]
+        assert log.read_text().count("call") == 2
+
+    def test_equal_kwargs_in_any_order_are_one_job(self, restore_engine,
+                                                    tmp_path):
+        log = tmp_path / "calls"
+        values = parallel.sweep([
+            JobSpec(_logged_add, (), {"log": str(log), "a": 1, "b": 2},
+                    key=("a",)),
+            JobSpec(_logged_add, (), {"b": 2, "a": 1, "log": str(log)},
+                    key=("b",))])
+        assert values == [3, 3]
+        assert log.read_text().count("call") == 1
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_capture_per_job(self, restore_engine, jobs):
+        runner.configure_observability(ObsSpec({"metrics"}), capture=True)
+        parallel.configure(jobs)
+        values = parallel.sweep([JobSpec(_pingpong_job, (0,), key=("x",)),
+                                 JobSpec(_pingpong_job, (0,), key=("y",))])
+        assert values[0] == values[1]
+        assert len(runner.drain_captures()) == 1
+
+    def test_separate_submits_run_again(self, restore_engine, tmp_path):
+        log = tmp_path / "calls"
+        spec = JobSpec(_logged_add, (str(log), 1, 2), key=("k",))
+        first = parallel.submit([spec])
+        second = parallel.submit([spec])
+        assert first.result() == second.result() == [3]
+        assert log.read_text().count("call") == 2
+
+    def test_keys_stay_unique(self):
+        specs = [JobSpec(_add, (1, 2), key=("dup",)),
+                 JobSpec(_add, (1, 2), key=("dup",))]
+        with pytest.raises(ValueError, match="duplicate job key"):
+            parallel.submit(specs)
 
 
 def _run_reduced_suite():
@@ -329,7 +388,9 @@ class TestDeterminism:
         parallel.configure(4)
         par = _run_reduced_suite()
         assert serial == par
-        assert serial["clusters"] == 10  # 6 fig2 points + 4 table2
+        # 5 fig2 clusters (the 1 KiB 64K-eager cell is the default
+        # cell's job) + 4 table2.
+        assert serial["clusters"] == 9
 
 
 class TestCliHelpers:

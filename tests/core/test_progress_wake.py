@@ -229,15 +229,12 @@ def test_waitcntr_falls_back_to_polling_when_interrupts_go_off():
     assert results[0] == (pytest.approx(132.274, abs=1e-3), 0)
 
 
-@pytest.mark.xfail(raises=MachineError, strict=True,
-                   reason="a polling wait can park after its predicate"
-                   " came true during the doorbell check")
 def test_polling_fence_after_a_dataless_amsend_returns():
     """Both ranks send each other a data-less active message and fence
     in polling mode.  The ack that empties a rank's fence lands at the
     adapter while the rank is still paying ``poll_check_cost``; its
-    notify wakes nobody, and ``poll_step`` then parks on an RX FIFO
-    that stays empty, so the fence never returns."""
+    notify wakes nobody, so ``poll_step`` must re-read the fence's
+    condition before it parks on an RX FIFO that stays empty."""
     def main(task):
         lapi = task.lapi
         buf = task.memory.malloc(64)
@@ -249,5 +246,36 @@ def test_polling_fence_after_a_dataless_amsend_returns():
         return task.now()
 
     cluster = Cluster(nnodes=2, seed=1)
-    cluster.run_job(main, stacks=("lapi",), interrupt_mode=False,
-                    until=UNTIL)
+    done = cluster.run_job(main, stacks=("lapi",), interrupt_mode=False,
+                           until=UNTIL)
+    assert done == [pytest.approx(77.24, abs=5e-3)] * 2
+
+
+def test_lockrnc_wakes_an_interrupt_mode_wait():
+    """Rank 0 sits in an interrupt-mode ``wait`` when a helper thread
+    masks interrupts with ``lockrnc(True)``; rank 1's message arrives
+    only later and raises no interrupt.  Masking must wake the waiter
+    so that it polls, or it sleeps past ``until``."""
+    def main(task):
+        mpl = task.mpl
+        buf = task.memory.malloc(64)
+        start = task.now()
+        if task.rank == 1:
+            yield from task.thread.sleep(100.0)
+            send = yield from mpl.isend(0, b"x" * 64, 64, 1)
+            yield from mpl.wait(send)
+            return None
+
+        def masker(thread):
+            yield from thread.sleep(10.0)
+            mpl.lockrnc(True)
+
+        recv = yield from mpl.irecv(1, 1, buf, 64)
+        task.node.cpu.spawn(masker, name="masker")
+        yield from mpl.wait(recv)
+        return task.now() - start
+
+    cluster = Cluster(nnodes=2, seed=1)
+    results = cluster.run_job(main, stacks=("mpl",), interrupt_mode=True,
+                              until=UNTIL)
+    assert results[0] == pytest.approx(142.72, abs=5e-3)

@@ -91,11 +91,6 @@ def program(task):
                 mark(f"get {tag}")
                 yield from complete(f"get {tag}",
                                     (org, tgt) if counted else ())
-                if (not (size or counted or lapi.interrupt_mode)
-                        and target != task.rank):
-                    # A polling fence after a data-less amsend can sleep
-                    # through its wake-up: see test_progress_wake.py.
-                    continue
                 kw = ({"tgt_cntr": tgt.id, "org_cntr": org,
                        "cmpl_cntr": cmpl} if counted else {})
                 yield from lapi.amsend(target, hid, b"uhdr" * 4, src, size,

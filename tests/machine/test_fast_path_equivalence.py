@@ -129,7 +129,7 @@ class TestTrainEquivalence:
         # does not engage, the fast path is dead code.
         assert _train_packets(fast) > 0
         assert (fast.sim.events_processed, _trains_collapsed(fast)) \
-            == (2879, 11)
+            == (2900, 11)
 
     def test_lossy_config_falls_back(self):
         def sched():
@@ -190,7 +190,7 @@ class TestTrainEquivalence:
                                   spans=True)
         assert fast.spans.span_dicts()
         assert (fast.sim.events_processed, _trains_collapsed(fast)) \
-            == (2879, 11)
+            == (2900, 11)
 
     def test_tracer_armed_keeps_trains(self):
         fast = _assert_equivalent(SP_1998, _put_job(NBYTES, 1),

@@ -361,7 +361,9 @@ class TestClusterIntegration:
         assert copies.count(("put", 1)) == npkts
 
 
-def _pingpong_job():
+def _pingpong_job(shard):
+    # ``shard`` only keeps the specs distinct: equal specs in one
+    # submit are one job.
     return lapi_pingpong_job(interrupt_mode=False)
 
 
@@ -377,7 +379,7 @@ class TestParallelParity:
                                                     restore_engine):
         """Worker-shipped span dicts equal the serial in-process ones
         (uids and sids restart per cluster, so shard order is moot)."""
-        specs = [parallel.JobSpec(_pingpong_job, key=("sp", i))
+        specs = [parallel.JobSpec(_pingpong_job, (i,), key=("sp", i))
                  for i in range(3)]
 
         runner.configure_observability(ObsSpec({"spans"}), capture=True)
