@@ -21,6 +21,10 @@ GA_Access (local block)      :meth:`access`
 GA_Zero / GA_Fill            :meth:`zero` / :meth:`fill`
 ===========================  ========================================
 
+The backends are transports only: this module resolves every operation's
+owners, moves this rank's own part in place, and applies every request
+at its owner (:meth:`GlobalArrays.serve`).
+
 Local transfer buffers are *tightly packed column-major* images of the
 section being moved, living in the node's simulated memory
 (:meth:`alloc_local` / :meth:`free_local`).  The ndarray conveniences
@@ -46,7 +50,8 @@ from .array import GlobalArray
 from .config import GA_DEFAULTS, GaConfig
 from .distribution import BlockDistribution
 from .sections import Section
-from .wire import GaOp
+from .wire import (GATHER_PAIR_SIZE, Descriptor, GaOp, decode_gather,
+                   decode_scatter, read_elements, write_elements)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..machine.cluster import Task
@@ -211,23 +216,26 @@ class GlobalArrays:
 
     def _data_call(self, handle: int, section, local_addr: int, op: int,
                    alpha: float = 1.0) -> Generator:
-        """One put/get/acc inside its ``ga.put``/``ga.get``/``ga.acc``
-        span: the transport operations it issues parent under it."""
         self._check_live()
         ga = self.array(handle)
         section = ga.check_section(section)
+        yield from self._in_span(
+            op, section.size * ga.itemsize,
+            self._pieces(ga, section, local_addr, op, alpha))
+
+    def _in_span(self, op: int, nbytes: int, body: Generator) -> Generator:
+        """Run one GA call's ``body`` inside its ``ga.<op>`` span: the
+        transport operations it issues parent under it."""
         sp = self.spans
         if sp is None:
-            yield from self._pieces(ga, section, local_addr, op, alpha)
-            return
+            return (yield from body)
         thread = self.task.node.cpu.current_thread()
         prev = getattr(thread, "span_parent", None)
         sid = sp.open(self.rank, "ga", f"ga.{GaOp.NAMES[op]}",
-                      self.task.now(), parent=prev,
-                      bytes=section.size * ga.itemsize)
+                      self.task.now(), parent=prev, bytes=nbytes)
         thread.span_parent = sid
         try:
-            yield from self._pieces(ga, section, local_addr, op, alpha)
+            return (yield from body)
         finally:
             thread.span_parent = prev
             sp.close(sid, self.task.now())
@@ -339,25 +347,62 @@ class GlobalArrays:
         self._check_live()
         ga = self.array(handle)
         vals = np.asarray(values, dtype=ga.dtype)
-        if len(vals) != len(points):
-            raise GaError("scatter points/values length mismatch")
-        for i, j in points:
-            if not ga.full_section().contains_point(i, j):
-                raise GaError(f"scatter point ({i},{j}) out of range")
-        thread = yield from self._charge_call()
-        yield from self.backend.scatter(thread, ga, list(points), vals)
+        if vals.shape != (len(points),):
+            raise GaError(f"scatter needs one value per point: values of"
+                          f" shape {vals.shape} for {len(points)} points")
+        self._check_points(ga, points, "scatter")
+        yield from self._in_span(GaOp.SCATTER, vals.nbytes, self._points(
+            ga, list(points), GaOp.SCATTER, vals))
 
     def gather(self, handle: int,
                points: Sequence[tuple[int, int]]) -> Generator:
         """Read listed elements; returns a 1-D array of values."""
         self._check_live()
         ga = self.array(handle)
-        for i, j in points:
-            if not ga.full_section().contains_point(i, j):
-                raise GaError(f"gather point ({i},{j}) out of range")
+        self._check_points(ga, points, "gather")
+        out = np.zeros(len(points), dtype=ga.dtype)
+        yield from self._in_span(GaOp.GATHER, out.nbytes, self._points(
+            ga, list(points), GaOp.GATHER, out))
+        return out
+
+    def _points(self, ga: GlobalArray, points: list, op: int,
+                vals: np.ndarray) -> Generator:
+        """The call charge, then every owner's points (SCATTER writes
+        ``vals``, GATHER fills it) in first-seen order -- this rank's
+        own in place, the others through the backend -- then the
+        backend's completion."""
+        backend = self.backend
+        scatter = op == GaOp.SCATTER
         thread = yield from self._charge_call()
-        result = yield from self.backend.gather(thread, ga, list(points))
-        return result
+        by_owner: dict[int, list[int]] = {}
+        for k, (i, j) in enumerate(points):
+            by_owner.setdefault(ga.dist.owner_of(i, j), []).append(k)
+        pending = []
+        for owner, idxs in by_owner.items():
+            if owner != self.rank:
+                group = (backend.scatter_group if scatter
+                         else backend.gather_group)
+                pending.append((yield from group(thread, ga, owner, points,
+                                                 vals, idxs)))
+            elif scatter:
+                write_elements(self.memory, ga, owner,
+                               ((*points[k], vals[k].tobytes())
+                                for k in idxs))
+            else:
+                vals[idxs] = np.frombuffer(read_elements(
+                    self.memory, ga, owner, (points[k] for k in idxs)),
+                    dtype=ga.dtype)
+        if scatter:
+            yield from backend.finish_scatter(thread, pending)
+        else:
+            yield from backend.finish_gather(thread, pending, vals)
+
+    @staticmethod
+    def _check_points(ga: GlobalArray, points, what: str) -> None:
+        full = ga.full_section()
+        for i, j in points:
+            if not full.contains_point(i, j):
+                raise GaError(f"{what} point ({i},{j}) out of range")
 
     def read_inc(self, handle: int, point: tuple[int, int],
                  inc: int = 1) -> Generator:
@@ -369,7 +414,82 @@ class GlobalArrays:
         if ga.dtype != np.int64:
             raise GaError("read_inc requires an int64 global array")
         thread = yield from self._charge_call()
-        prev = yield from self.backend.read_inc(thread, ga, point, inc)
+        prev = yield from self.backend.read_inc(
+            thread, ga, ga.dist.owner_of(*point), point, inc)
+        return prev
+
+    # ------------------------------------------------------------------
+    # the owner side: every request a backend delivers to this rank
+    # ------------------------------------------------------------------
+    def serve(self, thread, src: int, desc: Descriptor, data: bytes,
+              reply) -> Generator:
+        """Apply one GA request from ``src`` at its owner, this rank:
+        charge the copy (or DAXPY in the backend's ``critical``
+        section), touch the array, and answer through the backend's
+        ``reply(thread, src, desc, blob)``."""
+        memory = self.memory
+        cfg = self.config
+        op = desc.op
+        if op == GaOp.FENCE:
+            # Each origin's requests are served in order: everything it
+            # sent earlier has been handled; just confirm.
+            yield from reply(thread, src, desc, b"")
+            return
+        if op in (GaOp.READ_INC, GaOp.LOCK_CAS):
+            prev = yield from self.word_here(thread, desc)
+            yield from reply(thread, src, desc, np.int64(prev).tobytes())
+            return
+        ga = self.array(desc.handle)
+        rank = self.rank
+        if op == GaOp.PUT:
+            yield from thread.execute(cfg.copy_cost(len(data)))
+            write_runs(memory, ga.piece_runs(rank, desc.section,
+                                             desc.offset, len(data)), data)
+        elif op == GaOp.ACC:
+            runs = ga.piece_runs(rank, desc.section, desc.offset,
+                                 len(data))
+            yield from self.backend.critical(
+                thread, cfg.daxpy_cost(len(data)),
+                lambda: ga.accumulate(memory, runs, data, desc.alpha))
+        elif op == GaOp.GET:
+            piece = desc.section
+            # Pack the piece (one copy at the owner) and send it back.
+            yield from thread.execute(cfg.copy_cost(piece.size
+                                                    * ga.itemsize))
+            yield from reply(thread, src, desc,
+                             read_runs(memory, ga.piece_runs(rank, piece)))
+        elif op == GaOp.SCATTER:
+            yield from thread.execute(cfg.copy_cost(len(data)))
+            write_elements(memory, ga, rank, decode_scatter(data))
+        elif op == GaOp.GATHER:
+            yield from thread.execute(cfg.copy_cost(
+                len(data) // GATHER_PAIR_SIZE * ga.itemsize))
+            yield from reply(thread, src, desc, read_elements(
+                memory, ga, rank, decode_gather(data)))
+        else:
+            raise GaError(f"unknown GA request {desc.op_name!r}")
+
+    def word_here(self, thread, desc: Descriptor) -> Generator:
+        """READ_INC (add ``aux``) or LOCK_CAS (``aux`` -> ``alpha``) on
+        one of this rank's int64 words inside the backend's critical
+        section; returns the old value."""
+        memory = self.memory
+        if desc.op == GaOp.READ_INC:
+            s = desc.section
+            addr = self.array(desc.handle).element_addr(self.rank, s.ilo,
+                                                        s.jlo)
+        else:
+            addr = desc.reply_addr  # the lock word's local address
+
+        def apply():
+            prev = memory.read_i64(addr)
+            if desc.op == GaOp.READ_INC:
+                memory.write_i64(addr, prev + desc.aux)
+            elif prev == desc.aux:
+                memory.write_i64(addr, int(desc.alpha))
+            return prev
+
+        prev = yield from self.backend.critical(thread, 0.5, apply)
         return prev
 
     # ------------------------------------------------------------------
@@ -576,3 +696,4 @@ class GlobalArrays:
         return (f"<GlobalArrays rank={self.rank}/{self.size}"
                 f" backend={self.backend.name}"
                 f" arrays={len(self._arrays)}>")
+

@@ -1,11 +1,13 @@
 """The GA-on-LAPI backend: section 5.3's hybrid protocols.
 
-:mod:`.api` runs the GA call itself (the call charge, the span, the
-owner loop and this rank's own piece); this backend issues the remote
-pieces (:meth:`LapiBackend.store_piece`, :meth:`LapiBackend.get_piece`),
-completes them per call (the origin-counter wait; the reply wait and
-the staged unpacks) and supplies the accumulate critical section
-(:meth:`LapiBackend.critical`: the GA mutex).
+:mod:`.api` runs every GA call and applies every request at its owner
+(:meth:`GlobalArrays.serve`).  This backend is the transport: it issues
+the remote pieces and point groups and completes them per call (the
+origin-counter waits; the reply wait and the staged unpacks), carries
+requests to ``serve`` (AM header handler into a pool slot, completion
+handler) and replies back (:meth:`LapiBackend._put_reply`), and supplies
+the accumulate critical section (:meth:`LapiBackend.critical`: the GA
+mutex).
 
 Protocol selection, per remote owner piece of a request:
 
@@ -43,10 +45,8 @@ from .array import contiguous
 from .buffers import AmBufferPool
 from .gencounters import GenCounterArray
 from .sections import Section
-from .wire import (DESCRIPTOR_SIZE, GATHER_PAIR_SIZE, Descriptor, GaOp,
-                   decode_gather, decode_scatter, encode_gather,
-                   encode_scatter, read_elements, remote_groups,
-                   write_elements)
+from .wire import (DESCRIPTOR_SIZE, Descriptor, GaOp, encode_gather,
+                   encode_scatter)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .api import GlobalArrays
@@ -130,49 +130,22 @@ class LapiBackend:
         Must not block and must return a buffer for data-bearing
         messages (section 5.3.1), hence the preallocated pool.
         """
-        desc = Descriptor.unpack(uhdr)
-        if udata_len == 0:
-            return None, self._ctrl_cmpl, (desc, src)
-        slot = self.pool.acquire(udata_len)
-        return slot, self._data_cmpl, (desc, src, slot, udata_len)
+        slot = self.pool.acquire(udata_len) if udata_len else None
+        return slot, self._cmpl, (Descriptor.unpack(uhdr), src, slot,
+                                  udata_len)
 
-    def _data_cmpl(self, task, info):
-        """Completion handler for data-bearing chunks (put/acc/scatter/
-        gather index lists).  Runs on its own HANDLER thread."""
+    def _cmpl(self, task, info):
+        """Completion handler (its own HANDLER thread): the request and
+        its pool slot's data go to the owner side, replies go back by
+        :meth:`_put_reply`."""
         desc, src, slot, nbytes = info
-        thread = task.node.cpu.current_thread()
-        cfg = self.config
+        data = b"" if slot is None else self.memory.read(slot, nbytes)
         try:
-            blob = self.memory.read(slot, nbytes)
-            ga = self.runtime.array(desc.handle)
-            if desc.op in (GaOp.PUT, GaOp.ACC):
-                # This chunk's share of the piece's column runs.
-                runs = ga.piece_runs(self.lapi.rank, desc.section,
-                                     desc.offset, nbytes)
-            if desc.op == GaOp.PUT:
-                yield from thread.execute(cfg.copy_cost(nbytes))
-                write_runs(self.memory, runs, blob)
-            elif desc.op == GaOp.ACC:
-                yield from self.critical(
-                    thread, cfg.daxpy_cost(nbytes),
-                    lambda: ga.accumulate(self.memory, runs, blob,
-                                          desc.alpha))
-            elif desc.op == GaOp.SCATTER:
-                yield from thread.execute(cfg.copy_cost(nbytes))
-                write_elements(self.memory, ga, self.lapi.rank,
-                               decode_scatter(blob))
-            elif desc.op == GaOp.GATHER:
-                # Read the listed elements and put the values back.
-                yield from thread.execute(cfg.copy_cost(
-                    nbytes // GATHER_PAIR_SIZE * ga.itemsize))
-                out = read_elements(self.memory, ga, self.lapi.rank,
-                                    decode_gather(blob))
-                yield from self._put_reply(thread, src, desc, out)
-            else:
-                raise GaError(
-                    f"unexpected data chunk op {desc.op_name!r}")
+            yield from self.runtime.serve(task.node.cpu.current_thread(),
+                                          src, desc, data, self._put_reply)
         finally:
-            self.pool.release(slot)
+            if slot is not None:
+                self.pool.release(slot)
 
     def critical(self, thread, cost: float, apply) -> Generator:
         """The accumulate critical section (section 5.3.3): ``apply()``
@@ -185,22 +158,6 @@ class LapiBackend:
             return apply()
         finally:
             mutex.release()
-
-    def _ctrl_cmpl(self, task, info):
-        """Completion handler for data-less requests (get)."""
-        desc, src = info
-        thread = task.node.cpu.current_thread()
-        cfg = self.config
-        if desc.op != GaOp.GET:
-            raise GaError(f"unexpected control op {desc.op_name!r}")
-        ga = self.runtime.array(desc.handle)
-        piece = desc.section
-        nbytes = piece.size * ga.itemsize
-        # Pack the piece (one copy at the target, charged)...
-        yield from thread.execute(cfg.copy_cost(nbytes))
-        blob = read_runs(self.memory, ga.piece_runs(self.lapi.rank, piece))
-        # ...and push it into the origin's staging buffer.
-        yield from self._put_reply(thread, src, desc, blob)
 
     def _put_reply(self, thread, src: int, desc: Descriptor,
                    blob: bytes) -> Generator:
@@ -376,76 +333,73 @@ class LapiBackend:
     # ==================================================================
     # scatter / gather / read_inc / locks / sync
     # ==================================================================
-    def scatter(self, thread, ga: "GlobalArray",
-                points: list[tuple[int, int]],
-                values: np.ndarray) -> Generator:
+    def scatter_group(self, thread, ga: "GlobalArray", owner: int,
+                      points: list, values: np.ndarray,
+                      idxs: list[int]) -> Generator:
+        """Ship one owner's points as scatter AMs of at most
+        ``scatter_chunk_elems`` records each; returns how many."""
         lapi = self.lapi
-
-        def local(idxs):
-            blob = encode_scatter(points, values, idxs, ga.dtype)
-            write_elements(self.memory, ga, lapi.rank, decode_scatter(blob))
-
-        ops = 0
         step = self.gcfg.scatter_chunk_elems
-        for owner, idxs in remote_groups(ga, points, lapi.rank, local):
-            for s in range(0, len(idxs), step):
-                group = idxs[s:s + step]
-                blob = encode_scatter(points, values, group, ga.dtype)
-                desc = Descriptor(op=GaOp.SCATTER, handle=ga.handle,
-                                  section=ga.local_block,
-                                  total=len(blob), aux=len(group))
-                yield from lapi.amsend(owner, self._chunk_hid,
-                                       desc.pack(), blob, len(blob),
-                                       org_cntr=self._org_cntr,
-                                       cmpl_cntr=self.gen[owner].cntr)
-                self.gen[owner].record("scatter")
-                ops += 1
+        for s in range(0, len(idxs), step):
+            group = idxs[s:s + step]
+            blob = encode_scatter(points, values, group, ga.dtype)
+            desc = Descriptor(op=GaOp.SCATTER, handle=ga.handle,
+                              section=ga.dist.block(owner), total=len(blob),
+                              aux=len(group))
+            yield from lapi.amsend(owner, self._chunk_hid, desc.pack(),
+                                   blob, len(blob),
+                                   org_cntr=self._org_cntr,
+                                   cmpl_cntr=self.gen[owner].cntr)
+            self.gen[owner].record("scatter")
+        return -(-len(idxs) // step)
+
+    def finish_scatter(self, thread, pending: list) -> Generator:
+        """Wait until every scatter AM's data has left."""
+        ops = sum(pending)
         if ops:
-            yield from lapi.waitcntr(self._org_cntr, ops)
+            yield from self.lapi.waitcntr(self._org_cntr, ops)
 
-    def gather(self, thread, ga: "GlobalArray",
-               points: list[tuple[int, int]]) -> Generator:
+    def gather_group(self, thread, ga: "GlobalArray", owner: int,
+                     points: list, out: np.ndarray,
+                     idxs: list[int]) -> Generator:
+        """Request one owner's points as gather AMs of at most
+        ``scatter_chunk_elems`` pairs, each reply put into a staging
+        buffer; returns ``(point indexes, staging address)`` per AM."""
         lapi = self.lapi
-        cfg = self.config
-        out = np.zeros(len(points), dtype=ga.dtype)
-
-        def local(idxs):
-            raw = read_elements(self.memory, ga, lapi.rank,
-                                (points[k] for k in idxs))
-            out[idxs] = np.frombuffer(raw, dtype=ga.dtype)
-
-        pending: list[tuple[list[int], int]] = []
         step = self.gcfg.scatter_chunk_elems
-        for owner, idxs in remote_groups(ga, points, lapi.rank, local):
-            for s in range(0, len(idxs), step):
-                group = idxs[s:s + step]
-                blob = encode_gather(points, group)
-                stage = self.memory.malloc(len(group) * ga.itemsize)
-                desc = Descriptor(op=GaOp.GATHER, handle=ga.handle,
-                                  section=ga.local_block,
-                                  total=len(group) * ga.itemsize,
-                                  reply_addr=stage,
-                                  reply_cntr=self._reply_cntr.id,
-                                  aux=len(group))
-                yield from lapi.amsend(owner, self._chunk_hid,
-                                       desc.pack(), blob, len(blob))
-                pending.append((group, stage))
-        if pending:
-            yield from lapi.waitcntr(self._reply_cntr, len(pending))
-        for group, stage in pending:
-            yield from thread.execute(
-                cfg.copy_cost(len(group) * ga.itemsize))
-            out[group] = np.frombuffer(
-                self.memory.read(stage, len(group) * ga.itemsize),
-                dtype=ga.dtype)
-            self.memory.free(stage)
-        return out
+        staged = []
+        for s in range(0, len(idxs), step):
+            group = idxs[s:s + step]
+            blob = encode_gather(points, group)
+            stage = self.memory.malloc(len(group) * ga.itemsize)
+            desc = Descriptor(op=GaOp.GATHER, handle=ga.handle,
+                              section=ga.dist.block(owner),
+                              total=len(group) * ga.itemsize,
+                              reply_addr=stage,
+                              reply_cntr=self._reply_cntr.id,
+                              aux=len(group))
+            yield from lapi.amsend(owner, self._chunk_hid, desc.pack(),
+                                   blob, len(blob))
+            staged.append((group, stage))
+        return staged
 
-    def read_inc(self, thread, ga: "GlobalArray", point: tuple[int, int],
-                 inc: int) -> Generator:
+    def finish_gather(self, thread, pending: list,
+                      out: np.ndarray) -> Generator:
+        """Wait for every reply, then unpack each into ``out``."""
+        staged = [s for group in pending for s in group]
+        if staged:
+            yield from self.lapi.waitcntr(self._reply_cntr, len(staged))
+        for group, stage in staged:
+            nbytes = len(group) * out.itemsize
+            yield from thread.execute(self.config.copy_cost(nbytes))
+            out[group] = np.frombuffer(self.memory.read(stage, nbytes),
+                                       dtype=out.dtype)
+            self.memory.free(stage)
+
+    def read_inc(self, thread, ga: "GlobalArray", owner: int,
+                 point: tuple[int, int], inc: int) -> Generator:
         """Atomic fetch-and-add on an int64 element via LAPI_Rmw."""
         from ..core import RmwOp
-        owner = ga.dist.owner_of(*point)
         prev = yield from self.lapi.rmw_sync(
             RmwOp.FETCH_AND_ADD, owner, ga.element_addr(owner, *point), inc)
         return prev

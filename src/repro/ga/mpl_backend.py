@@ -18,11 +18,13 @@ target and invoke a ``rcvncall`` message handler:
   request's reply proves all earlier requests from this origin were
   handled.
 
-:mod:`.api` runs the GA call itself (the call charge, the span, the
-owner loop and this rank's own piece); this backend issues the remote
-pieces (:meth:`MplBackend.store_piece`, :meth:`MplBackend.get_piece`),
-completes a put/acc with ``waitall`` and supplies the critical section
-(:meth:`MplBackend.critical`: ``lockrnc``).
+:mod:`.api` runs every GA call and applies every request at its owner
+(:meth:`GlobalArrays.serve`).  This backend is the transport: it packs
+the remote pieces, point groups and word operations into request
+messages and completes them (``waitall``, or the reply receive),
+carries requests to ``serve`` (the ``rcvncall`` handler, under the
+handler lock) and replies back on ``GA_REP_TAG``, and supplies the
+critical section (:meth:`MplBackend.critical`: ``lockrnc``).
 """
 
 from __future__ import annotations
@@ -36,10 +38,8 @@ from ..errors import GaError
 from ..sim import SimLock
 from .array import contiguous
 from .sections import Section
-from .wire import (DESCRIPTOR_SIZE, GATHER_PAIR_SIZE, Descriptor, GaOp,
-                   decode_gather, decode_scatter, encode_gather,
-                   encode_scatter, read_elements, remote_groups,
-                   write_elements)
+from .wire import (DESCRIPTOR_SIZE, Descriptor, GaOp, encode_gather,
+                   encode_scatter)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .api import GlobalArrays
@@ -95,66 +95,26 @@ class MplBackend:
     # target side: the rcvncall request handler
     # ==================================================================
     def _request_handler(self, task, src, tag, blob):
-        """Service one GA request (runs on a handler thread after the
-        rcvncall context-creation cost was charged by the MPL layer)."""
+        """Hand one GA request to the owner side (on a handler thread,
+        after the MPL layer charged the rcvncall context creation) under
+        the handler lock; replies go back by :meth:`_send_reply`."""
         thread = task.node.cpu.current_thread()
-        cfg = self.config
         lock = self._handler_lock
         if not lock.try_acquire(thread):
             yield from thread.wait(lock.acquire(owner=thread))
         try:
-            desc = Descriptor.unpack(blob)
-            data = blob[DESCRIPTOR_SIZE:]
-            rank = self.mpl.rank
-            if desc.op == GaOp.PUT:
-                ga = self.runtime.array(desc.handle)
-                yield from thread.execute(cfg.copy_cost(len(data)))
-                write_runs(self.memory, ga.piece_runs(
-                    rank, desc.section, desc.offset, len(data)), data)
-            elif desc.op == GaOp.ACC:
-                ga = self.runtime.array(desc.handle)
-                runs = ga.piece_runs(rank, desc.section, desc.offset,
-                                     len(data))
-                # lockrnc guards against re-entry, as in section 5.2.
-                yield from self.critical(
-                    thread, cfg.daxpy_cost(len(data)),
-                    lambda: ga.accumulate(self.memory, runs, data,
-                                          desc.alpha))
-            elif desc.op == GaOp.GET:
-                ga = self.runtime.array(desc.handle)
-                piece = desc.section
-                nbytes = piece.size * ga.itemsize
-                # MPL progress rules force the reply through a message
-                # buffer: the handler packs unconditionally (the copy
-                # LAPI's one-sided replies avoid).
-                yield from thread.execute(cfg.copy_cost(nbytes))
-                payload = read_runs(self.memory,
-                                    ga.piece_runs(rank, piece))
-                yield from self.mpl.send(src, payload, nbytes,
-                                         GA_REP_TAG)
-            elif desc.op in (GaOp.READ_INC, GaOp.LOCK_CAS):
-                prev = yield from self._word_here(thread, desc)
-                yield from self.mpl.send(
-                    src, np.int64(prev).tobytes(), 8, GA_REP_TAG)
-            elif desc.op == GaOp.FENCE:
-                # Per-source in-order servicing: everything this origin
-                # sent earlier has been handled; just confirm.
-                yield from self.mpl.send(src, b"", 0, GA_REP_TAG)
-            elif desc.op == GaOp.SCATTER:
-                ga = self.runtime.array(desc.handle)
-                yield from thread.execute(cfg.copy_cost(len(data)))
-                write_elements(self.memory, ga, rank, decode_scatter(data))
-            elif desc.op == GaOp.GATHER:
-                ga = self.runtime.array(desc.handle)
-                yield from thread.execute(cfg.copy_cost(
-                    len(data) // GATHER_PAIR_SIZE * ga.itemsize))
-                out = read_elements(self.memory, ga, rank,
-                                    decode_gather(data))
-                yield from self.mpl.send(src, out, len(out), GA_REP_TAG)
-            else:
-                raise GaError(f"unknown GA request {desc.op_name!r}")
+            # MPL progress rules force every reply through a message
+            # buffer: GET packs unconditionally (the copy LAPI's
+            # one-sided replies avoid).
+            yield from self.runtime.serve(
+                thread, src, Descriptor.unpack(blob),
+                blob[DESCRIPTOR_SIZE:], self._send_reply)
         finally:
             lock.release()
+
+    def _send_reply(self, thread, src: int, desc: Descriptor,
+                    blob: bytes) -> Generator:
+        yield from self.mpl.send(src, blob, len(blob), GA_REP_TAG)
 
     def critical(self, thread, cost: float, apply) -> Generator:
         """The critical section of section 5.2: ``apply()`` after
@@ -166,28 +126,6 @@ class MplBackend:
             return apply()
         finally:
             mpl.lockrnc(False)
-
-    def _word_here(self, thread, desc: Descriptor) -> Generator:
-        """READ_INC (add ``aux``) or LOCK_CAS (``aux`` -> ``alpha``) on
-        one of this rank's int64 words; returns the old value."""
-        memory = self.memory
-        if desc.op == GaOp.READ_INC:
-            s = desc.section
-            addr = self.runtime.array(desc.handle).element_addr(
-                self.mpl.rank, s.ilo, s.jlo)
-        else:
-            addr = desc.reply_addr  # the lock word's local address
-
-        def apply():
-            prev = memory.read_i64(addr)
-            if desc.op == GaOp.READ_INC:
-                memory.write_i64(addr, prev + desc.aux)
-            elif prev == desc.aux:
-                memory.write_i64(addr, int(desc.alpha))
-            return prev
-
-        prev = yield from self.critical(thread, 0.5, apply)
-        return prev
 
     # ==================================================================
     # origin side
@@ -209,8 +147,15 @@ class MplBackend:
         reply = yield from self.mpl.recv_bytes(owner, GA_REP_TAG)
         return reply
 
-    def _count(self, owner: int) -> None:
+    def _post(self, thread, owner: int, desc: Descriptor,
+              data: bytes) -> Generator:
+        """Send one request that gets no reply; returns its send
+        request."""
+        blob = yield from self._pack_request(thread, desc, data)
+        req = yield from self.mpl.isend(owner, blob, len(blob),
+                                        GA_REQ_TAG)
         self._issued[owner] = self._issued.get(owner, 0) + 1
+        return req
 
     def store_piece(self, thread, ga: "GlobalArray", owner: int,
                     piece: Section, section: Section, local_addr: int,
@@ -221,10 +166,7 @@ class MplBackend:
                          ga.buffer_runs(section, piece, local_addr))
         desc = Descriptor(op=op, handle=ga.handle, section=piece,
                           offset=0, total=len(data), alpha=alpha)
-        blob = yield from self._pack_request(thread, desc, data)
-        req = yield from self.mpl.isend(owner, blob, len(blob),
-                                        GA_REQ_TAG)
-        self._count(owner)
+        req = yield from self._post(thread, owner, desc, data)
         return req
 
     def finish_store(self, thread, pending: list) -> Generator:
@@ -262,52 +204,42 @@ class MplBackend:
         yield from ()
 
     # ------------------------------------------------------------------
-    def scatter(self, thread, ga: "GlobalArray", points,
-                values) -> Generator:
-        mpl = self.mpl
+    def scatter_group(self, thread, ga: "GlobalArray", owner: int,
+                      points: list, values, idxs: list[int]) -> Generator:
+        """Send one owner's points as one request; returns its send
+        request."""
+        blob = encode_scatter(points, values, idxs, ga.dtype)
+        desc = Descriptor(op=GaOp.SCATTER, handle=ga.handle,
+                          section=ga.dist.block(owner), total=len(blob),
+                          aux=len(idxs))
+        req = yield from self._post(thread, owner, desc, blob)
+        return req
 
-        def local(idxs):
-            blob = encode_scatter(points, values, idxs, ga.dtype)
-            write_elements(self.memory, ga, mpl.rank, decode_scatter(blob))
+    finish_scatter = finish_store
 
-        requests = []
-        for owner, idxs in remote_groups(ga, points, mpl.rank, local):
-            blob = encode_scatter(points, values, idxs, ga.dtype)
-            desc = Descriptor(op=GaOp.SCATTER, handle=ga.handle,
-                              section=ga.local_block, total=len(blob),
-                              aux=len(idxs))
-            msg = yield from self._pack_request(thread, desc, blob)
-            req = yield from mpl.isend(owner, msg, len(msg), GA_REQ_TAG)
-            requests.append(req)
-            self._count(owner)
-        yield from mpl.waitall(requests)
+    def gather_group(self, thread, ga: "GlobalArray", owner: int,
+                     points: list, out, idxs: list[int]) -> Generator:
+        """Fetch one owner's points: a request, then its reply,
+        unpacked into ``out``."""
+        blob = encode_gather(points, idxs)
+        desc = Descriptor(op=GaOp.GATHER, handle=ga.handle,
+                          section=ga.dist.block(owner), total=len(blob),
+                          aux=len(idxs))
+        reply = yield from self._request(thread, owner, desc, blob)
+        yield from thread.execute(
+            self.config.copy_cost(len(idxs) * ga.itemsize))
+        out[idxs] = np.frombuffer(reply, dtype=ga.dtype)
 
-    def gather(self, thread, ga: "GlobalArray", points) -> Generator:
-        mpl = self.mpl
-        out = np.zeros(len(points), dtype=ga.dtype)
+    def finish_gather(self, thread, pending: list, out) -> Generator:
+        """Nothing left: each owner's reply arrived as it was fetched."""
+        yield from ()
 
-        def local(idxs):
-            raw = read_elements(self.memory, ga, mpl.rank,
-                                (points[k] for k in idxs))
-            out[idxs] = np.frombuffer(raw, dtype=ga.dtype)
-
-        for owner, idxs in remote_groups(ga, points, mpl.rank, local):
-            blob = encode_gather(points, idxs)
-            desc = Descriptor(op=GaOp.GATHER, handle=ga.handle,
-                              section=ga.local_block, total=len(blob),
-                              aux=len(idxs))
-            reply = yield from self._request(thread, owner, desc, blob)
-            yield from thread.execute(
-                self.config.copy_cost(len(idxs) * ga.itemsize))
-            out[idxs] = np.frombuffer(reply, dtype=ga.dtype)
-        return out
-
-    def read_inc(self, thread, ga: "GlobalArray", point,
+    def read_inc(self, thread, ga: "GlobalArray", owner: int, point,
                  inc: int) -> Generator:
         i, j = point
         desc = Descriptor(op=GaOp.READ_INC, handle=ga.handle,
                           section=Section(i, i, j, j), aux=inc)
-        prev = yield from self._word(thread, ga.dist.owner_of(i, j), desc)
+        prev = yield from self._word(thread, owner, desc)
         return prev
 
     def lock_cas(self, owner: int, addr: int) -> Generator:
@@ -329,7 +261,7 @@ class MplBackend:
         """A word operation in place when this rank owns the word, else
         as a request; returns the old value."""
         if owner == self.mpl.rank:
-            prev = yield from self._word_here(thread, desc)
+            prev = yield from self.runtime.word_here(thread, desc)
             return prev
         reply = yield from self._request(thread, owner, desc)
         return int(np.frombuffer(reply, np.int64)[0])

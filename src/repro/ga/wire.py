@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -23,8 +23,8 @@ from .sections import Section
 
 __all__ = ["GaOp", "Descriptor", "DESCRIPTOR_SIZE", "SCATTER_RECORD_SIZE",
            "GATHER_PAIR_SIZE", "encode_scatter", "decode_scatter",
-           "encode_gather", "decode_gather", "remote_groups",
-           "write_elements", "read_elements"]
+           "encode_gather", "decode_gather", "write_elements",
+           "read_elements"]
 
 
 class GaOp:
@@ -67,6 +67,9 @@ class Descriptor:
     * READ_INC / LOCK_CAS: ``aux`` carries the increment / comparand,
       ``alpha`` the CAS replacement; the old value returns in a reply.
     * FENCE: ``aux`` carries the issued-operation count being flushed.
+    * SCATTER/GATHER: ``aux`` counts the records or pairs that follow;
+      ``section`` is the owner's block (a rank that owns none may still
+      send), and GATHER replies like GET.
     """
 
     op: int
@@ -130,22 +133,6 @@ def encode_gather(points: Sequence, idxs: Iterable[int]) -> bytes:
 
 def decode_gather(blob: bytes) -> Iterator[tuple[int, int]]:
     return _POINT.iter_unpack(blob)
-
-
-def remote_groups(ga, points: Sequence, rank: int,
-                  local: Callable[[list[int]], None]
-                  ) -> Iterator[tuple[int, list[int]]]:
-    """Point indexes grouped by owning rank, in first-seen order: each
-    remote group is yielded as ``(owner, idxs)``, and ``rank``'s own
-    group goes to ``local(idxs)`` at its turn instead."""
-    by_owner: dict[int, list[int]] = {}
-    for k, (i, j) in enumerate(points):
-        by_owner.setdefault(ga.dist.owner_of(i, j), []).append(k)
-    for owner, idxs in by_owner.items():
-        if owner == rank:
-            local(idxs)
-        else:
-            yield owner, idxs
 
 
 def write_elements(memory, ga, rank: int,

@@ -1,7 +1,8 @@
 """Hot-path pool statistics.
 
-The one object pool left is the span recorder's track free list;
-:func:`pool_stats` condenses it into one picklable dict per cluster.
+No object pool is left: :func:`pool_stats` reports the span
+recorder's packet side-table size and the constant-zero counters of the
+retired pools, as one picklable dict per cluster.
 
 These numbers are deliberately *not* part of the metrics blocks:
 the ``--obs metrics`` output must be byte-identical with spans armed or not.

@@ -112,23 +112,13 @@ def span_to_dict(span: Span) -> dict:
 
 
 class _PacketTrack:
-    """Side-table entry following one packet's lifecycle timestamps.
-
-    Tracks are recycled through a per-recorder free list (see
-    :meth:`SpanRecorder.retire_packet`): the reset in :meth:`reset`
-    clears every field, so a reused track carries nothing of the
-    previous packet's lifecycle.
-    """
+    """Side-table entry following one packet's lifecycle timestamps."""
 
     __slots__ = ("parent", "op", "nbytes", "submit", "wire", "rx",
                  "queue")
 
     def __init__(self, parent: Optional[int], op: Optional[str],
                  nbytes: Optional[int]) -> None:
-        self.reset(parent, op, nbytes)
-
-    def reset(self, parent: Optional[int], op: Optional[str],
-              nbytes: Optional[int]) -> None:
         self.parent = parent
         self.op = op
         self.nbytes = nbytes
@@ -160,11 +150,6 @@ class SpanRecorder:
         self._sid = 0
         self._open: dict[int, Span] = {}
         self._pkt: dict[int, _PacketTrack] = {}
-        #: Free list of retired packet tracks (reset-on-acquire).
-        self._track_free: list[_PacketTrack] = []
-        #: Track pool counters (obs export; never in metrics blocks).
-        self.tracks_created = 0
-        self.tracks_recycled = 0
 
     def __len__(self) -> int:
         return len(self.records)
@@ -227,25 +212,15 @@ class SpanRecorder:
         (:meth:`origin_of`).
         """
         for uid in range(first_uid, first_uid + count):
-            self._pkt[uid] = self._new_track(parent, op, nbytes)
+            self._pkt[uid] = _PacketTrack(parent, op, nbytes)
 
     def bind_packet(self, pkt: "Packet", parent: Optional[int], op: str,
                     nbytes: int = 0) -> None:
         """Register a single (usually control) packet."""
-        self._pkt[pkt.uid] = self._new_track(parent, op, nbytes)
-
-    def _new_track(self, parent: Optional[int], op: Optional[str],
-                   nbytes: Optional[int]) -> _PacketTrack:
-        free = self._track_free
-        if free:
-            track = free.pop()
-            track.reset(parent, op, nbytes)
-            return track
-        self.tracks_created += 1
-        return _PacketTrack(parent, op, nbytes)
+        self._pkt[pkt.uid] = _PacketTrack(parent, op, nbytes)
 
     def retire_packet(self, uid: int) -> None:
-        """Drop a finished packet's track and recycle the record.
+        """Drop a finished packet's track.
 
         Called for a transport acknowledgement once it is consumed: its
         lifecycle is provably over, so acks never pile up in the side
@@ -254,19 +229,11 @@ class SpanRecorder:
         the table keeps one track per such packet for the life of the
         recorder.  Unknown uids no-op.
         """
-        track = self._pkt.pop(uid, None)
-        if track is not None:
-            self.tracks_recycled += 1
-            self._track_free.append(track)
+        self._pkt.pop(uid, None)
 
     def pool_stats(self) -> dict:
-        """Track-pool counters for :func:`repro.obs.pool_stats`."""
-        return {
-            "tracks_created": self.tracks_created,
-            "tracks_recycled": self.tracks_recycled,
-            "tracks_live": len(self._pkt),
-            "free": len(self._track_free),
-        }
+        """Side-table size for :func:`repro.obs.pool_stats`."""
+        return {"tracks_live": len(self._pkt)}
 
     def origin_of(self, pkt: "Packet") -> Optional[int]:
         """Originating span sid of a bound packet (None if unbound)."""
@@ -281,8 +248,7 @@ class SpanRecorder:
         if track is None:
             # Unbound packet (transport ack, barrier token...): track it
             # anyway so its phases still appear, attributed to its kind.
-            track = self._new_track(None, None, None)
-            self._pkt[pkt.uid] = track
+            track = self._pkt[pkt.uid] = _PacketTrack(None, None, None)
         return track
 
     def packet_submitted(self, pkt: "Packet", now: float) -> None:

@@ -261,16 +261,29 @@ class TestScatterGather:
         assert all(run_ga(main, backend=backend))
 
     def test_scatter_validation(self, backend):
+        # An out-of-range point, and values that are not one scalar per
+        # point (rows would encode wider wire records).
+        calls = [([(9, 0)], [1]),
+                 ([(0, 0), (0, 1), (1, 0)],
+                  np.array([[1, 1], [2, 2], [3, 3]]))]
+
         def main(task):
             ga = task.ga
-            h = yield from ga.create((8, 8))
-            try:
-                yield from ga.scatter(h, [(9, 0)], [1.0])
-            except GaError:
-                yield from ga.sync()
-                return "rejected"
+            h = yield from ga.create((8, 8), dtype=np.int64)
+            yield from ga.zero(h)
+            outcomes = []
+            for points, values in calls:
+                try:
+                    yield from ga.scatter(h, points, values)
+                    outcomes.append("accepted")
+                except GaError:
+                    outcomes.append("rejected")
+            yield from ga.sync()
+            whole = yield from ga.get_ndarray(h, (0, 7, 0, 7))
+            return outcomes, int(np.count_nonzero(whole))
 
-        assert run_ga(main, backend=backend)[0] == "rejected"
+        assert run_ga(main, backend=backend)[0] == (
+            ["rejected", "rejected"], 0)
 
 
 class TestReadInc:

@@ -8,6 +8,7 @@ from repro.obs import ObsSpec
 # Rank 0's block plus part of rank 1's: every call has a local piece
 # and a remote one.
 SECTION = (0, 11, 2, 9)
+POINTS = [(0, 0), (3, 12), (5, 5), (15, 8)]
 
 
 def program(task):
@@ -19,6 +20,8 @@ def program(task):
         yield from ga.acc(h, SECTION, buf, alpha=0.5)
         yield from ga.get(h, SECTION, buf)
         ga.free_local(buf)
+        yield from ga.scatter(h, POINTS, [1.0, 2.0, 3.0, 4.0])
+        yield from ga.gather(h, POINTS)
     yield from ga.sync()
 
 
@@ -36,7 +39,8 @@ def ga_ops(spans):
 def test_mpl_emits_the_lapi_ga_spans():
     lapi, mpl = ga_ops(spans_of("lapi")), ga_ops(spans_of("mpl"))
     assert lapi == [(0, "ga.put", 768), (0, "ga.acc", 768),
-                    (0, "ga.get", 768)]
+                    (0, "ga.get", 768), (0, "ga.scatter", 32),
+                    (0, "ga.gather", 32)]
     assert mpl == lapi
 
 
