@@ -100,7 +100,7 @@ def do_amsend(lapi: "Lapi", target: int, handler_id: int, uhdr: bytes,
         lambda uid: am_packets(rank, target, msg_id, handler_id, uhdr,
                                data, first_room, cfg, uid,
                                tgt_cntr_id=tgt_cntr, cmpl_cntr_id=cmpl_id),
-        "amsend", op_sid, udata_len, msg_id=msg_id, org_cntr=org_cntr,
+        "amsend", op_sid, udata_len, tracked=True, org_cntr=org_cntr,
         chained=chained)
 
 
@@ -134,8 +134,6 @@ def _local_amsend(lapi: "Lapi", thread, handler_id: int, uhdr: bytes,
             result = cmpl_fn(lapi.task, user_info)
             if result is not None and hasattr(result, "send"):
                 yield from result
-            else:
-                yield from hthread.execute(0.0)
         if tgt_cntr is not None:
             ctx.counter_by_id(tgt_cntr).add(1)
         if cmpl_cntr is not None:

@@ -1,16 +1,17 @@
 """Per-task LAPI state.
 
 Everything a LAPI instance tracks between calls lives in a
-:class:`LapiContext`: the counter and handler tables, in-flight send
-message states, receive-side assemblies (gets' replies among them),
-pending RMWs, fence accounting, barrier tokens, and statistics.
-Keeping it in one object (separate from the API facade) makes the
-dispatcher/API split clean and the state inspectable from tests.
+:class:`LapiContext`: the counter and handler tables, receive-side
+assemblies (gets' replies among them), pending RMWs, fence accounting,
+barrier tokens, and statistics.  A sent message's own completion is
+the endpoint's (:class:`repro.core.endpoint.SendRecord`).  Keeping it
+in one object (separate from the API facade) makes the dispatcher/API
+split clean and the state inspectable from tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
@@ -22,8 +23,7 @@ from .counters import LapiCounter
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim import Event, Simulator
 
-__all__ = ["LapiContext", "LapiStats", "SendState", "RecvAssembly",
-           "RmwPending"]
+__all__ = ["LapiContext", "LapiStats", "RecvAssembly", "RmwPending"]
 
 
 @dataclass
@@ -43,37 +43,6 @@ class LapiStats:
     bytes_sent: int = 0
     bytes_received: int = 0
     local_fastpaths: int = 0
-
-
-class SendState:
-    """Origin-side tracking of one outgoing data message."""
-
-    __slots__ = ("msg_id", "dst", "total_packets", "acked_packets",
-                 "org_cntr", "on_complete")
-
-    def __init__(self, msg_id: int, dst: int, total_packets: int,
-                 org_cntr: Optional[LapiCounter]) -> None:
-        self.msg_id = msg_id
-        self.dst = dst
-        self.total_packets = total_packets
-        self.acked_packets = 0
-        #: Origin counter still owed an increment when the message is
-        #: fully acknowledged (None if it fired at send time -- the
-        #: small-message internal-copy case).
-        self.org_cntr = org_cntr
-        #: Hook run when the last packet is acknowledged.
-        self.on_complete: Optional[Callable[[], None]] = None
-
-    @property
-    def complete(self) -> bool:
-        return self.acked_packets >= self.total_packets
-
-    def ack_one(self) -> None:
-        """Record one packet acknowledgement; fires ``on_complete`` when
-        the whole message has been acknowledged."""
-        self.acked_packets += 1
-        if self.complete and self.on_complete is not None:
-            self.on_complete()
 
 
 class RecvAssembly:
@@ -165,7 +134,6 @@ class LapiContext:
         # -- in-flight state --------------------------------------------
         self._next_msg_id = 0
         self._next_req_id = 0
-        self.send_msgs: dict[int, SendState] = {}
         self.recv_asm: dict[tuple[int, int, str], RecvAssembly] = {}
         self.pending_rmws: dict[int, RmwPending] = {}
         #: ``(origin, cmpl counter id)`` -> ``[count, span]`` while that
@@ -192,7 +160,6 @@ class LapiContext:
 
     def crash_reset(self) -> None:
         """Forget every in-flight transfer (fail-stop node restart)."""
-        self.send_msgs.clear()
         self.recv_asm.clear()
         self.pending_rmws.clear()
         self.cmpl_held.clear()

@@ -292,8 +292,6 @@ class Dispatcher(EndpointDispatcher):
                     result = a.cmpl_fn(lapi.task, a.user_info)
                     if result is not None and hasattr(result, "send"):
                         yield from result
-                    else:
-                        yield from hthread.execute(0.0)
                 finally:
                     lapi.ctx.active_handlers -= 1
                 lapi.ctx.stats.cmpl_handlers_run += 1

@@ -10,8 +10,9 @@ library calls in polling mode.  This module owns that model:
 * :class:`Endpoint` attaches a stack to its node's adapter at init,
   builds its :class:`ReliableTransport`, wires the transport and
   adapter hooks, registers the transport's metrics, sends every data
-  message of both stacks (:meth:`Endpoint.send_packets`), waits on
-  progress, and handles peer failure, node restart and term;
+  message of both stacks (:meth:`Endpoint.send_packets`) and completes
+  it at its origin (:class:`SendRecord`), waits on progress, and
+  handles peer failure, node restart and term;
 * :class:`EndpointDispatcher` pulls packets off the adapter's RX FIFO,
   serialises them under the context's dispatch lock, charges the
   per-packet receive cost and drops retransmitted duplicates before
@@ -26,6 +27,7 @@ from __future__ import annotations
 from inspect import getclosurevars
 from typing import TYPE_CHECKING, Callable, Generator, Iterable, Optional
 
+from ..errors import PeerUnreachableError
 from ..machine.cpu import INTERRUPT
 from ..machine.packet import reserve_uids
 from ..sim.park import linger_loop, poll_step
@@ -37,7 +39,25 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..machine.cpu import Thread
     from ..machine.packet import Packet
 
-__all__ = ["Endpoint", "EndpointDispatcher"]
+__all__ = ["Endpoint", "EndpointDispatcher", "SendRecord"]
+
+
+class SendRecord:
+    """Origin-side completion of one data message of either stack: the
+    packets ``left`` to count, acknowledged or completed in error, and
+    ``on_complete``, run once when the last is counted."""
+
+    __slots__ = ("left", "on_complete")
+
+    def __init__(self, npkts: int,
+                 on_complete: Optional[Callable[[], None]] = None) -> None:
+        self.left = npkts
+        self.on_complete = on_complete
+
+    def acked(self, n: int = 1) -> None:
+        self.left -= n
+        if self.left == 0 and self.on_complete is not None:
+            self.on_complete()
 
 
 class Endpoint:
@@ -190,21 +210,35 @@ class Endpoint:
         return uid
 
     def send_packets(self, thread: "Thread", packets: Iterable["Packet"], *,
-                     on_ack: Optional[Callable[[], object]] = None,
+                     record: Optional[SendRecord] = None,
                      chained: bool = False) -> Generator:
         """The one sender of both stacks: stream a message's data
         packets from ``thread``, each taken from ``packets`` just
         before it goes.  Each pays the stack's send cost, but a first
         one whose cost rode the caller's chain (``chained``), then
-        waits for a window credit; ``on_ack`` runs per acked packet."""
+        waits for a window credit.
+
+        ``record`` counts the packets' acknowledgements, including
+        those ``peer_down`` fires in error.  A refused packet and every
+        one after it complete in error before the refusal propagates,
+        so the message completes, and a fence after it returns."""
         send_cost = self._send_cost
         send_data = self.transport.send_data
+        on_ack = None if record is None else record.acked
         for pkt in packets:
             if chained:
                 chained = False
             else:
                 yield from thread.execute(send_cost)
-            yield from send_data(thread, pkt, on_ack=on_ack)
+            try:
+                yield from send_data(thread, pkt, on_ack=on_ack)
+            except PeerUnreachableError:
+                if record is not None:
+                    # The open breaker has cleared every packet sent:
+                    # what is left was never sent.
+                    record.acked(record.left)
+                    self.ctx.progress_ws.notify_all()
+                raise
 
     # ------------------------------------------------------------------
     # progress

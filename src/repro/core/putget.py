@@ -24,7 +24,8 @@ from typing import (TYPE_CHECKING, Callable, Generator, Iterator, Optional,
 from ..errors import LapiError
 from ..machine.packet import packet_count
 from .constants import PacketKind
-from .context import RecvAssembly, SendState
+from .context import RecvAssembly
+from .endpoint import SendRecord
 from .protocol import (GETV_RUNS_PER_PACKET, control_packet, data_packets,
                        read_runs, split_runs, strided_packet_count,
                        write_runs)
@@ -115,7 +116,7 @@ def do_put(lapi: "Lapi", target: int, length: int, tgt_addr: int,
                                  data, cfg, uid, dest, tgt_addr=tgt_addr,
                                  tgt_cntr_id=tgt_cntr,
                                  cmpl_cntr_id=cmpl_id),
-        "put", op_sid, length, msg_id=msg_id, org_cntr=org_cntr,
+        "put", op_sid, length, tracked=True, org_cntr=org_cntr,
         chained=chained)
 
 
@@ -161,7 +162,7 @@ def _origin_bursts(lapi: "Lapi", thread, op: str, op_sid, t_call: float,
 def send_message(lapi: "Lapi", thread, dst: int, npkts: int,
                  packets: Callable[[int], Iterator["Packet"]], op: str,
                  parent: Optional[int], nbytes: int, *,
-                 msg_id: Optional[int] = None,
+                 tracked: bool = False,
                  org_cntr: Optional["LapiCounter"] = None,
                  chained: bool = False) -> Generator:
     """Send one data message: a put, an active message or a get reply.
@@ -171,9 +172,10 @@ def send_message(lapi: "Lapi", thread, dst: int, npkts: int,
     the endpoint's sender (:meth:`Endpoint.send_packets
     <repro.core.endpoint.Endpoint.send_packets>`) streams them, the
     first without a send cost if it rode the caller's origin chain
-    (``chained``).  A put or amsend passes its
-    ``msg_id`` and is tracked: fence sees it until the last ack, and
-    ``org_cntr`` fires then -- or now, for a small message already
+    (``chained``).  A put or amsend is ``tracked``: its
+    :class:`~repro.core.endpoint.SendRecord` keeps it outstanding for
+    fence until its last packet is acknowledged or completed in error,
+    and ``org_cntr`` fires then -- or now, for a small message already
     copied.  A get reply only streams; a small one is charged its copy
     into the retransmission buffers here.
     """
@@ -181,32 +183,26 @@ def send_message(lapi: "Lapi", thread, dst: int, npkts: int,
     ctx = lapi.ctx
     small = nbytes <= cfg.lapi_retrans_copy_limit
     uid = lapi.reserve_message(npkts, parent, op, nbytes)
-    on_ack = None
-    if msg_id is None:
+    record = None
+    if not tracked:
         if small:
             yield from thread.execute(cfg.copy_cost(nbytes))
     else:
-        state = SendState(msg_id, dst, npkts,
-                          None if small else org_cntr)
-        ctx.send_msgs[msg_id] = state
+        owed = None if small else org_cntr
+
+        def on_complete() -> None:
+            if owed is not None:
+                owed.add(1)
+            ctx.op_completed(dst)
+
+        record = SendRecord(npkts, on_complete)
         ctx.op_issued(dst)
-        state.on_complete = _make_send_complete(lapi, state)
-        on_ack = state.ack_one
         if small and org_cntr is not None:
             org_cntr.add(1)
-    yield from lapi.send_packets(thread, packets(uid), on_ack=on_ack,
+    yield from lapi.send_packets(thread, packets(uid), record=record,
                                  chained=chained)
-    if msg_id is not None and lapi.spans is not None:
+    if tracked and lapi.spans is not None:
         lapi.spans.close(parent, lapi.sim.now, packets=npkts)
-
-
-def _make_send_complete(lapi: "Lapi", state: SendState):
-    def on_complete() -> None:
-        del lapi.ctx.send_msgs[state.msg_id]
-        if state.org_cntr is not None:
-            state.org_cntr.add(1)
-        lapi.ctx.op_completed(state.dst)
-    return on_complete
 
 
 def _local_copy(lapi: "Lapi", thread, op: str, op_sid, t_call: float,

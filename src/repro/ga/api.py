@@ -58,6 +58,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["GlobalArrays"]
 
+#: CPU cost of GA's own per-call work (argument checks, locate, address
+#: arithmetic) before any communication is issued.
+GA_CALL_OVERHEAD = 5.0
+#: Initial backoff between remote lock retries (doubles per retry).
+LOCK_BACKOFF = 4.0
+
 
 class GlobalArrays:
     """Per-task Global Arrays runtime."""
@@ -289,7 +295,7 @@ class GlobalArrays:
     def _charge_call(self) -> Generator:
         """Charge GA's own per-call work; returns the calling thread."""
         thread = self.task.node.cpu.current_thread()
-        yield from thread.execute(self.gcfg.ga_call_overhead)
+        yield from thread.execute(GA_CALL_OVERHEAD)
         return thread
 
     # ------------------------------------------------------------------
@@ -536,7 +542,7 @@ class GlobalArrays:
         self._check_live()
         owner, addr = self._mutex(mutex)
         thread = self.task.node.cpu.current_thread()
-        backoff = self.gcfg.lock_backoff
+        backoff = LOCK_BACKOFF
         while True:
             ok = yield from self.backend.lock_cas(owner, addr)
             if ok:

@@ -15,11 +15,8 @@ __all__ = ["GaConfig", "GA_DEFAULTS"]
 
 @dataclass(frozen=True)
 class GaConfig:
-    """Protocol thresholds and pool sizes for one GA runtime."""
+    """Protocol thresholds for one GA runtime."""
 
-    #: CPU cost of GA's own per-call work (argument checks, locate,
-    #: address arithmetic) before any communication is issued.
-    ga_call_overhead: float = 5.0
     #: Strided *put* requests at least this large switch from pipelined
     #: active messages to per-column remote memory copies (the 0.5 MB
     #: protocol switch visible in Figure 3).
@@ -37,21 +34,10 @@ class GaConfig:
     #: section 6's future work for strided transfers instead of the
     #: 1998 hybrid protocols.
     use_vector_rmc: bool = False
-    #: Accumulate payloads larger than this stop using single-packet
-    #: chunks and ship in large-slot-sized active messages instead.
-    acc_large_threshold: int = 16 * 1024
     #: Cap on the AM chunk payload (None = whatever fits one packet,
     #: the ~900-byte choice of section 5.3.1); the chunk-size ablation
     #: sweeps this.
     am_chunk_cap: int | None = None
-    #: Receive-pool geometry (section 5.3.1's preallocated buffers).
-    pool_small_count: int = 256
-    pool_large_count: int = 16
-    pool_large_size: int = 256 * 1024
-    #: Initial backoff between remote lock retries (doubles per retry).
-    lock_backoff: float = 4.0
-    #: Elements per scatter/gather chunk message.
-    scatter_chunk_elems: int = 32
 
     def replace(self, **changes) -> "GaConfig":
         """Copy with ``changes`` applied (ablation helper)."""

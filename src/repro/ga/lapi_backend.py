@@ -54,6 +54,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["LapiBackend"]
 
+#: Receive-pool geometry (section 5.3.1's preallocated buffers).
+POOL_SMALL_COUNT = 256
+POOL_LARGE_COUNT = 16
+POOL_LARGE_SIZE = 256 * 1024
+#: Accumulate payloads larger than this stop using single-packet chunks
+#: and ship in large-slot-sized active messages instead.
+ACC_LARGE_THRESHOLD = 16 * 1024
+#: Elements per scatter/gather chunk message.
+SCATTER_CHUNK_ELEMS = 32
+
 
 class LapiBackend:
     """Hybrid AM/RMC protocols over the LAPI stack."""
@@ -93,9 +103,8 @@ class LapiBackend:
         self.pool = AmBufferPool(
             self.memory,
             small_size=self.config.packet_size,
-            small_count=self.gcfg.pool_small_count,
-            large_size=self.gcfg.pool_large_size,
-            large_count=self.gcfg.pool_large_count)
+            small_count=POOL_SMALL_COUNT, large_size=POOL_LARGE_SIZE,
+            large_count=POOL_LARGE_COUNT)
         self.gen = GenCounterArray(lapi)
         self._reply_cntr = lapi.counter(name="ga.reply")
         self._org_cntr = lapi.counter(name="ga.org")
@@ -223,8 +232,8 @@ class LapiBackend:
             return piece.cols, scratch
         # Pipelined AM chunks.
         chunk = self.chunk_payload
-        if op == GaOp.ACC and nbytes > self.gcfg.acc_large_threshold:
-            chunk = self.gcfg.pool_large_size
+        if op == GaOp.ACC and nbytes > ACC_LARGE_THRESHOLD:
+            chunk = POOL_LARGE_SIZE
         sent = yield from self._send_chunks(ga, owner, piece, src_addr,
                                             nbytes, op, alpha, chunk)
         return sent, scratch
@@ -337,9 +346,9 @@ class LapiBackend:
                       points: list, values: np.ndarray,
                       idxs: list[int]) -> Generator:
         """Ship one owner's points as scatter AMs of at most
-        ``scatter_chunk_elems`` records each; returns how many."""
+        ``SCATTER_CHUNK_ELEMS`` records each; returns how many."""
         lapi = self.lapi
-        step = self.gcfg.scatter_chunk_elems
+        step = SCATTER_CHUNK_ELEMS
         for s in range(0, len(idxs), step):
             group = idxs[s:s + step]
             blob = encode_scatter(points, values, group, ga.dtype)
@@ -363,10 +372,10 @@ class LapiBackend:
                      points: list, out: np.ndarray,
                      idxs: list[int]) -> Generator:
         """Request one owner's points as gather AMs of at most
-        ``scatter_chunk_elems`` pairs, each reply put into a staging
+        ``SCATTER_CHUNK_ELEMS`` pairs, each reply put into a staging
         buffer; returns ``(point indexes, staging address)`` per AM."""
         lapi = self.lapi
-        step = self.gcfg.scatter_chunk_elems
+        step = SCATTER_CHUNK_ELEMS
         staged = []
         for s in range(0, len(idxs), step):
             group = idxs[s:s + step]

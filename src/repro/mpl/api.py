@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Generator, Optional, Union
 
-from ..core.endpoint import Endpoint
+from ..core.endpoint import Endpoint, SendRecord
 from ..errors import MplError
 from ..machine.cpu import HANDLER
 from ..machine.packet import packet_count
@@ -207,18 +207,21 @@ class Mpl(Endpoint):
                               else "eager-direct")
             npkts = packet_count(nbytes, cfg.mpl_payload)
             uid = self.reserve_message(npkts, op_sid, "send", nbytes)
-            req.total_packets = npkts
             if buffered:
+                # Complete already: its record completes nothing, but
+                # packets the breaker clears still count in error.
                 req.complete = True
                 ctx.stats.eager_buffered += 1
+                record = SendRecord(npkts)
             else:
                 ctx.stats.eager_direct += 1
+                record = SendRecord(npkts, req.finish)
             # The call's chain above already charged the first packet's
             # send cost.
             yield from self.send_packets(
                 thread, data_packets(ctx.rank, dst, msg_seq, tag, data,
                                      False, cfg, uid),
-                on_ack=req.ack_one, chained=True)
+                record=record, chained=True)
         else:
             req = yield from self._send_rndv(thread, dst, msg_seq, tag,
                                              data, op_sid)
@@ -247,7 +250,7 @@ class Mpl(Endpoint):
         self.transport.send_control(rts)
         npkts = packet_count(len(data), cfg.mpl_payload)
         uid = self.reserve_message(npkts, op_sid, "send", len(data))
-        req.total_packets = npkts
+        record = SendRecord(npkts, req.finish)
 
         def streamer(sthread):
             if sp is not None:
@@ -260,7 +263,7 @@ class Mpl(Endpoint):
             yield from self.send_packets(
                 sthread, data_packets(ctx.rank, dst, msg_seq, tag, data,
                                       True, cfg, uid),
-                on_ack=req.ack_one)
+                record=record)
 
         self.task.node.cpu.spawn(streamer,
                                  name=f"mpl{ctx.rank}.rndv{msg_seq}",

@@ -18,12 +18,13 @@ class SendRequest:
     """A non-blocking send in flight.
 
     ``complete`` means the user buffer is reusable (MPI semantics):
-    immediately after the internal copy for buffered eager sends, after
-    the last acknowledgement otherwise.
+    immediately after the internal copy for buffered eager sends, when
+    the endpoint's record of the message completes (:meth:`finish`)
+    otherwise.
     """
 
-    __slots__ = ("dst", "msg_seq", "nbytes", "complete", "total_packets",
-                 "acked_packets", "cts_event", "protocol")
+    __slots__ = ("dst", "msg_seq", "nbytes", "complete", "cts_event",
+                 "protocol")
 
     def __init__(self, dst: int, msg_seq: int, nbytes: int,
                  protocol: str) -> None:
@@ -33,18 +34,11 @@ class SendRequest:
         #: "eager-buffered", "eager-direct", or "rendezvous".
         self.protocol = protocol
         self.complete = False
-        self.total_packets = 0
-        self.acked_packets = 0
         self.cts_event: Optional[Event] = None
 
-    def ack_one(self) -> bool:
-        """Record a packet ack; True when that completed the request."""
-        self.acked_packets += 1
-        if (not self.complete
-                and self.acked_packets >= self.total_packets > 0):
-            self.complete = True
-            return True
-        return False
+    def finish(self) -> None:
+        """Every packet is acknowledged, or completed in error."""
+        self.complete = True
 
 
 @dataclass

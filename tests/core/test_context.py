@@ -1,12 +1,19 @@
-"""Unit tests for LAPI context state containers."""
+"""Unit tests for LAPI context state containers, and for the
+endpoint's record that completes a sent message of either stack."""
+
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.constants import PacketKind
-from repro.core.context import (LapiContext, RecvAssembly, RmwPending,
-                                SendState)
-from repro.errors import LapiError
-from repro.sim import Simulator
+from repro.core.context import LapiContext, RecvAssembly, RmwPending
+from repro.core.endpoint import Endpoint, SendRecord
+from repro.core.reliability import ReliableTransport
+from repro.errors import LapiError, PeerUnreachableError
+from repro.machine.config import SP_1998
+from repro.machine.packet import Packet
+from repro.mpl.requests import SendRequest
+from repro.sim import Simulator, WaitSet
 
 
 @pytest.fixture
@@ -14,23 +21,107 @@ def ctx():
     return LapiContext(Simulator(), rank=0, size=4)
 
 
-class TestSendState:
-    def test_completion_via_acks(self):
-        st = SendState(1, 2, total_packets=3, org_cntr=None)
-        fired = []
-        st.on_complete = lambda: fired.append(True)
-        st.ack_one()
-        st.ack_one()
-        assert not st.complete and not fired
-        st.ack_one()
-        assert st.complete
-        assert fired == [True]
+class _Adapter:
+    """Accepts every packet and delivers none."""
 
-    def test_single_packet_message(self):
-        st = SendState(1, 2, total_packets=1, org_cntr=None)
-        st.on_complete = lambda: None
-        st.ack_one()
-        assert st.complete
+    node_id = 0
+    crashed = False
+
+    def inject(self, thread, packet):
+        return ()
+
+    def inject_control(self, packet):
+        pass
+
+
+class _Thread:
+    @staticmethod
+    def execute(cost):
+        return ()
+
+
+#: id -> (packets, window, breaker open before the send, script).  Each
+#: script step runs after the send has gone as far as it can -- "ack"
+#: acknowledges the oldest packet in flight, "down" opens the breaker
+#: -- followed by the completions expected so far.
+RECORD_CASES = {
+    "last_ack": (3, 4, False, [("ack", 0), ("ack", 0), ("ack", 1)]),
+    "one_packet": (1, 4, False, [("ack", 1)]),
+    "peer_down": (3, 4, False, [("ack", 0), ("down", 1), ("down", 1)]),
+    "refused_mid_stream": (4, 2, False, [("ack", 0), ("down", 1)]),
+    "refused_up_front": (3, 4, True, []),
+}
+
+
+class TestSendRecord:
+    @pytest.mark.parametrize("case", RECORD_CASES)
+    @pytest.mark.parametrize("owner",
+                             ["lapi", "mpl_direct", "mpl_buffered"])
+    def test_completes_once(self, owner, case):
+        """A message completes exactly once: at its last ack, when
+        ``peer_down`` clears its packets in flight, or when the breaker
+        refuses it mid-stream or up front.  A buffered MPL send is
+        complete at once and its record completes nothing."""
+        npkts, window, down_first, script = RECORD_CASES[case]
+        sim = Simulator()
+        tr = ReliableTransport(
+            sim, _Adapter(), "t", window=window, timeout=1000.0,
+            adaptive=False, rto_min=SP_1998.rto_min,
+            rto_max=SP_1998.rto_max, backoff=SP_1998.rto_backoff,
+            degraded_after=SP_1998.peer_degraded_after,
+            retry_budget=SP_1998.retry_budget)
+
+        def wait_for(predicate):
+            while not predicate():
+                yield sim.timeout(1.0)
+
+        tr.wait_for = wait_for
+        endpoint = SimpleNamespace(
+            _send_cost=0.0, transport=tr,
+            ctx=SimpleNamespace(progress_ws=WaitSet(sim, name="t")))
+        # A buffered send is complete at once and never counts one.
+        buffered = owner == "mpl_buffered"
+        req = SendRequest(1, 0, 100, "eager-buffered" if buffered
+                          else "eager-direct")
+        req.complete = buffered
+        fired = []
+        record = SendRecord(npkts, {
+            "lapi": lambda: fired.append(sim.now),
+            "mpl_direct": req.finish}.get(owner))
+
+        def completions():
+            return int(req.complete) if owner == "mpl_direct" else len(fired)
+
+        refused = []
+
+        def send():
+            packets = (Packet(src=0, dst=1, proto="t", kind="data",
+                              header_bytes=8, payload=b"x" * 32)
+                       for _ in range(npkts))
+            try:
+                yield from Endpoint.send_packets(endpoint, _Thread(),
+                                                 packets, record=record)
+            except PeerUnreachableError:
+                refused.append(sim.now)
+
+        if down_first:
+            tr.peer_down(1)
+        sim.process(send())
+        sim.run(until=sim.now + 10.0)
+        assert completions() == (down_first and not buffered)
+        for step, expected in script:
+            if step == "ack":
+                seq = min(tr._peer_tx(1).unacked)
+                tr.on_ack(Packet(src=1, dst=0, proto="t", kind="ack",
+                                 header_bytes=16,
+                                 info={"acked_seq": seq}))
+            else:
+                tr.peer_down(1)
+            sim.run(until=sim.now + 10.0)
+            assert completions() == (0 if buffered else expected)
+        assert req.complete or owner == "lapi"
+        assert record.left == 0
+        assert bool(refused) == case.startswith("refused")
 
 
 class TestRecvAssembly:
@@ -132,22 +223,6 @@ class TestContext:
 
 
 class TestMplRequests:
-    def test_send_request_ack_completion(self):
-        from repro.mpl.requests import SendRequest
-        req = SendRequest(1, 0, 100, "eager-direct")
-        req.total_packets = 2
-        assert not req.ack_one()
-        assert req.ack_one()  # completes on the last ack
-        assert req.complete
-
-    def test_buffered_request_already_complete(self):
-        from repro.mpl.requests import SendRequest
-        req = SendRequest(1, 0, 100, "eager-buffered")
-        req.total_packets = 2
-        req.complete = True
-        assert not req.ack_one()  # acks don't "re-complete"
-        assert not req.ack_one()
-
     def test_next_seq_per_destination(self):
         from repro.mpl.requests import MplContext
         ctx = MplContext(Simulator(), 0, 4)

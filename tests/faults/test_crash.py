@@ -183,8 +183,8 @@ class TestCrashReset:
         """A restarted node's stack forgets every in-flight transfer."""
         if stack == "lapi":
             main = _leave_lapi_state
-            tables = ("send_msgs", "recv_asm", "pending_rmws",
-                      "outstanding", "barrier_tokens")
+            tables = ("recv_asm", "pending_rmws", "outstanding",
+                      "barrier_tokens")
         else:
             main = _leave_mpl_state
             tables = ("recv_msgs", "rndv_waiting", "match.unexpected",

@@ -13,7 +13,7 @@ import pytest
 from repro.bench.chaos import (CHAOS_BYTES, CHAOS_MSGS_QUICK, CRASH_AT_US,
                                crash_point, crash_scenarios)
 from repro.core.reliability import UNREACHABLE, ReliableTransport
-from repro.errors import MachineError, PeerUnreachableError
+from repro.errors import PeerUnreachableError
 from repro.faults import FaultSchedule, LinkOutage, NodeCrash
 from repro.machine import TASK_CRASHED, Cluster
 from repro.machine.config import SP_1998
@@ -282,7 +282,8 @@ class TestSuppressedRetryExhaustion:
     def test_sender_waiting_for_credits_sees_the_breaker_open(self):
         """A put longer than the send window blocks on credits; when the
         breaker opens during that wait, the put raises instead of
-        registering one more packet toward the lost peer."""
+        registering one more packet toward the lost peer, and its
+        message completes in error, so ``term``'s barrier returns."""
         npkts = SP_1998.lapi_window + 16
         observed = []
 
@@ -297,12 +298,59 @@ class TestSuppressedRetryExhaustion:
                 observed.append((transport.outstanding_to(1),
                                  transport._peer_tx(1).credits))
 
-        # The interrupted put never completes its message, so the fence
-        # in term waits until ``until`` (ROADMAP item 1(c)); the put's
-        # own outcome is what this test checks.
-        with pytest.raises(MachineError, match="virtual-time budget"):
-            self._run(main)
+        self._run(main)
         assert observed == [(0, SP_1998.lapi_window)]
+
+    def _refused(self, send):
+        """Rank 0 runs ``send(task, lapi, hid, buf)`` toward rank 1,
+        which must raise, then fences rank 1; returns rank 0's
+        outstanding count toward rank 1 after the refusal, and the
+        refusal and fence instants."""
+        def main(task):
+            lapi = task.lapi
+            hid = lapi.register_handler(lambda *args: (None, None, None))
+            buf = task.memory.malloc((SP_1998.lapi_window + 16)
+                                     * SP_1998.lapi_payload)
+            if task.rank != 0:
+                return None
+            with pytest.raises(PeerUnreachableError):
+                yield from send(task, lapi, hid, buf)
+            raised = task.now()
+            left = lapi.ctx.outstanding_to(1)
+            yield from lapi.fence(1)
+            return left, raised, task.now()
+
+        _, results = self._run(main)
+        return results[0]
+
+    def test_fence_returns_after_a_put_interrupted_mid_stream(self):
+        """An 80-packet put fills the window, the retry budget runs out,
+        and the put raises: its 16 unsent packets complete in error with
+        the 64 the breaker cleared, so the fence returns."""
+        def send(task, lapi, hid, buf):
+            yield from lapi.put(1, (SP_1998.lapi_window + 16)
+                                * SP_1998.lapi_payload, buf, buf)
+
+        left, raised, fenced = self._refused(send)
+        assert left == 0
+        assert raised < fenced < raised + 100.0
+
+    @pytest.mark.parametrize("op", ["put", "amsend"])
+    def test_fence_returns_after_a_send_refused_up_front(self, op):
+        """After the breaker opens, a 64-byte put or amsend fails fast
+        and counts as complete, so the fence returns."""
+        def send(task, lapi, hid, buf):
+            # The gfence's tokens exhaust the retry budget toward rank 1.
+            yield from lapi.gfence()
+            assert 1 in task.dead_peers
+            if op == "put":
+                yield from lapi.put(1, 64, buf, buf)
+            else:
+                yield from lapi.amsend(1, hid, b"h", b"x" * 64, 64)
+
+        left, raised, fenced = self._refused(send)
+        assert left == 0
+        assert raised < fenced < raised + 100.0
 
 
 class TestChaosCrashPoints:

@@ -5,7 +5,7 @@ GA data path once per rank: each rank's sections cover its own block,
 so every call has a local-owner piece beside its remote ones.  The
 operations are put and get of a 1-D column, of a small strided section
 (AM chunks on LAPI), and of a >= 512 KiB strided section (per-column
-RMC puts); an accumulate above ``acc_large_threshold``; scatter,
+RMC puts); an accumulate above ``ACC_LARGE_THRESHOLD``; scatter,
 gather, read_inc and lock/unlock.  LAPI runs the program three times:
 with the default protocols, with the vector (Putv/Getv) extension, and
 with the per-column get switch turned on.
