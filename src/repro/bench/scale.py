@@ -27,7 +27,6 @@ diffs them).
 
 from __future__ import annotations
 
-import gc
 import os
 import time
 
@@ -102,9 +101,6 @@ def scale_point(nnodes: int, topology: str, seed: int) -> dict:
     are always 0: the switch keeps no route cache, and the fields stay
     for readers of the record that still check one against the other.
     """
-    # The previous point's object graph goes before this one's RSS is
-    # read; one full pass per point, at its start.
-    gc.collect()
     cluster = fresh_cluster(nnodes, scale_config(topology), seed=seed)
     cluster.switch.metrics_top_links = _METRICS_TOP_LINKS
     start = time.perf_counter()

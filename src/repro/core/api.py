@@ -119,6 +119,10 @@ class Lapi(Endpoint):
                 f" {type(fn).__name__}")
         self._error_handler = fn
 
+    def unlink(self) -> None:
+        super().unlink()
+        self.ctx.handlers.clear()  # user code, which may hold the task
+
     def set_interrupt_mode(self, enabled: bool) -> None:
         """Switch between interrupt (True) and polling (False) modes.
 

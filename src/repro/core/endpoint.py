@@ -195,6 +195,19 @@ class Endpoint:
         self._terminated = True
         self.client.interrupts_enabled = False
 
+    def unlink(self) -> None:
+        """Cut the cycles a running endpoint closes, once its cluster
+        is dropped: the hooks it installed on its adapter client and
+        transport are bound to it, its dispatcher and task refer back
+        to it, and so do the gates of waits the drop left registered.
+        The error handler is user code, which may hold the task."""
+        if self.client is not None:
+            self.client.on_arrival = self.client.delivery_filter = None
+        if self.transport is not None:
+            self.transport.wait_for = self.transport.on_fatal = None
+        self.ctx.progress_ws.clear()
+        self.dispatcher = self.task = self._error_handler = None
+
     # ------------------------------------------------------------------
     # sending
     # ------------------------------------------------------------------

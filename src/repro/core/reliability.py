@@ -287,6 +287,13 @@ class ReliableTransport:
         self._register(st, packet, uses_window=True, on_ack=on_ack)
         yield from self.adapter.inject(thread, packet)
 
+    def check_reachable(self, peer: int) -> None:
+        """Raise :class:`PeerUnreachableError` while ``peer``'s breaker
+        is open, as :meth:`send_data` does: for a caller about to send
+        control traffic that the breaker would suppress."""
+        if self._peer_tx(peer).health == UNREACHABLE:
+            raise self._breaker_error(peer)
+
     def send_control(self, packet: "Packet",
                      on_ack: Optional[Callable[[], None]] = None) -> None:
         """Send a control packet reliably, bypassing the window.

@@ -179,6 +179,11 @@ class FaultRuntime:
                 if math.isfinite(restart_at):
                     self.sim.call_at(restart_at, self._restart_node, nid)
 
+    def unlink(self) -> None:
+        """Let go of the nodes and the detector once the cluster is
+        dropped: the machine refers back to this runtime."""
+        self.nodes = self.resilience = None
+
     # ------------------------------------------------------------------
     # fabric path (called by Switch.route)
     # ------------------------------------------------------------------

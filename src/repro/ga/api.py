@@ -87,6 +87,12 @@ class GlobalArrays:
             raise GaError(f"unknown GA backend {backend!r}")
         self._initialized = False
 
+    def unlink(self) -> None:
+        """Cut the cycles a running GA closes, once its cluster is
+        dropped: it and its backend refer back to the task."""
+        backend = self.backend
+        self.task = backend.task = backend.runtime = None
+
     # shorthands ---------------------------------------------------------
     @property
     def rank(self) -> int:

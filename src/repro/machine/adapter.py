@@ -56,7 +56,6 @@ class AdapterClient:
     """
 
     def __init__(self, adapter: "Adapter", proto: str) -> None:
-        self.adapter = adapter
         self.proto = proto
         self.rx = Channel(adapter.sim, name=f"rx{adapter.node_id}.{proto}",
                           capacity=adapter.config.adapter_rx_fifo)
@@ -163,7 +162,6 @@ class Adapter:
                 f" {self.node_id}")
         client = AdapterClient(self, proto)
         self.clients[proto] = client
-        client.rx.on_drop = lambda pkt: self._count_drop(pkt)
         return client
 
     def _count_drop(self, packet: "Packet") -> None:
@@ -536,6 +534,8 @@ class Adapter:
             return
         if client.rx.put(packet):
             client._notify_arrival()
+        else:
+            self._count_drop(packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Adapter node={self.node_id} sent={self.packets_sent}"

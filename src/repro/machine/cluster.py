@@ -20,14 +20,14 @@ through the simulated switch.
 Lifetime: a cluster owns its machine, and nothing it owns refers back to
 it strongly (tasks hold a weak reference; the fault and resilience
 runtimes take only the nodes).  So the moment the last outside
-reference goes, refcounting frees the ``Cluster`` and a finalizer
-releases every node's simulated memory -- without waiting for the
-cyclic collector.
+reference goes, refcounting frees the ``Cluster``, and a finalizer
+releases every node's simulated memory and cuts the reference cycles
+the machine needs while it runs.  Refcounting then frees the rest of
+the graph too: nothing is left for the cyclic collector.
 """
 
 from __future__ import annotations
 
-import gc
 import weakref
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional, Sequence
 
@@ -97,6 +97,13 @@ class Task:
         """Current virtual time in microseconds."""
         return self._sim.now
 
+    def unlink(self) -> None:
+        """Cut the cycles this task's stacks close while they run (the
+        dropped cluster's finalizer calls it)."""
+        for stack in (self.ga, self.lapi, self.mpl):
+            if stack is not None:
+                stack.unlink()
+
     @property
     def memory(self):
         """This task's node memory."""
@@ -106,30 +113,16 @@ class Task:
         return f"<Task {self.rank}/{self.size} on node {self.node.node_id}>"
 
 
-#: A dropped cluster returns its simulated memory at once (see the
-#: module docstring), but the object graph under it -- nodes, adapters,
-#: threads, stacks -- is cyclic, and only Python's cyclic collector
-#: frees it.  That collector is paced by how many *objects* the process
-#: allocates, so the fewer objects a simulated operation costs, the
-#: longer dead graphs linger -- and one that lived through an
-#: older-generation pass sits in the oldest generation, which is
-#: collected rarest of all.  Building a cluster is the moment a sweep
-#: has just dropped the previous one, so once two such passes have run
-#: since the last full collection made here, ``Cluster()`` makes
-#: another first.  This is the count of older-generation passes seen at
-#: that point: a pacing hint only, process-wide, and no result depends
-#: on it.
-_older_gc_passes_seen = 0
-
-
-def _older_gc_passes() -> int:
-    return gc.get_stats()[1]["collections"]
-
-
-def _release_memories(memories: list) -> None:
-    """Finalizer of a dropped cluster: return its nodes' memory."""
+def _unlink(memories: list, sim: Simulator, parts: list) -> None:
+    """Finalizer of a dropped cluster: close what the run left parked
+    (its ``finally`` blocks still see the machine whole), return the
+    nodes' memory, then cut every reference cycle the machine needs
+    while it runs, so refcounting frees the rest of it at once."""
+    sim.close()
     for memory in memories:
         memory.release()
+    for part in parts:
+        part.unlink()
 
 
 def _ready_waits(tasks: list["Task"]) -> str:
@@ -153,10 +146,6 @@ class Cluster:
         if nnodes < 1:
             raise MachineError("cluster needs at least one node")
         config.validate()
-        global _older_gc_passes_seen
-        if _older_gc_passes() >= _older_gc_passes_seen + 2:
-            gc.collect()
-            _older_gc_passes_seen = _older_gc_passes()
         reset_packet_ids()
         self.config = config
         # ``obs`` (:class:`repro.obs.ObsSpec`) builds each recorder, or
@@ -175,10 +164,6 @@ class Cluster:
                              trace=trace)
         for node in self.nodes:
             node.adapter.connect(self.switch)
-        # Runs when the last outside reference goes; it holds the
-        # memories, never the cluster.
-        weakref.finalize(self, _release_memories,
-                         [node.memory for node in self.nodes])
         self._oob_state: dict[str, dict[int, Any]] = {}
         #: Cluster-wide observability registry (``repro.obs``).  The
         #: machine layer registers itself here; the LAPI/MPL/GA stacks
@@ -218,6 +203,16 @@ class Cluster:
             # Crash and restart hooks notify the detector, which arms
             # after the fault runtime.
             self.faults.resilience = self.resilience
+        #: What the finalizer unlinks: the switch, the fault and
+        #: resilience runtimes, and every task of every job run here.
+        self._parts: list = [part for part in (self.switch, self.faults,
+                                               self.resilience)
+                             if part is not None]
+        # Runs when the last outside reference goes; it holds the
+        # machine's parts, never the cluster.
+        weakref.finalize(self, _unlink,
+                         [node.memory for node in self.nodes], self.sim,
+                         self._parts)
 
     def fail_run(self, err: BaseException) -> None:
         """Terminate the running job cleanly with ``err``.
@@ -329,6 +324,7 @@ class Cluster:
 
         tasks = [Task(self, rank, size, self.nodes[rank])
                  for rank in range(size)]
+        self._parts.extend(tasks)
 
         if "lapi" in stack_set:
             from ..core.api import Lapi

@@ -97,8 +97,10 @@ class Thread:
         #: :meth:`execute`), and the end instant of each of its bursts.
         self._wake = WakeAt()
         self.burst_ends: list[float] = []
-        self._body = body
-        self.process: Process = cpu.sim.process(self._main(), name=name)
+        # Only the generator holds ``body``: a thread that keeps it
+        # would close a cycle through whatever the body refers to.
+        self.process: Process = cpu.sim.process(self._main(body),
+                                                name=name)
         cpu._by_process[self.process] = self
 
     # ------------------------------------------------------------------
@@ -106,10 +108,10 @@ class Thread:
     def sim(self) -> "Simulator":
         return self.cpu.sim
 
-    def _main(self) -> Generator:
+    def _main(self, body: Callable[["Thread"], Generator]) -> Generator:
         yield from self._acquire()
         try:
-            result = yield from self._body(self)
+            result = yield from body(self)
             return result
         finally:
             if self._holding:

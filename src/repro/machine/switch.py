@@ -67,6 +67,11 @@ class Switch:
             raise NetworkError(f"node {nid} already attached")
         self._adapters[nid] = adapter
 
+    def unlink(self) -> None:
+        """Detach every adapter, once the cluster is dropped: each
+        refers back to this switch."""
+        self._adapters = [None] * self.nnodes
+
     def _pick(self, n: int) -> int:
         """Draw one of ``n`` candidate routes (multipath pairs only)."""
         return self._route_rng.integers(0, n)

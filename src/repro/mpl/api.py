@@ -64,6 +64,11 @@ class Mpl(Endpoint):
         #: Effective MP_EAGER_LIMIT for this task.
         self.eager_limit = eager_limit
 
+    def unlink(self) -> None:
+        super().unlink()
+        # User code, which may hold the task.
+        self.ctx.match.rcvncall_handlers.clear()
+
     def _register_metrics(self) -> None:
         super()._register_metrics()
         self.task.cluster.metrics.register_collector(
@@ -238,11 +243,15 @@ class Mpl(Endpoint):
         """
         cfg = self.config
         ctx = self.ctx
+        yield from thread.execute(cfg.mpl_rendezvous_ctrl_cost)
+        # An open breaker would suppress the RTS without a word, and
+        # the request would wait for a CTS that never comes: refuse the
+        # send here, as an eager send's first packet is refused.
+        self.transport.check_reachable(dst)
         ctx.stats.rendezvous += 1
         req = SendRequest(dst, msg_seq, len(data), "rendezvous")
         req.cts_event = self.sim.event(name=f"cts:{dst}:{msg_seq}")
         ctx.rndv_waiting[(dst, msg_seq)] = req
-        yield from thread.execute(cfg.mpl_rendezvous_ctrl_cost)
         sp = self.spans
         rts = rts_packet(cfg, ctx.rank, dst, msg_seq, tag, len(data))
         if sp is not None:

@@ -64,18 +64,23 @@ class _Series:
     windows; ``cur_w``/``cur`` is the open (accumulating) cell.
     """
 
-    __slots__ = ("timeline", "key", "ring", "cur_w", "cur")
+    __slots__ = ("sim", "window_us", "key", "ring", "cur_w", "cur")
     kind = "series"
 
     def __init__(self, timeline: "Timeline", key: tuple) -> None:
-        self.timeline = timeline
+        # The clock and the width, not the timeline, which holds this
+        # series: a dropped cluster then frees both by refcounting.
+        self.sim = timeline.sim
+        self.window_us = timeline.window_us
         self.key = key  # (subsystem, node_key, name)
         self.ring: deque = deque(maxlen=RING_WINDOWS)
         self.cur_w: Optional[int] = None
         self.cur: Any = None
 
     def _open(self, w: int) -> None:
-        """Make window ``w`` the open cell, closing the previous one."""
+        """Make window ``w`` the open cell, closing the previous one.
+        Instant ``t`` lies in window ``int(t // window_us)``: an edge
+        ``t == k * window_us`` is window k."""
         if w == self.cur_w:
             return
         self.flush()
@@ -117,7 +122,7 @@ class _CounterSeries(_Series):
         return 0
 
     def add(self, n: int) -> None:
-        self._open(self.timeline.window_of(self.timeline.sim.now))
+        self._open(int(self.sim.now // self.window_us))
         self.cur += n
 
 
@@ -135,7 +140,7 @@ class _HistSeries(_Series):
         return QuantileSketch()
 
     def observe(self, value: float) -> None:
-        self._open(self.timeline.window_of(self.timeline.sim.now))
+        self._open(int(self.sim.now // self.window_us))
         self.cur.observe(value)
         self.cumulative.observe(value)
 
@@ -175,12 +180,6 @@ class Timeline:
         #: (kind, subsystem, node_key, name) -> series
         self._series: dict[tuple, _Series] = {}
         self._finalized = False
-
-    # ------------------------------------------------------------------
-    def window_of(self, now: float) -> int:
-        """Window index of virtual instant ``now`` (edges round down
-        into the later window: ``t == k * window_us`` is window k)."""
-        return int(now // self.window_us)
 
     # ------------------------------------------------------------------
     def series(self, kind: str, subsystem: str, name: str,

@@ -121,6 +121,12 @@ class ResilienceRuntime:
         proto = stack.transport.proto
         self._stacks.setdefault(node_id, {})[proto] = stack
 
+    def unlink(self) -> None:
+        """Remove the heartbeat responders once the cluster is
+        dropped: each adapter's filter refers back to this runtime."""
+        for client in self._clients.values():
+            client.delivery_filter = None
+
     def _responder(self, nid: int):
         def on_packet(packet) -> bool:
             self._on_packet(nid, packet)

@@ -10,7 +10,7 @@ what exercises the retransmission path.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from ..errors import SimulationError
 from .events import PENDING, Event
@@ -30,7 +30,7 @@ class Channel:
         Owning simulator.
     capacity:
         Maximum queued items; ``None`` means unbounded.  ``put`` on a
-        full channel discards the item and calls ``on_drop`` (if set).
+        full channel discards the item and returns False.
     """
 
     def __init__(self, sim: "Simulator", name: str = "chan",
@@ -40,8 +40,6 @@ class Channel:
         self.sim = sim
         self.name = name
         self.capacity = capacity
-        #: Callback invoked with the dropped item on overflow.
-        self.on_drop: Optional[Callable[[Any], None]] = None
         self._items: deque[Any] = deque()
         #: A list, not a deque: it holds at most a few getters, and an
         #: empty list is a tenth of an empty deque's size.
@@ -80,8 +78,6 @@ class Channel:
                 getter._value = item
             return True
         if self.full:
-            if self.on_drop is not None:
-                self.on_drop(item)
             return False
         self._items.append(item)
         return True

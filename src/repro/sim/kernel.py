@@ -202,6 +202,25 @@ class Simulator:
     def _unregister_process(self, proc: Process) -> None:
         self._live_processes.discard(proc)
 
+    def close(self) -> None:
+        """Drop what a run left parked or queued, once the machine it
+        drives is dropped.
+
+        Every live process is closed at its yield point and forgets
+        its listeners; its ``finally`` blocks may queue events, so the
+        queue is emptied last.  Parked processes, queued callbacks and
+        the flight recorder (which reads this clock) are the kernel's
+        share of the machine's reference cycles; afterwards nothing
+        here refers to the machine.  The clock keeps its value.
+        """
+        live = self._live_processes
+        while live:
+            proc = live.pop()
+            proc.close()
+            proc.callbacks = None
+        self._queue.clear()
+        self.flight = None
+
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------

@@ -79,6 +79,16 @@ class Process(Event):
         """
         if not self.is_alive:
             return
+        self.close()
+        self.succeed(value)
+
+    def close(self) -> None:
+        """Close the generator at its current yield point, leaving the
+        process pending: its ``finally`` blocks run (and may queue
+        events), and nothing resumes it again.  :meth:`kill` completes
+        it afterwards; :meth:`Simulator.close
+        <repro.sim.kernel.Simulator.close>` does not.
+        """
         target = self._target
         if target is not None and not target.processed:
             if target.callbacks is not None and self._resume in target.callbacks:
@@ -89,7 +99,6 @@ class Process(Event):
         if gen is not None:
             gen.close()
         self.sim._unregister_process(self)
-        self.succeed(value)
 
     # ------------------------------------------------------------------
     def _resume(self, trigger: Event) -> None:

@@ -208,6 +208,11 @@ class WaitSet:
                 del waiters[i]
                 return
 
+    def clear(self) -> None:
+        """Drop every registration without waking it: the processes
+        waiting here are gone (their machine was dropped)."""
+        self._waiters = []
+
     def ready(self) -> list[Callable[[], bool]]:
         """Gates of the live gated registrations whose predicate holds
         now: waiters the next notify would wake.  One still registered

@@ -191,3 +191,31 @@ class TestAddressInit:
         t1, t2 = results[0]
         assert t1 == [("a", 0), ("a", 1)]
         assert t2 == [("b", 0), ("b", 1)]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the target acknowledges a data packet before its dispatcher "
+    "places the bytes, so fence returns while the last packet is "
+    "still being copied (976 B: 0 bytes placed)"))
+def test_fence_returns_after_the_data_is_placed(progress_mode):
+    """DESIGN.md decision 4: once ``fence`` returns, every byte of the
+    puts before it is in the target's buffer."""
+    n = 976  # one packet
+
+    def main(task):
+        lapi = task.lapi
+        buf = task.memory.malloc(n)
+        addrs = yield from lapi.address_init(buf)
+        placed = None
+        if task.rank == 0:
+            src = task.memory.malloc(n)
+            payload = bytes(i % 251 + 1 for i in range(n))  # no zeros
+            task.memory.write(src, payload)
+            yield from lapi.put(1, n, addrs[1], src)
+            yield from lapi.fence()
+            got = task.cluster.nodes[1].memory.read(addrs[1], n)
+            placed = sum(a == b for a, b in zip(got, payload))
+        yield from lapi.gfence()
+        return placed
+
+    assert run_spmd(main, interrupt_mode=progress_mode)[0] == n

@@ -167,6 +167,69 @@ class TestCrashMidGfence:
         assert exc.value.convicted_us - CRASH_AT <= DETECT_BOUND
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1(b): the dissemination gfence counts a dead "
+    "round-sender's token as arrived, so rank 3 leaves at 5 058.5 us "
+    "while rank 0 enters at 25 009.0 us"))
+def test_no_survivor_leaves_the_gfence_before_the_last_enters():
+    """A survivor barrier: every rank that is still alive enters the
+    gfence before any of them leaves it."""
+    def main(task):
+        yield from task.thread.sleep(5000.0)  # past the conviction
+        if task.rank == 0:
+            yield from task.thread.sleep(20_000.0)
+        entered = task.now()
+        yield from task.lapi.gfence()
+        return entered, task.now()
+
+    cluster = Cluster(nnodes=4,
+                      faults=FaultSchedule([NodeCrash(node=1, start=100.0)]))
+    results = cluster.run_job(main, stacks=("lapi",), until=200_000.0,
+                              on_peer_failure="continue")
+    assert results[1] is TASK_CRASHED
+    survivors = [r for r in results if r is not TASK_CRASHED]
+    last_entry = max(entered for entered, _ in survivors)
+    first_exit = min(left for _, left in survivors)
+    assert first_exit >= last_entry
+
+
+@pytest.mark.parametrize("nbytes", [8000, 100_000])
+def test_mpl_rendezvous_send_to_an_open_breaker_raises_at_the_call(nbytes):
+    """Above the eager limit an ``isend`` starts with an RTS, which an
+    open breaker would suppress without a word: the call raises
+    instead, as an eager send does, and registers nothing -- no
+    request waits for a CTS and no streamer thread is spawned."""
+    records = {}
+
+    def main(task):
+        mpl = task.mpl
+        yield from task.thread.sleep(5000.0)  # past the conviction
+        if task.rank == 0:
+            assert nbytes > mpl.eager_limit
+            src = task.memory.malloc(nbytes)
+            threads = task.node.cpu._spawned
+            try:
+                yield from mpl.isend(1, src, nbytes, tag=7)
+            except PeerUnreachableError as err:
+                records["raised"] = (task.now(), err.peer)
+            records["waiting"] = len(mpl.ctx.rndv_waiting)
+            records["spawned"] = task.node.cpu._spawned - threads
+
+    cluster = Cluster(nnodes=2,
+                      faults=FaultSchedule([NodeCrash(node=1, start=100.0)]))
+    # The job still fails afterwards: mpl.term()'s barrier waits on the
+    # dead rank (ROADMAP item 1(b)).  Only rank 0's records count here.
+    with pytest.raises(PeerUnreachableError):
+        cluster.run_job(main, stacks=("mpl",), until=200_000.0,
+                        on_peer_failure="continue")
+    assert "raised" in records, "isend returned a request"
+    at, peer = records["raised"]
+    assert peer == 1
+    assert at == pytest.approx(5024.0)
+    assert records["waiting"] == 0
+    assert records["spawned"] == 0
+
+
 class TestErrorHandlerSatellites:
     def _run(self, handler, nnodes=3):
         sched = FaultSchedule([NodeCrash(node=1, start=700.0)])

@@ -1,15 +1,21 @@
 """Tests for cluster assembly and SPMD job execution."""
 
-import contextlib
-import gc
 import weakref
 
+# GA loads numpy on first use, and importing numpy leaves cyclic
+# garbage of its own (the pure-Python datetime classes it replaces),
+# which no cluster made.
+import numpy  # noqa: F401
 import pytest
 
+from repro.bench.scale import scale_point
 from repro.errors import MachineError, MemoryFault
-from repro.faults import FaultSchedule, NodeCrash
+from repro.faults import FaultSchedule, NodeCrash, NodeRestart
 from repro.machine import Cluster
 from repro.machine.config import SP_1998
+from repro.obs import ObsSpec
+
+from ..conftest import assert_freed_on_drop
 
 
 class TestConstruction:
@@ -26,40 +32,6 @@ class TestConstruction:
         bad = SP_1998.replace(switch_group_size=0)
         with pytest.raises(ValueError):
             Cluster(nnodes=2, config=bad)
-
-
-    def test_building_the_next_cluster_reclaims_an_aged_dead_one(self):
-        """A dropped cluster returns its memory at once, but the object
-        graph under it (nodes, adapters, stacks) is cyclic; once
-        older-generation collector passes have moved that graph to the
-        oldest generation only a full collection frees it.
-        ``Cluster()`` runs one when two such passes have happened since
-        its last."""
-        def main(task):
-            task.memory.malloc(1 << 20)
-            yield from task.lapi.gfence()
-
-        with _gc_disabled():  # only the collection under test may run
-            cluster = Cluster(nnodes=2)
-            cluster.run_job(main, stacks=("lapi",))
-            node = weakref.ref(cluster.nodes[0])
-            gc.collect(1)  # it survives two older-generation passes
-            gc.collect(1)
-            del cluster
-            assert node() is not None  # refcounting cannot free a cycle
-            Cluster(nnodes=1)
-            assert node() is None
-
-
-@contextlib.contextmanager
-def _gc_disabled():
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 def _lapi_job(task, addr):
@@ -89,23 +61,42 @@ def _crash_job(task, addr):
     yield from task.lapi.gfence()
 
 
+def _restart_job(task, addr):
+    yield from _crash_job(task, addr)
+    # Past the restart and two heartbeat rounds: the detector absolves
+    # the node and re-installs its responder.
+    yield from task.thread.sleep(4000.0)
+
+
+_CRASH = dict(stacks=("lapi",), on_peer_failure="continue",
+              until=500_000.0)
+
 _DROP_CASES = {
     "lapi": ({}, dict(stacks=("lapi",)), _lapi_job),
     "mpl": ({}, dict(stacks=("mpl",)), _mpl_job),
     "ga_on_lapi": ({}, dict(ga_backend="lapi"), _ga_job),
+    "ga_on_mpl": ({}, dict(ga_backend="mpl"), _ga_job),
     "node_crash": (
         dict(nnodes=3,
              faults=FaultSchedule([NodeCrash(node=1, start=700.0)])),
-        dict(stacks=("lapi",), on_peer_failure="continue",
-             until=500_000.0),
-        _crash_job),
+        _CRASH, _crash_job),
+    "crash_and_restart": (
+        dict(nnodes=3,
+             faults=FaultSchedule([NodeCrash(node=1, start=700.0),
+                                   NodeRestart(node=1, start=5000.0)])),
+        _CRASH, _restart_job),
+    "observed": (
+        dict(obs=ObsSpec({"trace", "spans", "timeline", "flight"})),
+        dict(stacks=("lapi",)), _lapi_job),
 }
 
 
 class TestDrop:
-    """A cluster owns its machine: nothing it owns refers back to it, so
-    dropping the last outside reference frees it at once -- no cyclic
-    collection -- and its nodes' simulated memory goes with it."""
+    """A cluster owns its machine: nothing it owns refers back to it,
+    and the finalizer cuts the cycles a running machine needs, so
+    dropping the last outside reference frees it at once -- nothing is
+    left for the cyclic collector -- and its nodes' simulated memory
+    goes with it."""
 
     @pytest.mark.parametrize("case", sorted(_DROP_CASES))
     def test_dropped_cluster_returns_its_memory_at_once(self, case):
@@ -118,17 +109,21 @@ class TestDrop:
             kept.append((task, addr))
             yield from job(task, addr)
 
-        with _gc_disabled():
+        def run_and_drop():
             cluster = Cluster(**{"nnodes": 2, **build})
             cluster.run_job(main, **run)
-            if case == "node_crash":
+            if "crash" in case:
                 assert cluster.faults.node_crashes == 1
                 assert cluster.resilience.convictions
+            if case == "crash_and_restart":
+                assert cluster.faults.node_restarts == 1
+                assert cluster.resilience.recoveries
             memories = [node.memory for node in cluster.nodes]
             assert all(m.live_bytes >= 1 << 20 for m in memories)
-            dead = weakref.ref(cluster)
-            del cluster
-            assert dead() is None
+            return weakref.ref(cluster), memories
+
+        dead, memories = assert_freed_on_drop(run_and_drop)
+        assert dead() is None
         assert [m.live_bytes for m in memories] == [0] * len(memories)
         task, addr = kept[0]
         with pytest.raises(MemoryFault, match="dropped cluster"):
@@ -136,6 +131,30 @@ class TestDrop:
         with pytest.raises(MachineError, match="dropped"):
             task.cluster
         assert task.now() > 0.0  # the task keeps its clock
+        # What a caller kept past the drop goes by refcounting too.
+        assert_freed_on_drop(kept.clear)
+
+    @pytest.mark.parametrize("stack", ["lapi", "mpl"])
+    def test_a_failed_job_leaves_nothing_to_the_collector(self, stack):
+        """A job stopped by its ``until`` budget leaves every task
+        parked in a progress wait; the drop closes them too."""
+        def main(task):
+            if stack == "lapi":
+                yield from task.lapi.waitcntr(task.lapi.counter(), 1)
+            else:
+                buf = task.memory.malloc(64)
+                yield from task.mpl.recv(1 - task.rank, 5, buf, 64)
+
+        def run_and_drop():
+            with pytest.raises(MachineError, match="budget"):
+                Cluster(nnodes=2).run_job(main, stacks=(stack,),
+                                          until=1000.0)
+
+        assert_freed_on_drop(run_and_drop)
+
+    def test_dropped_scale_point_leaves_nothing_to_the_collector(self):
+        record = assert_freed_on_drop(lambda: scale_point(32, "sp", 1))
+        assert record["nodes"] == 32
 
 
 class TestRunJob:
@@ -362,8 +381,7 @@ def test_host_memory_does_not_accumulate_across_jobs(kind, mapped):
             _touching_job(kind)
         return mapped.peak
 
-    with _gc_disabled():
-        one = peak(1)
-        four = peak(4)
+    one = assert_freed_on_drop(lambda: peak(1))
+    four = assert_freed_on_drop(lambda: peak(4))
     assert one >= 16 * _MIB  # two nodes x 2 x 4 MiB
     assert four == one
