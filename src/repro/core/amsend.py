@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Generator, Optional, Union
 
 from ..errors import LapiError
 from ..machine.packet import packet_count
+from .endpoint import user_steps
 from .protocol import am_first_room, am_packets
 from .putget import _origin_bursts, send_message
 
@@ -109,45 +110,24 @@ def _local_amsend(lapi: "Lapi", thread, handler_id: int, uhdr: bytes,
                   org_cntr: Optional["LapiCounter"],
                   cmpl_cntr: Optional["LapiCounter"]) -> Generator:
     """Active message to self: handlers run locally, in order."""
-    from ..machine.cpu import HANDLER
-
-    cfg = lapi.config
     ctx = lapi.ctx
     ctx.stats.local_fastpaths += 1
-    yield from thread.execute(cfg.lapi_hdr_handler_cost)
-    ctx.stats.hdr_handlers_run += 1
-    handler = ctx.handler_by_id(handler_id)
-    reply = handler(lapi.task, ctx.rank, uhdr, len(data))
-    from .dispatcher import Dispatcher
-    buf_addr, cmpl_fn, user_info = Dispatcher._check_hh_reply(
-        reply, len(data))
+    buf_addr, cmpl_fn, user_info = yield from lapi.dispatcher.header_handler(
+        thread, ctx.rank, handler_id, uhdr, len(data))
     if data:
-        yield from thread.execute(cfg.copy_cost(len(data)))
+        yield from thread.execute(lapi.config.copy_cost(len(data)))
         lapi.memory.write(buf_addr, data)
 
     if org_cntr is not None:
         org_cntr.add(1)
 
-    def finish(hthread):
+    def body(hthread):
         if cmpl_fn is not None:
             ctx.stats.cmpl_handlers_run += 1
-            result = cmpl_fn(lapi.task, user_info)
-            if result is not None and hasattr(result, "send"):
-                yield from result
+            yield from user_steps(cmpl_fn(lapi.task, user_info))
         if tgt_cntr is not None:
             ctx.counter_by_id(tgt_cntr).add(1)
         if cmpl_cntr is not None:
             cmpl_cntr.add(1)
 
-    ctx.active_handlers += 1
-
-    def wrapped(hthread):
-        try:
-            yield from finish(hthread)
-        finally:
-            ctx.active_handlers -= 1
-        # After the count drops: a gated ``term`` waits for zero.
-        ctx.progress_ws.notify_all()
-
-    thread.cpu.spawn(wrapped, name=f"lapi{ctx.rank}.localcmpl",
-                     priority=HANDLER)
+    lapi.run_handler("localcmpl", body)

@@ -129,11 +129,11 @@ class Lapi(Endpoint):
         Waits sleeping in interrupt mode are notified after the switch:
         their gates read the mode, and on leaving it they must go on
         polling."""
+        self._check_live()
         self.interrupt_mode = enabled
-        if self.client is not None:
-            self.client.interrupts_enabled = enabled
-            if enabled:
-                self.client.arm_interrupt()
+        self.client.interrupts_enabled = enabled
+        if enabled:
+            self.client.arm_interrupt()
         self.ctx.progress_ws.notify_all()
 
     # ------------------------------------------------------------------
@@ -146,18 +146,21 @@ class Lapi(Endpoint):
         code that creates them symmetrically can pass ``cntr.id`` as a
         ``tgt_cntr`` argument.
         """
+        self._check_live()
         return self.ctx.new_counter(name=name)
 
     def local_counter(self) -> LapiCounter:
         """Create a counter only this task updates, for an ``org_cntr``:
         unregistered, so it cannot be named as a ``tgt_cntr`` or
         ``cmpl_cntr`` (both travel by id)."""
+        self._check_live()
         cntr = LapiCounter(-1, name="local")
         cntr.on_change = self.ctx.progress_ws.notify_all
         return cntr
 
     def setcntr(self, cntr: LapiCounter, value: int) -> None:
         """LAPI_Setcntr."""
+        self._check_live()
         cntr.set(value)
 
     def getcntr(self, cntr: LapiCounter) -> Generator:
@@ -304,6 +307,7 @@ class Lapi(Endpoint):
         task obtain matching ids (the analogue of identical function
         addresses in identically linked executables).
         """
+        self._check_live()
         self.ctx.handlers.append(fn)
         return len(self.ctx.handlers) - 1
 
@@ -325,10 +329,12 @@ class Lapi(Endpoint):
 
     def qenv(self, key: QenvKey) -> int:
         """LAPI_Qenv."""
+        self._check_live()
         return do_qenv(self, key)
 
     def senv(self, key: SenvKey, value: int) -> None:
         """LAPI_Senv."""
+        self._check_live()
         do_senv(self, key, value)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -41,7 +41,7 @@ from ..machine.cpu import HANDLER
 from ..machine.packet import packet_count
 from .constants import PacketKind
 from .context import RecvAssembly
-from .endpoint import EndpointDispatcher
+from .endpoint import EndpointDispatcher, user_steps
 from .protocol import (control_packet, data_packets, read_runs, split_runs,
                        strided_packet_count, write_runs)
 from .putget import send_message
@@ -185,51 +185,39 @@ class Dispatcher(EndpointDispatcher):
     def _am_data(self, thread: "Thread", pkt: "Packet") -> Generator:
         cfg = self.config
         ctx = self.ctx
+        sp = self.lapi.spans
         asm = self._assembly(pkt)
         if pkt.info.get("is_first"):
             if asm.hdr_seen:
                 raise LapiError("duplicate first packet escaped dedup")
             asm.hdr_seen = True
-            sp = self.lapi.spans
             if sp is not None:
                 t_hh = thread.sim.now
-            # --- the header handler (one at a time per context) -------
-            yield from thread.execute(cfg.lapi_hdr_handler_cost)
-            ctx.stats.hdr_handlers_run += 1
-            handler = ctx.handler_by_id(pkt.info["handler_id"])
-            reply = handler(self.lapi.task, pkt.src, pkt.info["uhdr"],
-                            asm.total_len)
+            asm.buf_addr, asm.cmpl_fn, asm.user_info = yield from \
+                self.header_handler(thread, pkt.src, pkt.info["handler_id"],
+                                    pkt.info["uhdr"], asm.total_len)
             if sp is not None:
                 sp.emit(ctx.rank, "lapi", "amsend", "hdr_handler", t_hh,
                         thread.sim.now, parent=asm.origin,
                         bytes=asm.total_len)
-            buf_addr, cmpl_fn, user_info = self._check_hh_reply(
-                reply, asm.total_len)
-            asm.buf_addr = buf_addr
-            asm.cmpl_fn = cmpl_fn
-            asm.user_info = user_info
             # Flush any data that outraced the first packet out of the
             # stash (second copy -- the price of early arrival).
             if asm.stash:
-                if sp is not None:
-                    t_fl = thread.sim.now
-                    flushed = 0
+                t_fl = thread.sim.now
                 for offset, payload in asm.stash:
                     yield from thread.execute(cfg.copy_cost(len(payload)))
                     self.lapi.memory.write(asm.buf_addr + offset, payload)
                     asm.received += len(payload)
                     ctx.stats.bytes_received += len(payload)
-                    if sp is not None:
-                        flushed += len(payload)
                 if sp is not None:
                     sp.emit(ctx.rank, "lapi", "amsend", "copy", t_fl,
                             thread.sim.now, parent=asm.origin,
-                            bytes=flushed, stash_flush=True)
+                            bytes=sum(len(p) for _, p in asm.stash),
+                            stash_flush=True)
                 asm.stash.clear()
 
         payload = pkt.payload
         if payload:
-            sp = self.lapi.spans
             if sp is not None:
                 t_cp = thread.sim.now
             yield from thread.execute(cfg.copy_cost(len(payload)))
@@ -252,8 +240,15 @@ class Dispatcher(EndpointDispatcher):
             del ctx.recv_asm[asm.key]
             yield from self._message_complete(thread, asm)
 
-    @staticmethod
-    def _check_hh_reply(reply, total_len: int):
+    def header_handler(self, thread: "Thread", src: int, handler_id: int,
+                       uhdr: bytes, total_len: int) -> Generator:
+        """Run header handler ``handler_id`` for an active message of
+        ``total_len`` bytes from ``src`` (or from this task, on its own
+        thread); returns its checked ``(buf_addr, cmpl_fn, user_info)``."""
+        yield from thread.execute(self.config.lapi_hdr_handler_cost)
+        self.ctx.stats.hdr_handlers_run += 1
+        handler = self.ctx.handler_by_id(handler_id)
+        reply = handler(self.lapi.task, src, uhdr, total_len)
         if not (isinstance(reply, tuple) and len(reply) == 3):
             raise LapiError(
                 "header handler must return (buf_addr, completion_handler,"
@@ -270,40 +265,31 @@ class Dispatcher(EndpointDispatcher):
     def _message_complete(self, thread: "Thread",
                           asm: RecvAssembly) -> Generator:
         """All bytes of an active message are in place at the target."""
-        cfg = self.config
-        sp = self.lapi.spans
-        if asm.cmpl_fn is not None:
-            cs_sid = None
-            if sp is not None:
-                cs_sid = sp.open(self.ctx.rank, "lapi", "amsend",
-                                 thread.sim.now, phase="cmpl_handler",
-                                 parent=asm.origin, bytes=asm.total_len)
-            # Completion handlers run concurrently on their own threads.
-            yield from thread.execute(cfg.lapi_cmpl_handler_cost)
-            self.ctx.active_handlers += 1
-            lapi = self.lapi
-
-            def body(hthread, a=asm):
-                if sp is not None:
-                    # Nested operations issued from the handler (e.g.
-                    # GA reply puts) parent under the handler span.
-                    hthread.span_parent = cs_sid
-                try:
-                    result = a.cmpl_fn(lapi.task, a.user_info)
-                    if result is not None and hasattr(result, "send"):
-                        yield from result
-                finally:
-                    lapi.ctx.active_handlers -= 1
-                lapi.ctx.stats.cmpl_handlers_run += 1
-                if sp is not None:
-                    sp.close(cs_sid, hthread.sim.now)
-                yield from self._signal_completion(hthread, a)
-                lapi.ctx.progress_ws.notify_all()
-
-            thread.cpu.spawn(body, name=f"lapi{self.ctx.rank}.cmpl",
-                             priority=HANDLER)
-        else:
+        if asm.cmpl_fn is None:
             yield from self._signal_completion(thread, asm)
+            return
+        sp = self.lapi.spans
+        cs_sid = None
+        if sp is not None:
+            cs_sid = sp.open(self.ctx.rank, "lapi", "amsend",
+                             thread.sim.now, phase="cmpl_handler",
+                             parent=asm.origin, bytes=asm.total_len)
+        yield from thread.execute(self.config.lapi_cmpl_handler_cost)
+
+        def body(hthread):
+            if sp is not None:
+                # Nested operations issued from the handler (e.g. GA
+                # reply puts) parent under the handler span.
+                hthread.span_parent = cs_sid
+            return user_steps(asm.cmpl_fn(self.lapi.task, asm.user_info))
+
+        def then(hthread):
+            self.ctx.stats.cmpl_handlers_run += 1
+            if sp is not None:
+                sp.close(cs_sid, hthread.sim.now)
+            return self._signal_completion(hthread, asm)
+
+        self.lapi.run_handler("cmpl", body, then)
 
     def _signal_completion(self, thread: "Thread", asm: RecvAssembly,
                            counted: bool = False) -> Generator:
@@ -409,11 +395,11 @@ class Dispatcher(EndpointDispatcher):
                                          PacketKind.MSG_GET_REP, data, cfg,
                                          uid, dest),
                 "get", origin, length)
-            # Target counter: data has been copied out of target memory.
+            # Target counter: data has been copied out of target memory
+            # (its update notifies progress waiters).
             if info.get("tgt_cntr_id") is not None:
                 yield from thread.execute(cfg.lapi_counter_update)
                 lapi.ctx.counter_by_id(info["tgt_cntr_id"]).add(1)
-                lapi.ctx.progress_ws.notify_all()
 
         lapi.task.node.cpu.spawn(body, name=f"lapi{self.ctx.rank}.getsvc",
                                  priority=HANDLER)

@@ -11,8 +11,9 @@ library calls in polling mode.  This module owns that model:
   builds its :class:`ReliableTransport`, wires the transport and
   adapter hooks, registers the transport's metrics, sends every data
   message of both stacks (:meth:`Endpoint.send_packets`) and completes
-  it at its origin (:class:`SendRecord`), waits on progress, and
-  handles peer failure, node restart and term;
+  it at its origin (:class:`SendRecord`), runs user handler code off
+  the dispatcher (:meth:`Endpoint.run_handler`), waits on progress,
+  and handles peer failure, node restart and term;
 * :class:`EndpointDispatcher` pulls packets off the adapter's RX FIFO,
   serialises them under the context's dispatch lock, charges the
   per-packet receive cost and drops retransmitted duplicates before
@@ -28,7 +29,7 @@ from inspect import getclosurevars
 from typing import TYPE_CHECKING, Callable, Generator, Iterable, Optional
 
 from ..errors import PeerUnreachableError
-from ..machine.cpu import INTERRUPT
+from ..machine.cpu import HANDLER, INTERRUPT
 from ..machine.packet import reserve_uids
 from ..sim.park import linger_loop, poll_step
 from .constants import PacketKind
@@ -39,7 +40,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..machine.cpu import Thread
     from ..machine.packet import Packet
 
-__all__ = ["Endpoint", "EndpointDispatcher", "SendRecord"]
+__all__ = ["Endpoint", "EndpointDispatcher", "SendRecord", "user_steps"]
+
+
+def user_steps(result) -> Iterable:
+    """What a user handler returned, to ``yield from`` on its thread:
+    its generator, or no steps."""
+    return result if result is not None and hasattr(result, "send") else ()
 
 
 class SendRecord:
@@ -256,6 +263,29 @@ class Endpoint:
     # ------------------------------------------------------------------
     # progress
     # ------------------------------------------------------------------
+    def run_handler(self, kind: str, body: Callable,
+                    then: Optional[Callable] = None) -> None:
+        """Run user handler code on its own HANDLER thread
+        ``{PREFIX}{rank}.<kind>``: the steps of ``body(thread)``, the
+        stack's charges around the user's call (:func:`user_steps`),
+        counted in ``ctx.active_handlers`` until they end, in error too;
+        then those of the stack's follow-up ``then(thread)``; then, the
+        count dropped, the progress notify ``term`` waits for."""
+        ctx = self.ctx
+        ctx.active_handlers += 1
+
+        def handler(thread):
+            try:
+                yield from body(thread)
+            finally:
+                ctx.active_handlers -= 1
+            if then is not None:
+                yield from then(thread)
+            ctx.progress_ws.notify_all()
+
+        self.task.node.cpu.spawn(
+            handler, name=f"{self.PREFIX}{ctx.rank}.{kind}", priority=HANDLER)
+
     def wait_for(self, predicate: Callable[[], bool]) -> Generator:
         """Block until ``predicate()`` holds, driving progress as the
         current mode requires.  Every blocking call of either stack

@@ -1,12 +1,12 @@
 """LAPI_Fence and LAPI_Gfence.
 
-Section 5.3.2's semantics, implemented precisely: a fence waits until
-every data transfer this task initiated has *arrived in the remote user
-buffers* -- it says nothing about completion handlers, which may still
-be running.  Arrival is observed through the reliability layer's
-acknowledgements (an ack is sent when the dispatcher has placed the
-packet), so fence completion is exactly "all my packets have been
-processed at their targets".
+Section 5.3.2: a fence waits until every data transfer this task
+initiated has *arrived in the remote user buffers*, and says nothing of
+completion handlers.  Arrival is observed through acknowledgements,
+which the target sends when its dispatcher takes a packet, *before*
+placing its bytes (``EndpointDispatcher.process``), so a fence can
+return while the last packet is still being copied (strict xfail
+``test_fence_returns_after_the_data_is_placed``).
 
 ``LAPI_Gfence`` is the collective version: a local fence followed by a
 dissemination barrier (log2(N) rounds of point-to-point tokens over the

@@ -27,6 +27,7 @@ from ..core.endpoint import Endpoint, SendRecord
 from ..errors import MplError
 from ..machine.cpu import HANDLER
 from ..machine.packet import packet_count
+from . import collectives
 from .constants import ANY_SOURCE, ANY_TAG
 from .dispatcher import MplDispatcher
 from .matching import MessageState, RecvRequest, tag_matches
@@ -99,12 +100,14 @@ class Mpl(Endpoint):
 
     def waitall(self, requests) -> Generator:
         """Block until every request in the iterable completes."""
+        self._check_live()
         reqs = list(requests)
         return self.wait_for(lambda: all(r.complete for r in reqs))
 
     def waitany(self, requests) -> Generator:
         """Block until at least one request completes; returns the
         index of the first complete one."""
+        self._check_live()
         reqs = list(requests)
         if not reqs:
             raise MplError("waitany on an empty request list")
@@ -297,11 +300,9 @@ class Mpl(Endpoint):
             env.received = len(data)
             if bound is not None:
                 yield from self.dispatcher.deliver(thread, env)
-            elif env.rcvncall_fn is not None:
-                ctx.recv_msgs[(env.src, env.msg_seq)] = env
-                yield from self.dispatcher._maybe_complete(thread, env)
             else:
                 ctx.recv_msgs[(env.src, env.msg_seq)] = env
+                yield from self.dispatcher._maybe_complete(thread, env)
         return req
 
     def send(self, dst: int, source: Union[int, bytes], nbytes: int,
@@ -419,20 +420,20 @@ class Mpl(Endpoint):
     # collectives (see collectives.py for the algorithms)
     # ------------------------------------------------------------------
     def barrier(self) -> Generator:
-        from .collectives import barrier
-        return barrier(self)
+        self._check_live()
+        return collectives.barrier(self)
 
     def bcast(self, data: Optional[bytes], root: int = 0) -> Generator:
-        from .collectives import bcast
-        return bcast(self, data, root)
+        self._check_live()
+        return collectives.bcast(self, data, root)
 
     def reduce(self, values, op: Callable, root: int = 0) -> Generator:
-        from .collectives import reduce
-        return reduce(self, values, op, root)
+        self._check_live()
+        return collectives.reduce(self, values, op, root)
 
     def allreduce(self, values, op: Callable) -> Generator:
-        from .collectives import allreduce
-        return allreduce(self, values, op)
+        self._check_live()
+        return collectives.allreduce(self, values, op)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         mode = "interrupt" if self.interrupt_mode else "polling"

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
-from ..core.endpoint import EndpointDispatcher
+from ..core.endpoint import EndpointDispatcher, user_steps
 from ..errors import MplError
-from ..machine.cpu import HANDLER
 from .constants import MplPacketKind
 from .matching import MessageState, RecvRequest
 from .protocol import cts_packet
@@ -175,7 +174,6 @@ class MplDispatcher(EndpointDispatcher):
         cfg = self.config
         blob = bytes(msg.early_buffer[:msg.total]) if msg.early_buffer \
             else b""
-        mpl.ctx.active_handlers += 1
         sp = mpl.spans
 
         def body(hthread):
@@ -189,17 +187,13 @@ class MplDispatcher(EndpointDispatcher):
             try:
                 yield from hthread.execute(cfg.rcvncall_context_cost)
                 mpl.ctx.stats.rcvncalls_run += 1
-                result = msg.rcvncall_fn(mpl.task, msg.src, msg.tag, blob)
-                if result is not None and hasattr(result, "send"):
-                    yield from result
+                yield from user_steps(
+                    msg.rcvncall_fn(mpl.task, msg.src, msg.tag, blob))
             finally:
-                mpl.ctx.active_handlers -= 1
                 if sp is not None:
                     sp.close(cs_sid, hthread.sim.now)
-            mpl.ctx.progress_ws.notify_all()
 
-        mpl.task.node.cpu.spawn(body, name=f"mpl{self.ctx.rank}.rcvncall",
-                                priority=HANDLER)
+        mpl.run_handler("rcvncall", body)
 
     # ------------------------------------------------------------------
     # packet kinds

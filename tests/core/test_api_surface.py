@@ -101,32 +101,57 @@ class TestGuards:
         msg = cluster.sim.run_until_complete(t.process)
         assert "before LAPI_Init" in msg
 
-    @pytest.mark.parametrize("stack,before,after,twice", [
-        ("lapi", "LAPI used before LAPI_Init", "LAPI used after LAPI_Term",
-         "LAPI_Init called twice"),
-        ("mpl", "MPL used before init", "MPL used after term",
-         "MPL init called twice"),
-    ])
-    def test_misuse_rejected_on_both_stacks(self, stack, before, after,
-                                            twice):
+    #: Each stack's misuse messages: use before init, use after term,
+    #: init called twice.
+    MISUSE = {
+        "lapi": ("LAPI used before LAPI_Init", "LAPI used after LAPI_Term",
+                 "LAPI_Init called twice"),
+        "mpl": ("MPL used before init", "MPL used after term",
+                "MPL init called twice"),
+    }
+
+    @pytest.mark.parametrize("stack,use", [
+        ("lapi", lambda lapi: lapi.probe()),
+        ("lapi", lambda lapi: lapi.setcntr(LapiCounter(0), 1)),
+        ("lapi", lambda lapi: lapi.counter()),
+        ("lapi", lambda lapi: lapi.local_counter()),
+        ("lapi", lambda lapi: lapi.register_handler(print)),
+        ("lapi", lambda lapi: lapi.set_interrupt_mode(True)),
+        ("lapi", lambda lapi: lapi.qenv(QenvKey.INTERRUPT_SET)),
+        ("lapi", lambda lapi: lapi.senv(SenvKey.INTERRUPT_SET, 1)),
+        ("mpl", lambda mpl: mpl.iprobe(0, 0)),
+        ("mpl", lambda mpl: mpl.waitall([])),
+        ("mpl", lambda mpl: mpl.waitany([])),
+        ("mpl", lambda mpl: mpl.barrier()),
+        ("mpl", lambda mpl: mpl.bcast(b"x")),
+        ("mpl", lambda mpl: mpl.reduce(1, max)),
+        ("mpl", lambda mpl: mpl.allreduce(1, max)),
+    ], ids=["lapi-probe", "lapi-setcntr", "lapi-counter",
+            "lapi-local_counter", "lapi-register_handler",
+            "lapi-set_interrupt_mode", "lapi-qenv", "lapi-senv",
+            "mpl-iprobe", "mpl-waitall", "mpl-waitany",
+            "mpl-barrier", "mpl-bcast", "mpl-reduce", "mpl-allreduce"])
+    def test_misuse_rejected_on_both_stacks(self, stack, use):
+        """Every public call that acts on a stack rejects use before
+        init and after term; a second init is rejected too."""
         from repro.errors import LapiError, MplError
         from repro.machine import Cluster
         from repro.machine.cluster import Task
         from repro.mpl import Mpl
 
+        before, after, twice = self.MISUSE[stack]
+
         def call_on(cluster, endpoint, call):
             def body(thread):
                 try:
-                    yield from call(endpoint)
+                    result = call(endpoint)
+                    if result is not None and hasattr(result, "send"):
+                        yield from result
                 except (LapiError, MplError) as exc:
                     return str(exc)
 
             t = cluster.nodes[0].cpu.spawn(body)
             return cluster.sim.run_until_complete(t.process)
-
-        def use(endpoint):
-            return (endpoint.probe() if stack == "lapi"
-                    else endpoint.iprobe(0, 0))
 
         cluster = Cluster(nnodes=1)
         task = Task(cluster, 0, 1, cluster.nodes[0])

@@ -6,25 +6,33 @@ from repro.errors import LapiError
 from repro.machine import Cluster, Packet
 
 
+def _header_handler_returning(reply, total_len):
+    """Run the dispatcher's header-handler step for a handler that
+    returns ``reply`` to a message of ``total_len`` bytes."""
+    def main(task):
+        lapi = task.lapi
+        hid = lapi.register_handler(lambda *args: reply)
+        return (yield from lapi.dispatcher.header_handler(
+            task.thread, 0, hid, b"", total_len))
+
+    return Cluster(nnodes=1).run_job(main, stacks=("lapi",))[0]
+
+
 class TestHeaderHandlerContract:
     def test_non_tuple_reply_rejected(self):
-        from repro.core.dispatcher import Dispatcher
         with pytest.raises(LapiError, match="must return"):
-            Dispatcher._check_hh_reply("not a tuple", 10)
+            _header_handler_returning("not a tuple", 10)
 
     def test_wrong_arity_rejected(self):
-        from repro.core.dispatcher import Dispatcher
         with pytest.raises(LapiError, match="must return"):
-            Dispatcher._check_hh_reply((1, 2), 10)
+            _header_handler_returning((1, 2), 10)
 
     def test_null_buffer_with_data_rejected(self):
-        from repro.core.dispatcher import Dispatcher
         with pytest.raises(LapiError, match="no buffer"):
-            Dispatcher._check_hh_reply((None, None, None), 10)
+            _header_handler_returning((None, None, None), 10)
 
     def test_null_buffer_without_data_ok(self):
-        from repro.core.dispatcher import Dispatcher
-        buf, fn, info = Dispatcher._check_hh_reply((None, None, "i"), 0)
+        buf, fn, info = _header_handler_returning((None, None, "i"), 0)
         assert (buf, fn, info) == (None, None, "i")
 
 

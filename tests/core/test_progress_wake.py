@@ -148,13 +148,8 @@ def test_mpl_wait_falls_back_to_polling_under_lockrnc():
     assert done == [True, True]
 
 
-def test_term_waits_out_a_local_completion_handler():
-    """A local active message's completion handler outlasts the
-    gfence; ``term`` waits for it.  The handler's notify comes after it
-    leaves the active count, so the gated wait sees zero and ends."""
-    ran = []
-
-    def main(task):
+def _lapi_amsend_to(target):
+    def start(task, ran):
         lapi = task.lapi
 
         def hh(t, src, uhdr, udata_len):
@@ -165,15 +160,51 @@ def test_term_waits_out_a_local_completion_handler():
 
         hid = lapi.register_handler(hh)
         if task.rank == 0:
-            yield from lapi.amsend(0, hid, b"h")
-        yield from lapi.gfence()
-        return lapi.ctx.active_handlers
+            yield from lapi.amsend(target, hid, b"h")
+        return lapi
+    return start
+
+
+def _mpl_rcvncall(task, ran):
+    mpl = task.mpl
+
+    def handler(t, src, tag, data):
+        yield from t.mpl.current_thread().sleep(1_000.0)
+        ran.append(t.rank)
+
+    mpl.rcvncall(42, handler)
+    yield from mpl.barrier()
+    if task.rank == 0:
+        yield from mpl.send(1, b"req", 3, tag=42)
+    return mpl
+
+
+@pytest.mark.parametrize("stack,start,target", [
+    ("lapi", _lapi_amsend_to(0), 0),
+    ("lapi", _lapi_amsend_to(1), 1),
+    ("mpl", _mpl_rcvncall, 1),
+], ids=["lapi-local-amsend", "lapi-remote-amsend", "mpl-rcvncall"])
+def test_term_waits_out_a_completion_handler(stack, start, target):
+    """Every caller of the one handler runner: a completion handler
+    (LAPI's, for an active message to self or to a peer, or an MPL
+    ``rcvncall``) outlasts the closing barrier, and ``term`` waits for
+    it.  The runner's notify comes after the handler leaves the active
+    count, so the gated wait sees zero and ends."""
+    ran = []
+    endpoints = []
+
+    def main(task):
+        endpoint = yield from start(task, ran)
+        endpoints.append(endpoint)
+        yield from endpoint.barrier()
+        return endpoint.ctx.active_handlers
 
     cluster = Cluster(nnodes=2, seed=1)
-    left = cluster.run_job(main, stacks=("lapi",), interrupt_mode=True,
+    left = cluster.run_job(main, stacks=(stack,), interrupt_mode=True,
                            until=UNTIL)
-    assert left == [1, 0]
-    assert ran == [0]
+    assert left == [int(rank == target) for rank in range(2)]
+    assert ran == [target]
+    assert [e.ctx.active_handlers for e in endpoints] == [0, 0]
 
 
 def test_a_stopped_job_names_the_wait_a_notify_would_end():

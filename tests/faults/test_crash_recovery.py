@@ -12,8 +12,9 @@ import pytest
 
 from repro.bench.chaos import (CHAOS_BYTES, CHAOS_MSGS_QUICK, CRASH_AT_US,
                                crash_point, crash_scenarios)
+from repro.core import RmwOp
 from repro.core.reliability import UNREACHABLE, ReliableTransport
-from repro.errors import PeerUnreachableError
+from repro.errors import MachineError, PeerUnreachableError
 from repro.faults import FaultSchedule, LinkOutage, NodeCrash
 from repro.machine import TASK_CRASHED, Cluster
 from repro.machine.config import SP_1998
@@ -414,6 +415,63 @@ class TestSuppressedRetryExhaustion:
         left, raised, fenced = self._refused(send)
         assert left == 0
         assert raised < fenced < raised + 100.0
+
+    # ROADMAP item 1(c)'s accounting holes: each completion below can
+    # only be reported by the lost peer, so the wait on it runs to
+    # ``until=`` and the job fails its virtual-time budget.
+    @pytest.mark.xfail(strict=True, raises=MachineError, reason=(
+        "ROADMAP item 1(c): a lost target never sends a put's cmpl "
+        "notice, so waitcntr on the cmpl_cntr waits until until="))
+    def test_waitcntr_ends_after_a_put_toward_the_lost_peer(self):
+        """No gfence first: the put goes out, every packet is lost and
+        the retry budget runs out.  ``waitcntr`` on the put's
+        ``cmpl_cntr`` must then return or raise, not wait out the
+        job."""
+        def main(task):
+            lapi = task.lapi
+            buf = task.memory.malloc(64)
+            if task.rank == 0:
+                cmpl = lapi.counter()
+                yield from lapi.put(1, 64, buf, buf, cmpl_cntr=cmpl)
+                try:
+                    yield from lapi.waitcntr(cmpl, 1)
+                except PeerUnreachableError:
+                    pass
+            return task.now()
+
+        _, results = self._run(main)
+        assert results[0] < 200_000.0
+
+    @pytest.mark.xfail(strict=True, raises=MachineError, reason=(
+        "ROADMAP item 1(c): a get or rmw toward a lost peer returns but "
+        "is never retired, so the fence after it waits until until="))
+    @pytest.mark.parametrize("op", ["get", "rmw"])
+    def test_fence_returns_after_a_get_or_rmw_toward_the_lost_peer(self,
+                                                                   op):
+        """After a gfence has recorded rank 1 lost, a 64-byte get or a
+        fetch-and-add toward it returns or raises, and the fence after
+        it returns a few microseconds later."""
+        def main(task):
+            lapi = task.lapi
+            buf = task.memory.malloc(64)
+            if task.rank != 0:
+                return None
+            yield from lapi.gfence()
+            assert 1 in task.dead_peers
+            try:
+                if op == "get":
+                    yield from lapi.get(1, 64, buf, buf)
+                else:
+                    yield from lapi.rmw(RmwOp.FETCH_AND_ADD, 1, buf, 1)
+            except PeerUnreachableError:
+                pass
+            issued = task.now()
+            yield from lapi.fence(1)
+            return issued, task.now()
+
+        _, results = self._run(main)
+        issued, fenced = results[0]
+        assert issued <= fenced < issued + 100.0
 
 
 class TestChaosCrashPoints:
