@@ -1,11 +1,93 @@
 """Reliability layer: loss recovery, duplicate filtering, reordering."""
 
+from dataclasses import astuple
+
 import pytest
 
 from repro.faults import FaultSchedule, GilbertElliott
+from repro.machine import Cluster
 from repro.machine.config import SP_1998
+from repro.obs import ObsSpec
 
 from .conftest import run_spmd
+
+
+#: (stack, seed) -> (route jitter, packets stashed, sim.now, every
+#: rank's stats as a tuple in field order) of the outracing jobs below,
+#: at seeds where a packet outraces its message's first packet.
+STASH_PINS = {
+    ("lapi", 0): (100.0, 2, 591.9815562819158, [
+        (0, 0, 1, 0, 4, 3, 3, 3, 0, 0, 5856, 0, 0),
+        (0, 0, 0, 0, 3, 3, 10, 4, 1, 0, 0, 5856, 0),
+    ]),
+    ("lapi", 2): (100.0, 1, 603.5094531425979, [
+        (0, 0, 1, 0, 4, 3, 3, 3, 0, 0, 5856, 0, 0),
+        (0, 0, 0, 0, 3, 3, 10, 5, 1, 0, 0, 5856, 0),
+    ]),
+    ("mpl", 1): (25.0, 1, 696.0113653993076, [
+        (7, 3, 7, 0, 0, 0, 3, 2, 0, 16384, 0),
+        (3, 7, 3, 0, 0, 0, 23, 3, 12288, 0, 16384),
+    ]),
+    ("mpl", 2): (25.0, 2, 709.6092459009708, [
+        (7, 3, 7, 0, 0, 0, 3, 2, 0, 16384, 0),
+        (3, 7, 3, 0, 0, 0, 23, 3, 12288, 0, 16384),
+    ]),
+}
+
+
+def _am_outracing(task):
+    """Rank 0 sends one 6-packet active message to rank 1; returns the
+    data each rank holds and its (live) stats."""
+    n = SP_1998.lapi_payload * 6
+    lapi = task.lapi
+    buf = task.memory.malloc(n)
+    hid = lapi.register_handler(lambda t, src, uhdr, n: (buf, None, None))
+    tgt = lapi.counter()
+    yield from lapi.gfence()
+    if task.rank == 0:
+        data = bytes(i % 233 for i in range(n))
+        yield from lapi.amsend(1, hid, b"h", data, n, tgt_cntr=tgt.id)
+        yield from lapi.fence()
+    else:
+        yield from lapi.waitcntr(tgt, 1)
+    yield from lapi.gfence()
+    return (data if task.rank == 0 else task.memory.read(buf, n),
+            lapi.stats)
+
+
+def _eager_outracing(task):
+    """Rank 0 sends four 4 096 B eager messages to rank 1; returns the
+    data each rank holds and its (live) stats."""
+    mpl = task.mpl
+    sizes = range(4)
+    yield from mpl.barrier()
+    if task.rank == 0:
+        data = [bytes((i + k) % 233 for i in range(4096)) for k in sizes]
+        reqs = []
+        for d in data:
+            reqs.append((yield from mpl.isend(1, d, 4096, 3)))
+        yield from mpl.waitall(reqs)
+    else:
+        data = []
+        for _ in sizes:
+            data.append((yield from mpl.recv_bytes(0, 3)))
+    yield from mpl.barrier()
+    return data, mpl.stats
+
+
+def _dispatched_before_first(spans) -> int:
+    """Data packets of an MPL send dispatched before the send's first
+    packet, which carries the envelope (packet uids run in send order)."""
+    sends: dict = {}
+    for s in spans.records:
+        if s.subsystem == "mpl" and s.phase == "dispatch" and s.op == "send":
+            sends.setdefault(s.parent, []).append((s.t1, s.fields["uid"]))
+    early = 0
+    for arrivals in sends.values():
+        first = min(uid for _, uid in arrivals)
+        arrivals.sort()
+        early += [uid for _, uid in arrivals].index(first)
+    return early
 
 
 class TestDuplicateFilter:
@@ -148,42 +230,29 @@ class TestOutOfOrder:
 
         assert run_spmd(main, config=cfg, seed=13)[1] == payload
 
-    def test_am_data_outracing_header_is_stashed(self):
-        """With heavy jitter a later AM packet can beat the first one;
-        LAPI must stash it and flush after the header handler runs."""
-        cfg = SP_1998.replace(switch_group_size=1, route_jitter=25.0)
-        n = SP_1998.lapi_payload * 6
-
-        def main(task):
-            lapi = task.lapi
-            buf = task.memory.malloc(n)
-
-            def hh(t, src, uhdr, udata_len):
-                return buf, None, None
-
-            hid = lapi.register_handler(hh)
-            tgt = lapi.counter()
-            yield from lapi.gfence()
-            if task.rank == 0:
-                data = bytes(i % 233 for i in range(n))
-                yield from lapi.amsend(1, hid, b"h", data, n,
-                                       tgt_cntr=tgt.id)
-                yield from lapi.fence()
-                yield from lapi.gfence()
-                return data
-            else:
-                yield from lapi.waitcntr(tgt, 1)
-                yield from lapi.gfence()
-                return task.memory.read(buf, n)
-
-        # Try several seeds; at least one must exercise the stash path
-        # while all must deliver correct data.
-        stashed_somewhere = False
-        for seed in range(6):
-            results = run_spmd(main, config=cfg, seed=seed)
-            assert results[1] == results[0]
-        # Correctness under all seeds is the hard requirement; the
-        # stash path itself is asserted via unit-level dispatcher tests.
+    @pytest.mark.parametrize("stack,seed", list(STASH_PINS))
+    def test_data_outracing_first_packet_is_stashed(self, stack, seed):
+        """Under heavy jitter a later packet of a message can beat its
+        first one, which names the destination: an active message's
+        header or an MPL envelope.  The receiver stashes it and flushes
+        it once the destination is known.  The stash path must run, the
+        data arrive intact, and virtual time and every rank's stats stay
+        exactly as pinned."""
+        jitter, stashed, now, stats = STASH_PINS[stack, seed]
+        cfg = SP_1998.replace(switch_group_size=1, route_jitter=jitter)
+        cluster = Cluster(nnodes=2, config=cfg, seed=seed,
+                          obs=ObsSpec({"spans"}))
+        main = _am_outracing if stack == "lapi" else _eager_outracing
+        (data0, stats0), (data1, stats1) = cluster.run_job(
+            main, stacks=(stack,))
+        assert data1 == data0
+        if stack == "lapi":
+            assert cluster.metrics.snapshot()["core.dispatcher"]["1"][
+                "reassembly_ooo_depth"]["count"] == stashed
+        else:
+            assert _dispatched_before_first(cluster.spans) == stashed
+        assert cluster.sim.now == now
+        assert [astuple(stats0), astuple(stats1)] == stats
 
 
 class TestBackpressure:
