@@ -261,10 +261,12 @@ class Lapi(Endpoint):
         registered, but only for the call and outside the user's id
         sequence: counters created after it keep their SPMD ids."""
         cmpl = self.ctx.new_counter(scoped=True)
-        yield from self.put(target, length, tgt_addr, org_addr,
-                            tgt_cntr=tgt_cntr, cmpl_cntr=cmpl)
-        yield from self.waitcntr(cmpl, 1)
-        del self.ctx.counters[cmpl.id]
+        try:
+            yield from self.put(target, length, tgt_addr, org_addr,
+                                tgt_cntr=tgt_cntr, cmpl_cntr=cmpl)
+            yield from self.waitcntr(cmpl, 1)
+        finally:
+            del self.ctx.counters[cmpl.id]
 
     def get_sync(self, target: int, length: int, tgt_addr: int,
                  org_addr: int) -> Generator:

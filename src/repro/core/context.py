@@ -1,12 +1,12 @@
 """Per-task LAPI state.
 
 Everything a LAPI instance tracks between calls lives in a
-:class:`LapiContext`: the counter and handler tables, receive-side
-assemblies (gets' replies among them), pending RMWs, fence accounting,
-barrier tokens, and statistics.  A sent message's own completion is
-the endpoint's (:class:`repro.core.endpoint.SendRecord`).  Keeping it
-in one object (separate from the API facade) makes the dispatcher/API
-split clean and the state inspectable from tests.
+:class:`LapiContext`: the counter and handler tables, pending RMWs,
+fence accounting, barrier tokens, and statistics.  A message's records
+(:class:`repro.core.endpoint.SendRecord`, :class:`RecvAssembly`) are
+the endpoint's.  Keeping it in one object (separate from the API
+facade) makes the dispatcher/API split clean and the state inspectable
+from tests.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from ..errors import LapiError
 from ..sim import SimLock, WaitSet
 from .constants import PacketKind
 from .counters import LapiCounter
+from .endpoint import RecvRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim import Event, Simulator
@@ -45,39 +46,31 @@ class LapiStats:
     local_fastpaths: int = 0
 
 
-class RecvAssembly:
-    """Receive-side assembly of one data message: a put or active
-    message at its target, a get's reply at its origin.
-
-    Tolerates arbitrary packet arrival order.  Put and get-reply packets
-    are self-describing, so each lands as it arrives; an active
-    message's packets that land before its first packet (which carries
-    the user header) are stashed in LAPI-internal buffers and flushed
-    once the header handler has supplied the destination buffer.
+class RecvAssembly(RecvRecord):
+    """LAPI's receive record of one data message: a put or active
+    message at its target, a get's reply at its origin, in any packet
+    arrival order.  Put and get-reply packets are self-describing, so
+    their record is ready when it opens; an active message's is ready
+    once its header handler has supplied the buffer.  The key keeps the
+    message type: a put numbers its message at its sender, a get reply
+    at this task, so the two may share a message id.
     """
 
-    __slots__ = ("src", "msg_id", "mtype", "total_len", "received",
-                 "buf_addr", "stash", "hdr_seen", "cmpl_fn", "user_info",
-                 "tgt_cntr_id", "cmpl_cntr_id", "org_cntr", "origin")
+    __slots__ = ("mtype", "buf_addr", "cmpl_fn", "user_info",
+                 "tgt_cntr_id", "cmpl_cntr_id", "org_cntr")
 
-    def __init__(self, src: int, msg_id: int, mtype: str, total_len: int,
-                 *, buf_addr: Optional[int] = None,
+    def __init__(self, src: int, msg_id: int, mtype: str, total: int,
+                 stats, *, buf_addr: Optional[int] = None,
                  tgt_cntr_id: Optional[int] = None,
                  cmpl_cntr_id: Optional[int] = None,
                  org_cntr: Optional[LapiCounter] = None,
                  origin: Optional[int] = None) -> None:
-        #: The peer the data comes from (for a get reply, the target).
-        self.src = src
-        self.msg_id = msg_id
+        super().__init__((src, msg_id, mtype), total, stats, origin,
+                         ready=mtype != PacketKind.MSG_AM)
         self.mtype = mtype
-        self.total_len = total_len
-        self.received = 0
         #: Destination base address (known at once for a put or get;
         #: supplied by the header handler for an active message).
         self.buf_addr = buf_addr
-        #: Early packets awaiting the buffer address: (offset, payload).
-        self.stash: list[tuple[int, bytes]] = []
-        self.hdr_seen = mtype != PacketKind.MSG_AM
         self.cmpl_fn: Optional[Callable] = None
         self.user_info: Any = None
         #: Counters the completed message bumps: a put or AM's target
@@ -86,19 +79,6 @@ class RecvAssembly:
         self.tgt_cntr_id = tgt_cntr_id
         self.cmpl_cntr_id = cmpl_cntr_id
         self.org_cntr = org_cntr
-        #: Span of the operation that sent the message (spans armed).
-        self.origin = origin
-
-    @property
-    def key(self) -> tuple[int, int, str]:
-        """Entry in ``LapiContext.recv_asm``.  A put numbers its message
-        at its sender, a get reply at this task, so the message type
-        keeps a put from a peer and a get reply from it apart."""
-        return (self.src, self.msg_id, self.mtype)
-
-    @property
-    def complete(self) -> bool:
-        return self.hdr_seen and self.received >= self.total_len
 
 
 class RmwPending:
@@ -134,7 +114,6 @@ class LapiContext:
         # -- in-flight state --------------------------------------------
         self._next_msg_id = 0
         self._next_req_id = 0
-        self.recv_asm: dict[tuple[int, int, str], RecvAssembly] = {}
         self.pending_rmws: dict[int, RmwPending] = {}
         #: ``(origin, cmpl counter id)`` -> ``[count, span]`` while that
         #: pair's one CMPL notice is unacknowledged: the completions
@@ -160,7 +139,6 @@ class LapiContext:
 
     def crash_reset(self) -> None:
         """Forget every in-flight transfer (fail-stop node restart)."""
-        self.recv_asm.clear()
         self.pending_rmws.clear()
         self.cmpl_held.clear()
         self.outstanding.clear()

@@ -118,28 +118,19 @@ class Dispatcher(EndpointDispatcher):
     # ------------------------------------------------------------------
     # DATA packets: put / am / get replies
     # ------------------------------------------------------------------
-    def _assembly(self, pkt: "Packet") -> RecvAssembly:
-        """The message ``pkt`` belongs to; a put or active message's
-        first packet to arrive opens it.  A get reply's was opened when
-        the get was issued."""
+    def _open(self, key: tuple, pkt: "Packet",
+              origin: Optional[int]) -> RecvAssembly:
+        """A put or active message's first packet to arrive opens its
+        record.  A get reply's was opened when the get was issued."""
+        src, msg_id, mtype = key
+        if mtype == PacketKind.MSG_GET_REP:
+            raise LapiError(
+                f"task {self.ctx.rank}: get reply for unknown msg {msg_id}")
         info = pkt.info
-        mtype = info["mtype"]
-        key = (pkt.src, info["msg_id"], mtype)
-        asm = self.ctx.recv_asm.get(key)
-        if asm is None:
-            if mtype == PacketKind.MSG_GET_REP:
-                raise LapiError(
-                    f"task {self.ctx.rank}: get reply for unknown msg"
-                    f" {info['msg_id']}")
-            sp = self.lapi.spans
-            asm = RecvAssembly(
-                pkt.src, info["msg_id"], mtype, info["total"],
-                buf_addr=info.get("tgt_addr"),
-                tgt_cntr_id=info["tgt_cntr_id"],
-                cmpl_cntr_id=info["cmpl_cntr_id"],
-                origin=sp.origin_of(pkt) if sp is not None else None)
-            self.ctx.recv_asm[key] = asm
-        return asm
+        return RecvAssembly(src, msg_id, mtype, info["total"],
+                            self.ctx.stats, buf_addr=info.get("tgt_addr"),
+                            tgt_cntr_id=info["tgt_cntr_id"],
+                            cmpl_cntr_id=info["cmpl_cntr_id"], origin=origin)
 
     def _place(self, thread: "Thread", pkt: "Packet") -> Generator:
         """Put and get-reply packets are self-describing: place each as
@@ -148,7 +139,7 @@ class Dispatcher(EndpointDispatcher):
         cfg = self.config
         ctx = self.ctx
         info = pkt.info
-        asm = self._assembly(pkt)
+        asm = self.record((pkt.src, info["msg_id"], info["mtype"]), pkt)
         payload = pkt.payload
         counted = False
         if payload:
@@ -157,7 +148,7 @@ class Dispatcher(EndpointDispatcher):
             # counter update: one wake-up for both bursts.
             counted = ((asm.tgt_cntr_id is not None
                         or asm.org_cntr is not None)
-                       and asm.received + n >= asm.total_len)
+                       and asm.received + n >= asm.total)
             sp = self.lapi.spans
             if sp is not None:
                 t_cp = thread.sim.now
@@ -176,30 +167,29 @@ class Dispatcher(EndpointDispatcher):
                                        payload)
             else:
                 write_runs(self.lapi.memory, runs, payload)
-            asm.received += n
-            ctx.stats.bytes_received += n
+            asm.placed(n)
         if asm.complete:
-            del ctx.recv_asm[asm.key]
+            del self.recvs[asm.key]
             yield from self._signal_completion(thread, asm, counted)
 
     def _am_data(self, thread: "Thread", pkt: "Packet") -> Generator:
         cfg = self.config
         ctx = self.ctx
         sp = self.lapi.spans
-        asm = self._assembly(pkt)
+        asm = self.record((pkt.src, pkt.info["msg_id"], PacketKind.MSG_AM),
+                          pkt)
         if pkt.info.get("is_first"):
-            if asm.hdr_seen:
+            if asm.ready:
                 raise LapiError("duplicate first packet escaped dedup")
-            asm.hdr_seen = True
+            asm.ready = True
             if sp is not None:
                 t_hh = thread.sim.now
             asm.buf_addr, asm.cmpl_fn, asm.user_info = yield from \
                 self.header_handler(thread, pkt.src, pkt.info["handler_id"],
-                                    pkt.info["uhdr"], asm.total_len)
+                                    pkt.info["uhdr"], asm.total)
             if sp is not None:
                 sp.emit(ctx.rank, "lapi", "amsend", "hdr_handler", t_hh,
-                        thread.sim.now, parent=asm.origin,
-                        bytes=asm.total_len)
+                        thread.sim.now, parent=asm.origin, bytes=asm.total)
             # Flush any data that outraced the first packet out of the
             # stash (second copy -- the price of early arrival).
             if asm.stash:
@@ -207,8 +197,7 @@ class Dispatcher(EndpointDispatcher):
                 for offset, payload in asm.stash:
                     yield from thread.execute(cfg.copy_cost(len(payload)))
                     self.lapi.memory.write(asm.buf_addr + offset, payload)
-                    asm.received += len(payload)
-                    ctx.stats.bytes_received += len(payload)
+                    asm.placed(len(payload))
                 if sp is not None:
                     sp.emit(ctx.rank, "lapi", "amsend", "copy", t_fl,
                             thread.sim.now, parent=asm.origin,
@@ -225,11 +214,10 @@ class Dispatcher(EndpointDispatcher):
                 sp.emit(ctx.rank, "lapi", "amsend", "copy", t_cp,
                         thread.sim.now, parent=sp.origin_of(pkt),
                         bytes=len(payload))
-            if asm.hdr_seen:
+            if asm.ready:
                 self.lapi.memory.write(asm.buf_addr + pkt.info["offset"],
                                        payload)
-                asm.received += len(payload)
-                ctx.stats.bytes_received += len(payload)
+                asm.placed(len(payload))
             else:
                 # Outran the first packet: hold in LAPI-internal buffers
                 # (the copy above is the stash copy).
@@ -237,7 +225,7 @@ class Dispatcher(EndpointDispatcher):
                 if self.ooo_depth is not None:
                     self.ooo_depth.observe(float(len(asm.stash)))
         if asm.complete:
-            del ctx.recv_asm[asm.key]
+            del self.recvs[asm.key]
             yield from self._message_complete(thread, asm)
 
     def header_handler(self, thread: "Thread", src: int, handler_id: int,
@@ -273,7 +261,7 @@ class Dispatcher(EndpointDispatcher):
         if sp is not None:
             cs_sid = sp.open(self.ctx.rank, "lapi", "amsend",
                              thread.sim.now, phase="cmpl_handler",
-                             parent=asm.origin, bytes=asm.total_len)
+                             parent=asm.origin, bytes=asm.total)
         yield from thread.execute(self.config.lapi_cmpl_handler_cost)
 
         def body(hthread):

@@ -281,9 +281,9 @@ def do_get(lapi: "Lapi", target: int, length: int, tgt_addr: int,
     # The reply is placed here like a put at its target; keyed by its
     # message type, it shares no entry with a put from the same peer.
     asm = RecvAssembly(target, msg_id, PacketKind.MSG_GET_REP, length,
-                       buf_addr=org_addr, org_cntr=org_cntr,
+                       ctx.stats, buf_addr=org_addr, org_cntr=org_cntr,
                        origin=op_sid)
-    ctx.recv_asm[asm.key] = asm
+    lapi.recvs[asm.key] = asm
     ctx.op_issued(target)
     # A Getv's run list travels GETV_RUNS_PER_PACKET runs to a request;
     # the target serves each request as a reply stream of its own.

@@ -6,11 +6,12 @@ mutex: a :class:`Thread` must hold the CPU to consume time
 (:meth:`Thread.execute`), releases it whenever it blocks
 (:meth:`Thread.wait`, :meth:`Thread.sleep`), and re-acquires it before
 resuming.  Priorities let interrupt handlers run ahead of user threads
-the next time the CPU is released -- the model is non-preemptive at the
-granularity of a single ``execute`` segment, which matches the real
-system closely because communication-path code runs in short bursts, and
-long application compute phases use :meth:`Thread.compute`, which yields
-between quanta.
+the next time the CPU is released, and only then: a thread keeps the
+CPU across all its ``execute`` bursts until it waits.  Only
+:meth:`Thread.compute` (long application compute phases) yields on its
+own, every :data:`COMPUTE_QUANTUM`, so a long run of communication
+bursts (a GA put loop, a 2 MiB copy) holds an arriving interrupt back
+for all of it (ROADMAP item 15).
 
 Thread priorities (lower runs first)::
 

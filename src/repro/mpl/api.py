@@ -287,10 +287,11 @@ class Mpl(Endpoint):
         """Send to self: goes through the matching engine locally."""
         cfg = self.config
         ctx = self.ctx
-        msg = MessageState(ctx.rank, ctx.next_seq(ctx.rank), op_sid)
+        msg = MessageState(ctx.rank, ctx.next_seq(ctx.rank), op_sid,
+                           ctx.stats)
         msg.set_envelope(tag, len(data), False)
         yield from thread.execute(cfg.copy_cost(len(data)))
-        req = SendRequest(ctx.rank, msg.msg_seq, len(data),
+        req = SendRequest(ctx.rank, msg.msg_id, len(data),
                           "eager-buffered")
         req.complete = True
         for env in ctx.match.admit_envelope(msg):
@@ -301,7 +302,7 @@ class Mpl(Endpoint):
             if bound is not None:
                 yield from self.dispatcher.deliver(thread, env)
             else:
-                ctx.recv_msgs[(env.src, env.msg_seq)] = env
+                self.recvs[env.key] = env
                 yield from self.dispatcher._maybe_complete(thread, env)
         return req
 
@@ -347,11 +348,8 @@ class Mpl(Endpoint):
             if sp is not None:
                 sp.emit(ctx.rank, "mpl", "recv", "match", t_m,
                         self.sim.now, parent=op_sid, unexpected=True)
-            yield from self.dispatcher._bind_flush(thread, msg)
-            if msg.is_rndv:
-                self.dispatcher._send_cts(msg)
-            if msg.data_complete:
-                yield from self.dispatcher.deliver(thread, msg)
+            yield from self.dispatcher._bound(thread, msg)
+            yield from self.dispatcher._maybe_complete(thread, msg)
         if sp is not None:
             sp.close(op_sid, self.sim.now)
         return req

@@ -13,12 +13,12 @@ flow control.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator
+from typing import TYPE_CHECKING, Generator, Optional
 
 from ..core.endpoint import EndpointDispatcher, user_steps
 from ..errors import MplError
 from .constants import MplPacketKind
-from .matching import MessageState, RecvRequest
+from .matching import MessageState
 from .protocol import cts_packet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -50,17 +50,10 @@ class MplDispatcher(EndpointDispatcher):
     # ------------------------------------------------------------------
     # message state helpers
     # ------------------------------------------------------------------
-    def _state(self, pkt: "Packet") -> MessageState:
-        """The message ``pkt`` belongs to; its first packet to arrive
-        opens it, carrying the packet's origin span."""
-        key = (pkt.src, pkt.info["msg_seq"])
-        msg = self.ctx.recv_msgs.get(key)
-        if msg is None:
-            sp = self.mpl.spans
-            msg = MessageState(*key, sp.origin_of(pkt) if sp is not None
-                               else None)
-            self.ctx.recv_msgs[key] = msg
-        return msg
+    def _open(self, key: tuple, pkt: "Packet",
+              origin: Optional[int]) -> MessageState:
+        """A message's first packet to arrive opens its record."""
+        return MessageState(*key, origin, self.ctx.stats)
 
     def _admit_and_match(self, thread: "Thread",
                          msg: MessageState) -> Generator:
@@ -78,28 +71,28 @@ class MplDispatcher(EndpointDispatcher):
                         bytes=env.total, src=env.src)
             req = self.ctx.match.match_arrival(env)
             if req is not None:
-                yield from self._bind_flush(thread, env)
-                if env.is_rndv:
-                    self._send_cts(env)
+                yield from self._bound(thread, env)
             elif env.rcvncall_fn is not None and env.is_rndv:
                 # rcvncall accepts rendezvous traffic into early storage.
                 self._send_cts(env)
             yield from self._maybe_complete(thread, env)
 
     def _send_cts(self, msg: MessageState) -> None:
-        cts = cts_packet(self.config, self.ctx.rank, msg.src,
-                         msg.msg_seq, reply_to=msg.rts_uid)
+        cts = cts_packet(self.config, self.ctx.rank, msg.src, msg.msg_id,
+                         reply_to=msg.rts_uid)
         sp = self.mpl.spans
         if sp is not None:
             sp.bind_packet(cts, msg.origin, "cts")
         self.mpl.transport.send_control(cts)
 
-    def _bind_flush(self, thread: "Thread",
-                    msg: MessageState) -> Generator:
-        """Flush pre-envelope stash into the message's destination."""
+    def _bound(self, thread: "Thread", msg: MessageState) -> Generator:
+        """A receive is bound to ``msg``: flush the packets stashed
+        before its envelope into it, then clear a rendezvous sender."""
         for offset, payload in msg.stash:
             yield from self._place(thread, msg, offset, payload)
         msg.stash.clear()
+        if msg.is_rndv:
+            self._send_cts(msg)
 
     def _place(self, thread: "Thread", msg: MessageState, offset: int,
                payload: bytes) -> Generator:
@@ -123,18 +116,17 @@ class MplDispatcher(EndpointDispatcher):
             msg.early_buffer[offset:offset + len(payload)] = payload
             msg.used_early = True
             self.ctx.stats.early_arrival_bytes += len(payload)
-        msg.received += len(payload)
-        self.ctx.stats.bytes_received += len(payload)
+        msg.placed(len(payload))
 
     def _maybe_complete(self, thread: "Thread",
                         msg: MessageState) -> Generator:
-        if not msg.data_complete:
+        if not msg.complete:
             return
         if msg.recv_req is not None:
             yield from self.deliver(thread, msg)
         elif msg.rcvncall_fn is not None:
             self._spawn_rcvncall(msg)
-            del self.ctx.recv_msgs[(msg.src, msg.msg_seq)]
+            del self.recvs[msg.key]
         # else: unexpected and complete; waits for a receive to post.
 
     def deliver(self, thread: "Thread", msg: MessageState) -> Generator:
@@ -164,7 +156,7 @@ class MplDispatcher(EndpointDispatcher):
         msg.early_buffer = None
         msg.recv_req = None
         req.complete = True
-        self.ctx.recv_msgs.pop((msg.src, msg.msg_seq), None)
+        self.recvs.pop(msg.key, None)
         self.ctx.progress_ws.notify_all()
 
     def _spawn_rcvncall(self, msg: MessageState) -> None:
@@ -199,8 +191,8 @@ class MplDispatcher(EndpointDispatcher):
     # packet kinds
     # ------------------------------------------------------------------
     def _data(self, thread: "Thread", pkt: "Packet") -> Generator:
-        msg = self._state(pkt)
-        if pkt.info.get("is_first") and not msg.envelope_known:
+        msg = self.record((pkt.src, pkt.info["msg_seq"]), pkt)
+        if pkt.info.get("is_first") and not msg.ready:
             # For rendezvous traffic the RTS already delivered the
             # envelope; only admit it once.
             msg.set_envelope(pkt.info["tag"], pkt.info["total"],
@@ -208,7 +200,7 @@ class MplDispatcher(EndpointDispatcher):
             yield from self._admit_and_match(thread, msg)
         payload = pkt.payload
         if payload:
-            if msg.matched or msg.envelope_known:
+            if msg.ready:
                 yield from self._place(thread, msg, pkt.info["offset"],
                                        payload)
                 # A data-less message completed (if at all) when its
@@ -221,7 +213,7 @@ class MplDispatcher(EndpointDispatcher):
                 msg.stash.append((pkt.info["offset"], payload))
 
     def _rts(self, thread: "Thread", pkt: "Packet") -> Generator:
-        msg = self._state(pkt)
+        msg = self.record((pkt.src, pkt.info["msg_seq"]), pkt)
         msg.rts_uid = pkt.uid
         msg.set_envelope(pkt.info["tag"], pkt.info["total"], True)
         yield from self._admit_and_match(thread, msg)

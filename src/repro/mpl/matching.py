@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from ..core.endpoint import RecvRecord
 from ..errors import MplError
 from .constants import ANY_SOURCE, ANY_TAG, ReservedTag
 
@@ -37,28 +38,23 @@ def tag_matches(want: int, tag: int) -> bool:
     return want == tag or (want == ANY_TAG and tag >= ReservedTag.USER_MIN)
 
 
-class MessageState:
-    """Receive-side state of one incoming message (eager or rndv)."""
+class MessageState(RecvRecord):
+    """MPL's receive record of one incoming message (eager or rndv),
+    keyed by its sender and the sender's per-destination sequence
+    number.  It is ready once its envelope (tag, total, protocol) has
+    arrived: with the first data packet of an eager message, with the
+    RTS of a rendezvous one."""
 
-    __slots__ = ("src", "msg_seq", "tag", "total", "received",
-                 "is_rndv", "early_buffer", "recv_req", "rcvncall_fn",
-                 "matched", "envelope_known", "stash", "used_early",
-                 "rts_uid", "origin", "unexpected_at", "parked_at")
+    __slots__ = ("tag", "is_rndv", "early_buffer", "used_early",
+                 "recv_req", "rcvncall_fn", "rts_uid", "unexpected_at",
+                 "parked_at")
 
-    def __init__(self, src: int, msg_seq: int,
-                 origin: Optional[int] = None) -> None:
-        self.src = src
-        self.msg_seq = msg_seq
-        #: The sender's ``mpl send`` span (None when tracing is off),
-        #: read from the first packet to arrive: every receive-side
-        #: span of the message parents to it.
-        self.origin = origin
-        # Envelope fields; valid once envelope_known.
+    def __init__(self, src: int, msg_id: int, origin: Optional[int] = None,
+                 stats=None) -> None:
+        super().__init__((src, msg_id), -1, stats, origin)
+        # Envelope fields; valid once ready.
         self.tag = -2
-        self.total = -1
         self.is_rndv = False
-        self.envelope_known = False
-        self.received = 0
         #: uid of the RTS packet that announced this message (rndv);
         #: echoed in the CTS ``reply_to`` field.
         self.rts_uid: Optional[int] = None
@@ -66,8 +62,6 @@ class MessageState:
         #: unexpected queue / was parked behind a sequencing gap.
         self.unexpected_at: Optional[float] = None
         self.parked_at: Optional[float] = None
-        #: Data packets that arrived before the envelope: (offset, bytes).
-        self.stash: list[tuple[int, bytes]] = []
         #: Early-arrival storage for eager data that beat the receive.
         self.early_buffer: Optional[bytearray] = None
         #: True if any byte of this message passed through the early
@@ -77,17 +71,12 @@ class MessageState:
         self.recv_req: Optional["RecvRequest"] = None
         #: rcvncall handler bound to this message, if any.
         self.rcvncall_fn: Optional[Callable] = None
-        self.matched = False
 
     def set_envelope(self, tag: int, total: int, is_rndv: bool) -> None:
         self.tag = tag
         self.total = total
         self.is_rndv = is_rndv
-        self.envelope_known = True
-
-    @property
-    def data_complete(self) -> bool:
-        return self.envelope_known and self.received >= self.total
+        self.ready = True
 
 
 class RecvRequest:
@@ -125,7 +114,7 @@ class _SourceStream:
     """Per-source envelope sequencing state."""
 
     next_seq: int = 0
-    #: Envelopes that arrived ahead of a gap, keyed by msg_seq.
+    #: Envelopes that arrived ahead of a gap, keyed by message id.
     parked: dict[int, MessageState] = field(default_factory=dict)
 
 
@@ -165,13 +154,13 @@ class MatchEngine:
         gap, possibly several if it filled one.
         """
         stream = self._stream(msg.src)
-        if msg.msg_seq < stream.next_seq or msg.msg_seq in stream.parked:
+        if msg.msg_id < stream.next_seq or msg.msg_id in stream.parked:
             raise MplError(
                 f"rank {self.rank}: duplicate envelope {msg.src}:"
-                f"{msg.msg_seq} escaped transport dedup")
-        stream.parked[msg.msg_seq] = msg
+                f"{msg.msg_id} escaped transport dedup")
+        stream.parked[msg.msg_id] = msg
         sp = self.sim.spans if self.sim is not None else None
-        if msg.msg_seq != stream.next_seq:
+        if msg.msg_id != stream.next_seq:
             self.envelopes_parked += 1
             if sp is not None:
                 msg.parked_at = self.sim.now
@@ -206,7 +195,6 @@ class MatchEngine:
         handler = self.rcvncall_handlers.get(msg.tag)
         if handler is not None:
             msg.rcvncall_fn = handler
-            msg.matched = True
             return None
         if self.sim is not None and self.sim.spans is not None:
             msg.unexpected_at = self.sim.now
@@ -236,7 +224,6 @@ class MatchEngine:
                 f" overflows a {req.maxlen}-byte receive (truncation is"
                 " an error, as in MPI)")
         msg.recv_req = req
-        msg.matched = True
         req.message = msg
         req.received_len = msg.total
         req.received_src = msg.src

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..sim import Event, SimLock, WaitSet
-from .matching import MatchEngine, MessageState
+from .matching import MatchEngine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim import Simulator
@@ -69,8 +69,6 @@ class MplContext:
         # The matcher records unexpected/reorder wait spans; it needs
         # the clock (pure reads -- it never charges time itself).
         self.match.sim = sim
-        #: (src, msg_seq) -> receive-side message state.
-        self.recv_msgs: dict[tuple[int, int], MessageState] = {}
         #: (dst, msg_seq) -> sender-side rendezvous state awaiting CTS.
         self.rndv_waiting: dict[tuple[int, int], SendRequest] = {}
         self._next_seq: dict[int, int] = {}
@@ -82,7 +80,6 @@ class MplContext:
     def crash_reset(self) -> None:
         """Forget every in-flight message (fail-stop node restart):
         matching queues and rendezvous handshakes start empty."""
-        self.recv_msgs.clear()
         self.rndv_waiting.clear()
         self.match.unexpected.clear()
         self.match.posted.clear()

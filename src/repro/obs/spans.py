@@ -136,9 +136,8 @@ class SpanRecorder:
     spans (tx/wire/rx_dma/dispatch) are stitched to their originating
     operation through the :meth:`bind_packets` side table keyed by
     packet uid; target-side spans (handlers, copies, matching) parent
-    through the origin the receive state (LAPI's ``RecvAssembly``,
-    MPL's ``MessageState``) read with :meth:`origin_of` from its first
-    packet.
+    through the origin the message's receive record (the endpoint's
+    ``RecvRecord``) read with :meth:`origin_of` from its first packet.
     """
 
     def __init__(self, limit: int = 2_000_000) -> None:

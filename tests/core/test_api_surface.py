@@ -169,6 +169,28 @@ class TestGuards:
         assert msg == twice
         assert call_on(cluster, getattr(task, stack), use) == after
 
+    def test_put_sync_unregisters_its_counter_when_the_put_raises(self):
+        """``put_sync`` registers a counter for the call; a put that
+        raises (here, after term) leaves the counter table as it was."""
+        from repro.errors import LapiError
+        from repro.machine import Cluster
+
+        def main(task):
+            yield from ()
+            return task.lapi
+
+        cluster = Cluster(nnodes=1)
+        lapi = cluster.run_job(main, stacks=("lapi",))[0]
+        before = list(lapi.ctx.counters)
+
+        def body(thread):
+            with pytest.raises(LapiError, match=self.MISUSE["lapi"][1]):
+                yield from lapi.put_sync(0, 0, 0, 0)
+
+        t = cluster.nodes[0].cpu.spawn(body)
+        cluster.sim.run_until_complete(t.process)
+        assert list(lapi.ctx.counters) == before
+
     def test_senv_toggles_interrupt_mode(self):
         def main(task):
             lapi = task.lapi

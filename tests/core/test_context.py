@@ -1,18 +1,21 @@
 """Unit tests for LAPI context state containers, and for the
-endpoint's record that completes a sent message of either stack."""
+endpoint's records of a message of either stack: the one that completes
+it where it was sent, and the one that receives it."""
 
 from types import SimpleNamespace
 
 import pytest
 
 from repro.core.constants import PacketKind
-from repro.core.context import LapiContext, RecvAssembly, RmwPending
+from repro.core.context import (LapiContext, LapiStats, RecvAssembly,
+                                RmwPending)
 from repro.core.endpoint import Endpoint, SendRecord
 from repro.core.reliability import ReliableTransport
 from repro.errors import LapiError, PeerUnreachableError
 from repro.machine.config import SP_1998
 from repro.machine.packet import Packet
-from repro.mpl.requests import SendRequest
+from repro.mpl.matching import MessageState
+from repro.mpl.requests import MplStats, SendRequest
 from repro.sim import Simulator, WaitSet
 
 
@@ -124,39 +127,68 @@ class TestSendRecord:
         assert bool(refused) == case.startswith("refused")
 
 
-class TestRecvAssembly:
-    def test_put_assembly_completion(self):
-        asm = RecvAssembly(src=1, msg_id=5, mtype="put", total_len=100)
-        asm.hdr_seen = True
-        asm.received = 99
-        assert not asm.complete
-        asm.received = 100
-        assert asm.complete
+@pytest.fixture(params=["lapi", "mpl"])
+def unready_record(request):
+    """Factory of one stack's receive record of ``total`` bytes from task
+    1 whose destination is not yet known, with the step that makes it
+    ready: an active message's header handler has run, or an MPL
+    envelope has arrived."""
+    def make(total):
+        if request.param == "lapi":
+            rec = RecvAssembly(1, 5, PacketKind.MSG_AM, total, LapiStats())
 
-    def test_incomplete_without_header(self):
-        asm = RecvAssembly(src=1, msg_id=5, mtype="am", total_len=0)
-        assert not asm.complete  # header not seen yet
-        asm.hdr_seen = True
-        assert asm.complete
+            def ready():
+                rec.ready = True
+        else:
+            rec = MessageState(1, 5, stats=MplStats())
 
-    def test_stash_holds_early_packets(self):
-        asm = RecvAssembly(src=1, msg_id=5, mtype="am", total_len=64)
-        asm.stash.append((32, b"late-half"))
-        assert len(asm.stash) == 1
-        assert not asm.complete
+            def ready():
+                rec.set_envelope(3, total, False)
+        return rec, ready
+    return make
+
+
+class TestRecvRecord:
+    def test_incomplete_until_ready_and_placed(self, unready_record):
+        rec, ready = unready_record(100)
+        assert not rec.complete
+        ready()
+        rec.placed(99)
+        assert not rec.complete
+        rec.placed(1)
+        assert rec.complete
+        assert rec.received == rec.stats.bytes_received == 100
+
+    def test_zero_length_completes_when_ready(self, unready_record):
+        rec, ready = unready_record(0)
+        assert not rec.complete
+        ready()
+        assert rec.complete
+
+    def test_stash_keeps_arrival_order(self, unready_record):
+        rec, _ = unready_record(64)
+        rec.stash.append((32, b"late-half"))
+        rec.stash.append((16, b"quarter"))
+        assert rec.stash == [(32, b"late-half"), (16, b"quarter")]
+        assert rec.received == 0
+        assert not rec.complete
 
 
 class TestPendings:
     def test_get_pending(self):
         """A get's reply is assembled like a put, under a key of its
         own: a put from the same peer with the same message id never
-        shares its entry."""
-        p = RecvAssembly(2, 1, PacketKind.MSG_GET_REP, 10, buf_addr=100)
-        put = RecvAssembly(2, 1, PacketKind.MSG_PUT, 10)
+        shares its entry.  Both are ready when they open."""
+        stats = LapiStats()
+        p = RecvAssembly(2, 1, PacketKind.MSG_GET_REP, 10, stats,
+                         buf_addr=100)
+        put = RecvAssembly(2, 1, PacketKind.MSG_PUT, 10, stats)
         assert p.key != put.key
+        assert (p.src, p.msg_id) == (put.src, put.msg_id) == (2, 1)
+        assert p.ready and put.ready
         assert not p.complete
-        p.received = 10
-        assert p.complete
+        p.placed(10)
+        assert p.complete and not put.complete
 
     def test_rmw_pending(self):
         p = RmwPending(req_id=7, target=2, prev_addr=None,

@@ -183,12 +183,12 @@ class TestCrashReset:
         """A restarted node's stack forgets every in-flight transfer."""
         if stack == "lapi":
             main = _leave_lapi_state
-            tables = ("recv_asm", "pending_rmws", "outstanding",
-                      "barrier_tokens")
+            tables = ("recvs", "ctx.pending_rmws", "ctx.outstanding",
+                      "ctx.barrier_tokens")
         else:
             main = _leave_mpl_state
-            tables = ("recv_msgs", "rndv_waiting", "match.unexpected",
-                      "match.posted")
+            tables = ("recvs", "ctx.rndv_waiting", "ctx.match.unexpected",
+                      "ctx.match.posted")
         tasks = {}
 
         def job(task):
@@ -202,15 +202,15 @@ class TestCrashReset:
         ep = getattr(tasks[0], stack)
 
         def table(name):
-            obj = ep.ctx
+            obj = ep
             for part in name.split("."):
                 obj = getattr(obj, part)
             return obj
 
         left = {name for name in tables if table(name)}
-        expected = ({"recv_asm", "outstanding"} if stack == "lapi"
-                    else {"recv_msgs", "rndv_waiting", "match.unexpected",
-                          "match.posted"})
+        expected = ({"recvs", "ctx.outstanding"} if stack == "lapi"
+                    else {"recvs", "ctx.rndv_waiting", "ctx.match.unexpected",
+                          "ctx.match.posted"})
         assert expected <= left
         assert ep.transport._tx and ep.transport._rx
         ep.crash_reset()

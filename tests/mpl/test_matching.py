@@ -17,22 +17,22 @@ def env(src=0, seq=0, tag=1, total=10, rndv=False):
 class TestEnvelopeOrdering:
     def test_in_order_admission(self):
         eng = MatchEngine(0)
-        assert [m.msg_seq for m in eng.admit_envelope(env(seq=0))] == [0]
-        assert [m.msg_seq for m in eng.admit_envelope(env(seq=1))] == [1]
+        assert [m.msg_id for m in eng.admit_envelope(env(seq=0))] == [0]
+        assert [m.msg_id for m in eng.admit_envelope(env(seq=1))] == [1]
 
     def test_gap_parks_envelope(self):
         eng = MatchEngine(0)
         assert eng.admit_envelope(env(seq=1)) == []
         assert eng.envelopes_parked == 1
         ready = eng.admit_envelope(env(seq=0))
-        assert [m.msg_seq for m in ready] == [0, 1]
+        assert [m.msg_id for m in ready] == [0, 1]
 
     def test_large_scramble_restores_order(self):
         eng = MatchEngine(0)
         order = [4, 1, 3, 0, 2]
         released = []
         for seq in order:
-            released += [m.msg_seq for m in eng.admit_envelope(env(seq=seq))]
+            released += [m.msg_id for m in eng.admit_envelope(env(seq=seq))]
         assert released == [0, 1, 2, 3, 4]
 
     def test_per_source_independence(self):

@@ -118,4 +118,4 @@ class TestMatchingStateful:
         # Request k received the message with send-sequence k.
         for k, r in enumerate(reqs):
             assert r.message is not None
-            assert r.message.msg_seq == k
+            assert r.message.msg_id == k
