@@ -117,6 +117,7 @@ def _local_amsend(lapi: "Lapi", thread, handler_id: int, uhdr: bytes,
     if data:
         yield from thread.execute(lapi.config.copy_cost(len(data)))
         lapi.memory.write(buf_addr, data)
+        ctx.stats.bytes_received += len(data)
 
     if org_cntr is not None:
         org_cntr.add(1)

@@ -43,7 +43,7 @@ from .counters import LapiCounter
 from .dispatcher import Dispatcher
 from .endpoint import Endpoint
 from .env import do_qenv, do_senv
-from .fence import do_fence, do_gfence
+from .fence import do_fence, do_gfence, gfence_token
 from .protocol import PROTO
 from .putget import do_get, do_put
 from .rmw import do_rmw
@@ -298,6 +298,7 @@ class Lapi(Endpoint):
         return do_gfence(self)
 
     barrier = gfence
+    _barrier_token = gfence_token
 
     # ------------------------------------------------------------------
     # addresses, handlers, environment
@@ -323,7 +324,7 @@ class Lapi(Endpoint):
         self._check_live()
         thread = self.current_thread()
         yield from thread.execute(self.config.lapi_call_overhead)
-        key = f"lapi.addr.{self.ctx.barrier_epoch}.{id(self.task.cluster)}"
+        key = f"lapi.addr.{self.barrier_epoch}.{id(self.task.cluster)}"
         table = self.task.cluster.oob_allgather(key, self.rank, value,
                                                 self.size)
         yield from self.gfence()

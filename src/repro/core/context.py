@@ -124,8 +124,8 @@ class LapiContext:
         #: known complete at the data-transfer level (section 5.3.2).
         self.outstanding: dict[int, int] = {}
         # -- barrier (gfence) -------------------------------------------
-        self.barrier_epoch = 0
-        self.barrier_tokens: set[tuple[int, int]] = set()
+        #: ``(epoch, view, round)`` of each token arrived.
+        self.barrier_tokens: set[tuple[int, int, int]] = set()
         # -- progress signalling ----------------------------------------
         #: Notified after every dispatcher batch and local completion;
         #: predicate waits (fence, rmw_sync, polling loops) hang off it.

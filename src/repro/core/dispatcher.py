@@ -110,7 +110,9 @@ class Dispatcher(EndpointDispatcher):
         elif kind == PacketKind.RMW_REP:
             yield from self._rmw_reply(thread, pkt)
         elif kind == PacketKind.BARRIER:
-            ctx.barrier_tokens.add((pkt.info["epoch"], pkt.info["round"]))
+            info = pkt.info
+            ctx.barrier_tokens.add(
+                (info["epoch"], info["view"], info["round"]))
             ctx.progress_ws.notify_all()
         else:
             raise LapiError(f"dispatcher: unknown packet kind {kind!r}")

@@ -13,8 +13,9 @@ library calls in polling mode.  This module owns that model:
   message of both stacks (:meth:`Endpoint.send_packets`), completes
   it at its origin (:class:`SendRecord`) and receives it at its target
   (:class:`RecvRecord`), runs user handler code off the dispatcher
-  (:meth:`Endpoint.run_handler`), waits on progress, and handles peer
-  failure, node restart and term;
+  (:meth:`Endpoint.run_handler`) and both stacks' barrier over the
+  surviving ranks (:meth:`Endpoint.dissemination`), waits on progress,
+  and handles peer failure, node restart and term;
 * :class:`EndpointDispatcher` pulls packets off the adapter's RX FIFO,
   serialises them under the context's dispatch lock, charges the
   per-packet receive cost and drops retransmitted duplicates before
@@ -144,6 +145,10 @@ class Endpoint:
         #: Called with the terminal error when the transport declares a
         #: peer unreachable; a truthy return suppresses the failure.
         self._error_handler: Optional[Callable] = None
+        #: Barriers entered, one epoch each, and the epoch of the last
+        #: one left (:meth:`dissemination`).
+        self.barrier_epoch = 0
+        self._barrier_left: Optional[int] = None
 
     # convenient shorthands ------------------------------------------------
     @property
@@ -297,6 +302,74 @@ class Endpoint:
                     self.ctx.progress_ws.notify_all()
                 raise
 
+    def dissemination(self) -> Generator:
+        """The barrier of both stacks: a dissemination barrier over the
+        ranks alive at entry (not in ``task.dead_peers``).  Round
+        ``rnd`` of the stack's ``_barrier_token(thread, epoch, view,
+        rnd, to, frm, moved)`` sends a token ``2**rnd`` ranks ahead,
+        waits until the one from as far behind arrives or ``moved()``,
+        and returns whether it arrived (``frm`` None: send only).
+
+        A token carries the barrier's epoch and the membership ``view``
+        it was sent under, a bit per dead rank, so one sent under one
+        view never ends a wait under another.  A loss recorded
+        mid-barrier (:meth:`_peer_lost`) restarts the schedule over the
+        new survivors.  Returns the barrier's epoch."""
+        thread = self.current_thread()
+        dead = self.task.dead_peers
+        epoch = self.barrier_epoch
+        self.barrier_epoch += 1
+        while True:
+            ndead = len(dead)
+
+            def moved(ndead=ndead) -> bool:
+                return len(dead) != ndead
+
+            view, rounds = self._schedule()
+            for rnd, (to, frm) in enumerate(rounds):
+                if moved() or not (yield from self._barrier_token(
+                        thread, epoch, view, rnd, to, frm, moved)):
+                    break
+            else:
+                break
+        self._barrier_left = epoch
+        return epoch
+
+    def _schedule(self) -> tuple[int, list[tuple[int, int]]]:
+        """The membership view now, and each round's ``(to, frm)``
+        over the ranks it holds alive."""
+        dead = self.task.dead_peers
+        size = self.ctx.size
+        if dead:
+            alive = [r for r in range(size) if r not in dead]
+            view = sum(1 << r for r in dead)
+        else:
+            alive, view = range(size), 0
+        n = len(alive)
+        me = alive.index(self.ctx.rank)
+        rounds = []
+        dist = 1
+        while dist < n:
+            rounds.append((alive[(me + dist) % n], alive[(me - dist) % n]))
+            dist <<= 1
+        return view, rounds
+
+    def _replay_barrier(self) -> None:
+        """Resend this rank's tokens of the last barrier it left, under
+        the view after a loss.  Having left, it knows that every rank
+        entered, so the tokens are true at once, and a survivor that
+        had not left restarts under the new view and needs them."""
+        epoch = self._barrier_left
+        view, rounds = self._schedule()
+
+        def replay(thread):
+            for rnd, (to, _) in enumerate(rounds):
+                yield from self._barrier_token(thread, epoch, view, rnd, to,
+                                               None, None)
+
+        self.task.node.cpu.spawn(
+            replay, name=f"{self.PREFIX}{self.rank}.replay", priority=HANDLER)
+
     # ------------------------------------------------------------------
     # progress
     # ------------------------------------------------------------------
@@ -427,10 +500,14 @@ class Endpoint:
         barrier waits read), the transport's breaker opens (in-flight
         operations toward it complete in error, credits post), and only
         then are progress waiters notified -- their gates read the
-        record, so it must be written before the notify."""
+        record, so it must be written before the notify.  A barrier
+        waiting restarts on the change; a rank that has left one replays
+        its tokens of the last (:meth:`_replay_barrier`)."""
         self.task.dead_peers.add(peer)
         self.transport.peer_down(peer)
         self.ctx.progress_ws.notify_all()
+        if self._barrier_left is not None:
+            self._replay_barrier()
 
     def peer_absolved(self, peer: int) -> None:
         """The detector heard from a convicted peer again (machine

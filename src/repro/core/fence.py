@@ -8,14 +8,16 @@ placing its bytes (``EndpointDispatcher.process``), so a fence can
 return while the last packet is still being copied (strict xfail
 ``test_fence_returns_after_the_data_is_placed``).
 
-``LAPI_Gfence`` is the collective version: a local fence followed by a
-dissemination barrier (log2(N) rounds of point-to-point tokens over the
-switch -- no magic global operation).
+``LAPI_Gfence`` is the collective version: a local fence followed by
+the barrier both stacks share, ``Endpoint.dissemination`` (log2(N)
+rounds of point-to-point tokens over the switch -- no magic global
+operation -- among the ranks still alive).  This module keeps only
+LAPI's token: a BARRIER control packet (:func:`gfence_token`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from ..errors import LapiError
 from .constants import PacketKind
@@ -24,7 +26,7 @@ from .protocol import control_packet
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .api import Lapi
 
-__all__ = ["do_fence", "do_gfence"]
+__all__ = ["do_fence", "do_gfence", "gfence_token"]
 
 
 def do_fence(lapi: "Lapi", target: Optional[int] = None) -> Generator:
@@ -56,56 +58,53 @@ def do_fence(lapi: "Lapi", target: Optional[int] = None) -> Generator:
 
 
 def do_gfence(lapi: "Lapi") -> Generator:
-    """Collective fence: local fence + dissemination barrier."""
+    """Collective fence: local fence + the endpoint's barrier schedule
+    (:meth:`~repro.core.endpoint.Endpoint.dissemination`)."""
     ctx = lapi.ctx
-    cfg = lapi.config
     thread = lapi.current_thread()
     ctx.stats.gfences += 1
     sp = lapi.spans
     op_sid = None
     if sp is not None:
-        op_sid = sp.open(ctx.rank, "lapi", "gfence", lapi.sim.now,
-                         parent=getattr(thread, "span_parent", None))
         prev_parent = getattr(thread, "span_parent", None)
+        op_sid = sp.open(ctx.rank, "lapi", "gfence", lapi.sim.now,
+                         parent=prev_parent)
+        # The fence and the barrier tokens belong to the gfence.
         thread.span_parent = op_sid
     try:
         yield from do_fence(lapi, None)
+        if ctx.size == 1:
+            if sp is not None:
+                sp.close(op_sid, lapi.sim.now)
+            return
+        epoch = yield from lapi.dissemination()
     finally:
         if sp is not None:
             thread.span_parent = prev_parent
-
-    size = ctx.size
-    if size == 1:
-        if sp is not None:
-            sp.close(op_sid, lapi.sim.now)
-        return
-    epoch = ctx.barrier_epoch
-    ctx.barrier_epoch += 1
-    rounds = 0
-    span = 1
-    while span < size:
-        rounds += 1
-        span <<= 1
-    for r in range(rounds):
-        dist = 1 << r
-        peer = (ctx.rank + dist) % size
-        yield from thread.execute(cfg.lapi_pkt_send_cost)
-        token = control_packet(
-            cfg, ctx.rank, peer, PacketKind.BARRIER,
-            epoch=epoch, round=r)
-        if sp is not None:
-            sp.bind_packet(token, op_sid, "gfence")
-        lapi.transport.send_control(token)
-        # A round's token comes from (rank - dist) mod size; a lost
-        # peer (convicted, or out of retries) will never send it, so a
-        # dead sender satisfies the wait (degraded-mode barrier:
-        # survivors synchronize among themselves instead of hanging).
-        src_peer = (ctx.rank - dist) % size
-        yield from lapi.wait_for(
-            lambda e=epoch, rr=r, src=src_peer:
-            (e, rr) in ctx.barrier_tokens or src in lapi.task.dead_peers)
-    # Tokens of this epoch are consumed; drop them to bound memory.
-    ctx.barrier_tokens = {(e, r) for (e, r) in ctx.barrier_tokens
-                          if e != epoch}
+    # Tokens of this epoch, and of any before it, are spent.
+    ctx.barrier_tokens = {k for k in ctx.barrier_tokens if k[0] > epoch}
     if sp is not None:
         sp.close(op_sid, lapi.sim.now, epoch=epoch)
+
+
+def gfence_token(lapi: "Lapi", thread, epoch: int, view: int, rnd: int,
+                 to: int, frm: Optional[int],
+                 moved: Optional[Callable[[], bool]]) -> Generator:
+    """LAPI's barrier round (``Lapi._barrier_token``): a BARRIER control
+    packet to ``to``, one send cost; the target's dispatcher records it
+    in ``ctx.barrier_tokens`` as ``(epoch, view, round)``."""
+    cfg = lapi.config
+    ctx = lapi.ctx
+    yield from thread.execute(cfg.lapi_pkt_send_cost)
+    pkt = control_packet(cfg, ctx.rank, to, PacketKind.BARRIER,
+                         epoch=epoch, view=view, round=rnd)
+    sp = lapi.spans
+    if sp is not None:
+        sp.bind_packet(pkt, getattr(thread, "span_parent", None), "gfence")
+    lapi.transport.send_control(pkt)
+    if frm is None:
+        return False
+    key = (epoch, view, rnd)
+    tokens = ctx.barrier_tokens
+    yield from lapi.wait_for(lambda: key in tokens or moved())
+    return key in tokens

@@ -233,6 +233,7 @@ def _local_copy(lapi: "Lapi", thread, op: str, op_sid, t_call: float,
     if data:
         yield from thread.execute(lapi.config.copy_cost(len(data)))
         write_runs(lapi.memory, dest, data)
+        ctx.stats.bytes_received += len(data)
     for cntr in (org_cntr, cmpl_cntr):
         if cntr is not None:
             cntr.add(1)
@@ -276,6 +277,9 @@ def do_get(lapi: "Lapi", target: int, length: int, tgt_addr: int,
     if sp is not None:
         sp.emit(ctx.rank, "lapi", "get", "call", t_call,
                 thread.burst_ends[0], parent=op_sid, bytes=length)
+    # An open breaker would suppress the request without a word, and
+    # the get would never be retired: refuse it before registering it.
+    lapi.transport.check_reachable(target)
     ctx.stats.gets += 1
     msg_id = ctx.new_msg_id()
     # The reply is placed here like a put at its target; keyed by its

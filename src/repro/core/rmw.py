@@ -63,6 +63,8 @@ def do_rmw(lapi: "Lapi", op: RmwOp, target: int, tgt_addr: int,
         ctx.progress_ws.notify_all()
         return pending
 
+    # As a get: refused while the breaker is open, before it registers.
+    lapi.transport.check_reachable(target)
     ctx.pending_rmws[pending.req_id] = pending
     ctx.op_issued(target)
     yield from thread.execute(cfg.lapi_pkt_send_cost)

@@ -24,11 +24,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Generator, Optional, Union
 
 from ..core.endpoint import Endpoint, SendRecord
-from ..errors import MplError
+from ..errors import MplError, PeerUnreachableError
 from ..machine.cpu import HANDLER
 from ..machine.packet import packet_count
 from . import collectives
-from .constants import ANY_SOURCE, ANY_TAG
+from .constants import ANY_SOURCE, ANY_TAG, ReservedTag
 from .dispatcher import MplDispatcher
 from .matching import MessageState, RecvRequest, tag_matches
 from .protocol import PROTO, data_packets, rts_packet
@@ -150,6 +150,12 @@ class Mpl(Endpoint):
         (internal staging, used by collectives and packing layers).
         """
         self._check_live()
+        return self._isend(dst, source, nbytes, tag)
+
+    def _isend(self, dst: int, source: Union[int, bytes], nbytes: int,
+               tag: int) -> Generator:
+        """The body of :meth:`isend`; a barrier replay sends through it
+        after ``term`` too."""
         cfg = self.config
         ctx = self.ctx
         thread = self.current_thread()
@@ -298,7 +304,7 @@ class Mpl(Endpoint):
             bound = ctx.match.match_arrival(env)
             env.early_buffer = bytearray(data)
             env.used_early = True
-            env.received = len(data)
+            env.placed(len(data))
             if bound is not None:
                 yield from self.dispatcher.deliver(thread, env)
             else:
@@ -418,8 +424,35 @@ class Mpl(Endpoint):
     # collectives (see collectives.py for the algorithms)
     # ------------------------------------------------------------------
     def barrier(self) -> Generator:
+        """Dissemination barrier over the survivors
+        (:meth:`~repro.core.endpoint.Endpoint.dissemination`)."""
         self._check_live()
-        return collectives.barrier(self)
+        return self.dissemination()
+
+    def _barrier_token(self, thread, epoch: int, view: int, rnd: int,
+                       to: int, frm: Optional[int],
+                       moved: Optional[Callable[[], bool]]) -> Generator:
+        """MPL's barrier round: post the receive of ``frm``'s token, send
+        ours -- 0 bytes -- to ``to``, wait.  With no rank dead every
+        token is tagged ``ReservedTag.BARRIER`` (per-source order keeps
+        epochs apart); a view with a dead rank has a tag of its own per
+        epoch, below every other reserved tag."""
+        tag = (ReservedTag.BARRIER if view == 0
+               else ReservedTag.REDUCE - (epoch << self.ctx.size | view))
+        if frm is not None:
+            req = yield from self.irecv(frm, tag, None, 0)
+        try:
+            # A 0-byte send is buffered: complete when the call returns.
+            yield from self._isend(to, b"", 0, tag)
+        except PeerUnreachableError:
+            pass  # ``to`` was lost since the view was taken: moved()
+        if frm is None:
+            return False
+        yield from self.wait_for(lambda: req.complete or moved())
+        if req.message is None:
+            self.ctx.match.posted.remove(req)
+            return False
+        return True
 
     def bcast(self, data: Optional[bytes], root: int = 0) -> Generator:
         self._check_live()

@@ -1,10 +1,11 @@
 """Collectives built on MPL point-to-point messaging.
 
-The paper's MPL-based GA and the application kernels need barrier,
-broadcast, and reductions.  These use the textbook logarithmic
-algorithms over reserved tags; per-source in-order matching makes plain
-tag reuse across epochs safe (tokens from one source can never overtake
-each other).
+The paper's MPL-based GA and the application kernels need broadcast
+and reductions (the barrier is the endpoint's, shared with LAPI's
+gfence: :meth:`repro.mpl.api.Mpl.barrier`).  These use the textbook
+logarithmic algorithms over reserved tags; per-source in-order matching
+makes plain tag reuse across calls safe (messages from one source can
+never overtake each other).
 """
 
 from __future__ import annotations
@@ -17,22 +18,7 @@ from .constants import ReservedTag
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .api import Mpl
 
-__all__ = ["barrier", "bcast", "reduce", "allreduce"]
-
-
-def barrier(mpl: "Mpl") -> Generator:
-    """Dissemination barrier: ceil(log2(N)) rounds of tokens."""
-    size, rank = mpl.size, mpl.rank
-    if size == 1:
-        return
-    dist = 1
-    while dist < size:
-        to = (rank + dist) % size
-        frm = (rank - dist) % size
-        req = yield from mpl.irecv(frm, ReservedTag.BARRIER, None, 0)
-        yield from mpl.send(to, b"", 0, ReservedTag.BARRIER)
-        yield from mpl.wait(req)
-        dist <<= 1
+__all__ = ["bcast", "reduce", "allreduce"]
 
 
 def bcast(mpl: "Mpl", data: Optional[bytes], root: int = 0) -> Generator:

@@ -168,30 +168,93 @@ class TestCrashMidGfence:
         assert exc.value.convicted_us - CRASH_AT <= DETECT_BOUND
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1(b): the dissemination gfence counts a dead "
-    "round-sender's token as arrived, so rank 3 leaves at 5 058.5 us "
-    "while rank 0 enters at 25 009.0 us"))
-def test_no_survivor_leaves_the_gfence_before_the_last_enters():
-    """A survivor barrier: every rank that is still alive enters the
-    gfence before any of them leaves it."""
+def _assert_no_survivor_leaves_early(stack, barrier):
+    """Four nodes, node 1 crashed at 100 us; the survivors enter
+    ``barrier(task)`` past the conviction, rank 0 20 ms after the
+    others.  Every survivor enters before any of them leaves."""
     def main(task):
         yield from task.thread.sleep(5000.0)  # past the conviction
         if task.rank == 0:
             yield from task.thread.sleep(20_000.0)
         entered = task.now()
-        yield from task.lapi.gfence()
+        yield from barrier(task)
         return entered, task.now()
 
     cluster = Cluster(nnodes=4,
                       faults=FaultSchedule([NodeCrash(node=1, start=100.0)]))
-    results = cluster.run_job(main, stacks=("lapi",), until=200_000.0,
+    results = cluster.run_job(main, stacks=(stack,), until=200_000.0,
                               on_peer_failure="continue")
     assert results[1] is TASK_CRASHED
     survivors = [r for r in results if r is not TASK_CRASHED]
     last_entry = max(entered for entered, _ in survivors)
     first_exit = min(left for _, left in survivors)
     assert first_exit >= last_entry
+
+
+def test_no_survivor_leaves_the_gfence_before_the_last_enters():
+    """A survivor barrier: every rank that is still alive enters the
+    gfence before any of them leaves it."""
+    _assert_no_survivor_leaves_early("lapi", lambda task: task.lapi.gfence())
+
+
+def test_no_survivor_leaves_the_mpl_barrier_before_the_last_enters():
+    """MPL's barrier is the same survivor barrier, and ``Mpl.term``'s
+    closing one returns on every survivor."""
+    _assert_no_survivor_leaves_early("mpl", lambda task: task.mpl.barrier())
+
+
+def test_both_stacks_terminate_on_every_survivor_after_a_crash():
+    """A job on LAPI and MPL, each running its barrier across a node
+    crash: the survivors restart their barriers over the new
+    membership, and every survivor returns from ``Lapi.term`` and
+    ``Mpl.term``."""
+    tasks = []
+
+    def main(task):
+        tasks.append(task)
+        for _ in range(6):
+            yield from task.lapi.gfence()
+            yield from task.mpl.barrier()
+            yield from task.thread.sleep(400.0 + 50.0 * task.rank)
+        return task.rank
+
+    cluster = Cluster(nnodes=5,
+                      faults=FaultSchedule([NodeCrash(node=3, start=900.0)]))
+    results = cluster.run_job(main, stacks=("lapi", "mpl"),
+                              until=200_000.0, on_peer_failure="continue")
+    assert results == [0, 1, 2, TASK_CRASHED, 4]
+    for task in tasks:
+        if task.rank != 3:
+            assert task.dead_peers == {3}
+            assert task.lapi._terminated and task.mpl._terminated
+
+
+@pytest.mark.parametrize("stack, barriers, crash_at", [
+    ("lapi", 20, 240.0), ("mpl", 20, 240.0),
+    ("lapi", 2, 240.0), ("mpl", 2, 420.0)],
+    ids=["lapi-loop", "mpl-loop", "lapi-term", "mpl-term"])
+def test_a_rank_that_left_the_barrier_replays_its_tokens(stack, barriers,
+                                                         crash_at):
+    """Three ranks run ``barriers`` barriers, then ``term``'s, and node
+    2 dies inside one after its first token went out: one survivor
+    leaves that barrier under the old membership, the other cannot and
+    restarts it over the two survivors once it convicts node 2.  The
+    first one's replay of its tokens under the new membership lets it
+    out, from a barrier in the loop or from ``term``'s, which the first
+    survivor has already left (without the replay the job runs to
+    ``until=``)."""
+    def main(task):
+        for _ in range(barriers):
+            yield from getattr(task, stack).barrier()
+            yield from task.thread.sleep(20.0 * (task.rank * 7 % 3))
+        return task.rank
+
+    cluster = Cluster(nnodes=3,
+                      faults=FaultSchedule([NodeCrash(node=2,
+                                                      start=crash_at)]))
+    results = cluster.run_job(main, stacks=(stack,), until=300_000.0,
+                              on_peer_failure="continue")
+    assert results == [0, 1, TASK_CRASHED]
 
 
 @pytest.mark.parametrize("nbytes", [8000, 100_000])
@@ -218,11 +281,9 @@ def test_mpl_rendezvous_send_to_an_open_breaker_raises_at_the_call(nbytes):
 
     cluster = Cluster(nnodes=2,
                       faults=FaultSchedule([NodeCrash(node=1, start=100.0)]))
-    # The job still fails afterwards: mpl.term()'s barrier waits on the
-    # dead rank (ROADMAP item 1(b)).  Only rank 0's records count here.
-    with pytest.raises(PeerUnreachableError):
-        cluster.run_job(main, stacks=("mpl",), until=200_000.0,
-                        on_peer_failure="continue")
+    results = cluster.run_job(main, stacks=("mpl",), until=200_000.0,
+                              on_peer_failure="continue")
+    assert results == [None, TASK_CRASHED]
     assert "raised" in records, "isend returned a request"
     at, peer = records["raised"]
     assert peer == 1
@@ -442,9 +503,6 @@ class TestSuppressedRetryExhaustion:
         _, results = self._run(main)
         assert results[0] < 200_000.0
 
-    @pytest.mark.xfail(strict=True, raises=MachineError, reason=(
-        "ROADMAP item 1(c): a get or rmw toward a lost peer returns but "
-        "is never retired, so the fence after it waits until until="))
     @pytest.mark.parametrize("op", ["get", "rmw"])
     def test_fence_returns_after_a_get_or_rmw_toward_the_lost_peer(self,
                                                                    op):
