@@ -26,6 +26,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["LapiContext", "LapiStats", "RecvAssembly", "RmwPending"]
 
+#: Message type -> the operation a data message's receive spans name.
+_MTYPE_OP = {PacketKind.MSG_PUT: "put", PacketKind.MSG_AM: "amsend",
+             PacketKind.MSG_GET_REP: "get"}
+
 
 @dataclass
 class LapiStats:
@@ -56,7 +60,7 @@ class RecvAssembly(RecvRecord):
     at this task, so the two may share a message id.
     """
 
-    __slots__ = ("mtype", "buf_addr", "cmpl_fn", "user_info",
+    __slots__ = ("mtype", "op", "buf_addr", "cmpl_fn", "user_info",
                  "tgt_cntr_id", "cmpl_cntr_id", "org_cntr")
 
     def __init__(self, src: int, msg_id: int, mtype: str, total: int,
@@ -68,6 +72,7 @@ class RecvAssembly(RecvRecord):
         super().__init__((src, msg_id, mtype), total, stats, origin,
                          ready=mtype != PacketKind.MSG_AM)
         self.mtype = mtype
+        self.op = _MTYPE_OP[mtype]
         #: Destination base address (known at once for a put or get;
         #: supplied by the header handler for an active message).
         self.buf_addr = buf_addr

@@ -23,8 +23,8 @@ target and invoke a ``rcvncall`` message handler:
 the remote pieces, point groups and word operations into request
 messages and completes them (``waitall``, or the reply receive),
 carries requests to ``serve`` (the ``rcvncall`` handler, under the
-handler lock) and replies back on ``GA_REP_TAG``, and supplies the
-critical section (:meth:`MplBackend.critical`: ``lockrnc``).
+handler lock) and replies back on ``ReservedTag.GA_REP``, and supplies
+the critical section (:meth:`MplBackend.critical`: ``lockrnc``).
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import numpy as np
 
 from ..core.protocol import read_runs, write_runs
 from ..errors import GaError
+from ..mpl.constants import ReservedTag
 from ..sim import SimLock
 from .array import contiguous
 from .sections import Section
@@ -45,11 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .api import GlobalArrays
     from .array import GlobalArray
 
-__all__ = ["MplBackend", "GA_REQ_TAG", "GA_REP_TAG"]
-
-#: Reserved tags of the GA request/reply streams.
-GA_REQ_TAG = -100
-GA_REP_TAG = -101
+__all__ = ["MplBackend"]
 
 
 class MplBackend:
@@ -84,7 +81,7 @@ class MplBackend:
         # MPI-specific knob; raise the threshold to MPL's behaviour.
         self.mpl.eager_limit = max(self.mpl.eager_limit,
                                    self.config.mpl_send_buffer_limit)
-        self.mpl.rcvncall(GA_REQ_TAG, self._request_handler)
+        self.mpl.rcvncall(ReservedTag.GA_REQ, self._request_handler)
         yield from self.mpl.barrier()
 
     def close(self) -> None:
@@ -114,7 +111,7 @@ class MplBackend:
 
     def _send_reply(self, thread, src: int, desc: Descriptor,
                     blob: bytes) -> Generator:
-        yield from self.mpl.send(src, blob, len(blob), GA_REP_TAG)
+        yield from self.mpl.send(src, blob, len(blob), ReservedTag.GA_REP)
 
     def critical(self, thread, cost: float, apply) -> Generator:
         """The critical section of section 5.2: ``apply()`` after
@@ -143,8 +140,8 @@ class MplBackend:
                  data: bytes = b"") -> Generator:
         """Send one request and return the bytes of its reply."""
         msg = yield from self._pack_request(thread, desc, data)
-        yield from self.mpl.send(owner, msg, len(msg), GA_REQ_TAG)
-        reply = yield from self.mpl.recv_bytes(owner, GA_REP_TAG)
+        yield from self.mpl.send(owner, msg, len(msg), ReservedTag.GA_REQ)
+        reply = yield from self.mpl.recv_bytes(owner, ReservedTag.GA_REP)
         return reply
 
     def _post(self, thread, owner: int, desc: Descriptor,
@@ -153,7 +150,7 @@ class MplBackend:
         request."""
         blob = yield from self._pack_request(thread, desc, data)
         req = yield from self.mpl.isend(owner, blob, len(blob),
-                                        GA_REQ_TAG)
+                                        ReservedTag.GA_REQ)
         self._issued[owner] = self._issued.get(owner, 0) + 1
         return req
 
@@ -184,18 +181,19 @@ class MplBackend:
         desc = Descriptor(op=GaOp.GET, handle=ga.handle, section=piece,
                           total=nbytes)
         blob = yield from self._pack_request(thread, desc, b"")
-        yield from mpl.send(owner, blob, len(blob), GA_REQ_TAG)
+        yield from mpl.send(owner, blob, len(blob), ReservedTag.GA_REQ)
         dst = ga.buffer_runs(section, piece, local_addr)
         if contiguous(ga.piece_runs(owner, piece)) and contiguous(dst):
             # 1-D fast path: post the receive straight onto the user's
             # buffer -- "the MPL implementation is able to avoid one
             # memory copy" (section 5.4).
-            yield from mpl.recv(owner, GA_REP_TAG, dst[0][0], nbytes)
+            yield from mpl.recv(owner, ReservedTag.GA_REP, dst[0][0],
+                                nbytes)
         else:
             # Strided replies go through the receive buffer and are
             # unpacked -- the extra copy the 1998 code paid on every
             # 2-D request.
-            reply = yield from mpl.recv_bytes(owner, GA_REP_TAG)
+            reply = yield from mpl.recv_bytes(owner, ReservedTag.GA_REP)
             yield from thread.execute(self.config.copy_cost(nbytes))
             write_runs(self.memory, dst, reply)
 

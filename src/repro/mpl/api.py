@@ -425,9 +425,21 @@ class Mpl(Endpoint):
     # ------------------------------------------------------------------
     def barrier(self) -> Generator:
         """Dissemination barrier over the survivors
-        (:meth:`~repro.core.endpoint.Endpoint.dissemination`)."""
+        (:meth:`~repro.core.endpoint.Endpoint.dissemination`).  Once a
+        rank is dead, it then drops the unexpected tokens no later
+        barrier can match, host-side: every view-0 one (each later view
+        has a dead rank) and those of this epoch or earlier."""
         self._check_live()
-        return self.dissemination()
+        epoch = yield from self.dissemination()
+        if not self.task.dead_peers:
+            return
+        unexpected = self.ctx.match.unexpected
+        for msg in list(unexpected):
+            x = ReservedTag.VIEWS - msg.tag
+            if msg.tag == ReservedTag.BARRIER or (
+                    x > 0 and x >> self.ctx.size <= epoch):
+                unexpected.remove(msg)
+                self.recvs.pop(msg.key, None)
 
     def _barrier_token(self, thread, epoch: int, view: int, rnd: int,
                        to: int, frm: Optional[int],
@@ -436,9 +448,9 @@ class Mpl(Endpoint):
         ours -- 0 bytes -- to ``to``, wait.  With no rank dead every
         token is tagged ``ReservedTag.BARRIER`` (per-source order keeps
         epochs apart); a view with a dead rank has a tag of its own per
-        epoch, below every other reserved tag."""
+        epoch, below ``ReservedTag.VIEWS``."""
         tag = (ReservedTag.BARRIER if view == 0
-               else ReservedTag.REDUCE - (epoch << self.ctx.size | view))
+               else ReservedTag.VIEWS - (epoch << self.ctx.size | view))
         if frm is not None:
             req = yield from self.irecv(frm, tag, None, 0)
         try:

@@ -33,6 +33,11 @@ class ReservedTag:
     BARRIER = -10
     BCAST = -11
     REDUCE = -12
+    #: GA-on-MPL's request and reply streams.
+    GA_REQ = -100
+    GA_REP = -101
+    #: Barrier tokens under a view with a dead rank are tagged below.
+    VIEWS = -102
 
     #: Tags below this are reserved.
     USER_MIN = 0

@@ -45,6 +45,8 @@ class MessageState(RecvRecord):
     arrived: with the first data packet of an eager message, with the
     RTS of a rendezvous one."""
 
+    op = "recv"
+
     __slots__ = ("tag", "is_rndv", "early_buffer", "used_early",
                  "recv_req", "rcvncall_fn", "rts_uid", "unexpected_at",
                  "parked_at")

@@ -13,8 +13,7 @@ Public surface:
   synchronization.
 * :class:`Channel` -- FIFO queues; a bounded one drops on overflow.
 * :func:`park` / :func:`unpark` -- one wake-up registered with a channel,
-  a wait set and a deadline at once (:mod:`repro.sim.park` also holds
-  the polling and linger loops built on it).
+  a wait set and a deadline at once.
 * :class:`RngRegistry` -- deterministic named randomness.
 * :class:`Tracer` -- structured debugging traces.
 """

@@ -1,13 +1,13 @@
-"""Single-wake parking: one event, several wakers -- and the two
-consumer loops built on it.
+"""Single-wake parking: one event, several wakers.
 
 A consumer that must wake on the next item of a :class:`Channel` *or*
 on a broadcast from a :class:`WaitSet` *or* at a deadline -- a polling
 thread waiting for "a packet or any progress", an interrupt handler
-lingering for "a packet or quiet" -- does not wait on a composite of
-one event per source (every wake would cost two kernel events, and the
-losing sources' events would fire later into a condition that no
-longer cared).
+lingering for "a packet or quiet" (both in
+:class:`repro.core.endpoint.EndpointDispatcher`) -- does not wait on a
+composite of one event per source (every wake would cost two kernel
+events, and the losing sources' events would fire later into a
+condition that no longer cared).
 
 :func:`park` registers **one** event with every source instead; it is
 the simulator's only way to wait on whichever of several sources
@@ -18,25 +18,17 @@ and ``Channel.put`` hands such a parker its item silently -- the owner
 may resume well after the wake (a thread first waits for its CPU) and
 is the channel's consumer until it does.  On resuming it calls
 :func:`unpark`, which withdraws the registrations that lost.
-
-:func:`poll_step` and :func:`linger_loop` are the two ways a protocol
-stack drives its receive side (a thread sitting in a library call
-*polls*; an interrupt handler *lingers* after a burst), shared by LAPI
-and MPL.  They know nothing of either: ``thread`` is anything with
-``execute(cost)`` and ``wait(event)`` to ``yield from``, ``consumer``
-anything with ``process(thread, item, amortized=False)`` and
-``drain(thread)``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Optional
 
 from .channel import Channel
 from .events import PENDING, Event
 from .sync import WaitSet
 
-__all__ = ["park", "unpark", "poll_step", "linger_loop"]
+__all__ = ["park", "unpark"]
 
 
 def _expire(ev: Event) -> None:
@@ -85,57 +77,3 @@ def unpark(ev: Event, channel: Channel,
     if waitset is not None:
         waitset.discard(ev)
     return item
-
-
-def poll_step(thread, consumer, rx: Channel, progress: WaitSet,
-              check_cost: float, done: Callable[[], bool]) -> Generator:
-    """One polling-mode progress step (section 2.1's polling mode).
-
-    Charges the doorbell check; drains pending packets if any, returns
-    if the caller's wait condition ``done()`` came true meanwhile (an
-    acknowledgement consumed at the adapter during the check notifies
-    nobody), otherwise blocks the calling thread until the next arrival
-    *or* any progress signal -- window acknowledgements are consumed at
-    the adapter level, so a poller must not insist on seeing a packet
-    -- and processes what arrived.  Used by wait loops in polling mode,
-    so a polling task makes progress exactly while it sits in library
-    calls -- and a task that never calls the library makes none (the
-    documented deadlock hazard of polling mode).
-    """
-    yield from thread.execute(check_cost)
-    if len(rx):
-        yield from consumer.drain(thread)
-        return
-    if done():
-        return
-    parked = park(rx, progress)
-    yield from thread.wait(parked)
-    packet = unpark(parked, rx, progress)
-    if packet is not None:
-        yield from consumer.process(thread, packet)
-        # Opportunistically absorb the rest of the burst.
-        yield from consumer.drain(thread)
-        progress.notify_all()
-
-
-def linger_loop(thread, consumer, rx: Channel, progress: WaitSet,
-                linger: float) -> Generator:
-    """Interrupt-coalescing tail of an interrupt service thread.
-
-    Waits (off-CPU) up to ``linger`` us for further arrivals; each one
-    is processed at the amortized rate and resets the timer.  Returns
-    once the line has gone quiet.
-    """
-    if linger <= 0:
-        return
-    while True:
-        ok, packet = rx.try_get()
-        if not ok:
-            parked = park(rx, timeout=linger)
-            yield from thread.wait(parked)
-            packet = unpark(parked, rx)
-            if packet is None:
-                return
-        yield from consumer.process(thread, packet, amortized=True)
-        yield from consumer.drain(thread)
-        progress.notify_all()

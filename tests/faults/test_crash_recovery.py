@@ -19,6 +19,7 @@ from repro.faults import FaultSchedule, LinkOutage, NodeCrash
 from repro.machine import TASK_CRASHED, Cluster
 from repro.machine.config import SP_1998
 from repro.machine.packet import Packet
+from repro.mpl.constants import ReservedTag
 from repro.sim import Simulator
 
 
@@ -255,6 +256,59 @@ def test_a_rank_that_left_the_barrier_replays_its_tokens(stack, barriers,
     results = cluster.run_job(main, stacks=(stack,), until=300_000.0,
                               on_peer_failure="continue")
     assert results == [0, 1, TASK_CRASHED]
+
+
+def test_mpl_barrier_tokens_never_take_a_ga_tag():
+    """A view with a dead rank tags its barrier tokens below every
+    fixed reserved tag: four nodes, rank 3 dead, none of eight barriers
+    sends a token on GA's request tag, so the ``rcvncall`` handler rank
+    0 holds there never runs and the job ends."""
+    hits = []
+
+    def main(task):
+        mpl = task.mpl
+        if task.rank == 0:
+            mpl.rcvncall(ReservedTag.GA_REQ,
+                         lambda t, src, tag, data: hits.append(src))
+        for _ in range(8):
+            if task.rank == 0:
+                yield from task.thread.sleep(300.0)
+            yield from mpl.barrier()
+        return task.rank
+
+    cluster = Cluster(nnodes=4,
+                      faults=FaultSchedule([NodeCrash(node=3, start=100.0)]))
+    results = cluster.run_job(main, stacks=("mpl",), until=300_000.0,
+                              on_peer_failure="continue")
+    assert results == [0, 1, 2, TASK_CRASHED]
+    assert hits == []
+    assert cluster.sim.now < 300_000.0
+
+
+def test_mpl_barrier_drops_the_tokens_no_later_barrier_can_match():
+    """Three ranks run 20 barriers across node 2's crash: tokens sent
+    under a view their receiver restarted away from, or replayed to a
+    rank that had no need of them, are dropped once a barrier returns,
+    so every survivor's unexpected queue ends empty."""
+    tasks = []
+
+    def main(task):
+        tasks.append(task)
+        for _ in range(20):
+            yield from task.mpl.barrier()
+            yield from task.thread.sleep(20.0 * (task.rank * 7 % 3))
+        return task.rank
+
+    cluster = Cluster(nnodes=3,
+                      faults=FaultSchedule([NodeCrash(node=2, start=240.0)]))
+    results = cluster.run_job(main, stacks=("mpl",), until=300_000.0,
+                              on_peer_failure="continue")
+    assert results == [0, 1, TASK_CRASHED]
+    for task in tasks:
+        if task.rank == 2:
+            continue
+        assert [m.tag for m in task.mpl.ctx.match.unexpected] == []
+        assert task.mpl.recvs == {}
 
 
 @pytest.mark.parametrize("nbytes", [8000, 100_000])
